@@ -196,9 +196,9 @@ void Console::interpret(const std::string& line, std::function<void(std::string)
     return;
   }
   if (verb == "metrics") {
-    // Operator scrape of the whole simulation's registry (optionally
-    // filtered by prefix: "metrics srudp.").
-    std::string out = filter_lines(obs::MetricsRegistry::global().format_text(), arg);
+    // Operator scrape of this console's host (optionally filtered by
+    // prefix: "metrics srudp."); the fleet view is "fleet metrics".
+    std::string out = filter_lines(process_.host().metrics().format_text(), arg);
     reply(out.empty() ? "(no metrics recorded)" : out);
     return;
   }
@@ -211,7 +211,7 @@ void Console::interpret(const std::string& line, std::function<void(std::string)
     return;
   }
   if (verb == "health") {
-    reply(health_report(obs::MetricsRegistry::global().snapshot()));
+    reply(health_report(process_.host().metrics().snapshot()));
     return;
   }
   if (verb == "topo") {
@@ -461,11 +461,11 @@ HttpResponse OpsGateway::handle(const HttpRequest& request) const {
   auto [path, params] = parse_target(request.path);
   if (path == "/metrics") {
     std::string out =
-        filter_lines(obs::MetricsRegistry::global().format_text(), params["prefix"]);
+        filter_lines(process_.host().metrics().format_text(), params["prefix"]);
     return text_response(200, out.empty() ? "(no metrics recorded)\n" : out);
   }
   if (path == "/health")
-    return text_response(200, health_report(obs::MetricsRegistry::global().snapshot()));
+    return text_response(200, health_report(process_.host().metrics().snapshot()));
   if (path == "/flight")
     return text_response(200, obs::FlightRecorder::global().dump(params["host"]) + "\n");
   if (path == "/trace") {

@@ -58,13 +58,15 @@ std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_n
 ///   meta <uri>             full metadata record, one assertion per line
 ///   where <urn>            the host a process currently runs on
 ///   routers <group-urn>    a multicast group's router set
-///   metrics [prefix]       scrape the global registry, optionally filtered
+///   metrics [prefix]       scrape this console's host registry, optionally filtered
 ///   trace <id>             flow-event trail of one message (flow or msg id)
 ///   flight [host]          recent flight-recorder events, optionally per host
 ///   health                 delivery-latency / retransmit / failover rollup
+///                          of this console's host
 ///   topo                   zone tree with per-link utilization + up/down state
-///                          (utilization is windowed once a watchtower is
-///                          attached via set_watch; cumulative otherwise)
+///                          (this host's own NICs are windowed once a
+///                          watchtower is attached via set_watch; every other
+///                          link reads cumulative-since-boot)
 ///   series [prefix]        retained watchtower series (set_watch first)
 ///   alerts                 local alert-rule status (set_watch first)
 ///   fleet metrics [prefix] fleet-merged registry scrape (set_fleet first)
@@ -207,18 +209,19 @@ std::string to_http_text(const HttpResponse& response);
 /// data as plain text.  Because it is a normal HttpServer, requests reach
 /// it through the HttpGateway and keep working after it migrates.
 ///
-///   GET /metrics[?prefix=srudp.]   registry scrape, optionally filtered
-///   GET /health                    health_report() over a live snapshot
+///   GET /metrics[?prefix=srudp.]   this host's registry scrape, optionally filtered
+///   GET /health                    health_report() over this host's snapshot
 ///   GET /flight[?host=a]           flight-recorder dump, optionally per host
 ///   GET /trace?id=<flow-or-msg>    trace_report() for one causal flow
 ///   GET /topo[?window_s=10]        zone tree, per-link utilization, up/down
-///                                  (windowed once a watchtower is attached)
+///                                  (own NICs windowed once a watchtower is
+///                                  attached)
 ///   GET /series[?prefix=]          retained watchtower series (set_watch)
 ///   GET /alerts                    local alert-rule status (set_watch)
 ///
 /// With a fleet store attached (set_fleet), the local surface grows its
 /// fleet-wide counterpart, answered from collected beacons instead of this
-/// process's globals:
+/// host's registry:
 ///
 ///   GET /fleet/metrics[?prefix=]   fleet-merged registry scrape
 ///   GET /fleet/health              per-host liveness + merged health rollup

@@ -264,13 +264,14 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
 
   publish_host_metadata();
   engine_.schedule_weak(config_.load_report_period, [this] { publish_load(); });
-  heartbeats_ = &obs::MetricsRegistry::global().counter("daemon.heartbeats");
-  metrics_sources_.add("daemon.spawns_ok", [this] { return stats_.spawns_ok; });
-  metrics_sources_.add("daemon.spawns_rejected", [this] { return stats_.spawns_rejected; });
-  metrics_sources_.add("daemon.signals_delivered",
-                       [this] { return stats_.signals_delivered; });
-  metrics_sources_.add("daemon.checkpoints", [this] { return stats_.checkpoints; });
-  metrics_sources_.add("daemon.events_sent", [this] { return stats_.events_sent; });
+  heartbeats_ = &host_.metrics().counter("daemon.heartbeats");
+  stats_source_ = host_.metrics().add_stats([this](obs::StatsSink& s) {
+    s.add("daemon.spawns_ok", stats_.spawns_ok);
+    s.add("daemon.spawns_rejected", stats_.spawns_rejected);
+    s.add("daemon.signals_delivered", stats_.signals_delivered);
+    s.add("daemon.checkpoints", stats_.checkpoints);
+    s.add("daemon.events_sent", stats_.events_sent);
+  });
 }
 
 std::string SnipeDaemon::host_url() const {

@@ -183,10 +183,10 @@ class SnipeDaemon {
   std::unique_ptr<TelemetryCollector> telemetry_collector_;
   std::unique_ptr<Watchtower> watchtower_;
   DaemonStats stats_;
-  obs::Counter* heartbeats_;  ///< global "daemon.heartbeats" (pongs answered)
+  obs::Counter* heartbeats_;  ///< host's "daemon.heartbeats" (pongs answered)
   Logger log_;
-  /// Declared last so sources retire before stats_ dies.
-  obs::SourceGroup metrics_sources_;
+  /// Declared last so the stats visitor retires before stats_ dies.
+  obs::SourceHandle stats_source_;
 };
 
 }  // namespace snipe::daemon

@@ -11,10 +11,9 @@ TelemetryExporter::TelemetryExporter(transport::RpcEndpoint& rpc, TelemetryConfi
     : rpc_(rpc),
       engine_(rpc.engine()),
       config_(std::move(config)),
-      builder_({rpc.host().name(), config_.period, config_.full_every,
-                config_.max_flight, registry, flight, series}) {
-  obs::MetricsRegistry& r =
-      registry != nullptr ? *registry : obs::MetricsRegistry::global();
+      builder_({rpc.host().name(), config_.period, config_.full_every, config_.max_flight,
+                registry != nullptr ? registry : &rpc.host().metrics(), flight, series}) {
+  obs::MetricsRegistry& r = registry != nullptr ? *registry : rpc.host().metrics();
   beacons_counter_ = &r.counter("telemetry.beacons_sent");
   bytes_counter_ = &r.counter("telemetry.beacon_bytes");
 }

@@ -51,9 +51,9 @@ struct TelemetryConfig {
 /// revival, with the accumulated deltas riding the next beacon.
 class TelemetryExporter {
  public:
-  /// `registry`/`flight` default to the process-wide globals; a simulation
-  /// hosting many exporters in one process passes per-host instances.
-  /// `series` attaches a watchtower history store whose fresh points are
+  /// `registry` defaults to the host's own (Host::metrics()), so a beacon
+  /// costs O(that host's instruments); `flight` defaults to the process-wide
+  /// recorder, filtered to this host's entries.  `series` attaches a watchtower history store whose fresh points are
   /// delta-shipped inside every beacon (nullptr ships none).
   TelemetryExporter(transport::RpcEndpoint& rpc, TelemetryConfig config,
                     obs::MetricsRegistry* registry = nullptr,

@@ -12,25 +12,25 @@ Watchtower::Watchtower(simnet::Host& host, WatchtowerConfig config,
     : host_(host),
       engine_(host.engine()),
       config_(std::move(config)),
-      registry_(registry),
-      series_({config_.capacity_per_series}),
+      series_({config_.capacity_per_series,
+               registry != nullptr ? registry : &host.metrics()}),
       alerts_({host.name(), nullptr}) {
   alerts_.add_rules(config_.rules.empty() ? obs::AlertEngine::builtin_rules()
                                           : config_.rules);
   if (config_.sample_links && host_.world() != nullptr) {
+    // The world's route epoch plus this host's own NICs: a tick costs
+    // O(own NICs), and a link.<net>.<node>.* series names only this node.
     simnet::World* world = host_.world();
-    series_.add_sampler([world](std::int64_t now, obs::SeriesStore& store) {
+    simnet::Host* self = &host_;
+    series_.add_sampler([world, self](std::int64_t now, obs::SeriesStore& store) {
       store.record("world.route_epoch", now,
                    static_cast<double>(world->route_epoch()));
-      for (const auto& [net_name, net] : world->networks()) {
-        for (const simnet::Nic* nic : net->nics()) {
-          const std::string base = "link." + net_name + "." + nic->node()->name();
-          store.record(base + ".busy_ns", now,
-                       static_cast<double>(nic->busy_ns()));
-          SimTime free_at = nic->next_free();
-          store.record(base + ".queue_ns", now,
-                       static_cast<double>(std::max<SimTime>(0, free_at - now)));
-        }
+      for (const auto& nic : self->nics()) {
+        const std::string base = "link." + nic->network()->name() + "." + self->name();
+        store.record(base + ".busy_ns", now, static_cast<double>(nic->busy_ns()));
+        SimTime free_at = nic->next_free();
+        store.record(base + ".queue_ns", now,
+                     static_cast<double>(std::max<SimTime>(0, free_at - now)));
       }
     });
   }
@@ -49,7 +49,7 @@ void Watchtower::tick() {
   // the signal the fleet-side staleness rule keys on.
   if (!host_.up()) return;
   std::int64_t now = obs::Tracer::global().now();
-  series_.scrape(now, registry_);
+  series_.scrape(now);
   if (config_.evaluate_alerts) alerts_.evaluate(series_, now);
 }
 

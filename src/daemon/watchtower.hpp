@@ -2,10 +2,11 @@
 // series/alert machinery (DESIGN.md §watchtower).
 //
 // A Watchtower owns one SeriesStore and one AlertEngine for a simulated
-// host.  On a weak virtual-time timer it scrapes the metrics registry into
-// the store, samples the zone fabric (per-NIC busy time and egress queue
-// depth, the world route epoch — the PR-9 signals a snapshot view cannot
-// age), and evaluates the alert rules.  The exporter ships the store's
+// host.  On a weak virtual-time timer it scrapes the host's own metrics
+// registry (Host::metrics()) into the store, samples the host's own NICs
+// (busy time and egress queue depth) and the world route epoch — the
+// signals a snapshot view cannot age — and evaluates the alert rules.  A
+// tick costs O(this host's instruments and NICs), never O(fleet).  The exporter ships the store's
 // fresh points inside its ordinary telemetry beacons, so the collector
 // holds fleet-wide history without any new protocol.
 //
@@ -30,8 +31,8 @@ struct WatchtowerConfig {
   /// default, so every beacon ships roughly one fresh point per series).
   SimDuration scrape_period = duration::seconds(1);
   std::size_t capacity_per_series = 256;
-  /// Sample the zone fabric: link.<net>.<node>.busy_ns / .queue_ns per NIC
-  /// plus world.route_epoch.  Relaxed atomic reads — observational data,
+  /// Sample link.<net>.<self>.busy_ns / .queue_ns for each of this host's
+  /// own NICs, plus world.route_epoch.  Relaxed atomic reads — observational data,
   /// deliberately outside the sharded replay contract.
   bool sample_links = true;
   /// Evaluate alert rules on every scrape tick.
@@ -42,6 +43,7 @@ struct WatchtowerConfig {
 
 class Watchtower {
  public:
+  /// `registry` == nullptr watches the host's own registry.
   Watchtower(simnet::Host& host, WatchtowerConfig config = {},
              obs::MetricsRegistry* registry = nullptr);
 
@@ -63,7 +65,6 @@ class Watchtower {
   simnet::Host& host_;
   simnet::Engine& engine_;
   WatchtowerConfig config_;
-  obs::MetricsRegistry* registry_;
   obs::SeriesStore series_;
   obs::AlertEngine alerts_;
   bool running_ = false;

@@ -40,10 +40,6 @@ std::uint64_t add_extent(std::map<std::uint64_t, std::uint64_t>& extents,
 }
 }  // namespace
 
-SimDuration net_distance(simnet::World& world, const std::string& a, const std::string& b) {
-  return world.net_distance(a, b);
-}
-
 FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
                        std::uint16_t port, FileServerConfig config)
     : rpc_(host, port, {}),
@@ -236,19 +232,20 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     return Bytes{};
   });
 
-  bytes_served_ = &obs::MetricsRegistry::global().counter("files.bytes_served");
-  metrics_sources_.add("files.stores", [this] { return stats_.stores; });
-  metrics_sources_.add("files.fetches", [this] { return stats_.fetches; });
-  metrics_sources_.add("files.sink_sessions", [this] { return stats_.sink_sessions; });
-  metrics_sources_.add("files.source_sessions", [this] { return stats_.source_sessions; });
-  metrics_sources_.add("files.replicas_pushed", [this] { return stats_.replicas_pushed; });
-  metrics_sources_.add("files.replicas_received",
-                       [this] { return stats_.replicas_received; });
-  metrics_sources_.add("files.repairs", [this] { return stats_.repairs; });
-  metrics_sources_.add("files.bytes_stored", [this] { return stats_.bytes_stored; });
-  metrics_sources_.add("files.sinks_expired", [this] { return stats_.sinks_expired; });
-  metrics_sources_.add("files.sinks_incomplete",
-                       [this] { return stats_.sinks_incomplete; });
+  obs::MetricsRegistry& registry = rpc_.host().metrics();
+  bytes_served_ = &registry.counter("files.bytes_served");
+  stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
+    s.add("files.stores", stats_.stores);
+    s.add("files.fetches", stats_.fetches);
+    s.add("files.sink_sessions", stats_.sink_sessions);
+    s.add("files.source_sessions", stats_.source_sessions);
+    s.add("files.replicas_pushed", stats_.replicas_pushed);
+    s.add("files.replicas_received", stats_.replicas_received);
+    s.add("files.repairs", stats_.repairs);
+    s.add("files.bytes_stored", stats_.bytes_stored);
+    s.add("files.sinks_expired", stats_.sinks_expired);
+    s.add("files.sinks_incomplete", stats_.sinks_incomplete);
+  });
 }
 
 std::string FileServer::location_url() const {
@@ -581,7 +578,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
   const SimTime now = rpc_.engine().now();
   st.opened_at = now;
   st.last_progress = now;
-  obs::MetricsRegistry::global().counter("files.stripe_opens").inc();
+  rpc_.host().metrics().counter("files.stripe_opens").inc();
   ByteWriter w;
   w.str(read.lifn);
   w.str(rpc_.address().host);
@@ -656,7 +653,7 @@ void FileClient::arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe) {
     }
     const std::string replica = read.candidates[st.candidate].to_string();
     ++host_failures_[read.candidates[st.candidate].host];
-    obs::MetricsRegistry::global().counter("files.stripe_stalls").inc();
+    rpc_.host().metrics().counter("files.stripe_stalls").inc();
     obs::FlightRecorder::global().record(
         rpc_.host().name(), "files", "stripe_stall",
         "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " replica=" + replica +
@@ -698,7 +695,7 @@ void FileClient::reissue_stripe(std::uint64_t read_id, std::uint32_t stripe,
     }
   }
   st.candidate = best;
-  obs::MetricsRegistry::global().counter("files.stripe_reissues").inc();
+  rpc_.host().metrics().counter("files.stripe_reissues").inc();
   obs::FlightRecorder::global().record(
       rpc_.host().name(), "files", "stripe_reissue",
       "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " to=" +
@@ -722,9 +719,8 @@ void FileClient::note_stripe_done(PendingRead& read, Stripe& s) {
   s.done = true;
   rpc_.engine().cancel(s.timer);
   s.timer = simnet::TimerId{};
-  obs::MetricsRegistry::global()
-      .histogram("files.stripe_ms")
-      .observe(static_cast<double>(rpc_.engine().now() - s.opened_at) / 1e6);
+  rpc_.host().metrics().histogram("files.stripe_ms").observe(
+      static_cast<double>(rpc_.engine().now() - s.opened_at) / 1e6);
   // The serving replica finished a stripe: decay its failure score so a
   // healed host climbs back up the ranking.
   auto it = host_failures_.find(read.candidates[s.candidate].host);

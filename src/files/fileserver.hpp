@@ -143,10 +143,10 @@ class FileServer {
   std::map<std::uint64_t, Sink> sinks_;
   std::uint64_t next_sink_id_ = 1;
   FileServerStats stats_;
-  obs::Counter* bytes_served_;  ///< global "files.bytes_served" (fetch + source)
+  obs::Counter* bytes_served_;  ///< host's "files.bytes_served" (fetch + source)
   Logger log_;
-  /// Declared last so sources retire before stats_ dies.
-  obs::SourceGroup metrics_sources_;
+  /// Declared last so the stats visitor retires before stats_ dies.
+  obs::SourceHandle stats_source_;
 };
 
 struct FileClientConfig {
@@ -251,11 +251,5 @@ class FileClient {
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   Logger log_;
 };
-
-/// Deprecated shim: forwards to simnet::World::net_distance, which ranks
-/// non-adjacent hosts by their resolved multi-hop route latency instead of
-/// the old +inf.  New code should call the World method directly.
-[[deprecated("use simnet::World::net_distance")]] SimDuration net_distance(
-    simnet::World& world, const std::string& a, const std::string& b);
 
 }  // namespace snipe::files

@@ -35,23 +35,7 @@ bool HistogramSketch::merge(const HistogramSketch& other) {
 }
 
 double HistogramSketch::quantile(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    std::uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      double lo = i == 0 ? 0 : bounds[i - 1];
-      if (i == bounds.size()) return lo;
-      double hi = bounds[i];
-      double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds.empty() ? 0 : bounds.back();
+  return bucket_quantile(bounds, buckets, count, q);
 }
 
 void HistogramSketch::encode(ByteWriter& w) const {
@@ -320,46 +304,16 @@ TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
     last_sketches_[h.name] = std::move(abs);
   }
 
-  // Flight entries recorded since the last beacon.  The cursor counts total
-  // ever recorded, so entries that rotated out of the ring unseen are simply
-  // lost (bounded memory beats completeness here).
-  std::uint64_t total = flight().total_recorded();
-  if (total > flight_cursor_) {
-    std::vector<FlightEvent> window = flight().events();
-    std::uint64_t fresh = total - flight_cursor_;
-    std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(fresh, window.size()));
-    for (std::size_t i = window.size() - take; i < window.size(); ++i) {
-      FlightEvent& e = window[i];
-      if (!options_.host.empty() && !e.host.empty() && e.host != options_.host) continue;
-      b.flight.push_back(std::move(e));
-    }
-    if (b.flight.size() > options_.max_flight)
-      b.flight.erase(b.flight.begin(),
-                     b.flight.end() - static_cast<std::ptrdiff_t>(options_.max_flight));
-  }
-  flight_cursor_ = total;
+  // Flight entries recorded since the last beacon, this host's only.
+  b.flight = flight().events_since(flight_cursor_, options_.host, options_.max_flight);
 
   // Watchtower series: every retained point newer than the per-series ship
   // cursor.  Full beacons rewind the cursors and ship the whole retention
   // window — the same receiver-passive resync path the counters use; the
   // collector dedups by timestamp so the replay is idempotent.
-  if (options_.series != nullptr) {
-    for (const std::string& name : options_.series->names()) {
-      std::int64_t cursor = b.full ? std::numeric_limits<std::int64_t>::min() : [&] {
-        auto it = series_cursor_.find(name);
-        return it == series_cursor_.end() ? std::numeric_limits<std::int64_t>::min()
-                                          : it->second;
-      }();
-      std::vector<SeriesPoint> points = options_.series->points_since(name, cursor);
-      if (points.empty()) continue;
-      if (points.size() > options_.max_series_points)
-        points.erase(points.begin(),
-                     points.end() - static_cast<std::ptrdiff_t>(options_.max_series_points));
-      series_cursor_[name] = points.back().ts;
-      b.series.emplace_back(name, std::move(points));
-    }
-  }
+  if (options_.series != nullptr)
+    b.series = options_.series->fresh_points(series_cursor_, b.full,
+                                             options_.max_series_points);
   return b;
 }
 

@@ -100,9 +100,10 @@ struct TelemetryBeacon {
   static Result<TelemetryBeacon> decode(const Bytes& wire);
 };
 
-/// Exporter-side delta state.  Bound to one registry + flight recorder
-/// (defaulting to the process-wide globals) so a simulation can give each
-/// simulated host a private registry and still share one process.
+/// Exporter-side delta state.  Bound to one registry + flight recorder; the
+/// telemetry exporter binds its host's registry (Host::metrics()), so a
+/// beacon costs O(that host's instruments) and carries only that host's
+/// flight entries.  Unbound, it reads the process-wide globals.
 class BeaconBuilder {
  public:
   struct Options {
@@ -110,8 +111,8 @@ class BeaconBuilder {
     std::int64_t period_ns = 0;    ///< advertised cadence
     std::uint32_t full_every = 16; ///< every Nth beacon is full (>=1)
     std::size_t max_flight = 64;   ///< flight entries per beacon, newest win
-    MetricsRegistry* registry = nullptr;  ///< nullptr = global()
-    FlightRecorder* flight = nullptr;     ///< nullptr = global()
+    MetricsRegistry* registry = nullptr;  ///< nullptr = the global() roll-up
+    FlightRecorder* flight = nullptr;     ///< nullptr = global(), filtered to `host`
     /// Watchtower history to delta-ship inside beacons (nullptr = none).
     const SeriesStore* series = nullptr;
     /// Per-series point cap per beacon, newest win (resync safety valve).

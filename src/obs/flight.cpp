@@ -1,5 +1,6 @@
 #include "obs/flight.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -91,6 +92,28 @@ std::vector<FlightEvent> FlightRecorder::events(const std::string& host) const {
     if (!host.empty() && !e.host.empty() && e.host != host) continue;
     out.push_back(e);
   }
+  return out;
+}
+
+std::vector<FlightEvent> FlightRecorder::events_since(std::uint64_t& cursor,
+                                                     const std::string& host,
+                                                     std::size_t max) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t total = static_cast<std::uint64_t>(size_) + dropped_;
+  std::vector<FlightEvent> out;
+  if (total > cursor) {
+    std::size_t fresh =
+        static_cast<std::size_t>(std::min<std::uint64_t>(total - cursor, size_));
+    std::size_t start = size_ < capacity_ ? 0 : next_;
+    // Newest first, so only the newest `max` matches are ever copied.
+    for (std::size_t k = 0; k < fresh && out.size() < max; ++k) {
+      const FlightEvent& e = ring_[(start + size_ - 1 - k) % size_];
+      if (!host.empty() && !e.host.empty() && e.host != host) continue;
+      out.push_back(e);
+    }
+    std::reverse(out.begin(), out.end());
+  }
+  cursor = total;
   return out;
 }
 

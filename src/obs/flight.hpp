@@ -63,6 +63,13 @@ class FlightRecorder {
   /// Events oldest-first, optionally filtered to one host ("" = all;
   /// world-level events with an empty host always match).
   std::vector<FlightEvent> events(const std::string& host = {}) const;
+  /// The events recorded since `cursor` (a total_recorded() value; the
+  /// call advances it), filtered like events(host), oldest first, at most
+  /// the newest `max`.  Entries that rotated out of the ring unseen are
+  /// lost — bounded memory beats completeness here.  Copies only what is
+  /// new: the beacon builder's per-tick read.
+  std::vector<FlightEvent> events_since(std::uint64_t& cursor, const std::string& host,
+                                        std::size_t max) const;
   std::size_t size() const;
   std::uint64_t dropped() const;
   /// Events ever recorded (size() + dropped()); the telemetry exporter's

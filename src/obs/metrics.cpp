@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 namespace snipe::obs {
 
@@ -19,12 +20,26 @@ std::vector<double> Histogram::default_bounds() {
           50,   100,  200,  500, 1000, 2000, 5000, 10000, 30000, 60000};
 }
 
+namespace {
+
+std::shared_ptr<const std::vector<double>> shared_bounds(std::vector<double> bounds) {
+  static const auto kDefault =
+      std::make_shared<const std::vector<double>>(Histogram::default_bounds());
+  if (bounds.empty() || bounds == *kDefault) return kDefault;
+  return std::make_shared<const std::vector<double>>(std::move(bounds));
+}
+
+}  // namespace
+
 Histogram::Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1), enabled_(enabled) {}
+    : bounds_(shared_bounds(std::move(bounds))),
+      buckets_(bounds_->size() + 1),
+      enabled_(enabled) {}
 
 void Histogram::observe(double v) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  std::size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin();
+  std::size_t i =
+      std::lower_bound(bounds_->begin(), bounds_->end(), v) - bounds_->begin();
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
@@ -32,27 +47,40 @@ void Histogram::observe(double v) {
   }
 }
 
-double Histogram::quantile(double q) const {
-  std::uint64_t total = count();
-  if (total == 0) return 0;
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& buckets, std::uint64_t count,
+                       double q) {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target observation (1-based), then walk the buckets.
-  double rank = q * static_cast<double>(total);
+  double rank = q * static_cast<double>(count);
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    std::uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     if (static_cast<double>(seen + in_bucket) >= rank) {
-      double lo = i == 0 ? 0 : bounds_[i - 1];
+      double lo = i == 0 ? 0 : bounds[i - 1];
       // The +inf bucket has no upper edge; report its lower edge.
-      if (i == bounds_.size()) return lo;
-      double hi = bounds_[i];
+      if (i == bounds.size()) return lo;
+      double hi = bounds[i];
       double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
       return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
     }
     seen += in_bucket;
   }
-  return bounds_.empty() ? 0 : bounds_.back();
+  return bounds.empty() ? 0 : bounds.back();
+}
+
+double Histogram::quantile(double q) const {
+  std::vector<std::uint64_t> buckets;
+  buckets.reserve(buckets_.size());
+  for (const auto& b : buckets_) buckets.push_back(b.load(std::memory_order_relaxed));
+  return bucket_quantile(*bounds_, buckets, count(), q);
+}
+
+std::uint64_t Counter::value() const {
+  return rollup_ == nullptr ? v_.load(std::memory_order_relaxed)
+                            : rollup_->rollup_value(*name_);
 }
 
 SourceHandle& SourceHandle::operator=(SourceHandle&& other) noexcept {
@@ -72,13 +100,125 @@ void SourceHandle::release() {
   id_ = 0;
 }
 
-void SourceGroup::add(MetricsRegistry& registry, std::string name,
-                      std::function<std::uint64_t()> fn) {
-  handles_.push_back(registry.add_source(std::move(name), std::move(fn)));
+// ---------- registry ----------
+
+namespace {
+
+/// A StatsSink over a callable.
+template <class AddFn>
+class FnSink final : public StatsSink {
+ public:
+  explicit FnSink(AddFn fn) : fn_(std::move(fn)) {}
+  void add(const char* name, std::uint64_t value) override { fn_(name, value); }
+
+ private:
+  AddFn fn_;
+};
+
+template <class AddFn>
+FnSink<AddFn> make_sink(AddFn fn) {
+  return FnSink<AddFn>(std::move(fn));
 }
 
-void SourceGroup::add(std::string name, std::function<std::uint64_t()> fn) {
-  add(MetricsRegistry::global(), std::move(name), std::move(fn));
+HistogramBuckets buckets_of(const std::string& name, const Histogram& h) {
+  HistogramBuckets b;
+  b.name = name;
+  b.bounds = h.bounds();
+  b.buckets.reserve(b.bounds.size() + 1);
+  for (std::size_t i = 0; i <= b.bounds.size(); ++i) b.buckets.push_back(h.bucket_count(i));
+  b.count = h.count();
+  b.sum = h.sum();
+  return b;
+}
+
+}  // namespace
+
+/// What a snapshot accumulates before it is flattened: counter-like and
+/// gauge values by name, histograms as mergeable bucket arrays.
+struct MetricsRegistry::Rollup {
+  std::map<std::string, MetricValue, std::less<>> values;
+  HistogramMap histograms;
+  /// Non-null: keep only this name (a roll-up counter's value()).
+  const std::string* only = nullptr;
+
+  bool wants(std::string_view name) const { return only == nullptr || *only == name; }
+
+  void add_counter(std::string_view name, double v) {
+    if (!wants(name)) return;
+    auto it = values.find(name);
+    if (it == values.end()) {
+      it = values.emplace(std::string(name), MetricValue{}).first;
+      it->second.name = it->first;
+    }
+    it->second.value += v;
+  }
+  void add_gauge(const std::string& name, double v) {
+    if (!wants(name)) return;
+    auto [it, inserted] = values.try_emplace(name);
+    if (inserted) {
+      it->second.kind = MetricValue::Kind::gauge;
+      it->second.name = name;
+    }
+    it->second.value += v;
+  }
+  /// Histograms bucket-merge; a same-named histogram with other bounds
+  /// (never the case in SNIPE) keeps the first bucketing and drops the rest.
+  void add_histogram(const HistogramBuckets& h) {
+    if (!wants(h.name)) return;
+    auto [it, inserted] = histograms.try_emplace(h.name, h);
+    if (inserted) return;
+    HistogramBuckets& acc = it->second;
+    if (acc.bounds != h.bounds) return;
+    for (std::size_t i = 0; i < acc.buckets.size(); ++i) acc.buckets[i] += h.buckets[i];
+    acc.count += h.count;
+    acc.sum += h.sum;
+  }
+  /// Live-histogram variant: adds the atomics in place once the name is
+  /// known, so a roll-up over many hosts copies each name's buckets once.
+  void add_histogram(const std::string& name, const Histogram& h) {
+    if (!wants(name)) return;
+    auto it = histograms.find(name);
+    if (it == histograms.end()) {
+      histograms.emplace(name, buckets_of(name, h));
+      return;
+    }
+    HistogramBuckets& acc = it->second;
+    if (acc.bounds != h.bounds()) return;
+    for (std::size_t i = 0; i < acc.buckets.size(); ++i) acc.buckets[i] += h.bucket_count(i);
+    acc.count += h.count();
+    acc.sum += h.sum();
+  }
+};
+
+MetricsRegistry::MetricsRegistry(MetricsRegistry& parent)
+    : enabled_(parent.enabled_), parent_(&parent) {
+  std::lock_guard<std::mutex> lock(parent.mu_);
+  next_ = parent.first_child_;
+  if (next_ != nullptr) next_->prev_ = this;
+  parent.first_child_ = this;
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  if (parent_ == nullptr) return;
+  // Parent lock first, then ours — the roll-up's order.  The dead host's
+  // counters and histograms stay in the parent's totals; its gauges (a
+  // level, not an amount) go with it.
+  std::lock_guard<std::mutex> parent_lock(parent_->mu_);
+  Rollup mine;
+  mine.histograms.swap(parent_->retained_histograms_);  // merge in place
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    collect_locked(mine);
+  }
+  mine.histograms.swap(parent_->retained_histograms_);
+  for (auto& [name, v] : mine.values)
+    if (v.kind == MetricValue::Kind::counter)
+      parent_->retained_[name] += static_cast<std::uint64_t>(v.value);
+  if (prev_ != nullptr)
+    prev_->next_ = next_;
+  else
+    parent_->first_child_ = next_;
+  if (next_ != nullptr) next_->prev_ = prev_;
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -89,8 +229,11 @@ MetricsRegistry& MetricsRegistry::global() {
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
-  if (it == counters_.end())
-    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(&enabled_))).first;
+  if (it == counters_.end()) {
+    it = counters_.emplace(name, nullptr).first;
+    // A root's counters read the roll-up; a child's read themselves.
+    it->second.reset(new Counter(enabled_, parent_ == nullptr ? this : nullptr, &it->first));
+  }
   return *it->second;
 }
 
@@ -98,7 +241,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end())
-    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(&enabled_))).first;
+    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(enabled_))).first;
   return *it->second;
 }
 
@@ -106,20 +249,18 @@ Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<doubl
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    if (bounds.empty()) bounds = Histogram::default_bounds();
     it = histograms_
              .emplace(name, std::unique_ptr<Histogram>(
-                                new Histogram(&enabled_, std::move(bounds))))
+                                new Histogram(enabled_, std::move(bounds))))
              .first;
   }
   return *it->second;
 }
 
-SourceHandle MetricsRegistry::add_source(std::string name,
-                                         std::function<std::uint64_t()> fn) {
+SourceHandle MetricsRegistry::add_stats(StatsVisitor visit) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t id = next_source_id_++;
-  sources_[id] = Source{std::move(name), std::move(fn)};
+  sources_.emplace(id, std::move(visit));
   return SourceHandle(this, id);
 }
 
@@ -127,12 +268,16 @@ void MetricsRegistry::retire_source(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sources_.find(id);
   if (it == sources_.end()) return;
-  retained_[it->second.name] += it->second.fn();
+  auto sink = make_sink([this](const char* name, std::uint64_t v) {
+    auto r = retained_.find(std::string_view(name));
+    if (r == retained_.end()) r = retained_.emplace(name, 0).first;
+    r->second += v;
+  });
+  it->second(sink);
   sources_.erase(it);
 }
 
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
+void MetricsRegistry::reset_locked() {
   for (auto& [name, c] : counters_) c->v_.store(0, std::memory_order_relaxed);
   for (auto& [name, g] : gauges_) g->v_.store(0, std::memory_order_relaxed);
   for (auto& [name, h] : histograms_) {
@@ -141,68 +286,79 @@ void MetricsRegistry::reset() {
     h->sum_.store(0, std::memory_order_relaxed);
   }
   retained_.clear();
+  retained_histograms_.clear();
+}
+
+void MetricsRegistry::reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  reset_locked();
+  for (MetricsRegistry* c = first_child_; c != nullptr; c = c->next_) {
+    std::lock_guard<std::mutex> child_lock(c->mu_);
+    c->reset_locked();
+  }
+}
+
+void MetricsRegistry::collect_locked(Rollup& out) const {
+  for (const auto& [name, c] : counters_)
+    out.add_counter(name, static_cast<double>(c->v_.load(std::memory_order_relaxed)));
+  for (const auto& [name, total] : retained_)
+    out.add_counter(name, static_cast<double>(total));
+  auto sink = make_sink([&out](const char* name, std::uint64_t v) {
+    out.add_counter(name, static_cast<double>(v));
+  });
+  for (const auto& [id, visit] : sources_) visit(sink);
+  for (const auto& [name, g] : gauges_) out.add_gauge(name, g->value());
+  for (const auto& [name, h] : histograms_)
+    out.add_histogram(name, *h);
+  for (const auto& [name, h] : retained_histograms_) out.add_histogram(h);
+}
+
+void MetricsRegistry::collect(Rollup& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  collect_locked(out);
+  for (const MetricsRegistry* c = first_child_; c != nullptr; c = c->next_) {
+    std::lock_guard<std::mutex> child_lock(c->mu_);
+    c->collect_locked(out);
+  }
+}
+
+std::uint64_t MetricsRegistry::rollup_value(const std::string& name) const {
+  Rollup r;
+  r.only = &name;
+  collect(r);
+  auto it = r.values.find(name);
+  return it == r.values.end() || it->second.kind != MetricValue::Kind::counter
+             ? 0
+             : static_cast<std::uint64_t>(it->second.value);
 }
 
 Snapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, MetricValue> merged;
-
-  auto counter_entry = [&merged](const std::string& name) -> MetricValue& {
-    auto [it, inserted] = merged.try_emplace(name);
-    if (inserted) {
-      it->second.kind = MetricValue::Kind::counter;
-      it->second.name = name;
-    }
-    return it->second;
-  };
-
-  for (const auto& [name, c] : counters_)
-    counter_entry(name).value += static_cast<double>(c->value());
-  for (const auto& [name, total] : retained_)
-    counter_entry(name).value += static_cast<double>(total);
-  for (const auto& [id, source] : sources_)
-    counter_entry(source.name).value += static_cast<double>(source.fn());
-
-  for (const auto& [name, g] : gauges_) {
-    MetricValue v;
-    v.kind = MetricValue::Kind::gauge;
-    v.name = name;
-    v.value = g->value();
-    merged[name] = v;
-  }
-  for (const auto& [name, h] : histograms_) {
+  Rollup r;
+  collect(r);
+  for (auto& [name, h] : r.histograms) {
     MetricValue v;
     v.kind = MetricValue::Kind::histogram;
     v.name = name;
-    v.count = h->count();
-    v.sum = h->sum();
-    v.p50 = h->quantile(0.50);
-    v.p95 = h->quantile(0.95);
-    v.p99 = h->quantile(0.99);
-    merged[name] = v;
+    v.count = h.count;
+    v.sum = h.sum;
+    v.p50 = bucket_quantile(h.bounds, h.buckets, h.count, 0.50);
+    v.p95 = bucket_quantile(h.bounds, h.buckets, h.count, 0.95);
+    v.p99 = bucket_quantile(h.bounds, h.buckets, h.count, 0.99);
+    // A histogram shadows a same-named counter/gauge, as it always has.
+    r.values.insert_or_assign(name, std::move(v));
   }
-
   Snapshot out;
-  out.reserve(merged.size());
-  for (auto& [name, v] : merged) out.push_back(std::move(v));
+  out.reserve(r.values.size());
+  for (auto& [name, v] : r.values) out.push_back(std::move(v));
   return out;
 }
 
 std::vector<HistogramBuckets> MetricsRegistry::histogram_buckets() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Rollup r;
+  collect(r);
   std::vector<HistogramBuckets> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramBuckets b;
-    b.name = name;
-    b.bounds = h->bounds_;
-    b.buckets.reserve(h->buckets_.size());
-    for (const auto& bucket : h->buckets_)
-      b.buckets.push_back(bucket.load(std::memory_order_relaxed));
-    b.count = h->count();
-    b.sum = h->sum();
-    out.push_back(std::move(b));
-  }
+  out.reserve(r.histograms.size());
+  for (auto& [name, h] : r.histograms) out.push_back(std::move(h));
   return out;
 }
 

@@ -8,20 +8,33 @@
 //   * Histogram — fixed-bucket distribution with p50/p95/p99 extraction
 //     ("srudp.rtt_ms", "rcds.replication_lag_ms").
 //
+// Registries are host-scoped.  Each simulated host owns one (Host::
+// metrics()), a *child* of the process-wide MetricsRegistry::global(): the
+// components bound to the host (SRUDP, stream, RPC, RCDS, files, daemon,
+// RM, the telemetry exporter) register there, so the host's watchtower and
+// beacon read exactly that host's instruments — O(own host), and a metric
+// labelled with host X describes host X (§3.3/§5.5: each daemon monitors
+// its own host).  global() is the roll-up: its snapshot() merges its own
+// host-less instruments with every live child (counters and gauges summed,
+// histograms bucket-merged) plus what dead children left behind, and its
+// counters' value() reads the same fleet total.  Children share the root's
+// enable flag, so global().set_enabled(false) silences every host.
+//
 // Components that already keep a per-instance stats struct (SrudpStats,
 // RcServerStats, ...) do not double-count: their fields stay the single
 // point of increment (as obs::Cell, a thin counter cell) and the instance
-// registers *pull sources* into the registry.  At snapshot time the
-// registry sums every live source with the same name, so ten SRUDP
-// endpoints show up as one "srudp.messages_sent" total.  When an instance
-// dies, its final values are folded into a retained total so a snapshot
-// after the fact still reports the whole run.
+// registers one *stats visitor* that streams every field into a StatsSink
+// at snapshot time — one registration per component, not one per field.
+// A registry sums every live visitor's fields with the same name, so ten
+// SRUDP endpoints on a host show up as one "srudp.messages_sent" total.
+// When an instance dies, its final values are folded into a retained total
+// so a snapshot after the fact still reports the whole run.
 //
 // Everything is dependency-free, cheap when disabled (one relaxed atomic
 // load), and safe to call from multiple threads (registration takes a
-// mutex; increments are lock-free atomics; the simulator itself is
-// single-threaded, but tests built with -DSNIPE_SANITIZE=thread exercise
-// the concurrent paths).
+// mutex; increments are lock-free atomics; a sharded world touches each
+// host registry from its shard's thread, and the roll-up takes the root's
+// lock, then each child's — never the other way round).
 #pragma once
 
 #include <atomic>
@@ -62,13 +75,19 @@ class Counter {
     if (!enabled_->load(std::memory_order_relaxed)) return;
     v_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  /// This counter's count — or, for a counter of global(), the fleet
+  /// total under its name (the value global().snapshot() reports).
+  std::uint64_t value() const;
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Counter(const std::atomic<bool>* enabled, const MetricsRegistry* rollup,
+          const std::string* name)
+      : enabled_(enabled), rollup_(rollup), name_(name) {}
   std::atomic<std::uint64_t> v_{0};
   const std::atomic<bool>* enabled_;
+  const MetricsRegistry* rollup_;  ///< the root whose roll-up value() reads
+  const std::string* name_;        ///< the registry's key (stable map node)
 };
 
 /// A value that can go up and down (loads, queue depths).
@@ -99,7 +118,7 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   /// q in [0,1]; returns 0 when empty.
   double quantile(double q) const;
-  const std::vector<double>& bounds() const { return bounds_; }
+  const std::vector<double>& bounds() const { return *bounds_; }
   /// Cumulative count at or below bounds()[i].
   std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
@@ -110,15 +129,32 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds);
-  std::vector<double> bounds_;                       ///< ascending upper bounds
+  /// Ascending upper bounds; every default-bucketed histogram shares one
+  /// array, so a host's histograms cost their buckets only.
+  std::shared_ptr<const std::vector<double>> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds_.size() + 1 (+inf)
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0};
   const std::atomic<bool>* enabled_;
 };
 
-/// RAII registration of one pull source; unregistering folds the source's
-/// final value into the registry's retained totals.
+/// Where a stats visitor streams its component's counter fields: one
+/// add(name, value) per field.
+class StatsSink {
+ public:
+  virtual void add(const char* name, std::uint64_t value) = 0;
+
+ protected:
+  ~StatsSink() = default;
+};
+
+/// One component's stats visitor: streams every field of its stats struct.
+using StatsVisitor = std::function<void(StatsSink&)>;
+
+/// RAII registration of one stats visitor; unregistering folds the
+/// visitor's final values into the registry's retained totals.  Declare it
+/// *after* the stats struct it reads so it unregisters first on
+/// destruction.
 class SourceHandle {
  public:
   SourceHandle() = default;
@@ -136,20 +172,6 @@ class SourceHandle {
       : registry_(registry), id_(id) {}
   MetricsRegistry* registry_ = nullptr;
   std::uint64_t id_ = 0;
-};
-
-/// A bundle of sources owned by one component instance.  Declare it *after*
-/// the stats struct it reads so it unregisters first on destruction.
-class SourceGroup {
- public:
-  void add(MetricsRegistry& registry, std::string name,
-           std::function<std::uint64_t()> fn);
-  /// Registers against the global registry.
-  void add(std::string name, std::function<std::uint64_t()> fn);
-  void clear() { handles_.clear(); }
-
- private:
-  std::vector<SourceHandle> handles_;
 };
 
 /// One entry of a registry snapshot.
@@ -178,35 +200,44 @@ struct HistogramBuckets {
 
 class MetricsRegistry {
  public:
+  /// A stand-alone root registry with its own enable flag.
   MetricsRegistry() = default;
+  /// A child of `parent` (a host's registry, with global() as the parent):
+  /// shares the parent's enable flag and rolls up into its snapshot.  The
+  /// child folds its final totals into the parent when it dies.
+  explicit MetricsRegistry(MetricsRegistry& parent);
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry every component reports into.
+  /// The process-wide roll-up over every host registry, plus whatever is
+  /// registered on it directly (host-less instruments).
   static MetricsRegistry& global();
 
   /// Disabling makes every increment/observe a no-op (the opt-out knob the
-  /// benches use to measure instrumentation overhead).  Pull sources are
-  /// free either way — they cost nothing until snapshot().
-  void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// benches use to measure instrumentation overhead); on a child it flips
+  /// the shared root flag.  Stats visitors are free either way — they cost
+  /// nothing until snapshot().
+  void set_enabled(bool enabled) { enabled_->store(enabled, std::memory_order_relaxed); }
+  bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
 
   /// Named instruments; the same name always returns the same object.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
 
-  /// Registers a pull source summed into `name` at snapshot time.
-  [[nodiscard]] SourceHandle add_source(std::string name,
-                                        std::function<std::uint64_t()> fn);
+  /// Registers a component's stats visitor, run at every snapshot.
+  [[nodiscard]] SourceHandle add_stats(StatsVisitor visit);
 
-  /// Zeroes counters, gauges, histograms and retained source totals.  Live
-  /// sources are *not* reset (they mirror component stats structs); benches
-  /// that want a clean slate should scope component lifetimes accordingly.
+  /// Zeroes counters, gauges, histograms and retained totals — a root's
+  /// children included.  Live visitors are *not* reset (they mirror
+  /// component stats structs); benches that want a clean slate should
+  /// scope component lifetimes accordingly.
   void reset();
 
-  /// Consistent view of every instrument, sorted by name.  Sources and
-  /// retained totals merge into counter entries.
+  /// Consistent view of every instrument, sorted by name.  Visitor fields
+  /// and retained totals merge into counter entries; a root merges in its
+  /// children.
   Snapshot snapshot() const;
 
   /// Every histogram as its raw bucket array, sorted by name (the form a
@@ -220,21 +251,45 @@ class MetricsRegistry {
 
  private:
   friend class SourceHandle;
-  void retire_source(std::uint64_t id);
+  friend class Counter;
+  struct Rollup;
+  using HistogramMap = std::map<std::string, HistogramBuckets, std::less<>>;
 
-  struct Source {
-    std::string name;
-    std::function<std::uint64_t()> fn;
-  };
+  void retire_source(std::uint64_t id);
+  /// Adds this registry's instruments, visitors and retained totals, then
+  /// each child's, into `out`, taking the locks in roll-up order.
+  void collect(Rollup& out) const;
+  /// This registry alone; the caller holds mu_.
+  void collect_locked(Rollup& out) const;
+  void reset_locked();
+  std::uint64_t rollup_value(const std::string& name) const;
 
   mutable std::mutex mu_;
-  std::atomic<bool> enabled_{true};
+  std::atomic<bool> own_enabled_{true};
+  std::atomic<bool>* enabled_ = &own_enabled_;  ///< the root's flag
+  MetricsRegistry* parent_ = nullptr;
+  /// Live children, an intrusive list, newest first (guarded by the
+  /// parent's mu_): O(1) link/unlink, no per-child allocation.
+  MetricsRegistry* first_child_ = nullptr;
+  MetricsRegistry* prev_ = nullptr;
+  MetricsRegistry* next_ = nullptr;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::uint64_t, Source> sources_;
-  std::map<std::string, std::uint64_t> retained_;  ///< totals of dead sources
+  std::map<std::uint64_t, StatsVisitor> sources_;
+  /// Totals of dead visitors (and, on a root, of dead children's counters).
+  std::map<std::string, std::uint64_t, std::less<>> retained_;
+  /// Dead children's histograms (root only).
+  HistogramMap retained_histograms_;
   std::uint64_t next_source_id_ = 1;
 };
+
+/// Quantile over a raw bucket array (bounds.size() + 1 buckets, +inf
+/// last): the 1-based rank q*count walked over cumulative buckets with
+/// linear interpolation inside the bucket.  Histogram, the registry
+/// roll-up and the fleet sketches all answer through this one function.
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& buckets, std::uint64_t count,
+                       double q);
 
 }  // namespace snipe::obs

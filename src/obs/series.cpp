@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/time.hpp"
@@ -104,40 +105,42 @@ SeriesStore::SeriesStore(Options options) : options_(options) {
   if (options_.capacity_per_series == 0) options_.capacity_per_series = 8;
 }
 
-void SeriesStore::record(const std::string& name, std::int64_t ts, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
+Series& SeriesStore::series_locked(const std::string& name) {
   auto it = series_.find(name);
   if (it == series_.end())
     it = series_.emplace(name, Series(options_.capacity_per_series)).first;
-  it->second.append(ts, value);
+  return it->second;
+}
+
+void SeriesStore::record(const std::string& name, std::int64_t ts, double value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  series_locked(name).append(ts, value);
 }
 
 void SeriesStore::merge(const std::string& name, std::int64_t ts, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = series_.find(name);
-  if (it == series_.end())
-    it = series_.emplace(name, Series(options_.capacity_per_series)).first;
-  it->second.merge(ts, value);
+  series_locked(name).merge(ts, value);
 }
 
-void SeriesStore::scrape(std::int64_t now_ns, const MetricsRegistry* registry) {
+void SeriesStore::scrape(std::int64_t now_ns) {
   const MetricsRegistry& reg =
-      registry != nullptr ? *registry : MetricsRegistry::global();
-  for (const MetricValue& m : reg.snapshot()) {
-    switch (m.kind) {
-      case MetricValue::Kind::counter:
-      case MetricValue::Kind::gauge:
-        record(m.name, now_ns, m.value);
-        break;
-      case MetricValue::Kind::histogram:
-        record(m.name + ".count", now_ns, static_cast<double>(m.count));
-        break;
-    }
-  }
+      options_.registry != nullptr ? *options_.registry : MetricsRegistry::global();
+  Snapshot snap = reg.snapshot();
   // Samplers run outside the lock (they call record(), which takes it).
   std::vector<std::function<void(std::int64_t, SeriesStore&)>> samplers;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    for (const MetricValue& m : snap) {
+      switch (m.kind) {
+        case MetricValue::Kind::counter:
+        case MetricValue::Kind::gauge:
+          series_locked(m.name).append(now_ns, m.value);
+          break;
+        case MetricValue::Kind::histogram:
+          series_locked(m.name + ".count").append(now_ns, static_cast<double>(m.count));
+          break;
+      }
+    }
     ++scrapes_;
     samplers = samplers_;
   }
@@ -222,6 +225,31 @@ std::vector<SeriesPoint> SeriesStore::points(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const Series* s = find_locked(name);
   return s == nullptr ? std::vector<SeriesPoint>{} : s->points();
+}
+
+std::vector<std::pair<std::string, std::vector<SeriesPoint>>> SeriesStore::fresh_points(
+    std::map<std::string, std::int64_t>& cursors, bool rewind, std::size_t max_points) const {
+  constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::pair<std::string, std::vector<SeriesPoint>>> out;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Both maps are name-sorted: one merge walk, hinted cursor inserts.
+  auto cur = cursors.begin();
+  for (const auto& [name, s] : series_) {
+    while (cur != cursors.end() && cur->first < name) ++cur;
+    bool known = cur != cursors.end() && cur->first == name;
+    std::int64_t after = rewind || !known ? kNone : cur->second;
+    if (s.empty() || s.last_ts() <= after) continue;
+    std::vector<SeriesPoint> points = s.points_since(after);
+    if (points.size() > max_points)
+      points.erase(points.begin(),
+                   points.end() - static_cast<std::ptrdiff_t>(max_points));
+    if (known)
+      cur->second = points.back().ts;
+    else
+      cur = cursors.emplace_hint(cur, name, points.back().ts);
+    out.emplace_back(name, std::move(points));
+  }
+  return out;
 }
 
 std::uint64_t SeriesStore::scrapes() const {

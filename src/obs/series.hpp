@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace snipe::obs {
@@ -96,6 +97,9 @@ class SeriesStore {
  public:
   struct Options {
     std::size_t capacity_per_series = 256;
+    /// The registry scrape() reads: a watchtower binds its host's; nullptr
+    /// scrapes the process-wide roll-up, MetricsRegistry::global().
+    const MetricsRegistry* registry = nullptr;
   };
 
   SeriesStore() : SeriesStore(Options{}) {}
@@ -108,10 +112,10 @@ class SeriesStore {
   /// through this so a resync can backfill holes left by lost deltas.
   void merge(const std::string& name, std::int64_t ts, double value);
 
-  /// Scrapes every counter and gauge of `registry` (histograms contribute
-  /// their observation count as "<name>.count"), then runs the registered
-  /// samplers.  `registry` == nullptr scrapes the process-wide global.
-  void scrape(std::int64_t now_ns, const MetricsRegistry* registry = nullptr);
+  /// Scrapes every counter and gauge of the bound registry (histograms
+  /// contribute their observation count as "<name>.count"), then runs the
+  /// registered samplers.
+  void scrape(std::int64_t now_ns);
 
   /// Registers a sampler run at the end of every scrape (e.g. the zone
   /// fabric's per-NIC busy/queue probe).  Not removable; register once.
@@ -135,6 +139,14 @@ class SeriesStore {
                                         std::int64_t after_ts) const;
   std::vector<SeriesPoint> points(const std::string& name) const;
 
+  /// One pass under one lock, for the beacon builder: every series with
+  /// points newer than its entry in `cursors` (all points when absent or
+  /// `rewind`), the newest `max_points` of them, name-sorted; advances
+  /// `cursors` to the newest point shipped.
+  std::vector<std::pair<std::string, std::vector<SeriesPoint>>> fresh_points(
+      std::map<std::string, std::int64_t>& cursors, bool rewind,
+      std::size_t max_points) const;
+
   std::uint64_t scrapes() const;
 
   /// One line per series ("name last=... at=... points=N span=..s"),
@@ -143,6 +155,7 @@ class SeriesStore {
 
  private:
   const Series* find_locked(const std::string& name) const;
+  Series& series_locked(const std::string& name);
 
   Options options_;
   mutable std::mutex mu_;

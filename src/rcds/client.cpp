@@ -40,10 +40,12 @@ RcClient::RcClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address> rep
     : rpc_(rpc), replicas_(std::move(replicas)), config_(config) {
   assert(!replicas_.empty() && "RcClient needs at least one replica");
   fails_.assign(replicas_.size(), 0);
-  metrics_sources_.add("rcds.client.lookups", [this] { return stats_.lookups; });
-  metrics_sources_.add("rcds.client.writes", [this] { return stats_.writes; });
-  metrics_sources_.add("rcds.client.failovers", [this] { return stats_.failovers; });
-  metrics_sources_.add("rcds.client.failures", [this] { return stats_.failures; });
+  stats_source_ = rpc_.host().metrics().add_stats([this](obs::StatsSink& s) {
+    s.add("rcds.client.lookups", stats_.lookups);
+    s.add("rcds.client.writes", stats_.writes);
+    s.add("rcds.client.failovers", stats_.failovers);
+    s.add("rcds.client.failures", stats_.failures);
+  });
 }
 
 std::size_t RcClient::healthiest() const {

@@ -78,9 +78,9 @@ class RcClient {
   /// which is captured by value; only the bookkeeping is skipped.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   RcClientStats stats_;
-  /// Pull sources "rcds.client.*" in the global registry; declared last so
-  /// they retire (fold into retained totals) before stats_ dies.
-  obs::SourceGroup metrics_sources_;
+  /// Visitor for "rcds.client.*" in the host's registry; declared last so
+  /// it retires (folds into retained totals) before stats_ dies.
+  obs::SourceHandle stats_source_;
 };
 
 }  // namespace snipe::rcds

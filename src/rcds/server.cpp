@@ -54,19 +54,19 @@ RcServer::RcServer(simnet::Host& host, std::uint16_t port, RcServerConfig config
   if (config_.anti_entropy_period > 0) {
     engine_.schedule_weak(config_.anti_entropy_period, [this] { anti_entropy_tick(); });
   }
-  auto& registry = obs::MetricsRegistry::global();
+  auto& registry = rpc_.host().metrics();
   replication_lag_ms_ = &registry.histogram("rcds.replication_lag_ms");
   catalog_hits_ = &registry.counter("rcds.catalog_hits");
   catalog_misses_ = &registry.counter("rcds.catalog_misses");
-  metrics_sources_.add("rcds.gets", [this] { return stats_.gets; });
-  metrics_sources_.add("rcds.applies", [this] { return stats_.applies; });
-  metrics_sources_.add("rcds.replicated_in", [this] { return stats_.replicated_in; });
-  metrics_sources_.add("rcds.replicated_out", [this] { return stats_.replicated_out; });
-  metrics_sources_.add("rcds.anti_entropy_rounds",
-                       [this] { return stats_.anti_entropy_rounds; });
-  metrics_sources_.add("rcds.anti_entropy_repairs",
-                       [this] { return stats_.anti_entropy_repairs; });
-  metrics_sources_.add("rcds.forwards", [this] { return stats_.forwards; });
+  stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
+    s.add("rcds.gets", stats_.gets);
+    s.add("rcds.applies", stats_.applies);
+    s.add("rcds.replicated_in", stats_.replicated_in);
+    s.add("rcds.replicated_out", stats_.replicated_out);
+    s.add("rcds.anti_entropy_rounds", stats_.anti_entropy_rounds);
+    s.add("rcds.anti_entropy_repairs", stats_.anti_entropy_repairs);
+    s.add("rcds.forwards", stats_.forwards);
+  });
 }
 
 void RcServer::set_peers(std::vector<simnet::Address> peers) { peers_ = std::move(peers); }

@@ -97,12 +97,12 @@ class RcServer {
   /// writes land in the same event-time instant.
   SimTime last_stamp_ = 0;
   RcServerStats stats_;
-  obs::Histogram* replication_lag_ms_;  ///< global "rcds.replication_lag_ms"
-  obs::Counter* catalog_hits_;          ///< global "rcds.catalog_hits"
-  obs::Counter* catalog_misses_;        ///< global "rcds.catalog_misses"
+  obs::Histogram* replication_lag_ms_;  ///< host's "rcds.replication_lag_ms"
+  obs::Counter* catalog_hits_;          ///< host's "rcds.catalog_hits"
+  obs::Counter* catalog_misses_;        ///< host's "rcds.catalog_misses"
   Logger log_;
-  /// Declared last so sources retire before stats_ dies.
-  obs::SourceGroup metrics_sources_;
+  /// Declared last so the stats visitor retires before stats_ dies.
+  obs::SourceHandle stats_source_;
 };
 
 /// Encodes a batch of assertions for one URI (shared by replicate/sync).

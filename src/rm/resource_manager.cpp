@@ -143,18 +143,17 @@ ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address
       })
       .value();
   engine_.schedule_weak(config_.monitor_period, [this] { poll_hosts(); });
-  auto& registry = obs::MetricsRegistry::global();
+  auto& registry = rpc_.host().metrics();
   spawn_latency_ms_ = &registry.histogram("rm.spawn_latency_ms");
-  metrics_sources_.add("rm.allocations", [this] { return stats_.allocations; });
-  metrics_sources_.add("rm.reservations", [this] { return stats_.reservations; });
-  metrics_sources_.add("rm.allocation_failures",
-                       [this] { return stats_.allocation_failures; });
-  metrics_sources_.add("rm.authorizations_issued",
-                       [this] { return stats_.authorizations_issued; });
-  metrics_sources_.add("rm.authorizations_rejected",
-                       [this] { return stats_.authorizations_rejected; });
-  metrics_sources_.add("rm.sealed_spawns", [this] { return stats_.sealed_spawns; });
-  metrics_sources_.add("rm.polls", [this] { return stats_.polls; });
+  stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
+    s.add("rm.allocations", stats_.allocations);
+    s.add("rm.reservations", stats_.reservations);
+    s.add("rm.allocation_failures", stats_.allocation_failures);
+    s.add("rm.authorizations_issued", stats_.authorizations_issued);
+    s.add("rm.authorizations_rejected", stats_.authorizations_rejected);
+    s.add("rm.sealed_spawns", stats_.sealed_spawns);
+    s.add("rm.polls", stats_.polls);
+  });
 }
 
 std::string ResourceManager::url() const {

@@ -144,10 +144,10 @@ class ResourceManager {
   SimTime busy_until_ = 0;  ///< decision queue head (see decision_time)
   Rng session_rng_{0xbeef5e551ULL};  ///< padding/key material for §4 sessions
   RmStats stats_;
-  obs::Histogram* spawn_latency_ms_;  ///< global "rm.spawn_latency_ms"
+  obs::Histogram* spawn_latency_ms_;  ///< host's "rm.spawn_latency_ms"
   Logger log_;
-  /// Declared last so sources retire before stats_ dies.
-  obs::SourceGroup metrics_sources_;
+  /// Declared last so the stats visitor retires before stats_ dies.
+  obs::SourceHandle stats_source_;
 };
 
 /// Body of a kAuthorize request: the §4 two-certificate bundle.

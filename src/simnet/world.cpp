@@ -5,6 +5,7 @@
 #include <ctime>
 #include <queue>
 
+#include "obs/metrics.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/topo.hpp"
 
@@ -140,6 +141,19 @@ void Host::schedule_delivery(World* world, Network* net, Host* target, SimTime a
 Host::Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard)
     : Node(world, std::move(name), rng, engine, shard, /*is_router=*/false),
       log_("host@" + name_) {}
+
+Host::~Host() { delete metrics_.load(std::memory_order_acquire); }
+
+obs::MetricsRegistry& Host::metrics() {
+  obs::MetricsRegistry* r = metrics_.load(std::memory_order_acquire);
+  if (r != nullptr) return *r;
+  // Created on first use, so a host nothing registers on costs one pointer.
+  // A lost creation race just unlinks its spare, empty registry.
+  auto fresh = std::make_unique<obs::MetricsRegistry>(obs::MetricsRegistry::global());
+  if (metrics_.compare_exchange_strong(r, fresh.get(), std::memory_order_acq_rel))
+    return *fresh.release();
+  return *r;
+}
 
 Result<void> Host::bind(std::uint16_t port, PacketHandler handler) {
   if (ports_.count(port))

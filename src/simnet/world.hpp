@@ -50,6 +50,7 @@
 #include "util/result.hpp"
 
 namespace snipe::obs {
+class MetricsRegistry;
 class SeriesStore;
 }  // namespace snipe::obs
 
@@ -278,6 +279,13 @@ class Router : public Node {
 class Host : public Node {
  public:
   Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard);
+  ~Host() override;
+
+  /// This host's metrics registry: every component bound to the host
+  /// registers here, and its watchtower and telemetry exporter read only
+  /// this (a child of obs::MetricsRegistry::global(), which rolls every
+  /// host up).  Components must not outlive their host.
+  obs::MetricsRegistry& metrics();
 
   /// Registers a datagram handler on `port`.
   Result<void> bind(std::uint16_t port, PacketHandler handler);
@@ -334,6 +342,7 @@ class Host : public Node {
     std::shared_ptr<const Route> route;  ///< nullptr = cached "no route"
   };
   std::map<std::string, CachedRoute> route_cache_;
+  std::atomic<obs::MetricsRegistry*> metrics_{nullptr};  ///< owned, created lazily
   Logger log_;
 };
 

@@ -26,14 +26,14 @@ EthMcastEndpoint::EthMcastEndpoint(simnet::Host& host, const std::string& networ
   std::size_t header = kDataHeaderBytes + 8 + 4 + group.size();
   frag_payload_ = std::max<std::size_t>(1, mtu - std::min(mtu, header));
   host_.bind(port_, [this](const simnet::Packet& p) { on_packet(p); }).value();
-  delivery_ms_ = &obs::MetricsRegistry::global().histogram("ethmcast.delivery_ms");
-  metrics_sources_.add("ethmcast.messages_sent", [this] { return stats_.messages_sent.v; });
-  metrics_sources_.add("ethmcast.messages_delivered",
-                       [this] { return stats_.messages_delivered.v; });
-  metrics_sources_.add("ethmcast.fragments_broadcast",
-                       [this] { return stats_.fragments_broadcast.v; });
-  metrics_sources_.add("ethmcast.repairs_sent", [this] { return stats_.repairs_sent.v; });
-  metrics_sources_.add("ethmcast.nacks_sent", [this] { return stats_.nacks_sent.v; });
+  delivery_ms_ = &host_.metrics().histogram("ethmcast.delivery_ms");
+  stats_source_ = host_.metrics().add_stats([this](obs::StatsSink& s) {
+    s.add("ethmcast.messages_sent", stats_.messages_sent);
+    s.add("ethmcast.messages_delivered", stats_.messages_delivered);
+    s.add("ethmcast.fragments_broadcast", stats_.fragments_broadcast);
+    s.add("ethmcast.repairs_sent", stats_.repairs_sent);
+    s.add("ethmcast.nacks_sent", stats_.nacks_sent);
+  });
 }
 
 EthMcastEndpoint::~EthMcastEndpoint() {

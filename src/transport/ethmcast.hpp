@@ -26,8 +26,8 @@ struct EthMcastConfig {
   SimDuration sender_hold = duration::seconds(5);  ///< keep data for repairs
 };
 
-/// Cells double as pull sources in the global obs::MetricsRegistry
-/// ("ethmcast.nacks_sent", "ethmcast.repairs_sent", ...).
+/// The endpoint streams these cells into its host's obs::MetricsRegistry
+/// through one stats visitor ("ethmcast.nacks_sent", ...).
 struct EthMcastStats {
   obs::Cell messages_sent;
   obs::Cell messages_delivered;
@@ -93,12 +93,12 @@ class EthMcastEndpoint {
   std::map<std::pair<std::string, std::uint64_t>, InMessage> in_;  ///< by (sender, id)
   std::map<std::string, std::uint64_t> delivered_up_to_;
   EthMcastStats stats_;
-  /// Global "ethmcast.delivery_ms": wire `born` stamp to reassembly on the
+  /// Host's "ethmcast.delivery_ms": wire `born` stamp to reassembly on the
   /// receiver (valid because the simulation clock is shared).
   obs::Histogram* delivery_ms_;
   Logger log_;
   /// Declared after stats_ so retirement reads live cells.
-  obs::SourceGroup metrics_sources_;
+  obs::SourceHandle stats_source_;
 };
 
 }  // namespace snipe::transport

@@ -14,8 +14,7 @@ bool MultipathPolicy::on_success(SimTime now) {
   // The detour has been quiet long enough: drop the explicit preference so
   // the next send re-probes the default (fastest) route.
   preferred_.clear();
-  ++probes_;
-  obs::MetricsRegistry::global().counter("multipath.route_probes").inc();
+  ++probes_;  // the owning endpoint counts it (srudp.route_probes)
   return true;
 }
 
@@ -66,7 +65,7 @@ bool MultipathPolicy::on_timeout(simnet::Host& host) {
   }
   preferred_ = next;
   ++switches_;
-  obs::MetricsRegistry::global().counter("multipath.route_switches").inc();
+  host.metrics().counter("multipath.route_switches").inc();
   obs::FlightRecorder::global().record(host.name(), "multipath", "route_switch",
                                        "to=" + preferred_);
   return true;

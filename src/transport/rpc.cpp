@@ -12,6 +12,16 @@ RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig confi
   srudp_.set_handler([this](const simnet::Address& src, Payload msg) {
     on_message(src, std::move(msg));
   });
+  stats_source_ = host.metrics().add_stats([this](obs::StatsSink& s) {
+    s.add("rpc.calls_sent", stats_.calls_sent);
+    s.add("rpc.calls_ok", stats_.calls_ok);
+    s.add("rpc.calls_timeout", stats_.calls_timeout);
+    s.add("rpc.calls_error", stats_.calls_error);
+    s.add("rpc.requests_served", stats_.requests_served);
+    s.add("rpc.requests_rejected_auth", stats_.requests_rejected_auth);
+    s.add("rpc.notifications_sent", stats_.notifications_sent);
+    s.add("rpc.notifications_received", stats_.notifications_received);
+  });
 }
 
 Bytes RpcEndpoint::authenticator(const Bytes& payload) const {

@@ -29,6 +29,8 @@ struct RpcConfig {
   SrudpConfig srudp;
 };
 
+/// Per-endpoint call accounting, streamed into the host's registry as
+/// "rpc.calls_sent", "rpc.calls_ok", ... through one stats visitor.
 struct RpcStats {
   std::uint64_t calls_sent = 0;
   std::uint64_t calls_ok = 0;
@@ -137,6 +139,9 @@ class RpcEndpoint {
   std::uint64_t next_call_id_ = 1;
   RpcStats stats_;
   Logger log_;
+  /// "rpc.*" in the host's registry; declared after stats_ so it retires
+  /// before the fields it reads are destroyed.
+  obs::SourceHandle stats_source_;
 };
 
 }  // namespace snipe::transport

@@ -27,29 +27,24 @@ SrudpEndpoint::SrudpEndpoint(simnet::Host& host, std::uint16_t port, SrudpConfig
   frag_payload_ = std::max(kMinFragPayload, budget - std::min(budget, header));
   host_.bind(port_, [this](const simnet::Packet& p) { on_packet(p); }).value();
 
-  auto& registry = obs::MetricsRegistry::global();
+  obs::MetricsRegistry& registry = host_.metrics();
   rtt_ms_ = &registry.histogram("srudp.rtt_ms");
   delivery_ms_ = &registry.histogram("srudp.delivery_ms");
-  metrics_sources_.add("srudp.messages_sent", [this] { return stats_.messages_sent.v; });
-  metrics_sources_.add("srudp.messages_delivered",
-                       [this] { return stats_.messages_delivered.v; });
-  metrics_sources_.add("srudp.messages_expired",
-                       [this] { return stats_.messages_expired.v; });
-  metrics_sources_.add("srudp.messages_skipped",
-                       [this] { return stats_.messages_skipped.v; });
-  metrics_sources_.add("srudp.fragments_sent", [this] { return stats_.fragments_sent.v; });
-  metrics_sources_.add("srudp.retransmits",
-                       [this] { return stats_.fragments_retransmitted.v; });
-  metrics_sources_.add("srudp.duplicate_fragments",
-                       [this] { return stats_.duplicate_fragments.v; });
-  metrics_sources_.add("srudp.status_sent", [this] { return stats_.status_sent.v; });
-  metrics_sources_.add("srudp.rto_events", [this] { return stats_.rto_events.v; });
-  metrics_sources_.add("srudp.bytes_delivered",
-                       [this] { return stats_.bytes_delivered.v; });
-  metrics_sources_.add("srudp.route_switches", [this] { return stats_.route_switches.v; });
-  metrics_sources_.add("srudp.route_probes", [this] { return stats_.route_probes.v; });
-  metrics_sources_.add("srudp.checksum_rejects",
-                       [this] { return stats_.checksum_rejects.v; });
+  stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
+    s.add("srudp.messages_sent", stats_.messages_sent);
+    s.add("srudp.messages_delivered", stats_.messages_delivered);
+    s.add("srudp.messages_expired", stats_.messages_expired);
+    s.add("srudp.messages_skipped", stats_.messages_skipped);
+    s.add("srudp.fragments_sent", stats_.fragments_sent);
+    s.add("srudp.retransmits", stats_.fragments_retransmitted);
+    s.add("srudp.duplicate_fragments", stats_.duplicate_fragments);
+    s.add("srudp.status_sent", stats_.status_sent);
+    s.add("srudp.rto_events", stats_.rto_events);
+    s.add("srudp.bytes_delivered", stats_.bytes_delivered);
+    s.add("srudp.route_switches", stats_.route_switches);
+    s.add("srudp.route_probes", stats_.route_probes);
+    s.add("srudp.checksum_rejects", stats_.checksum_rejects);
+  });
 }
 
 SrudpEndpoint::~SrudpEndpoint() {

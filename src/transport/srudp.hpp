@@ -78,10 +78,10 @@ struct SrudpConfig {
 };
 
 /// Per-endpoint counters.  The cells are the single point of increment;
-/// each endpoint registers them as pull sources in the global
+/// each endpoint streams them through one stats visitor into its host's
 /// obs::MetricsRegistry (names "srudp.messages_sent", "srudp.retransmits",
 /// ...), so `stats()` stays a thin per-instance view while the registry
-/// reports fleet-wide totals.
+/// reports per-host totals (and MetricsRegistry::global() the fleet's).
 struct SrudpStats {
   obs::Cell messages_sent;
   obs::Cell messages_delivered;
@@ -239,14 +239,14 @@ class SrudpEndpoint {
   std::map<simnet::Address, PeerIn> in_;
   std::uint64_t last_delivered_flow_ = 0;
   SrudpStats stats_;
-  obs::Histogram* rtt_ms_;  ///< global "srudp.rtt_ms" (Karn-filtered samples)
-  /// Global "srudp.delivery_ms": send() to MSG_ACK per message, the
+  obs::Histogram* rtt_ms_;  ///< host's "srudp.rtt_ms" (Karn-filtered samples)
+  /// Host's "srudp.delivery_ms": send() to MSG_ACK per message, the
   /// sender-side delivery latency the console's health rollup reports.
   obs::Histogram* delivery_ms_;
   Logger log_;
-  /// Declared after stats_ so the sources unregister (and fold into the
-  /// registry's retained totals) before the cells they read are destroyed.
-  obs::SourceGroup metrics_sources_;
+  /// Declared after stats_ so the visitor unregisters (and folds into the
+  /// registry's retained totals) before the cells it reads are destroyed.
+  obs::SourceHandle stats_source_;
 };
 
 }  // namespace snipe::transport

@@ -82,17 +82,16 @@ StreamConnection::StreamConnection(StreamEndpoint* endpoint, simnet::Address pee
   cwnd = static_cast<double>(cfg.initial_cwnd_segments) * static_cast<double>(mss());
   ssthresh = static_cast<double>(cfg.rwnd);
 
-  delivery_ms_ = &obs::MetricsRegistry::global().histogram("stream.delivery_ms");
-  metrics_sources_.add("stream.segments_sent", [this] { return stats_.segments_sent; });
-  metrics_sources_.add("stream.segments_retransmitted",
-                       [this] { return stats_.segments_retransmitted; });
-  metrics_sources_.add("stream.bytes_sent", [this] { return stats_.bytes_sent; });
-  metrics_sources_.add("stream.messages_delivered",
-                       [this] { return stats_.messages_delivered; });
-  metrics_sources_.add("stream.bytes_delivered", [this] { return stats_.bytes_delivered; });
-  metrics_sources_.add("stream.rto_events", [this] { return stats_.rto_events; });
-  metrics_sources_.add("stream.fast_retransmits",
-                       [this] { return stats_.fast_retransmits; });
+  delivery_ms_ = &endpoint_->host().metrics().histogram("stream.delivery_ms");
+  stats_source_ = endpoint_->host().metrics().add_stats([this](obs::StatsSink& s) {
+    s.add("stream.segments_sent", stats_.segments_sent);
+    s.add("stream.segments_retransmitted", stats_.segments_retransmitted);
+    s.add("stream.bytes_sent", stats_.bytes_sent);
+    s.add("stream.messages_delivered", stats_.messages_delivered);
+    s.add("stream.bytes_delivered", stats_.bytes_delivered);
+    s.add("stream.rto_events", stats_.rto_events);
+    s.add("stream.fast_retransmits", stats_.fast_retransmits);
+  });
 }
 
 std::size_t StreamConnection::mss() const {

@@ -128,12 +128,12 @@ class StreamConnection {
   MessageHandler on_message_;
   ConnectHandler on_connect_;
   StreamStats stats_;
-  /// Global "stream.delivery_ms": send_message() to cumulative ack of the
+  /// Host's "stream.delivery_ms": send_message() to cumulative ack of the
   /// whole frame (the stream's sender-side delivery latency).
   obs::Histogram* delivery_ms_ = nullptr;
-  /// Declared after stats_ so the sources unregister (folding into the
-  /// registry's retained totals) before the fields they read are destroyed.
-  obs::SourceGroup metrics_sources_;
+  /// Declared after stats_ so the visitor unregisters (folding into the
+  /// registry's retained totals) before the fields it reads are destroyed.
+  obs::SourceHandle stats_source_;
 };
 
 /// Owns the port and demultiplexes connections, like a socket table.

@@ -1080,7 +1080,7 @@ ShardedResult run_sharded_sites(std::uint64_t seed, std::size_t shards,
     }
 
     // Watchtowers on every worker (one per shard placement pattern): weak
-    // scrape timers, cross-shard relaxed-atomic NIC reads, alert evaluation
+    // scrape timers, own-NIC relaxed-atomic reads, alert evaluation
     // — all outside the replay contract, so the digest must not move.
     std::vector<std::unique_ptr<daemon::Watchtower>> towers;
     if (watch) {

@@ -151,11 +151,6 @@ TEST(FilesDistance, ClosestReplicaIsPreferred) {
   // Hosts never forward: with no router between them, fs_near and fs_far
   // are mutually unreachable even though app can talk to both.
   EXPECT_EQ(world.net_distance("fs_near", "fs_far"), simnet::World::kUnreachable);
-  // The deprecated files:: shim forwards to the World method.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(net_distance(world, "app", "fs_near"), world.net_distance("app", "fs_near"));
-#pragma GCC diagnostic pop
 
   // Same file on both servers; the client must read from the near one.
   Bytes content{1, 2, 3, 4};

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (src/obs/): metrics registry
-// semantics (counters, gauges, histograms, pull sources with retained
-// totals), the virtual-time tracer (ring buffer, spans, clock sources) and
+// semantics (counters, gauges, histograms, stats visitors with retained
+// totals, child registries rolled up by their root), the virtual-time tracer (ring buffer, spans, clock sources) and
 // the Chrome trace_event JSON export — including parsing the export back
 // with a small JSON parser to prove it is valid JSON, and a simulated
 // multi-component run that produces a trace with transport, rcds and
@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -261,10 +262,9 @@ TEST(Metrics, SourcesAggregateAcrossInstancesAndRetainOnDeath) {
   Cell a, b;
   a += 7;
   b += 5;
-  auto group_a = std::make_unique<SourceGroup>();
-  SourceGroup group_b;
-  group_a->add(reg, "comp.events", [&a] { return a.v; });
-  group_b.add(reg, "comp.events", [&b] { return b.v; });
+  auto source_a = std::make_unique<SourceHandle>(
+      reg.add_stats([&a](StatsSink& s) { s.add("comp.events", a); }));
+  SourceHandle source_b = reg.add_stats([&b](StatsSink& s) { s.add("comp.events", b); });
 
   auto find = [](const Snapshot& snap, const std::string& name) -> const MetricValue* {
     for (const auto& m : snap)
@@ -277,7 +277,7 @@ TEST(Metrics, SourcesAggregateAcrossInstancesAndRetainOnDeath) {
   EXPECT_DOUBLE_EQ(live->value, 12.0);  // both instances summed
 
   // Killing one instance folds its final value into the retained total.
-  group_a.reset();
+  source_a.reset();
   b += 1;
   snap = reg.snapshot();
   auto* after = find(snap, "comp.events");
@@ -290,6 +290,50 @@ TEST(Metrics, SourcesAggregateAcrossInstancesAndRetainOnDeath) {
   auto* cleared = find(snap, "comp.events");
   ASSERT_NE(cleared, nullptr);
   EXPECT_DOUBLE_EQ(cleared->value, 6.0);
+}
+
+TEST(Metrics, RootRollsUpChildrenAndKeepsDeadChildTotals) {
+  MetricsRegistry root;
+  auto value_of = [&root](const std::string& name) -> std::optional<MetricValue> {
+    for (const auto& m : root.snapshot())
+      if (m.name == name) return m;
+    return std::nullopt;
+  };
+  Cell sent;
+  sent += 4;
+  {
+    MetricsRegistry a(root), b(root);
+    a.counter("x.events").inc(2);
+    b.counter("x.events").inc(3);
+    a.gauge("x.load").set(1.5);
+    SourceHandle visitor = a.add_stats([&sent](StatsSink& s) { s.add("x.sent", sent); });
+    a.histogram("x.ms").observe(1.0);
+    b.histogram("x.ms").observe(100.0);
+
+    // Children keep their own values; the root reads the sum, its
+    // counters' value() included.
+    EXPECT_EQ(a.counter("x.events").value(), 2u);
+    EXPECT_EQ(root.counter("x.events").value(), 5u);
+    ASSERT_TRUE(value_of("x.sent").has_value());
+    EXPECT_DOUBLE_EQ(value_of("x.sent")->value, 4.0);
+    ASSERT_TRUE(value_of("x.ms").has_value());
+    EXPECT_EQ(value_of("x.ms")->count, 2u);
+    ASSERT_TRUE(value_of("x.load").has_value());
+    EXPECT_DOUBLE_EQ(value_of("x.load")->value, 1.5);
+
+    // One flag: disabling the root silences its children.
+    root.set_enabled(false);
+    a.counter("x.events").inc(100);
+    EXPECT_EQ(a.counter("x.events").value(), 2u);
+    root.set_enabled(true);
+  }
+  // Dead children leave their counters and histograms behind, not gauges.
+  EXPECT_EQ(root.counter("x.events").value(), 5u);
+  ASSERT_TRUE(value_of("x.sent").has_value());
+  EXPECT_DOUBLE_EQ(value_of("x.sent")->value, 4.0);
+  ASSERT_TRUE(value_of("x.ms").has_value());
+  EXPECT_EQ(value_of("x.ms")->count, 2u);
+  EXPECT_FALSE(value_of("x.load").has_value());
 }
 
 TEST(Metrics, ResetZeroesInstruments) {

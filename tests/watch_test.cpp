@@ -132,11 +132,11 @@ TEST(SeriesStore, ScrapePullsCountersGaugesHistogramsAndSamplers) {
   registry.histogram("h.delivery_ms").observe(2.0);
   registry.histogram("h.delivery_ms").observe(4.0);
 
-  obs::SeriesStore store;
+  obs::SeriesStore store({256, &registry});
   store.add_sampler([](std::int64_t now, obs::SeriesStore& s) {
     s.record("sampled.extra", now, 42);
   });
-  store.scrape(1 * kS, &registry);
+  store.scrape(1 * kS);
   EXPECT_DOUBLE_EQ(store.last("c.events"), 3);
   EXPECT_DOUBLE_EQ(store.last("g.load"), 1.5);
   EXPECT_DOUBLE_EQ(store.last("h.delivery_ms.count"), 2);  // histos ship counts
@@ -144,7 +144,7 @@ TEST(SeriesStore, ScrapePullsCountersGaugesHistogramsAndSamplers) {
   EXPECT_EQ(store.last_ts("sampled.extra"), 1 * kS);
 
   registry.counter("c.events").inc(7);
-  store.scrape(2 * kS, &registry);
+  store.scrape(2 * kS);
   EXPECT_EQ(store.scrapes(), 2u);
   EXPECT_DOUBLE_EQ(store.last("c.events"), 10);
   EXPECT_DOUBLE_EQ(store.delta("c.events", 1 * kS, 2 * kS), 7);
@@ -419,6 +419,53 @@ TEST(Watchtower, ScrapesOnVirtualClockSamplesLinksAndFreezesWhileDown) {
   EXPECT_GT(tower.series().last_ts("world.route_epoch"), frozen_at);
 }
 
+/// What host a's tower holds after 5 s of a->b SRUDP traffic in a world
+/// with `extra` more SRUDP hosts on the same segment.
+struct HostScope {
+  std::size_t instruments = 0;
+  std::size_t series = 0;
+  std::vector<std::string> link_series;
+};
+
+HostScope watch_a_among(std::size_t extra) {
+  World world(7003);
+  world.create_network("lan", simnet::ethernet100());
+  world.attach(world.create_host("a"), *world.network("lan"));
+  world.attach(world.create_host("b"), *world.network("lan"));
+  std::vector<std::unique_ptr<transport::SrudpEndpoint>> others;
+  for (std::size_t i = 0; i < extra; ++i) {
+    simnet::Host& h = world.create_host("x" + std::to_string(i));
+    world.attach(h, *world.network("lan"));
+    others.push_back(std::make_unique<transport::SrudpEndpoint>(h, 7000));
+  }
+  transport::SrudpEndpoint tx(*world.host("a"), 7000);
+  transport::SrudpEndpoint rx(*world.host("b"), 7000);
+  rx.set_handler([](const Address&, Payload) {});
+  daemon::Watchtower tower(*world.host("a"));
+  tower.start();
+  for (int i = 0; i < 20; ++i)
+    world.engine().schedule_at(duration::milliseconds(100) * i,
+                               [&tx, &rx] { tx.send(rx.address(), Bytes(4000, 0x3c)); });
+  keep_alive(world.engine(), duration::seconds(5));
+  world.engine().run_until(duration::seconds(5));
+  return {world.host("a")->metrics().snapshot().size(), tower.series().series_count(),
+          tower.series().names("link.")};
+}
+
+TEST(Watchtower, TickCostsOwnHostNotFleet) {
+  // A host's registry and its tower's series are O(that host): a thousand
+  // more SRUDP hosts on the segment add nothing to either.
+  HostScope pair = watch_a_among(0);
+  HostScope fleet = watch_a_among(1000);
+  EXPECT_GT(pair.instruments, 0u);
+  EXPECT_EQ(fleet.instruments, pair.instruments);
+  EXPECT_EQ(fleet.series, pair.series);
+  // The link sampler names only the tower's own node.
+  ASSERT_EQ(fleet.link_series.size(), 2u);
+  for (const std::string& name : fleet.link_series)
+    EXPECT_EQ(name.rfind("link.lan.a.", 0), 0u) << name;
+}
+
 TEST(Watchtower, WindowedTopoUtilizationAgesOutWhereCumulativeCannot) {
   World world(7002);
   world.create_network("lan", simnet::ethernet100());
@@ -649,6 +696,13 @@ TEST(WatchSoak, RtoStormFiresDuringBlackoutAndResolvesAfterHeal) {
   EXPECT_EQ(alerts.firing_count(), 0u);
   // The fleet side never lost beacons (management links were untouched).
   EXPECT_EQ(w.collector->watch()->fired("a", "beacon_stale"), 0u);
+  // Attribution: b only receives, so it ships no RTOs and its own tower
+  // stays quiet; the storm is a's alone.
+  const obs::FleetStore& store = w.collector->store();
+  EXPECT_GT(store.host_value("a", "srudp.rto_events"), 0.0);
+  EXPECT_EQ(store.host_value("b", "srudp.rto_events"), 0.0);
+  EXPECT_EQ(w.b.tower->alerts().fired_total(), 0u) << w.b.tower->alerts().format_text();
+  EXPECT_EQ(w.collector->watch()->fired("b", "srudp_rto_storm"), 0u);
   soak_report("rto_storm", seed, duration_ns);
 }
 
@@ -756,8 +810,12 @@ TEST(WatchSoak, RepairChurnFiresAfterReplicaLossAndResolvesOnConvergence) {
 
   transport::RpcEndpoint rpc(*world.host("app"), 9200);
   files::FileClient client(rpc, replicas);
-  daemon::Watchtower tower(*world.host("app"));
+  // Repair runs on fs1, the primary every write lands on, so fs1's tower
+  // must see the churn; the client's host repairs nothing and must not.
+  daemon::Watchtower tower(*world.host("fs1"));
+  daemon::Watchtower app_tower(*world.host("app"));
   tower.start();
+  app_tower.start();
 
   const std::uint64_t cycles = soak_scale();
   const SimTime cycle_ns = duration::seconds(120);
@@ -782,11 +840,12 @@ TEST(WatchSoak, RepairChurnFiresAfterReplicaLossAndResolvesOnConvergence) {
   keep_alive(world.engine(), duration_ns);
   world.engine().run_until(duration_ns);
 
-  EXPECT_GE(fs1.stats().repairs + fs3.stats().repairs, 6u * cycles);
+  EXPECT_GE(fs1.stats().repairs, 6u * cycles);
   const obs::AlertEngine& alerts = tower.alerts();
   EXPECT_GE(alerts.fired("file_repair_churn"), 1u);
   EXPECT_GE(alerts.resolved("file_repair_churn"), 1u);
   EXPECT_EQ(alerts.firing_count(), 0u);
+  EXPECT_EQ(app_tower.alerts().fired_total(), 0u) << app_tower.alerts().format_text();
   soak_report("repair_churn", seed, duration_ns);
 }
 
