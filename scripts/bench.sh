@@ -116,62 +116,39 @@ for name in base:
     if name not in fresh:
         print(f"  {name}: removed (present only in baseline)")
 
-# Exporter-overhead guard (fleet telemetry plane): the paced datapath runs
-# as an on/off pair in the same fresh binary, so the comparison is
-# same-box, same-build by construction.  The telemetry exporter at its
-# default cadence must cost the data plane no more than 2%.  The pass/fail
-# signal is the *engine event count* — the simulator is deterministic, so
-# that delta is exact and machine-independent; the wall-clock throughput
-# delta is printed alongside as informational (single-shot wall times on a
-# busy box swing far more than 2% on their own).
-def paced(prefix):
-    return {n: row for n, row in fresh.items()
-            if n.startswith(prefix + "/")}
-
-for off_name, off in paced("BM_SrudpPacedDatapath").items():
-    on_name = off_name.replace("BM_SrudpPacedDatapath", "BM_SrudpPacedDatapathExporter")
-    on = fresh.get(on_name)
-    if on is None:
-        continue
-    if not off.get("events") or not on.get("events"):
-        continue
-    ev_pct = (on["events"] - off["events"]) / off["events"] * 100
-    beacons = int(on.get("beacons", 0))
-    verdict = "within 2% budget" if ev_pct <= 2 else "EXCEEDS 2% BUDGET"
-    wall = ""
-    key = "sim_MB_per_wall_sec"
-    if off.get(key) and on.get(key):
-        loss = (off[key] - on[key]) / off[key] * 100
-        wall = (f"; wall {key} {off[key]:.3g} -> {on[key]:.3g} "
-                f"({loss:+.1f}% loss, informational)")
-    print(f"  exporter overhead ({off_name.split('/')[1]}B msgs, {beacons} beacons): "
-          f"events {off['events']:.0f} -> {on['events']:.0f} ({ev_pct:+.2f}%) "
-          f"— {verdict}{wall}")
-
-# Watchtower-overhead guard: the same paced transfer with the full
-# watchtower layered on top of the exporter — per-host scrape/evaluate
-# timer, series delta-shipped in beacons, collector-side FleetWatch.  Held
-# to the same deterministic 2% event budget, judged against the exporter-on
-# run so the number isolates what the watchtower itself adds.
-for exp_name, exp in paced("BM_SrudpPacedDatapathExporter").items():
-    watch_name = exp_name.replace("BM_SrudpPacedDatapathExporter",
-                                  "BM_SrudpPacedDatapathWatchtower")
-    watch = fresh.get(watch_name)
-    if watch is None:
-        continue
-    if not exp.get("events") or not watch.get("events"):
-        continue
-    ev_pct = (watch["events"] - exp["events"]) / exp["events"] * 100
-    beacons = int(watch.get("beacons", 0))
-    verdict = "within 2% budget" if ev_pct <= 2 else "EXCEEDS 2% BUDGET"
-    wall = ""
-    key = "sim_MB_per_wall_sec"
-    if exp.get(key) and watch.get(key):
-        loss = (exp[key] - watch[key]) / exp[key] * 100
-        wall = (f"; wall {key} {exp[key]:.3g} -> {watch[key]:.3g} "
-                f"({loss:+.1f}% loss, informational)")
-    print(f"  watchtower overhead ({exp_name.split('/')[1]}B msgs, {beacons} beacons): "
-          f"events {exp['events']:.0f} -> {watch['events']:.0f} ({ev_pct:+.2f}%) "
-          f"— {verdict}{wall}")
+# Overhead guards: each paced datapath run is compared with the same
+# transfer one layer lighter, in the same fresh binary, so the comparison
+# is same-box, same-build by construction.  The telemetry exporter (vs the
+# bare transfer) and the watchtower layered on top of it (per-host
+# scrape/evaluate timer, series delta-shipped in beacons, collector-side
+# FleetWatch; vs the exporter-on run, isolating what the watchtower adds)
+# must each cost the data plane no more than 2%.  The pass/fail signal is
+# the *engine event count* — the simulator is deterministic, so that delta
+# is exact and machine-independent; the wall-clock throughput delta is
+# printed alongside as informational (single-shot wall times on a busy box
+# swing far more than 2% on their own).
+GUARDS = [  # (baseline prefix, variant prefix, label)
+    ("BM_SrudpPacedDatapath", "BM_SrudpPacedDatapathExporter", "exporter"),
+    ("BM_SrudpPacedDatapathExporter", "BM_SrudpPacedDatapathWatchtower", "watchtower"),
+]
+for base_prefix, variant_prefix, label in GUARDS:
+    for off_name, off in fresh.items():
+        if not off_name.startswith(base_prefix + "/"):
+            continue
+        on = fresh.get(off_name.replace(base_prefix, variant_prefix))
+        if on is None or not off.get("events") or not on.get("events"):
+            continue
+        ev_pct = (on["events"] - off["events"]) / off["events"] * 100
+        beacons = int(on.get("beacons", 0))
+        verdict = "within 2% budget" if ev_pct <= 2 else "EXCEEDS 2% BUDGET"
+        wall = ""
+        key = "sim_MB_per_wall_sec"
+        if off.get(key) and on.get(key):
+            loss = (off[key] - on[key]) / off[key] * 100
+            wall = (f"; wall {key} {off[key]:.3g} -> {on[key]:.3g} "
+                    f"({loss:+.1f}% loss, informational)")
+        print(f"  {label} overhead ({off_name.split('/')[1]}B msgs, {beacons} beacons): "
+              f"events {off['events']:.0f} -> {on['events']:.0f} ({ev_pct:+.2f}%) "
+              f"— {verdict}{wall}")
 EOF
 done

@@ -1,8 +1,10 @@
 #include "core/console.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -142,11 +144,135 @@ std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_n
   return out;
 }
 
-void Console::interpret(const std::string& line, std::function<void(std::string)> reply) {
-  std::istringstream parts(trim(line));
-  std::string verb, arg;
-  parts >> verb >> arg;
+namespace {
 
+constexpr std::uint64_t kMaxCount = 1'000'000;
+
+/// A count parameter (`n`, `window_s`) is its leading decimal digits.  Text
+/// without any (absent, "bogus") means `fallback`; a number outside
+/// [1, kMaxCount] is an error rather than a wrap-around or an overflow.
+std::optional<std::uint64_t> parse_count(const std::string& text, std::uint64_t fallback) {
+  std::uint64_t v = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec == std::errc::invalid_argument) return fallback;
+  if (ec != std::errc() || v < 1 || v > kMaxCount) return std::nullopt;
+  return v;
+}
+
+using Kind = OpsParam::Kind;
+using Needs = OpsCommand::Needs;
+
+const std::vector<OpsCommand> kCommands = {
+    {"metrics", {{"prefix"}}, Needs::nothing,
+     [](const OpsCall& c) {
+       std::string out = filter_lines(c.process.host().metrics().format_text(), c.args[0]);
+       return out.empty() ? std::string("(no metrics recorded)") : out;
+     }},
+    {"health", {}, Needs::nothing,
+     [](const OpsCall& c) { return health_report(c.process.host().metrics().snapshot()); }},
+    {"flight", {{"host"}}, Needs::nothing,
+     [](const OpsCall& c) { return obs::FlightRecorder::global().dump(c.args[0]); }},
+    {"trace", {{"id", Kind::required}}, Needs::nothing,
+     [](const OpsCall& c) { return trace_report(obs::Tracer::global().events(), c.args[0]); }},
+    // With a watchtower attached, this host's own NICs read utilization
+    // over the trailing window; every other link is cumulative-since-boot.
+    {"topo", {{"window_s", Kind::count, 10}}, Needs::nothing,
+     [](const OpsCall& c) {
+       return c.process.host().world()->describe_topology(
+           c.surfaces.series, duration::seconds(static_cast<std::int64_t>(c.counts[0])));
+     }},
+    {"series", {{"prefix"}}, Needs::series,
+     [](const OpsCall& c) { return c.surfaces.series->format_text(c.args[0]); }},
+    {"alerts", {}, Needs::alerts,
+     [](const OpsCall& c) { return c.surfaces.alerts->format_text(); }},
+    {"fleet/metrics", {{"prefix"}}, Needs::fleet,
+     [](const OpsCall& c) {
+       std::string out = c.surfaces.fleet->format_metrics(c.args[0]);
+       return out.empty() ? std::string("(no fleet metrics)") : out;
+     }},
+    {"fleet/health", {}, Needs::fleet,
+     [](const OpsCall& c) {
+       return fleet_health_report(*c.surfaces.fleet, obs::Tracer::global().now());
+     }},
+    {"fleet/flight", {{"host"}}, Needs::fleet,
+     [](const OpsCall& c) { return c.surfaces.fleet->format_flight(c.args[0]); }},
+    {"fleet/top", {{"n", Kind::count, 5}}, Needs::fleet,
+     [](const OpsCall& c) {
+       return c.surfaces.fleet->format_top(static_cast<std::size_t>(c.counts[0]));
+     }},
+    {"fleet/series", {{"host"}, {"prefix"}}, Needs::fleet,
+     [](const OpsCall& c) { return c.surfaces.fleet->format_series(c.args[0], c.args[1]); }},
+    {"fleet/alerts", {}, Needs::fleet_watch,
+     [](const OpsCall& c) { return c.surfaces.fleet_watch->format_text(); }},
+};
+
+/// The one message per unattached surface, or nullptr when it is attached.
+const char* missing(Needs needs, const OpsSurfaces& s) {
+  if ((needs == Needs::series && !s.series) || (needs == Needs::alerts && !s.alerts))
+    return "no watchtower attached";
+  if (needs == Needs::fleet && !s.fleet) return "no fleet collector attached";
+  if (needs == Needs::fleet_watch && !s.fleet_watch) return "no fleet watch attached";
+  return nullptr;
+}
+
+/// Binds one row's arguments and runs it, answering an HTTP-style status
+/// and text: 404 when its surface is not attached, 400 when a parameter is
+/// missing or out of range.
+std::pair<int, std::string> run(const OpsCommand& cmd, SnipeProcess& process,
+                                const OpsSurfaces& surfaces, std::vector<std::string> args) {
+  if (const char* why = missing(cmd.needs, surfaces)) return {404, why};
+  args.resize(cmd.params.size());
+  OpsCall call{process, surfaces, std::move(args), std::vector<std::uint64_t>(cmd.params.size())};
+  for (std::size_t i = 0; i < cmd.params.size(); ++i) {
+    const OpsParam& p = cmd.params[i];
+    auto count = p.kind == Kind::count ? parse_count(call.args[i], p.fallback) : 0;
+    if ((p.kind == Kind::required && call.args[i].empty()) || !count)
+      return {400, std::string(p.name) + " is missing or out of range"};
+    call.counts[i] = *count;
+  }
+  return {200, cmd.run(call)};
+}
+
+/// "/fleet/series?host=&prefix=": a row as a gateway endpoint.
+std::string endpoint_form(const OpsCommand& cmd) {
+  std::string out = "/" + std::string(cmd.path);
+  for (const auto& p : cmd.params)
+    out += (&p == &cmd.params.front() ? "?" : "&") + std::string(p.name) + "=";
+  return out;
+}
+
+/// The console usage line: the RC verbs, then every table row as a verb
+/// ("fleet series [host] [prefix]"), each group of rows ("fleet/...") on
+/// its own line.
+std::string console_usage() {
+  std::string out =
+      "usage: ps <host-url> | state <urn> | meta <uri> | where <urn> | routers <group>";
+  std::string_view group;
+  for (const auto& cmd : kCommands) {
+    auto slash = cmd.path.find('/');
+    std::string_view g = slash == std::string_view::npos ? "" : cmd.path.substr(0, slash);
+    out += g == group ? " | " : "\n" + std::string(g) + " <sub>: ";
+    group = g;
+    std::string verb(cmd.path);
+    std::replace(verb.begin(), verb.end(), '/', ' ');
+    out += verb;
+    for (const auto& p : cmd.params)
+      out += p.kind == Kind::required ? " <" + std::string(p.name) + ">"
+                                      : " [" + std::string(p.name) + "]";
+  }
+  return out;
+}
+
+}  // namespace
+
+std::span<const OpsCommand> ops_commands() { return kCommands; }
+
+void Console::interpret(const std::string& line, std::function<void(std::string)> reply) {
+  std::vector<std::string> words;
+  std::istringstream parts(trim(line));
+  for (std::string w; parts >> w;) words.push_back(std::move(w));
+  std::string verb = words.empty() ? "" : words[0];
+  std::string arg = words.size() > 1 ? words[1] : "";
   if (verb == "ps" && !arg.empty()) {
     processes_on_host(arg, [reply = std::move(reply), arg](
                                Result<std::vector<std::string>> r) {
@@ -195,90 +321,18 @@ void Console::interpret(const std::string& line, std::function<void(std::string)
                          });
     return;
   }
-  if (verb == "metrics") {
-    // Operator scrape of this console's host (optionally filtered by
-    // prefix: "metrics srudp."); the fleet view is "fleet metrics".
-    std::string out = filter_lines(process_.host().metrics().format_text(), arg);
-    reply(out.empty() ? "(no metrics recorded)" : out);
+  // Observability verbs: the row whose path the leading words spell
+  // ("fleet top 3" is fleet/top); the words after it are its parameters in
+  // table order.
+  for (const auto& cmd : kCommands) {
+    auto names = split(std::string(cmd.path), '/');
+    if (words.size() < names.size() || !std::equal(names.begin(), names.end(), words.begin()))
+      continue;
+    auto [status, text] = run(cmd, process_, *this, {words.begin() + names.size(), words.end()});
+    reply(status == 400 ? console_usage() : text);
     return;
   }
-  if (verb == "trace" && !arg.empty()) {
-    reply(trace_report(obs::Tracer::global().events(), arg));
-    return;
-  }
-  if (verb == "flight") {
-    reply(obs::FlightRecorder::global().dump(arg));
-    return;
-  }
-  if (verb == "health") {
-    reply(health_report(process_.host().metrics().snapshot()));
-    return;
-  }
-  if (verb == "topo") {
-    // Where contention and partitions live: the zone tree with per-link
-    // utilization and up/down state, straight from the simulated world.
-    // With a watchtower attached, utilization is windowed (trailing 10s)
-    // instead of cumulative-since-boot.
-    reply(process_.host().world()->describe_topology(series_, duration::seconds(10)));
-    return;
-  }
-  if (verb == "series") {
-    reply(series_ == nullptr ? "series: no watchtower attached to this console"
-                             : series_->format_text(arg));
-    return;
-  }
-  if (verb == "alerts") {
-    reply(alerts_ == nullptr ? "alerts: no watchtower attached to this console"
-                             : alerts_->format_text());
-    return;
-  }
-  if (verb == "fleet") {
-    if (fleet_ == nullptr) {
-      reply("fleet: no collector attached to this console");
-      return;
-    }
-    std::string arg2;
-    parts >> arg2;
-    if (arg == "metrics") {
-      std::string out = fleet_->format_metrics(arg2);
-      reply(out.empty() ? "(no fleet metrics)" : out);
-      return;
-    }
-    if (arg == "health") {
-      reply(fleet_health_report(*fleet_, obs::Tracer::global().now()));
-      return;
-    }
-    if (arg == "flight") {
-      reply(fleet_->format_flight(arg2));
-      return;
-    }
-    if (arg == "top") {
-      std::size_t n = 5;
-      if (!arg2.empty()) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(arg2.c_str(), &end, 10);
-        if (end != arg2.c_str() && v > 0) n = static_cast<std::size_t>(v);
-      }
-      reply(fleet_->format_top(n));
-      return;
-    }
-    if (arg == "series") {
-      reply(fleet_->format_series(arg2, ""));
-      return;
-    }
-    if (arg == "alerts") {
-      reply(fleet_watch_ == nullptr ? "fleet alerts: no fleet watch attached"
-                                    : fleet_watch_->format_text());
-      return;
-    }
-    reply("usage: fleet metrics [prefix] | fleet health | fleet flight [host] | "
-          "fleet top [n] | fleet series [host] | fleet alerts");
-    return;
-  }
-  reply(
-      "usage: ps <host-url> | state <urn> | meta <uri> | where <urn> | routers <group> | "
-      "metrics [prefix] | trace <id> | flight [host] | health | topo | series [prefix] | "
-      "alerts | fleet <sub> [arg]");
+  reply(console_usage());
 }
 
 Bytes HttpRequest::encode() const {
@@ -459,70 +513,18 @@ HttpResponse OpsGateway::handle(const HttpRequest& request) const {
   if (request.method != "GET")
     return text_response(400, "only GET is supported\n");
   auto [path, params] = parse_target(request.path);
-  if (path == "/metrics") {
-    std::string out =
-        filter_lines(process_.host().metrics().format_text(), params["prefix"]);
-    return text_response(200, out.empty() ? "(no metrics recorded)\n" : out);
+  for (const auto& cmd : kCommands) {
+    if (path != "/" + std::string(cmd.path)) continue;
+    std::vector<std::string> args;
+    for (const auto& p : cmd.params) args.push_back(params[std::string(p.name)]);
+    auto [status, text] = run(cmd, process_, *this, std::move(args));
+    if (status == 400) text += "\nusage: " + endpoint_form(cmd);
+    if (text.empty() || text.back() != '\n') text += "\n";
+    return text_response(status, text);
   }
-  if (path == "/health")
-    return text_response(200, health_report(process_.host().metrics().snapshot()));
-  if (path == "/flight")
-    return text_response(200, obs::FlightRecorder::global().dump(params["host"]) + "\n");
-  if (path == "/trace") {
-    auto it = params.find("id");
-    if (it == params.end() || it->second.empty())
-      return text_response(400, "usage: /trace?id=<flow-or-msg-id>\n");
-    return text_response(200, trace_report(obs::Tracer::global().events(), it->second));
-  }
-  if (path == "/topo") {
-    SimDuration window = duration::seconds(10);
-    if (auto it = params.find("window_s"); it != params.end() && !it->second.empty()) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-      if (end != it->second.c_str() && v > 0)
-        window = duration::seconds(static_cast<std::int64_t>(v));
-    }
-    return text_response(200,
-                         process_.host().world()->describe_topology(series_, window));
-  }
-  if (path == "/series") {
-    if (series_ == nullptr) return text_response(404, "no watchtower attached\n");
-    return text_response(200, series_->format_text(params["prefix"]));
-  }
-  if (path == "/alerts") {
-    if (alerts_ == nullptr) return text_response(404, "no watchtower attached\n");
-    return text_response(200, alerts_->format_text());
-  }
-  if (path.rfind("/fleet/", 0) == 0) {
-    if (fleet_ == nullptr)
-      return text_response(404, "no fleet collector attached\n");
-    if (path == "/fleet/metrics") {
-      std::string out = fleet_->format_metrics(params["prefix"]);
-      return text_response(200, out.empty() ? "(no fleet metrics)\n" : out);
-    }
-    if (path == "/fleet/health")
-      return text_response(200,
-                           fleet_health_report(*fleet_, obs::Tracer::global().now()));
-    if (path == "/fleet/flight")
-      return text_response(200, fleet_->format_flight(params["host"]) + "\n");
-    if (path == "/fleet/top") {
-      std::size_t n = 5;
-      if (auto it = params.find("n"); it != params.end() && !it->second.empty()) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-        if (end != it->second.c_str() && v > 0) n = static_cast<std::size_t>(v);
-      }
-      return text_response(200, fleet_->format_top(n));
-    }
-    if (path == "/fleet/series")
-      return text_response(200, fleet_->format_series(params["host"], params["prefix"]));
-    if (path == "/fleet/alerts") {
-      if (fleet_watch_ == nullptr)
-        return text_response(404, "no fleet watch attached\n");
-      return text_response(200, fleet_watch_->format_text());
-    }
-  }
-  return text_response(404, "not found: " + path + "\n");
+  std::string endpoints;
+  for (const auto& cmd : kCommands) endpoints += " " + endpoint_form(cmd);
+  return text_response(404, "not found: " + path + "\nendpoints:" + endpoints + "\n");
 }
 
 }  // namespace snipe::core

@@ -15,6 +15,9 @@
 // miss, so requests follow the server across migrations.
 #pragma once
 
+#include <span>
+#include <string_view>
+
 #include "core/process.hpp"
 #include "obs/alert.hpp"
 #include "obs/fleet.hpp"
@@ -46,53 +49,80 @@ std::string trace_report(const std::vector<obs::TraceEvent>& events,
 /// staleness math runs against (the tracer clock: virtual time in a sim).
 std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_ns);
 
+/// The observability surfaces a console or ops gateway answers from beyond
+/// its own host, null until attached.  Console and OpsGateway both inherit
+/// it, so the attach calls and the pointers exist once.
+struct OpsSurfaces {
+  const obs::FleetStore* fleet = nullptr;        ///< a collector's store
+  const obs::SeriesStore* series = nullptr;      ///< this host's watchtower history
+  const obs::AlertEngine* alerts = nullptr;      ///< this host's alert engine
+  const obs::FleetWatch* fleet_watch = nullptr;  ///< a collector's fleet alerts
+
+  /// Attaches a collector's fleet store; the `fleet` rows answer from it.
+  void set_fleet(const obs::FleetStore* store) { fleet = store; }
+
+  /// Attaches this host's watchtower: the series store feeds `series` and
+  /// windows the `topo` utilization column; the alert engine answers
+  /// `alerts`.
+  void set_watch(const obs::SeriesStore* store, const obs::AlertEngine* engine) {
+    series = store;
+    alerts = engine;
+  }
+
+  /// Attaches a collector's fleet alert engine (`fleet alerts`).
+  void set_fleet_watch(const obs::FleetWatch* watch) { fleet_watch = watch; }
+};
+
+/// One named parameter of an ops command: a positional word on the console,
+/// a `?name=value` query parameter on the gateway.  A count is a number in
+/// [1, 1000000], `fallback` when absent or not a number.
+struct OpsParam {
+  enum class Kind { text, required, count };
+  std::string_view name;
+  Kind kind = Kind::text;
+  std::uint64_t fallback = 0;
+};
+
+/// One bound call of an ops command.  `args` holds one entry per parameter
+/// ("" when absent); `counts[i]` is the parsed value of a count parameter.
+struct OpsCall {
+  SnipeProcess& process;
+  const OpsSurfaces& surfaces;
+  std::vector<std::string> args;
+  std::vector<std::uint64_t> counts;
+};
+
+/// One row of the ops command table: an observability command reached as
+/// the console verb "fleet top 3" and as the gateway endpoint
+/// "/fleet/top?n=3".  Both adapters bind parameters onto the same row and
+/// answer with its text, so the two surfaces cannot drift apart.
+struct OpsCommand {
+  /// The surface a row cannot answer without; unattached, it replies 404
+  /// with one message per surface.
+  enum class Needs { nothing, series, alerts, fleet, fleet_watch };
+  std::string_view path;  ///< "metrics", "fleet/top"
+  std::vector<OpsParam> params;
+  Needs needs = Needs::nothing;
+  std::string (*run)(const OpsCall&);
+};
+
+/// The ops command table: metrics, health, flight, trace, topo, series,
+/// alerts and fleet metrics/health/flight/top/series/alerts.  The console
+/// usage line and the gateway's 404 body are generated from it.
+std::span<const OpsCommand> ops_commands();
+
 /// A human-facing SNIPE process: metadata queries + commands.
 ///
 /// `interpret` implements the character-based interface: a PVM-console-like
 /// command line evaluated against the live registry.  Because "there is no
 /// way to list all SNIPE processes" (§3.7), every command starts from a
-/// name the operator already has — a URI, URN or host.
-///
-///   ps <host-url>          processes the daemon on that host started
-///   state <urn>            a process's current state
-///   meta <uri>             full metadata record, one assertion per line
-///   where <urn>            the host a process currently runs on
-///   routers <group-urn>    a multicast group's router set
-///   metrics [prefix]       scrape this console's host registry, optionally filtered
-///   trace <id>             flow-event trail of one message (flow or msg id)
-///   flight [host]          recent flight-recorder events, optionally per host
-///   health                 delivery-latency / retransmit / failover rollup
-///                          of this console's host
-///   topo                   zone tree with per-link utilization + up/down state
-///                          (this host's own NICs are windowed once a
-///                          watchtower is attached via set_watch; every other
-///                          link reads cumulative-since-boot)
-///   series [prefix]        retained watchtower series (set_watch first)
-///   alerts                 local alert-rule status (set_watch first)
-///   fleet metrics [prefix] fleet-merged registry scrape (set_fleet first)
-///   fleet health           per-host liveness + fleet-merged health rollup
-///   fleet flight [host]    fleet flight timeline, merge-sorted by time
-///   fleet top [n]          worst-n hosts by retransmit ratio / delivery p99
-///   fleet series [host]    per-host shipped series (set_fleet first)
-///   fleet alerts           per-host fleet alert status (set_fleet_watch)
-class Console {
+/// name the operator already has — a URI, URN or host.  The RC-backed verbs
+/// `ps <host-url>`, `state <urn>`, `meta <uri>`, `where <urn>` and
+/// `routers <group-urn>` are console-only; every other verb is a row of
+/// ops_commands(), its parameters given as positional words.
+class Console : public OpsSurfaces {
  public:
   explicit Console(SnipeProcess& process) : process_(process) {}
-
-  /// Attaches a collector's fleet store; the `fleet *` verbs answer from it
-  /// (and report the lack of one until attached).
-  void set_fleet(const obs::FleetStore* fleet) { fleet_ = fleet; }
-
-  /// Attaches this process's watchtower surfaces: the series store feeds
-  /// the `series` verb and windows the `topo` utilization column; the
-  /// alert engine answers `alerts`.
-  void set_watch(const obs::SeriesStore* series, const obs::AlertEngine* alerts) {
-    series_ = series;
-    alerts_ = alerts;
-  }
-
-  /// Attaches a collector's fleet alert engine (`fleet alerts`).
-  void set_fleet_watch(const obs::FleetWatch* watch) { fleet_watch_ = watch; }
 
   /// Evaluates one command line; the reply is human-readable text.
   void interpret(const std::string& line, std::function<void(std::string)> reply);
@@ -134,10 +164,6 @@ class Console {
 
  private:
   SnipeProcess& process_;
-  const obs::FleetStore* fleet_ = nullptr;
-  const obs::SeriesStore* series_ = nullptr;
-  const obs::AlertEngine* alerts_ = nullptr;
-  const obs::FleetWatch* fleet_watch_ = nullptr;
 };
 
 struct HttpRequest {
@@ -207,44 +233,11 @@ std::string to_http_text(const HttpResponse& response);
 /// The ops console served over SNIPE's own HTTP machinery: an ordinary
 /// SNIPE process that registers a service URI and exports observability
 /// data as plain text.  Because it is a normal HttpServer, requests reach
-/// it through the HttpGateway and keep working after it migrates.
-///
-///   GET /metrics[?prefix=srudp.]   this host's registry scrape, optionally filtered
-///   GET /health                    health_report() over this host's snapshot
-///   GET /flight[?host=a]           flight-recorder dump, optionally per host
-///   GET /trace?id=<flow-or-msg>    trace_report() for one causal flow
-///   GET /topo[?window_s=10]        zone tree, per-link utilization, up/down
-///                                  (own NICs windowed once a watchtower is
-///                                  attached)
-///   GET /series[?prefix=]          retained watchtower series (set_watch)
-///   GET /alerts                    local alert-rule status (set_watch)
-///
-/// With a fleet store attached (set_fleet), the local surface grows its
-/// fleet-wide counterpart, answered from collected beacons instead of this
-/// host's registry:
-///
-///   GET /fleet/metrics[?prefix=]   fleet-merged registry scrape
-///   GET /fleet/health              per-host liveness + merged health rollup
-///   GET /fleet/flight[?host=a]     fleet flight timeline (merge-sorted)
-///   GET /fleet/top[?n=5]           worst-n hosts (retransmit / delivery p99)
-///   GET /fleet/series[?host=a]     per-host shipped watchtower series
-///   GET /fleet/alerts              per-host fleet alert status (set_fleet_watch)
-class OpsGateway {
+/// it through the HttpGateway and keep working after it migrates.  Every
+/// `GET /<path>[?name=value...]` is a row of ops_commands().
+class OpsGateway : public OpsSurfaces {
  public:
   OpsGateway(SnipeProcess& process, std::string service_uri);
-
-  /// Attaches a collector's fleet store; /fleet/* answers 404 until then.
-  void set_fleet(const obs::FleetStore* fleet) { fleet_ = fleet; }
-
-  /// Attaches the local watchtower surfaces (/series, /alerts, windowed
-  /// /topo utilization).
-  void set_watch(const obs::SeriesStore* series, const obs::AlertEngine* alerts) {
-    series_ = series;
-    alerts_ = alerts;
-  }
-
-  /// Attaches a collector's fleet alert engine (/fleet/alerts).
-  void set_fleet_watch(const obs::FleetWatch* watch) { fleet_watch_ = watch; }
 
   /// The request dispatcher, public so tests can drive it without a
   /// simulated browser in the loop.
@@ -256,10 +249,6 @@ class OpsGateway {
  private:
   SnipeProcess& process_;
   HttpServer server_;
-  const obs::FleetStore* fleet_ = nullptr;
-  const obs::SeriesStore* series_ = nullptr;
-  const obs::AlertEngine* alerts_ = nullptr;
-  const obs::FleetWatch* fleet_watch_ = nullptr;
 };
 
 }  // namespace snipe::core

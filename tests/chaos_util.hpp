@@ -138,7 +138,7 @@ inline std::string trace_digest_canonical(const std::vector<std::string>& exclud
 }
 
 /// Appends one "<seed> <scenario> <fnv1a(digest)>" line to the file named
-/// by SNIPE_CHAOS_DIGEST_LOG (no-op when unset).  chaos_soak.sh points the
+/// by SNIPE_CHAOS_DIGEST_LOG (no-op when unset).  `sweep.sh soak` points the
 /// sweep's runs at one log so cross-seed digest drift — a scenario whose
 /// fingerprint changes between soak runs of the *same* seed — is diffable
 /// after the fact without storing full digests.

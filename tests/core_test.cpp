@@ -3,6 +3,9 @@
 // election and failure, consoles, and the migrating HTTP server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/console.hpp"
 #include "core/group.hpp"
 #include "core/process.hpp"
@@ -631,6 +634,17 @@ TEST_F(CoreFixture, OpsGatewayParsingEdgeCasesAndFleetRoutes) {
             std::string::npos);
   EXPECT_EQ(get("/fleet/top?n=bogus").status, 200);
   EXPECT_EQ(get("/fleet/nope").status, 404);
+
+  // A number outside the count range is a 400, never a window that
+  // overflows int64 nanoseconds (9223372037 s) or wraps negative (2^64-1).
+  for (const char* bad : {"9223372037", "18446744073709551615", "0"}) {
+    SCOPED_TRACE(bad);
+    auto topo = get(std::string("/topo?window_s=") + bad);
+    EXPECT_EQ(topo.status, 400);
+    EXPECT_NE(to_string(topo.body).find("usage: /topo"), std::string::npos);
+    EXPECT_EQ(get(std::string("/fleet/top?n=") + bad).status, 400);
+  }
+  EXPECT_EQ(get("/topo?window_s=1000000").status, 200);
 }
 
 TEST_F(CoreFixture, ConsoleFleetVerbs) {
@@ -643,7 +657,7 @@ TEST_F(CoreFixture, ConsoleFleetVerbs) {
     return out;
   };
 
-  EXPECT_NE(run_command("fleet health").find("no collector"), std::string::npos);
+  EXPECT_NE(run_command("fleet health").find("no fleet collector"), std::string::npos);
 
   obs::FleetStore store;
   obs::TelemetryBeacon beacon;
@@ -663,6 +677,103 @@ TEST_F(CoreFixture, ConsoleFleetVerbs) {
   EXPECT_NE(run_command("fleet top").find("retransmit_ratio"), std::string::npos);
   EXPECT_NE(run_command("fleet bogus").find("usage"), std::string::npos);
   EXPECT_NE(run_command("bogus").find("fleet <sub>"), std::string::npos);
+}
+
+// ---- one command table behind the console and the gateway -----------------
+
+TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
+  auto ops_proc = make_process("hostC", "ops");
+  Console console(*ops_proc);
+  OpsGateway ops(*ops_proc, "http://parity.utk.edu/");
+  world.engine().run();
+
+  obs::FlightRecorder::global().record("hostC", "test", "parity_probe");
+  auto& tracer = obs::Tracer::global();
+  tracer.set_flow_enabled(true);
+  tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177);
+  tracer.set_flow_enabled(false);
+
+  obs::SeriesStore series;
+  series.record("srudp.fragments_sent", 1'000'000'000, 4);
+  series.record("link.lan.hostC.busy_ns", 1'000'000'000, 0);
+  series.record("link.lan.hostC.busy_ns", 2'000'000'000, 5e8);
+  obs::AlertEngine alerts;
+  obs::FleetStore store;
+  obs::TelemetryBeacon beacon;
+  beacon.host = "hostX";
+  beacon.seq = 1;
+  beacon.ts = 2'000'000'000;
+  beacon.period_ns = 1'000'000'000;
+  beacon.full = true;
+  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.fragments_retransmitted", 2}};
+  beacon.series = {{"srudp.rto_events", {{1'000'000'000, 1.0}}}};
+  store.apply(beacon, beacon.ts);
+  obs::FleetWatch fleet_watch(store);
+  fleet_watch.evaluate(2'000'000'000);
+
+  // One sample value per parameter name: the console gets them as words,
+  // the gateway as a query string.
+  const std::map<std::string_view, std::string> sample = {
+      {"prefix", "srudp."}, {"host", "hostX"}, {"id", "0x7177"}, {"window_s", "30"}, {"n", "3"}};
+  auto console_says = [&](const std::string& line) {
+    std::string out;
+    console.interpret(line, [&](std::string reply) { out = std::move(reply); });
+    return out;
+  };
+  auto chomp = [](std::string text) {
+    while (!text.empty() && text.back() == '\n') text.pop_back();
+    return text;
+  };
+  auto check_every_row = [&](bool attached) {
+    for (const auto& cmd : ops_commands()) {
+      std::string line(cmd.path);
+      std::replace(line.begin(), line.end(), '/', ' ');
+      HttpRequest req;
+      req.path = "/" + std::string(cmd.path);
+      for (std::size_t i = 0; i < cmd.params.size(); ++i) {
+        const std::string& value = sample.at(cmd.params[i].name);
+        line += " " + value;
+        req.path += (i == 0 ? "?" : "&") + std::string(cmd.params[i].name) + "=" + value;
+      }
+      SCOPED_TRACE(req.path);
+      auto res = ops.handle(req);
+      bool answers = attached || cmd.needs == OpsCommand::Needs::nothing;
+      EXPECT_EQ(res.status, answers ? 200 : 404);
+      EXPECT_EQ(chomp(console_says(line)), chomp(to_string(res.body)));
+    }
+  };
+  check_every_row(false);
+  console.set_watch(&series, &alerts);
+  ops.set_watch(&series, &alerts);
+  console.set_fleet(&store);
+  ops.set_fleet(&store);
+  console.set_fleet_watch(&fleet_watch);
+  ops.set_fleet_watch(&fleet_watch);
+  check_every_row(true);
+
+  // The usage line and the 404 body name every row, and the console verbs
+  // take the parameters the endpoints take.
+  std::string usage = console_says("bogus");
+  HttpRequest nope;
+  nope.path = "/nope";
+  auto not_found = ops.handle(nope);
+  EXPECT_EQ(not_found.status, 404);
+  for (const auto& cmd : ops_commands()) {
+    std::string verb(cmd.path);
+    std::replace(verb.begin(), verb.end(), '/', ' ');
+    EXPECT_NE(usage.find(verb), std::string::npos) << verb;
+    EXPECT_NE(to_string(not_found.body).find(" /" + std::string(cmd.path)), std::string::npos)
+        << cmd.path;
+  }
+  EXPECT_NE(usage.find("topo [window_s]"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("fleet series [host] [prefix]"), std::string::npos) << usage;
+
+  // An out-of-range count gets the usage line on the console.
+  for (const char* bad : {"9223372037", "18446744073709551615", "0"}) {
+    EXPECT_EQ(console_says(std::string("topo ") + bad), usage) << bad;
+    EXPECT_EQ(console_says(std::string("fleet top ") + bad), usage) << bad;
+  }
+  EXPECT_EQ(console_says("trace"), usage);
 }
 
 // ---- watchtower surfaces: series/alerts verbs + gateway endpoints ----------

@@ -7,8 +7,8 @@
 // expected alert and resolve after the heal.
 //
 // The soak tests run at SNIPE_SOAK_SCALE=1 in tier-1 (seconds of virtual
-// time, milliseconds of wall time); scripts/chaos_soak.sh and
-// scripts/watch_sweep.sh rerun them across many seeds and larger scales,
+// time, milliseconds of wall time); `scripts/sweep.sh soak` and
+// `scripts/sweep.sh watch` rerun them across many seeds and larger scales,
 // summing the "[soak] ... virtual_s=" lines each scenario prints into the
 // soak's virtual-hours accounting.
 #include <gtest/gtest.h>
@@ -525,7 +525,7 @@ std::uint64_t soak_scale() {
   return 1;
 }
 
-/// One "[soak] ..." accounting line per scenario: chaos_soak.sh sums the
+/// One "[soak] ..." accounting line per scenario: scripts/sweep.sh sums the
 /// virtual_s fields into the soak's total virtual hours.
 void soak_report(const char* scenario, std::uint64_t seed, SimTime virtual_ns) {
   std::printf("[soak] scenario=%s seed=%llu virtual_s=%lld\n", scenario,
