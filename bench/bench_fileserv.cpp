@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "crypto/hash.hpp"
 #include "files/fileserver.hpp"
 #include "rcds/server.hpp"
 
@@ -204,6 +205,20 @@ BENCHMARK(BM_StripedSaturation)
     ->Arg(8)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+// The integrity check every read pays: SHA-256 of a whole file (§2.1's
+// "cryptographic hash functions").  Wall-clock throughput of the block
+// path this CPU dispatches to, named in the label.
+void BM_Sha256(benchmark::State& state) {
+  const Bytes content(static_cast<std::size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::sha256(content));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(crypto::detail::sha256_blocks() == &crypto::detail::sha256_blocks_portable
+                     ? "portable"
+                     : "sha-ni");
+}
+
+BENCHMARK(BM_Sha256)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 }  // namespace
 

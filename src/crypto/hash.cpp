@@ -1,6 +1,15 @@
 #include "crypto/hash.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#define SNIPE_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define SNIPE_SHA_NI 0
+#endif
 
 namespace snipe::crypto {
 
@@ -64,7 +73,190 @@ constexpr std::uint32_t kShaK[64] = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
     0xc67178f2};
 
+// Feeds `data` through a 64-byte block buffer: tops up a partial block
+// first, then hands every whole block to `blocks` straight from `data`, and
+// keeps the tail for the next call.
+template <typename Blocks>
+void absorb(std::uint8_t (&buffer)[64], std::size_t& buffered, const std::uint8_t* data,
+            std::size_t len, Blocks blocks) {
+  if (buffered > 0) {
+    std::size_t take = std::min(len, sizeof(buffer) - buffered);
+    if (take > 0) std::memcpy(buffer + buffered, data, take);
+    buffered += take;
+    data += take;
+    len -= take;
+    if (buffered < sizeof(buffer)) return;
+    blocks(buffer, 1);
+    buffered = 0;
+  }
+  if (std::size_t whole = len / 64; whole > 0) {
+    blocks(data, whole);
+    data += whole * 64;
+    len -= whole * 64;
+  }
+  if (len > 0) std::memcpy(buffer, data, len);
+  buffered = len;
+}
+
+// Merkle–Damgård padding: 0x80, zeros up to byte 56 of the last block,
+// then the 8-byte message length; compresses the one or two final blocks.
+template <typename Blocks>
+void pad_and_flush(std::uint8_t (&buffer)[64], std::size_t buffered,
+                   const std::uint8_t (&length)[8], Blocks blocks) {
+  buffer[buffered++] = 0x80;
+  if (buffered > 56) {
+    std::memset(buffer + buffered, 0, sizeof(buffer) - buffered);
+    blocks(buffer, 1);
+    buffered = 0;
+  }
+  std::memset(buffer + buffered, 0, 56 - buffered);
+  std::memcpy(buffer + 56, length, sizeof(length));
+  blocks(buffer, 1);
+}
+
+void md5_blocks(std::uint32_t state[4], const std::uint8_t* data, std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) m[i] = load_le32(data + i * 4);
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      std::uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + rotl32(a + f + kMd5T[i] + m[g], kMd5Shift[i]);
+      a = tmp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  }
+}
+
+#if SNIPE_SHA_NI
+// SHA-256 on the x86 SHA extensions.  The state lives in two registers as
+// ABEF and CDGH (the layout sha256rnds2 wants); each group of four rounds
+// adds its message words to the round constants, and sha256msg1/msg2 extend
+// the schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_blocks_shani(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t nblocks) {
+  const __m128i byteswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];  // the last four groups of message words, w[g % 4]
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i m;
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byteswap);
+      } else {
+        m = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+        m = _mm_sha256msg2_epu32(m, w[(g + 3) % 4]);
+      }
+      w[g % 4] = m;
+      __m128i wk =
+          _mm_add_epi32(m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kShaK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned a, b, c, d;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  const bool ssse3 = c & (1u << 9), sse41 = c & (1u << 19);
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return ssse3 && sse41 && (b & (1u << 29));
+}
+#endif
+
 }  // namespace
+
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + i * 4);
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kShaK[i] + w[i];
+      std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256Blocks sha256_blocks() {
+  // A function-local static: initialised once, race-free, on first use.
+  static const Sha256Blocks chosen = [] {
+#if SNIPE_SHA_NI
+    if (cpu_has_sha_ni()) return &sha256_blocks_shani;
+#endif
+    return &sha256_blocks_portable;
+  }();
+  return chosen;
+}
+
+}  // namespace detail
 
 Md5::Md5() {
   state_[0] = 0x67452301;
@@ -73,62 +265,18 @@ Md5::Md5() {
   state_[3] = 0x10325476;
 }
 
-void Md5::process_block(const std::uint8_t* block) {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) m[i] = load_le32(block + i * 4);
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl32(a + f + kMd5T[i] + m[g], kMd5Shift[i]);
-    a = tmp;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-}
-
 void Md5::update(const std::uint8_t* data, std::size_t len) {
   total_ += len;
-  while (len > 0) {
-    std::size_t take = std::min(len, sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, data, take);
-    buffered_ += take;
-    data += take;
-    len -= take;
-    if (buffered_ == sizeof(buffer_)) {
-      process_block(buffer_);
-      buffered_ = 0;
-    }
-  }
+  absorb(buffer_, buffered_, data, len,
+         [this](const std::uint8_t* p, std::size_t n) { md5_blocks(state_, p, n); });
 }
 
 Digest128 Md5::finish() {
   std::uint64_t bit_len = total_ * 8;
-  const std::uint8_t one = 0x80;
-  update(&one, 1);
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(&zero, 1);
   std::uint8_t len_le[8];
   for (int i = 0; i < 8; ++i) len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  update(len_le, 8);
+  pad_and_flush(buffer_, buffered_, len_le,
+                [this](const std::uint8_t* p, std::size_t n) { md5_blocks(state_, p, n); });
   Digest128 out;
   for (int i = 0; i < 4; ++i) store_le32(out.data() + i * 4, state_[i]);
   return out;
@@ -140,66 +288,20 @@ Sha256::Sha256() {
   std::memcpy(state_, init, sizeof(state_));
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + i * 4);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kShaK[i] + w[i];
-    std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   total_ += len;
-  while (len > 0) {
-    std::size_t take = std::min(len, sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, data, take);
-    buffered_ += take;
-    data += take;
-    len -= take;
-    if (buffered_ == sizeof(buffer_)) {
-      process_block(buffer_);
-      buffered_ = 0;
-    }
-  }
+  absorb(buffer_, buffered_, data, len, [this](const std::uint8_t* p, std::size_t n) {
+    detail::sha256_blocks()(state_, p, n);
+  });
 }
 
 Digest256 Sha256::finish() {
   std::uint64_t bit_len = total_ * 8;
-  const std::uint8_t one = 0x80;
-  update(&one, 1);
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(&zero, 1);
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update(len_be, 8);
+  pad_and_flush(buffer_, buffered_, len_be, [this](const std::uint8_t* p, std::size_t n) {
+    detail::sha256_blocks()(state_, p, n);
+  });
   Digest256 out;
   for (int i = 0; i < 8; ++i) store_be32(out.data() + i * 4, state_[i]);
   return out;

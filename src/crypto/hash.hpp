@@ -5,6 +5,10 @@
 // "MD5 hashed shared secrets" (§6).  We provide both MD5 (RFC 1321) and
 // SHA-256 (FIPS 180-4); new code should use SHA-256, MD5 exists for
 // fidelity to the paper's RC-server authenticator.
+//
+// SHA-256 compresses blocks with the x86 SHA extensions (SHA-NI) when the
+// CPU has them, picked once at run time; the portable rounds are the
+// fallback and the reference.  Both give identical digests.
 #pragma once
 
 #include <array>
@@ -31,7 +35,6 @@ class Md5 {
   Digest128 finish();
 
  private:
-  void process_block(const std::uint8_t* block);
   std::uint32_t state_[4];
   std::uint64_t total_ = 0;
   std::uint8_t buffer_[64];
@@ -51,12 +54,23 @@ class Sha256 {
   Digest256 finish();
 
  private:
-  void process_block(const std::uint8_t* block);
   std::uint32_t state_[8];
   std::uint64_t total_ = 0;
   std::uint8_t buffer_[64];
   std::size_t buffered_ = 0;
 };
+
+namespace detail {
+/// Compresses `nblocks` consecutive 64-byte blocks at `data` into `state`.
+using Sha256Blocks = void (*)(std::uint32_t state[8], const std::uint8_t* data,
+                              std::size_t nblocks);
+/// The FIPS 180-4 rounds in plain C++: the fallback and the reference.
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks);
+/// The block function `Sha256` uses on this CPU: SHA-NI when cpuid reports
+/// it (with SSSE3 and SSE4.1), otherwise `sha256_blocks_portable`.
+Sha256Blocks sha256_blocks();
+}  // namespace detail
 
 /// One-shot helpers.
 Digest128 md5(const Bytes& data);

@@ -64,9 +64,9 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     auto it = store_.find(lifn.value());
     if (it == store_.end()) return Result<Bytes>(Errc::not_found, lifn.value());
     ++stats_.fetches;
-    bytes_served_->inc(it->second.size());
+    bytes_served_->inc(it->second.bytes.size());
     ByteWriter w;
-    w.blob(it->second);
+    w.blob(it->second.bytes);
     return std::move(w).take();
   });
 
@@ -166,7 +166,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                // Stream this stripe's chunks — indices congruent to the
                // stripe modulo the stripe count — as offset-stamped one-way
                // SNIPE messages.
-               const Bytes& content = it->second;
+               const Bytes& content = it->second.bytes;
                simnet::Address dst{dst_host.value(), dst_port.value()};
                const std::uint64_t total = content.size();
                const std::uint64_t chunk =
@@ -208,11 +208,17 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                auto content = r.blob();
                if (!content) return content.error();
                ++stats_.replicas_received;
-               if (!store_.count(lifn.value())) store_[lifn.value()] = content.value();
+               // Hash only bytes this server does not already hold: a repair
+               // push repeats them, a push after an overwrite replaces them.
+               Stored& file = store_[lifn.value()];
+               if (file.sha256.empty() || file.bytes != content.value()) {
+                 file.sha256 = content_hash(content.value());
+                 file.bytes = std::move(content).take();
+               }
                // (Re-)announce unconditionally: a repair push may follow a
                // crash that retracted our registration while the bytes
                // survived on disk.
-               announce(lifn.value(), store_[lifn.value()]);
+               announce(lifn.value(), file);
                return Bytes{};
              });
 
@@ -255,25 +261,26 @@ std::string FileServer::location_url() const {
 Result<Bytes> FileServer::read(const std::string& lifn) const {
   auto it = store_.find(lifn);
   if (it == store_.end()) return Result<Bytes>(Errc::not_found, lifn);
-  return it->second;
+  return it->second.bytes;
 }
 
 void FileServer::store_local(const std::string& lifn, Bytes content, bool announce_it) {
   ++stats_.stores;
-  auto it = store_.find(lifn);
-  if (it != store_.end()) stats_.bytes_stored -= it->second.size();
+  Stored& file = store_[lifn];
+  stats_.bytes_stored -= file.bytes.size();
   stats_.bytes_stored += content.size();
-  store_[lifn] = std::move(content);
+  file.sha256 = content_hash(content);
+  file.bytes = std::move(content);
   if (announce_it) {
-    announce(lifn, store_[lifn]);
+    announce(lifn, file);
     replicate(lifn);
   }
 }
 
-void FileServer::announce(const std::string& lifn, const Bytes& content) {
+void FileServer::announce(const std::string& lifn, const Stored& file) {
   rc_.apply(lifn,
             {rcds::op_add(rcds::names::kLifnLocation, location_url()),
-             rcds::op_set(rcds::names::kLifnHash, content_hash(content))},
+             rcds::op_set(rcds::names::kLifnHash, file.sha256)},
             [this, lifn](Result<std::vector<rcds::Assertion>> r) {
               if (!r) log_.warn("failed to announce ", lifn, ": ", r.error().to_string());
             });
@@ -338,7 +345,7 @@ void FileServer::repair_file(const std::string& lifn) {
                           config_.replication_factor, " live replicas");
                ByteWriter w;
                w.str(lifn);
-               w.blob(it->second);
+               w.blob(it->second.bytes);
                Bytes body = std::move(w).take();
                int needed = config_.replication_factor - live;
                for (const auto& peer : peers_) {
@@ -371,7 +378,7 @@ void FileServer::replicate(const std::string& lifn) {
   if (it == store_.end()) return;
   ByteWriter w;
   w.str(lifn);
-  w.blob(it->second);
+  w.blob(it->second.bytes);
   Bytes body = std::move(w).take();
   auto& tracer = obs::Tracer::global();
   for (int i = 0; i < copies_needed && i < static_cast<int>(peers_.size()); ++i) {

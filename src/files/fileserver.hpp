@@ -128,7 +128,14 @@ class FileServer {
     SimTime last_activity = 0;
   };
 
-  void announce(const std::string& lifn, const Bytes& content);
+  /// A stored file: its bytes and their SHA-256 hex, hashed once on arrival
+  /// and reused by every (re-)announce.
+  struct Stored {
+    Bytes bytes;
+    std::string sha256;
+  };
+
+  void announce(const std::string& lifn, const Stored& file);
   void replicate(const std::string& lifn);
   void repair_tick();
   void repair_file(const std::string& lifn);
@@ -139,7 +146,7 @@ class FileServer {
   FileServerConfig config_;
   rcds::RcClient rc_;
   std::vector<simnet::Address> peers_;
-  std::map<std::string, Bytes> store_;
+  std::map<std::string, Stored> store_;
   std::map<std::uint64_t, Sink> sinks_;
   std::uint64_t next_sink_id_ = 1;
   FileServerStats stats_;

@@ -26,9 +26,10 @@ RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig confi
 
 Bytes RpcEndpoint::authenticator(const Bytes& payload) const {
   if (config_.shared_secret.empty()) return {};
-  Bytes keyed = to_bytes(config_.shared_secret);
-  keyed.insert(keyed.end(), payload.begin(), payload.end());
-  auto digest = crypto::md5(keyed);
+  crypto::Md5 keyed;  // md5(secret || payload), streamed without a joined copy
+  keyed.update(config_.shared_secret);
+  keyed.update(payload);
+  auto digest = keyed.finish();
   return Bytes(digest.begin(), digest.end());
 }
 

@@ -2,6 +2,12 @@
 // RSA sign/verify, and the §4 certificate / trust-store flows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iostream>
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "crypto/bignum.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/identity.hpp"
@@ -45,6 +51,11 @@ TEST(Sha256, NistVectors) {
   EXPECT_EQ(digest_hex(sha256(std::string(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  // 896-bit message: the padding spills into a second block.
+  EXPECT_EQ(digest_hex(sha256(std::string(
+                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnop"
+                "qklmnopqrlmnopqrsmnopqrstnopqrstu"))),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
 }
 
 TEST(Sha256, MillionAs) {
@@ -64,6 +75,82 @@ TEST(Sha256, BoundaryLengths) {
     incremental.update(data.substr(n / 2));
     EXPECT_EQ(digest_hex(incremental.finish()), digest_hex(sha256(data))) << n;
   }
+}
+
+// The dispatched block function (SHA-NI on CPUs that have it) against the
+// portable reference: every length 0..1100 at start offsets +0..+15 (the
+// whole blocks are compressed straight from the unaligned input), Sha256's
+// own buffering at random update split points, and one 1 MiB buffer.
+TEST(Sha256, AcceleratedMatchesPortable) {
+  const detail::Sha256Blocks live = detail::sha256_blocks();
+  const detail::Sha256Blocks portable = &detail::sha256_blocks_portable;
+  std::cout << "[ sha256   ] live block path: "
+            << (live == portable ? "portable" : "accelerated (SHA-NI)") << "\n";
+
+  // SHA-256 of p[0, len) with `blocks` as the only compression function.
+  auto digest_with = [](detail::Sha256Blocks blocks, const std::uint8_t* p, std::size_t len) {
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    const std::size_t whole = len / 64;
+    blocks(state, p, whole);
+    std::vector<std::uint8_t> tail(p + whole * 64, p + len);
+    tail.push_back(0x80);
+    while (tail.size() % 64 != 56) tail.push_back(0);
+    const std::uint64_t bits = std::uint64_t{len} * 8;
+    for (int i = 7; i >= 0; --i) tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    blocks(state, tail.data(), tail.size() / 64);
+    Digest256 out;
+    for (int i = 0; i < 32; ++i)
+      out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+    return out;
+  };
+  // Sha256 fed p[0, len) in updates of the given sizes.
+  auto incremental = [](const std::uint8_t* p, const std::vector<std::size_t>& pieces) {
+    Sha256 h;
+    for (std::size_t n : pieces) {
+      h.update(p, n);
+      p += n;
+    }
+    return h.finish();
+  };
+
+  std::mt19937_64 rng(20261017);
+  std::vector<std::uint8_t> pool(1100 + 15);
+  for (auto& b : pool) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::uint8_t* p = pool.data() + off;
+      const Digest256 want = digest_with(portable, p, len);
+      ASSERT_EQ(digest_with(live, p, len), want) << "len " << len << " offset " << off;
+      ASSERT_EQ(incremental(p, {len}), want) << "len " << len << " offset " << off;
+    }
+    std::vector<std::size_t> pieces;
+    for (std::size_t left = len; left > 0; left -= pieces.back())
+      pieces.push_back(std::min<std::size_t>(left, rng() % 200));
+    const std::uint8_t* p = pool.data() + len % 16;
+    ASSERT_EQ(incremental(p, pieces), digest_with(portable, p, len))
+        << "len " << len << " in " << pieces.size() << " updates";
+  }
+
+  std::vector<std::uint8_t> big((1u << 20) + 3);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng());
+  const std::uint8_t* p = big.data() + 3;
+  const Digest256 want = digest_with(portable, p, 1u << 20);
+  EXPECT_EQ(digest_with(live, p, 1u << 20), want);
+  EXPECT_EQ(sha256(Bytes(p, p + (1u << 20))), want);
+}
+
+// Sharded worlds hash on worker threads, so the first call that picks the
+// block function may come from several threads at once.  ctest runs each
+// test in its own process, where this is that first call.
+TEST(Sha256, ConcurrentFirstUseAgrees) {
+  std::vector<std::string> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    threads.emplace_back([&got, i] { got[i] = digest_hex(sha256(std::string("abc"))); });
+  for (auto& t : threads) t.join();
+  for (const auto& g : got)
+    EXPECT_EQ(g, "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 // ---- HMAC-SHA256: RFC 4231 vectors ----

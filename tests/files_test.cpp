@@ -344,6 +344,42 @@ TEST_F(FilesFixture, OverwriteDoesNotDoubleCountStoredBytes) {
   EXPECT_EQ(fs1->stats().bytes_stored, 450u);
 }
 
+TEST_F(FilesFixture, OverwriteAnnouncesDigestOfNewBytes) {
+  // Each server hashes a file once, when its bytes arrive, and every later
+  // (re-)announce reuses that digest; an overwrite must replace it, on the
+  // writer and on a replica the new bytes are pushed to.
+  const std::string lifn = "lifn://utk.edu/rewritten";
+  auto catalog_hash = [&] {
+    std::string hash;
+    for (const auto& a : rc->get(lifn))
+      if (a.name == rcds::names::kLifnHash && !a.tombstone) hash = a.value;
+    return hash;
+  };
+  auto hash_of = [](const Bytes& b) { return crypto::digest_hex(crypto::sha256(b)); };
+  fs1->store_local(lifn, pattern(4000, 1));  // replicated to fs2
+  world.engine().run();
+  EXPECT_EQ(catalog_hash(), hash_of(pattern(4000, 1)));
+
+  // The writer alone: its announce is the catalog's only update.
+  fs1->set_peers({});
+  fs1->store_local(lifn, pattern(3000, 2));
+  world.engine().run();
+  EXPECT_EQ(catalog_hash(), hash_of(pattern(3000, 2)));
+
+  // Pushed to fs2, which still holds version 1: fs2 re-announces after
+  // fs1, so a stale digest there would win the catalog.
+  fs1->set_peers({fs2->address()});
+  fs1->store_local(lifn, pattern(2000, 3));
+  world.engine().run();
+  EXPECT_EQ(catalog_hash(), hash_of(pattern(2000, 3)));
+  EXPECT_EQ(fs2->read(lifn).value(), pattern(2000, 3));
+  Result<Bytes> read(Errc::state_error, "unset");
+  client->read(lifn, [&](Result<Bytes> r) { read = r; });
+  world.engine().run();
+  ASSERT_TRUE(read.ok()) << read.error().to_string();
+  EXPECT_EQ(read.value(), pattern(2000, 3));
+}
+
 TEST_F(FilesFixture, DirectStoreFetchRpc) {
   // The plain kStore/kFetch path (used by checkpoint storage).
   ByteWriter w;

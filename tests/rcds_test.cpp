@@ -3,6 +3,7 @@
 // single-master ablation mode, and signed metadata subsets.
 #include <gtest/gtest.h>
 
+#include "crypto/hash.hpp"
 #include "rcds/client.hpp"
 #include "rcds/server.hpp"
 #include "rcds/signed.hpp"
@@ -160,6 +161,49 @@ TEST_F(RpcFixture, SharedSecretAuthentication) {
 
   EXPECT_TRUE(ok_result_.ok());
   EXPECT_EQ(bad_result.code(), Errc::permission_denied);
+  EXPECT_EQ(server.stats().requests_rejected_auth, 1u);
+}
+
+TEST_F(RpcFixture, AuthenticatorIsMd5OfSecretAndBody) {
+  transport::RpcConfig keyed;
+  keyed.shared_secret = "sesame";
+  Bytes body(200);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::uint8_t>(i * 7);
+
+  // Capture the request on the wire: kind, id, tag, body blob, auth blob.
+  transport::SrudpEndpoint tap(*world.host("server"), 9000);
+  Bytes wire;
+  tap.set_handler([&](const Address&, Payload m) { wire.assign(m.data(), m.data() + m.size()); });
+  transport::RpcEndpoint client(*world.host("client"), 9001, keyed);
+  client.call(tap.address(), 1, body, [](Result<Bytes>) {}, duration::seconds(1));
+  world.engine().run();
+  ByteReader r(wire);
+  ASSERT_TRUE(r.u8() && r.u64() && r.u32());
+  auto sent_body = r.blob();
+  auto auth = r.blob();
+  ASSERT_TRUE(sent_body && auth);
+  ASSERT_EQ(sent_body.value(), body);
+  Bytes joined = to_bytes("sesame");
+  joined.insert(joined.end(), body.begin(), body.end());
+  auto want = crypto::md5(joined);
+  EXPECT_EQ(auth.value(), Bytes(want.begin(), want.end()));
+
+  // Replay the captured request to a keyed server, once as sent and once
+  // with one body byte flipped under the same authenticator.
+  transport::RpcEndpoint server(*world.host("server"), 9010, keyed);
+  int served = 0;
+  server.serve(1, [&](const Address&, const Bytes&) -> Result<Bytes> {
+    ++served;
+    return Bytes{};
+  });
+  transport::SrudpEndpoint forger(*world.host("client"), 9002);
+  Bytes tampered = wire;
+  tampered[1 + 8 + 4 + 4 + 100] ^= 0x01;  // inside the body blob
+  forger.send(server.address(), wire);
+  forger.send(server.address(), tampered);
+  world.engine().run();
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(server.stats().requests_served, 1u);
   EXPECT_EQ(server.stats().requests_rejected_auth, 1u);
 }
 
