@@ -19,6 +19,7 @@
 #include "bench_util.hpp"
 #include "daemon/telemetry.hpp"
 #include "daemon/watchtower.hpp"
+#include "simnet/topo.hpp"
 #include "transport/rpc.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
@@ -342,6 +343,73 @@ BENCHMARK(BM_StreamDatapath)
     ->Arg(1 << 20)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Routed datagrams: simnet's forwarding path alone, no transport on top.
+
+/// Two fat-tree pods (2 racks x 2 hosts, 2 spines each) joined by a gateway
+/// link; every round, each podA host sends one range(0)-byte datagram to
+/// each podB host, and every datagram crosses seven hops (rack, uplink,
+/// core, gateway, core, uplink, rack).  A warm-up round first fills the
+/// route caches and the engine slab, so the measured rounds count only the
+/// per-packet path.  Counters:
+///   ns_per_hop      wall time / hops transmitted
+///   allocs_per_hop  operator new calls / hops transmitted; a hop event that
+///                   outgrows EventFn's inline buffer costs one here.
+void BM_RoutedDatagram(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  constexpr int kRounds = 2000;
+  double wall = 0;
+  std::uint64_t hops = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t sent = 0;
+  for (auto _ : state) {
+    simnet::World world(5);
+    simnet::FatTreeOptions opt;
+    simnet::Zone& pod_a = simnet::build_fat_tree(world, "podA", opt);
+    simnet::Zone& pod_b = simnet::build_fat_tree(world, "podB", opt);
+    simnet::connect_zones(pod_a, pod_b, opt.uplink_media, "gateway");
+    delivered = 0;
+    std::vector<simnet::Address> dsts;
+    for (simnet::Host* h : pod_b.hosts()) {
+      h->bind(9, [&delivered](const simnet::Packet&) { ++delivered; }).value();
+      dsts.push_back(simnet::Address{h->name(), 9});
+    }
+    const Payload datagram(Bytes(size, 0x5a));
+    auto send_round = [&] {
+      for (simnet::Host* h : pod_a.hosts())
+        for (const simnet::Address& dst : dsts)
+          benchmark::DoNotOptimize(h->send(dst, datagram).value());
+      world.run_all();
+    };
+    auto hops_sent = [&world] {
+      std::uint64_t n = 0;
+      for (const auto& [name, net] : world.networks()) n += net->stats().packets_sent;
+      return n;
+    };
+    send_round();  // warm-up
+    const std::uint64_t hops0 = hops_sent();
+    const std::uint64_t delivered0 = delivered;
+    const std::uint64_t alloc_start = g_alloc_count;
+    auto start = Clock::now();
+    for (int r = 0; r < kRounds; ++r) send_round();
+    wall = seconds_since(start);
+    allocs = g_alloc_count - alloc_start;
+    hops = hops_sent() - hops0;
+    delivered -= delivered0;
+    sent = static_cast<std::uint64_t>(kRounds) * pod_a.hosts().size() * dsts.size();
+  }
+  if (hops == 0 || delivered == 0) {
+    state.SkipWithError("no datagram crossed the fabric");
+    return;
+  }
+  state.counters["ns_per_hop"] = wall * 1e9 / static_cast<double>(hops);
+  state.counters["allocs_per_hop"] = static_cast<double>(allocs) / static_cast<double>(hops);
+  state.counters["hops_per_datagram"] = static_cast<double>(hops) / static_cast<double>(sent);
+  state.counters["delivered_frac"] = static_cast<double>(delivered) / static_cast<double>(sent);
+}
+BENCHMARK(BM_RoutedDatagram)->Arg(64)->Arg(1024)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Sharded-world sweep: the conservative-window parallel engine.

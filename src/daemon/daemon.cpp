@@ -234,7 +234,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
             w.u32(static_cast<std::uint32_t>(running_tasks()));
             simnet::SendOptions opts;
             opts.src_port = ping_port();
-            auto r = host_.send(simnet::Address{p.src.host, p.src.port}, std::move(w).take(),
+            auto r = host_.send(simnet::Address{p.src->name(), p.src_port}, std::move(w).take(),
                                 opts);
             if (!r) log_.trace("pong failed: ", r.error().to_string());
           })

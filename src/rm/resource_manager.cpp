@@ -132,7 +132,7 @@ ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address
         auto load = r.f64();
         if (!load) return;
         for (auto& [name, info] : hosts_) {
-          if (info.ping.host == p.src.host && info.ping.port == p.src.port) {
+          if (info.ping.host == p.src->name() && info.ping.port == p.src_port) {
             info.load = load.value();
             info.pong_seen = true;
             info.missed_polls = 0;

@@ -26,11 +26,22 @@
 namespace snipe::simnet {
 
 /// Move-only callable with a large inline buffer, sized so that a delivery
-/// event capturing a whole Packet (two addresses, a multi-segment Payload,
-/// a network name) stays on the slab — the per-event heap allocation
-/// std::function would make is the engine's dominant cost at scale.
+/// event capturing a whole Packet (a multi-segment Payload plus endpoint
+/// pointers and ports) and a router-hop event (that plus its route and hop
+/// index) stay on the slab — the per-event heap allocation std::function
+/// would make is the engine's dominant cost at scale.  world.cpp
+/// static_asserts fits_inline for both closures.
 class EventFn {
  public:
+  static constexpr std::size_t kInlineBytes = 240;
+
+  /// True when a callable of type F is stored in the inline buffer rather
+  /// than on the heap.
+  template <typename F>
+  static constexpr bool fits_inline = sizeof(std::decay_t<F>) <= kInlineBytes &&
+                                      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
   EventFn() noexcept = default;
 
   template <typename F,
@@ -38,8 +49,7 @@ class EventFn {
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = inline_ops<Fn>();
     } else {
@@ -80,8 +90,6 @@ class EventFn {
   }
 
  private:
-  static constexpr std::size_t kInlineBytes = 240;
-
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs dst from src and destroys src (noexcept by

@@ -54,25 +54,27 @@ std::uint64_t route_tie(const std::string& src, const std::string& dst,
   return h;
 }
 
-/// Runs one about-to-fly datagram through `net`'s fault injector (if any)
-/// and hands each surviving copy — the jittered duplicate first, as always
-/// — to `post(arrival, packet)`.  `lane` is the transmitting node: the
-/// source host on the first hop (bit-for-bit the flat behavior), the
+/// Runs one about-to-fly datagram through its network's fault injector (if
+/// any) and hands each surviving copy — the jittered duplicate first, as
+/// always — to `post(arrival, packet)`.  `lane` is the transmitting node:
+/// the source host on the first hop (bit-for-bit the flat behavior), the
 /// forwarding router on interior hops, so every injector lane stays
 /// confined to one shard's thread.  Partition boundaries are judged on the
-/// packet's end-to-end (src, dst) pair regardless of the lane.
+/// packet's end-to-end (src, dst) pair regardless of the lane.  Every name
+/// is read from its Node, never from the Packet being moved.
 template <typename PostFn>
-void judge_and_post(Network* net, const std::string& lane, SimTime arrival, Packet packet,
+void judge_and_post(const Node& lane, const Host& dst, SimTime arrival, Packet packet,
                     PostFn post) {
+  Network* net = packet.network;
   FaultInjector* fault = net->fault();
   if (fault != nullptr) {
-    FaultVerdict v = fault->judge(lane, packet.src.host, packet.dst.host);
+    FaultVerdict v = fault->judge(lane.name(), packet.src->name(), dst.name());
     if (v.drop) {
       net->stats().drops_fault++;
       return;
     }
     if (v.corrupt) {
-      fault->corrupt_payload(packet.payload, lane);
+      fault->corrupt_payload(packet.payload, lane.name());
       net->stats().fault_corruptions++;
     }
     if (v.copies > 1) {
@@ -125,16 +127,17 @@ Nic* Node::nic_on(const std::string& network) {
   return nullptr;
 }
 
-void Host::schedule_delivery(World* world, Network* net, Host* target, SimTime arrival,
-                             Packet packet) {
-  // Copy the lane name out before the move: the order in which a call's
-  // arguments are evaluated is unspecified, so passing packet.src.host by
-  // reference alongside std::move(packet) could bind it to a moved-from
-  // string.
-  std::string lane = packet.src.host;
-  judge_and_post(net, lane, arrival, std::move(packet),
-                 [world, net, target](SimTime when, Packet p) {
-                   world->post_delivery(net, target, when, std::move(p));
+Nic* Node::nic_on(const Network* network) {
+  for (auto& nic : nics_)
+    if (nic->network() == network) return nic.get();
+  return nullptr;
+}
+
+void Host::schedule_delivery(Host* target, SimTime arrival, Packet packet) {
+  World* world = world_;
+  judge_and_post(*this, *target, arrival, std::move(packet),
+                 [world, target](SimTime when, Packet p) {
+                   world->post_delivery(target, when, std::move(p));
                  });
 }
 
@@ -198,7 +201,7 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
   std::size_t ncand = 0;
   for (auto& nic : nics_) {
     if (!nic->up() || !nic->network()->up()) continue;
-    Nic* theirs = dst_host->nic_on(nic->network()->name());
+    Nic* theirs = dst_host->nic_on(nic->network());
     if (theirs == nullptr) continue;
     if (ncand < kInlineCandidates && overflow.empty()) {
       inline_cand[ncand++] = {nic.get(), theirs};
@@ -208,7 +211,7 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
       ++ncand;
     }
   }
-  if (ncand == 0) return send_routed(dst, dst_host, std::move(payload), opts);
+  if (ncand == 0) return send_routed(dst_host, dst.port, std::move(payload), opts);
   Candidate* first = overflow.empty() ? inline_cand : overflow.data();
   Candidate* last = first + ncand;
 
@@ -259,21 +262,22 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
     return net->name();  // like UDP: the sender cannot tell
   }
 
-  Packet packet{Address{name_, opts.src_port}, dst, std::move(payload), net->name()};
-  schedule_delivery(world_, net, dst_host, arrival, std::move(packet));
+  schedule_delivery(dst_host, arrival,
+                    Packet{this, opts.src_port, dst.port, net, std::move(payload)});
   return net->name();
 }
 
-Result<std::string> Host::send_routed(const Address& dst, Host* dst_host, Payload payload,
+Result<std::string> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
                                       const SendOptions& opts) {
-  std::shared_ptr<const Route> route = world_->resolve_route(*this, dst.host);
+  std::shared_ptr<const Route> route = world_->resolve_route(*this, dst_host);
   if (route == nullptr)
-    return Error{Errc::unreachable, "no shared network between " + name_ + " and " + dst.host};
+    return Error{Errc::unreachable,
+                 "no shared network between " + name_ + " and " + dst_host->name()};
   if (payload.size() > route->mtu)
     return Error{Errc::invalid_argument,
                  "datagram of " + std::to_string(payload.size()) +
                      " bytes exceeds route MTU " + std::to_string(route->mtu) + " towards " +
-                     dst.host};
+                     dst_host->name()};
 
   // First hop: charged against our own NIC exactly like a direct send (same
   // contention clock, same stats, same single loss draw from our RNG).
@@ -294,28 +298,29 @@ Result<std::string> Host::send_routed(const Address& dst, Host* dst_host, Payloa
     return net->name();
   }
 
-  Packet packet{Address{name_, opts.src_port}, dst, std::move(payload), net->name()};
+  Packet packet{this, opts.src_port, dst_port, net, std::move(payload)};
   if (route->hops.size() == 1) {
-    schedule_delivery(world_, net, dst_host, arrival, std::move(packet));
+    schedule_delivery(dst_host, arrival, std::move(packet));
     return net->name();
   }
   World* world = world_;
-  judge_and_post(net, name_, arrival, std::move(packet),
+  judge_and_post(*this, *dst_host, arrival, std::move(packet),
                  [world, &route](SimTime when, Packet p) {
                    world->post_hop(route, 1, when, std::move(p));
                  });
   return net->name();
 }
 
-void Host::deliver(Packet packet, Network* network) {
+void Host::deliver(Packet packet) {
   // Conditions are re-checked at delivery time: the destination may have
   // died or the link may have failed while the packet was in flight.
-  Nic* nic = nic_on(network->name());
+  Network* network = packet.network;
+  Nic* nic = nic_on(network);
   if (!up_ || !network->up() || nic == nullptr || !nic->up()) {
     network->stats().drops_down++;
     return;
   }
-  auto it = ports_.find(packet.dst.port);
+  auto it = ports_.find(packet.dst_port);
   if (it == ports_.end()) {
     network->stats().drops_unbound++;
     return;
@@ -353,9 +358,7 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
       net->stats().drops_loss++;
       continue;
     }
-    Packet packet{Address{name_, src_port}, Address{target->name(), port}, payload,
-                  net->name()};
-    schedule_delivery(world_, net, target, arrival, std::move(packet));
+    schedule_delivery(target, arrival, Packet{this, src_port, port, net, payload});
   }
   return ok_result();
 }
@@ -462,15 +465,18 @@ Network* World::network(const std::string& name) {
 
 // ---- multi-hop route resolution -------------------------------------------
 
-std::shared_ptr<const Route> World::resolve_route(Host& src, const std::string& dst) {
+std::shared_ptr<const Route> World::resolve_route(Host& src, Host* dst) {
+  if (dst == nullptr || dst == &src) return nullptr;
   std::uint64_t epoch = route_epoch();
   auto it = src.route_cache_.find(dst);
   if (it != src.route_cache_.end() && it->second.epoch == epoch) return it->second.route;
-  Host* dst_host = host(dst);
-  std::shared_ptr<const Route> route =
-      dst_host == nullptr || dst_host == &src ? nullptr : compute_route(src, *dst_host);
+  std::shared_ptr<const Route> route = compute_route(src, *dst);
   src.route_cache_[dst] = Host::CachedRoute{epoch, route};
   return route;
+}
+
+std::shared_ptr<const Route> World::resolve_route(Host& src, const std::string& dst) {
+  return resolve_route(src, host(dst));
 }
 
 std::shared_ptr<const Route> World::compute_route(Host& src, Host& dst) {
@@ -568,12 +574,12 @@ SimDuration World::net_distance(const std::string& a, const std::string& b) {
   SimDuration best = kUnreachable;
   for (const auto& nic : ha->nics()) {
     if (!nic->up() || !nic->network()->up()) continue;
-    Nic* theirs = hb->nic_on(nic->network()->name());
+    Nic* theirs = hb->nic_on(nic->network());
     if (theirs == nullptr || !theirs->up()) continue;
     best = std::min(best, nic->network()->model().latency);
   }
   if (best != kUnreachable) return best;
-  std::shared_ptr<const Route> route = resolve_route(*ha, b);
+  std::shared_ptr<const Route> route = resolve_route(*ha, hb);
   return route != nullptr ? route->latency : kUnreachable;
 }
 
@@ -605,15 +611,16 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
     return;
   }
 
-  packet.network = net->name();
+  packet.network = net;
+  Host* dst = route->dst;
   if (i + 1 == route->hops.size()) {
-    judge_and_post(net, node->name(), arrival, std::move(packet),
-                   [this, net, &route](SimTime when, Packet p) {
-                     post_delivery(net, route->dst, when, std::move(p));
+    judge_and_post(*node, *dst, arrival, std::move(packet),
+                   [this, dst](SimTime when, Packet p) {
+                     post_delivery(dst, when, std::move(p));
                    });
     return;
   }
-  judge_and_post(net, node->name(), arrival, std::move(packet),
+  judge_and_post(*node, *dst, arrival, std::move(packet),
                  [this, &route, i](SimTime when, Packet p) {
                    post_hop(route, i + 1, when, std::move(p));
                  });
@@ -623,10 +630,14 @@ void World::post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime 
                      Packet packet) {
   Node* node = route->hops[i].tx->node();
   Engine* engine = &node->engine();
-  post_event(node->shard(), engine, when,
-             [this, route = std::move(route), i, packet = std::move(packet)]() mutable {
-               forward_hop(std::move(route), i, std::move(packet));
-             });
+  auto hop = [this, route = std::move(route), i, packet = std::move(packet)]() mutable {
+    forward_hop(std::move(route), i, std::move(packet));
+  };
+  // One of these runs per router hop: a field added to Packet must not
+  // silently push every hop onto the heap.
+  static_assert(EventFn::fits_inline<decltype(hop)>,
+                "a router hop event no longer fits EventFn's inline buffer");
+  post_event(node->shard(), engine, when, std::move(hop));
 }
 
 void World::post_event(std::size_t shard, Engine* engine, SimTime arrival, EventFn fn) {
@@ -646,11 +657,13 @@ void World::post_event(std::size_t shard, Engine* engine, SimTime arrival, Event
   mail_[s][shard].push_back(MailItem{arrival, mail_seq_[s]++, engine, std::move(fn)});
 }
 
-void World::post_delivery(Network* net, Host* target, SimTime arrival, Packet packet) {
-  post_event(target->shard(), &target->engine(), arrival,
-             [target, net, packet = std::move(packet)]() mutable {
-               target->deliver(std::move(packet), net);
-             });
+void World::post_delivery(Host* target, SimTime arrival, Packet packet) {
+  auto delivery = [target, packet = std::move(packet)]() mutable {
+    target->deliver(std::move(packet));
+  };
+  static_assert(EventFn::fits_inline<decltype(delivery)>,
+                "a delivery event no longer fits EventFn's inline buffer");
+  post_event(target->shard(), &target->engine(), arrival, std::move(delivery));
 }
 
 void World::drain_mailboxes() {

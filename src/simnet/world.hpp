@@ -71,21 +71,33 @@ struct Address {
   }
 };
 
-/// A delivered datagram.  The payload is a shared immutable view: every
-/// copy of a Packet (duplication, broadcast fan-out) shares the same bytes.
-struct Packet {
-  Address src;
-  Address dst;
-  Payload payload;
-  std::string network;  ///< network it arrived on (last hop for routed sends)
-};
-
-using PacketHandler = std::function<void(const Packet&)>;
-
 class World;
 class Host;
 class Router;
 class Node;
+class Network;
+
+/// A delivered datagram, named the way a real one is: fixed-width endpoint
+/// references and 16-bit ports, no strings.  The destination is the
+/// receiving host, so the packet does not carry it.  The payload is a
+/// shared immutable view: every copy of a Packet (duplication, broadcast
+/// fan-out) shares the same bytes.
+///
+/// A handler may read `src` (its name(), to address a reply) and `network`
+/// (its name()) from the receiving host's shard, even though the sender
+/// lives on another shard: a host's and a network's name are immutable
+/// after creation and neither is ever removed from its World, so those
+/// reads race with nothing.  Mutable node state (up(), NICs, RNG) behind
+/// `src` belongs to the sender's shard and must not be touched.
+struct Packet {
+  Host* src = nullptr;           ///< sending host
+  std::uint16_t src_port = 0;    ///< sender's port, for replies
+  std::uint16_t dst_port = 0;    ///< port on the receiving host
+  Network* network = nullptr;    ///< network it arrived on (last hop for routed sends)
+  Payload payload;
+};
+
+using PacketHandler = std::function<void(const Packet&)>;
 
 /// One attachment point of a node (host or router) to a network.
 class Nic {
@@ -191,7 +203,7 @@ struct SendOptions {
   /// If nonempty, try this network first even if a faster one is shared
   /// (direct candidates only; routed sends pick their own path).
   std::string preferred_network;
-  /// Stamped into the delivered Packet's src.port so receivers can reply.
+  /// Stamped into the delivered Packet's src_port so receivers can reply.
   std::uint16_t src_port = 0;
 };
 
@@ -245,6 +257,7 @@ class Node {
 
   /// The NIC attaching this node to `network`, or nullptr.
   Nic* nic_on(const std::string& network);
+  Nic* nic_on(const Network* network);
   const std::vector<std::unique_ptr<Nic>>& nics() const { return nics_; }
 
   Rng& rng() { return rng_; }
@@ -319,16 +332,18 @@ class Host : public Node {
 
  private:
   friend class World;
-  void deliver(Packet packet, Network* network);
-  /// Runs one about-to-fly datagram through `net`'s fault injector (if any)
-  /// and posts the surviving copies for delivery at `target` — directly
-  /// onto the target's engine when it shares the sender's shard, through
-  /// the cross-shard mailbox otherwise.
-  static void schedule_delivery(World* world, Network* net, Host* target,
-                                SimTime arrival, Packet packet);
+  /// Hands `packet` to the handler bound on its dst_port, after re-checking
+  /// that this host and its NIC on `packet.network` are still up.
+  void deliver(Packet packet);
+  /// Runs one datagram this host is about to put on `packet.network`
+  /// through that network's fault injector (if any) and posts the
+  /// surviving copies for delivery at `target` — directly onto the
+  /// target's engine when it shares the sender's shard, through the
+  /// cross-shard mailbox otherwise.
+  void schedule_delivery(Host* target, SimTime arrival, Packet packet);
   /// The no-shared-network continuation of send(): resolve a route and
   /// launch the packet down it.
-  Result<std::string> send_routed(const Address& dst, Host* dst_host, Payload payload,
+  Result<std::string> send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
                                   const SendOptions& opts);
 
   std::map<std::uint16_t, PacketHandler> ports_;
@@ -341,7 +356,7 @@ class Host : public Node {
     std::uint64_t epoch = 0;
     std::shared_ptr<const Route> route;  ///< nullptr = cached "no route"
   };
-  std::map<std::string, CachedRoute> route_cache_;
+  std::map<const Host*, CachedRoute> route_cache_;  ///< never iterated
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};  ///< owned, created lazily
   Logger log_;
 };
@@ -467,12 +482,15 @@ class World {
   /// Top-level zones, in creation order (empty for flat worlds).
   const std::vector<Zone*>& top_zones() const { return top_zones_; }
 
-  /// Resolves (and caches) the multi-hop route from `src` to the host named
-  /// `dst`: per-hop latency-shortest path over up links, hosts never
-  /// forwarding, equal-cost ties broken by a deterministic per-(src,dst)
-  /// hash so distinct pairs spread across parallel fabric planes.  Returns
-  /// nullptr when no path exists.  Must be called from `src`'s shard
-  /// thread (or the coordinator); the cache is per-host and lock-free.
+  /// Resolves (and caches) the multi-hop route from `src` to `dst`: per-hop
+  /// latency-shortest path over up links, hosts never forwarding, equal-
+  /// cost ties broken by a deterministic per-(src,dst) hash so distinct
+  /// pairs spread across parallel fabric planes.  Returns nullptr when no
+  /// path exists (or `dst` is null or `src` itself).  Must be called from
+  /// `src`'s shard thread (or the coordinator); the cache is per-host,
+  /// keyed by the destination Host*, and lock-free.
+  std::shared_ptr<const Route> resolve_route(Host& src, Host* dst);
+  /// By destination name; an unknown name resolves to nullptr.
   std::shared_ptr<const Route> resolve_route(Host& src, const std::string& dst);
 
   /// Network distance between two hosts: 0 for the same host, the best
@@ -519,7 +537,7 @@ class World {
   /// directly when `shard` is the calling thread's shard (or the caller is
   /// the coordinator), otherwise appends to mail_[calling shard][shard].
   void post_event(std::size_t shard, Engine* engine, SimTime arrival, EventFn fn);
-  void post_delivery(Network* net, Host* target, SimTime arrival, Packet packet);
+  void post_delivery(Host* target, SimTime arrival, Packet packet);
   /// Schedules hop `i` of `route` (a forward on the hop's tx node) at
   /// `when`, crossing shards through the mailbox when needed.
   void post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime when,

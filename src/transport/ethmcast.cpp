@@ -115,7 +115,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   auto decoded = decode_mcast_data(packet.payload);
   if (!decoded || decoded.value().group != group_) return;
   const McastDataPacket& p = decoded.value();
-  simnet::Address sender{packet.src.host, head.value().src_port};
+  simnet::Address sender{packet.src->name(), head.value().src_port};
 
   auto key = std::make_pair(sender.host, p.msg_id);
   // Duplicate-after-delivery guard.  Only applies when no reassembly is in

@@ -126,13 +126,16 @@ void SrudpEndpoint::pump(const simnet::Address& peer) {
     expire_head(peer, out);
 
   for (auto& msg : out.queue) {
-    // Requested retransmissions first: they unblock the receiver.
-    while (out.inflight < config_.window && !msg.retransmit.empty()) {
-      std::uint32_t index = msg.retransmit.front();
-      msg.retransmit.pop_front();
+    // Requested retransmissions first, oldest request first: they unblock
+    // the receiver.
+    std::size_t resent = 0;
+    while (out.inflight < config_.window && resent < msg.retransmit.size()) {
+      std::uint32_t index = msg.retransmit[resent++];
       if (bitmap_get(msg.acked, index)) continue;  // acked since the request
       send_fragment(peer, out, msg, index, /*retransmission=*/true);
     }
+    msg.retransmit.erase(msg.retransmit.begin(),
+                         msg.retransmit.begin() + static_cast<std::ptrdiff_t>(resent));
     while (out.inflight < config_.window && msg.next_unsent < msg.frag_count) {
       send_fragment(peer, out, msg, msg.next_unsent, /*retransmission=*/false);
       ++msg.next_unsent;
@@ -261,7 +264,7 @@ void SrudpEndpoint::expire_head(const simnet::Address& peer, PeerOut& out) {
 void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   auto head = decode_head(packet.payload);
   if (!head) return;
-  simnet::Address peer{packet.src.host, head.value().src_port};
+  simnet::Address peer{packet.src->name(), head.value().src_port};
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
@@ -504,7 +507,7 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
     std::int64_t highest = -1;
     for (std::uint32_t i = 0; i < msg.frag_count; ++i)
       if (bitmap_get(p.bitmap, i)) highest = i;
-    std::deque<std::uint32_t> missing;
+    std::vector<std::uint32_t> missing;
     std::uint32_t newly_acked = 0;
     for (std::uint32_t i = 0; i < msg.frag_count; ++i) {
       if (bitmap_get(p.bitmap, i)) {

@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -151,7 +152,10 @@ class SrudpEndpoint {
     Bytes acked;                    ///< bitmap of fragments the peer has
     std::uint32_t acked_count = 0;
     std::uint32_t next_unsent = 0;  ///< first never-transmitted fragment
-    std::deque<std::uint32_t> retransmit;  ///< fragments requested again
+    /// Fragments requested again, in request order (pump resends from the
+    /// front).  A vector, not a deque: an empty one costs no allocation,
+    /// where libstdc++'s deque allocates on construction and on every move.
+    std::vector<std::uint32_t> retransmit;
     SimTime first_sent = -1;
     SimTime deadline = 0;
     bool retransmitted = false;  ///< poisons the RTT sample (Karn's rule)

@@ -46,7 +46,7 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
     return;
   auto p = decode_stream(packet.payload);
   if (!p) return;
-  simnet::Address peer{packet.src.host, head.value().src_port};
+  simnet::Address peer{packet.src->name(), head.value().src_port};
   auto key = std::make_pair(peer, p.value().conn_id);
   auto it = connections_.find(key);
   if (it == connections_.end()) {

@@ -259,8 +259,8 @@ TEST_F(WorldTest, DatagramDelivery) {
   world.engine().run();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(to_string(received[0].payload), "hello");
-  EXPECT_EQ(received[0].src.host, "a");
-  EXPECT_EQ(received[0].network, "lan");
+  EXPECT_EQ(received[0].src->name(), "a");
+  EXPECT_EQ(received[0].network->name(), "lan");
 }
 
 TEST_F(WorldTest, DeliveryTimeMatchesMediaModel) {
@@ -402,6 +402,62 @@ TEST(World, BroadcastReachesAllOthers) {
   EXPECT_EQ(got_b, 1);
   EXPECT_EQ(got_c, 1);
   EXPECT_EQ(got_d, 1);
+}
+
+TEST(World, PacketNamesSenderPortsAndArrivalNetwork) {
+  // Direct, routed and broadcast deliveries all stamp the sending Host*,
+  // both ports, and the network the datagram arrived on (the last hop when
+  // routed: a -lan- r1 -wan- r2 -far- c).
+  World world(5);
+  Network& lan = world.create_network("lan", ethernet100());
+  Network& wan = world.create_network("wan", wan_t3());
+  Network& far = world.create_network("far", ethernet100());
+  Host& a = world.create_host("a");
+  Host& b = world.create_host("b");
+  Host& c = world.create_host("c");
+  Router& r1 = world.create_router("r1");
+  Router& r2 = world.create_router("r2");
+  world.attach(a, lan);
+  world.attach(b, lan);
+  world.attach(r1, lan);
+  world.attach(r1, wan);
+  world.attach(r2, wan);
+  world.attach(r2, far);
+  world.attach(c, far);
+  std::vector<Packet> at_b, at_c;
+  b.bind(7, [&](const Packet& p) { at_b.push_back(p); }).value();
+  c.bind(8, [&](const Packet& p) { at_c.push_back(p); }).value();
+
+  SendOptions direct;
+  direct.src_port = 4000;
+  EXPECT_EQ(a.send({"b", 7}, to_bytes("direct"), direct).value(), "lan");
+  SendOptions routed;
+  routed.src_port = 4001;
+  EXPECT_EQ(a.send({"c", 8}, to_bytes("routed"), routed).value(), "lan");
+  ASSERT_EQ(world.resolve_route(a, "c")->hops.size(), 3u);
+  world.run_all();
+  a.broadcast("lan", 7, to_bytes("bcast"), 4002).value();
+  world.run_all();
+
+  ASSERT_EQ(at_b.size(), 2u);
+  EXPECT_EQ(to_string(at_b[0].payload), "direct");
+  EXPECT_EQ(at_b[0].src, &a);
+  EXPECT_EQ(at_b[0].src_port, 4000);
+  EXPECT_EQ(at_b[0].dst_port, 7);
+  EXPECT_EQ(at_b[0].network, world.network("lan"));
+  EXPECT_EQ(to_string(at_b[1].payload), "bcast");
+  EXPECT_EQ(at_b[1].src, &a);
+  EXPECT_EQ(at_b[1].src_port, 4002);
+  EXPECT_EQ(at_b[1].dst_port, 7);
+  EXPECT_EQ(at_b[1].network, world.network("lan"));
+
+  ASSERT_EQ(at_c.size(), 1u);
+  EXPECT_EQ(to_string(at_c[0].payload), "routed");
+  EXPECT_EQ(at_c[0].src, &a);
+  EXPECT_EQ(at_c[0].src_port, 4001);
+  EXPECT_EQ(at_c[0].dst_port, 8);
+  EXPECT_EQ(at_c[0].network, world.network("far"));
+  EXPECT_EQ(wan.stats().packets_sent.load(), 1u);  // it really crossed the routers
 }
 
 TEST(World, DeterministicAcrossRuns) {
@@ -663,7 +719,7 @@ TEST(World, MailboxDrainOrdersEqualArrivalsBySourceShard) {
     world.attach(a, net);
     world.attach(b, net);
     std::vector<std::string> order;
-    d.bind(5, [&](const Packet& p) { order.push_back(p.src.host); }).value();
+    d.bind(5, [&](const Packet& p) { order.push_back(p.src->name()); }).value();
     a.engine().schedule_at(duration::milliseconds(1),
                            [&] { a.send({"d", 5}, Bytes(100, 1)).value(); });
     b.engine().schedule_at(duration::milliseconds(1),

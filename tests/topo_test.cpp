@@ -166,6 +166,28 @@ TEST(Topo, FatTreeRouteGoesUpAndDown) {
   EXPECT_EQ(planes.size(), 2u) << "expected both spine planes in use";
 }
 
+TEST(Topo, ResolveRouteByHostOrNameSharesOneCacheEntry) {
+  World world(7);
+  FatTreeOptions opt;
+  opt.racks = 2;
+  opt.hosts_per_rack = 1;
+  opt.spines = 1;
+  build_fat_tree(world, "dc", opt);
+  Host& src = *world.host("dc/h0_0");
+  Host* dst = world.host("dc/h1_0");
+
+  auto by_host = world.resolve_route(src, dst);
+  ASSERT_NE(by_host, nullptr);
+  EXPECT_EQ(by_host->dst, dst);
+  // Both forms hit the one cache entry keyed by the destination Host*.
+  EXPECT_EQ(world.resolve_route(src, "dc/h1_0"), by_host);
+  EXPECT_EQ(world.resolve_route(src, dst), by_host);
+  // Unknown names, a null host and the source itself have no route.
+  EXPECT_EQ(world.resolve_route(src, "dc/nowhere"), nullptr);
+  EXPECT_EQ(world.resolve_route(src, static_cast<Host*>(nullptr)), nullptr);
+  EXPECT_EQ(world.resolve_route(src, &src), nullptr);
+}
+
 TEST(Topo, RoutedDeliveryAccumulatesPerHopSerializeAndPropagate) {
   World world(3);
   FatTreeOptions opt;
@@ -180,9 +202,9 @@ TEST(Topo, RoutedDeliveryAccumulatesPerHopSerializeAndPropagate) {
   SimTime delivered_at = -1;
   ASSERT_TRUE(dst.bind(9, [&](const Packet& p) {
                      delivered_at = dst.engine().now();
-                     EXPECT_EQ(p.src.host, "dc/h0_0");
+                     EXPECT_EQ(p.src->name(), "dc/h0_0");
                      EXPECT_EQ(p.payload.size(), kBytes);
-                     EXPECT_EQ(p.network, "dc/rack1");  // last hop
+                     EXPECT_EQ(p.network->name(), "dc/rack1");  // last hop
                    })
                   .ok());
   auto sent = src.send(Address{"dc/h1_0", 9}, Payload(Bytes(kBytes, 0x11)));
@@ -275,12 +297,20 @@ TEST(Topo, PartitionDropsRoutedPacketsEndToEnd) {
   wan.set_fault(injector);
 
   Host& src = *world.host("a/h0");
+  // The wan is an interior hop: a router transmits onto it, so the drop is
+  // judged in the router's lane on the end-to-end host names.
+  auto route = world.resolve_route(src, "b/h0");
+  ASSERT_NE(route, nullptr);
+  ASSERT_EQ(route->hops.size(), 3u);
+  EXPECT_EQ(route->hops[1].net, &wan);
+  EXPECT_TRUE(route->hops[1].tx->node()->is_router());
   int delivered = 0;
   ASSERT_TRUE(world.host("b/h0")->bind(9, [&](const Packet&) { ++delivered; }).ok());
   ASSERT_TRUE(src.send(Address{"b/h0", 9}, Payload(Bytes(32, 3))).ok());
   world.run_all();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(injector->stats().drops_partition.load(), 1u);
+  EXPECT_EQ(wan.stats().drops_fault.load(), 1u);
 
   injector->heal_partition();
   ASSERT_TRUE(src.send(Address{"b/h0", 9}, Payload(Bytes(32, 3))).ok());
