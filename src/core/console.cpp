@@ -8,7 +8,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "obs/flight.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
 
@@ -170,8 +169,14 @@ const std::vector<OpsCommand> kCommands = {
      }},
     {"health", {}, Needs::nothing,
      [](const OpsCall& c) { return health_report(c.process.host().metrics().snapshot()); }},
+    // The named host's ring in this process's World; no name is our own.
     {"flight", {{"host"}}, Needs::nothing,
-     [](const OpsCall& c) { return obs::FlightRecorder::global().dump(c.args[0]); }},
+     [](const OpsCall& c) {
+       simnet::Host& self = c.process.host();
+       simnet::Host* host = c.args[0].empty() ? &self : self.world()->host(c.args[0]);
+       return host != nullptr ? host->flight().dump()
+                              : "(no flight events for host " + c.args[0] + ")";
+     }},
     {"trace", {{"id", Kind::required}}, Needs::nothing,
      [](const OpsCall& c) { return trace_report(obs::Tracer::global().events(), c.args[0]); }},
     // With a watchtower attached, this host's own NICs read utilization
@@ -192,7 +197,7 @@ const std::vector<OpsCommand> kCommands = {
      }},
     {"fleet/health", {}, Needs::fleet,
      [](const OpsCall& c) {
-       return fleet_health_report(*c.surfaces.fleet, obs::Tracer::global().now());
+       return fleet_health_report(*c.surfaces.fleet, c.process.host().engine().now());
      }},
     {"fleet/flight", {{"host"}}, Needs::fleet,
      [](const OpsCall& c) { return c.surfaces.fleet->format_flight(c.args[0]); }},

@@ -46,7 +46,7 @@ std::string trace_report(const std::vector<obs::TraceEvent>& events,
 /// with nothing received) followed by health_report() over the fleet-merged
 /// snapshot — so the fleet rollup's percentiles are exact with respect to
 /// the union of every host's histogram buckets.  `now_ns` is the clock the
-/// staleness math runs against (the tracer clock: virtual time in a sim).
+/// staleness math runs against (the asking host's engine clock).
 std::string fleet_health_report(const obs::FleetStore& store, std::int64_t now_ns);
 
 /// The observability surfaces a console or ops gateway answers from beyond

@@ -11,8 +11,9 @@ TelemetryExporter::TelemetryExporter(transport::RpcEndpoint& rpc, TelemetryConfi
     : rpc_(rpc),
       engine_(rpc.engine()),
       config_(std::move(config)),
-      builder_({rpc.host().name(), config_.period, config_.full_every, config_.max_flight,
-                registry != nullptr ? registry : &rpc.host().metrics(), flight, series}) {
+      builder_({rpc.host().name(), config_.period, config_.full_every,
+                registry != nullptr ? registry : &rpc.host().metrics(),
+                flight != nullptr ? flight : &rpc.host().flight(), series}) {
   obs::MetricsRegistry& r = registry != nullptr ? *registry : rpc.host().metrics();
   beacons_counter_ = &r.counter("telemetry.beacons_sent");
   bytes_counter_ = &r.counter("telemetry.beacon_bytes");
@@ -32,8 +33,7 @@ void TelemetryExporter::tick() {
   // delta, so nothing is lost but time).
   if (!rpc_.host().up()) return;
 
-  auto& tracer = obs::Tracer::global();
-  obs::TelemetryBeacon beacon = builder_.build(tracer.now());
+  obs::TelemetryBeacon beacon = builder_.build(engine_.now());
   Bytes wire = beacon.encode();
   for (const simnet::Address& collector : config_.collectors)
     rpc_.notify(collector, tags::kTelemetryBeacon, wire);
@@ -43,11 +43,11 @@ void TelemetryExporter::tick() {
   // "telemetry" is its own trace category, excluded from replay digests the
   // way "flow" is — the beacon must be observable without being part of the
   // replay contract.
-  tracer.instant("telemetry", "telemetry.beacon",
-                 {{"host", beacon.host},
-                  {"seq", std::to_string(beacon.seq)},
-                  {"bytes", std::to_string(wire.size())},
-                  {"full", beacon.full ? "1" : "0"}});
+  obs::Tracer::global().instant("telemetry", "telemetry.beacon",
+                                {{"host", beacon.host},
+                                 {"seq", std::to_string(beacon.seq)},
+                                 {"bytes", std::to_string(wire.size())},
+                                 {"full", beacon.full ? "1" : "0"}});
 }
 
 TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
@@ -62,7 +62,7 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
     wo.rules = watch_config_.rules;
     wo.period_ns = watch_config_.beacon_period;
     wo.stale_after_beacons = watch_config_.stale_after_beacons;
-    watch_ = std::make_unique<obs::FleetWatch>(store_, std::move(wo));
+    watch_ = std::make_unique<obs::FleetWatch>(store_, std::move(wo), &rpc.host().flight());
     if (watch_config_.eval_period > 0)
       rpc_.engine().schedule_weak(watch_config_.eval_period, [this] { watch_tick(); });
   }
@@ -76,11 +76,10 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
       return;
     }
     ++beacons_received_;
-    auto& tracer = obs::Tracer::global();
-    store_.apply(beacon.value(), tracer.now());
-    tracer.instant("telemetry", "telemetry.beacon_rx",
-                   {{"host", beacon.value().host},
-                    {"seq", std::to_string(beacon.value().seq)}});
+    store_.apply(beacon.value(), rpc_.engine().now());
+    obs::Tracer::global().instant("telemetry", "telemetry.beacon_rx",
+                                  {{"host", beacon.value().host},
+                                   {"seq", std::to_string(beacon.value().seq)}});
   });
 }
 
@@ -89,7 +88,7 @@ void TelemetryCollector::watch_tick() {
   rpc_.engine().schedule_weak(watch_config_.eval_period, [this] { watch_tick(); });
   // A crashed collector judges nobody; evaluation resumes after revival.
   if (!rpc_.host().up()) return;
-  watch_->evaluate(obs::Tracer::global().now());
+  watch_->evaluate(rpc_.engine().now());
 }
 
 }  // namespace snipe::daemon

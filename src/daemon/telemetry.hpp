@@ -41,8 +41,6 @@ struct TelemetryConfig {
   SimDuration period = duration::seconds(1);
   /// Every Nth beacon is a full snapshot (resync point after loss).
   std::uint32_t full_every = 16;
-  /// Flight entries per beacon, newest win.
-  std::size_t max_flight = 64;
 };
 
 /// Periodically publishes this process's telemetry to the configured
@@ -51,10 +49,11 @@ struct TelemetryConfig {
 /// revival, with the accumulated deltas riding the next beacon.
 class TelemetryExporter {
  public:
-  /// `registry` defaults to the host's own (Host::metrics()), so a beacon
-  /// costs O(that host's instruments); `flight` defaults to the process-wide
-  /// recorder, filtered to this host's entries.  `series` attaches a watchtower history store whose fresh points are
-  /// delta-shipped inside every beacon (nullptr ships none).
+  /// `registry` and `flight` default to the host's own (Host::metrics(),
+  /// Host::flight()), so a beacon costs O(that host's instruments) and
+  /// carries that host's flight entries.  `series` attaches a watchtower
+  /// history store whose fresh points are delta-shipped inside every beacon
+  /// (nullptr ships none).
   TelemetryExporter(transport::RpcEndpoint& rpc, TelemetryConfig config,
                     obs::MetricsRegistry* registry = nullptr,
                     obs::FlightRecorder* flight = nullptr,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace snipe::daemon {
 
@@ -14,7 +13,7 @@ Watchtower::Watchtower(simnet::Host& host, WatchtowerConfig config,
       config_(std::move(config)),
       series_({config_.capacity_per_series,
                registry != nullptr ? registry : &host.metrics()}),
-      alerts_({host.name(), nullptr}) {
+      alerts_({host.name(), &host.flight()}) {
   alerts_.add_rules(config_.rules.empty() ? obs::AlertEngine::builtin_rules()
                                           : config_.rules);
   if (config_.sample_links && host_.world() != nullptr) {
@@ -48,7 +47,7 @@ void Watchtower::tick() {
   // A crashed host observes nothing — its series freeze, which is exactly
   // the signal the fleet-side staleness rule keys on.
   if (!host_.up()) return;
-  std::int64_t now = obs::Tracer::global().now();
+  std::int64_t now = engine_.now();
   series_.scrape(now);
   if (config_.evaluate_alerts) alerts_.evaluate(series_, now);
 }

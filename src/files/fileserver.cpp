@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "util/uri.hpp"
 
@@ -297,8 +296,8 @@ void FileServer::sink_sweep() {
       continue;
     }
     ++stats_.sinks_expired;
-    obs::FlightRecorder::global().record(
-        rpc_.host().name(), "files", "sink_expired",
+    rpc_.host().flight().record(
+        "files", "sink_expired",
         "lifn=" + sink.lifn + " id=" + std::to_string(it->first) + " covered=" +
             std::to_string(sink.covered) + "/" + std::to_string(sink.total));
     log_.debug("expiring idle sink ", it->first, " (", sink.lifn, ")");
@@ -661,8 +660,8 @@ void FileClient::arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe) {
     const std::string replica = read.candidates[st.candidate].to_string();
     ++host_failures_[read.candidates[st.candidate].host];
     rpc_.host().metrics().counter("files.stripe_stalls").inc();
-    obs::FlightRecorder::global().record(
-        rpc_.host().name(), "files", "stripe_stall",
+    rpc_.host().flight().record(
+        "files", "stripe_stall",
         "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " replica=" + replica +
             " got=" + std::to_string(st.received) + "/" + std::to_string(st.expected));
     log_.debug("stripe ", stripe, " of ", read.lifn, " stalled at ", replica);
@@ -703,8 +702,8 @@ void FileClient::reissue_stripe(std::uint64_t read_id, std::uint32_t stripe,
   }
   st.candidate = best;
   rpc_.host().metrics().counter("files.stripe_reissues").inc();
-  obs::FlightRecorder::global().record(
-      rpc_.host().name(), "files", "stripe_reissue",
+  rpc_.host().flight().record(
+      "files", "stripe_reissue",
       "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " to=" +
           read.candidates[best].to_string() + " attempt=" + std::to_string(st.attempts + 1) +
           " why=" + why);

@@ -83,14 +83,16 @@ bool AlertEngine::condition(const RuleState& rs, const SeriesStore& series,
 }
 
 void AlertEngine::emit(const RuleState& rs, const char* what, std::int64_t now_ns) {
-  FlightRecorder& flight =
-      options_.flight != nullptr ? *options_.flight : FlightRecorder::global();
-  char detail[192];
-  std::snprintf(detail, sizeof(detail), "%s %s(%s) value=%g threshold=%g%s%s",
-                rs.rule.name.c_str(), kind_name(rs.rule.kind), rs.rule.metric.c_str(),
-                rs.value, rs.rule.threshold, rs.rule.detail.empty() ? "" : " — ",
-                rs.rule.detail.c_str());
-  flight.record(options_.scope, kWatchtowerCategory, what, detail);
+  if (FlightRecorder* flight = options_.flight; flight != nullptr) {
+    std::string subject;
+    if (options_.scope != flight->owner()) subject = "host=" + options_.scope + " ";
+    char detail[256];
+    std::snprintf(detail, sizeof(detail), "%s%s %s(%s) value=%g threshold=%g%s%s",
+                  subject.c_str(), rs.rule.name.c_str(), kind_name(rs.rule.kind),
+                  rs.rule.metric.c_str(), rs.value, rs.rule.threshold,
+                  rs.rule.detail.empty() ? "" : " — ", rs.rule.detail.c_str());
+    flight->record(kWatchtowerCategory, what, detail);
+  }
   char value[32];
   std::snprintf(value, sizeof(value), "%g", rs.value);
   Tracer::global().instant(kWatchtowerCategory, what,
@@ -286,8 +288,8 @@ std::vector<AlertRule> AlertEngine::builtin_fleet_rules(std::int64_t period_ns,
 
 // ---------- FleetWatch ----------
 
-FleetWatch::FleetWatch(const FleetStore& store, Options options)
-    : store_(store), options_(std::move(options)) {
+FleetWatch::FleetWatch(const FleetStore& store, Options options, FlightRecorder* flight)
+    : store_(store), options_(std::move(options)), flight_(flight) {
   if (options_.rules.empty())
     options_.rules = AlertEngine::builtin_fleet_rules(options_.period_ns,
                                                       options_.stale_after_beacons);
@@ -298,7 +300,7 @@ void FleetWatch::evaluate(std::int64_t now_ns) {
   for (const std::string& host : store_.hosts()) {
     auto it = engines_.find(host);
     if (it == engines_.end()) {
-      auto engine = std::make_unique<AlertEngine>(AlertEngine::Options{host, nullptr});
+      auto engine = std::make_unique<AlertEngine>(AlertEngine::Options{host, flight_});
       engine->add_rules(options_.rules);
       it = engines_.emplace(host, std::move(engine)).first;
     }

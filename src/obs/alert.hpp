@@ -75,8 +75,10 @@ struct AlertStatus {
 class AlertEngine {
  public:
   struct Options {
-    std::string scope;                  ///< stamped on emissions (host name)
-    FlightRecorder* flight = nullptr;   ///< nullptr = global()
+    std::string scope;                  ///< subject of the rules (host name)
+    /// Ring the transitions are recorded in (nullptr = record none).  An
+    /// entry about a scope other than the ring's owner names it in detail.
+    FlightRecorder* flight = nullptr;
   };
 
   AlertEngine() : AlertEngine(Options{}) {}
@@ -148,8 +150,11 @@ class FleetWatch {
     double stale_after_beacons = 3.0;
   };
 
-  explicit FleetWatch(const FleetStore& store) : FleetWatch(store, Options{}) {}
-  FleetWatch(const FleetStore& store, Options options);
+  /// Transitions are recorded in `flight` — the collector host's ring —
+  /// each naming its subject host (nullptr = record none).
+  explicit FleetWatch(const FleetStore& store, FlightRecorder* flight = nullptr)
+      : FleetWatch(store, Options{}, flight) {}
+  FleetWatch(const FleetStore& store, Options options, FlightRecorder* flight = nullptr);
 
   /// Evaluates every known host's engine at `now_ns` (hosts appear as
   /// their first beacon lands).
@@ -167,6 +172,7 @@ class FleetWatch {
  private:
   const FleetStore& store_;
   Options options_;
+  FlightRecorder* flight_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<AlertEngine>> engines_;
 };

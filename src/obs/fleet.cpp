@@ -5,8 +5,6 @@
 #include <limits>
 #include <string_view>
 
-#include "util/time.hpp"
-
 namespace snipe::obs {
 
 namespace {
@@ -244,10 +242,6 @@ MetricsRegistry& BeaconBuilder::registry() const {
   return options_.registry != nullptr ? *options_.registry : MetricsRegistry::global();
 }
 
-FlightRecorder& BeaconBuilder::flight() const {
-  return options_.flight != nullptr ? *options_.flight : FlightRecorder::global();
-}
-
 TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
   ++seq_;
   TelemetryBeacon b;
@@ -304,8 +298,9 @@ TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
     last_sketches_[h.name] = std::move(abs);
   }
 
-  // Flight entries recorded since the last beacon, this host's only.
-  b.flight = flight().events_since(flight_cursor_, options_.host, options_.max_flight);
+  // Flight entries recorded since the last beacon.
+  if (options_.flight != nullptr)
+    b.flight = options_.flight->events_since(flight_cursor_, kMaxFlight);
 
   // Watchtower series: every retained point newer than the per-series ship
   // cursor.  Full beacons rewind the cursors and ship the whole retention
@@ -323,7 +318,6 @@ FleetStore::FleetStore() : FleetStore(Options{}) {}
 
 FleetStore::FleetStore(Options options) : options_(options) {
   if (options_.stale_after_beacons <= 0) options_.stale_after_beacons = 3.0;
-  if (options_.max_flight_per_host == 0) options_.max_flight_per_host = 1;
 }
 
 void FleetStore::apply(const TelemetryBeacon& beacon, std::int64_t arrival_ns) {
@@ -366,7 +360,7 @@ void FleetStore::apply(const TelemetryBeacon& beacon, std::int64_t arrival_ns) {
   // around a resync.
   for (const FlightEvent& e : beacon.flight) {
     s.flight.push_back(e);
-    if (s.flight.size() > options_.max_flight_per_host) s.flight.pop_front();
+    if (s.flight.size() > kMaxFlightPerHost) s.flight.pop_front();
   }
 
   // Liveness updates on every beacon, applied or dropped.
@@ -591,23 +585,8 @@ std::string FleetStore::format_flight(const std::string& host) const {
   if (timeline.empty())
     return host.empty() ? "(fleet flight empty)"
                         : "(no fleet flight events for host " + host + ")";
-  std::string out =
-      "fleet flight (" + std::to_string(timeline.size()) + " events):\n";
-  for (const auto& e : timeline) {
-    out += format_time(e.ts);
-    out += " [";
-    out += e.host.empty() ? "*" : e.host;
-    out += "] ";
-    out += e.cat;
-    out += '/';
-    out += e.what;
-    if (!e.detail.empty()) {
-      out += ' ';
-      out += e.detail;
-    }
-    out += '\n';
-  }
-  return out;
+  return "fleet flight (" + std::to_string(timeline.size()) + " events):\n" +
+         format_flight_lines(timeline);
 }
 
 std::string FleetStore::format_top(std::size_t n) const {

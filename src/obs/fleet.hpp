@@ -101,18 +101,20 @@ struct TelemetryBeacon {
 };
 
 /// Exporter-side delta state.  Bound to one registry + flight recorder; the
-/// telemetry exporter binds its host's registry (Host::metrics()), so a
-/// beacon costs O(that host's instruments) and carries only that host's
-/// flight entries.  Unbound, it reads the process-wide globals.
+/// telemetry exporter binds its host's (Host::metrics(), Host::flight()), so
+/// a beacon costs O(that host's instruments) and carries only that host's
+/// flight entries.
 class BeaconBuilder {
  public:
+  /// Flight entries per beacon, newest win.
+  static constexpr std::size_t kMaxFlight = 64;
+
   struct Options {
     std::string host;              ///< name stamped on every beacon
     std::int64_t period_ns = 0;    ///< advertised cadence
     std::uint32_t full_every = 16; ///< every Nth beacon is full (>=1)
-    std::size_t max_flight = 64;   ///< flight entries per beacon, newest win
     MetricsRegistry* registry = nullptr;  ///< nullptr = the global() roll-up
-    FlightRecorder* flight = nullptr;     ///< nullptr = global(), filtered to `host`
+    FlightRecorder* flight = nullptr;     ///< nullptr = ship no flight entries
     /// Watchtower history to delta-ship inside beacons (nullptr = none).
     const SeriesStore* series = nullptr;
     /// Per-series point cap per beacon, newest win (resync safety valve).
@@ -135,14 +137,13 @@ class BeaconBuilder {
 
  private:
   MetricsRegistry& registry() const;
-  FlightRecorder& flight() const;
 
   Options options_;
   std::uint64_t seq_ = 0;
   std::map<std::string, double> last_counters_;
   std::map<std::string, double> last_gauges_;
   std::map<std::string, HistogramSketch> last_sketches_;
-  std::uint64_t flight_cursor_ = 0;  ///< total_recorded() already exported
+  std::uint64_t flight_cursor_ = 0;  ///< flight entries already exported
   /// Newest series point timestamp already shipped, per series.  Cursors
   /// (not "points since last build time") because a sample recorded at the
   /// build instant, after the build ran, must still ship next beacon.
@@ -155,11 +156,13 @@ class BeaconBuilder {
 /// collector — it simply shows up as stale when asked about.
 class FleetStore {
  public:
+  /// Flight entries kept per host, newest win.
+  static constexpr std::size_t kMaxFlightPerHost = 1024;
+
   struct Options {
     /// A host is stale once this many beacon periods elapse with nothing
     /// received ("flag a partitioned host within 3 missed beacons").
     double stale_after_beacons = 3.0;
-    std::size_t max_flight_per_host = 1024;
   };
 
   /// Per-host liveness summary as of one instant.

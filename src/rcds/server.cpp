@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace snipe::rcds {
@@ -235,8 +234,8 @@ void RcServer::anti_entropy_tick() {
   if (peers_.empty()) return;
   ++stats_.anti_entropy_rounds;
   const simnet::Address peer = peers_[next_sync_peer_++ % peers_.size()];
-  obs::FlightRecorder::global().record(
-      rpc_.host().name(), "rcds", "anti_entropy",
+  rpc_.host().flight().record(
+      "rcds", "anti_entropy",
       "peer=" + peer.to_string() + " uris=" + std::to_string(store_.size()));
 
   ByteWriter w;

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "util/uri.hpp"
 
@@ -200,8 +199,8 @@ void ResourceManager::poll_hosts() {
     if (!info.pong_seen && ++info.missed_polls >= config_.dead_after_misses) {
       if (info.alive) {
         obs::Tracer::global().instant("rm", "rm.host_dead", {{"host", name}});
-        obs::FlightRecorder::global().record(
-            rpc_.address().host, "rm", "host_dead",
+        rpc_.host().flight().record(
+            "rm", "host_dead",
             "host=" + name + " misses=" + std::to_string(info.missed_polls));
       }
       info.alive = false;
@@ -327,9 +326,8 @@ void ResourceManager::handle_allocate(const simnet::Address& from, const Bytes& 
   info.load += 1.0 / std::max(1, info.cpus);  // optimistic until next poll
   // Spawn latency span: decision made -> daemon's reply in hand.
   obs::SpanId span = obs::Tracer::global().begin_span("rm", "rm.spawn");
-  obs::FlightRecorder::global().record(rpc_.address().host, "rm", "spawn",
-                                       "target=" + host.value() +
-                                           " program=" + forwarded.program);
+  rpc_.host().flight().record("rm", "spawn",
+                              "target=" + host.value() + " program=" + forwarded.program);
   SimTime spawn_start = engine_.now();
   auto completion = [respond, this, span, spawn_start,
                      target = host.value()](Result<Bytes> r) {

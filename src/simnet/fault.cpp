@@ -4,7 +4,6 @@
 #include <functional>
 #include <utility>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "simnet/world.hpp"
 #include "util/log.hpp"
@@ -166,7 +165,8 @@ void FaultPlan::act(SimTime at, std::string name,
   // coordinator-driven engine that fires between windows, when every
   // worker is parked and any host or network can be mutated safely.
   world_.control_engine().schedule_at(
-      at, [name = std::move(name), args = std::move(args), fn = std::move(fn)] {
+      at, [flight = &world_.flight(), name = std::move(name), args = std::move(args),
+           fn = std::move(fn)] {
         obs::Tracer::global().instant("fault", name, args);
         // Mirror every injected fault into the flight recorder so a dump
         // taken when an invariant trips shows what the chaos plan just did.
@@ -175,7 +175,7 @@ void FaultPlan::act(SimTime at, std::string name,
           if (!detail.empty()) detail += " ";
           detail += k + "=" + v;
         }
-        obs::FlightRecorder::global().record({}, "fault", name, detail);
+        flight->record("fault", name, detail);
         fn();
       });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <ctime>
+#include <iterator>
 #include <queue>
 
 #include "obs/metrics.hpp"
@@ -143,6 +144,7 @@ void Host::schedule_delivery(Host* target, SimTime arrival, Packet packet) {
 
 Host::Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard)
     : Node(world, std::move(name), rng, engine, shard, /*is_router=*/false),
+      flight_(name_, [this] { return engine_->now(); }),
       log_("host@" + name_) {}
 
 Host::~Host() { delete metrics_.load(std::memory_order_acquire); }
@@ -363,7 +365,8 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
   return ok_result();
 }
 
-World::World(std::uint64_t seed, std::size_t shards) {
+World::World(std::uint64_t seed, std::size_t shards)
+    : flight_({}, [this] { return ctrl_->now(); }) {
   assert(shards >= 1 && "a World needs at least one shard");
   engines_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -834,6 +837,20 @@ std::size_t World::run_all() {
     run_windows(Engine::kNever, /*stop_when_strong_drained=*/true);
   }
   return static_cast<std::size_t>(events_run() - before);
+}
+
+std::vector<obs::FlightEvent> World::flight_timeline() const {
+  std::vector<obs::FlightEvent> out = flight_.events();
+  for (const auto& [name, host] : hosts_) {
+    std::vector<obs::FlightEvent> own = host->flight_.events();
+    out.insert(out.end(), std::make_move_iterator(own.begin()),
+               std::make_move_iterator(own.end()));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const obs::FlightEvent& a, const obs::FlightEvent& b) {
+                     return a.ts < b.ts;
+                   });
+  return out;
 }
 
 std::uint64_t World::events_run() const {

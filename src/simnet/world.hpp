@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/media.hpp"
 #include "util/bytes.hpp"
@@ -300,6 +301,11 @@ class Host : public Node {
   /// host up).  Components must not outlive their host.
   obs::MetricsRegistry& metrics();
 
+  /// This host's flight recorder: every component bound to the host records
+  /// here, stamped with the host's name and its engine's virtual clock, and
+  /// the host's telemetry exporter ships it.  Empty until the first record.
+  obs::FlightRecorder& flight() { return flight_; }
+
   /// Registers a datagram handler on `port`.
   Result<void> bind(std::uint16_t port, PacketHandler handler);
   void unbind(std::uint16_t port);
@@ -358,6 +364,7 @@ class Host : public Node {
   };
   std::map<const Host*, CachedRoute> route_cache_;  ///< never iterated
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};  ///< owned, created lazily
+  obs::FlightRecorder flight_;
   Logger log_;
 };
 
@@ -438,6 +445,15 @@ class World {
   /// Runs until no *strong* events remain anywhere (Engine::run semantics
   /// lifted to all shards).  Returns the number of events executed.
   std::size_t run_all();
+
+  /// The World's own flight recorder, for world-level events (FaultPlan
+  /// actions): host "" ("*" in dumps), stamped with the control engine's
+  /// clock.
+  obs::FlightRecorder& flight() { return flight_; }
+  /// The World ring and every host ring merged by timestamp (ties: the
+  /// World ring first, then hosts in name order) — the whole postmortem of
+  /// a run.
+  std::vector<obs::FlightEvent> flight_timeline() const;
 
   /// Total events executed across all engines.
   std::uint64_t events_run() const;
@@ -570,6 +586,7 @@ class World {
   std::vector<Zone*> top_zones_;
   std::size_t next_top_zone_ = 0;                 ///< round-robin shard cursor
   std::atomic<std::uint64_t> route_epoch_{0};
+  obs::FlightRecorder flight_;
 
   SimTime lookahead_ = Engine::kNever;
   RunStats run_stats_;

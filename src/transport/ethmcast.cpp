@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace snipe::transport {
@@ -100,8 +99,8 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
     if (!p || p.value().group != group_) return;
     auto it = sent_.find(p.value().msg_id);
     if (it == sent_.end()) return;  // repair window closed
-    obs::FlightRecorder::global().record(
-        host_.name(), "ethmcast", "repair",
+    host_.flight().record(
+        "ethmcast", "repair",
         "group=" + group_ + " msg=" + std::to_string(p.value().msg_id) +
             " missing=" + std::to_string(p.value().missing.size()));
     for (std::uint32_t index : p.value().missing) {
@@ -198,8 +197,8 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
       tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "ethmcast.nack", msg.flow,
                   {{"host", host_.name()},
                    {"missing", std::to_string(nack.missing.size())}});
-    obs::FlightRecorder::global().record(
-        host_.name(), "ethmcast", "nack",
+    host_.flight().record(
+        "ethmcast", "nack",
         "group=" + group_ + " msg=" + std::to_string(msg_id) +
             " missing=" + std::to_string(nack.missing.size()));
     simnet::SendOptions opts;

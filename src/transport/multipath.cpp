@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace snipe::transport {
@@ -66,8 +65,7 @@ bool MultipathPolicy::on_timeout(simnet::Host& host) {
   preferred_ = next;
   ++switches_;
   host.metrics().counter("multipath.route_switches").inc();
-  obs::FlightRecorder::global().record(host.name(), "multipath", "route_switch",
-                                       "to=" + preferred_);
+  host.flight().record("multipath", "route_switch", "to=" + preferred_);
   return true;
 }
 

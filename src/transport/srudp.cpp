@@ -67,8 +67,7 @@ SrudpEndpoint::PeerOut& SrudpEndpoint::ensure_out(const simnet::Address& peer) {
 void SrudpEndpoint::note_route_success(const simnet::Address& peer, PeerOut& out) {
   if (out.path.on_success(engine_.now())) {
     ++stats_.route_probes;
-    obs::FlightRecorder::global().record(host_.name(), "multipath", "route_probe",
-                                         "peer=" + peer.to_string());
+    host_.flight().record("multipath", "route_probe", "peer=" + peer.to_string());
     log_.debug("re-probing default route to ", peer.to_string());
   }
 }
@@ -204,8 +203,8 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
   if (out.queue.empty()) return;
 
   ++stats_.rto_events;
-  obs::FlightRecorder::global().record(
-      host_.name(), "srudp", "rto",
+  host_.flight().record(
+      "srudp", "rto",
       "peer=" + peer.to_string() + " rto=" + format_time(out.rto) +
           " queued=" + std::to_string(out.queue.size()));
   // The window's worth of fragments we sent may all be gone; reset the
@@ -223,8 +222,8 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
     if (tracer.flow_enabled())
       tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "srudp.route_switch",
                   out.queue.front().flow, {{"to", out.path.preferred()}});
-    obs::FlightRecorder::global().record(
-        host_.name(), "srudp", "route_switch",
+    host_.flight().record(
+        "srudp", "route_switch",
         "peer=" + peer.to_string() + " to=" + out.path.preferred());
     log_.debug("route to ", peer.to_string(), " switched to ", out.path.preferred());
   }
@@ -253,8 +252,8 @@ void SrudpEndpoint::expire_head(const simnet::Address& peer, PeerOut& out) {
   obs::Tracer::global().instant(
       "transport", "srudp.expire",
       {{"peer", peer.to_string()}, {"msg", std::to_string(out.queue.front().msg_id)}});
-  obs::FlightRecorder::global().record(
-      host_.name(), "srudp", "expire",
+  host_.flight().record(
+      "srudp", "expire",
       "peer=" + peer.to_string() + " msg=" + std::to_string(out.queue.front().msg_id));
   out.queue.pop_front();
   out.inflight = 0;  // conservative: counted fragments belonged to the head
@@ -274,8 +273,8 @@ void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
         // Corrupt payload caught by the opt-in checksum: drop the fragment;
         // selective re-send recovers it like any other loss.
         ++stats_.checksum_rejects;
-        obs::FlightRecorder::global().record(
-            host_.name(), "srudp", "checksum_reject",
+        host_.flight().record(
+            "srudp", "checksum_reject",
             "peer=" + peer.to_string() + " msg=" + std::to_string(p.value().msg_id));
         break;
       }
@@ -484,8 +483,8 @@ void SrudpEndpoint::arm_hol_skip(const simnet::Address& peer) {
     // The sender evidently abandoned the gap message(s); skip forward.
     std::uint64_t first_complete = in.complete.begin()->first;
     stats_.messages_skipped += first_complete - in.next_deliver;
-    obs::FlightRecorder::global().record(
-        host_.name(), "srudp", "hol_skip",
+    host_.flight().record(
+        "srudp", "hol_skip",
         "peer=" + peer.to_string() + " msgs=" + std::to_string(in.next_deliver) + ".." +
             std::to_string(first_complete - 1));
     log_.warn("skipping undeliverable messages ", in.next_deliver, "..",

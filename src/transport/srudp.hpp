@@ -32,7 +32,6 @@
 #include <optional>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simnet/world.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace snipe::transport {
@@ -210,8 +209,8 @@ void StreamConnection::on_rto() {
   }
   if (snd_una == snd_nxt) return;  // everything acked in the meantime
   ++stats_.rto_events;
-  obs::FlightRecorder::global().record(
-      endpoint_->host().name(), "stream", "rto",
+  endpoint_->host().flight().record(
+      "stream", "rto",
       "peer=" + peer_.to_string() + " una=" + std::to_string(snd_una) +
           " nxt=" + std::to_string(snd_nxt));
   // Reno on timeout: collapse to one segment and retransmit the hole.
@@ -390,8 +389,8 @@ void StreamConnection::on_ack(const StreamPacket& p) {
   } else if (p.ack == snd_una && snd_una < snd_nxt) {
     if (++dup_acks_ == 3) {
       ++stats_.fast_retransmits;
-      obs::FlightRecorder::global().record(
-          endpoint_->host().name(), "stream", "fast_retransmit",
+      endpoint_->host().flight().record(
+          "stream", "fast_retransmit",
           "peer=" + peer_.to_string() + " una=" + std::to_string(snd_una));
       ssthresh = std::max(cwnd / 2, 2.0 * static_cast<double>(mss()));
       cwnd = ssthresh;

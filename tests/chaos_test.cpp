@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "chaos_util.hpp"
 #include "obs/alert.hpp"
@@ -62,6 +64,7 @@ struct GauntletResult {
 GauntletResult run_srudp_gauntlet(std::uint64_t seed) {
   obs::Tracer::global().clear();
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   world.attach(world.create_host("a"), *world.network("lan"));
   world.attach(world.create_host("b"), *world.network("lan"));
@@ -159,6 +162,7 @@ struct CorruptionResult {
 CorruptionResult run_srudp_corruption(std::uint64_t seed) {
   obs::Tracer::global().clear();
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   world.attach(world.create_host("a"), *world.network("lan"));
   world.attach(world.create_host("b"), *world.network("lan"));
@@ -224,6 +228,7 @@ TEST(ChaosStream, MessagesSurviveLossDupReorderAndPartition) {
   for (int s = 0; s < 3; ++s) {
     std::uint64_t seed = chaos::chaos_seed() + 200 + static_cast<std::uint64_t>(s);
     World world(seed);
+    chaos::FlightWitness witness(world);
     world.create_network("lan", simnet::ethernet100());
     world.attach(world.create_host("a"), *world.network("lan"));
     world.attach(world.create_host("b"), *world.network("lan"));
@@ -279,6 +284,7 @@ TEST(ChaosEthMcast, AllMembersReceiveEverythingExactlyOnce) {
   for (int s = 0; s < 3; ++s) {
     std::uint64_t seed = chaos::chaos_seed() + 300 + static_cast<std::uint64_t>(s);
     World world(seed);
+    chaos::FlightWitness witness(world);
     world.create_network("seg", simnet::ethernet100());
     const char* names[] = {"m0", "m1", "m2", "m3"};
     for (const char* n : names)
@@ -340,6 +346,7 @@ std::string canonical_record(const std::vector<rcds::Assertion>& assertions) {
 TEST(ChaosRcds, ReplicasConvergeAfterPartitionHeals) {
   std::uint64_t seed = chaos::chaos_seed() + 400;
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   for (const char* n : {"h1", "h2", "h3"})
     world.attach(world.create_host(n), *world.network("lan"));
@@ -415,6 +422,7 @@ class NapTask final : public daemon::ManagedTask {
 TEST(ChaosRm, CrashedHostAvoidedThenReadoptedAfterRestart) {
   std::uint64_t seed = chaos::chaos_seed() + 500;
   World world(seed);
+  chaos::FlightWitness witness(world);
   Rng rng(seed + 1);
   world.create_network("lan", simnet::ethernet100());
   for (const char* n : {"rc", "nodeA", "nodeB", "rmhost", "client"})
@@ -496,8 +504,8 @@ struct StripedChaosResult {
 StripedChaosResult run_striped_chaos(std::uint64_t seed, bool crash_server,
                                      bool lossy) {
   obs::Tracer::global().clear();
-  obs::FlightRecorder::global().clear();
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   for (const char* n : {"rc", "fs1", "fs2", "fs3", "app"})
     world.attach(world.create_host(n), *world.network("lan"));
@@ -564,7 +572,7 @@ StripedChaosResult run_striped_chaos(std::uint64_t seed, bool crash_server,
     out.why = "read failed: " + read.error().to_string();
   else
     out.content = read.value();
-  for (const auto& e : obs::FlightRecorder::global().events("app")) {
+  for (const auto& e : world.host("app")->flight().events()) {
     if (e.what == "stripe_stall") out.saw_stall = true;
     if (e.what == "stripe_reissue") out.saw_reissue = true;
   }
@@ -609,6 +617,7 @@ TEST(ChaosFiles, WriterCrashMidSinkExpiresWithoutStoring) {
   // idle TTL must reap the half-written buffer and nothing may be stored.
   std::uint64_t seed = chaos::chaos_seed() + 700;
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   for (const char* n : {"rc", "fs", "writer"})
     world.attach(world.create_host(n), *world.network("lan"));
@@ -636,6 +645,7 @@ TEST(ChaosFiles, RepairConvergesThenGoesQuiet) {
   // meets the target, further ticks must push nothing (no repair churn).
   std::uint64_t seed = chaos::chaos_seed() + 710;
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   for (const char* n : {"rc", "fs1", "fs2", "fs3", "app"})
     world.attach(world.create_host(n), *world.network("lan"));
@@ -678,6 +688,7 @@ TEST(ChaosObs, ExpiredAndSkippedCountsMatchMetricsRegistry) {
   double skipped0 = chaos::metric_value("srudp.messages_skipped");
 
   World world(chaos::chaos_seed() + 600);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   world.attach(world.create_host("a"), *world.network("lan"));
   world.attach(world.create_host("b"), *world.network("lan"));
@@ -772,25 +783,104 @@ TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
 // ---- flight recorder: a dump after a faulted run shows what chaos did ------
 
 TEST(ChaosFlight, DumpAfterFaultedRunContainsInjectedFaults) {
-  auto& flight = obs::FlightRecorder::global();
-  flight.clear();
   auto r = run_srudp_gauntlet(chaos::chaos_seed() + 800);
   ASSERT_TRUE(r.intact) << r.why;
 
-  // This is the dump a tripped invariant (see FlightDumpOnFailure below)
-  // or the SIGABRT handler would emit: the fault plan's actions must be in
-  // it, alongside the transport reactions they provoked.
-  std::string dump = flight.dump();
-  EXPECT_NE(dump.find("fault/partition.start"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("fault/host.crash"), std::string::npos);
-  EXPECT_NE(dump.find("fault/host.restart"), std::string::npos);
+  // This is the timeline a tripped invariant (see FlightDumpOnFailure
+  // below) would print: the fault plan's actions must be in it, alongside
+  // the transport reactions they provoked.
+  std::vector<obs::FlightEvent> timeline = chaos::FlightWitness::timeline();
+  std::string dump = obs::format_flight_lines(timeline);
+  EXPECT_NE(dump.find("[*] fault/partition.start"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("[*] fault/host.crash"), std::string::npos);
+  EXPECT_NE(dump.find("[*] fault/host.restart"), std::string::npos);
   EXPECT_NE(dump.find("srudp/rto"), std::string::npos);
 
-  // Host filtering: the sender's RTOs are attributed to host "a".
-  std::string a_only = flight.dump("a");
-  EXPECT_NE(a_only.find("srudp/rto"), std::string::npos);
-  // Network-level fault events carry no host and match every filter.
-  EXPECT_NE(a_only.find("fault/partition.start"), std::string::npos);
+  // The sender's RTOs came from host "a"'s own ring, and each fault was
+  // recorded once, in the World's ring.
+  bool a_rto = false;
+  std::size_t partition_starts = 0;
+  for (const auto& e : timeline) {
+    a_rto |= e.host == "a" && e.cat == "srudp" && e.what == "rto";
+    if (e.cat == "fault") {
+      EXPECT_EQ(e.host, "");
+    }
+    partition_starts += e.what == "partition.start" ? 1 : 0;
+  }
+  EXPECT_TRUE(a_rto) << dump;
+  EXPECT_EQ(partition_starts, 1u) << dump;
+  EXPECT_TRUE(std::is_sorted(timeline.begin(), timeline.end(),
+                             [](const auto& x, const auto& y) { return x.ts < y.ts; }));
+}
+
+// ---- two Worlds on two threads: every ring belongs to its own World --------
+//
+// Host rings read their host's engine and the World ring its control
+// engine, so two Worlds that reuse the same host names can run at once on
+// two threads and each host still ends with exactly the entries a solo run
+// of its World leaves.  The tracer's and the logger's clocks are still
+// process-wide (installed by the most recently built Engine), so both are
+// switched off while the two threads run.
+
+struct RingWorld {
+  explicit RingWorld(std::uint64_t seed) : world(seed), plan(world, seed + 1) {
+    world.create_network("lan", simnet::ethernet100());
+    world.attach(world.create_host("a"), *world.network("lan"));
+    world.attach(world.create_host("b"), *world.network("lan"));
+    tx = std::make_unique<transport::SrudpEndpoint>(*world.host("a"), 7000);
+    rx = std::make_unique<transport::SrudpEndpoint>(*world.host("b"), 7000);
+    rx->set_handler([](const Address&, Payload) {});
+    FaultProfile profile;
+    profile.burst = {0.02, 0.2, 0.01, 0.7};
+    plan.inject("lan", profile);
+    plan.partition("lan", {{"a"}, {"b"}}, duration::milliseconds(300),
+                   duration::milliseconds(600));
+    for (std::uint32_t i = 0; i < 40; ++i)
+      world.engine().schedule_at(duration::milliseconds(25) * i, [this, seed, i] {
+        tx->send(rx->address(), chaos::chaos_payload(4000, seed, i));
+      });
+  }
+
+  void run() { world.engine().run_until(duration::seconds(5)); }
+
+  std::map<std::string, std::string> rings() {
+    return {{"*", obs::format_flight_lines(world.flight().events())},
+            {"a", obs::format_flight_lines(world.host("a")->flight().events())},
+            {"b", obs::format_flight_lines(world.host("b")->flight().events())}};
+  }
+
+  World world;
+  FaultPlan plan;
+  std::unique_ptr<transport::SrudpEndpoint> tx, rx;
+};
+
+TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
+  const std::uint64_t seeds[2] = {chaos::chaos_seed() + 820, chaos::chaos_seed() + 821};
+  std::map<std::string, std::string> solo[2];
+  for (int i = 0; i < 2; ++i) {
+    RingWorld w(seeds[i]);
+    w.run();
+    solo[i] = w.rings();
+  }
+  EXPECT_NE(solo[0]["*"].find("fault/partition.start"), std::string::npos);
+  EXPECT_NE(solo[0]["a"].find("[a] srudp/rto"), std::string::npos) << solo[0]["a"];
+  ASSERT_NE(solo[0], solo[1]);  // the seeds differ, so any mixing would show
+
+  auto& tracer = obs::Tracer::global();
+  tracer.set_enabled(false);
+  LogLevel level = set_log_level(LogLevel::off);
+  {
+    RingWorld w0(seeds[0]);
+    RingWorld w1(seeds[1]);
+    std::thread t0([&w0] { w0.run(); });
+    std::thread t1([&w1] { w1.run(); });
+    t0.join();
+    t1.join();
+    EXPECT_EQ(w0.rings(), solo[0]);
+    EXPECT_EQ(w1.rings(), solo[1]);
+  }
+  set_log_level(level);
+  tracer.set_enabled(true);
 }
 
 // ---- fleet telemetry: the exporter must not perturb the replay digest ------
@@ -808,6 +898,7 @@ TEST(ChaosFlight, DumpAfterFaultedRunContainsInjectedFaults) {
 std::string run_fleet_gauntlet(std::uint64_t seed, bool exporter_on) {
   obs::Tracer::global().clear();
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   world.create_network("mgmt_a", simnet::ethernet100());
   world.create_network("mgmt_b", simnet::ethernet100());
@@ -895,6 +986,7 @@ std::string run_watch_gauntlet(std::uint64_t seed, bool watch_on,
                                std::uint64_t* canary_fired = nullptr) {
   obs::Tracer::global().clear();
   World world(seed);
+  chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
   world.create_network("mgmt_a", simnet::ethernet100());
   world.create_network("mgmt_b", simnet::ethernet100());
@@ -1000,13 +1092,14 @@ TEST(ChaosWatch, AlertEngineLeavesSeededDigestsUntouched) {
   }
 }
 
-/// When any chaos invariant trips, print the flight recorder so the CI log
-/// shows the fault and protocol events leading up to the failure.
+/// When any chaos invariant trips, print the failing run's flight timeline
+/// (its World ring and every host ring, merged by time) so the CI log shows
+/// the fault and protocol events leading up to the failure.
 class FlightDumpOnFailure : public ::testing::EmptyTestEventListener {
   void OnTestPartResult(const ::testing::TestPartResult& result) override {
     if (!result.failed()) return;
-    std::fprintf(stderr, "\n=== flight recorder at failure ===\n%s\n",
-                 obs::FlightRecorder::global().dump().c_str());
+    std::fprintf(stderr, "\n=== flight timeline at failure ===\n%s\n",
+                 obs::format_flight_lines(chaos::FlightWitness::timeline()).c_str());
   }
 };
 
@@ -1044,6 +1137,7 @@ ShardedResult run_sharded_sites(std::uint64_t seed, std::size_t shards,
   ShardedResult r;
   {
     World world(seed, shards);
+    chaos::FlightWitness witness(world);
     for (std::size_t i = 0; i < kSites; ++i)
       world.create_network("lan" + std::to_string(i), simnet::ethernet100());
     world.create_network("wan", simnet::wan_t3());
@@ -1225,6 +1319,7 @@ ShardedResult run_zoned_sites(std::uint64_t seed, std::size_t shards) {
   ShardedResult r;
   {
     World world(seed, shards);
+    chaos::FlightWitness witness(world);
     // Same creation order for every shard count: zones round-robin over
     // however many shards exist, and every host/router RNG forks from the
     // first engine in creation order either way.

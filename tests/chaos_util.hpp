@@ -158,6 +158,38 @@ inline void log_digest(const std::string& scenario, std::uint64_t seed,
   }
 }
 
+/// The flight timeline of the scenario running now, or else of the last
+/// one that ran: what the suite's failure listener prints when an invariant
+/// trips.  Declare one right after a scenario's World.  While it lives it
+/// answers from that World's rings (World::flight_timeline()); going out of
+/// scope, just before the World does, it keeps a copy.
+class FlightWitness {
+ public:
+  explicit FlightWitness(simnet::World& world) : world_(world) { live() = this; }
+  ~FlightWitness() {
+    last() = world_.flight_timeline();
+    live() = nullptr;
+  }
+  FlightWitness(const FlightWitness&) = delete;
+  FlightWitness& operator=(const FlightWitness&) = delete;
+
+  static std::vector<obs::FlightEvent> timeline() {
+    return live() != nullptr ? live()->world_.flight_timeline() : last();
+  }
+
+ private:
+  static FlightWitness*& live() {
+    static FlightWitness* witness = nullptr;
+    return witness;
+  }
+  static std::vector<obs::FlightEvent>& last() {
+    static std::vector<obs::FlightEvent> timeline;
+    return timeline;
+  }
+
+  simnet::World& world_;
+};
+
 /// Snapshot value of one counter-like metric in the global registry
 /// (summed over live sources and retained totals); 0 when absent.  Chaos
 /// tests compare *deltas* around a scenario because the registry is

@@ -470,10 +470,11 @@ TEST_F(CoreFixture, ConsoleObservabilityVerbs) {
   EXPECT_NE(health.find("srudp delivery_ms"), std::string::npos) << health;
   EXPECT_NE(health.find("retransmit_ratio"), std::string::npos) << health;
 
-  // flight: recorded events surface, filtered by host.
-  obs::FlightRecorder::global().record("hostC", "test", "console_probe", "x=1");
-  EXPECT_NE(run_command("flight hostC").find("test/console_probe x=1"),
+  // flight: the named host's ring answers; no name means our own host.
+  world.host("hostC")->flight().record("test", "console_probe", "x=1");
+  EXPECT_NE(run_command("flight hostC").find("[hostC] test/console_probe x=1"),
             std::string::npos);
+  EXPECT_EQ(run_command("flight"), run_command("flight hostC"));
 
   // trace: unknown ids say so; recorded flows print their trail and are
   // reachable both by flow id and by message id.
@@ -532,7 +533,7 @@ TEST_F(CoreFixture, OpsGatewayServesMetricsHealthFlightAndTrace) {
   ASSERT_TRUE(health.ok());
   EXPECT_NE(to_string(health.value().body).find("delivery_ms"), std::string::npos);
 
-  obs::FlightRecorder::global().record("hostA", "test", "gateway_probe");
+  world.host("hostA")->flight().record("test", "gateway_probe");
   auto flight = fetch("/flight?host=hostA");
   ASSERT_TRUE(flight.ok());
   EXPECT_NE(to_string(flight.value().body).find("test/gateway_probe"),
@@ -687,7 +688,8 @@ TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
   OpsGateway ops(*ops_proc, "http://parity.utk.edu/");
   world.engine().run();
 
-  obs::FlightRecorder::global().record("hostC", "test", "parity_probe");
+  world.host("hostC")->flight().record("test", "parity_probe");
+  world.host("hostA")->flight().record("test", "neighbour_probe");
   auto& tracer = obs::Tracer::global();
   tracer.set_flow_enabled(true);
   tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177);
@@ -750,6 +752,23 @@ TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
   console.set_fleet_watch(&fleet_watch);
   ops.set_fleet_watch(&fleet_watch);
   check_every_row(true);
+
+  // `flight` answers from this World's rings, alike both ways: no host is
+  // our own, a neighbour's name is its ring, an unknown name says so.
+  for (const std::string host : {"", "hostA", "hostX"}) {
+    SCOPED_TRACE("flight " + host);
+    HttpRequest req;
+    req.path = host.empty() ? "/flight" : "/flight?host=" + host;
+    auto res = ops.handle(req);
+    EXPECT_EQ(res.status, 200);
+    EXPECT_EQ(chomp(console_says(host.empty() ? "flight" : "flight " + host)),
+              chomp(to_string(res.body)));
+  }
+  EXPECT_NE(console_says("flight").find("[hostC] test/parity_probe"), std::string::npos);
+  EXPECT_EQ(console_says("flight").find("neighbour_probe"), std::string::npos);
+  EXPECT_NE(console_says("flight hostA").find("[hostA] test/neighbour_probe"),
+            std::string::npos);
+  EXPECT_EQ(console_says("flight hostX"), "(no flight events for host hostX)");
 
   // The usage line and the 404 body name every row, and the console verbs
   // take the parameters the endpoints take.

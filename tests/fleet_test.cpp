@@ -32,11 +32,9 @@ TEST(FleetSketch, MergedQuantilesAreExactWrtUnion) {
 
   obs::FleetStore store;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> flights;
   std::vector<std::unique_ptr<obs::BeaconBuilder>> builders;
   for (int h = 0; h < kHosts; ++h) {
     registries.push_back(std::make_unique<obs::MetricsRegistry>());
-    flights.push_back(std::make_unique<obs::FlightRecorder>(16));
     auto& hist = registries.back()->histogram("srudp.delivery_ms");
     for (int k = 0; k <= 10 + h; ++k) {
       double v = 0.07 * (k + 1) * (h + 1);  // spans several buckets per host
@@ -48,7 +46,6 @@ TEST(FleetSketch, MergedQuantilesAreExactWrtUnion) {
     opt.host = "h" + std::to_string(h);
     opt.period_ns = 1'000'000'000;
     opt.registry = registries[h].get();
-    opt.flight = flights[h].get();
     builders.push_back(std::make_unique<obs::BeaconBuilder>(opt));
     store.apply(builders.back()->build(1'000'000'000), 1'000'000'000);
   }
@@ -175,14 +172,12 @@ TEST(FleetBeacon, DecodeRejectsMalformedWire) {
 
 TEST(FleetStore, GapDropsDeltasUntilNextFullBeacon) {
   obs::MetricsRegistry registry;
-  obs::FlightRecorder flight(16);
   auto& sent = registry.counter("srudp.fragments_sent");
   obs::BeaconBuilder::Options opt;
   opt.host = "h0";
   opt.period_ns = 1'000'000'000;
   opt.full_every = 4;  // seq 1 full, 2-3 delta, 4 full, ...
   opt.registry = &registry;
-  opt.flight = &flight;
   obs::BeaconBuilder builder(opt);
   obs::FleetStore store;
 
@@ -228,7 +223,6 @@ TEST(FleetStore, GapDropsDeltasUntilNextFullBeacon) {
 TEST(FleetSeries, CursorShipsOnlyNewPointsAndFullBeaconResyncs) {
   constexpr std::int64_t kNs = 1'000'000'000;
   obs::MetricsRegistry registry;
-  obs::FlightRecorder flight(16);
   obs::SeriesStore series;
   obs::BeaconBuilder::Options opt;
   opt.host = "h0";
@@ -236,7 +230,6 @@ TEST(FleetSeries, CursorShipsOnlyNewPointsAndFullBeaconResyncs) {
   opt.full_every = 4;  // seq 1 full, 2-3 delta, 4 full, ...
   opt.max_series_points = 4;
   opt.registry = &registry;
-  opt.flight = &flight;
   opt.series = &series;
   obs::BeaconBuilder builder(opt);
   obs::FleetStore store;
@@ -342,7 +335,6 @@ TEST(FleetIntegration, EightHostWorldExactPercentilesAndStaleness) {
   auto& union_hist = union_registry.histogram("srudp.delivery_ms");
 
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> flights;
   std::vector<std::unique_ptr<transport::RpcEndpoint>> rpcs;
   std::vector<std::unique_ptr<daemon::TelemetryExporter>> exporters;
   double fleet_sent = 0;
@@ -352,7 +344,6 @@ TEST(FleetIntegration, EightHostWorldExactPercentilesAndStaleness) {
     rpcs.push_back(
         std::make_unique<transport::RpcEndpoint>(*world.host(name), 7400));
     registries.push_back(std::make_unique<obs::MetricsRegistry>());
-    flights.push_back(std::make_unique<obs::FlightRecorder>(32));
     auto& hist = registries.back()->histogram("srudp.delivery_ms");
     for (int k = 0; k <= 12 + h; ++k) {
       double v = 0.05 * (k + 1) * (h + 1);
@@ -362,13 +353,13 @@ TEST(FleetIntegration, EightHostWorldExactPercentilesAndStaleness) {
     registries.back()->counter("srudp.fragments_sent").inc(50 * (h + 1));
     registries.back()->counter("srudp.fragments_retransmitted").inc(h);
     fleet_sent += 50.0 * (h + 1);
-    flights.back()->record(name, "test", "boot", "n=" + std::to_string(h));
+    world.host(name)->flight().record("test", "boot", "n=" + std::to_string(h));
 
     daemon::TelemetryConfig cfg;
     cfg.collectors = {collector_rpc.address()};
     cfg.period = duration::seconds(1);
     exporters.push_back(std::make_unique<daemon::TelemetryExporter>(
-        *rpcs.back(), cfg, registries.back().get(), flights.back().get()));
+        *rpcs.back(), cfg, registries.back().get()));
     exporters.back()->start();
   }
 

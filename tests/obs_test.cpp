@@ -15,10 +15,12 @@
 #include <sstream>
 
 #include "daemon/daemon.hpp"
+#include "obs/fleet.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rcds/server.hpp"
+#include "simnet/world.hpp"
 #include "transport/srudp.hpp"
 
 namespace snipe::obs {
@@ -575,114 +577,107 @@ TEST(Trace, FlowRespectsMasterEnableToo) {
 // ---------- flight recorder ----------
 
 TEST(Flight, RingWrapsOldestFirstAndCountsDrops) {
-  FlightRecorder f(4);
-  for (int n = 0; n < 10; ++n)
-    f.record("a", "test", "e" + std::to_string(n));
+  FlightRecorder f("a", [] { return std::int64_t{0}; });
+  const std::size_t n = FlightRecorder::kCapacity + 6;
+  for (std::size_t i = 0; i < n; ++i) f.record("test", std::to_string(i));
   auto events = f.events();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), FlightRecorder::kCapacity);
   EXPECT_EQ(f.dropped(), 6u);
-  for (int n = 0; n < 4; ++n) EXPECT_EQ(events[n].what, "e" + std::to_string(6 + n));
-  f.clear();
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_EQ(f.dropped(), 0u);
+  EXPECT_EQ(events.front().what, "6");
+  EXPECT_EQ(events.back().what, std::to_string(n - 1));
+  EXPECT_EQ(events.front().host, "a");
+
+  // A cursor sees only what is new, at most the newest `max`; entries that
+  // rotated out unseen are gone.
+  std::uint64_t cursor = 0;
+  auto newest = f.events_since(cursor, 2);
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].what, std::to_string(n - 2));
+  EXPECT_EQ(cursor, n);
+  EXPECT_TRUE(f.events_since(cursor, 2).empty());
+  f.record("test", "late");
+  auto late = f.events_since(cursor, 64);
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late[0].what, "late");
 }
 
+// A host's ring holds only its own entries; a world-level event lands
+// once, in the World's ring, and the World timeline merges them by time.
 TEST(Flight, HostFilterKeepsWorldLevelEvents) {
-  FlightRecorder f(16);
-  f.record("a", "srudp", "rto", "peer=b");
-  f.record("b", "srudp", "rto", "peer=a");
-  f.record("", "fault", "partition.start", "groups=[a][b]");
-  EXPECT_EQ(f.events().size(), 3u);
-  auto a_events = f.events("a");
-  ASSERT_EQ(a_events.size(), 2u);  // a's own + the world-level fault
+  simnet::World world(1);
+  simnet::Host& a = world.create_host("a");
+  simnet::Host& b = world.create_host("b");
+  world.engine().schedule(10, [&a] { a.flight().record("srudp", "rto", "peer=b"); });
+  world.engine().schedule(20, [&world] {
+    world.flight().record("fault", "partition.start", "groups=[a][b]");
+  });
+  world.engine().schedule(30, [&b] { b.flight().record("srudp", "rto", "peer=a"); });
+  world.engine().run();
+
+  auto a_events = a.flight().events();
+  ASSERT_EQ(a_events.size(), 1u);
   EXPECT_EQ(a_events[0].host, "a");
-  EXPECT_EQ(a_events[1].cat, "fault");
+  EXPECT_EQ(a_events[0].ts, 10);
+  EXPECT_EQ(b.flight().dump().find("peer=b"), std::string::npos);
 
-  std::string dump = f.dump("b");
-  EXPECT_NE(dump.find("srudp/rto"), std::string::npos);
-  EXPECT_NE(dump.find("fault/partition.start"), std::string::npos);
-  EXPECT_EQ(dump.find("peer=b"), std::string::npos);  // a's event filtered out
+  auto timeline = world.flight_timeline();
+  ASSERT_EQ(timeline.size(), 3u);
+  EXPECT_EQ(timeline[0].host, "a");
+  EXPECT_EQ(timeline[1].host, "");
+  EXPECT_EQ(timeline[1].cat, "fault");
+  EXPECT_EQ(timeline[2].host, "b");
+  EXPECT_NE(format_flight_lines(timeline).find("[*] fault/partition.start groups=[a][b]"),
+            std::string::npos);
 }
 
+// There is no off switch: a builder bound to no recorder ships no flight
+// entries (nothing falls back to a process-wide ring).
 TEST(Flight, DumpSaysSoWhenEmptyAndWhenDisabled) {
-  FlightRecorder f(8);
-  EXPECT_NE(f.dump().find("empty"), std::string::npos);
-  f.record("a", "c", "w");
-  EXPECT_NE(f.dump("ghost").find("no flight events"), std::string::npos);
-  f.set_enabled(false);
-  f.record("a", "c", "ignored");
-  EXPECT_EQ(f.size(), 1u);
-  f.set_enabled(true);
+  simnet::World world(1);
+  simnet::Host& a = world.create_host("a");
+  EXPECT_EQ(a.flight().dump(), "(no flight events for host a)");
+  EXPECT_EQ(world.flight().dump(), "(flight recorder empty)");
+  a.flight().record("c", "w", "x=1");
+  EXPECT_NE(a.flight().dump().find("flight recorder (1 events):\n"), std::string::npos);
+  EXPECT_NE(a.flight().dump().find("[a] c/w x=1"), std::string::npos);
+
+  MetricsRegistry registry;
+  BeaconBuilder::Options opt;
+  opt.host = "a";
+  opt.registry = &registry;
+  EXPECT_TRUE(BeaconBuilder(opt).build(1).flight.empty());
+  opt.flight = &a.flight();
+  EXPECT_EQ(BeaconBuilder(opt).build(1).flight.size(), 1u);
 }
 
-TEST(Flight, TimestampsComeFromTraceClock) {
+TEST(Flight, TimestampsComeFromOwnerEngineClock) {
+  // Host rings read their host's engine and the World ring its control
+  // engine, never the tracer's installed clock.
+  simnet::World world(1, 2);
+  simnet::Host& a = world.create_host("a", 1);
+  world.shard_engine(1).schedule(duration::seconds(2), [&a] { a.flight().record("c", "w"); });
+  world.control_engine().schedule(duration::seconds(3),
+                                  [&world] { world.flight().record("fault", "x"); });
   auto& tracer = Tracer::global();
   tracer.set_clock([] { return std::int64_t{123'456'789}; });
-  FlightRecorder f(8);
-  f.record("a", "c", "w");
+  world.run_until(duration::seconds(4));
   tracer.set_clock(nullptr);
-  ASSERT_EQ(f.events().size(), 1u);
-  EXPECT_EQ(f.events()[0].ts, 123'456'789);
+  ASSERT_EQ(a.flight().events().size(), 1u);
+  EXPECT_EQ(a.flight().events()[0].ts, duration::seconds(2));
+  ASSERT_EQ(world.flight().events().size(), 1u);
+  EXPECT_EQ(world.flight().events()[0].ts, duration::seconds(3));
 }
 
-TEST(Flight, CapacityIsConfigurableAndResizeClears) {
-  FlightRecorder f(3);
-  EXPECT_EQ(f.capacity(), 3u);
-  for (int n = 0; n < 5; ++n) f.record("a", "test", "e" + std::to_string(n));
-  EXPECT_EQ(f.size(), 3u);
-  EXPECT_EQ(f.dropped(), 2u);
-  EXPECT_EQ(f.total_recorded(), 5u);
-  auto events = f.events();
-  ASSERT_EQ(events.size(), 3u);  // oldest-first survivors: e2 e3 e4
-  for (int n = 0; n < 3; ++n) EXPECT_EQ(events[n].what, "e" + std::to_string(2 + n));
-
-  // Growing (or shrinking) the ring restarts it: no stale tail, no carried
-  // dropped count — the telemetry cursor (total_recorded) restarts too.
-  f.set_capacity(8);
-  EXPECT_EQ(f.capacity(), 8u);
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_EQ(f.dropped(), 0u);
-  EXPECT_EQ(f.total_recorded(), 0u);
-  for (int n = 0; n < 10; ++n) f.record("a", "test", "f" + std::to_string(n));
-  events = f.events();
-  ASSERT_EQ(events.size(), 8u);
-  EXPECT_EQ(events.front().what, "f2");
-  EXPECT_EQ(events.back().what, "f9");
-  EXPECT_EQ(f.total_recorded(), 10u);
-
-  // Degenerate capacities clamp to 1 rather than dividing by zero.
-  f.set_capacity(0);
-  EXPECT_EQ(f.capacity(), 1u);
-  f.record("a", "test", "only");
-  f.record("a", "test", "newest");
-  ASSERT_EQ(f.events().size(), 1u);
-  EXPECT_EQ(f.events()[0].what, "newest");
-  FlightRecorder zero(0);
-  EXPECT_EQ(zero.capacity(), 1u);
-}
-
-TEST(Flight, CapacityEnvParsing) {
-  // The exact contract global() applies to SNIPE_FLIGHT_CAPACITY, testable
-  // without racing the singleton's one-shot env read.
-  EXPECT_EQ(FlightRecorder::capacity_from_env(nullptr), FlightRecorder::kDefaultCapacity);
-  EXPECT_EQ(FlightRecorder::capacity_from_env(""), FlightRecorder::kDefaultCapacity);
-  EXPECT_EQ(FlightRecorder::capacity_from_env("bogus"), FlightRecorder::kDefaultCapacity);
-  EXPECT_EQ(FlightRecorder::capacity_from_env("0"), FlightRecorder::kDefaultCapacity);
-  EXPECT_EQ(FlightRecorder::capacity_from_env("512"), 512u);
-  EXPECT_EQ(FlightRecorder::capacity_from_env("0x40"), 64u);  // any strtoull base
-}
-
-TEST(FlightDeathTest, AbortHandlerDumpsRecorder) {
-  // The sanitizer/assert path: SIGABRT triggers a stderr dump of the
-  // global recorder before the process dies.
-  FlightRecorder::install_abort_handler();
-  FlightRecorder::install_abort_handler();  // idempotent
-  EXPECT_DEATH(
-      {
-        FlightRecorder::global().record("a", "test", "before_abort", "detail");
-        std::abort();
-      },
-      "test/before_abort");
+TEST(Flight, QuietHostEntrySurvivesBusyNeighbour) {
+  simnet::World world(1);
+  simnet::Host& quiet = world.create_host("quiet");
+  simnet::Host& busy = world.create_host("busy");
+  quiet.flight().record("rm", "host_dead", "host=x");
+  for (int i = 0; i < 10'000; ++i) busy.flight().record("srudp", "rto");
+  auto kept = quiet.flight().events();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].what, "host_dead");
+  EXPECT_EQ(busy.flight().dropped(), 10'000 - FlightRecorder::kCapacity);
 }
 
 }  // namespace

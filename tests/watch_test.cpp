@@ -169,7 +169,7 @@ TEST(SeriesStore, UnknownSeriesAnswerZeroAndEmpty) {
 // ---- AlertEngine: the hysteresis state machine -----------------------------
 
 TEST(Alert, ThresholdHysteresisPendingFiringResolvedLifecycle) {
-  obs::FlightRecorder flight(64);
+  obs::FlightRecorder flight("hostA", [] { return std::int64_t{0}; });
   obs::AlertEngine::Options opt;
   opt.scope = "hostA";
   opt.flight = &flight;
@@ -218,7 +218,7 @@ TEST(Alert, ThresholdHysteresisPendingFiringResolvedLifecycle) {
 
   // Every transition landed in the flight recorder under "watchtower".
   int pending = 0, firing = 0, resolved = 0;
-  for (const auto& e : flight.events("hostA")) {
+  for (const auto& e : flight.events()) {
     EXPECT_EQ(e.cat, obs::kWatchtowerCategory);
     if (e.what == "alert.pending") ++pending;
     if (e.what == "alert.firing") ++firing;
@@ -230,7 +230,7 @@ TEST(Alert, ThresholdHysteresisPendingFiringResolvedLifecycle) {
 }
 
 TEST(Alert, ZeroHoldFiresSameTickAndMissingSeriesNeverFires) {
-  obs::FlightRecorder flight(16);
+  obs::FlightRecorder flight({}, [] { return std::int64_t{0}; });
   obs::AlertEngine::Options opt;
   opt.flight = &flight;
   obs::AlertEngine engine(opt);
@@ -256,7 +256,7 @@ TEST(Alert, ZeroHoldFiresSameTickAndMissingSeriesNeverFires) {
 }
 
 TEST(Alert, RateStalenessFlapAndRatioKindsEvaluate) {
-  obs::FlightRecorder flight(64);
+  obs::FlightRecorder flight({}, [] { return std::int64_t{0}; });
   obs::AlertEngine::Options opt;
   opt.flight = &flight;
   obs::AlertEngine engine(opt);
@@ -309,7 +309,7 @@ TEST(Alert, RateStalenessFlapAndRatioKindsEvaluate) {
 }
 
 TEST(Alert, BuiltinRulesStayIdleOnCleanStore) {
-  obs::FlightRecorder flight(16);
+  obs::FlightRecorder flight({}, [] { return std::int64_t{0}; });
   obs::AlertEngine::Options opt;
   opt.flight = &flight;
   obs::AlertEngine engine(opt);
@@ -417,6 +417,21 @@ TEST(Watchtower, ScrapesOnVirtualClockSamplesLinksAndFreezesWhileDown) {
   world.host("a")->set_up(true);
   world.engine().run_until(duration::seconds(20));
   EXPECT_GT(tower.series().last_ts("world.route_epoch"), frozen_at);
+}
+
+TEST(Watchtower, SecondWorldLeavesTheTowerClockAlone) {
+  // A tower stamps its points with its host's engine: building and then
+  // destroying another World, whose engines install and then reset the
+  // process tracer clock, cannot move it onto the wall clock.
+  World world(7004);
+  world.create_network("lan", simnet::ethernet100());
+  world.attach(world.create_host("a"), *world.network("lan"));
+  daemon::Watchtower tower(*world.host("a"));
+  tower.start();
+  { World other(7005); }
+  keep_alive(world.engine(), duration::seconds(5));
+  world.engine().run_until(duration::seconds(5));
+  EXPECT_EQ(tower.series().last_ts("world.route_epoch"), duration::seconds(5));
 }
 
 /// What host a's tower holds after 5 s of a->b SRUDP traffic in a world
@@ -638,6 +653,19 @@ TEST(WatchSoak, PartitionFiresBeaconStaleAndResolvesAfterHeal) {
   EXPECT_GE(watch.resolved("a", "beacon_stale"), cycles);
   EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);  // b never went silent
   EXPECT_EQ(watch.firing_count(), 0u);              // healed world is quiet
+
+  // The collector files its transitions in its own ring, naming the
+  // subject; a's exporter never ships them back as if a had recorded them.
+  std::size_t filed = 0;
+  for (const auto& e : w.world.host("coll")->flight().events())
+    filed += e.detail.rfind("host=a beacon_stale ", 0) == 0 ? 1 : 0;
+  EXPECT_GE(filed, 3 * cycles);  // pending, firing, resolved per cycle
+  for (const auto& e : w.collector->store().flight("a"))
+    EXPECT_EQ(e.detail.find("beacon_stale"), std::string::npos) << e.detail;
+  // World-level faults stay in the World ring: no beacon carries a copy.
+  EXPECT_EQ(w.world.flight().events().size(), 2 * cycles);
+  for (const auto& e : w.collector->store().flight())
+    EXPECT_NE(e.cat, "fault") << e.host << " shipped " << e.what;
   soak_report("partition", seed, duration_ns);
 }
 
