@@ -6,7 +6,7 @@
 # above it).  Suites: chaos (every chaos scenario), topo (zoned-topology
 # chaos, shard-invariant digests), watch (the per-fault-class alert soak:
 # each alert fires and resolves, the clean world fires nothing) and soak
-# (nightly: 50 chaos seeds logging one "<seed> <scenario> <digest-fnv1a>"
+# (nightly: 50 chaos seeds logging one "<seed> <scenario> <replay-digest>"
 # line per replay-checked scenario, so two soaks of a seed range diff for
 # cross-build determinism drift; then the alert soak, which must cover at
 # least an hour of virtual time).  The output goes to

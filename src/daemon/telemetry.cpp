@@ -40,9 +40,7 @@ void TelemetryExporter::tick() {
   ++beacons_sent_;
   beacons_counter_->inc();
   bytes_counter_->inc(wire.size() * config_.collectors.size());
-  // "telemetry" is its own trace category, excluded from replay digests the
-  // way "flow" is — the beacon must be observable without being part of the
-  // replay contract.
+  // "telemetry" is its own trace category, so beacons show as one track.
   obs::Tracer::global().instant("telemetry", "telemetry.beacon",
                                 {{"host", beacon.host},
                                  {"seq", std::to_string(beacon.seq)},

@@ -12,12 +12,11 @@
 // (/fleet/*).  Staleness is evaluated lazily at query time, so a partitioned
 // exporter shows up as stale without the collector doing any per-host work.
 //
-// Determinism contract: exporter traffic emits trace events only in the
-// dedicated "telemetry" category (excluded from chaos replay digests, like
-// "flow"), never draws host or fault RNG on loss-free management networks
-// (Rng::chance(0) consumes nothing), and never perturbs other components'
-// timestamps — seeded digests are bit-identical with the exporter on or
-// off (ChaosTrace.TelemetryExporterPreservesReplayDigests).
+// Determinism contract: exporter traffic rides only management networks,
+// never draws host or fault RNG there (loss-free links; Rng::chance(0)
+// consumes nothing), and never perturbs other components' timestamps — so
+// the data networks' replay digests are bit-identical with the exporter on
+// or off (ChaosTrace.TelemetryExporterPreservesReplayDigests).
 #pragma once
 
 #include <cstdint>

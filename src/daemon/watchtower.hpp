@@ -12,9 +12,9 @@
 //
 // Determinism contract (same as the exporter's): the timer is weak, ticks
 // are skipped while the host is down, scraping draws no RNG and sends no
-// packets, and every emission lands in the excluded "watchtower" trace
-// category — seeded chaos digests are bit-identical with the watchtower on
-// or off (ChaosWatch).
+// packets, and shipped series ride the exporter's beacons on management
+// networks — seeded data-network replay digests are bit-identical with the
+// watchtower on or off (ChaosWatch).
 #pragma once
 
 #include <cstdint>

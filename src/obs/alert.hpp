@@ -7,11 +7,10 @@
 // stay clear `clear_ns` before it resolves (firing -> idle), so a
 // single noisy sample neither pages nor un-pages anybody.
 //
-// Determinism contract: evaluation draws no randomness and sends nothing.
-// State transitions emit flight-recorder entries and trace instants in the
-// dedicated "watchtower" category, which — like "flow" and "telemetry" —
-// is excluded from chaos replay digests, so a seeded run is bit-identical
-// with the watchtower on or off (ChaosWatch).
+// Determinism contract: evaluation draws no randomness and sends no packet
+// on a data network; state transitions emit flight-recorder entries and
+// trace instants in the "watchtower" category.  So a seeded run's replay
+// digest is bit-identical with the watchtower on or off (ChaosWatch).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,7 @@ namespace snipe::obs {
 
 class FlightRecorder;
 
-/// The trace category every watchtower emission uses — excluded from chaos
-/// replay digests alongside "flow" and "telemetry".
+/// The trace category every watchtower emission uses.
 inline constexpr const char* kWatchtowerCategory = "watchtower";
 
 enum class AlertKind {

@@ -1,9 +1,7 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <tuple>
 
 namespace snipe::obs {
 
@@ -121,21 +119,6 @@ void Tracer::clear() {
   dropped_ = 0;
 }
 
-void Tracer::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(capacity_);
-  next_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
-std::size_t Tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void Tracer::push(TraceEvent event) {
   if (size_ < capacity_) {
     ring_.push_back(std::move(event));
@@ -201,20 +184,6 @@ void Tracer::end_span(SpanId id, Args args) {
   push(std::move(e));
 }
 
-void Tracer::complete(std::string cat, std::string name, std::int64_t ts, std::int64_t dur,
-                      Args args) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::complete;
-  e.cat = std::move(cat);
-  e.name = std::move(name);
-  e.ts = ts;
-  e.dur = dur;
-  e.args = std::move(args);
-  push(std::move(e));
-}
-
 std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;
@@ -222,16 +191,6 @@ std::vector<TraceEvent> Tracer::events() const {
   // Oldest first: when the ring has wrapped, the oldest entry is at next_.
   std::size_t start = size_ < capacity_ ? 0 : next_;
   for (std::size_t i = 0; i < size_; ++i) out.push_back(ring_[(start + i) % size_]);
-  return out;
-}
-
-std::vector<TraceEvent> Tracer::events_canonical() const {
-  std::vector<TraceEvent> out = events();
-  auto key = [](const TraceEvent& e) {
-    return std::tie(e.ts, e.cat, e.name, e.phase, e.id, e.dur);
-  };
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const TraceEvent& a, const TraceEvent& b) { return key(a) < key(b); });
   return out;
 }
 

@@ -3,9 +3,9 @@
 // host A -> SRUDP retransmit -> multipath failover -> migration sequence
 // renders as one timeline in chrome://tracing or https://ui.perfetto.dev.
 //
-// Timestamps come from an installed clock — the simnet Engine installs its
-// virtual clock for its lifetime (the same pattern as set_log_time_source
-// in util/log.hpp) — and fall back to a wall clock so the tracer also
+// Timestamps come from an installed clock — the newest live simnet Engine
+// installs its virtual clock (the same pattern as set_log_time_source in
+// util/log.hpp) — and fall back to a wall clock so the tracer also
 // works outside a simulation.  Each event carries a category ("transport",
 // "rcds", "rm", "daemon", "core", ...) which becomes a named track in the
 // exported trace.
@@ -75,10 +75,8 @@ class Tracer {
   std::int64_t now() const;
 
   /// Drops every recorded event (open spans survive) and resets the
-  /// dropped-event count.  `set_capacity` also clears.
+  /// dropped-event count.
   void clear();
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
 
   /// Records a zero-duration event.
   void instant(std::string cat, std::string name, Args args = {});
@@ -95,21 +93,10 @@ class Tracer {
   SpanId begin_span(std::string cat, std::string name);
   void end_span(SpanId id, Args args = {});
 
-  /// Records a pre-measured complete event.
-  void complete(std::string cat, std::string name, std::int64_t ts, std::int64_t dur,
-                Args args = {});
-
   /// Events in record order, oldest first (the buffer keeps the newest
-  /// `capacity()` events; `dropped()` counts the overwritten ones).
+  /// `capacity` events given at construction; `dropped()` counts the
+  /// overwritten ones).
   std::vector<TraceEvent> events() const;
-  /// Events in *canonical* order: stably sorted by (ts, cat, name, phase,
-  /// id, dur).  Record order interleaves nondeterministically when several
-  /// shard threads trace concurrently; the canonical order is a pure
-  /// function of the per-timestamp event multiset, which the sharded
-  /// engine's determinism contract preserves across shard counts — digest
-  /// this, not events(), to compare sharded runs (see DESIGN.md
-  /// §sharded-engine).
-  std::vector<TraceEvent> events_canonical() const;
   std::uint64_t dropped() const;
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}); timestamps in
@@ -132,7 +119,7 @@ class Tracer {
   std::atomic<bool> flow_enabled_{false};
   std::function<std::int64_t()> clock_;
   std::vector<TraceEvent> ring_;
-  std::size_t capacity_;
+  const std::size_t capacity_;
   std::size_t next_ = 0;  ///< ring write index
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;

@@ -200,11 +200,10 @@ class Engine {
 
   /// Scopes the calling thread's trace/log clock to `engine`: while alive,
   /// trace events and log lines emitted from this thread are stamped with
-  /// `engine`'s virtual time instead of the most recently constructed
-  /// engine's.  The sharded World driver installs one per worker thread (and
-  /// around control-engine drains), so an event on shard 3 is stamped with
-  /// shard 3's clock without any cross-thread read of another engine's
-  /// `now_`.
+  /// `engine`'s virtual time instead of the newest live engine's.  The
+  /// sharded World driver installs one per worker thread (and around
+  /// control-engine drains), so an event on shard 3 is stamped with shard
+  /// 3's clock without any cross-thread read of another engine's `now_`.
   class ThreadTimeScope {
    public:
     explicit ThreadTimeScope(Engine* engine);

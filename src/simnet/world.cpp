@@ -55,6 +55,40 @@ std::uint64_t route_tie(const std::string& src, const std::string& dst,
   return h;
 }
 
+/// What became of one datagram on one network: the replay digest's alphabet.
+enum class Fate : std::uint8_t {
+  delivered, media_loss, fault_drop, fault_corrupt, fault_duplicate, down, unbound
+};
+
+/// The NetStats counter each Fate bumps, indexed by Fate.
+constexpr std::atomic<std::uint64_t> NetStats::*kFateCounter[] = {
+    &NetStats::packets_delivered, &NetStats::drops_loss,       &NetStats::drops_fault,
+    &NetStats::fault_corruptions, &NetStats::fault_duplicates, &NetStats::drops_down,
+    &NetStats::drops_unbound};
+
+/// splitmix64's finalizer: a bijective 64-bit mix.
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Counts one datagram fate in `net`'s NetStats and adds its hash over
+/// (fate, t, src, dst, port, len) to the network's replay digest.  Both are
+/// atomic adds, so shards tally without a lock and the digest does not
+/// depend on the order of its terms.
+void tally(Network& net, Fate fate, SimTime t, const Node& src, const Node& dst,
+           std::uint16_t port, std::size_t len) {
+  NetStats& stats = net.stats();
+  ++(stats.*kFateCounter[static_cast<std::size_t>(fate)]);
+  std::uint64_t h = mix64(static_cast<std::uint64_t>(fate) * 0x9e3779b97f4a7c15ULL +
+                          static_cast<std::uint64_t>(t));
+  h = mix64(h ^ src.name_hash());
+  h = mix64(h ^ dst.name_hash());
+  h = mix64(h ^ (std::uint64_t{port} << 48) ^ static_cast<std::uint64_t>(len));
+  stats.digest.fetch_add(h, std::memory_order_relaxed);
+}
+
 /// Runs one about-to-fly datagram through its network's fault injector (if
 /// any) and hands each surviving copy — the jittered duplicate first, as
 /// always — to `post(arrival, packet)`.  `lane` is the transmitting node:
@@ -70,19 +104,21 @@ void judge_and_post(const Node& lane, const Host& dst, SimTime arrival, Packet p
   FaultInjector* fault = net->fault();
   if (fault != nullptr) {
     FaultVerdict v = fault->judge(lane.name(), packet.src->name(), dst.name());
+    const std::size_t len = packet.payload.size();
     if (v.drop) {
-      net->stats().drops_fault++;
+      tally(*net, Fate::fault_drop, arrival, *packet.src, dst, packet.dst_port, len);
       return;
     }
     if (v.corrupt) {
       fault->corrupt_payload(packet.payload, lane.name());
-      net->stats().fault_corruptions++;
+      tally(*net, Fate::fault_corrupt, arrival, *packet.src, dst, packet.dst_port, len);
     }
     if (v.copies > 1) {
-      net->stats().fault_duplicates += static_cast<std::uint64_t>(v.copies - 1);
+      SimTime dup_arrival = arrival + v.extra_delay + v.dup_delay;
+      tally(*net, Fate::fault_duplicate, dup_arrival, *packet.src, dst, packet.dst_port, len);
       // The duplicate is posted first, as it always has been: at equal
       // arrival times post order decides delivery order.
-      post(arrival + v.extra_delay + v.dup_delay, packet);
+      post(dup_arrival, packet);
     }
     arrival += v.extra_delay;
   }
@@ -112,6 +148,7 @@ Node::Node(World* world, std::string name, Rng rng, Engine* engine, std::size_t 
            bool is_router)
     : world_(world),
       name_(std::move(name)),
+      name_hash_(Rng::hash_name(name_)),
       rng_(rng),
       engine_(engine),
       shard_(shard),
@@ -260,7 +297,7 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
 
   bool lost = rng_.chance(net->total_loss());
   if (lost) {
-    net->stats().drops_loss++;
+    tally(*net, Fate::media_loss, arrival, *this, *dst_host, dst.port, payload.size());
     return net->name();  // like UDP: the sender cannot tell
   }
 
@@ -296,7 +333,7 @@ Result<std::string> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Pa
   net->stats().bytes_sent += payload.size();
 
   if (rng_.chance(net->total_loss())) {
-    net->stats().drops_loss++;
+    tally(*net, Fate::media_loss, arrival, *this, *dst_host, dst_port, payload.size());
     return net->name();
   }
 
@@ -318,16 +355,18 @@ void Host::deliver(Packet packet) {
   // died or the link may have failed while the packet was in flight.
   Network* network = packet.network;
   Nic* nic = nic_on(network);
+  const SimTime now = engine_->now();
+  const std::size_t len = packet.payload.size();
   if (!up_ || !network->up() || nic == nullptr || !nic->up()) {
-    network->stats().drops_down++;
+    tally(*network, Fate::down, now, *packet.src, *this, packet.dst_port, len);
     return;
   }
   auto it = ports_.find(packet.dst_port);
   if (it == ports_.end()) {
-    network->stats().drops_unbound++;
+    tally(*network, Fate::unbound, now, *packet.src, *this, packet.dst_port, len);
     return;
   }
-  network->stats().packets_delivered++;
+  tally(*network, Fate::delivered, now, *packet.src, *this, packet.dst_port, len);
   it->second(packet);
 }
 
@@ -357,7 +396,7 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
     net->stats().packets_sent++;
     net->stats().bytes_sent += payload.size();
     if (rng_.chance(net->total_loss())) {
-      net->stats().drops_loss++;
+      tally(*net, Fate::media_loss, arrival, *this, *target, port, payload.size());
       continue;
     }
     schedule_delivery(target, arrival, Packet{this, src_port, port, net, payload});
@@ -595,11 +634,12 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
   // router, its egress NIC or the link may have died while the packet was
   // in flight (§6's route-switching scenario: the transport's retransmit
   // re-resolves against the bumped epoch and fails over).
+  Engine& engine = node->engine();
   if (!node->up() || !tx->up() || !net->up()) {
-    net->stats().drops_down++;
+    tally(*net, Fate::down, engine.now(), *packet.src, *route->dst, packet.dst_port,
+          packet.payload.size());
     return;
   }
-  Engine& engine = node->engine();
   SimTime start = std::max(engine.now(), tx->next_free());
   SimDuration ser = net->model().serialize_time(packet.payload.size());
   tx->set_next_free(start + ser);
@@ -610,7 +650,8 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
   net->stats().bytes_sent += packet.payload.size();
 
   if (node->rng().chance(net->total_loss())) {
-    net->stats().drops_loss++;
+    tally(*net, Fate::media_loss, arrival, *packet.src, *route->dst, packet.dst_port,
+          packet.payload.size());
     return;
   }
 
@@ -851,6 +892,13 @@ std::vector<obs::FlightEvent> World::flight_timeline() const {
                      return a.ts < b.ts;
                    });
   return out;
+}
+
+std::uint64_t World::replay_digest() const {
+  std::uint64_t sum = 0;
+  for (const auto& [name, net] : networks_)
+    sum += net->stats().digest.load(std::memory_order_relaxed);
+  return sum;
 }
 
 std::uint64_t World::events_run() const {

@@ -144,6 +144,11 @@ class Nic {
 /// spans shards is incremented from several worker threads at once; every
 /// field is a pure sum, so totals stay deterministic regardless of the
 /// interleaving.
+///
+/// `digest` is the network's share of the replay oracle: the wrapping sum
+/// of one hash per datagram fate met here, each bumping its counter above
+/// (DESIGN.md §Seed/replay contract).  A sum is order-free, so the digest
+/// is the same for every shard count.  World::replay_digest() adds them.
 struct NetStats {
   std::atomic<std::uint64_t> packets_sent{0};
   std::atomic<std::uint64_t> bytes_sent{0};
@@ -154,6 +159,7 @@ struct NetStats {
   std::atomic<std::uint64_t> drops_fault{0};     ///< fault injector (burst loss/partition)
   std::atomic<std::uint64_t> fault_duplicates{0};  ///< extra copies injected
   std::atomic<std::uint64_t> fault_corruptions{0}; ///< datagrams delivered mangled
+  std::atomic<std::uint64_t> digest{0};          ///< sum of datagram fate hashes
 };
 
 /// A shared medium: an Ethernet segment, ATM fabric, point-to-point WAN
@@ -238,6 +244,8 @@ class Node {
   virtual ~Node() = default;
 
   const std::string& name() const { return name_; }
+  /// Rng::hash_name(name()), computed once: the replay digest's node key.
+  std::uint64_t name_hash() const { return name_hash_; }
   bool up() const { return up_; }
   /// Taking a node down atomically clears nothing: host bindings survive so
   /// the host "reboots" with its services intact (§5.6's model), and a
@@ -269,6 +277,7 @@ class Node {
 
   World* world_;
   std::string name_;
+  std::uint64_t name_hash_;
   bool up_ = true;
   std::vector<std::unique_ptr<Nic>> nics_;
   Rng rng_;
@@ -457,6 +466,10 @@ class World {
 
   /// Total events executed across all engines.
   std::uint64_t events_run() const;
+  /// The replay oracle: the sum of every network's NetStats::digest, i.e.
+  /// of one hash per datagram fate this World simulated.  Same seed, same
+  /// digest, for any shard count.
+  std::uint64_t replay_digest() const;
   /// The lookahead of the current topology (recomputed at each run call);
   /// Engine::kNever when no network crosses shards.
   SimTime lookahead() const { return lookahead_; }

@@ -63,6 +63,7 @@ LogLevel set_log_level(LogLevel level) {
 }
 
 void set_log_time_source(std::function<std::int64_t()> source) {
+  std::lock_guard<std::mutex> lock(log_detail::emit_mutex());
   log_detail::time_source() = std::move(source);
 }
 

@@ -3,9 +3,10 @@
 // corruption, partitions, and crash/restart schedules.
 //
 // Every scenario is a pure function of one 64-bit seed; the acceptance
-// scenarios run each seed twice and require bit-identical virtual-time
-// traces, which is the replay contract DESIGN.md §fault documents.  Set
-// SNIPE_CHAOS_SEED to reproduce a failing CI run (see chaos_util.hpp).
+// scenarios run each seed twice and require bit-identical replay digests
+// (World::replay_digest(): one hash per datagram fate), which is the replay
+// contract DESIGN.md §fault documents.  Set SNIPE_CHAOS_SEED to reproduce a
+// failing CI run (see chaos_util.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "chaos_util.hpp"
 #include "obs/alert.hpp"
 #include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/watchtower.hpp"
 #include "files/fileserver.hpp"
@@ -58,11 +60,12 @@ struct GauntletResult {
   std::size_t pending = 0;
   std::uint64_t drops_fault = 0;      ///< scenario actually bit
   std::uint64_t fault_duplicates = 0;
-  std::string digest;  ///< trace + end-state fingerprint for replay checks
+  /// World::replay_digest().  "lan" is the only network, so this is also
+  /// the data network's digest the flow-tracing on/off arms compare.
+  std::uint64_t digest = 0;
 };
 
 GauntletResult run_srudp_gauntlet(std::uint64_t seed) {
-  obs::Tracer::global().clear();
   World world(seed);
   chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
@@ -110,12 +113,7 @@ GauntletResult run_srudp_gauntlet(std::uint64_t seed) {
   r.pending = sender.pending();
   r.drops_fault = world.network("lan")->stats().drops_fault;
   r.fault_duplicates = world.network("lan")->stats().fault_duplicates;
-  // Excluding "flow" makes the digest comparable between flow-tracing-on
-  // and -off runs — the replay contract says everything else is identical.
-  r.digest = chaos::trace_digest("flow") + "|delivered=" + std::to_string(r.delivered) +
-             "|retx=" + std::to_string(sender.stats().fragments_retransmitted.v) +
-             "|dropsF=" + std::to_string(world.network("lan")->stats().drops_fault) +
-             "|dups=" + std::to_string(world.network("lan")->stats().fault_duplicates);
+  r.digest = world.replay_digest();
   return r;
 }
 
@@ -156,11 +154,10 @@ TEST(ChaosSrudp, GauntletExactlyOnceInOrderAcrossSeeds) {
 struct CorruptionResult {
   std::vector<std::size_t> sent_sizes;
   std::vector<std::size_t> got_sizes;
-  std::string digest;
+  std::uint64_t digest = 0;
 };
 
 CorruptionResult run_srudp_corruption(std::uint64_t seed) {
-  obs::Tracer::global().clear();
   World world(seed);
   chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
@@ -195,7 +192,7 @@ CorruptionResult run_srudp_corruption(std::uint64_t seed) {
         });
   }
   world.engine().run_until(duration::seconds(60));
-  r.digest = chaos::trace_digest() + "|got=" + std::to_string(r.got_sizes.size());
+  r.digest = world.replay_digest();
   return r;
 }
 
@@ -218,6 +215,7 @@ TEST(ChaosSrudp, CorruptionDamageIsBoundedAndReplaysExactly) {
     EXPECT_LE(first.got_sizes.size(), first.sent_sizes.size() + 2) << "seed " << seed;
     CorruptionResult replay = run_srudp_corruption(seed);
     EXPECT_EQ(first.digest, replay.digest) << "seed " << seed << " did not replay";
+    EXPECT_EQ(first.got_sizes, replay.got_sizes) << "seed " << seed << " did not replay";
     chaos::log_digest("srudp_corruption", seed, first.digest);
   }
 }
@@ -498,12 +496,11 @@ struct StripedChaosResult {
   Bytes expected;       ///< what was written
   bool saw_stall = false;
   bool saw_reissue = false;
-  std::string digest;
+  std::uint64_t digest = 0;
 };
 
 StripedChaosResult run_striped_chaos(std::uint64_t seed, bool crash_server,
                                      bool lossy) {
-  obs::Tracer::global().clear();
   World world(seed);
   chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
@@ -576,7 +573,7 @@ StripedChaosResult run_striped_chaos(std::uint64_t seed, bool crash_server,
     if (e.what == "stripe_stall") out.saw_stall = true;
     if (e.what == "stripe_reissue") out.saw_reissue = true;
   }
-  out.digest = chaos::trace_digest();
+  out.digest = world.replay_digest();
   return out;
 }
 
@@ -599,7 +596,7 @@ TEST(ChaosFiles, StripedReadCompletesAfterServingReplicaCrash) {
 TEST(ChaosFiles, StripedTransfersUnderLossReplayExactly) {
   // Loss, duplication, reordering and a brief partition of one replica:
   // the striped transfer must still complete intact, and the same seed
-  // must reproduce the identical virtual-time trace (the replay contract).
+  // must reproduce the identical replay digest (the replay contract).
   for (int i = 0; i < kSeeds; ++i) {
     std::uint64_t seed = chaos::chaos_seed() + 650 + i;
     auto first = run_striped_chaos(seed, /*crash_server=*/false, /*lossy=*/true);
@@ -721,15 +718,11 @@ TEST(ChaosObs, ExpiredAndSkippedCountsMatchMetricsRegistry) {
 //
 // The trace context is always minted and carried on the wire; only the
 // *recording* of flow events is switched at runtime.  So a flow-on run and
-// a flow-off run of the same seed must be byte-identical in every respect
-// except the flow events themselves: same deliveries, same retransmit
-// counts, same virtual timestamps on every non-flow trace event.
+// a flow-off run of the same seed must move exactly the same datagrams:
+// same data-network replay digest, same deliveries.
 
 TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
   auto& tracer = obs::Tracer::global();
-  // Room for the per-fragment flow events so they cannot evict non-flow
-  // events from the ring and perturb the filtered digest.
-  tracer.set_capacity(1 << 20);
   std::uint64_t seed = chaos::chaos_seed() + 700;
 
   auto base = run_srudp_gauntlet(seed);
@@ -740,7 +733,7 @@ TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
   tracer.set_flow_enabled(false);
   ASSERT_TRUE(traced.intact) << traced.why;
 
-  // (a) bit-identical seeded delivery + trace digests with tracing enabled.
+  // (a) bit-identical seeded replay digest with tracing enabled.
   EXPECT_EQ(base.digest, traced.digest);
   EXPECT_EQ(base.delivered, traced.delivered);
 
@@ -776,8 +769,6 @@ TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"0x"), std::string::npos);
-
-  tracer.set_capacity(16384);  // restore the suite default
 }
 
 // ---- flight recorder: a dump after a faulted run shows what chaos did ------
@@ -818,9 +809,10 @@ TEST(ChaosFlight, DumpAfterFaultedRunContainsInjectedFaults) {
 // Host rings read their host's engine and the World ring its control
 // engine, so two Worlds that reuse the same host names can run at once on
 // two threads and each host still ends with exactly the entries a solo run
-// of its World leaves.  The tracer's and the logger's clocks are still
-// process-wide (installed by the most recently built Engine), so both are
-// switched off while the two threads run.
+// of its World leaves.  The replay digest lives in each World's networks,
+// so each concurrent run also reaches its solo digest.  The tracer's and
+// the logger's fallback clocks are still process-wide (the newest live
+// Engine's), so both are switched off while the two threads run.
 
 struct RingWorld {
   explicit RingWorld(std::uint64_t seed) : world(seed), plan(world, seed + 1) {
@@ -857,14 +849,17 @@ struct RingWorld {
 TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
   const std::uint64_t seeds[2] = {chaos::chaos_seed() + 820, chaos::chaos_seed() + 821};
   std::map<std::string, std::string> solo[2];
+  std::uint64_t solo_digest[2];
   for (int i = 0; i < 2; ++i) {
     RingWorld w(seeds[i]);
     w.run();
     solo[i] = w.rings();
+    solo_digest[i] = w.world.replay_digest();
   }
   EXPECT_NE(solo[0]["*"].find("fault/partition.start"), std::string::npos);
   EXPECT_NE(solo[0]["a"].find("[a] srudp/rto"), std::string::npos) << solo[0]["a"];
   ASSERT_NE(solo[0], solo[1]);  // the seeds differ, so any mixing would show
+  ASSERT_NE(solo_digest[0], solo_digest[1]);
 
   auto& tracer = obs::Tracer::global();
   tracer.set_enabled(false);
@@ -878,25 +873,30 @@ TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
     t1.join();
     EXPECT_EQ(w0.rings(), solo[0]);
     EXPECT_EQ(w1.rings(), solo[1]);
+    EXPECT_EQ(w0.world.replay_digest(), solo_digest[0]);
+    EXPECT_EQ(w1.world.replay_digest(), solo_digest[1]);
   }
   set_log_level(level);
   tracer.set_enabled(true);
 }
 
-// ---- fleet telemetry: the exporter must not perturb the replay digest ------
+// ---- fleet telemetry and watchtower: neither may perturb the data plane ----
 //
 // The telemetry plane's determinism contract (src/daemon/telemetry.hpp):
 // beacons ride loss-free management links (no RNG draws — Rng::chance(0)
-// consumes nothing), emit trace events only in the "telemetry" category,
-// and never shift any other component's timestamps.  So a chaos run with
-// exporters+collector attached must produce the *bit-identical* digest of
-// a run without them, once "telemetry" (and "flow", as ever) is excluded.
-// The data hosts share only the lossy lan — each reaches the collector
-// over its own private management link, so beacons cannot even contend
-// with data traffic for egress bandwidth after a route failover.
+// consumes nothing) and never shift any other component's timestamps.  The
+// watchtower's (DESIGN.md §watchtower): scrapes ride weak virtual-time
+// timers, draw no randomness and send no packets; its series ride inside
+// the exporter's beacons.  So a chaos run with exporters+collector
+// attached must leave the *bit-identical* data-network ("lan") digest of a
+// run without them, and switching the watchtower on (`watch_on` needs
+// `exporter_on`; exporters run in both arms) must not move it either.  The
+// data hosts share only the lossy lan — each reaches the collector over
+// its own private management link, so beacons cannot even contend with
+// data traffic for egress bandwidth after a route failover.
 
-std::string run_fleet_gauntlet(std::uint64_t seed, bool exporter_on) {
-  obs::Tracer::global().clear();
+std::uint64_t run_mgmt_gauntlet(std::uint64_t seed, bool exporter_on, bool watch_on,
+                                std::uint64_t* canary_fired = nullptr) {
   World world(seed);
   chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
@@ -924,16 +924,38 @@ std::string run_fleet_gauntlet(std::uint64_t seed, bool exporter_on) {
   std::unique_ptr<transport::RpcEndpoint> coll_rpc;
   std::unique_ptr<daemon::TelemetryCollector> collector;
   std::vector<std::unique_ptr<transport::RpcEndpoint>> exporter_rpcs;
+  std::vector<std::unique_ptr<daemon::Watchtower>> towers;
   std::vector<std::unique_ptr<daemon::TelemetryExporter>> exporters;
   if (exporter_on) {
     coll_rpc = std::make_unique<transport::RpcEndpoint>(*world.host("coll"), 7300);
-    collector = std::make_unique<daemon::TelemetryCollector>(*coll_rpc);
+    daemon::CollectorWatchConfig watch_cfg;
+    watch_cfg.enabled = watch_on;
+    collector = std::make_unique<daemon::TelemetryCollector>(
+        *coll_rpc, obs::FleetStore::Options{}, watch_cfg);
     for (const char* h : {"a", "b"}) {
       auto rpc = std::make_unique<transport::RpcEndpoint>(*world.host(h), 7400);
+      const obs::SeriesStore* series = nullptr;
+      if (watch_on) {
+        // A canary rule guarantees the full pending -> firing transition
+        // sequence actually happens inside the run, deterministically (it
+        // keys on traffic every seeded run generates).
+        daemon::WatchtowerConfig cfg;
+        cfg.rules = obs::AlertEngine::builtin_rules();
+        obs::AlertRule canary;
+        canary.name = "watch_canary";
+        canary.metric = "srudp.fragments_sent";
+        canary.threshold = 0;
+        canary.for_ns = 1'000'000'000;
+        cfg.rules.push_back(canary);
+        towers.push_back(std::make_unique<daemon::Watchtower>(*world.host(h), cfg));
+        towers.back()->start();
+        series = &towers.back()->series();
+      }
       daemon::TelemetryConfig cfg;
       cfg.collectors = {coll_rpc->address()};
       cfg.period = duration::milliseconds(500);
-      auto exporter = std::make_unique<daemon::TelemetryExporter>(*rpc, cfg);
+      auto exporter = std::make_unique<daemon::TelemetryExporter>(*rpc, cfg, nullptr,
+                                                                  nullptr, series);
       exporter->start();
       exporter_rpcs.push_back(std::move(rpc));
       exporters.push_back(std::move(exporter));
@@ -951,113 +973,14 @@ std::string run_fleet_gauntlet(std::uint64_t seed, bool exporter_on) {
   }
   world.engine().run_until(duration::seconds(20));
 
+  EXPECT_GT(delivered, 0u) << "seed " << seed;
   if (exporter_on) {
-    // The plane must actually have run for the comparison to mean anything.
+    // The plane must actually have run for the comparison to mean anything,
+    // and the oracle sees its beacons — on the management networks.
     EXPECT_EQ(collector->store().host_count(), 2u) << "seed " << seed;
     EXPECT_GT(collector->beacons_received(), 0u) << "seed " << seed;
+    EXPECT_NE(world.network("mgmt_a")->stats().digest, 0u) << "seed " << seed;
   }
-  return chaos::trace_digest(std::vector<std::string>{"flow", "telemetry"}) +
-         "|delivered=" + std::to_string(delivered);
-}
-
-TEST(ChaosTrace, TelemetryExporterPreservesReplayDigests) {
-  for (int i = 0; i < 3; ++i) {
-    std::uint64_t seed = chaos::chaos_seed() + 900 + static_cast<std::uint64_t>(i);
-    std::string off = run_fleet_gauntlet(seed, false);
-    std::string on = run_fleet_gauntlet(seed, true);
-    EXPECT_EQ(off, on) << "seed " << seed << ": exporter perturbed the run";
-    chaos::log_digest("fleet_gauntlet", seed, on);
-  }
-}
-
-// ---- Watchtower: the alert engine under the same replay contract -----------
-//
-// The watchtower's determinism contract (DESIGN.md §watchtower): scrapes
-// ride weak virtual-time timers, draw no randomness, send no packets, and
-// every emission — flight entries and trace instants alike — lands in the
-// excluded "watchtower" category.  So a seeded faulted run with towers
-// scraping, alerts transitioning and series delta-shipping inside beacons
-// must digest bit-identically to the same run with the watchtower dark.
-// Exporters run in BOTH arms: the comparison isolates the watchtower, and
-// the series section's extra beacon bytes ride the loss-free management
-// links where packet count perturbs nothing outside "telemetry".
-
-std::string run_watch_gauntlet(std::uint64_t seed, bool watch_on,
-                               std::uint64_t* canary_fired = nullptr) {
-  obs::Tracer::global().clear();
-  World world(seed);
-  chaos::FlightWitness witness(world);
-  world.create_network("lan", simnet::ethernet100());
-  world.create_network("mgmt_a", simnet::ethernet100());
-  world.create_network("mgmt_b", simnet::ethernet100());
-  world.attach(world.create_host("a"), *world.network("lan"));
-  world.attach(world.create_host("b"), *world.network("lan"));
-  world.attach(world.create_host("coll"), *world.network("mgmt_a"));
-  world.attach(*world.host("coll"), *world.network("mgmt_b"));
-  world.attach(*world.host("a"), *world.network("mgmt_a"));
-  world.attach(*world.host("b"), *world.network("mgmt_b"));
-
-  transport::SrudpEndpoint sender(*world.host("a"), 7000);
-  transport::SrudpEndpoint receiver(*world.host("b"), 7000);
-  std::uint64_t delivered = 0;
-  receiver.set_handler([&delivered](const Address&, Payload) { ++delivered; });
-
-  FaultPlan plan(world, seed * 0x9E3779B97F4A7C15ULL + 5);
-  FaultProfile profile;
-  profile.burst = {0.02, 0.25, 0.02, 0.5};
-  profile.duplicate = 0.03;
-  profile.reorder = 0.05;
-  plan.inject("lan", profile);
-
-  transport::RpcEndpoint coll_rpc(*world.host("coll"), 7300);
-  daemon::CollectorWatchConfig watch_cfg;
-  watch_cfg.enabled = watch_on;
-  daemon::TelemetryCollector collector(coll_rpc, obs::FleetStore::Options{},
-                                       watch_cfg);
-  std::vector<std::unique_ptr<transport::RpcEndpoint>> exporter_rpcs;
-  std::vector<std::unique_ptr<daemon::Watchtower>> towers;
-  std::vector<std::unique_ptr<daemon::TelemetryExporter>> exporters;
-  for (const char* h : {"a", "b"}) {
-    auto rpc = std::make_unique<transport::RpcEndpoint>(*world.host(h), 7400);
-    const obs::SeriesStore* series = nullptr;
-    if (watch_on) {
-      // A canary rule guarantees the full pending -> firing transition
-      // sequence actually happens inside the digest window, deterministically
-      // (it keys on traffic every seeded run generates).
-      daemon::WatchtowerConfig cfg;
-      cfg.rules = obs::AlertEngine::builtin_rules();
-      obs::AlertRule canary;
-      canary.name = "watch_canary";
-      canary.metric = "srudp.fragments_sent";
-      canary.threshold = 0;
-      canary.for_ns = 1'000'000'000;
-      cfg.rules.push_back(canary);
-      towers.push_back(std::make_unique<daemon::Watchtower>(*world.host(h), cfg));
-      towers.back()->start();
-      series = &towers.back()->series();
-    }
-    daemon::TelemetryConfig cfg;
-    cfg.collectors = {coll_rpc.address()};
-    cfg.period = duration::milliseconds(500);
-    auto exporter = std::make_unique<daemon::TelemetryExporter>(*rpc, cfg, nullptr,
-                                                                nullptr, series);
-    exporter->start();
-    exporter_rpcs.push_back(std::move(rpc));
-    exporters.push_back(std::move(exporter));
-  }
-
-  const Address dst{"b", 7000};
-  for (std::uint32_t i = 0; i < 25; ++i) {
-    Bytes payload = chaos::chaos_payload(600 + 37 * i, seed, i);
-    world.engine().schedule_at(
-        duration::milliseconds(40) * i,
-        [&sender, dst, payload = std::move(payload)]() mutable {
-          sender.send(dst, std::move(payload));
-        });
-  }
-  world.engine().run_until(duration::seconds(20));
-
-  EXPECT_EQ(collector.store().host_count(), 2u) << "seed " << seed;
   if (watch_on) {
     // Non-vacuity: towers scraped, the canary fired on both, and the
     // shipped series reached the collector through real beacons.
@@ -1067,25 +990,34 @@ std::string run_watch_gauntlet(std::uint64_t seed, bool watch_on,
     }
     if (canary_fired != nullptr)
       *canary_fired = towers.front()->alerts().fired("watch_canary");
-    EXPECT_NE(collector.watch(), nullptr);
+    EXPECT_NE(collector->watch(), nullptr);
     for (const char* h : {"a", "b"}) {
-      const obs::SeriesStore* shipped = collector.store().host_series(h);
+      const obs::SeriesStore* shipped = collector->store().host_series(h);
       EXPECT_NE(shipped, nullptr) << "seed " << seed;
-      if (shipped != nullptr)
+      if (shipped != nullptr) {
         EXPECT_TRUE(shipped->has("srudp.fragments_sent")) << "seed " << seed;
+      }
     }
   }
-  return chaos::trace_digest(std::vector<std::string>{"flow", "telemetry",
-                                                      obs::kWatchtowerCategory}) +
-         "|delivered=" + std::to_string(delivered);
+  return world.network("lan")->stats().digest;
+}
+
+TEST(ChaosTrace, TelemetryExporterPreservesReplayDigests) {
+  for (int i = 0; i < 3; ++i) {
+    std::uint64_t seed = chaos::chaos_seed() + 900 + static_cast<std::uint64_t>(i);
+    std::uint64_t off = run_mgmt_gauntlet(seed, false, false);
+    std::uint64_t on = run_mgmt_gauntlet(seed, true, false);
+    EXPECT_EQ(off, on) << "seed " << seed << ": exporter perturbed the run";
+    chaos::log_digest("fleet_gauntlet", seed, on);
+  }
 }
 
 TEST(ChaosWatch, AlertEngineLeavesSeededDigestsUntouched) {
   for (int i = 0; i < 3; ++i) {
     std::uint64_t seed = chaos::chaos_seed() + 950 + static_cast<std::uint64_t>(i);
-    std::string off = run_watch_gauntlet(seed, false);
+    std::uint64_t off = run_mgmt_gauntlet(seed, true, false);
     std::uint64_t fired = 0;
-    std::string on = run_watch_gauntlet(seed, true, &fired);
+    std::uint64_t on = run_mgmt_gauntlet(seed, true, true, &fired);
     EXPECT_EQ(off, on) << "seed " << seed << ": watchtower perturbed the run";
     EXPECT_GE(fired, 1u) << "seed " << seed << ": canary never fired; vacuous";
     chaos::log_digest("watch_gauntlet", seed, on);
@@ -1113,8 +1045,8 @@ class FlightDumpOnFailure : public ::testing::EmptyTestEventListener {
 // ringed over a WAN — the WAN is the only network that crosses shards, so
 // its 18 ms latency is the lookahead.  SRUDP flows run within each site and
 // around the gateway ring while burst loss, duplication, reordering, a WAN
-// partition and a gateway crash all fire.  The canonical trace digest and
-// the delivery ledgers must come out bit-identical for 1, 2 and 4 shards.
+// partition and a gateway crash all fire.  The replay digest and the
+// delivery ledgers must come out bit-identical for 1, 2 and 4 shards.
 
 struct ShardedResult {
   bool intact = false;
@@ -1123,134 +1055,120 @@ struct ShardedResult {
   std::uint64_t drops_fault = 0;
   std::uint64_t cross_shard = 0;
   std::uint64_t windows = 0;
-  std::string digest;
+  std::uint64_t digest = 0;  ///< World::replay_digest()
 };
 
 ShardedResult run_sharded_sites(std::uint64_t seed, std::size_t shards,
                                 bool watch = false) {
   constexpr std::size_t kSites = 4;
-  obs::Tracer::global().clear();
-  // The ring must hold the whole run: once it wraps, *which* events survive
-  // depends on record order, which is thread-interleaving-dependent.
-  obs::Tracer::global().set_capacity(1 << 20);
-
   ShardedResult r;
-  {
-    World world(seed, shards);
-    chaos::FlightWitness witness(world);
-    for (std::size_t i = 0; i < kSites; ++i)
-      world.create_network("lan" + std::to_string(i), simnet::ethernet100());
-    world.create_network("wan", simnet::wan_t3());
-    // Same creation order for every shard count — host RNG forks depend on
-    // it — only the placement (site -> shard) varies.
-    std::vector<simnet::Host*> workers, gateways;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      std::size_t shard = i % shards;
-      simnet::Host& w = world.create_host("w" + std::to_string(i), shard);
-      simnet::Host& g = world.create_host("g" + std::to_string(i), shard);
-      world.attach(w, *world.network("lan" + std::to_string(i)));
-      world.attach(g, *world.network("lan" + std::to_string(i)));
-      world.attach(g, *world.network("wan"));
-      workers.push_back(&w);
-      gateways.push_back(&g);
-    }
-
-    // SRUDP flows: w_i -> g_i within each site, g_i -> g_(i+1) around the
-    // WAN ring.
-    std::vector<std::unique_ptr<transport::SrudpEndpoint>> eps;
-    // One ledger shared by all sites: gateways on different shards deliver
-    // from different worker threads, so handler access takes a lock (the
-    // per-sender vectors keep their per-flow order either way).
-    chaos::DeliveryLedger ledger;
-    std::mutex ledger_mu;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      eps.push_back(std::make_unique<transport::SrudpEndpoint>(*workers[i], 7000));
-      eps.push_back(std::make_unique<transport::SrudpEndpoint>(*gateways[i], 7000));
-      transport::SrudpEndpoint& gw = *eps.back();
-      gw.set_handler([&ledger, &ledger_mu](const Address& src, Payload m) {
-        std::lock_guard<std::mutex> lock(ledger_mu);
-        ledger.on_deliver(src.host, std::move(m));
-      });
-    }
-
-    // Watchtowers on every worker (one per shard placement pattern): weak
-    // scrape timers, own-NIC relaxed-atomic reads, alert evaluation
-    // — all outside the replay contract, so the digest must not move.
-    std::vector<std::unique_ptr<daemon::Watchtower>> towers;
-    if (watch) {
-      for (simnet::Host* w : workers) {
-        towers.push_back(std::make_unique<daemon::Watchtower>(*w));
-        towers.back()->start();
-      }
-    }
-
-    FaultPlan plan(world, seed * 0x9E3779B97F4A7C15ULL + 1);
-    FaultProfile profile;
-    profile.burst = {/*p_enter_bad=*/0.01, /*p_exit_bad=*/0.25,
-                     /*loss_good=*/0.005, /*loss_bad=*/0.5};
-    profile.duplicate = 0.03;
-    profile.reorder = 0.05;
-    profile.reorder_jitter = duration::milliseconds(2);
-    plan.inject("wan", profile);
-    plan.inject("lan1", profile);
-    plan.partition("wan", {{"g0", "g1"}, {"g2", "g3"}}, duration::milliseconds(301),
-                   duration::milliseconds(603));
-    plan.crash_host("g3", duration::milliseconds(701), duration::milliseconds(903));
-
-    // Workload on the hosts' own engines, staggered with coprime periods so
-    // no two cross-shard flows collide on one destination at one instant.
-    const std::uint32_t kMsgs = 10;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      transport::SrudpEndpoint& wtx = *eps[2 * i];
-      transport::SrudpEndpoint& gtx = *eps[2 * i + 1];
-      const Address site_dst{"g" + std::to_string(i), 7000};
-      const Address ring_dst{"g" + std::to_string((i + 1) % kSites), 7000};
-      for (std::uint32_t j = 0; j < kMsgs; ++j) {
-        std::uint32_t idx = static_cast<std::uint32_t>(i) * 100 + j;
-        Bytes intra = chaos::chaos_payload(
-            1 + (idx * 37u) % 3000, seed, idx);
-        ledger.expect_sent("w" + std::to_string(i), intra);
-        workers[i]->engine().schedule_at(
-            duration::milliseconds(5 + 17 * static_cast<SimTime>(i)) +
-                duration::milliseconds(23 + 2 * static_cast<SimTime>(i)) * j,
-            [&wtx, site_dst, intra = std::move(intra)]() mutable {
-              wtx.send(site_dst, std::move(intra));
-            });
-        Bytes ring = chaos::chaos_payload(
-            1 + (idx * 53u) % 3000, seed, 10000 + idx);
-        ledger.expect_sent("g" + std::to_string(i), ring);
-        gateways[i]->engine().schedule_at(
-            duration::milliseconds(11 + 13 * static_cast<SimTime>(i)) +
-                duration::milliseconds(29 + 2 * static_cast<SimTime>(i)) * j,
-            [&gtx, ring_dst, ring = std::move(ring)]() mutable {
-              gtx.send(ring_dst, std::move(ring));
-            });
-      }
-    }
-
-    world.run_until(duration::seconds(25));
-
-    r.intact = ledger.intact(&r.why);
-    for (std::size_t i = 0; i < kSites; ++i)
-      r.delivered += eps[2 * i + 1]->stats().messages_delivered.v;
-    r.drops_fault = world.network("wan")->stats().drops_fault +
-                    world.network("lan1")->stats().drops_fault;
-    r.cross_shard = world.run_stats().cross_shard_packets;
-    r.windows = world.run_stats().windows;
-    if (watch) {
-      for (const auto& t : towers) EXPECT_GT(t->scrapes(), 0u) << "seed " << seed;
-    }
-    EXPECT_EQ(obs::Tracer::global().dropped(), 0u) << "trace ring wrapped";
-    // "watchtower" joins "flow" in the excluded set so the same digest is
-    // comparable between watch-on and watch-off runs ("telemetry" rides
-    // along for uniformity; this scenario ships no beacons).
-    r.digest = chaos::trace_digest_canonical(
-                   std::vector<std::string>{"flow", "telemetry",
-                                            obs::kWatchtowerCategory}) +
-               "|delivered=" + std::to_string(r.delivered) +
-               "|dropsF=" + std::to_string(r.drops_fault);
+  World world(seed, shards);
+  chaos::FlightWitness witness(world);
+  for (std::size_t i = 0; i < kSites; ++i)
+    world.create_network("lan" + std::to_string(i), simnet::ethernet100());
+  world.create_network("wan", simnet::wan_t3());
+  // Same creation order for every shard count — host RNG forks depend on
+  // it — only the placement (site -> shard) varies.
+  std::vector<simnet::Host*> workers, gateways;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    std::size_t shard = i % shards;
+    simnet::Host& w = world.create_host("w" + std::to_string(i), shard);
+    simnet::Host& g = world.create_host("g" + std::to_string(i), shard);
+    world.attach(w, *world.network("lan" + std::to_string(i)));
+    world.attach(g, *world.network("lan" + std::to_string(i)));
+    world.attach(g, *world.network("wan"));
+    workers.push_back(&w);
+    gateways.push_back(&g);
   }
-  obs::Tracer::global().set_capacity(16384);
+
+  // SRUDP flows: w_i -> g_i within each site, g_i -> g_(i+1) around the
+  // WAN ring.
+  std::vector<std::unique_ptr<transport::SrudpEndpoint>> eps;
+  // One ledger shared by all sites: gateways on different shards deliver
+  // from different worker threads, so handler access takes a lock (the
+  // per-sender vectors keep their per-flow order either way).
+  chaos::DeliveryLedger ledger;
+  std::mutex ledger_mu;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    eps.push_back(std::make_unique<transport::SrudpEndpoint>(*workers[i], 7000));
+    eps.push_back(std::make_unique<transport::SrudpEndpoint>(*gateways[i], 7000));
+    transport::SrudpEndpoint& gw = *eps.back();
+    gw.set_handler([&ledger, &ledger_mu](const Address& src, Payload m) {
+      std::lock_guard<std::mutex> lock(ledger_mu);
+      ledger.on_deliver(src.host, std::move(m));
+    });
+  }
+
+  // Watchtowers on every worker (one per shard placement pattern): weak
+  // scrape timers, own-NIC relaxed-atomic reads, alert evaluation, no
+  // packets — so the digest must not move.
+  std::vector<std::unique_ptr<daemon::Watchtower>> towers;
+  if (watch) {
+    for (simnet::Host* w : workers) {
+      towers.push_back(std::make_unique<daemon::Watchtower>(*w));
+      towers.back()->start();
+    }
+  }
+
+  FaultPlan plan(world, seed * 0x9E3779B97F4A7C15ULL + 1);
+  FaultProfile profile;
+  profile.burst = {/*p_enter_bad=*/0.01, /*p_exit_bad=*/0.25,
+                   /*loss_good=*/0.005, /*loss_bad=*/0.5};
+  profile.duplicate = 0.03;
+  profile.reorder = 0.05;
+  profile.reorder_jitter = duration::milliseconds(2);
+  plan.inject("wan", profile);
+  plan.inject("lan1", profile);
+  plan.partition("wan", {{"g0", "g1"}, {"g2", "g3"}}, duration::milliseconds(301),
+                 duration::milliseconds(603));
+  plan.crash_host("g3", duration::milliseconds(701), duration::milliseconds(903));
+
+  // Workload on the hosts' own engines, staggered with coprime periods so
+  // no two cross-shard flows collide on one destination at one instant.
+  const std::uint32_t kMsgs = 10;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    transport::SrudpEndpoint& wtx = *eps[2 * i];
+    transport::SrudpEndpoint& gtx = *eps[2 * i + 1];
+    const Address site_dst{"g" + std::to_string(i), 7000};
+    const Address ring_dst{"g" + std::to_string((i + 1) % kSites), 7000};
+    for (std::uint32_t j = 0; j < kMsgs; ++j) {
+      std::uint32_t idx = static_cast<std::uint32_t>(i) * 100 + j;
+      Bytes intra = chaos::chaos_payload(
+          1 + (idx * 37u) % 3000, seed, idx);
+      ledger.expect_sent("w" + std::to_string(i), intra);
+      workers[i]->engine().schedule_at(
+          duration::milliseconds(5 + 17 * static_cast<SimTime>(i)) +
+              duration::milliseconds(23 + 2 * static_cast<SimTime>(i)) * j,
+          [&wtx, site_dst, intra = std::move(intra)]() mutable {
+            wtx.send(site_dst, std::move(intra));
+          });
+      Bytes ring = chaos::chaos_payload(
+          1 + (idx * 53u) % 3000, seed, 10000 + idx);
+      ledger.expect_sent("g" + std::to_string(i), ring);
+      gateways[i]->engine().schedule_at(
+          duration::milliseconds(11 + 13 * static_cast<SimTime>(i)) +
+              duration::milliseconds(29 + 2 * static_cast<SimTime>(i)) * j,
+          [&gtx, ring_dst, ring = std::move(ring)]() mutable {
+            gtx.send(ring_dst, std::move(ring));
+          });
+    }
+  }
+
+  world.run_until(duration::seconds(25));
+
+  r.intact = ledger.intact(&r.why);
+  for (std::size_t i = 0; i < kSites; ++i)
+    r.delivered += eps[2 * i + 1]->stats().messages_delivered.v;
+  r.drops_fault = world.network("wan")->stats().drops_fault +
+                  world.network("lan1")->stats().drops_fault;
+  r.cross_shard = world.run_stats().cross_shard_packets;
+  r.windows = world.run_stats().windows;
+  if (watch) {
+    for (const auto& t : towers) EXPECT_GT(t->scrapes(), 0u) << "seed " << seed;
+  }
+  // Watchtowers send no packets, so the whole-World digest is comparable
+  // between watch-on and watch-off runs.
+  r.digest = world.replay_digest();
   return r;
 }
 
@@ -1313,117 +1231,108 @@ TEST(ChaosWatch, WatchtowerInvariantAcrossShardCounts) {
 
 ShardedResult run_zoned_sites(std::uint64_t seed, std::size_t shards) {
   constexpr std::size_t kSites = 4;
-  obs::Tracer::global().clear();
-  obs::Tracer::global().set_capacity(1 << 20);
-
   ShardedResult r;
-  {
-    World world(seed, shards);
-    chaos::FlightWitness witness(world);
-    // Same creation order for every shard count: zones round-robin over
-    // however many shards exist, and every host/router RNG forks from the
-    // first engine in creation order either way.
-    std::vector<simnet::Zone*> sites;
-    for (std::size_t i = 0; i < kSites; ++i)
-      sites.push_back(&simnet::build_lan(world, "site" + std::to_string(i), 2,
-                                         simnet::ethernet100()));
-    for (std::size_t i = 0; i < kSites; ++i)
-      simnet::connect_zones(*sites[i], *sites[(i + 1) % kSites], simnet::wan_t3(),
-                            "wan" + std::to_string(i));
+  World world(seed, shards);
+  chaos::FlightWitness witness(world);
+  // Same creation order for every shard count: zones round-robin over
+  // however many shards exist, and every host/router RNG forks from the
+  // first engine in creation order either way.
+  std::vector<simnet::Zone*> sites;
+  for (std::size_t i = 0; i < kSites; ++i)
+    sites.push_back(&simnet::build_lan(world, "site" + std::to_string(i), 2,
+                                       simnet::ethernet100()));
+  for (std::size_t i = 0; i < kSites; ++i)
+    simnet::connect_zones(*sites[i], *sites[(i + 1) % kSites], simnet::wan_t3(),
+                          "wan" + std::to_string(i));
 
-    auto host_name = [](std::size_t site, int h) {
-      return "site" + std::to_string(site) + "/h" + std::to_string(h);
-    };
-    std::vector<simnet::Host*> senders, receivers;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      senders.push_back(world.host(host_name(i, 0)));
-      receivers.push_back(world.host(host_name(i, 1)));
-    }
-
-    std::vector<std::unique_ptr<transport::SrudpEndpoint>> eps;
-    chaos::DeliveryLedger ledger;
-    std::mutex ledger_mu;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      eps.push_back(std::make_unique<transport::SrudpEndpoint>(*senders[i], 7000));
-      eps.push_back(std::make_unique<transport::SrudpEndpoint>(*receivers[i], 7000));
-      transport::SrudpEndpoint& rx = *eps.back();
-      rx.set_handler([&ledger, &ledger_mu](const Address& src, Payload m) {
-        std::lock_guard<std::mutex> lock(ledger_mu);
-        ledger.on_deliver(src.host, std::move(m));
-      });
-    }
-
-    FaultPlan plan(world, seed * 0x9E3779B97F4A7C15ULL + 2);
-    FaultProfile profile;
-    profile.burst = {/*p_enter_bad=*/0.01, /*p_exit_bad=*/0.25,
-                     /*loss_good=*/0.005, /*loss_bad=*/0.5};
-    profile.duplicate = 0.03;
-    profile.reorder = 0.05;
-    profile.reorder_jitter = duration::milliseconds(2);
-    for (std::size_t i = 0; i < kSites; ++i)
-      plan.inject("wan" + std::to_string(i), profile);
-    // wan0 dies mid-run: the site0 -> site1 flow must re-resolve the long
-    // way around the ring (3 WAN hops) and keep delivering, then snap back.
-    // The window overlaps the send schedule so reroutes happen live.
-    plan.link_down("wan0", duration::milliseconds(131), duration::milliseconds(397));
-    // The site2 -> site3 flow is partitioned end-to-end on its WAN link for
-    // a window; interior-hop judging must still honor the (src, dst) pair —
-    // and the rerouted site0 flow transits wan2 unharmed meanwhile (its
-    // endpoints sit in the injector's implicit extra group).
-    plan.partition("wan2", {{host_name(2, 1)}, {host_name(3, 1)}},
-                   duration::milliseconds(301), duration::milliseconds(603));
-    // The partitioned flow's receiver also crashes across the heal, so the
-    // backlog only lands after a reboot.
-    plan.crash_host(host_name(3, 1), duration::milliseconds(471),
-                    duration::milliseconds(703));
-
-    // Workload: intra-site h0 -> h1 (adjacent, the flat fast path) and ring
-    // h1 -> next site's h1 (3-hop routed path through both gateways),
-    // staggered with coprime periods so no two cross-shard flows collide on
-    // one destination at one instant.  Each host owns exactly one flow:
-    // the ledger checks total per-sender order across all receivers.
-    const std::uint32_t kMsgs = 10;
-    for (std::size_t i = 0; i < kSites; ++i) {
-      transport::SrudpEndpoint& htx = *eps[2 * i];
-      transport::SrudpEndpoint& rtx = *eps[2 * i + 1];
-      const Address near_dst{host_name(i, 1), 7000};
-      const Address ring_dst{host_name((i + 1) % kSites, 1), 7000};
-      for (std::uint32_t j = 0; j < kMsgs; ++j) {
-        std::uint32_t idx = static_cast<std::uint32_t>(i) * 100 + j;
-        Bytes intra = chaos::chaos_payload(1 + (idx * 37u) % 3000, seed, idx);
-        ledger.expect_sent(host_name(i, 0), intra);
-        senders[i]->engine().schedule_at(
-            duration::milliseconds(5 + 17 * static_cast<SimTime>(i)) +
-                duration::milliseconds(23 + 2 * static_cast<SimTime>(i)) * j,
-            [&htx, near_dst, intra = std::move(intra)]() mutable {
-              htx.send(near_dst, std::move(intra));
-            });
-        Bytes ring = chaos::chaos_payload(1 + (idx * 53u) % 3000, seed, 10000 + idx);
-        ledger.expect_sent(host_name(i, 1), ring);
-        receivers[i]->engine().schedule_at(
-            duration::milliseconds(11 + 13 * static_cast<SimTime>(i)) +
-                duration::milliseconds(29 + 2 * static_cast<SimTime>(i)) * j,
-            [&rtx, ring_dst, ring = std::move(ring)]() mutable {
-              rtx.send(ring_dst, std::move(ring));
-            });
-      }
-    }
-
-    world.run_until(duration::seconds(25));
-
-    r.intact = ledger.intact(&r.why);
-    for (std::size_t i = 0; i < kSites; ++i)
-      r.delivered += eps[2 * i + 1]->stats().messages_delivered.v;
-    for (std::size_t i = 0; i < kSites; ++i)
-      r.drops_fault += world.network("wan" + std::to_string(i))->stats().drops_fault;
-    r.cross_shard = world.run_stats().cross_shard_packets;
-    r.windows = world.run_stats().windows;
-    EXPECT_EQ(obs::Tracer::global().dropped(), 0u) << "trace ring wrapped";
-    r.digest = chaos::trace_digest_canonical("flow") +
-               "|delivered=" + std::to_string(r.delivered) +
-               "|dropsF=" + std::to_string(r.drops_fault);
+  auto host_name = [](std::size_t site, int h) {
+    return "site" + std::to_string(site) + "/h" + std::to_string(h);
+  };
+  std::vector<simnet::Host*> senders, receivers;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    senders.push_back(world.host(host_name(i, 0)));
+    receivers.push_back(world.host(host_name(i, 1)));
   }
-  obs::Tracer::global().set_capacity(16384);
+
+  std::vector<std::unique_ptr<transport::SrudpEndpoint>> eps;
+  chaos::DeliveryLedger ledger;
+  std::mutex ledger_mu;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    eps.push_back(std::make_unique<transport::SrudpEndpoint>(*senders[i], 7000));
+    eps.push_back(std::make_unique<transport::SrudpEndpoint>(*receivers[i], 7000));
+    transport::SrudpEndpoint& rx = *eps.back();
+    rx.set_handler([&ledger, &ledger_mu](const Address& src, Payload m) {
+      std::lock_guard<std::mutex> lock(ledger_mu);
+      ledger.on_deliver(src.host, std::move(m));
+    });
+  }
+
+  FaultPlan plan(world, seed * 0x9E3779B97F4A7C15ULL + 2);
+  FaultProfile profile;
+  profile.burst = {/*p_enter_bad=*/0.01, /*p_exit_bad=*/0.25,
+                   /*loss_good=*/0.005, /*loss_bad=*/0.5};
+  profile.duplicate = 0.03;
+  profile.reorder = 0.05;
+  profile.reorder_jitter = duration::milliseconds(2);
+  for (std::size_t i = 0; i < kSites; ++i)
+    plan.inject("wan" + std::to_string(i), profile);
+  // wan0 dies mid-run: the site0 -> site1 flow must re-resolve the long
+  // way around the ring (3 WAN hops) and keep delivering, then snap back.
+  // The window overlaps the send schedule so reroutes happen live.
+  plan.link_down("wan0", duration::milliseconds(131), duration::milliseconds(397));
+  // The site2 -> site3 flow is partitioned end-to-end on its WAN link for
+  // a window; interior-hop judging must still honor the (src, dst) pair —
+  // and the rerouted site0 flow transits wan2 unharmed meanwhile (its
+  // endpoints sit in the injector's implicit extra group).
+  plan.partition("wan2", {{host_name(2, 1)}, {host_name(3, 1)}},
+                 duration::milliseconds(301), duration::milliseconds(603));
+  // The partitioned flow's receiver also crashes across the heal, so the
+  // backlog only lands after a reboot.
+  plan.crash_host(host_name(3, 1), duration::milliseconds(471),
+                  duration::milliseconds(703));
+
+  // Workload: intra-site h0 -> h1 (adjacent, the flat fast path) and ring
+  // h1 -> next site's h1 (3-hop routed path through both gateways),
+  // staggered with coprime periods so no two cross-shard flows collide on
+  // one destination at one instant.  Each host owns exactly one flow:
+  // the ledger checks total per-sender order across all receivers.
+  const std::uint32_t kMsgs = 10;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    transport::SrudpEndpoint& htx = *eps[2 * i];
+    transport::SrudpEndpoint& rtx = *eps[2 * i + 1];
+    const Address near_dst{host_name(i, 1), 7000};
+    const Address ring_dst{host_name((i + 1) % kSites, 1), 7000};
+    for (std::uint32_t j = 0; j < kMsgs; ++j) {
+      std::uint32_t idx = static_cast<std::uint32_t>(i) * 100 + j;
+      Bytes intra = chaos::chaos_payload(1 + (idx * 37u) % 3000, seed, idx);
+      ledger.expect_sent(host_name(i, 0), intra);
+      senders[i]->engine().schedule_at(
+          duration::milliseconds(5 + 17 * static_cast<SimTime>(i)) +
+              duration::milliseconds(23 + 2 * static_cast<SimTime>(i)) * j,
+          [&htx, near_dst, intra = std::move(intra)]() mutable {
+            htx.send(near_dst, std::move(intra));
+          });
+      Bytes ring = chaos::chaos_payload(1 + (idx * 53u) % 3000, seed, 10000 + idx);
+      ledger.expect_sent(host_name(i, 1), ring);
+      receivers[i]->engine().schedule_at(
+          duration::milliseconds(11 + 13 * static_cast<SimTime>(i)) +
+              duration::milliseconds(29 + 2 * static_cast<SimTime>(i)) * j,
+          [&rtx, ring_dst, ring = std::move(ring)]() mutable {
+            rtx.send(ring_dst, std::move(ring));
+          });
+    }
+  }
+
+  world.run_until(duration::seconds(25));
+
+  r.intact = ledger.intact(&r.why);
+  for (std::size_t i = 0; i < kSites; ++i)
+    r.delivered += eps[2 * i + 1]->stats().messages_delivered.v;
+  for (std::size_t i = 0; i < kSites; ++i)
+    r.drops_fault += world.network("wan" + std::to_string(i))->stats().drops_fault;
+  r.cross_shard = world.run_stats().cross_shard_packets;
+  r.windows = world.run_stats().windows;
+  r.digest = world.replay_digest();
   return r;
 }
 

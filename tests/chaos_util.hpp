@@ -1,6 +1,5 @@
 // Shared plumbing for the chaos suite (tests/chaos_test.cpp): seed
-// handling, per-peer delivery ledgers, and run fingerprints for the
-// replayability assertions.
+// handling, per-peer delivery ledgers, and the replay-digest log.
 //
 // Seed contract: every chaos scenario derives all of its randomness from
 // one 64-bit seed — the world's engine seed, the FaultPlan seed and the
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/world.hpp"
 
@@ -46,114 +44,19 @@ inline Bytes chaos_payload(std::size_t n, std::uint64_t seed, std::uint32_t inde
   return b;
 }
 
-/// A compact, order-sensitive digest of the global tracer's contents.
-/// Two same-seed runs of a scenario must produce byte-identical digests —
-/// that is the replay contract DESIGN.md documents.  Call
-/// obs::Tracer::global().clear() before the run so earlier tests in the
-/// same binary cannot leak events into the digest.
-/// `exclude_cat` drops one category from the digest — the flow-tracing
-/// determinism test compares a flow-on run against a flow-off run, which
-/// must match exactly once the "flow" events themselves are set aside.
-inline std::string trace_digest(const std::string& exclude_cat = {}) {
-  std::string out;
-  for (const auto& e : obs::Tracer::global().events()) {
-    if (!exclude_cat.empty() && e.cat == exclude_cat) continue;
-    out += std::to_string(e.ts);
-    out += ':';
-    out += e.cat;
-    out += '/';
-    out += e.name;
-    out += ';';
-  }
-  return out;
-}
-
-/// Canonical-order variant for sharded runs: record order interleaves
-/// nondeterministically when shard worker threads trace concurrently, so
-/// this digests Tracer::events_canonical() — stably sorted by (ts, cat,
-/// name, ...), a pure function of the per-timestamp event multiset.  The
-/// sharded engine's determinism contract (DESIGN.md §sharded-engine) makes
-/// that multiset identical for every shard count of the same seeded world,
-/// which is exactly what ChaosSharded asserts.
-inline std::string trace_digest_canonical(const std::string& exclude_cat = {}) {
-  std::string out;
-  for (const auto& e : obs::Tracer::global().events_canonical()) {
-    if (!exclude_cat.empty() && e.cat == exclude_cat) continue;
-    out += std::to_string(e.ts);
-    out += ':';
-    out += e.cat;
-    out += '/';
-    out += e.name;
-    out += ';';
-  }
-  return out;
-}
-
-/// Multi-category variant: the fleet-telemetry determinism test compares an
-/// exporter-on run against an exporter-off run, which must match once both
-/// the "flow" and "telemetry" categories are set aside.
-inline std::string trace_digest(const std::vector<std::string>& exclude_cats) {
-  std::string out;
-  for (const auto& e : obs::Tracer::global().events()) {
-    bool excluded = false;
-    for (const auto& cat : exclude_cats)
-      if (e.cat == cat) {
-        excluded = true;
-        break;
-      }
-    if (excluded) continue;
-    out += std::to_string(e.ts);
-    out += ':';
-    out += e.cat;
-    out += '/';
-    out += e.name;
-    out += ';';
-  }
-  return out;
-}
-
-/// Multi-category canonical variant: the watchtower determinism test runs
-/// sharded worlds with the alert engine on, so it needs both the canonical
-/// event order (shard workers interleave record order) and the full
-/// excluded set — "flow", "telemetry" and "watchtower" are all
-/// observability emissions outside the replay contract.
-inline std::string trace_digest_canonical(const std::vector<std::string>& exclude_cats) {
-  std::string out;
-  for (const auto& e : obs::Tracer::global().events_canonical()) {
-    bool excluded = false;
-    for (const auto& cat : exclude_cats)
-      if (e.cat == cat) {
-        excluded = true;
-        break;
-      }
-    if (excluded) continue;
-    out += std::to_string(e.ts);
-    out += ':';
-    out += e.cat;
-    out += '/';
-    out += e.name;
-    out += ';';
-  }
-  return out;
-}
-
-/// Appends one "<seed> <scenario> <fnv1a(digest)>" line to the file named
-/// by SNIPE_CHAOS_DIGEST_LOG (no-op when unset).  `sweep.sh soak` points the
-/// sweep's runs at one log so cross-seed digest drift — a scenario whose
-/// fingerprint changes between soak runs of the *same* seed — is diffable
-/// after the fact without storing full digests.
+/// Appends one "<seed> <scenario> <digest>" line to the file named by
+/// SNIPE_CHAOS_DIGEST_LOG (no-op when unset); `digest` is a replay digest
+/// (World::replay_digest() or one network's NetStats::digest).  `sweep.sh
+/// soak` points the sweep's runs at one log so cross-seed digest drift — a
+/// scenario whose fingerprint changes between soak runs of the *same* seed
+/// — is diffable after the fact.
 inline void log_digest(const std::string& scenario, std::uint64_t seed,
-                       const std::string& digest) {
+                       std::uint64_t digest) {
   const char* path = std::getenv("SNIPE_CHAOS_DIGEST_LOG");
   if (path == nullptr || *path == '\0') return;
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : digest) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   if (std::FILE* f = std::fopen(path, "a")) {
     std::fprintf(f, "%llu %s %016llx\n", static_cast<unsigned long long>(seed),
-                 scenario.c_str(), static_cast<unsigned long long>(h));
+                 scenario.c_str(), static_cast<unsigned long long>(digest));
     std::fclose(f);
   }
 }

@@ -4,6 +4,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -472,9 +475,161 @@ TEST(World, DeterministicAcrossRuns) {
     b.bind(1, [&](const Packet&) { arrivals.push_back(world.now()); }).value();
     for (int i = 0; i < 200; ++i) a.send({"b", 1}, Bytes(100, 0)).value();
     world.engine().run();
-    return arrivals;
+    return std::make_pair(arrivals, world.replay_digest());
   };
-  EXPECT_EQ(run_once(), run_once());
+  auto first = run_once();
+  EXPECT_EQ(first, run_once());
+  EXPECT_NE(first.second, 0u);
+}
+
+TEST(World, DestroyingASecondWorldKeepsTheFirstWorldsClock) {
+  World first(1);
+  first.run_until(duration::seconds(2));
+  {
+    World second(2);
+    second.run_until(duration::seconds(1));
+  }
+  first.run_until(duration::seconds(5));
+  ASSERT_TRUE(static_cast<bool>(log_detail::time_source()));
+  EXPECT_EQ(log_detail::time_source()(), duration::seconds(5));
+  EXPECT_EQ(obs::Tracer::global().now(), duration::seconds(5));
+}
+
+// ---- The replay oracle: one hash per datagram fate, summed per network ----
+//
+// Each run moves one datagram from a, so the digests hold exactly the
+// fates it met.  Every fate site must fold: a run whose only fate is a
+// loss or a drop leaves a nonzero digest, and a fault that also delivers
+// leaves a digest other than the plain delivery's.
+
+struct OneDatagram {
+  const char* to = "b";  ///< b shares n with a; e is routed a -n- r -m- e
+  std::uint16_t port = 1;  ///< b and e listen on port 1 only
+  std::size_t len = 100;
+  SimTime at = 0;
+  bool broadcast = false;  ///< on n, instead of the unicast
+  double loss_n = 0, loss_m = 0;  ///< extra media loss
+  bool b_down = false, r_dies = false;
+  std::optional<FaultProfile> fault;  ///< injected on n
+};
+using Tweak = std::function<void(OneDatagram&)>;
+
+/// Runs one datagram as `tweak` sets it up; returns the digests of n and m.
+std::pair<std::uint64_t, std::uint64_t> one_datagram(const Tweak& tweak = {}) {
+  OneDatagram o;
+  if (tweak) tweak(o);
+  World world(21);
+  auto& n = world.create_network("n", ethernet100());
+  auto& m = world.create_network("m", ethernet100());
+  auto& a = world.create_host("a");
+  auto& b = world.create_host("b");
+  auto& e = world.create_host("e");
+  auto& r = world.create_router("r");
+  for (Node* node : std::initializer_list<Node*>{&a, &b, &r}) world.attach(*node, n);
+  world.attach(r, m);
+  world.attach(e, m);
+  b.bind(1, [](const Packet&) {}).value();
+  e.bind(1, [](const Packet&) {}).value();
+  n.set_extra_loss(o.loss_n);
+  m.set_extra_loss(o.loss_m);
+  b.set_up(!o.b_down);
+  FaultPlan plan(world, 5);
+  if (o.fault) plan.inject("n", *o.fault);
+  world.engine().schedule_at(o.at, [&] {
+    if (o.broadcast)
+      a.broadcast("n", o.port, Bytes(o.len, 7)).value();
+    else
+      a.send({o.to, o.port}, Bytes(o.len, 7)).value();
+  });
+  if (o.r_dies) world.engine().schedule_at(o.at + 1, [&r] { r.set_up(false); });
+  world.run_all();
+  return {n.stats().digest.load(), m.stats().digest.load()};
+}
+
+TEST(ReplayDigest, EveryFateSiteFoldsAndEachFieldMovesTheDigest) {
+  const std::uint64_t delivered = one_datagram().first;
+  EXPECT_NE(delivered, 0u);
+  EXPECT_EQ(one_datagram().first, delivered);
+  EXPECT_NE(one_datagram([](OneDatagram& o) { o.len = 101; }).first, delivered);
+  EXPECT_NE(one_datagram([](OneDatagram& o) { o.at = 1; }).first, delivered);
+
+  // Fates that end the datagram: each alone leaves a digest of its own.
+  std::set<std::uint64_t> fates{delivered};
+  for (const Tweak& ends_it : {Tweak([](OneDatagram& o) { o.port = 2; }),
+                               Tweak([](OneDatagram& o) { o.loss_n = 1; }),
+                               Tweak([](OneDatagram& o) { o.b_down = true; }),
+                               Tweak([](OneDatagram& o) {
+                                 o.fault.emplace().burst.loss_good = 1;
+                               })})
+    fates.insert(one_datagram(ends_it).first);
+  EXPECT_EQ(fates.size(), 5u) << "two fates hashed alike";
+  EXPECT_EQ(fates.count(0), 0u);
+
+  // Corruption and duplication still deliver, with no jitter: their own
+  // fate terms must show on top of the deliveries.
+  EXPECT_NE(one_datagram([](OneDatagram& o) {
+              o.fault.emplace().reorder_jitter = 0;
+              o.fault->corrupt = 1;
+            }).first,
+            delivered);
+  EXPECT_NE(one_datagram([](OneDatagram& o) {
+              o.fault.emplace().reorder_jitter = 0;
+              o.fault->duplicate = 1;
+            }).first,
+            2 * delivered);
+
+  // A broadcast heard by b is the unicast's fate; a lost one still folds.
+  EXPECT_EQ(one_datagram([](OneDatagram& o) { o.broadcast = true; }).first, delivered);
+  EXPECT_NE(one_datagram([](OneDatagram& o) {
+              o.broadcast = true;
+              o.loss_n = 1;
+            }).first,
+            0u);
+
+  // Routed to e: the transit hop on n is no fate; the first hop's loss
+  // folds on n, the router's loss and down drop on m.
+  const auto routed = one_datagram([](OneDatagram& o) { o.to = "e"; });
+  EXPECT_EQ(routed.first, 0u);
+  EXPECT_NE(routed.second, 0u);
+  EXPECT_NE(one_datagram([](OneDatagram& o) {
+              o.to = "e";
+              o.loss_n = 1;
+            }).first,
+            0u);
+  for (const Tweak& ends_it : {Tweak([](OneDatagram& o) { o.loss_m = 1; }),
+                               Tweak([](OneDatagram& o) { o.r_dies = true; })}) {
+    auto d = one_datagram([&](OneDatagram& o) {
+      o.to = "e";
+      ends_it(o);
+    });
+    EXPECT_EQ(d.first, 0u);
+    EXPECT_NE(d.second, 0u);
+    EXPECT_NE(d.second, routed.second);
+  }
+}
+
+TEST(ReplayDigest, EqualTimeDeliveriesSumInEitherOrder) {
+  // a -> b and c -> d leave at the same instant on idle NICs, so both land
+  // at one virtual time; posting them the other way round swaps the
+  // delivery order but not the digest.
+  auto run = [](bool flip, std::vector<std::string>& order) {
+    World world(8);
+    auto& n = world.create_network("n", ethernet100());
+    for (const char* name : {"a", "b", "c", "d"}) world.attach(world.create_host(name), n);
+    for (const char* name : {"b", "d"})
+      world.host(name)->bind(1, [&order, name](const Packet&) { order.push_back(name); })
+          .value();
+    auto ab = [&world] { world.host("a")->send({"b", 1}, Bytes(100, 1)).value(); };
+    auto cd = [&world] { world.host("c")->send({"d", 1}, Bytes(100, 2)).value(); };
+    world.engine().schedule_at(0, flip ? EventFn(cd) : EventFn(ab));
+    world.engine().schedule_at(0, flip ? EventFn(ab) : EventFn(cd));
+    world.run_all();
+    return world.replay_digest();
+  };
+  std::vector<std::string> forward, reversed;
+  EXPECT_EQ(run(false, forward), run(true, reversed));
+  EXPECT_EQ(forward, (std::vector<std::string>{"b", "d"}));
+  EXPECT_EQ(reversed, (std::vector<std::string>{"d", "b"}));
 }
 
 // ---- Fault injection: FaultInjector unit behaviour ----
