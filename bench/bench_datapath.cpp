@@ -26,23 +26,28 @@
 
 // ---------------------------------------------------------------------------
 // Allocation counter: global operator new/delete overrides, effective for
-// this binary only.  Counts calls, not bytes — the metric of interest is
-// "allocations per delivered message", which a zero-copy path should hold
-// near-constant regardless of message size.
+// this binary only.  Counts calls and requested bytes — "allocations per
+// delivered message", which a zero-copy path should hold near-constant
+// regardless of message size, and "allocated bytes per message", which
+// shows a copy of the payload (a flatten) that the call count alone hides.
 static std::uint64_t g_alloc_count = 0;
+static std::uint64_t g_alloc_bytes = 0;
 
 void* operator new(std::size_t size) {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   return std::malloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -126,13 +131,18 @@ struct DatapathResult {
   double sim_bytes = 0;
   std::uint64_t events = 0;
   std::uint64_t allocs = 0;
+  std::uint64_t alloc_bytes = 0;
   bool complete = false;
 };
 
 /// Moves `count` messages of `size` bytes over SRUDP on the given media and
 /// reports wall time, engine events, and allocations for the whole run
-/// (send through reassembled delivery).
-DatapathResult run_srudp(simnet::MediaModel media, std::size_t size, int count) {
+/// (send through reassembled delivery).  With `header_plus_slice` each
+/// message is built the way applications (and perfbench's p2p_msgs) build
+/// them: a 16-byte header vector plus a slice of one shared buffer, so the
+/// delivered message has two segments.
+DatapathResult run_srudp(simnet::MediaModel media, std::size_t size, int count,
+                         bool header_plus_slice = false) {
   PairWorld pair(media, 42);
   transport::SrudpEndpoint tx(pair.a(), 7001), rx(pair.b(), 7002);
   int delivered = 0;
@@ -143,12 +153,26 @@ DatapathResult run_srudp(simnet::MediaModel media, std::size_t size, int count) 
   });
   DatapathResult r;
   Bytes message(size, 0x5a);
+  auto shared = std::make_shared<const Bytes>(message);
   std::uint64_t alloc_start = g_alloc_count;
+  std::uint64_t alloc_bytes_start = g_alloc_bytes;
   auto start = Clock::now();
-  for (int i = 0; i < count; ++i) tx.send(rx.address(), Bytes(message));
+  for (int i = 0; i < count; ++i) {
+    if (!header_plus_slice) {
+      tx.send(rx.address(), Bytes(message));
+      continue;
+    }
+    ByteWriter header;
+    header.u64(static_cast<std::uint64_t>(i));
+    header.u64(size);
+    Payload m(std::move(header).take());
+    m.append(Payload(shared));
+    tx.send(rx.address(), std::move(m));
+  }
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
   r.allocs = g_alloc_count - alloc_start;
+  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;
@@ -171,11 +195,13 @@ DatapathResult run_stream(simnet::MediaModel media, std::size_t size, int count)
   Bytes message(size, 0x5a);
   auto conn = client.connect(server.address());
   std::uint64_t alloc_start = g_alloc_count;
+  std::uint64_t alloc_bytes_start = g_alloc_bytes;
   auto start = Clock::now();
   for (int i = 0; i < count; ++i) conn->send_message(Bytes(message));
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
   r.allocs = g_alloc_count - alloc_start;
+  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;
@@ -190,6 +216,7 @@ void report(benchmark::State& state, const DatapathResult& r, int count) {
   state.counters["wall_events_per_sec"] = static_cast<double>(r.events) / r.wall_secs;
   state.counters["sim_MB_per_wall_sec"] = r.sim_bytes / r.wall_secs / 1e6;
   state.counters["allocs_per_msg"] = static_cast<double>(r.allocs) / count;
+  state.counters["alloc_bytes_per_msg"] = static_cast<double>(r.alloc_bytes) / count;
   state.counters["events"] = static_cast<double>(r.events);
 }
 
@@ -217,6 +244,27 @@ BENCHMARK(BM_SrudpDatapath)
     ->Arg(4 << 20)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+/// The same transfer with header+slice messages (see run_srudp).  A
+/// delivery path that flattened multi-segment messages would show here as
+/// one allocation and range(0) bytes per message that BM_SrudpDatapath's
+/// single-buffer messages never pay.
+void BM_SrudpHeaderSlice(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  const int count = static_cast<int>(std::max<std::int64_t>(4, (64 << 20) / state.range(0)));
+  DatapathResult r;
+  for (auto _ : state) {
+    reset_metrics();
+    r = run_srudp(simnet::myrinet(), size, count, /*header_plus_slice=*/true);
+    if (!r.complete) {
+      state.SkipWithError("transfer incomplete");
+      return;
+    }
+  }
+  report(state, r, count);
+  state.SetLabel("srudp/myrinet header+slice");
+}
+BENCHMARK(BM_SrudpHeaderSlice)->Arg(4096)->Arg(1 << 20)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 /// Exporter-overhead gate (fleet telemetry plane): the same SRUDP transfer,
 /// but paced across ~6 virtual seconds so the telemetry exporter's default
@@ -267,6 +315,7 @@ DatapathResult run_srudp_paced(simnet::MediaModel media, std::size_t size, int c
   DatapathResult r;
   Bytes message(size, 0x5a);
   std::uint64_t alloc_start = g_alloc_count;
+  std::uint64_t alloc_bytes_start = g_alloc_bytes;
   auto start = Clock::now();
   // Bursts of 8 per tick: long enough wall-clock for a stable 2% compare,
   // while the tick spacing still stretches the run past several beacon
@@ -278,6 +327,7 @@ DatapathResult run_srudp_paced(simnet::MediaModel media, std::size_t size, int c
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
   r.allocs = g_alloc_count - alloc_start;
+  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;

@@ -90,10 +90,10 @@ void BM_RmScalability(benchmark::State& state) {
       if (rms == 0) {
         // Baseline: direct round-robin daemon spawns, no management at all.
         client.call(daemons[s % hosts]->address(), daemon::tags::kSpawn, req.encode(),
-                    [&](Result<Bytes> r) { completed += r.ok(); });
+                    [&](Result<Payload> r) { completed += r.ok(); });
       } else {
         client.call(managers[s % rms]->address(), rm::tags::kAllocate, req.encode(),
-                    [&](Result<Bytes> r) { completed += r.ok(); });
+                    [&](Result<Payload> r) { completed += r.ok(); });
       }
     }
     world.engine().run();

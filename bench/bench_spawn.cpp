@@ -77,19 +77,19 @@ void BM_SpawnPath(benchmark::State& state) {
       if (path == 0) {
         if (secure) req.authorization = grm.sign_authorization("noop", "node");
         client.call(d.address(), daemon::tags::kSpawn, req.encode(),
-                    [&](Result<Bytes> r) { completed += r.ok(); });
+                    [&](Result<Payload> r) { completed += r.ok(); });
       } else if (path == 1 || path == 3) {
         client.call(grm.address(), rm::tags::kAllocate, req.encode(),
-                    [&](Result<Bytes> r) { completed += r.ok(); });
+                    [&](Result<Payload> r) { completed += r.ok(); });
       } else {
         client.call(grm.address(), rm::tags::kReserve, req.encode(),
-                    [&, req](Result<Bytes> r) mutable {
+                    [&, req](Result<Payload> r) mutable {
                       if (!r) return;
-                      auto res = rm::Reservation::decode(r.value());
+                      auto res = rm::Reservation::decode(r.value().to_bytes());
                       if (!res) return;
                       req.authorization = res.value().authorization;
                       client.call(res.value().daemon, daemon::tags::kSpawn, req.encode(),
-                                  [&](Result<Bytes> r2) { completed += r2.ok(); });
+                                  [&](Result<Payload> r2) { completed += r2.ok(); });
                     });
       }
       world.engine().run();  // serialize: measure per-operation latency

@@ -131,7 +131,7 @@ int main() {
   ck.u16(fs.address().port);
   bool checkpointed = false;
   user.rpc().call(home.address(), daemon::tags::kCheckpointTo, std::move(ck).take(),
-                  [&](Result<Bytes> r) {
+                  [&](Result<Payload> r) {
                     checkpointed = r.ok();
                     std::printf("checkpoint to file server: %s\n",
                                 r.ok() ? "ok" : r.error().to_string().c_str());
@@ -144,7 +144,7 @@ int main() {
   kill.str("urn:snipe:proc:agent");
   kill.u8(static_cast<std::uint8_t>(daemon::TaskSignal::kill));
   user.rpc().call(home.address(), daemon::tags::kSignal, std::move(kill).take(),
-                  [](Result<Bytes>) {});
+                  [](Result<Payload>) {});
   daemon::SpawnRequest restore;
   restore.name = "agent-moved";
   restore.restore_lifn = "lifn://utk.edu/ckpt/agent/1";
@@ -152,7 +152,7 @@ int main() {
   // Direct daemon spawn with the RM's authorization for the empty program
   // name (restores carry their own code inside the checkpoint).
   user.rpc().call(away.address(), daemon::tags::kSpawn, restore.encode(),
-                  [&](Result<Bytes> r) {
+                  [&](Result<Payload> r) {
                     std::printf("restore on %s: %s\n", away.address().host.c_str(),
                                 r.ok() ? "ok" : r.error().to_string().c_str());
                   });

@@ -390,8 +390,8 @@ HttpServer::HttpServer(SnipeProcess& process, std::string service_uri, Handler h
   process_.rc().set(service_uri_, rcds::names::kServiceLocation, process_.urn(),
                     [](Result<void>) {});
   process_.rpc().serve(tags::kHttpRequest,
-                       [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-                         auto request = HttpRequest::decode(body);
+                       [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
+                         auto request = HttpRequest::decode(body.to_bytes());
                          if (!request) return request.error();
                          ++served_;
                          return handler_(request.value()).encode();
@@ -445,9 +445,9 @@ void HttpGateway::forward(const std::string& urn, const Bytes& wire, int attempt
     }
     process_.rpc().call(
         addr.value(), tags::kHttpRequest, wire,
-        [this, urn, wire, attempts_left, done = std::move(done)](Result<Bytes> r) mutable {
+        [this, urn, wire, attempts_left, done = std::move(done)](Result<Payload> r) mutable {
           if (r.ok()) {
-            done(HttpResponse::decode(r.value()));
+            done(HttpResponse::decode(r.value().to_bytes()));
             return;
           }
           if (attempts_left > 1) {

@@ -165,7 +165,7 @@ void MulticastGroup::register_with_routers() {
     }
     process_.rpc().call(
         router, tags::kMcastJoin, join,
-        [this, router](Result<Bytes> r) {
+        [this, router](Result<Payload> r) {
           if (r.ok()) {
             join_failures_.erase(router);
             return;
@@ -188,9 +188,9 @@ void MulticastGroup::register_with_routers() {
   }
 }
 
-Result<Bytes> MulticastGroup::on_join(const simnet::Address& from, const Bytes& body) {
+Result<Bytes> MulticastGroup::on_join(const simnet::Address& from, const Payload& body) {
   if (!router_) return Result<Bytes>(Errc::state_error, "not a router");
-  ByteReader r(body);
+  PayloadCursor r(body);
   auto group = r.str();
   auto urn = r.str();
   auto host = r.str();
@@ -223,9 +223,9 @@ void MulticastGroup::send(Bytes body) {
   if (routers_.empty()) log_.warn("no routers known for ", group_urn_);
 }
 
-void MulticastGroup::on_mcast(const Bytes& body, bool is_relay) {
+void MulticastGroup::on_mcast(const Payload& body, bool is_relay) {
   if (!router_) return;
-  auto payload = McastPayload::decode(body);
+  auto payload = McastPayload::decode(body.to_bytes());
   if (!payload) return;
   if (!router_state_.seen.insert(payload.value().dedup_key()).second) {
     ++stats_.duplicates_dropped;
@@ -260,8 +260,8 @@ void MulticastGroup::on_mcast(const Bytes& body, bool is_relay) {
   }
 }
 
-void MulticastGroup::on_deliver(const Bytes& body) {
-  auto payload = McastPayload::decode(body);
+void MulticastGroup::on_deliver(const Payload& body) {
+  auto payload = McastPayload::decode(body.to_bytes());
   if (!payload) return;
   if (!member_seen_.insert(payload.value().dedup_key()).second) {
     ++stats_.duplicates_dropped;

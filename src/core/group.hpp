@@ -93,9 +93,9 @@ class MulticastGroup {
   std::size_t known_routers() const { return routers_.size(); }
 
   /// Internal entry points invoked by SnipeProcess's dispatch.
-  Result<Bytes> on_join(const simnet::Address& from, const Bytes& body);
-  void on_mcast(const Bytes& body, bool is_relay);
-  void on_deliver(const Bytes& body);
+  Result<Bytes> on_join(const simnet::Address& from, const Payload& body);
+  void on_mcast(const Payload& body, bool is_relay);
+  void on_deliver(const Payload& body);
 
  private:
   struct Member {

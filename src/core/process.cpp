@@ -49,8 +49,8 @@ SnipeProcess::~SnipeProcess() = default;
 
 void SnipeProcess::bind_handlers() {
   rpc_->serve(tags::kDeliver,
-              [this](const simnet::Address& from, const Bytes& body) -> Result<Bytes> {
-                auto msg = UserMessage::decode(body);
+              [this](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
+                auto msg = UserMessage::decode(body.to_bytes());
                 if (!msg) return msg.error();
                 ++stats_.delivered_in;
                 if (handler_)
@@ -61,35 +61,35 @@ void SnipeProcess::bind_handlers() {
               });
   // Multicast dispatch: all three verbs carry the group URN first; route
   // to the registered MulticastGroup instance (see core/group.cpp).
-  auto group_of = [](const Bytes& body) -> std::string {
-    ByteReader r(body);
+  auto group_of = [](const Payload& body) -> std::string {
+    PayloadCursor r(body);
     auto g = r.str();
     return g ? g.value() : std::string();
   };
   rpc_->serve(tags::kMcastJoin,
-              [this, group_of](const simnet::Address& from, const Bytes& body) -> Result<Bytes> {
+              [this, group_of](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
                 auto it = groups_.find(group_of(body));
                 if (it == groups_.end())
                   return Result<Bytes>(Errc::not_found, "not a router for that group");
                 return it->second->on_join(from, body);
               });
-  rpc_->on_notify(tags::kMcastSend, [this, group_of](const simnet::Address&, const Bytes& body) {
+  rpc_->on_notify(tags::kMcastSend, [this, group_of](const simnet::Address&, const Payload& body) {
     auto it = groups_.find(group_of(body));
     if (it != groups_.end()) it->second->on_mcast(body, /*is_relay=*/false);
   });
-  rpc_->on_notify(tags::kMcastRelay, [this, group_of](const simnet::Address&, const Bytes& body) {
+  rpc_->on_notify(tags::kMcastRelay, [this, group_of](const simnet::Address&, const Payload& body) {
     auto it = groups_.find(group_of(body));
     if (it != groups_.end()) it->second->on_mcast(body, /*is_relay=*/true);
   });
   rpc_->on_notify(tags::kMcastDeliver,
-                  [this, group_of](const simnet::Address&, const Bytes& body) {
+                  [this, group_of](const simnet::Address&, const Payload& body) {
                     auto it = groups_.find(group_of(body));
                     if (it != groups_.end()) it->second->on_deliver(body);
                   });
-  rpc_->on_notify(tags::kMigrated, [this](const simnet::Address&, const Bytes& body) {
+  rpc_->on_notify(tags::kMigrated, [this](const simnet::Address&, const Payload& body) {
     // A process on whose notify list we appear has moved: refresh our
     // cached resolution immediately.
-    ByteReader r(body);
+    PayloadCursor r(body);
     auto urn = r.str();
     auto host = r.str();
     auto port = r.u16();
@@ -188,7 +188,7 @@ void SnipeProcess::attempt_send(const std::string& dst_urn, Bytes wire, int atte
     }
     rpc_->call(
         addr.value(), tags::kDeliver, wire,
-        [this, dst_urn, wire, attempts_left, done = std::move(done)](Result<Bytes> r) mutable {
+        [this, dst_urn, wire, attempts_left, done = std::move(done)](Result<Payload> r) mutable {
           if (r.ok()) {
             if (done) done(ok_result());
             return;
@@ -262,12 +262,12 @@ void SnipeProcess::add_to_notify_list(const std::string& watcher_urn, DoneHandle
 void SnipeProcess::spawn_via_rm(const simnet::Address& rm, daemon::SpawnRequest request,
                                 SpawnHandler done) {
   rpc_->call(rm, rm::tags::kAllocate, request.encode(),
-             [done = std::move(done)](Result<Bytes> r) {
+             [done = std::move(done)](Result<Payload> r) {
                if (!r) {
                  done(r.error());
                  return;
                }
-               done(daemon::SpawnReply::decode(r.value()));
+               done(daemon::SpawnReply::decode(r.value().to_bytes()));
              });
 }
 
@@ -290,12 +290,12 @@ void SnipeProcess::spawn_via_host(const std::string& host_name, daemon::SpawnReq
         }
       }
     }
-    rpc_->call(target, tag, request.encode(), [done = std::move(done)](Result<Bytes> r2) {
+    rpc_->call(target, tag, request.encode(), [done = std::move(done)](Result<Payload> r2) {
       if (!r2) {
         done(r2.error());
         return;
       }
-      done(daemon::SpawnReply::decode(r2.value()));
+      done(daemon::SpawnReply::decode(r2.value().to_bytes()));
     });
   });
 }
@@ -328,15 +328,15 @@ void SnipeProcess::migrate_to(simnet::Host& new_host, DoneHandler done) {
   auto* relay_rpc = old_rpc.get();
   relay_rpc->serve_default(
       [this, relay_rpc, new_address](const simnet::Address&, std::uint32_t tag,
-                                     const Bytes& body,
+                                     const Payload& body,
                                      transport::RpcEndpoint::Responder respond) {
         ++stats_.relayed;
         relay_rpc->call(new_address, tag, body,
-                        [respond](Result<Bytes> r) { respond(std::move(r)); });
+                        [respond](Result<Payload> r) { respond(std::move(r)); });
       });
   relay_rpc->on_notify_default(
       [this, relay_rpc, new_address](const simnet::Address&, std::uint32_t tag,
-                                     const Bytes& body) {
+                                     const Payload& body) {
         ++stats_.relayed;
         relay_rpc->notify(new_address, tag, body);
       });

@@ -331,6 +331,39 @@ Digest256 sha256(const std::string& data) {
   return h.finish();
 }
 
+void Md5::update(const Payload& data) {
+  for (std::size_t i = 0; i < data.segment_count(); ++i)
+    update(data.segment(i).data(), data.segment(i).len);
+}
+
+void Sha256::update(const Payload& data) {
+  for (std::size_t i = 0; i < data.segment_count(); ++i)
+    update(data.segment(i).data(), data.segment(i).len);
+}
+
+Digest256 sha256(const Payload& data) {
+  Sha256 h;
+  h.update(data);
+  return h.finish();
+}
+
+Payload::Buffer seal(Bytes bytes) {
+  Digest256 d = sha256(bytes);
+  return Payload::seal(std::move(bytes), d);
+}
+
+Payload::Buffer seal(const Payload& content) {
+  if (content.whole_sealed_digest() != nullptr) return content.segment(0).buf;
+  if (content.segment_count() == 1 && content.size() == content.segment(0).buf->size())
+    return Payload::seal(content.segment(0).buf, sha256(content));
+  return seal(content.to_bytes());
+}
+
+Digest256 verified_sha256(const Payload& data) {
+  if (const Payload::Digest* d = data.whole_sealed_digest()) return *d;
+  return sha256(data);
+}
+
 Digest256 hmac_sha256(const Bytes& key, const Bytes& message) {
   Bytes k = key;
   if (k.size() > 64) {

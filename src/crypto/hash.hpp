@@ -16,6 +16,7 @@
 #include <string>
 
 #include "util/bytes.hpp"
+#include "util/payload.hpp"
 
 namespace snipe::crypto {
 
@@ -31,6 +32,8 @@ class Md5 {
   void update(const std::string& data) {
     update(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
   }
+  /// Absorbs a payload segment by segment, without flattening it.
+  void update(const Payload& data);
   /// Finishes the hash; the object must not be updated afterwards.
   Digest128 finish();
 
@@ -50,6 +53,8 @@ class Sha256 {
   void update(const std::string& data) {
     update(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
   }
+  /// Absorbs a payload segment by segment, without flattening it.
+  void update(const Payload& data);
   /// Finishes the hash; the object must not be updated afterwards.
   Digest256 finish();
 
@@ -77,6 +82,22 @@ Digest128 md5(const Bytes& data);
 Digest128 md5(const std::string& data);
 Digest256 sha256(const Bytes& data);
 Digest256 sha256(const std::string& data);
+Digest256 sha256(const Payload& data);
+
+/// One digest per immutable buffer (DESIGN.md §data-plane).  seal() hashes
+/// `bytes` once and returns them as a buffer carrying that digest;
+/// verified_sha256() then reuses it for a payload that is exactly one
+/// segment spanning a sealed buffer whole, and hashes every other payload
+/// in full.  Sound because buffers are immutable and a corrupted byte is
+/// always a fresh, unsealed clone (Payload::cow_xor).
+Payload::Buffer seal(Bytes bytes);
+/// The sealed buffer holding `content`'s bytes: its own buffer when it is
+/// exactly one whole sealed buffer (nothing is hashed); that buffer sealed
+/// in place when it is one whole unsealed buffer (hashed, not copied);
+/// otherwise a flattened copy, so a stored file never pins a buffer larger
+/// than itself.
+Payload::Buffer seal(const Payload& content);
+Digest256 verified_sha256(const Payload& data);
 
 /// Lowercase hex of a digest.
 template <std::size_t N>

@@ -56,9 +56,9 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
       files_(rpc_, rc_replicas),
       playground_(rc_, files_, config_.trust, config_.playground),
       log_("daemon@" + host.name()) {
-  rpc_.serve_async(tags::kSpawn, [this](const simnet::Address& from, const Bytes& body,
+  rpc_.serve_async(tags::kSpawn, [this](const simnet::Address& from, const Payload& body,
                                         transport::RpcEndpoint::Responder respond) {
-    auto request = SpawnRequest::decode(body);
+    auto request = SpawnRequest::decode(body.to_bytes());
     if (!request) {
       respond(request.error());
       return;
@@ -68,12 +68,12 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
         respond(r.error());
         return;
       }
-      respond(r.value().encode());
+      respond(Payload(r.value().encode()));
     });
   });
 
-  rpc_.serve(tags::kSignal, [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-    ByteReader r(body);
+  rpc_.serve(tags::kSignal, [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
+    PayloadCursor r(body);
     auto urn = r.str();
     auto signal = r.u8();
     if (!urn || !signal) return Error{Errc::corrupt, "bad signal request"};
@@ -101,8 +101,8 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
   });
 
   rpc_.serve(tags::kTaskInfo,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
+               PayloadCursor r(body);
                auto urn = r.str();
                if (!urn) return urn.error();
                auto it = tasks_.find(urn.value());
@@ -115,7 +115,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
              });
 
   rpc_.serve(tags::kListTasks,
-             [this](const simnet::Address&, const Bytes&) -> Result<Bytes> {
+             [this](const simnet::Address&, const Payload&) -> Result<Bytes> {
                ByteWriter w;
                w.u32(static_cast<std::uint32_t>(tasks_.size()));
                for (const auto& [urn, entry] : tasks_) {
@@ -126,9 +126,9 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
              });
 
   rpc_.serve_async(tags::kCheckpointTo,
-                   [this](const simnet::Address&, const Bytes& body,
+                   [this](const simnet::Address&, const Payload& body,
                           transport::RpcEndpoint::Responder respond) {
-                     ByteReader r(body);
+                     PayloadCursor r(body);
                      auto urn = r.str();
                      auto lifn = r.str();
                      auto fs_host = r.str();
@@ -157,13 +157,13 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
                                       respond(wrote.error());
                                       return;
                                     }
-                                    ByteWriter w;
+                                    PayloadWriter w;
                                     w.str(lifn);
                                     respond(std::move(w).take());
                                   });
                    });
 
-  rpc_.serve(tags::kLoad, [this](const simnet::Address&, const Bytes&) -> Result<Bytes> {
+  rpc_.serve(tags::kLoad, [this](const simnet::Address&, const Payload&) -> Result<Bytes> {
     ByteWriter w;
     w.f64(load());
     w.u32(static_cast<std::uint32_t>(running_tasks()));
@@ -171,16 +171,16 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
   });
 
   rpc_.serve(tags::kPing,
-             [](const simnet::Address&, const Bytes&) -> Result<Bytes> { return Bytes{}; });
+             [](const simnet::Address&, const Payload&) -> Result<Bytes> { return Bytes{}; });
 
   // §4 authenticated channel: an RM we trust for grant_resources signs a
   // session hello encrypted to our host key; afterwards its spawns arrive
   // sealed (MAC'd, sequence-checked) instead of individually RSA-signed.
   rpc_.serve(tags::kSessionHello,
-             [this](const simnet::Address& from, const Bytes& body) -> Result<Bytes> {
+             [this](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
                if (config_.host_principal == nullptr)
                  return Result<Bytes>(Errc::state_error, "host has no key pair");
-               auto stmt = crypto::SignedStatement::decode(body);
+               auto stmt = crypto::SignedStatement::decode(body.to_bytes());
                if (!stmt) return stmt.error();
                if (auto v = config_.trust.validate_direct(
                        stmt.value(), crypto::TrustPurpose::grant_resources);
@@ -195,14 +195,14 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
                return Bytes{};
              });
 
-  rpc_.serve_async(tags::kSpawnSealed, [this](const simnet::Address& from, const Bytes& body,
+  rpc_.serve_async(tags::kSpawnSealed, [this](const simnet::Address& from, const Payload& body,
                                               transport::RpcEndpoint::Responder respond) {
     auto it = sessions_.find(from);
     if (it == sessions_.end()) {
       respond(Result<Bytes>(Errc::permission_denied, "no session with " + from.to_string()));
       return;
     }
-    auto opened = it->second.open(body);
+    auto opened = it->second.open(body.to_bytes());
     if (!opened) {
       // Bad MAC or replay: the §4 hijack detections.  Log and refuse.
       log_.warn("sealed spawn from ", from.to_string(), " rejected: ",
@@ -222,7 +222,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
         respond(r.error());
         return;
       }
-      respond(r.value().encode());
+      respond(Payload(r.value().encode()));
     });
   });
 

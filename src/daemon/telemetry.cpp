@@ -65,8 +65,8 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
       rpc_.engine().schedule_weak(watch_config_.eval_period, [this] { watch_tick(); });
   }
   rpc_.on_notify(tags::kTelemetryBeacon, [this](const simnet::Address& from,
-                                                const Bytes& body) {
-    auto beacon = obs::TelemetryBeacon::decode(body);
+                                                const Payload& body) {
+    auto beacon = obs::TelemetryBeacon::decode(body.to_bytes());
     if (!beacon) {
       ++beacons_malformed_;
       log_.warn("malformed beacon from ", from.to_string(), ": ",

@@ -9,8 +9,20 @@
 namespace snipe::files {
 
 namespace {
-std::string content_hash(const Bytes& content) {
-  return crypto::digest_hex(crypto::sha256(content));
+/// Concatenates offset-keyed chunks whose ranges cover [0, end) without a
+/// gap, skipping bytes an earlier chunk already supplied.  Adjacent slices
+/// of one buffer coalesce, so a clean transfer of a stored file yields that
+/// file's buffer as a single segment.
+Payload assemble(const std::map<std::uint64_t, Payload>& chunks) {
+  Payload out;
+  for (const auto& [offset, chunk] : chunks) {
+    const std::uint64_t have = out.size();
+    if (offset > have) break;  // a gap: unreachable once coverage is complete
+    if (offset + chunk.size() <= have) continue;
+    const std::size_t skip = static_cast<std::size_t>(have - offset);
+    out.append(skip == 0 ? chunk : chunk.slice(skip, chunk.size() - skip));
+  }
+  return out;
 }
 
 /// Merges [offset, end) into the coverage map and returns the number of
@@ -46,32 +58,34 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
       config_(config),
       rc_(rpc_, std::move(rc_replicas)),
       log_("files@" + host.name() + ":" + std::to_string(rpc_.address().port)) {
-  rpc_.serve(tags::kStore, [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-    ByteReader r(body);
-    auto lifn = r.str();
-    if (!lifn) return lifn.error();
-    auto content = r.blob();
-    if (!content) return content.error();
-    store_local(lifn.value(), std::move(content).take());
-    return Bytes{};
-  });
+  rpc_.serve(tags::kStore,
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
+               auto lifn = r.str();
+               if (!lifn) return lifn.error();
+               auto content = r.blob();
+               if (!content) return content.error();
+               store_local(lifn.value(), content.value());
+               return Payload{};
+             });
 
-  rpc_.serve(tags::kFetch, [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-    ByteReader r(body);
-    auto lifn = r.str();
-    if (!lifn) return lifn.error();
-    auto it = store_.find(lifn.value());
-    if (it == store_.end()) return Result<Bytes>(Errc::not_found, lifn.value());
-    ++stats_.fetches;
-    bytes_served_->inc(it->second.bytes.size());
-    ByteWriter w;
-    w.blob(it->second.bytes);
-    return std::move(w).take();
-  });
+  rpc_.serve(tags::kFetch,
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
+               auto lifn = r.str();
+               if (!lifn) return lifn.error();
+               auto it = store_.find(lifn.value());
+               if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
+               ++stats_.fetches;
+               bytes_served_->inc(it->second.bytes->size());
+               PayloadWriter w;
+               w.blob(Payload(it->second.bytes));
+               return std::move(w).take();
+             });
 
   rpc_.serve(tags::kOpenSink,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
                auto lifn = r.str();
                auto total = r.u64();
                auto stripes = r.u32();
@@ -82,17 +96,16 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                sink.lifn = lifn.value();
                sink.total = total.value();
                sink.stripes = std::max<std::uint32_t>(1, stripes.value());
-               sink.data = Bytes(total.value(), 0);
                sink.last_activity = engine_.now();
                sinks_[id] = std::move(sink);
                ++stats_.sink_sessions;
-               ByteWriter w;
+               PayloadWriter w;
                w.u64(id);
                return std::move(w).take();
              });
 
-  rpc_.on_notify(tags::kSinkData, [this](const simnet::Address&, const Bytes& body) {
-    ByteReader r(body);
+  rpc_.on_notify(tags::kSinkData, [this](const simnet::Address&, const Payload& body) {
+    PayloadCursor r(body);
     auto id = r.u64();
     auto offset = r.u64();
     auto chunk = r.blob();
@@ -115,20 +128,22 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                   {{"lifn", sink.lifn},
                    {"offset", std::to_string(offset.value())},
                    {"bytes", std::to_string(chunk.value().size())}});
-    std::copy(chunk.value().begin(), chunk.value().end(),
-              sink.data.begin() + static_cast<std::ptrdiff_t>(offset.value()));
-    sink.covered += add_extent(sink.extents, offset.value(), end);
+    if (std::uint64_t fresh = add_extent(sink.extents, offset.value(), end); fresh > 0) {
+      sink.covered += fresh;
+      Payload& kept = sink.chunks[offset.value()];
+      if (chunk.value().size() > kept.size()) kept = std::move(chunk).take();
+    }
     sink.last_activity = engine_.now();
   });
 
   rpc_.serve(tags::kCloseSink,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
                auto id = r.u64();
                if (!id) return id.error();
                auto it = sinks_.find(id.value());
                if (it == sinks_.end())
-                 return Result<Bytes>(Errc::not_found, "no such sink");
+                 return Result<Payload>(Errc::not_found, "no such sink");
                Sink& sink = it->second;
                if (sink.covered != sink.total) {
                  ++stats_.sinks_incomplete;
@@ -136,16 +151,16 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                                       std::to_string(sink.covered) + "/" +
                                       std::to_string(sink.total) + " bytes";
                  sinks_.erase(it);
-                 return Result<Bytes>(Errc::state_error, std::move(detail));
+                 return Result<Payload>(Errc::state_error, std::move(detail));
                }
-               store_local(sink.lifn, std::move(sink.data));
+               store_local(sink.lifn, assemble(sink.chunks));
                sinks_.erase(it);
-               return Bytes{};
+               return Payload{};
              });
 
   rpc_.serve(tags::kOpenSource,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
                auto lifn = r.str();
                auto dst_host = r.str();
                auto dst_port = r.u16();
@@ -160,14 +175,14 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                if (stripe_index.value() >= stripes)
                  return Error{Errc::invalid_argument, "stripe index out of range"};
                auto it = store_.find(lifn.value());
-               if (it == store_.end()) return Result<Bytes>(Errc::not_found, lifn.value());
+               if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
                ++stats_.source_sessions;
                // Stream this stripe's chunks — indices congruent to the
                // stripe modulo the stripe count — as offset-stamped one-way
-               // SNIPE messages.
-               const Bytes& content = it->second.bytes;
+               // SNIPE messages, each carrying a slice of the stored buffer.
+               const Payload::Buffer& content = it->second.bytes;
                simnet::Address dst{dst_host.value(), dst_port.value()};
-               const std::uint64_t total = content.size();
+               const std::uint64_t total = content->size();
                const std::uint64_t chunk =
                    chunk_size.value() != 0 ? chunk_size.value() : config_.chunk;
                std::uint64_t stripe_bytes = 0;
@@ -176,12 +191,11 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                     ci += stripes) {
                  std::uint64_t offset = ci * chunk;
                  std::uint64_t n = std::min<std::uint64_t>(chunk, total - offset);
-                 ByteWriter w;
+                 PayloadWriter w;
                  w.u64(read_id.value());
                  w.u64(total);
                  w.u64(offset);
-                 w.blob(Bytes(content.begin() + static_cast<std::ptrdiff_t>(offset),
-                              content.begin() + static_cast<std::ptrdiff_t>(offset + n)));
+                 w.blob(Payload(content, offset, n));
                  std::uint64_t flow = rpc_.notify(dst, tags::kSourceData, std::move(w).take());
                  if (tracer.flow_enabled())
                    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.source_chunk",
@@ -193,32 +207,35 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                  stripe_bytes += n;
                }
                bytes_served_->inc(stripe_bytes);
-               ByteWriter w;
+               PayloadWriter w;
                w.u64(total);
                w.u64(stripe_bytes);
                return std::move(w).take();
              });
 
   rpc_.serve(tags::kReplicate,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
                auto lifn = r.str();
                if (!lifn) return lifn.error();
                auto content = r.blob();
                if (!content) return content.error();
                ++stats_.replicas_received;
-               // Hash only bytes this server does not already hold: a repair
-               // push repeats them, a push after an overwrite replaces them.
+               // A push that arrived intact is the pusher's sealed buffer and
+               // keeps its seal; otherwise hash only bytes this server does
+               // not already hold (a repair push repeats them, a push after
+               // an overwrite replaces them).
                Stored& file = store_[lifn.value()];
-               if (file.sha256.empty() || file.bytes != content.value()) {
-                 file.sha256 = content_hash(content.value());
-                 file.bytes = std::move(content).take();
+               if (file.bytes == nullptr || content.value().whole_sealed_digest() != nullptr ||
+                   !(content.value() == *file.bytes)) {
+                 file.bytes = crypto::seal(content.value());
+                 file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
                }
                // (Re-)announce unconditionally: a repair push may follow a
                // crash that retracted our registration while the bytes
                // survived on disk.
                announce(lifn.value(), file);
-               return Bytes{};
+               return Payload{};
              });
 
   if (config_.repair_period > 0)
@@ -227,15 +244,17 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     engine_.schedule_weak(std::max<SimDuration>(config_.sink_ttl / 2, 1),
                           [this] { sink_sweep(); });
 
-  rpc_.serve(tags::kDelete, [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
-    ByteReader r(body);
-    auto lifn = r.str();
-    if (!lifn) return lifn.error();
-    if (store_.erase(lifn.value()) == 0)
-      return Result<Bytes>(Errc::not_found, lifn.value());
-    rc_.remove(lifn.value(), rcds::names::kLifnLocation, location_url(), [](Result<void>) {});
-    return Bytes{};
-  });
+  rpc_.serve(tags::kDelete,
+             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
+               PayloadCursor r(body);
+               auto lifn = r.str();
+               if (!lifn) return lifn.error();
+               if (store_.erase(lifn.value()) == 0)
+                 return Result<Payload>(Errc::not_found, lifn.value());
+               rc_.remove(lifn.value(), rcds::names::kLifnLocation, location_url(),
+                          [](Result<void>) {});
+               return Payload{};
+             });
 
   obs::MetricsRegistry& registry = rpc_.host().metrics();
   bytes_served_ = &registry.counter("files.bytes_served");
@@ -260,16 +279,17 @@ std::string FileServer::location_url() const {
 Result<Bytes> FileServer::read(const std::string& lifn) const {
   auto it = store_.find(lifn);
   if (it == store_.end()) return Result<Bytes>(Errc::not_found, lifn);
-  return it->second.bytes;
+  return *it->second.bytes;
 }
 
-void FileServer::store_local(const std::string& lifn, Bytes content, bool announce_it) {
+void FileServer::store_local(const std::string& lifn, const Payload& content,
+                             bool announce_it) {
   ++stats_.stores;
   Stored& file = store_[lifn];
-  stats_.bytes_stored -= file.bytes.size();
+  stats_.bytes_stored -= file.bytes == nullptr ? 0 : file.bytes->size();
   stats_.bytes_stored += content.size();
-  file.sha256 = content_hash(content);
-  file.bytes = std::move(content);
+  file.bytes = crypto::seal(content);
+  file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
   if (announce_it) {
     announce(lifn, file);
     replicate(lifn);
@@ -342,10 +362,10 @@ void FileServer::repair_file(const std::string& lifn) {
                if (it == store_.end()) return;
                log_.debug("repairing ", lifn, ": ", live, "/",
                           config_.replication_factor, " live replicas");
-               ByteWriter w;
+               PayloadWriter w;
                w.str(lifn);
-               w.blob(it->second.bytes);
-               Bytes body = std::move(w).take();
+               w.blob(Payload(it->second.bytes));
+               Payload body = std::move(w).take();
                int needed = config_.replication_factor - live;
                for (const auto& peer : peers_) {
                  if (needed <= 0) break;
@@ -360,7 +380,7 @@ void FileServer::repair_file(const std::string& lifn) {
                  ++stats_.repairs;
                  --needed;
                  std::uint64_t flow =
-                     rpc_.call(peer, tags::kReplicate, body, [](Result<Bytes>) {});
+                     rpc_.call(peer, tags::kReplicate, body, [](Result<Payload>) {});
                  auto& tracer = obs::Tracer::global();
                  if (tracer.flow_enabled())
                    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
@@ -375,15 +395,15 @@ void FileServer::replicate(const std::string& lifn) {
   if (copies_needed <= 0 || peers_.empty()) return;
   auto it = store_.find(lifn);
   if (it == store_.end()) return;
-  ByteWriter w;
+  PayloadWriter w;
   w.str(lifn);
-  w.blob(it->second.bytes);
-  Bytes body = std::move(w).take();
+  w.blob(Payload(it->second.bytes));
+  Payload body = std::move(w).take();
   auto& tracer = obs::Tracer::global();
   for (int i = 0; i < copies_needed && i < static_cast<int>(peers_.size()); ++i) {
     ++stats_.replicas_pushed;
     std::uint64_t flow =
-        rpc_.call(peers_[i], tags::kReplicate, body, [this, lifn](Result<Bytes> r) {
+        rpc_.call(peers_[i], tags::kReplicate, body, [this, lifn](Result<Payload> r) {
           if (!r) log_.warn("replication of ", lifn, " failed: ", r.error().to_string());
         });
     if (tracer.flow_enabled())
@@ -403,9 +423,9 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
   if (config_.stripes == 0) config_.stripes = 1;
   if (config_.chunk == 0) config_.chunk = 64 * 1024;
   rpc_.on_notify(files::tags::kSourceData, [this, alive = std::weak_ptr<char>(alive_)](
-                                               const simnet::Address&, const Bytes& body) {
+                                               const simnet::Address&, const Payload& body) {
     if (alive.expired()) return;  // endpoint outlived this client
-    ByteReader r(body);
+    PayloadCursor r(body);
     auto id = r.u64();
     auto total = r.u64();
     auto offset = r.u64();
@@ -431,14 +451,13 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
     const std::uint32_t s = static_cast<std::uint32_t>(ci % read.stripes.size());
     Stripe& stripe = read.stripes[s];
     stripe.last_progress = rpc_.engine().now();
-    if (read.chunks_have.insert(offset.value()).second) {
-      std::copy(chunk.value().begin(), chunk.value().end(),
-                read.data.begin() + static_cast<std::ptrdiff_t>(offset.value()));
-      read.bytes_have += chunk.value().size();
-      stripe.received += chunk.value().size();
+    const std::uint64_t n = chunk.value().size();
+    if (read.chunks.emplace(offset.value(), std::move(chunk).take()).second) {
+      read.bytes_have += n;
+      stripe.received += n;
     }
     if (!stripe.done && stripe.received >= stripe.expected) note_stripe_done(read, stripe);
-    if (read.bytes_have >= read.total) finish_read(id.value(), std::move(read.data));
+    if (read.bytes_have >= read.total) finish_read(id.value(), ok_result());
   });
 }
 
@@ -447,15 +466,15 @@ FileClient::~FileClient() {
     for (auto& s : read.stripes) rpc_.engine().cancel(s.timer);
 }
 
-void FileClient::write(const simnet::Address& server, const std::string& lifn, Bytes content,
-                       DoneHandler done) {
-  ByteWriter open;
+void FileClient::write(const simnet::Address& server, const std::string& lifn,
+                       Payload content, DoneHandler done) {
+  PayloadWriter open;
   open.str(lifn);
   open.u64(content.size());
   open.u32(config_.stripes);
   rpc_.call(server, tags::kOpenSink, std::move(open).take(),
             [this, alive = std::weak_ptr<char>(alive_), server,
-             content = std::move(content), done = std::move(done)](Result<Bytes> r) mutable {
+             content = std::move(content), done = std::move(done)](Result<Payload> r) mutable {
               if (alive.expired()) {
                 done(Error{Errc::cancelled, "file client destroyed"});
                 return;
@@ -464,7 +483,7 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn, B
                 done(r.error());
                 return;
               }
-              ByteReader rr(r.value());
+              PayloadCursor rr(r.value());
               auto id = rr.u64();
               if (!id) {
                 done(id.error());
@@ -481,11 +500,10 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn, B
                 for (std::uint64_t ci = s; ci * chunk < total; ci += config_.stripes) {
                   std::uint64_t offset = ci * chunk;
                   std::uint64_t n = std::min<std::uint64_t>(chunk, total - offset);
-                  ByteWriter w;
+                  PayloadWriter w;
                   w.u64(id.value());
                   w.u64(offset);
-                  w.blob(Bytes(content.begin() + static_cast<std::ptrdiff_t>(offset),
-                               content.begin() + static_cast<std::ptrdiff_t>(offset + n)));
+                  w.blob(content.slice(offset, n));
                   std::uint64_t flow =
                       rpc_.notify(server, tags::kSinkData, std::move(w).take());
                   if (tracer.flow_enabled())
@@ -497,10 +515,10 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn, B
                                  {"bytes", std::to_string(n)}});
                 }
               }
-              ByteWriter close;
+              PayloadWriter close;
               close.u64(id.value());
               rpc_.call(server, tags::kCloseSink, std::move(close).take(),
-                        [done = std::move(done)](Result<Bytes> r2) {
+                        [done = std::move(done)](Result<Payload> r2) {
                           if (!r2)
                             done(r2.error());
                           else
@@ -568,6 +586,11 @@ void FileClient::read(const std::string& lifn, ReadHandler done) {
   });
 }
 
+obs::Counter& FileClient::instrument(obs::Counter*& slot, const char* name) {
+  if (slot == nullptr) slot = &rpc_.host().metrics().counter(name);
+  return *slot;
+}
+
 int FileClient::attempt_budget(const PendingRead& read) const {
   if (config_.max_attempts > 0) return config_.max_attempts;
   return static_cast<int>(read.candidates.size()) * 2 + 1;
@@ -584,8 +607,8 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
   const SimTime now = rpc_.engine().now();
   st.opened_at = now;
   st.last_progress = now;
-  rpc_.host().metrics().counter("files.stripe_opens").inc();
-  ByteWriter w;
+  instrument(stripe_opens_, "files.stripe_opens").inc();
+  PayloadWriter w;
   w.str(read.lifn);
   w.str(rpc_.address().host);
   w.u16(rpc_.address().port);
@@ -596,7 +619,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
   std::uint64_t flow = rpc_.call(
       server, tags::kOpenSource, std::move(w).take(),
       [this, alive = std::weak_ptr<char>(alive_), read_id, stripe,
-       attempt](Result<Bytes> r) {
+       attempt](Result<Payload> r) {
         if (alive.expired()) return;
         auto rit = reads_.find(read_id);
         if (rit == reads_.end()) return;
@@ -611,7 +634,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
           reissue_stripe(read_id, stripe, "open_failed");
           return;
         }
-        ByteReader rr(r.value());
+        PayloadCursor rr(r.value());
         auto total = rr.u64();
         if (!total) return;
         st.last_progress = rpc_.engine().now();
@@ -623,7 +646,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
         // open response alone; chunks, when there are any, were queued
         // ahead of this response and have usually landed already.
         if (!st.done && st.received >= st.expected) note_stripe_done(read, st);
-        if (read.bytes_have >= read.total) finish_read(read_id, std::move(read.data));
+        if (read.bytes_have >= read.total) finish_read(read_id, ok_result());
       },
       config_.open_timeout);
   auto& tracer = obs::Tracer::global();
@@ -659,7 +682,7 @@ void FileClient::arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe) {
     }
     const std::string replica = read.candidates[st.candidate].to_string();
     ++host_failures_[read.candidates[st.candidate].host];
-    rpc_.host().metrics().counter("files.stripe_stalls").inc();
+    instrument(stripe_stalls_, "files.stripe_stalls").inc();
     rpc_.host().flight().record(
         "files", "stripe_stall",
         "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " replica=" + replica +
@@ -701,7 +724,7 @@ void FileClient::reissue_stripe(std::uint64_t read_id, std::uint32_t stripe,
     }
   }
   st.candidate = best;
-  rpc_.host().metrics().counter("files.stripe_reissues").inc();
+  instrument(stripe_reissues_, "files.stripe_reissues").inc();
   rpc_.host().flight().record(
       "files", "stripe_reissue",
       "lifn=" + read.lifn + " stripe=" + std::to_string(stripe) + " to=" +
@@ -712,7 +735,6 @@ void FileClient::reissue_stripe(std::uint64_t read_id, std::uint32_t stripe,
 
 void FileClient::on_total_known(PendingRead& read) {
   read.total_known = true;
-  read.data.resize(read.total);
   const std::uint64_t chunk = config_.chunk;
   const std::size_t k = read.stripes.size();
   for (std::uint64_t ci = 0; ci * chunk < read.total; ++ci) {
@@ -725,7 +747,8 @@ void FileClient::note_stripe_done(PendingRead& read, Stripe& s) {
   s.done = true;
   rpc_.engine().cancel(s.timer);
   s.timer = simnet::TimerId{};
-  rpc_.host().metrics().histogram("files.stripe_ms").observe(
+  if (stripe_ms_ == nullptr) stripe_ms_ = &rpc_.host().metrics().histogram("files.stripe_ms");
+  stripe_ms_->observe(
       static_cast<double>(rpc_.engine().now() - s.opened_at) / 1e6);
   // The serving replica finished a stripe: decay its failure score so a
   // healed host climbs back up the ranking.
@@ -733,18 +756,26 @@ void FileClient::note_stripe_done(PendingRead& read, Stripe& s) {
   if (it != host_failures_.end()) it->second /= 2;
 }
 
-void FileClient::finish_read(std::uint64_t read_id, Result<Bytes> result) {
+void FileClient::finish_read(std::uint64_t read_id, Result<void> result) {
   auto it = reads_.find(read_id);
   if (it == reads_.end()) return;
   PendingRead read = std::move(it->second);
   for (auto& s : read.stripes) rpc_.engine().cancel(s.timer);
   reads_.erase(it);
-  if (result.ok() && !read.expect_hash.empty() &&
-      content_hash(result.value()) != read.expect_hash) {
+  if (!result) {
+    read.done(result.error());
+    return;
+  }
+  Payload content = assemble(read.chunks);
+  // Chunks that reassembled into exactly one sealed stored buffer are
+  // verified by its sealed digest; anything else is hashed over its
+  // segments (crypto::verified_sha256).
+  if (!read.expect_hash.empty() &&
+      crypto::digest_hex(crypto::verified_sha256(content)) != read.expect_hash) {
     read.done(Error{Errc::corrupt, "content hash mismatch"});
     return;
   }
-  read.done(std::move(result));
+  read.done(content.to_bytes());
 }
 
 }  // namespace snipe::files

@@ -17,7 +17,11 @@
 // parallel chunk streams, stripe s carrying the chunks whose index is
 // congruent to s modulo k.  Each data message names its absolute byte
 // offset, so stripes reassemble out of order and a re-issued stripe's
-// duplicate chunks are idempotent.  The client spreads stripes across the
+// duplicate chunks are idempotent.  Chunks are slices of the stored file's
+// buffer, never copies, and the buffer is sealed with its SHA-256 when it
+// is stored: a read whose chunks reassemble into exactly that buffer is
+// verified against the sealed digest without hashing a byte, and anything
+// else is hashed in full.  The client spreads stripes across the
 // LIFN's live replicas — ranked by network distance (§6: "Duplicated file
 // reading/access is supported via location of closest resource daemons")
 // plus observed failure history — and re-issues a stalled stripe from the
@@ -109,7 +113,9 @@ class FileServer {
   /// Direct in-process access (tests / co-located components).
   bool has(const std::string& lifn) const { return store_.count(lifn) > 0; }
   Result<Bytes> read(const std::string& lifn) const;
-  void store_local(const std::string& lifn, Bytes content, bool announce = true);
+  /// Stores `content` under `lifn`, reusing its seal when it is exactly one
+  /// sealed buffer and hashing it once otherwise (crypto::seal).
+  void store_local(const std::string& lifn, const Payload& content, bool announce = true);
 
   std::size_t file_count() const { return store_.size(); }
   std::size_t open_sinks() const { return sinks_.size(); }
@@ -119,7 +125,9 @@ class FileServer {
  private:
   struct Sink {
     std::string lifn;
-    Bytes data;           ///< pre-sized to the declared total
+    /// Received chunks by offset, as delivered (slices of the writer's
+    /// buffer on a clean path); assembled once, at close.
+    std::map<std::uint64_t, Payload> chunks;
     std::uint64_t total = 0;
     std::uint32_t stripes = 1;
     /// Merged coverage intervals [offset, end) of the bytes received.
@@ -128,10 +136,10 @@ class FileServer {
     SimTime last_activity = 0;
   };
 
-  /// A stored file: its bytes and their SHA-256 hex, hashed once on arrival
-  /// and reused by every (re-)announce.
+  /// A stored file: its sealed buffer (crypto::seal) and the SHA-256 hex
+  /// announced for it.  Sources and kFetch serve slices of the buffer.
   struct Stored {
-    Bytes bytes;
+    Payload::Buffer bytes;
     std::string sha256;
   };
 
@@ -191,13 +199,14 @@ class FileClient {
   /// Writes `content` under `lifn` by spawning a sink on `server` and
   /// streaming SNIPE messages to it (§5.9's "opening a file for writing"),
   /// one offset-stamped stream per stripe.
-  void write(const simnet::Address& server, const std::string& lifn, Bytes content,
+  void write(const simnet::Address& server, const std::string& lifn, Payload content,
              DoneHandler done);
 
   /// Resolves the LIFN, spreads `config.stripes` stripe streams over the
   /// live replicas (ranked by distance + failure history), reassembles the
   /// out-of-order chunks, re-issues stalled stripes, and verifies the
-  /// content hash.
+  /// content hash.  Chunks are kept as received slices and flattened into
+  /// the handler's Bytes once, after verification.
   void read(const std::string& lifn, ReadHandler done);
 
   const FileClientConfig& config() const { return config_; }
@@ -218,12 +227,11 @@ class FileClient {
   struct PendingRead {
     std::string lifn;
     std::string expect_hash;
-    Bytes data;
     std::uint64_t total = 0;
     bool total_known = false;
     std::vector<simnet::Address> candidates;  ///< ranked best-first
     std::vector<Stripe> stripes;
-    std::set<std::uint64_t> chunks_have;  ///< offsets received (dedup)
+    std::map<std::uint64_t, Payload> chunks;  ///< received chunks by offset
     std::uint64_t bytes_have = 0;
     ReadHandler done;
   };
@@ -234,7 +242,9 @@ class FileClient {
   void reissue_stripe(std::uint64_t read_id, std::uint32_t stripe, const char* why);
   void arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe);
   void on_total_known(PendingRead& read);
-  void finish_read(std::uint64_t read_id, Result<Bytes> result);
+  /// Completes the read: on success assembles the chunks, verifies them
+  /// against the registered hash, and flattens them for the handler.
+  void finish_read(std::uint64_t read_id, Result<void> result);
   void note_stripe_done(PendingRead& read, Stripe& s);
   int attempt_budget(const PendingRead& read) const;
 
@@ -251,6 +261,14 @@ class FileClient {
   /// Observed failure history per replica host: bumped on open failures and
   /// stripe stalls, halved on stripe completion.
   std::map<std::string, int> host_failures_;
+  /// The host's per-stripe instruments, each looked up once, on first use:
+  /// registering them lazily keeps the host's registry, and so every
+  /// telemetry beacon it sends, exactly as without the cache.
+  obs::Counter* stripe_opens_ = nullptr;
+  obs::Counter* stripe_stalls_ = nullptr;
+  obs::Counter* stripe_reissues_ = nullptr;
+  obs::Histogram* stripe_ms_ = nullptr;
+  obs::Counter& instrument(obs::Counter*& slot, const char* name);
   /// Liveness token weakly captured by in-flight callbacks (RC lookups,
   /// stripe opens, the kSourceData handler left on the shared endpoint):
   /// the client can be destroyed with transfers outstanding, and a late

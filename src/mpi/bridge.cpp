@@ -104,8 +104,8 @@ MpiConnectPort::MpiConnectPort(MpiRank& rank, const std::string& app_name,
   simnet::Host* host = rank.endpoint().host().world()->host(rank.address().host);
   rpc_ = std::make_unique<transport::RpcEndpoint>(*host, 0);
   rc_ = std::make_unique<rcds::RcClient>(*rpc_, std::move(rc_replicas));
-  rpc_->on_notify(kInterTag, [this](const simnet::Address&, const Bytes& body) {
-    auto msg = InterMessage::decode(body);
+  rpc_->on_notify(kInterTag, [this](const simnet::Address&, const Payload& body) {
+    auto msg = InterMessage::decode(body.to_bytes());
     if (msg && handler_) handler_(std::move(msg).take());
   });
   // Register our endpoint under the port URN in the SNIPE registry: global

@@ -40,12 +40,12 @@ void MpiRank::send(int dst, int tag, Bytes data) {
 }
 
 void MpiRank::on_message(const simnet::Address&, Payload wire) {
-  ByteReader r(wire.data(), wire.size());
+  PayloadCursor r(wire);  // the message may arrive in several segments
   auto source = r.i32();
   auto tag = r.i32();
   auto data = r.blob();
   if (!source || !tag || !data) return;
-  MpiMessage msg{source.value(), tag.value(), std::move(data).take()};
+  MpiMessage msg{source.value(), tag.value(), data.value().to_bytes()};
 
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     if (matches(*it, msg)) {

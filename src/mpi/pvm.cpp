@@ -47,12 +47,12 @@ PvmDaemon::PvmDaemon(simnet::Host& host, const simnet::Address& master, std::uin
   ByteWriter w;
   w.str(address().host);
   w.u16(address().port);
-  rpc_.call(master, tags::kDaemonJoin, std::move(w).take(), [this](Result<Bytes> r) {
+  rpc_.call(master, tags::kDaemonJoin, std::move(w).take(), [this](Result<Payload> r) {
     if (!r) {
       log_.error("failed to join virtual machine: ", r.error().to_string());
       return;
     }
-    ByteReader reader(r.value());
+    PayloadCursor reader(r.value());
     auto index = reader.i32();
     if (index) index_ = index.value();
     log_.debug("joined as daemon ", index_);
@@ -61,9 +61,9 @@ PvmDaemon::PvmDaemon(simnet::Host& host, const simnet::Address& master, std::uin
 
 void PvmDaemon::serve() {
   rpc_.serve(tags::kDaemonJoin,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
+             [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
                if (!is_master()) return Result<Bytes>(Errc::state_error, "not the master");
-               ByteReader r(body);
+               PayloadCursor r(body);
                auto host = r.str();
                auto port = r.u16();
                if (!host || !port) return Error{Errc::corrupt, "bad join"};
@@ -75,8 +75,8 @@ void PvmDaemon::serve() {
              });
 
   rpc_.serve(tags::kEnroll,
-             [this](const simnet::Address& from, const Bytes& body) -> Result<Bytes> {
-               ByteReader r(body);
+             [this](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
+               PayloadCursor r(body);
                auto port = r.u16();
                if (!port) return port.error();
                if (index_ < 0) return Result<Bytes>(Errc::state_error, "pvmd not joined yet");
@@ -88,10 +88,10 @@ void PvmDaemon::serve() {
              });
 
   rpc_.serve(tags::kRegister,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
+             [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
                if (!is_master())
                  return Result<Bytes>(Errc::state_error, "names live on the master pvmd");
-               ByteReader r(body);
+               PayloadCursor r(body);
                auto name = r.str();
                auto tid = r.i32();
                if (!name || !tid) return Error{Errc::corrupt, "bad register"};
@@ -101,10 +101,10 @@ void PvmDaemon::serve() {
              });
 
   rpc_.serve(tags::kLookup,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
+             [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
                if (!is_master())
                  return Result<Bytes>(Errc::state_error, "names live on the master pvmd");
-               ByteReader r(body);
+               PayloadCursor r(body);
                auto name = r.str();
                if (!name) return name.error();
                ++stats_.lookups;
@@ -116,9 +116,9 @@ void PvmDaemon::serve() {
              });
 
   rpc_.serve(tags::kDaemonAddr,
-             [this](const simnet::Address&, const Bytes& body) -> Result<Bytes> {
+             [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
                if (!is_master()) return Result<Bytes>(Errc::state_error, "not the master");
-               ByteReader r(body);
+               PayloadCursor r(body);
                auto index = r.i32();
                if (!index) return index.error();
                auto it = daemon_table_.find(index.value());
@@ -131,7 +131,7 @@ void PvmDaemon::serve() {
              });
 
   rpc_.on_notify(tags::kRoute,
-                 [this](const simnet::Address&, const Bytes& body) { route(body); });
+                 [this](const simnet::Address&, const Payload& body) { route(body.to_bytes()); });
 }
 
 void PvmDaemon::resolve_daemon(int index, std::function<void(Result<simnet::Address>)> done) {
@@ -147,12 +147,12 @@ void PvmDaemon::resolve_daemon(int index, std::function<void(Result<simnet::Addr
   ByteWriter w;
   w.i32(index);
   rpc_.call(*master_, tags::kDaemonAddr, std::move(w).take(),
-            [this, index, done = std::move(done)](Result<Bytes> r) {
+            [this, index, done = std::move(done)](Result<Payload> r) {
               if (!r) {
                 done(r.error());
                 return;
               }
-              ByteReader reader(r.value());
+              PayloadCursor reader(r.value());
               auto host = reader.str();
               auto port = reader.u16();
               if (!host || !port) {
@@ -195,8 +195,8 @@ void PvmDaemon::deliver_local(int tid, const Bytes& wire) {
 PvmTask::PvmTask(simnet::Host& host, PvmDaemon& local_daemon,
                  std::function<void(Result<int>)> ready)
     : rpc_(host, 0, {}), daemon_(local_daemon), log_("pvmtask@" + host.name()) {
-  rpc_.on_notify(tags::kRoute, [this](const simnet::Address&, const Bytes& body) {
-    auto env = PvmEnvelope::decode(body);
+  rpc_.on_notify(tags::kRoute, [this](const simnet::Address&, const Payload& body) {
+    auto env = PvmEnvelope::decode(body.to_bytes());
     if (!env) return;
     if (handler_)
       handler_(env.value().src_tid, env.value().tag, std::move(env.value().data));
@@ -204,12 +204,12 @@ PvmTask::PvmTask(simnet::Host& host, PvmDaemon& local_daemon,
   ByteWriter w;
   w.u16(rpc_.address().port);
   rpc_.call(daemon_.address(), tags::kEnroll, std::move(w).take(),
-            [this, ready = std::move(ready)](Result<Bytes> r) {
+            [this, ready = std::move(ready)](Result<Payload> r) {
               if (!r) {
                 ready(r.error());
                 return;
               }
-              ByteReader reader(r.value());
+              PayloadCursor reader(r.value());
               auto tid = reader.i32();
               if (!tid) {
                 ready(tid.error());
@@ -235,7 +235,7 @@ void PvmTask::register_name(const std::string& name, std::function<void(Result<v
   w.str(name);
   w.i32(tid_);
   rpc_.call(master, tags::kRegister, std::move(w).take(),
-            [done = std::move(done)](Result<Bytes> r) {
+            [done = std::move(done)](Result<Payload> r) {
               if (!r)
                 done(r.error());
               else
@@ -249,12 +249,12 @@ void PvmTask::lookup(const std::string& name, std::function<void(Result<int>)> d
   ByteWriter w;
   w.str(name);
   rpc_.call(master, tags::kLookup, std::move(w).take(),
-            [done = std::move(done)](Result<Bytes> r) {
+            [done = std::move(done)](Result<Payload> r) {
               if (!r) {
                 done(r.error());
                 return;
               }
-              ByteReader reader(r.value());
+              PayloadCursor reader(r.value());
               auto tid = reader.i32();
               if (!tid) {
                 done(tid.error());

@@ -78,14 +78,14 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
   rpc_.call(
       replica, tag, body,
       [this, alive, tag, body, replica_index, tries_left,
-       done](Result<Bytes> response) mutable {
+       done](Result<Payload> response) mutable {
         if (alive.expired()) {
           // The client died mid-call (owner migrated/shut down).  Deliver
           // the outcome — `done` owns everything it needs — but touch no
           // member and never retry through the dead endpoint.
           if (!response) {
             done(response.error());
-          } else if (auto update = decode_update(response.value()); !update) {
+          } else if (auto update = decode_update(response.value().to_bytes()); !update) {
             done(update.error());
           } else {
             done(std::move(update.value().second));
@@ -100,13 +100,13 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
             if (auto master = referral_target(response.error().message); master.ok()) {
               rpc_.call(
                   master.value(), tag, body,
-                  [this, alive, done](Result<Bytes> r2) {
+                  [this, alive, done](Result<Payload> r2) {
                     if (!r2) {
                       if (!alive.expired()) ++stats_.failures;
                       done(r2.error());
                       return;
                     }
-                    auto update = decode_update(r2.value());
+                    auto update = decode_update(r2.value().to_bytes());
                     if (!update) {
                       done(update.error());
                       return;
@@ -137,7 +137,7 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
         fails_[idx] = 0;
         for (std::size_t i = 0; i < fails_.size(); ++i)
           if (i != idx && fails_[i] > 0) --fails_[i];
-        auto update = decode_update(response.value());
+        auto update = decode_update(response.value().to_bytes());
         if (!update) {
           done(update.error());
           return;

@@ -37,18 +37,21 @@ RcServer::RcServer(simnet::Host& host, std::uint16_t port, RcServerConfig config
       config_(std::move(config)),
       server_id_(host.name() + ":" + std::to_string(rpc_.address().port)),
       log_("rcds@" + server_id_) {
+  // Record and op decoders read contiguous bytes: bodies other than kGet's
+  // are flattened here, at the handler edge.
   rpc_.serve(tags::kGet,
-             [this](const simnet::Address&, const Bytes& body) { return handle_get(body); });
-  rpc_.serve(tags::kApply, [this](const simnet::Address& from, const Bytes& body) {
-    return handle_apply(from, body);
+             [this](const simnet::Address&, const Payload& body) { return handle_get(body); });
+  rpc_.serve(tags::kApply, [this](const simnet::Address& from, const Payload& body) {
+    return handle_apply(from, body.to_bytes());
   });
-  rpc_.on_notify(tags::kReplicate,
-                 [this](const simnet::Address&, const Bytes& body) { handle_replicate(body); });
-  rpc_.serve(tags::kSyncDigest, [this](const simnet::Address&, const Bytes& body) {
-    return handle_sync_digest(body);
+  rpc_.on_notify(tags::kReplicate, [this](const simnet::Address&, const Payload& body) {
+    handle_replicate(body.to_bytes());
   });
-  rpc_.serve(tags::kPing, [](const simnet::Address&, const Bytes&) -> Result<Bytes> {
-    return Bytes{};
+  rpc_.serve(tags::kSyncDigest, [this](const simnet::Address&, const Payload& body) {
+    return handle_sync_digest(body.to_bytes());
+  });
+  rpc_.serve(tags::kPing, [](const simnet::Address&, const Payload&) -> Result<Payload> {
+    return Payload{};
   });
   if (config_.anti_entropy_period > 0) {
     engine_.schedule_weak(config_.anti_entropy_period, [this] { anti_entropy_tick(); });
@@ -125,8 +128,8 @@ void RcServer::broadcast_update(const std::string& uri,
   }
 }
 
-Result<Bytes> RcServer::handle_get(const Bytes& body) {
-  ByteReader r(body);
+Result<Bytes> RcServer::handle_get(const Payload& body) {
+  PayloadCursor r(body);
   auto uri = r.str();
   if (!uri) return uri.error();
   ++stats_.gets;
@@ -245,16 +248,16 @@ void RcServer::anti_entropy_tick() {
     w.i64(record.latest());
   }
   std::uint64_t flow =
-      rpc_.call(peer, tags::kSyncDigest, std::move(w).take(), [this](Result<Bytes> response) {
+      rpc_.call(peer, tags::kSyncDigest, std::move(w).take(), [this](Result<Payload> response) {
         if (!response) return;  // peer down; next round will try another
-        ByteReader r(response.value());
+        PayloadCursor r(response.value());
         auto count = r.u32();
         if (!count) return;
         std::uint64_t repaired = 0;
         for (std::uint32_t i = 0; i < count.value(); ++i) {
           auto blob = r.blob();
           if (!blob) return;
-          auto update = decode_update(blob.value());
+          auto update = decode_update(blob.value().to_bytes());
           if (!update) return;
           Record& record = store_[update.value().first];
           for (const auto& a : update.value().second)

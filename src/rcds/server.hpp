@@ -79,7 +79,7 @@ class RcServer {
   transport::RpcEndpoint& rpc() { return rpc_; }
 
  private:
-  Result<Bytes> handle_get(const Bytes& body);
+  Result<Bytes> handle_get(const Payload& body);
   Result<Bytes> handle_apply(const simnet::Address& from, const Bytes& body);
   void handle_replicate(const Bytes& body);
   Result<Bytes> handle_sync_digest(const Bytes& body);

@@ -104,30 +104,28 @@ ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address
       rc_(rpc_, std::move(rc_replicas)),
       log_("rm@" + host.name()) {
   rpc_.serve_async(tags::kAllocate,
-                   [this](const simnet::Address& from, const Bytes& body,
+                   [this](const simnet::Address& from, const Payload& body,
                           transport::RpcEndpoint::Responder respond) {
                      queue_decision([this, from, body, respond = std::move(respond)] {
                        handle_allocate(from, body, std::move(respond));
                      });
                    });
   rpc_.serve_async(tags::kReserve,
-                   [this](const simnet::Address&, const Bytes& body,
+                   [this](const simnet::Address&, const Payload& body,
                           transport::RpcEndpoint::Responder respond) {
                      queue_decision([this, body, respond = std::move(respond)] {
                        respond(handle_reserve(body));
                      });
                    });
-  rpc_.serve(tags::kAuthorize, [this](const simnet::Address&, const Bytes& body) {
+  rpc_.serve(tags::kAuthorize, [this](const simnet::Address&, const Payload& body) {
     return handle_authorize(body);
   });
   rpc_.serve(tags::kPing,
-             [](const simnet::Address&, const Bytes&) -> Result<Bytes> { return Bytes{}; });
+             [](const simnet::Address&, const Payload&) -> Result<Bytes> { return Bytes{}; });
   // Raw port for health pongs from the daemons we manage.
   ping_port_ = host.ephemeral_port();
   host.bind(ping_port_, [this](const simnet::Packet& p) {
-        Payload pong = p.payload;
-        pong.flatten();  // raw wire bytes; pongs are single-segment anyway
-        ByteReader r(pong.data(), pong.size());
+        PayloadCursor r(p.payload);
         auto load = r.f64();
         if (!load) return;
         for (auto& [name, info] : hosts_) {
@@ -292,7 +290,7 @@ void ResourceManager::establish_session(const std::string& host_name,
                auto hello = crypto::SignedStatement::make(
                    principal_, std::move(initiated.value().second));
                rpc_.call(daemon, daemon::tags::kSessionHello, hello.encode(),
-                         [this, host_name, session, done = std::move(done)](Result<Bytes> r2) {
+                         [this, host_name, session, done = std::move(done)](Result<Payload> r2) {
                            if (!r2) {
                              done(r2.error());
                              return;
@@ -304,9 +302,9 @@ void ResourceManager::establish_session(const std::string& host_name,
              });
 }
 
-void ResourceManager::handle_allocate(const simnet::Address& from, const Bytes& body,
+void ResourceManager::handle_allocate(const simnet::Address& from, const Payload& body,
                                       transport::RpcEndpoint::Responder respond) {
-  auto request = daemon::SpawnRequest::decode(body);
+  auto request = daemon::SpawnRequest::decode(body.to_bytes());
   if (!request) {
     respond(request.error());
     return;
@@ -330,7 +328,7 @@ void ResourceManager::handle_allocate(const simnet::Address& from, const Bytes& 
                               "target=" + host.value() + " program=" + forwarded.program);
   SimTime spawn_start = engine_.now();
   auto completion = [respond, this, span, spawn_start,
-                     target = host.value()](Result<Bytes> r) {
+                     target = host.value()](Result<Payload> r) {
     spawn_latency_ms_->observe(static_cast<double>(engine_.now() - spawn_start) / 1e6);
     obs::Tracer::global().end_span(
         span, {{"host", target}, {"ok", r.ok() ? "true" : "false"}});
@@ -352,8 +350,8 @@ void ResourceManager::handle_allocate(const simnet::Address& from, const Bytes& 
   (void)from;
 }
 
-Result<Bytes> ResourceManager::handle_reserve(const Bytes& body) {
-  auto request = daemon::SpawnRequest::decode(body);
+Result<Bytes> ResourceManager::handle_reserve(const Payload& body) {
+  auto request = daemon::SpawnRequest::decode(body.to_bytes());
   if (!request) return request.error();
   auto host = select_host(request.value());
   if (!host) {
@@ -369,8 +367,8 @@ Result<Bytes> ResourceManager::handle_reserve(const Bytes& body) {
   return res.encode();
 }
 
-Result<Bytes> ResourceManager::handle_authorize(const Bytes& body) {
-  auto request = AuthorizeRequest::decode(body);
+Result<Bytes> ResourceManager::handle_authorize(const Payload& body) {
+  auto request = AuthorizeRequest::decode(body.to_bytes());
   if (!request) return request.error();
   const AuthorizeRequest& req = request.value();
 

@@ -129,10 +129,10 @@ class ResourceManager {
   void poll_hosts();
   /// Serializes `work` behind earlier decisions, charging decision_time.
   void queue_decision(std::function<void()> work);
-  void handle_allocate(const simnet::Address& from, const Bytes& body,
+  void handle_allocate(const simnet::Address& from, const Payload& body,
                        transport::RpcEndpoint::Responder respond);
-  Result<Bytes> handle_reserve(const Bytes& body);
-  Result<Bytes> handle_authorize(const Bytes& body);
+  Result<Bytes> handle_reserve(const Payload& body);
+  Result<Bytes> handle_authorize(const Payload& body);
 
   transport::RpcEndpoint rpc_;
   simnet::Engine& engine_;

@@ -148,7 +148,6 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   if (msg.have_count == msg.frag_count) {
     Payload assembled;
     for (auto& frag : msg.frags) assembled.append(std::move(frag));
-    assembled.flatten();  // no-op when the fragments coalesced
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled())
       tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "ethmcast.deliver", msg.flow,

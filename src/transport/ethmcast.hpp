@@ -40,8 +40,9 @@ struct EthMcastStats {
 /// receiver for a given (network segment, group, port).
 class EthMcastEndpoint {
  public:
-  /// Delivered messages are contiguous Payloads; on a clean path the bytes
-  /// alias the sender's original buffer (fragments coalesce on reassembly).
+  /// Delivered messages are the reassembled Payload, as is; on a clean path
+  /// the segments alias the sender's original buffer (fragments coalesce on
+  /// reassembly).  Handlers read with PayloadCursor or flatten() themselves.
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;
 

@@ -24,26 +24,58 @@ RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig confi
   });
 }
 
-Bytes RpcEndpoint::authenticator(const Bytes& payload) const {
+namespace {
+/// Body segments shorter than this are copied into the frame's pooled
+/// header chunk instead of spliced by reference: a small control body then
+/// costs no segment, and a frame stays within Payload's two inline
+/// segments (a third spills to the heap) unless its body carries bulk data.
+constexpr std::size_t kSpliceMin = 512;
+
+void put_body(PayloadWriter& w, const Payload& body) {
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  for (std::size_t i = 0; i < body.segment_count(); ++i) {
+    const Payload::Segment& s = body.segment(i);
+    if (s.len < kSpliceMin)
+      w.raw(s.data(), s.len);
+    else
+      w.append(Payload(s.buf, s.off, s.len));
+  }
+}
+
+/// An error reply's body: u8 code, str message.
+Payload error_body(const Error& e) {
+  PayloadWriter w;
+  w.u8(static_cast<std::uint8_t>(e.code));
+  w.str(e.message);
+  return std::move(w).take();
+}
+}  // namespace
+
+Bytes RpcEndpoint::authenticator(const Payload& body) const {
   if (config_.shared_secret.empty()) return {};
-  crypto::Md5 keyed;  // md5(secret || payload), streamed without a joined copy
+  crypto::Md5 keyed;  // md5(secret || body), streamed over the body's segments
   keyed.update(config_.shared_secret);
-  keyed.update(payload);
+  keyed.update(body);
   auto digest = keyed.finish();
   return Bytes(digest.begin(), digest.end());
 }
 
-std::uint64_t RpcEndpoint::call(const simnet::Address& dst, std::uint32_t tag, Bytes body,
-                                ResponseHandler done, SimDuration timeout) {
-  if (timeout <= 0) timeout = config_.default_timeout;
-  std::uint64_t id = next_call_id_++;
-
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Kind::request));
+Payload RpcEndpoint::frame(Kind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+                           bool with_auth) const {
+  PayloadWriter w;
+  w.u8(static_cast<std::uint8_t>(kind));
   w.u64(id);
   w.u32(tag);
-  w.blob(body);
-  w.blob(authenticator(body));
+  put_body(w, body);
+  if (with_auth) w.blob(authenticator(body));
+  return std::move(w).take();
+}
+
+std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
+                                     ResponseHandler done, SimDuration timeout) {
+  if (timeout <= 0) timeout = config_.default_timeout;
+  std::uint64_t id = next_call_id_++;
+  Payload request = frame(Kind::request, id, tag, body, true);
 
   ++stats_.calls_sent;
   auto timer = engine_.schedule(timeout, [this, id, dst, tag] {
@@ -55,7 +87,7 @@ std::uint64_t RpcEndpoint::call(const simnet::Address& dst, std::uint32_t tag, B
     handler(Error{Errc::timeout, "rpc tag " + std::to_string(tag) + " to " + dst.to_string()});
   });
   pending_[id] = PendingCall{std::move(done), timer};
-  std::uint64_t msg_id = srudp_.send(dst, std::move(w).take());
+  std::uint64_t msg_id = srudp_.send(dst, std::move(request));
   // Link the rpc layer into the request message's transport flow: the flow
   // id is deterministic, so recomputing it here matches what srudp minted.
   std::uint64_t flow =
@@ -67,42 +99,22 @@ std::uint64_t RpcEndpoint::call(const simnet::Address& dst, std::uint32_t tag, B
   return flow;
 }
 
-std::uint64_t RpcEndpoint::notify(const simnet::Address& dst, std::uint32_t tag, Bytes body) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Kind::oneway));
-  w.u64(0);
-  w.u32(tag);
-  w.blob(body);
-  w.blob(authenticator(body));
+std::uint64_t RpcEndpoint::notify(const simnet::Address& dst, std::uint32_t tag, Payload body) {
   ++stats_.notifications_sent;
-  std::uint64_t msg_id = srudp_.send(dst, std::move(w).take());
+  std::uint64_t msg_id = srudp_.send(dst, frame(Kind::oneway, 0, tag, body, true));
   return mint_flow(srudp_.address().host, srudp_.port(), dst.host, dst.port, msg_id);
 }
 
 void RpcEndpoint::send_reply(const simnet::Address& src, std::uint64_t id, std::uint32_t tag,
-                             const Result<Bytes>& result) {
-  ByteWriter w;
-  if (result.ok()) {
-    w.u8(static_cast<std::uint8_t>(Kind::response));
-    w.u64(id);
-    w.u32(tag);
-    w.blob(result.value());
-  } else {
-    w.u8(static_cast<std::uint8_t>(Kind::error));
-    w.u64(id);
-    w.u32(tag);
-    ByteWriter e;
-    e.u8(static_cast<std::uint8_t>(result.error().code));
-    e.str(result.error().message);
-    w.blob(e.bytes());
-  }
-  srudp_.send(src, std::move(w).take());
+                             const Result<Payload>& result) {
+  srudp_.send(src, result.ok() ? frame(Kind::response, id, tag, result.value(), false)
+                               : frame(Kind::error, id, tag, error_body(result.error()), false));
 }
 
 void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
-  // SRUDP delivers contiguous payloads, so ByteReader can run over the
-  // shared bytes directly; blob() below copies only the body it keeps.
-  ByteReader r(msg.data(), msg.size());
+  // The message may have several segments; the cursor's blob() hands the
+  // body over as a zero-copy slice of them.
+  PayloadCursor r(msg);
   auto kind_raw = r.u8();
   auto id = r.u64();
   auto tag = r.u32();
@@ -128,17 +140,9 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
     if (!config_.shared_secret.empty() && auth.value() != authenticator(body.value())) {
       ++stats_.requests_rejected_auth;
       log_.warn("rejecting request from ", src.to_string(), ": bad authenticator");
-      if (kind == Kind::request) {
-        ByteWriter w;
-        w.u8(static_cast<std::uint8_t>(Kind::error));
-        w.u64(id.value());
-        w.u32(tag.value());
-        ByteWriter e;
-        e.u8(static_cast<std::uint8_t>(Errc::permission_denied));
-        e.str("bad authenticator");
-        w.blob(e.bytes());
-        srudp_.send(src, std::move(w).take());
-      }
+      if (kind == Kind::request)
+        send_reply(src, id.value(), tag.value(),
+                   Error{Errc::permission_denied, "bad authenticator"});
       return;
     }
     if (kind == Kind::oneway) {
@@ -155,7 +159,7 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
     if (auto ait = async_handlers_.find(tag.value()); ait != async_handlers_.end()) {
       std::uint64_t req_id = id.value();
       std::uint32_t req_tag = tag.value();
-      ait->second(src, body.value(), [this, src, req_id, req_tag](Result<Bytes> result) {
+      ait->second(src, body.value(), [this, src, req_id, req_tag](Result<Payload> result) {
         send_reply(src, req_id, req_tag, result);
       });
       return;
@@ -165,14 +169,14 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
       std::uint64_t req_id = id.value();
       std::uint32_t req_tag = tag.value();
       default_handler_(src, req_tag, body.value(),
-                       [this, src, req_id, req_tag](Result<Bytes> result) {
+                       [this, src, req_id, req_tag](Result<Payload> result) {
                          send_reply(src, req_id, req_tag, result);
                        });
       return;
     }
-    Result<Bytes> result =
+    Result<Payload> result =
         it == handlers_.end()
-            ? Result<Bytes>(Errc::not_found, "no handler for tag " + std::to_string(tag.value()))
+            ? Result<Payload>(Errc::not_found, "no handler for tag " + std::to_string(tag.value()))
             : it->second(src, body.value());
     send_reply(src, id.value(), tag.value(), result);
     return;
@@ -189,7 +193,7 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
     handler(std::move(body).take());
   } else {
     ++stats_.calls_error;
-    ByteReader er(body.value());
+    PayloadCursor er(body.value());
     auto code = er.u8();
     auto text = er.str();
     handler(Error{code ? static_cast<Errc>(code.value()) : Errc::corrupt,

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include "crypto/hash.hpp"
 #include "transport/srudp.hpp"
@@ -44,25 +45,42 @@ struct RpcStats {
 
 class RpcEndpoint {
  public:
-  using ResponseHandler = std::function<void(Result<Bytes>)>;
+  // Every body — request, notification, response — is a Payload whose
+  // segments, on a clean path, alias the sender's buffers (DESIGN.md
+  // §data-plane).  Handlers read bodies with PayloadCursor and flatten only
+  // where they need contiguous bytes.
+  using ResponseHandler = std::function<void(Result<Payload>)>;
   /// Server-side handler: return the response body or an Error that is
   /// propagated to the caller.
   using RequestHandler =
-      std::function<Result<Bytes>(const simnet::Address& from, const Bytes& body)>;
+      std::function<Result<Payload>(const simnet::Address& from, const Payload& body)>;
   /// Deferred-response variant: the handler must eventually invoke the
   /// responder exactly once.  Used when serving needs further network round
   /// trips (e.g. a daemon fetching mobile code before answering a spawn).
-  using Responder = std::function<void(Result<Bytes>)>;
+  using Responder = std::function<void(Result<Payload>)>;
   using AsyncRequestHandler =
-      std::function<void(const simnet::Address& from, const Bytes& body, Responder respond)>;
+      std::function<void(const simnet::Address& from, const Payload& body, Responder respond)>;
   /// One-way notification handler.
   using NotifyHandler =
-      std::function<void(const simnet::Address& from, const Bytes& body)>;
+      std::function<void(const simnet::Address& from, const Payload& body)>;
 
   RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig config = {});
 
   /// Registers the handler for request tag `tag` (replacing any previous).
-  void serve(std::uint32_t tag, RequestHandler handler) { handlers_[tag] = std::move(handler); }
+  /// A handler written against contiguous `Bytes` bodies (perfbench's layer
+  /// peel registers one) is accepted too: its body is flattened into a
+  /// fresh vector at this edge.
+  template <typename F>
+  void serve(std::uint32_t tag, F handler) {
+    if constexpr (std::is_invocable_v<F&, const simnet::Address&, const Payload&>) {
+      handlers_[tag] = std::move(handler);
+    } else {
+      handlers_[tag] = [h = std::move(handler)](const simnet::Address& from,
+                                                const Payload& body) -> Result<Payload> {
+        return h(from, body.to_bytes());
+      };
+    }
+  }
   /// Registers a deferred-response handler for `tag`.
   void serve_async(std::uint32_t tag, AsyncRequestHandler handler) {
     async_handlers_[tag] = std::move(handler);
@@ -71,9 +89,9 @@ class RpcEndpoint {
   /// Catch-all for requests with no registered handler; used by migration
   /// relays (§5.6) to proxy *any* request to the process's new location.
   using DefaultRequestHandler = std::function<void(
-      const simnet::Address& from, std::uint32_t tag, const Bytes& body, Responder respond)>;
+      const simnet::Address& from, std::uint32_t tag, const Payload& body, Responder respond)>;
   using DefaultNotifyHandler = std::function<void(const simnet::Address& from,
-                                                  std::uint32_t tag, const Bytes& body)>;
+                                                  std::uint32_t tag, const Payload& body)>;
   void serve_default(DefaultRequestHandler handler) { default_handler_ = std::move(handler); }
   void on_notify_default(DefaultNotifyHandler handler) {
     default_notify_ = std::move(handler);
@@ -101,13 +119,27 @@ class RpcEndpoint {
   /// Issues a request; `done` fires exactly once with the response body,
   /// a server-reported error, or Errc::timeout.  Returns the transport flow
   /// id of the request message so callers can link their own trace steps to
-  /// the causal flow (`trace <id>` on the console).
-  std::uint64_t call(const simnet::Address& dst, std::uint32_t tag, Bytes body,
-                     ResponseHandler done, SimDuration timeout = 0);
+  /// the causal flow (`trace <id>` on the console).  The body's segments
+  /// are spliced into the request by reference.  A `done` written against
+  /// Result<Bytes> is accepted too and gets the response flattened.
+  template <typename F>
+  std::uint64_t call(const simnet::Address& dst, std::uint32_t tag, Payload body, F done,
+                     SimDuration timeout = 0) {
+    if constexpr (std::is_invocable_v<F&, Result<Payload>>) {
+      return send_call(dst, tag, std::move(body), std::move(done), timeout);
+    } else {
+      return send_call(
+          dst, tag, std::move(body),
+          [d = std::move(done)](Result<Payload> r) mutable {
+            d(r.ok() ? Result<Bytes>(r.value().to_bytes()) : Result<Bytes>(r.error()));
+          },
+          timeout);
+    }
+  }
 
   /// Fire-and-forget (still reliably transported) notification.  Returns
   /// the flow id of the carrying message, same as call().
-  std::uint64_t notify(const simnet::Address& dst, std::uint32_t tag, Bytes body);
+  std::uint64_t notify(const simnet::Address& dst, std::uint32_t tag, Payload body);
 
   simnet::Address address() const { return srudp_.address(); }
   simnet::Host& host() { return srudp_.host(); }
@@ -118,10 +150,16 @@ class RpcEndpoint {
  private:
   enum class Kind : std::uint8_t { request = 1, response = 2, error = 3, oneway = 4 };
 
+  std::uint64_t send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
+                          ResponseHandler done, SimDuration timeout);
   void on_message(const simnet::Address& src, Payload msg);
   void send_reply(const simnet::Address& src, std::uint64_t id, std::uint32_t tag,
-                  const Result<Bytes>& result);
-  Bytes authenticator(const Bytes& payload) const;
+                  const Result<Payload>& result);
+  /// The frame for `kind`, `id`, `tag` and `body`; requests and
+  /// notifications (`with_auth`) append the authenticator blob.
+  Payload frame(Kind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+                bool with_auth) const;
+  Bytes authenticator(const Payload& body) const;
 
   SrudpEndpoint srudp_;
   simnet::Engine& engine_;

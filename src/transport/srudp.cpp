@@ -456,9 +456,6 @@ void SrudpEndpoint::try_deliver(const simnet::Address& peer) {
     ++in.next_deliver;
     ++stats_.messages_delivered;
     stats_.bytes_delivered += payload.size();
-    // Handlers are promised contiguous bytes; flatten() only copies when
-    // coalescing failed (e.g. a corrupted fragment was cloned mid-message).
-    payload.flatten();
     last_delivered_flow_ = flow;
     if (handler_) handler_(peer, std::move(payload));
     last_delivered_flow_ = 0;

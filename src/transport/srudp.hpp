@@ -101,9 +101,11 @@ struct SrudpStats {
 /// A reliable, message-oriented endpoint bound to one (host, port).
 class SrudpEndpoint {
  public:
-  /// Delivered messages arrive as a contiguous Payload that, on a clean
-  /// path, aliases the sender's original message buffer (fragments coalesce
-  /// back during reassembly — no copy was ever made).
+  /// Delivered messages arrive as the reassembled Payload, as is: on a
+  /// clean path its segments alias the sender's message buffers (fragments
+  /// coalesce back during reassembly — no copy was ever made).  A message
+  /// may arrive in several segments; handlers read it with PayloadCursor
+  /// and call flatten() themselves only if they need contiguous bytes.
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;
 

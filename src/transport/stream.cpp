@@ -324,9 +324,6 @@ void StreamConnection::parse_messages() {
     if (tracer.flow_enabled())
       tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "stream.deliver", flow,
                   {{"peer", peer_.to_string()}, {"bytes", std::to_string(len)}});
-    // Segments that were sliced from one original message buffer coalesced
-    // back during reassembly, making this a no-op on the clean path.
-    message.flatten();
     if (on_message_) on_message_(std::move(message));
   }
 }

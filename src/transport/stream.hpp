@@ -48,9 +48,11 @@ class StreamEndpoint;
 /// One direction-pair of an established (or establishing) connection.
 class StreamConnection {
  public:
-  /// Messages are delivered as contiguous Payloads; on a clean path the
-  /// bytes alias the sender's original message buffer (segments are slices
-  /// of the send buffer, which itself splices in the callers' buffers).
+  /// Messages are delivered as the reassembled Payload, as is: on a clean
+  /// path the segments alias the sender's original message buffers
+  /// (segments are slices of the send buffer, which itself splices in the
+  /// callers' buffers).  A message may arrive in several segments; handlers
+  /// read it with PayloadCursor and flatten() only if they need to.
   using MessageHandler = std::function<void(Payload message)>;
   using ConnectHandler = std::function<void(Result<void>)>;
 

@@ -1,6 +1,9 @@
 #include "util/payload.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace snipe {
@@ -53,6 +56,17 @@ ChunkPool& pool() {
   return p;
 }
 
+/// The deleter of a sealed buffer, read back through std::get_deleter: the
+/// bytes' SHA-256, plus the wrapped buffer when an existing one was sealed
+/// (then the bytes are that buffer's, and dropping the wrapper frees them).
+struct Sealed {
+  Payload::Digest sha256;
+  Payload::Buffer wrapped;
+  void operator()(const Bytes* b) const {
+    if (wrapped == nullptr) delete b;
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -74,6 +88,34 @@ Payload::Payload(Buffer buf) {
   if (buf == nullptr || buf->empty()) return;
   std::size_t n = buf->size();
   push_segment(std::move(buf), 0, n);
+}
+
+Payload::Buffer Payload::seal(Bytes bytes, const Digest& sha256) {
+  return Buffer(new Bytes(std::move(bytes)), Sealed{sha256, nullptr});
+}
+
+Payload::Buffer Payload::seal(Buffer buf, const Digest& sha256) {
+  const Bytes* bytes = buf.get();
+  return Buffer(bytes, Sealed{sha256, std::move(buf)});
+}
+
+const Payload::Digest* Payload::sealed_digest(const Buffer& buf) {
+  const Sealed* s = std::get_deleter<Sealed>(buf);
+  return s == nullptr ? nullptr : &s->sha256;
+}
+
+const Payload::Digest* Payload::whole_sealed_digest() const {
+  if (nsegs_ != 1 || inline_[0].off != 0 || inline_[0].len != inline_[0].buf->size())
+    return nullptr;
+  return sealed_digest(inline_[0].buf);
+}
+
+void Payload::not_contiguous() const {
+  std::fprintf(stderr,
+               "Payload::data() on a %zu-segment payload: not contiguous; read it with "
+               "PayloadCursor or flatten() it first\n",
+               nsegs_);
+  std::abort();
 }
 
 void Payload::push_segment(Buffer buf, std::size_t off, std::size_t len) {
@@ -181,9 +223,10 @@ void Payload::cow_xor(std::size_t pos, std::uint8_t mask) {
       pos -= s.len;
       continue;
     }
-    if (s.buf.use_count() != 1) {
+    if (s.buf.use_count() != 1 || sealed_digest(s.buf) != nullptr) {
       // Shared bytes (another payload, a retransmit buffer, or the writer
-      // pool still references them): clone just this segment.
+      // pool still references them), or bytes whose sealed digest must
+      // stay true: clone just this segment.
       auto clone = std::make_shared<Bytes>(s.buf->begin() + static_cast<std::ptrdiff_t>(s.off),
                                            s.buf->begin() + static_cast<std::ptrdiff_t>(s.off + s.len));
       s.buf = clone;
@@ -341,6 +384,24 @@ Result<std::uint64_t> PayloadCursor::u64() {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
   return v;
+}
+
+Result<std::int32_t> PayloadCursor::i32() {
+  auto v = u32();
+  if (!v) return v.error();
+  return static_cast<std::int32_t>(v.value());
+}
+
+Result<std::int64_t> PayloadCursor::i64() {
+  auto v = u64();
+  if (!v) return v.error();
+  return static_cast<std::int64_t>(v.value());
+}
+
+Result<double> PayloadCursor::f64() {
+  auto v = u64();
+  if (!v) return v.error();
+  return std::bit_cast<double>(v.value());
 }
 
 Result<std::string> PayloadCursor::str() {

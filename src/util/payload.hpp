@@ -14,9 +14,16 @@
 // it forever and mutate it never.  Producers hand buffers over by value
 // (`Payload(Bytes)`) and must not retain a mutable reference.  The one
 // sanctioned mutation, cow_xor, writes in place only when the segment's
-// buffer has a single owner; otherwise it clones that segment first.
+// buffer has a single owner and is not sealed; otherwise it clones that
+// segment first.
+//
+// A buffer may be *sealed* with its SHA-256 (seal()): the digest rides in
+// the buffer's shared_ptr control block, so it lives and dies with exactly
+// that allocation and is never found through a later buffer that happens
+// to reuse the address.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -31,6 +38,8 @@ namespace snipe {
 class Payload {
  public:
   using Buffer = std::shared_ptr<const Bytes>;
+  /// A SHA-256 digest, as sealed into a buffer (crypto::Digest256's layout).
+  using Digest = std::array<std::uint8_t, 32>;
 
   /// One window into a shared buffer.
   struct Segment {
@@ -60,10 +69,12 @@ class Payload {
   }
   bool contiguous() const { return nsegs_ <= 1; }
 
-  /// Pointer to the bytes; only valid when contiguous() (callers on the
-  /// delivery path flatten first — see flatten()).
+  /// Pointer to the bytes of a contiguous() payload.  Delivered messages
+  /// may have several segments: read them with PayloadCursor, or flatten()
+  /// first.  Calling this on a multi-segment payload aborts in every build
+  /// type — it would otherwise silently expose only the first segment.
   const std::uint8_t* data() const {
-    assert(contiguous());
+    if (nsegs_ > 1) not_contiguous();
     return nsegs_ == 0 ? nullptr : inline_[0].data();
   }
 
@@ -91,10 +102,25 @@ class Payload {
   Bytes to_bytes() const;
 
   /// XORs the byte at `pos` with `mask`, cloning the containing segment
-  /// first unless this payload holds the buffer's only reference — the
-  /// fault injector's copy-on-write hook.  Everyone else sharing the bytes
-  /// keeps seeing the original.
+  /// first unless this payload holds the buffer's only reference and the
+  /// buffer is unsealed — the fault injector's copy-on-write hook.  Everyone
+  /// else sharing the bytes keeps seeing the original, and a sealed digest
+  /// never describes bytes that changed.
   void cow_xor(std::size_t pos, std::uint8_t mask);
+
+  /// Wraps `bytes` as an immutable buffer sealed with `sha256`, which must be
+  /// their SHA-256 (crypto::seal computes it).
+  static Buffer seal(Bytes bytes, const Digest& sha256);
+  /// Seals an existing buffer without copying it: the result views the
+  /// same bytes through a new control block that carries the digest and
+  /// keeps `buf` alive (so `buf` is never again a sole owner that cow_xor
+  /// could write through).
+  static Buffer seal(Buffer buf, const Digest& sha256);
+  /// The digest sealed into `buf`'s control block, or nullptr.
+  static const Digest* sealed_digest(const Buffer& buf);
+  /// The sealed digest of the bytes when this payload is exactly one
+  /// segment spanning a sealed buffer whole; nullptr otherwise.
+  const Digest* whole_sealed_digest() const;
 
   bool operator==(const Payload& o) const;
   bool operator==(const Bytes& o) const;
@@ -103,6 +129,7 @@ class Payload {
   static constexpr std::size_t kInlineSegments = 2;
 
   void push_segment(Buffer buf, std::size_t off, std::size_t len);
+  [[noreturn]] void not_contiguous() const;
   Segment& seg_at(std::size_t i) {
     return i < kInlineSegments ? inline_[i] : more_[i - kInlineSegments];
   }
@@ -175,6 +202,9 @@ class PayloadCursor {
   Result<std::uint16_t> u16();
   Result<std::uint32_t> u32();
   Result<std::uint64_t> u64();
+  Result<std::int32_t> i32();
+  Result<std::int64_t> i64();
+  Result<double> f64();
   Result<std::string> str();
   /// Length-prefixed (u32) blob as a zero-copy slice.
   Result<Payload> blob();

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -50,6 +51,13 @@ class [[nodiscard]] Result {
   Result(Error err) : state_(std::in_place_index<1>, std::move(err)) {}
   Result(Errc code, std::string message)
       : state_(std::in_place_index<1>, Error{code, std::move(message)}) {}
+  /// Moves a Result whose value converts to T (Result<Bytes> into
+  /// Result<Payload>, say) without copying the value.
+  template <typename U,
+            typename = std::enable_if_t<!std::is_same_v<U, T> && std::is_convertible_v<U&&, T>>>
+  Result(Result<U>&& other)  // NOLINT(google-explicit-constructor)
+      : state_(other.ok() ? std::variant<T, Error>(std::in_place_index<0>, std::move(other).take())
+                          : std::variant<T, Error>(std::in_place_index<1>, other.error())) {}
 
   bool ok() const { return state_.index() == 0; }
   explicit operator bool() const { return ok(); }

@@ -155,6 +155,61 @@ TEST(Sha256, ConcurrentFirstUseAgrees) {
 
 // ---- HMAC-SHA256: RFC 4231 vectors ----
 
+TEST(Sha256, PayloadIsHashedOverItsSegmentsWithoutFlattening) {
+  Bytes whole(1000);
+  for (std::size_t i = 0; i < whole.size(); ++i) whole[i] = static_cast<std::uint8_t>(i * 31);
+  Payload split(Bytes(whole.begin(), whole.begin() + 333));
+  split.append(Payload(Bytes(whole.begin() + 333, whole.end())));
+  ASSERT_EQ(split.segment_count(), 2u);
+  EXPECT_EQ(sha256(split), sha256(whole));
+  Md5 h;
+  h.update(split);
+  EXPECT_EQ(h.finish(), md5(whole));
+}
+
+TEST(Sha256, VerifiedDigestReusesASealOnlyForOneWholeSealedSegment) {
+  Bytes bytes(5000, 0x42);
+  Payload::Buffer sealed = seal(bytes);
+  ASSERT_NE(Payload::sealed_digest(sealed), nullptr);
+  EXPECT_EQ(*Payload::sealed_digest(sealed), sha256(bytes));
+  EXPECT_EQ(verified_sha256(Payload(sealed)), sha256(bytes));
+
+  // A seal that lies (sealed with another buffer's digest) shows which path
+  // ran: the whole sealed buffer takes the seal without hashing a byte;
+  // every other shape of the same bytes is hashed in full.
+  const Digest256 lie = sha256(to_bytes("not these bytes"));
+  Payload::Buffer lying = Payload::seal(bytes, lie);
+  EXPECT_EQ(verified_sha256(Payload(lying)), lie);
+  Payload halves = Payload(lying, 0, 2500);
+  halves.append(Payload(lying, 2500, 2500));  // coalesces back whole
+  EXPECT_EQ(verified_sha256(halves), lie);
+  EXPECT_EQ(verified_sha256(Payload(lying, 0, 4999)), sha256(Bytes(4999, 0x42)));
+  Payload cloned(lying);
+  cloned.cow_xor(0, 0x01);
+  cloned.cow_xor(0, 0x01);  // flipped back: same bytes, but a fresh buffer
+  EXPECT_EQ(cloned.to_bytes(), bytes);
+  EXPECT_EQ(verified_sha256(cloned), sha256(bytes));
+}
+
+TEST(Sha256, SealingAPayloadReusesCopiesOrWrapsAsItMust) {
+  Bytes bytes(300, 0x07);
+  Payload::Buffer sealed = seal(bytes);
+  // Already one whole sealed buffer: the very same buffer comes back.
+  EXPECT_EQ(seal(Payload(sealed)), sealed);
+  // One whole unsealed buffer: sealed in place, no copy.
+  Payload plain(bytes);
+  Payload::Buffer wrapped = seal(plain);
+  EXPECT_EQ(wrapped->data(), plain.data());
+  EXPECT_EQ(*Payload::sealed_digest(wrapped), sha256(bytes));
+  // A slice of a larger buffer: copied, so the stored file never pins the
+  // rest of that buffer.
+  Payload part(sealed, 100, 100);
+  Payload::Buffer copied = seal(part);
+  EXPECT_EQ(copied->size(), 100u);
+  EXPECT_NE(copied->data(), part.segment(0).data());
+  EXPECT_EQ(*Payload::sealed_digest(copied), sha256(Bytes(100, 0x07)));
+}
+
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
   auto mac = hmac_sha256(key, to_bytes("Hi There"));

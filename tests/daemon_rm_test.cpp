@@ -149,8 +149,8 @@ TEST_F(DaemonFixture, SpawnRunExitLifecycle) {
 TEST_F(DaemonFixture, SpawnerIsNotifiedOfStateChanges) {
   auto daemon = make_daemon("nodeA");
   std::vector<std::pair<std::string, TaskState>> events;
-  client_rpc->on_notify(tags::kTaskEvent, [&](const Address&, const Bytes& body) {
-    ByteReader r(body);
+  client_rpc->on_notify(tags::kTaskEvent, [&](const Address&, const Payload& body) {
+    PayloadCursor r(body);
     auto urn = r.str().value();
     auto state = static_cast<TaskState>(r.u8().value());
     events.emplace_back(urn, state);

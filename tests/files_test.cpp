@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "files/fileserver.hpp"
+#include "simnet/fault.hpp"
 
 namespace snipe::files {
 namespace {
@@ -104,6 +105,81 @@ TEST_F(FilesFixture, CorruptReplicaDetectedByHash) {
   client->read("lifn://utk.edu/data/4", [&](Result<Bytes> r) { read = r; });
   world.engine().run();
   EXPECT_EQ(read.code(), Errc::corrupt);
+}
+
+// The next tests store buffers sealed with a digest that is *not* theirs.
+// Against a correct seal, trusting it and re-hashing look the same; a seal
+// that lies shows which one ran: a component that trusted the seal
+// announces or accepts the lie, one that hashed sees the true digest.
+std::string catalog_hash(rcds::RcServer& rc, const std::string& lifn) {
+  std::string hash;
+  for (const auto& a : rc.get(lifn))
+    if (a.name == rcds::names::kLifnHash && !a.tombstone) hash = a.value;
+  return hash;
+}
+
+TEST_F(FilesFixture, ReplicaPushedByReplicateKeepsTheSealWithoutRehashing) {
+  const std::string lifn = "lifn://utk.edu/sealed/replica";
+  const Bytes content = pattern(20'000, 3);
+  const crypto::Digest256 lie = crypto::sha256(pattern(10, 4));
+  fs1->store_local(lifn, Payload(Payload::seal(content, lie)));  // pushed to fs2
+  world.engine().run();
+  ASSERT_EQ(fs2->stats().replicas_received, 1u);
+  EXPECT_EQ(fs2->read(lifn).value(), content);
+  // fs2 announced after fs1; had it hashed the pushed bytes, the catalog
+  // would now hold their true digest.
+  EXPECT_EQ(catalog_hash(*rc, lifn), crypto::digest_hex(lie));
+}
+
+TEST_F(FilesFixture, StripedReadOfTheStoredBufferIsVerifiedByItsSeal) {
+  // Chunks are slices of the stored buffer, and the client's offset-ordered
+  // slices coalesce back into it: finish_read then takes the seal and
+  // hashes no byte.  Had it hashed, the lie would fail the read as corrupt.
+  const std::string lifn = "lifn://utk.edu/sealed/striped";
+  const Bytes content = pattern(100'003, 5);
+  const crypto::Digest256 lie = crypto::sha256(pattern(10, 6));
+  fs1->store_local(lifn, Payload(Payload::seal(content, lie)));
+  world.engine().run();
+  ASSERT_EQ(catalog_hash(*rc, lifn), crypto::digest_hex(lie));
+  FileClientConfig cfg;
+  cfg.chunk = 8192;
+  cfg.stripes = 4;
+  FileClient striped(*app_rpc, replicas(), cfg);
+  Result<Bytes> read(Errc::state_error, "unset");
+  striped.read(lifn, [&](Result<Bytes> r) { read = r; });
+  world.engine().run();
+  ASSERT_TRUE(read.ok()) << read.error().to_string();
+  EXPECT_EQ(read.value(), content);
+  EXPECT_GE(fs1->stats().source_sessions, 1u);
+  EXPECT_GE(fs2->stats().source_sessions, 1u);  // stripes from both replicas
+}
+
+TEST_F(FilesFixture, ByteFlippedInFlightFailsAStripedReadAsCorrupt) {
+  // Every other path hashes in full: one byte of file data flipped in a
+  // datagram (checksums are off by default, so it is delivered) lands on a
+  // clone that carries no seal.
+  const std::string lifn = "lifn://utk.edu/flipped";
+  const Bytes content = pattern(100'003, 8);
+  fs1->store_local(lifn, content);
+  world.engine().run();
+  FileClientConfig cfg;
+  cfg.chunk = 8192;
+  cfg.stripes = 4;
+  FileClient striped(*app_rpc, replicas(), cfg);
+  simnet::FaultProfile flip;
+  flip.corrupt = 0.01;
+  flip.corrupt_max_bytes = 1;
+  simnet::FaultPlan plan(world, 2);
+  plan.inject("lan", flip);
+  Result<Bytes> read(Errc::state_error, "unset");
+  striped.read(lifn, [&](Result<Bytes> r) { read = r; });
+  world.engine().run_for(duration::seconds(30));
+  // Seeded so that exactly one datagram is hit: a data fragment from fs1.
+  EXPECT_EQ(plan.injector("lan")->stats().corrupted.load(), 1u);
+  EXPECT_EQ(read.code(), Errc::corrupt) << (read.ok() ? "ok" : read.error().to_string());
+  // The flips never reached the stored buffers.
+  EXPECT_EQ(fs1->read(lifn).value(), content);
+  EXPECT_EQ(fs2->read(lifn).value(), content);
 }
 
 TEST_F(FilesFixture, MissingLifnReportsNotFound) {

@@ -173,7 +173,7 @@ TEST_F(RpcFixture, AuthenticatorIsMd5OfSecretAndBody) {
   // Capture the request on the wire: kind, id, tag, body blob, auth blob.
   transport::SrudpEndpoint tap(*world.host("server"), 9000);
   Bytes wire;
-  tap.set_handler([&](const Address&, Payload m) { wire.assign(m.data(), m.data() + m.size()); });
+  tap.set_handler([&](const Address&, Payload m) { wire = m.to_bytes(); });
   transport::RpcEndpoint client(*world.host("client"), 9001, keyed);
   client.call(tap.address(), 1, body, [](Result<Bytes>) {}, duration::seconds(1));
   world.engine().run();
@@ -211,7 +211,7 @@ TEST_F(RpcFixture, NotifyIsDelivered) {
   transport::RpcEndpoint server(*world.host("server"), 9000);
   transport::RpcEndpoint client(*world.host("client"), 9001);
   std::vector<std::string> got;
-  server.on_notify(5, [&](const Address&, const Bytes& b) { got.push_back(to_string(b)); });
+  server.on_notify(5, [&](const Address&, const Payload& b) { got.push_back(to_string(b)); });
   client.notify(server.address(), 5, to_bytes("event"));
   world.engine().run();
   ASSERT_EQ(got.size(), 1u);

@@ -30,6 +30,57 @@ Bytes pattern_bytes(std::size_t n, std::uint32_t seed = 1) {
   return b;
 }
 
+/// A message shaped the way applications build them: a 16-byte header in
+/// its own vector plus a slice of a shared buffer.
+Payload header_plus_slice(std::uint64_t seq, const Payload::Buffer& shared, std::size_t off,
+                          std::size_t len) {
+  ByteWriter h;
+  h.u64(seq);
+  h.u64(off);
+  Payload m(std::move(h).take());
+  m.append(Payload(shared, off, len));
+  return m;
+}
+
+/// Where byte `pos` of `m` lives, read from the segment that holds it.
+const std::uint8_t* byte_address(const Payload& m, std::size_t pos) {
+  for (std::size_t i = 0; i < m.segment_count(); ++i) {
+    const Payload::Segment& s = m.segment(i);
+    if (pos < s.len) return s.data() + pos;
+    pos -= s.len;
+  }
+  return nullptr;
+}
+
+/// Checks a delivered header+slice message: the body is one segment whose
+/// bytes are the sender's own, read in place (pointer equality).
+void expect_body_aliases(const Payload& m, const Payload::Buffer& shared, std::size_t len) {
+  ASSERT_EQ(m.size(), 16 + len);
+  PayloadCursor r(m);
+  r.u64();
+  const std::size_t off = r.u64().value();
+  EXPECT_EQ(byte_address(m, 16), shared->data() + off);
+  EXPECT_EQ(m.segment(m.segment_count() - 1).len, len);
+}
+
+/// Counts delivered header+slice messages whose body differs from the
+/// sender's bytes.
+std::size_t count_altered(const std::vector<Payload>& got, const Bytes& original) {
+  std::size_t altered = 0;
+  for (const Payload& m : got) {
+    PayloadCursor r(m);
+    auto seq = r.u64();
+    auto off = r.u64();
+    const Payload body = m.slice(16, m.size() - 16);
+    if (!seq || !off || off.value() + body.size() > original.size() ||
+        !(body == Bytes(original.begin() + static_cast<std::ptrdiff_t>(off.value()),
+                        original.begin() +
+                            static_cast<std::ptrdiff_t>(off.value() + body.size()))))
+      ++altered;
+  }
+  return altered;
+}
+
 // ---- wire codecs ----
 
 TEST(Wire, DataRoundTrip) {
@@ -217,6 +268,41 @@ TEST(Srudp, LargeMessageFragmentsAndReassembles) {
   EXPECT_GT(p.a->stats().fragments_sent, 700u);
   EXPECT_EQ(p.a->stats().messages_delivered, 0u);  // a received nothing
   EXPECT_EQ(p.b->stats().messages_delivered, 1u);
+}
+
+TEST(Srudp, DeliveredBodyAliasesTheSendersBuffer) {
+  // Delivery hands over the reassembled segments as they are: no flatten,
+  // so the body is read straight out of the sender's buffer.
+  SrudpPair p;
+  auto shared = std::make_shared<const Bytes>(pattern_bytes(256 << 10));
+  std::vector<Payload> got;
+  p.b->set_handler([&](const Address&, Payload m) { got.push_back(std::move(m)); });
+  p.a->send(p.b->address(), header_plus_slice(0, shared, 1000, 4096));
+  p.a->send(p.b->address(), header_plus_slice(1, shared, 7000, 64 << 10));
+  p.world.engine().run();
+  ASSERT_EQ(got.size(), 2u);
+  expect_body_aliases(got[0], shared, 4096);
+  expect_body_aliases(got[1], shared, 64 << 10);
+}
+
+TEST(Srudp, CorruptionAltersTheDeliveredCopyNeverTheSendersBuffer) {
+  SrudpPair p(5);
+  simnet::FaultProfile prof;
+  prof.corrupt = 0.2;
+  prof.corrupt_max_bytes = 1;
+  simnet::FaultPlan plan(p.world, 11);
+  plan.inject("net", prof);
+  const Bytes original = pattern_bytes(64 << 10, 3);
+  auto shared = std::make_shared<const Bytes>(original);
+  std::vector<Payload> got;
+  p.b->set_handler([&](const Address&, Payload m) { got.push_back(std::move(m)); });
+  for (std::uint64_t i = 0; i < 6; ++i)
+    p.a->send(p.b->address(), header_plus_slice(i, shared, i * 8192, 8192));
+  p.world.engine().run();
+  EXPECT_GT(plan.injector("net")->stats().corrupted.load(), 0u);
+  ASSERT_FALSE(got.empty());
+  EXPECT_GT(count_altered(got, original), 0u);
+  EXPECT_EQ(*shared, original);  // the flips landed on clones
 }
 
 TEST(Srudp, ManyMessagesDeliveredInOrder) {
@@ -657,6 +743,45 @@ TEST(Stream, ServerCanSendBack) {
   p.world.engine().run();
   ASSERT_EQ(client_got.size(), 1u);
   EXPECT_EQ(to_string(client_got[0]), "pong");
+}
+
+TEST(Stream, DeliveredBodyAliasesTheSendersBuffer) {
+  StreamPair p;
+  auto conn = p.client_ep->connect(p.server_ep->address());
+  p.world.engine().run();
+  ASSERT_NE(p.server_conn, nullptr);
+  std::vector<Payload> got;
+  p.server_conn->set_message_handler([&](Payload m) { got.push_back(std::move(m)); });
+  auto shared = std::make_shared<const Bytes>(pattern_bytes(256 << 10));
+  conn->send_message(header_plus_slice(0, shared, 1000, 4096));
+  conn->send_message(header_plus_slice(1, shared, 7000, 64 << 10));
+  p.world.engine().run();
+  ASSERT_EQ(got.size(), 2u);
+  expect_body_aliases(got[0], shared, 4096);
+  expect_body_aliases(got[1], shared, 64 << 10);
+}
+
+TEST(Stream, CorruptionAltersTheDeliveredCopyNeverTheSendersBuffer) {
+  StreamPair p(5);
+  auto conn = p.client_ep->connect(p.server_ep->address());
+  p.world.engine().run();
+  ASSERT_NE(p.server_conn, nullptr);
+  std::vector<Payload> got;
+  p.server_conn->set_message_handler([&](Payload m) { got.push_back(std::move(m)); });
+  simnet::FaultProfile prof;
+  prof.corrupt = 0.2;
+  prof.corrupt_max_bytes = 1;
+  simnet::FaultPlan plan(p.world, 11);
+  plan.inject("net", prof);
+  const Bytes original = pattern_bytes(64 << 10, 3);
+  auto shared = std::make_shared<const Bytes>(original);
+  for (std::uint64_t i = 0; i < 6; ++i)
+    conn->send_message(header_plus_slice(i, shared, i * 8192, 8192));
+  p.world.engine().run_for(duration::seconds(30));
+  EXPECT_GT(plan.injector("net")->stats().corrupted.load(), 0u);
+  ASSERT_FALSE(got.empty());
+  EXPECT_GT(count_altered(got, original), 0u);
+  EXPECT_EQ(*shared, original);
 }
 
 TEST(Stream, RecoversFromLoss) {

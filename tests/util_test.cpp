@@ -413,5 +413,98 @@ TEST(Payload, CursorReadsFieldsStraddlingSegmentBoundaries) {
   EXPECT_EQ(last.value(), 0xCC);
 }
 
+TEST(PayloadDeathTest, DataOnAMultiSegmentPayloadAbortsInEveryBuildType) {
+  Payload joined(Bytes{1, 2});
+  joined.append(Payload(Bytes{3}));
+  ASSERT_EQ(joined.segment_count(), 2u);
+  // Reading only the first segment would be a silent short read; the
+  // check does not depend on NDEBUG.
+  EXPECT_DEATH((void)joined.data(), "not contiguous");
+}
+
+TEST(Payload, CursorReadsSignedAndFloatFieldsLikeByteReader) {
+  ByteWriter w;
+  w.i32(-7);
+  w.i64(-1234567890123LL);
+  w.f64(2.5);
+  Payload p(std::move(w).take());
+  PayloadCursor r(p);
+  EXPECT_EQ(r.i32().value(), -7);
+  EXPECT_EQ(r.i64().value(), -1234567890123LL);
+  EXPECT_EQ(r.f64().value(), 2.5);
+  EXPECT_FALSE(r.u8().ok());
+}
+
+Payload::Digest digest_of(std::uint8_t fill) {
+  Payload::Digest d;
+  d.fill(fill);
+  return d;
+}
+
+TEST(Seal, DigestRidesInTheControlBlock) {
+  Payload::Buffer sealed = Payload::seal(Bytes(64, 0x11), digest_of(0xAB));
+  ASSERT_NE(Payload::sealed_digest(sealed), nullptr);
+  EXPECT_EQ(*Payload::sealed_digest(sealed), digest_of(0xAB));
+  EXPECT_EQ(Payload::sealed_digest(std::make_shared<const Bytes>(Bytes(64, 0x11))), nullptr);
+
+  // Only one segment spanning the whole sealed buffer carries the digest.
+  EXPECT_NE(Payload(sealed).whole_sealed_digest(), nullptr);
+  EXPECT_EQ(Payload(sealed, 0, 63).whole_sealed_digest(), nullptr);
+  Payload two = Payload(sealed, 0, 32);
+  two.append(Payload(sealed, 32, 32));  // adjacent slices coalesce back whole
+  EXPECT_NE(two.whole_sealed_digest(), nullptr);
+  Payload prefixed(Bytes{0});
+  prefixed.append(Payload(sealed));
+  EXPECT_EQ(prefixed.whole_sealed_digest(), nullptr);
+}
+
+TEST(Seal, BufferReallocatedAtTheSameAddressGetsNoDigest) {
+  const std::uint8_t* freed = nullptr;
+  {
+    Payload::Buffer sealed = Payload::seal(Bytes(4096, 0x22), digest_of(0xCD));
+    freed = sealed->data();
+  }
+  // The allocator usually hands the freed block straight back (a memo
+  // keyed by that address would now vouch for different bytes); whether or
+  // not it does, the new buffer has its own control block and no digest.
+  std::vector<Bytes> misses;
+  Bytes fresh(4096, 0x33);
+  while (fresh.data() != freed && misses.size() < 8) {
+    misses.push_back(std::move(fresh));
+    fresh = Bytes(4096, 0x33);
+  }
+  Payload::Buffer reused = std::make_shared<const Bytes>(std::move(fresh));
+  EXPECT_EQ(Payload::sealed_digest(reused), nullptr);
+  EXPECT_EQ(Payload(reused).whole_sealed_digest(), nullptr);
+}
+
+TEST(Seal, CowXorClonesASealedBufferEvenWhenItIsTheSoleOwner) {
+  Payload::Buffer sealed = Payload::seal(Bytes{1, 2, 3, 4}, digest_of(0x5A));
+  Payload in_flight(sealed);
+  sealed.reset();  // the stored copy is gone: the packet is the only owner
+  ASSERT_EQ(in_flight.segment(0).buf.use_count(), 1);
+  const std::uint8_t* before = in_flight.data();
+  in_flight.cow_xor(2, 0xFF);
+  // A write in place would leave the digest describing bytes that changed.
+  EXPECT_NE(in_flight.data(), before);
+  EXPECT_EQ(in_flight.whole_sealed_digest(), nullptr);
+  EXPECT_EQ(in_flight.to_bytes(), (Bytes{1, 2, static_cast<std::uint8_t>(3 ^ 0xFF), 4}));
+}
+
+TEST(Seal, SealingAnExistingBufferSharesItsBytesAndPinsIt) {
+  Payload original(Bytes{9, 8, 7});
+  Payload::Buffer sealed = Payload::seal(original.segment(0).buf, digest_of(0x01));
+  EXPECT_EQ(sealed->data(), original.data());  // no copy
+  EXPECT_EQ(*Payload::sealed_digest(sealed), digest_of(0x01));
+  // The wrapper holds a reference, so the original is never a sole owner
+  // that cow_xor could write through under the sealed view.
+  original.cow_xor(0, 0x0F);
+  EXPECT_NE(original.data(), sealed->data());
+  EXPECT_EQ(Payload(sealed).to_bytes(), (Bytes{9, 8, 7}));
+  // The wrapper alone keeps the bytes alive.
+  original = Payload();
+  EXPECT_EQ(Payload(sealed).to_bytes(), (Bytes{9, 8, 7}));
+}
+
 }  // namespace
 }  // namespace snipe
