@@ -56,7 +56,7 @@ MulticastGroup::MulticastGroup(SnipeProcess& process, const std::string& group_u
     : process_(process),
       group_urn_(group_urn),
       config_(config),
-      log_("group@" + process.urn() + "/" + group_urn) {
+      log_("group@" + process.urn() + "/" + group_urn, process.host().clock()) {
   process_.register_group(group_urn_, this);
   refresh(std::move(ready));
 }

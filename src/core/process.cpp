@@ -40,7 +40,7 @@ SnipeProcess::SnipeProcess(simnet::Host& host, const std::string& name,
       config_(config),
       rpc_(std::make_unique<transport::RpcEndpoint>(host, 0)),
       rc_(std::make_unique<rcds::RcClient>(*rpc_, std::move(rc_replicas))),
-      log_("proc@" + urn_) {
+      log_("proc@" + urn_, host.clock()) {
   bind_handlers();
   register_in_rc();
 }
@@ -347,7 +347,7 @@ void SnipeProcess::migrate_to(simnet::Host& new_host, DoneHandler done) {
 
   log_.info("migrated ", urn_, " from ", old_host->name(), ":", old_address.port, " to ",
             new_host.name(), ":", new_address.port);
-  obs::Tracer::global().instant("core", "process.migrated",
+  obs::Tracer::global().instant(engine_->now(), "core", "process.migrated",
                                 {{"urn", urn_},
                                  {"from", old_host->name()},
                                  {"to", new_host.name()}});

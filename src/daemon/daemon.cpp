@@ -55,7 +55,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
       rc_(rpc_, rc_replicas),
       files_(rpc_, rc_replicas),
       playground_(rc_, files_, config_.trust, config_.playground),
-      log_("daemon@" + host.name()) {
+      log_("daemon@" + host.name(), host.clock()) {
   rpc_.serve_async(tags::kSpawn, [this](const simnet::Address& from, const Payload& body,
                                         transport::RpcEndpoint::Responder respond) {
     auto request = SpawnRequest::decode(body.to_bytes());
@@ -368,7 +368,7 @@ void SnipeDaemon::set_state(TaskEntry& entry, TaskState state, const std::string
   if (entry.state == state) return;
   entry.state = state;
   obs::Tracer::global().instant(
-      "daemon", std::string("task.") + task_state_name(state),
+      engine_.now(), "daemon", std::string("task.") + task_state_name(state),
       detail.empty()
           ? std::vector<std::pair<std::string, std::string>>{{"urn", entry.task_urn}}
           : std::vector<std::pair<std::string, std::string>>{{"urn", entry.task_urn},

@@ -41,7 +41,7 @@ void TelemetryExporter::tick() {
   beacons_counter_->inc();
   bytes_counter_->inc(wire.size() * config_.collectors.size());
   // "telemetry" is its own trace category, so beacons show as one track.
-  obs::Tracer::global().instant("telemetry", "telemetry.beacon",
+  obs::Tracer::global().instant(beacon.ts, "telemetry", "telemetry.beacon",
                                 {{"host", beacon.host},
                                  {"seq", std::to_string(beacon.seq)},
                                  {"bytes", std::to_string(wire.size())},
@@ -54,7 +54,7 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
     : rpc_(rpc),
       store_(options),
       watch_config_(std::move(watch)),
-      log_("telemetry@" + rpc.host().name()) {
+      log_("telemetry@" + rpc.host().name(), rpc.host().clock()) {
   if (watch_config_.enabled) {
     obs::FleetWatch::Options wo;
     wo.rules = watch_config_.rules;
@@ -74,8 +74,9 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
       return;
     }
     ++beacons_received_;
-    store_.apply(beacon.value(), rpc_.engine().now());
-    obs::Tracer::global().instant("telemetry", "telemetry.beacon_rx",
+    const SimTime now = rpc_.engine().now();
+    store_.apply(beacon.value(), now);
+    obs::Tracer::global().instant(now, "telemetry", "telemetry.beacon_rx",
                                   {{"host", beacon.value().host},
                                    {"seq", std::to_string(beacon.value().seq)}});
   });

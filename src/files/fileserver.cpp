@@ -57,7 +57,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
       engine_(host.engine()),
       config_(config),
       rc_(rpc_, std::move(rc_replicas)),
-      log_("files@" + host.name() + ":" + std::to_string(rpc_.address().port)) {
+      log_("files@" + host.name() + ":" + std::to_string(rpc_.address().port), host.clock()) {
   rpc_.serve(tags::kStore,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
                PayloadCursor r(body);
@@ -123,7 +123,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     // carrying message's flow so `trace <id>` shows where the bytes landed.
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.sink_chunk_rx",
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "files.sink_chunk_rx",
                   rpc_.srudp().last_delivered_flow(),
                   {{"lifn", sink.lifn},
                    {"offset", std::to_string(offset.value())},
@@ -198,8 +198,8 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                  w.blob(Payload(content, offset, n));
                  std::uint64_t flow = rpc_.notify(dst, tags::kSourceData, std::move(w).take());
                  if (tracer.flow_enabled())
-                   tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.source_chunk",
-                               flow,
+                   tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                               "files.source_chunk", flow,
                                {{"lifn", lifn.value()},
                                 {"stripe", std::to_string(stripe_index.value())},
                                 {"offset", std::to_string(offset)},
@@ -227,10 +227,8 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                // an overwrite replaces them).
                Stored& file = store_[lifn.value()];
                if (file.bytes == nullptr || content.value().whole_sealed_digest() != nullptr ||
-                   !(content.value() == *file.bytes)) {
-                 file.bytes = crypto::seal(content.value());
-                 file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
-               }
+                   !(content.value() == *file.bytes))
+                 put(file, crypto::seal(content.value()));
                // (Re-)announce unconditionally: a repair push may follow a
                // crash that retracted our registration while the bytes
                // survived on disk.
@@ -249,8 +247,10 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                PayloadCursor r(body);
                auto lifn = r.str();
                if (!lifn) return lifn.error();
-               if (store_.erase(lifn.value()) == 0)
-                 return Result<Payload>(Errc::not_found, lifn.value());
+               auto it = store_.find(lifn.value());
+               if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
+               stats_.bytes_stored -= it->second.bytes->size();
+               store_.erase(it);
                rc_.remove(lifn.value(), rcds::names::kLifnLocation, location_url(),
                           [](Result<void>) {});
                return Payload{};
@@ -286,14 +286,18 @@ void FileServer::store_local(const std::string& lifn, const Payload& content,
                              bool announce_it) {
   ++stats_.stores;
   Stored& file = store_[lifn];
-  stats_.bytes_stored -= file.bytes == nullptr ? 0 : file.bytes->size();
-  stats_.bytes_stored += content.size();
-  file.bytes = crypto::seal(content);
-  file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
+  put(file, crypto::seal(content));
   if (announce_it) {
     announce(lifn, file);
     replicate(lifn);
   }
+}
+
+void FileServer::put(Stored& file, Payload::Buffer bytes) {
+  stats_.bytes_stored -= file.bytes == nullptr ? 0 : file.bytes->size();
+  stats_.bytes_stored += bytes->size();
+  file.bytes = std::move(bytes);
+  file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
 }
 
 void FileServer::announce(const std::string& lifn, const Stored& file) {
@@ -383,7 +387,7 @@ void FileServer::repair_file(const std::string& lifn) {
                      rpc_.call(peer, tags::kReplicate, body, [](Result<Payload>) {});
                  auto& tracer = obs::Tracer::global();
                  if (tracer.flow_enabled())
-                   tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+                   tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                                "files.repair_push", flow,
                                {{"lifn", lifn}, {"peer", peer.to_string()}});
                }
@@ -407,7 +411,8 @@ void FileServer::replicate(const std::string& lifn) {
           if (!r) log_.warn("replication of ", lifn, " failed: ", r.error().to_string());
         });
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.replicate_push", flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                  "files.replicate_push", flow,
                   {{"lifn", lifn}, {"peer", peers_[i].to_string()}});
   }
 }
@@ -419,7 +424,7 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
     : rpc_(rpc),
       rc_(rpc, std::move(rc_replicas)),
       config_(config),
-      log_("fileclient@" + rpc.host().name()) {
+      log_("fileclient@" + rpc.host().name(), rpc.host().clock()) {
   if (config_.stripes == 0) config_.stripes = 1;
   if (config_.chunk == 0) config_.chunk = 64 * 1024;
   rpc_.on_notify(files::tags::kSourceData, [this, alive = std::weak_ptr<char>(alive_)](
@@ -436,8 +441,8 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
     PendingRead& read = it->second;
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.source_chunk_rx",
-                  rpc_.srudp().last_delivered_flow(),
+      tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
+                  "files.source_chunk_rx", rpc_.srudp().last_delivered_flow(),
                   {{"lifn", read.lifn},
                    {"offset", std::to_string(offset.value())},
                    {"bytes", std::to_string(chunk.value().size())}});
@@ -507,7 +512,7 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn,
                   std::uint64_t flow =
                       rpc_.notify(server, tags::kSinkData, std::move(w).take());
                   if (tracer.flow_enabled())
-                    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+                    tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                                 "files.sink_chunk", flow,
                                 {{"sink", std::to_string(id.value())},
                                  {"stripe", std::to_string(s)},
@@ -651,7 +656,8 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
       config_.open_timeout);
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "files.stripe_open", flow,
+    tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
+                "files.stripe_open", flow,
                 {{"lifn", read.lifn},
                  {"stripe", std::to_string(stripe)},
                  {"replica", server.to_string()},

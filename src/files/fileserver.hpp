@@ -143,6 +143,9 @@ class FileServer {
     std::string sha256;
   };
 
+  /// Makes sealed `bytes` the content of `file`, keeping bytes_stored in
+  /// step: the one accounting point for every path that stores a file.
+  void put(Stored& file, Payload::Buffer bytes);
   void announce(const std::string& lifn, const Stored& file);
   void replicate(const std::string& lifn);
   void repair_tick();

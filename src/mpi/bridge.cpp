@@ -41,7 +41,8 @@ PvmpiPort::PvmpiPort(MpiRank& rank, const std::string& app_name, pvm::PvmDaemon&
                      std::function<void(Result<void>)> ready)
     : rank_(rank),
       app_name_(app_name),
-      log_("pvmpi@" + app_name + "#" + std::to_string(rank.rank())) {
+      log_("pvmpi@" + app_name + "#" + std::to_string(rank.rank()),
+           rank.endpoint().host().clock()) {
   task_ = std::make_unique<pvm::PvmTask>(
       // The PVM task lives on the same host as the MPI rank.
       *rank.endpoint().host().world()->host(rank.address().host), daemon,
@@ -100,7 +101,8 @@ MpiConnectPort::MpiConnectPort(MpiRank& rank, const std::string& app_name,
                                std::function<void(Result<void>)> ready)
     : rank_(rank),
       app_name_(app_name),
-      log_("mpiconnect@" + app_name + "#" + std::to_string(rank.rank())) {
+      log_("mpiconnect@" + app_name + "#" + std::to_string(rank.rank()),
+           rank.endpoint().host().clock()) {
   simnet::Host* host = rank.endpoint().host().world()->host(rank.address().host);
   rpc_ = std::make_unique<transport::RpcEndpoint>(*host, 0);
   rc_ = std::make_unique<rcds::RcClient>(*rpc_, std::move(rc_replicas));

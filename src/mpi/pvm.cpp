@@ -33,7 +33,7 @@ PvmDaemon::PvmDaemon(simnet::Host& host, std::uint16_t port)
     : rpc_(host, port, {}),
       engine_(host.engine()),
       index_(0),
-      log_("pvmd-master@" + host.name()) {
+      log_("pvmd-master@" + host.name(), host.clock()) {
   daemon_table_[0] = address();
   serve();
 }
@@ -42,7 +42,7 @@ PvmDaemon::PvmDaemon(simnet::Host& host, const simnet::Address& master, std::uin
     : rpc_(host, port, {}),
       engine_(host.engine()),
       master_(std::make_unique<simnet::Address>(master)),
-      log_("pvmd@" + host.name()) {
+      log_("pvmd@" + host.name(), host.clock()) {
   serve();
   ByteWriter w;
   w.str(address().host);
@@ -194,7 +194,7 @@ void PvmDaemon::deliver_local(int tid, const Bytes& wire) {
 
 PvmTask::PvmTask(simnet::Host& host, PvmDaemon& local_daemon,
                  std::function<void(Result<int>)> ready)
-    : rpc_(host, 0, {}), daemon_(local_daemon), log_("pvmtask@" + host.name()) {
+    : rpc_(host, 0, {}), daemon_(local_daemon), log_("pvmtask@" + host.name(), host.clock()) {
   rpc_.on_notify(tags::kRoute, [this](const simnet::Address&, const Payload& body) {
     auto env = PvmEnvelope::decode(body.to_bytes());
     if (!env) return;

@@ -95,11 +95,8 @@ void AlertEngine::emit(const RuleState& rs, const char* what, std::int64_t now_n
   }
   char value[32];
   std::snprintf(value, sizeof(value), "%g", rs.value);
-  Tracer::global().instant(kWatchtowerCategory, what,
-                           {{"rule", rs.rule.name},
-                            {"scope", options_.scope},
-                            {"value", value},
-                            {"ts", std::to_string(now_ns)}});
+  Tracer::global().instant(now_ns, kWatchtowerCategory, what,
+                           {{"rule", rs.rule.name}, {"scope", options_.scope}, {"value", value}});
 }
 
 void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {

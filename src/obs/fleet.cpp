@@ -15,37 +15,20 @@ constexpr std::uint32_t kMaxWireElements = 1u << 20;
 
 Error corrupt(const char* what) { return Error{Errc::corrupt, what}; }
 
-}  // namespace
+// v2 added the watchtower series section (PR 10); decode rejects anything
+// else — every exporter and collector in a deployment upgrade together.
+constexpr std::uint8_t kBeaconVersion = 2;
 
-// ---------- HistogramSketch ----------
-
-bool HistogramSketch::merge(const HistogramSketch& other) {
-  if (other.buckets.size() != other.bounds.size() + 1) return false;
-  if (bounds.empty() && buckets.empty()) {
-    *this = other;
-    return true;
-  }
-  if (bounds != other.bounds || buckets.size() != other.buckets.size()) return false;
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum += other.sum;
-  return true;
+void encode_sketch(ByteWriter& w, const HistogramSketch& s) {
+  w.u32(static_cast<std::uint32_t>(s.bounds.size()));
+  for (double b : s.bounds) w.f64(b);
+  w.u32(static_cast<std::uint32_t>(s.buckets.size()));
+  for (std::uint64_t b : s.buckets) w.u64(b);
+  w.u64(s.count);
+  w.f64(s.sum);
 }
 
-double HistogramSketch::quantile(double q) const {
-  return bucket_quantile(bounds, buckets, count, q);
-}
-
-void HistogramSketch::encode(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(bounds.size()));
-  for (double b : bounds) w.f64(b);
-  w.u32(static_cast<std::uint32_t>(buckets.size()));
-  for (std::uint64_t b : buckets) w.u64(b);
-  w.u64(count);
-  w.f64(sum);
-}
-
-Result<HistogramSketch> HistogramSketch::decode(ByteReader& r) {
+Result<HistogramSketch> decode_sketch(ByteReader& r) {
   HistogramSketch s;
   auto nb = r.u32();
   if (!nb) return nb.error();
@@ -73,14 +56,6 @@ Result<HistogramSketch> HistogramSketch::decode(ByteReader& r) {
   s.sum = sum.value();
   return s;
 }
-
-// ---------- TelemetryBeacon ----------
-
-namespace {
-
-// v2 added the watchtower series section (PR 10); decode rejects anything
-// else — every exporter and collector in a deployment upgrade together.
-constexpr std::uint8_t kBeaconVersion = 2;
 
 void encode_flight(ByteWriter& w, const FlightEvent& e) {
   w.i64(e.ts);
@@ -112,6 +87,8 @@ Result<std::uint32_t> read_count(ByteReader& r, const char* what) {
 
 }  // namespace
 
+// ---------- TelemetryBeacon ----------
+
 Bytes TelemetryBeacon::encode() const {
   ByteWriter w;
   w.u8(kBeaconVersion);
@@ -133,7 +110,7 @@ Bytes TelemetryBeacon::encode() const {
   w.u32(static_cast<std::uint32_t>(sketches.size()));
   for (const auto& [name, sketch] : sketches) {
     w.str(name);
-    sketch.encode(w);
+    encode_sketch(w, sketch);
   }
   w.u32(static_cast<std::uint32_t>(flight.size()));
   for (const auto& e : flight) encode_flight(w, e);
@@ -197,7 +174,7 @@ Result<TelemetryBeacon> TelemetryBeacon::decode(const Bytes& wire) {
   for (std::uint32_t i = 0; i < ns.value(); ++i) {
     auto name = r.str();
     if (!name) return name.error();
-    auto sketch = HistogramSketch::decode(r);
+    auto sketch = decode_sketch(r);
     if (!sketch) return sketch.error();
     b.sketches.emplace_back(std::move(name).take(), std::move(sketch).take());
   }
@@ -275,15 +252,10 @@ TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
   }
 
   // Histograms as raw bucket arrays — the mergeable form.
-  for (const auto& h : registry().histogram_buckets()) {
-    HistogramSketch abs;
-    abs.bounds = h.bounds;
-    abs.buckets = h.buckets;
-    abs.count = h.count;
-    abs.sum = h.sum;
-    auto it = last_sketches_.find(h.name);
+  for (auto& [name, abs] : registry().histogram_sketches()) {
+    auto it = last_sketches_.find(name);
     if (b.full) {
-      b.sketches.emplace_back(h.name, abs);
+      b.sketches.emplace_back(name, abs);
     } else {
       HistogramSketch delta = abs;
       if (it != last_sketches_.end() && it->second.bounds == abs.bounds &&
@@ -293,9 +265,9 @@ TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
         delta.count -= it->second.count;
         delta.sum -= it->second.sum;
       }
-      if (delta.count > 0) b.sketches.emplace_back(h.name, std::move(delta));
+      if (delta.count > 0) b.sketches.emplace_back(name, std::move(delta));
     }
-    last_sketches_[h.name] = std::move(abs);
+    last_sketches_[name] = std::move(abs);
   }
 
   // Flight entries recorded since the last beacon.

@@ -10,11 +10,11 @@
 // the transport-free half of that plane so it can live in obs (which links
 // only util) and be unit-tested without a simulation:
 //
-//   * HistogramSketch  — a histogram as its raw bucket array.  Sketches
-//     merge by adding buckets, so fleet p50/p95/p99 computed from a merged
-//     sketch are *exact* with respect to the union of the per-host buckets
-//     (identical quantile math to obs::Histogram, not an approximation over
-//     pre-computed per-host percentiles).
+//   * HistogramSketch (obs/metrics.hpp) — a histogram as its raw bucket
+//     array.  Sketches merge by adding buckets, so fleet p50/p95/p99
+//     computed from a merged sketch are *exact* with respect to the union
+//     of the per-host buckets (identical quantile math to obs::Histogram,
+//     not an approximation over pre-computed per-host percentiles).
 //   * TelemetryBeacon  — one export: counter/gauge deltas, sketch bucket
 //     deltas, new flight entries, plus (seq, ts, period) for gap detection
 //     and staleness accounting.  XDR-style wire codec (util/bytes.hpp).
@@ -41,34 +41,6 @@
 #include "util/bytes.hpp"
 
 namespace snipe::obs {
-
-/// A histogram reduced to its mergeable form: bucket occupancy counts (one
-/// per bound plus the +inf tail), total count and sum.  Two sketches over
-/// the same bounds merge losslessly; quantiles over the merged sketch equal
-/// quantiles over a single histogram fed the union of the samples.
-struct HistogramSketch {
-  std::vector<double> bounds;           ///< ascending upper bounds
-  std::vector<std::uint64_t> buckets;   ///< bounds.size() + 1 (+inf last)
-  std::uint64_t count = 0;
-  double sum = 0;
-
-  bool empty() const { return count == 0; }
-
-  /// Adds `other` bucket-wise; false (and no change) when the bound arrays
-  /// differ — merging across unequal bucketings would silently corrupt the
-  /// percentiles the fleet view promises are exact.  An empty sketch adopts
-  /// the other's bounds.
-  bool merge(const HistogramSketch& other);
-
-  /// Identical algorithm to obs::Histogram::quantile — 1-based rank q*count
-  /// walked over cumulative buckets with linear interpolation inside the
-  /// bucket — so a merged sketch reports exactly what one big histogram
-  /// would.
-  double quantile(double q) const;
-
-  void encode(ByteWriter& w) const;
-  static Result<HistogramSketch> decode(ByteReader& r);
-};
 
 /// One telemetry export.  Deltas are with respect to the previous beacon of
 /// the same incarnation; a `full` beacon carries absolute values and is the

@@ -120,9 +120,8 @@ FnSink<AddFn> make_sink(AddFn fn) {
   return FnSink<AddFn>(std::move(fn));
 }
 
-HistogramBuckets buckets_of(const std::string& name, const Histogram& h) {
-  HistogramBuckets b;
-  b.name = name;
+HistogramSketch sketch_of(const Histogram& h) {
+  HistogramSketch b;
   b.bounds = h.bounds();
   b.buckets.reserve(b.bounds.size() + 1);
   for (std::size_t i = 0; i <= b.bounds.size(); ++i) b.buckets.push_back(h.bucket_count(i));
@@ -132,6 +131,23 @@ HistogramBuckets buckets_of(const std::string& name, const Histogram& h) {
 }
 
 }  // namespace
+
+bool HistogramSketch::merge(const HistogramSketch& other) {
+  if (other.buckets.size() != other.bounds.size() + 1) return false;
+  if (bounds.empty() && buckets.empty()) {
+    *this = other;
+    return true;
+  }
+  if (bounds != other.bounds || buckets.size() != other.buckets.size()) return false;
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
+  count += other.count;
+  sum += other.sum;
+  return true;
+}
+
+double HistogramSketch::quantile(double q) const {
+  return bucket_quantile(bounds, buckets, count, q);
+}
 
 /// What a snapshot accumulates before it is flattened: counter-like and
 /// gauge values by name, histograms as mergeable bucket arrays.
@@ -163,15 +179,8 @@ struct MetricsRegistry::Rollup {
   }
   /// Histograms bucket-merge; a same-named histogram with other bounds
   /// (never the case in SNIPE) keeps the first bucketing and drops the rest.
-  void add_histogram(const HistogramBuckets& h) {
-    if (!wants(h.name)) return;
-    auto [it, inserted] = histograms.try_emplace(h.name, h);
-    if (inserted) return;
-    HistogramBuckets& acc = it->second;
-    if (acc.bounds != h.bounds) return;
-    for (std::size_t i = 0; i < acc.buckets.size(); ++i) acc.buckets[i] += h.buckets[i];
-    acc.count += h.count;
-    acc.sum += h.sum;
+  void add_histogram(const std::string& name, const HistogramSketch& h) {
+    if (wants(name)) histograms[name].merge(h);
   }
   /// Live-histogram variant: adds the atomics in place once the name is
   /// known, so a roll-up over many hosts copies each name's buckets once.
@@ -179,10 +188,10 @@ struct MetricsRegistry::Rollup {
     if (!wants(name)) return;
     auto it = histograms.find(name);
     if (it == histograms.end()) {
-      histograms.emplace(name, buckets_of(name, h));
+      histograms.emplace(name, sketch_of(h));
       return;
     }
-    HistogramBuckets& acc = it->second;
+    HistogramSketch& acc = it->second;
     if (acc.bounds != h.bounds()) return;
     for (std::size_t i = 0; i < acc.buckets.size(); ++i) acc.buckets[i] += h.bucket_count(i);
     acc.count += h.count();
@@ -310,7 +319,7 @@ void MetricsRegistry::collect_locked(Rollup& out) const {
   for (const auto& [name, g] : gauges_) out.add_gauge(name, g->value());
   for (const auto& [name, h] : histograms_)
     out.add_histogram(name, *h);
-  for (const auto& [name, h] : retained_histograms_) out.add_histogram(h);
+  for (const auto& [name, h] : retained_histograms_) out.add_histogram(name, h);
 }
 
 void MetricsRegistry::collect(Rollup& out) const {
@@ -341,9 +350,9 @@ Snapshot MetricsRegistry::snapshot() const {
     v.name = name;
     v.count = h.count;
     v.sum = h.sum;
-    v.p50 = bucket_quantile(h.bounds, h.buckets, h.count, 0.50);
-    v.p95 = bucket_quantile(h.bounds, h.buckets, h.count, 0.95);
-    v.p99 = bucket_quantile(h.bounds, h.buckets, h.count, 0.99);
+    v.p50 = h.quantile(0.50);
+    v.p95 = h.quantile(0.95);
+    v.p99 = h.quantile(0.99);
     // A histogram shadows a same-named counter/gauge, as it always has.
     r.values.insert_or_assign(name, std::move(v));
   }
@@ -353,12 +362,13 @@ Snapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::vector<HistogramBuckets> MetricsRegistry::histogram_buckets() const {
+std::vector<std::pair<std::string, HistogramSketch>> MetricsRegistry::histogram_sketches()
+    const {
   Rollup r;
   collect(r);
-  std::vector<HistogramBuckets> out;
+  std::vector<std::pair<std::string, HistogramSketch>> out;
   out.reserve(r.histograms.size());
-  for (auto& [name, h] : r.histograms) out.push_back(std::move(h));
+  for (auto& [name, h] : r.histograms) out.emplace_back(name, std::move(h));
   return out;
 }
 

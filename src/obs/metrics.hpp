@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace snipe::obs {
@@ -187,15 +188,29 @@ struct MetricValue {
 
 using Snapshot = std::vector<MetricValue>;
 
-/// Raw bucket view of one histogram — the mergeable form the fleet
-/// telemetry exporter ships (obs/fleet.hpp).  `buckets` has
-/// bounds.size() + 1 entries, the +inf tail last.
-struct HistogramBuckets {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
+/// A histogram reduced to its mergeable form: bucket occupancy counts (one
+/// per bound plus the +inf tail), total count and sum.  The registry rolls
+/// host histograms up in this form and telemetry beacons carry it
+/// (obs/fleet.hpp).  Two sketches over the same bounds merge losslessly;
+/// quantiles over the merged sketch equal quantiles over a single histogram
+/// fed the union of the samples.
+struct HistogramSketch {
+  std::vector<double> bounds;           ///< ascending upper bounds
+  std::vector<std::uint64_t> buckets;   ///< bounds.size() + 1 (+inf last)
   std::uint64_t count = 0;
   double sum = 0;
+
+  bool empty() const { return count == 0; }
+
+  /// Adds `other` bucket-wise; false (and no change) when the bound arrays
+  /// differ — merging across unequal bucketings would silently corrupt the
+  /// percentiles the fleet view promises are exact.  An empty sketch adopts
+  /// the other's bounds.
+  bool merge(const HistogramSketch& other);
+
+  /// bucket_quantile over the buckets, so a merged sketch reports exactly
+  /// what one big histogram would.
+  double quantile(double q) const;
 };
 
 class MetricsRegistry {
@@ -240,9 +255,9 @@ class MetricsRegistry {
   /// children.
   Snapshot snapshot() const;
 
-  /// Every histogram as its raw bucket array, sorted by name (the form a
-  /// telemetry beacon carries so collectors can merge exactly).
-  std::vector<HistogramBuckets> histogram_buckets() const;
+  /// Every histogram as a sketch, sorted by name (the form a telemetry
+  /// beacon carries so collectors can merge exactly).
+  std::vector<std::pair<std::string, HistogramSketch>> histogram_sketches() const;
 
   /// Plain-text scrape format for consoles: one "name value" line per
   /// counter/gauge, one "name count=N sum=S p50=.. p95=.. p99=.." line per
@@ -253,7 +268,7 @@ class MetricsRegistry {
   friend class SourceHandle;
   friend class Counter;
   struct Rollup;
-  using HistogramMap = std::map<std::string, HistogramBuckets, std::less<>>;
+  using HistogramMap = std::map<std::string, HistogramSketch, std::less<>>;
 
   void retire_source(std::uint64_t id);
   /// Adds this registry's instruments, visitors and retained totals, then

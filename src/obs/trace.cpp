@@ -1,20 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 namespace snipe::obs {
 
 namespace {
-
-std::int64_t wall_now() {
-  // Nanoseconds since the first call, so wall traces start near zero like
-  // virtual ones.
-  static const auto start = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 void json_escape(std::string& out, const std::string& s) {
   for (char c : s) {
@@ -101,16 +91,6 @@ bool Tracer::enabled() const {
   return enabled_;
 }
 
-void Tracer::set_clock(std::function<std::int64_t()> clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
-}
-
-std::int64_t Tracer::now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_ ? clock_() : wall_now();
-}
-
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
@@ -131,20 +111,20 @@ void Tracer::push(TraceEvent event) {
   }
 }
 
-void Tracer::instant(std::string cat, std::string name, Args args) {
+void Tracer::instant(std::int64_t ts, std::string cat, std::string name, Args args) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::instant;
   e.cat = std::move(cat);
   e.name = std::move(name);
-  e.ts = clock_ ? clock_() : wall_now();
+  e.ts = ts;
   e.args = std::move(args);
   push(std::move(e));
 }
 
-void Tracer::flow(TraceEvent::Phase phase, std::string cat, std::string name,
-                  std::uint64_t id, Args args) {
+void Tracer::flow(std::int64_t ts, TraceEvent::Phase phase, std::string cat,
+                  std::string name, std::uint64_t id, Args args) {
   if (!flow_enabled_.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
@@ -152,21 +132,21 @@ void Tracer::flow(TraceEvent::Phase phase, std::string cat, std::string name,
   e.phase = phase;
   e.cat = std::move(cat);
   e.name = std::move(name);
-  e.ts = clock_ ? clock_() : wall_now();
+  e.ts = ts;
   e.id = id;
   e.args = std::move(args);
   push(std::move(e));
 }
 
-SpanId Tracer::begin_span(std::string cat, std::string name) {
+SpanId Tracer::begin_span(std::int64_t ts, std::string cat, std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return 0;
   SpanId id = next_span_++;
-  open_[id] = OpenSpan{std::move(cat), std::move(name), clock_ ? clock_() : wall_now()};
+  open_[id] = OpenSpan{std::move(cat), std::move(name), ts};
   return id;
 }
 
-void Tracer::end_span(SpanId id, Args args) {
+void Tracer::end_span(std::int64_t ts, SpanId id, Args args) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = open_.find(id);
   if (it == open_.end()) return;
@@ -178,7 +158,7 @@ void Tracer::end_span(SpanId id, Args args) {
   e.cat = std::move(span.cat);
   e.name = std::move(span.name);
   e.ts = span.start;
-  e.dur = (clock_ ? clock_() : wall_now()) - span.start;
+  e.dur = ts - span.start;
   if (e.dur < 0) e.dur = 0;
   e.args = std::move(args);
   push(std::move(e));

@@ -3,17 +3,16 @@
 // host A -> SRUDP retransmit -> multipath failover -> migration sequence
 // renders as one timeline in chrome://tracing or https://ui.perfetto.dev.
 //
-// Timestamps come from an installed clock — the newest live simnet Engine
-// installs its virtual clock (the same pattern as set_log_time_source in
-// util/log.hpp) — and fall back to a wall clock so the tracer also
-// works outside a simulation.  Each event carries a category ("transport",
-// "rcds", "rm", "daemon", "core", ...) which becomes a named track in the
-// exported trace.
+// The tracer has no clock of its own: every caller passes the timestamp,
+// and inside a simulation that is its own engine's now() (a host's
+// components read the host's engine, world-level actions the control
+// engine), so two Worlds alive at once never stamp each other's events.
+// Each event carries a category ("transport", "rcds", "rm", "daemon",
+// "core", ...) which becomes a named track in the exported trace.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -33,7 +32,7 @@ struct TraceEvent {
   Phase phase = Phase::instant;
   std::string cat;
   std::string name;
-  std::int64_t ts = 0;   ///< nanoseconds (virtual or wall)
+  std::int64_t ts = 0;   ///< nanoseconds, as the caller stamped it
   std::int64_t dur = 0;  ///< nanoseconds, complete events only
   std::uint64_t id = 0;  ///< flow binding id (flow_* phases), 0 = none
   std::vector<std::pair<std::string, std::string>> args;
@@ -68,30 +67,24 @@ class Tracer {
   }
   bool flow_enabled() const { return flow_enabled_.load(std::memory_order_relaxed); }
 
-  /// Installs the time source (nullptr restores the wall clock).
-  void set_clock(std::function<std::int64_t()> clock);
-  /// Current trace time: installed clock, else nanoseconds of wall time
-  /// since the process started.
-  std::int64_t now() const;
-
   /// Drops every recorded event (open spans survive) and resets the
   /// dropped-event count.
   void clear();
 
-  /// Records a zero-duration event.
-  void instant(std::string cat, std::string name, Args args = {});
+  /// Records a zero-duration event at `ts` (nanoseconds).
+  void instant(std::int64_t ts, std::string cat, std::string name, Args args = {});
 
-  /// Records one hop of a causal flow (Chrome phases 's'/'t'/'f', bound by
-  /// `id`).  No-op unless both enabled() and flow_enabled(); call sites on
-  /// hot paths should check flow_enabled() before building args.
-  void flow(TraceEvent::Phase phase, std::string cat, std::string name, std::uint64_t id,
-            Args args = {});
+  /// Records one hop of a causal flow at `ts` (Chrome phases 's'/'t'/'f',
+  /// bound by `id`).  No-op unless both enabled() and flow_enabled(); call
+  /// sites on hot paths should check flow_enabled() before building args.
+  void flow(std::int64_t ts, TraceEvent::Phase phase, std::string cat, std::string name,
+            std::uint64_t id, Args args = {});
 
-  /// Starts a span; `end_span` records it as a complete event stamped with
-  /// the begin time and the elapsed duration.  Spans may cross async
-  /// callbacks — carry the SpanId in the completion.
-  SpanId begin_span(std::string cat, std::string name);
-  void end_span(SpanId id, Args args = {});
+  /// Starts a span at `ts`; `end_span` at a later `ts` records it as a
+  /// complete event stamped with the begin time and the elapsed duration.
+  /// Spans may cross async callbacks — carry the SpanId in the completion.
+  SpanId begin_span(std::int64_t ts, std::string cat, std::string name);
+  void end_span(std::int64_t ts, SpanId id, Args args = {});
 
   /// Events in record order, oldest first (the buffer keeps the newest
   /// `capacity` events given at construction; `dropped()` counts the
@@ -117,7 +110,6 @@ class Tracer {
   mutable std::mutex mu_;
   bool enabled_ = true;
   std::atomic<bool> flow_enabled_{false};
-  std::function<std::int64_t()> clock_;
   std::vector<TraceEvent> ring_;
   const std::size_t capacity_;
   std::size_t next_ = 0;  ///< ring write index

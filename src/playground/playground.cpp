@@ -38,7 +38,7 @@ Playground::Playground(rcds::RcClient& rc, files::FileClient& files,
       files_(files),
       trust_(std::move(trust)),
       config_(config),
-      log_("playground") {}
+      log_("playground", rc.rpc().host().clock()) {}
 
 void Playground::load(const std::string& lifn, LoadHandler done) {
   rc_.get(lifn, [this, lifn, done = std::move(done)](

@@ -121,7 +121,7 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
           if (tries_left > 1) {
             ++stats_.failovers;
             obs::Tracer::global().instant(
-                "rcds", "rcds.client_failover",
+                rpc_.engine().now(), "rcds", "rcds.client_failover",
                 {{"from", replicas_[idx].to_string()}});
             preferred_ = (replica_index + 1) % replicas_.size();
             attempt(tag, std::move(body), replica_index + 1, tries_left - 1, std::move(done));

@@ -52,6 +52,8 @@ class RcClient {
   void remove(const std::string& uri, const std::string& name, const std::string& value,
               DoneHandler done);
 
+  /// The endpoint this client calls through.
+  transport::RpcEndpoint& rpc() const { return rpc_; }
   const std::vector<simnet::Address>& replicas() const { return replicas_; }
   const RcClientStats& stats() const { return stats_; }
 

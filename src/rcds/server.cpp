@@ -36,7 +36,7 @@ RcServer::RcServer(simnet::Host& host, std::uint16_t port, RcServerConfig config
       engine_(host.engine()),
       config_(std::move(config)),
       server_id_(host.name() + ":" + std::to_string(rpc_.address().port)),
-      log_("rcds@" + server_id_) {
+      log_("rcds@" + server_id_, host.clock()) {
   // Record and op decoders read contiguous bytes: bodies other than kGet's
   // are flattened here, at the handler edge.
   rpc_.serve(tags::kGet,
@@ -106,7 +106,7 @@ std::vector<Assertion> RcServer::apply(const std::string& uri, const std::vector
   }
   ++stats_.applies;
   obs::Tracer::global().instant(
-      "rcds", "rcds.apply",
+      engine_.now(), "rcds", "rcds.apply",
       {{"uri", uri}, {"assertions", std::to_string(written.size())}});
   if (!written.empty()) broadcast_update(uri, written);
   return written;
@@ -120,7 +120,7 @@ void RcServer::broadcast_update(const std::string& uri,
   for (const auto& peer : peers_) {
     std::uint64_t flow = rpc_.notify(peer, tags::kReplicate, update);
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate", flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate", flow,
                   {{"uri", uri},
                    {"peer", peer.to_string()},
                    {"assertions", std::to_string(assertions.size())}});
@@ -179,7 +179,7 @@ void RcServer::handle_replicate(const Bytes& body) {
   // message's flow so a `trace` of the write shows the replica fan-out land.
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate_rx",
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate_rx",
                 rpc_.srudp().last_delivered_flow(),
                 {{"uri", update.value().first},
                  {"assertions", std::to_string(update.value().second.size())}});
@@ -266,13 +266,13 @@ void RcServer::anti_entropy_tick() {
         auto& tracer = obs::Tracer::global();
         if (repaired > 0 && tracer.flow_enabled() &&
             rpc_.srudp().last_delivered_flow() != 0)
-          tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "rcds.anti_entropy_repair",
-                      rpc_.srudp().last_delivered_flow(),
+          tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                      "rcds.anti_entropy_repair", rpc_.srudp().last_delivered_flow(),
                       {{"assertions", std::to_string(repaired)}});
       });
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "rcds.anti_entropy", flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.anti_entropy", flow,
                 {{"peer", peer.to_string()}, {"uris", std::to_string(store_.size())}});
 }
 

@@ -2,74 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
-
-#include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace snipe::simnet {
 
 namespace {
 constexpr std::size_t kHeapArity = 4;
-
-/// The engine whose clock stamps this thread's trace/log output.  Worker
-/// threads of a sharded World each scope their own engine here; on threads
-/// with no scope (the common single-engine case) the clock falls back to
-/// the newest live engine.
-thread_local Engine* t_thread_engine = nullptr;
-
-/// Every live engine, oldest first.  The newest one backs the process-wide
-/// log and trace clocks; when it dies the next-newest takes over, so
-/// destroying a second World leaves the first one's clock in place.
-struct LiveEngines {
-  std::mutex mu;
-  std::vector<Engine*> list;
-};
-LiveEngines& live_engines() {
-  static LiveEngines live;
-  return live;
-}
-
-/// Points the log and trace clocks at `fallback` (a thread-scoped engine
-/// still wins); nullptr removes them.
-void install_clock(Engine* fallback) {
-  std::function<std::int64_t()> clock;
-  if (fallback != nullptr)
-    clock = [fallback] {
-      return (t_thread_engine != nullptr ? t_thread_engine : fallback)->now();
-    };
-  set_log_time_source(clock);
-  obs::Tracer::global().set_clock(std::move(clock));
-}
 }  // namespace
 
-Engine* Engine::thread_engine() { return t_thread_engine; }
+Engine::Engine(std::uint64_t seed) : rng_(seed) {}
 
-Engine::ThreadTimeScope::ThreadTimeScope(Engine* engine) : prev_(t_thread_engine) {
-  t_thread_engine = engine;
-}
-
-Engine::ThreadTimeScope::~ThreadTimeScope() { t_thread_engine = prev_; }
-
-Engine::Engine(std::uint64_t seed) : rng_(seed) {
-  // Give log lines and trace events the virtual clock while this is the
-  // newest engine.  A thread-scoped engine (sharded worker) takes
-  // precedence, so each worker reads only its own clock — never another
-  // thread's mutating `now_`.
-  LiveEngines& live = live_engines();
-  std::lock_guard<std::mutex> lock(live.mu);
-  live.list.push_back(this);
-  install_clock(this);
-}
-
-Engine::~Engine() {
-  clear();
-  LiveEngines& live = live_engines();
-  std::lock_guard<std::mutex> lock(live.mu);
-  const bool newest = live.list.back() == this;
-  live.list.erase(std::find(live.list.begin(), live.list.end(), this));
-  if (newest) install_clock(live.list.empty() ? nullptr : live.list.back());
-}
+Engine::~Engine() { clear(); }
 
 std::uint32_t Engine::acquire_slot() {
   if (!free_slots_.empty()) {

@@ -198,26 +198,6 @@ class Engine {
     if (now_ < t) now_ = t;
   }
 
-  /// Scopes the calling thread's trace/log clock to `engine`: while alive,
-  /// trace events and log lines emitted from this thread are stamped with
-  /// `engine`'s virtual time instead of the newest live engine's.  The
-  /// sharded World driver installs one per worker thread (and around
-  /// control-engine drains), so an event on shard 3 is stamped with shard
-  /// 3's clock without any cross-thread read of another engine's `now_`.
-  class ThreadTimeScope {
-   public:
-    explicit ThreadTimeScope(Engine* engine);
-    ~ThreadTimeScope();
-    ThreadTimeScope(const ThreadTimeScope&) = delete;
-    ThreadTimeScope& operator=(const ThreadTimeScope&) = delete;
-
-   private:
-    Engine* prev_;
-  };
-
-  /// The engine scoped to the calling thread (nullptr outside any scope).
-  static Engine* thread_engine();
-
   /// The run-level RNG; components should fork() their own streams.
   Rng& rng() { return rng_; }
 

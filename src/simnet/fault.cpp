@@ -164,10 +164,11 @@ void FaultPlan::act(SimTime at, std::string name,
   // world's only engine (today's behavior exactly); with several it is the
   // coordinator-driven engine that fires between windows, when every
   // worker is parked and any host or network can be mutated safely.
-  world_.control_engine().schedule_at(
-      at, [flight = &world_.flight(), name = std::move(name), args = std::move(args),
+  simnet::Engine& ctrl = world_.control_engine();
+  ctrl.schedule_at(
+      at, [&ctrl, flight = &world_.flight(), name = std::move(name), args = std::move(args),
            fn = std::move(fn)] {
-        obs::Tracer::global().instant("fault", name, args);
+        obs::Tracer::global().instant(ctrl.now(), "fault", name, args);
         // Mirror every injected fault into the flight recorder so a dump
         // taken when an invariant trips shows what the chaos plan just did.
         std::string detail;

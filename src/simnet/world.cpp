@@ -139,6 +139,17 @@ void Nic::set_up(bool up) {
   up_ = up;
 }
 
+SimTime Nic::transmit(SimTime now, std::size_t bytes) {
+  const MediaModel& model = network_->model();
+  SimTime start = std::max(now, next_free());
+  SimDuration ser = model.serialize_time(bytes);
+  set_next_free(start + ser);
+  tx_packets_.fetch_add(1, std::memory_order_relaxed);
+  tx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  busy_ns_.fetch_add(static_cast<std::uint64_t>(ser), std::memory_order_relaxed);
+  return start + ser + model.latency;
+}
+
 void Network::set_up(bool up) {
   if (up_ != up && world_ != nullptr) world_->bump_route_epoch();
   up_ = up;
@@ -181,8 +192,7 @@ void Host::schedule_delivery(Host* target, SimTime arrival, Packet packet) {
 
 Host::Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard)
     : Node(world, std::move(name), rng, engine, shard, /*is_router=*/false),
-      flight_(name_, [this] { return engine_->now(); }),
-      log_("host@" + name_) {}
+      flight_(name_, clock()) {}
 
 Host::~Host() { delete metrics_.load(std::memory_order_acquire); }
 
@@ -285,12 +295,7 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
 
   // The sender's own engine clocks serialization: a host's sends always run
   // on its shard's thread (or on the coordinator at a window barrier).
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
+  SimTime arrival = ours->transmit(engine_->now(), payload.size());
 
   net->stats().packets_sent++;
   net->stats().bytes_sent += payload.size();
@@ -320,14 +325,8 @@ Result<std::string> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Pa
 
   // First hop: charged against our own NIC exactly like a direct send (same
   // contention clock, same stats, same single loss draw from our RNG).
-  Nic* ours = route->hops[0].tx;
   Network* net = route->hops[0].net;
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
+  SimTime arrival = route->hops[0].tx->transmit(engine_->now(), payload.size());
 
   net->stats().packets_sent++;
   net->stats().bytes_sent += payload.size();
@@ -380,12 +379,7 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
   if (payload.size() > net->model().mtu)
     return Error{Errc::invalid_argument, "broadcast exceeds MTU on " + network};
 
-  Engine& engine = *engine_;
-  SimTime start = std::max(engine.now(), ours->next_free());
-  SimDuration ser = net->model().serialize_time(payload.size());
-  ours->set_next_free(start + ser);
-  ours->note_tx(payload.size(), ser);
-  SimTime arrival = ours->next_free() + net->model().latency;
+  SimTime arrival = ours->transmit(engine_->now(), payload.size());
 
   // One serialization, one arrival event per receiver — shared-medium
   // broadcast, with loss drawn independently per receiver.  Routers on the
@@ -416,8 +410,6 @@ World::World(std::uint64_t seed, std::size_t shards)
         std::make_unique<Engine>(seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i)));
   }
   if (shards > 1) {
-    // Constructed last so the coordinator thread's fallback trace/log clock
-    // is the control engine's.
     ctrl_engine_ = std::make_unique<Engine>(seed ^ 0xc2b2ae3d27d4eb4fULL);
     ctrl_ = ctrl_engine_.get();
   } else {
@@ -440,8 +432,9 @@ World::~World() {
 }
 
 SimTime World::now() const {
-  Engine* e = Engine::thread_engine();
-  return e != nullptr ? e->now() : ctrl_->now();
+  // Only this World's workers set t_current_shard (to one of its shards).
+  return t_current_shard >= 0 ? engines_[static_cast<std::size_t>(t_current_shard)]->now()
+                              : ctrl_->now();
 }
 
 Network& World::create_network(const std::string& name, MediaModel model) {
@@ -640,11 +633,7 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
           packet.payload.size());
     return;
   }
-  SimTime start = std::max(engine.now(), tx->next_free());
-  SimDuration ser = net->model().serialize_time(packet.payload.size());
-  tx->set_next_free(start + ser);
-  tx->note_tx(packet.payload.size(), ser);
-  SimTime arrival = tx->next_free() + net->model().latency;
+  SimTime arrival = tx->transmit(engine.now(), packet.payload.size());
 
   net->stats().packets_sent++;
   net->stats().bytes_sent += packet.payload.size();
@@ -788,10 +777,9 @@ void World::stop_workers() {
 
 void World::worker_main(std::size_t shard) {
   Engine* eng = engines_[shard].get();
-  // For this thread's whole life: trace/log clock reads this shard's
-  // engine, and deliveries posted from here route through post_event's
-  // shard-aware path.
-  Engine::ThreadTimeScope scope(eng);
+  // For this thread's whole life: World::now() reads this shard's engine,
+  // and deliveries posted from here route through post_event's shard-aware
+  // path.
   t_current_shard = static_cast<int>(shard);
   std::uint64_t seen = 0;
   while (true) {
@@ -832,7 +820,6 @@ void World::run_windows(SimTime horizon, bool stop_when_strong_drained) {
       // Control actions at time s run first, on this thread, with every
       // worker idle: they may touch any host or network safely, and
       // whatever they schedule at s is picked up when the loop recomputes.
-      Engine::ThreadTimeScope scope(ctrl_);
       ctrl_->run_before(sat_add(s, 1), /*weak_too=*/true);
       continue;
     }

@@ -46,7 +46,6 @@
 #include "simnet/engine.hpp"
 #include "simnet/media.hpp"
 #include "util/bytes.hpp"
-#include "util/log.hpp"
 #include "util/payload.hpp"
 #include "util/result.hpp"
 
@@ -123,11 +122,13 @@ class Nic {
   std::uint64_t tx_bytes() const { return tx_bytes_.load(std::memory_order_relaxed); }
   /// Virtual nanoseconds this NIC spent serializing (utilization numerator).
   std::uint64_t busy_ns() const { return busy_ns_.load(std::memory_order_relaxed); }
-  void note_tx(std::size_t bytes, SimDuration ser) {
-    tx_packets_.fetch_add(1, std::memory_order_relaxed);
-    tx_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(ser), std::memory_order_relaxed);
-  }
+
+  /// Serializes a `bytes`-long datagram onto this NIC's network, starting
+  /// at `now` or when the NIC frees up, whichever is later: moves
+  /// next_free() past it, accounts it, and returns its arrival time at the
+  /// far end of the link.  Draws no randomness.  The one egress timing of
+  /// every host send, broadcast and router hop.
+  SimTime transmit(SimTime now, std::size_t bytes);
 
  private:
   Node* node_;
@@ -258,6 +259,11 @@ class Node {
   /// endpoints and services bound to a host must schedule their timers
   /// here, not on World::engine(), so they stay on their shard's thread.
   Engine& engine() const { return *engine_; }
+  /// The engine's clock as a callable: what stamps the Logger and flight
+  /// ring of every component bound to this node.
+  std::function<std::int64_t()> clock() const {
+    return [engine = engine_] { return engine->now(); };
+  }
   /// Which shard this node was created on (0 in a single-shard World).
   std::size_t shard() const { return shard_; }
   /// The routing zone this node belongs to (nullptr in flat worlds).
@@ -374,7 +380,6 @@ class Host : public Node {
   std::map<const Host*, CachedRoute> route_cache_;  ///< never iterated
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};  ///< owned, created lazily
   obs::FlightRecorder flight_;
-  Logger log_;
 };
 
 /// The whole simulated testbed: engines + hosts + routers + networks +

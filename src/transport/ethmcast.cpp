@@ -15,7 +15,7 @@ EthMcastEndpoint::EthMcastEndpoint(simnet::Host& host, const std::string& networ
       group_(group),
       port_(port),
       config_(config),
-      log_("ethmcast@" + host.name() + "/" + group) {
+      log_("ethmcast@" + host.name() + "/" + group, host.clock()) {
   auto* nic = host_.nic_on(network_);
   assert(nic != nullptr && "host not attached to multicast segment");
   // Leave room for the group name in the header; clamp before subtracting
@@ -55,7 +55,8 @@ void EthMcastEndpoint::send(Payload message) {
   msg.born = engine_.now();
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "ethmcast.send", msg.flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow",
+                "ethmcast.send", msg.flow,
                 {{"group", group_},
                  {"msg", std::to_string(msg_id)},
                  {"bytes", std::to_string(msg.data.size())}});
@@ -83,7 +84,7 @@ void EthMcastEndpoint::broadcast_fragment(const OutMessage& msg, std::uint64_t m
   ++stats_.fragments_broadcast;
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 repair ? "ethmcast.repair" : "ethmcast.tx", msg.flow,
                 {{"frag", std::to_string(index)}});
   auto r = host_.broadcast(network_, port_, encode_mcast_data(port_, p), port_);
@@ -150,7 +151,8 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
     for (auto& frag : msg.frags) assembled.append(std::move(frag));
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "ethmcast.deliver", msg.flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow",
+                  "ethmcast.deliver", msg.flow,
                   {{"host", host_.name()}, {"bytes", std::to_string(assembled.size())}});
     delivery_ms_->observe(static_cast<double>(engine_.now() - msg.born) / 1e6);
     engine_.cancel(msg.nack_timer);
@@ -193,7 +195,8 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
     ++stats_.nacks_sent;
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "ethmcast.nack", msg.flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                  "ethmcast.nack", msg.flow,
                   {{"host", host_.name()},
                    {"missing", std::to_string(nack.missing.size())}});
     host_.flight().record(

@@ -8,7 +8,7 @@ RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig confi
     : srudp_(host, port, config.srudp),
       engine_(host.engine()),
       config_(std::move(config)),
-      log_("rpc@" + host.name() + ":" + std::to_string(srudp_.port())) {
+      log_("rpc@" + host.name() + ":" + std::to_string(srudp_.port()), host.clock()) {
   srudp_.set_handler([this](const simnet::Address& src, Payload msg) {
     on_message(src, std::move(msg));
   });
@@ -94,7 +94,7 @@ std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t t
       mint_flow(srudp_.address().host, srudp_.port(), dst.host, dst.port, msg_id);
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "rpc.call", flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.call", flow,
                 {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
   return flow;
 }
@@ -129,7 +129,7 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
   // flow id of the message being delivered — link rpc dispatch into it.
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled() && srudp_.last_delivered_flow() != 0)
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 kind == Kind::request || kind == Kind::oneway ? "rpc.serve" : "rpc.complete",
                 srudp_.last_delivered_flow(),
                 {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});

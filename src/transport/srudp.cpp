@@ -14,7 +14,7 @@ SrudpEndpoint::SrudpEndpoint(simnet::Host& host, std::uint16_t port, SrudpConfig
       engine_(host.engine()),
       port_(port == 0 ? host.ephemeral_port() : port),
       config_(config),
-      log_("srudp@" + host.name() + ":" + std::to_string(port_)) {
+      log_("srudp@" + host.name() + ":" + std::to_string(port_), host.clock()) {
   // Fragment to the smallest MTU among all attached interfaces so a mid-
   // message route switch never produces an oversize datagram.
   std::size_t budget = 65535;
@@ -93,11 +93,11 @@ std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   std::uint64_t msg_id = msg.msg_id;
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled()) {
-    tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", msg.flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", msg.flow,
                 {{"peer", dst.to_string()},
                  {"msg", std::to_string(msg.msg_id)},
                  {"bytes", std::to_string(msg.data.size())}});
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "srudp.frag", msg.flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.frag", msg.flow,
                 {{"frags", std::to_string(msg.frag_count)}});
   }
   out.queue.push_back(std::move(msg));
@@ -169,7 +169,7 @@ void SrudpEndpoint::send_fragment(const simnet::Address& peer, PeerOut& out, Out
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled()) {
     const std::string& path = out.path.preferred();
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 retransmission ? "srudp.retransmit" : "srudp.tx", msg.flow,
                 {{"frag", std::to_string(index)}, {"path", path.empty() ? "auto" : path}});
   }
@@ -214,14 +214,14 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
     ++stats_.route_switches;
     auto& tracer = obs::Tracer::global();
     if (out.failover_span == 0)
-      out.failover_span = tracer.begin_span("transport", "srudp.failover");
-    tracer.instant("transport", "srudp.route_switch",
+      out.failover_span = tracer.begin_span(engine_.now(), "transport", "srudp.failover");
+    tracer.instant(engine_.now(), "transport", "srudp.route_switch",
                    {{"peer", peer.to_string()}, {"to", out.path.preferred()}});
     // The route choice is per-peer; attribute it to the head message's flow
     // so the switch shows up inside the affected cross-host trace.
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "srudp.route_switch",
-                  out.queue.front().flow, {{"to", out.path.preferred()}});
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                  "srudp.route_switch", out.queue.front().flow, {{"to", out.path.preferred()}});
     host_.flight().record(
         "srudp", "route_switch",
         "peer=" + peer.to_string() + " to=" + out.path.preferred());
@@ -250,7 +250,7 @@ void SrudpEndpoint::expire_head(const simnet::Address& peer, PeerOut& out) {
   log_.warn("message ", out.queue.front().msg_id, " to ", peer.to_string(),
             " expired unacknowledged");
   obs::Tracer::global().instant(
-      "transport", "srudp.expire",
+      engine_.now(), "transport", "srudp.expire",
       {{"peer", peer.to_string()}, {"msg", std::to_string(out.queue.front().msg_id)}});
   host_.flight().record(
       "srudp", "expire",
@@ -331,7 +331,7 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
   }
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx", p.flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx", p.flow,
                 {{"frag", std::to_string(p.frag_index)}});
   if (bitmap_get(msg.have, p.frag_index)) {
     ++stats_.duplicate_fragments;
@@ -357,7 +357,8 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
       return;
     }
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble", flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                  "srudp.reassemble", flow,
                   {{"msg", std::to_string(p.msg_id)},
                    {"bytes", std::to_string(assembled.size())}});
     raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {p.msg_id}));
@@ -449,7 +450,7 @@ void SrudpEndpoint::try_deliver(const simnet::Address& peer) {
     in.complete.erase(it);
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
+      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
                   {{"peer", peer.to_string()},
                    {"msg", std::to_string(in.next_deliver)},
                    {"bytes", std::to_string(payload.size())}});
@@ -529,7 +530,7 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
       // our data is dying on.)  Restart the retransmission timer too.
       note_route_success(peer, out);
       if (out.failover_span != 0) {
-        obs::Tracer::global().end_span(out.failover_span,
+        obs::Tracer::global().end_span(engine_.now(), out.failover_span,
                                        {{"route", out.path.preferred()}});
         out.failover_span = 0;
       }
@@ -591,7 +592,7 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
     out.queue.erase(qit);
     note_route_success(peer, out);
     if (out.failover_span != 0) {
-      obs::Tracer::global().end_span(out.failover_span,
+      obs::Tracer::global().end_span(engine_.now(), out.failover_span,
                                      {{"route", out.path.preferred()}});
       out.failover_span = 0;
     }

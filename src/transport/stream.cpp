@@ -14,7 +14,7 @@ StreamEndpoint::StreamEndpoint(simnet::Host& host, std::uint16_t port, StreamCon
       engine_(host.engine()),
       port_(port == 0 ? host.ephemeral_port() : port),
       config_(config),
-      log_("stream@" + host.name() + ":" + std::to_string(port_)) {
+      log_("stream@" + host.name() + ":" + std::to_string(port_), host.clock()) {
   host_.bind(port_, [this](const simnet::Packet& p) { on_packet(p); }).value();
 }
 
@@ -123,7 +123,8 @@ void StreamConnection::send_message(Payload message) {
                                  peer_.port, next_msg_seq_++);
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled())
-    tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "stream.send", flow,
+    tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_start, "flow",
+                "stream.send", flow,
                 {{"peer", peer_.to_string()},
                  {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
@@ -184,7 +185,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
       }
     }
     if (flow != 0)
-      tracer.flow(obs::TraceEvent::Phase::flow_step, "flow",
+      tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                   retransmission ? "stream.retransmit" : "stream.tx", flow,
                   {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
   }
@@ -322,7 +323,8 @@ void StreamConnection::parse_messages() {
     stats_.bytes_delivered += message.size();
     auto& tracer = obs::Tracer::global();
     if (tracer.flow_enabled())
-      tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "stream.deliver", flow,
+      tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_end, "flow",
+                  "stream.deliver", flow,
                   {{"peer", peer_.to_string()}, {"bytes", std::to_string(len)}});
     if (on_message_) on_message_(std::move(message));
   }

@@ -36,21 +36,15 @@ LogLevel& threshold() {
   return level;
 }
 
-std::function<std::int64_t()>& time_source() {
-  static std::function<std::int64_t()> source;
-  return source;
-}
-
-void emit(LogLevel level, const std::string& component, const std::string& text) {
+void emit(LogLevel level, std::optional<std::int64_t> stamp, const std::string& component,
+          const std::string& text) {
   static const char* names[] = {"TRACE", "DEBUG", "INFO ", "WARN ", "ERROR", "OFF"};
   std::lock_guard<std::mutex> lock(emit_mutex());
   if (auto& s = sink(); s) {
-    s(level, component, text);
+    s(level, stamp, component, text);
     return;
   }
-  std::string stamp = "--";
-  if (auto& src = time_source(); src) stamp = format_time(src());
-  std::fprintf(stderr, "[%s] %s %-20s %s\n", stamp.c_str(),
+  std::fprintf(stderr, "[%s] %s %-20s %s\n", stamp ? format_time(*stamp).c_str() : "--",
                names[static_cast<int>(level)], component.c_str(), text.c_str());
 }
 
@@ -60,11 +54,6 @@ LogLevel set_log_level(LogLevel level) {
   LogLevel old = log_detail::threshold();
   log_detail::threshold() = level;
   return old;
-}
-
-void set_log_time_source(std::function<std::int64_t()> source) {
-  std::lock_guard<std::mutex> lock(log_detail::emit_mutex());
-  log_detail::time_source() = std::move(source);
 }
 
 LogSink set_log_sink(LogSink sink) {

@@ -846,24 +846,48 @@ struct RingWorld {
   std::unique_ptr<transport::SrudpEndpoint> tx, rx;
 };
 
+/// The global tracer's events as sorted "ts cat/name args" lines: the
+/// trace contents without the record order, which two threads interleave.
+std::vector<std::string> trace_lines() {
+  std::vector<std::string> out;
+  for (const auto& e : obs::Tracer::global().events()) {
+    std::string line = std::to_string(e.ts) + " " + std::to_string(e.dur) + " " + e.cat + "/" +
+                       e.name;
+    for (const auto& [k, v] : e.args) line += " " + k + "=" + v;
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
   const std::uint64_t seeds[2] = {chaos::chaos_seed() + 820, chaos::chaos_seed() + 821};
   std::map<std::string, std::string> solo[2];
   std::uint64_t solo_digest[2];
+  auto& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  std::vector<std::string> solo_trace;
   for (int i = 0; i < 2; ++i) {
+    tracer.clear();
     RingWorld w(seeds[i]);
     w.run();
     solo[i] = w.rings();
     solo_digest[i] = w.world.replay_digest();
+    std::vector<std::string> lines = trace_lines();
+    solo_trace.insert(solo_trace.end(), lines.begin(), lines.end());
   }
+  std::sort(solo_trace.begin(), solo_trace.end());
   EXPECT_NE(solo[0]["*"].find("fault/partition.start"), std::string::npos);
   EXPECT_NE(solo[0]["a"].find("[a] srudp/rto"), std::string::npos) << solo[0]["a"];
   ASSERT_NE(solo[0], solo[1]);  // the seeds differ, so any mixing would show
   ASSERT_NE(solo_digest[0], solo_digest[1]);
+  EXPECT_NE(std::find_if(solo_trace.begin(), solo_trace.end(),
+                         [](const std::string& l) {
+                           return l.find("fault/partition.start") != std::string::npos;
+                         }),
+            solo_trace.end());
 
-  auto& tracer = obs::Tracer::global();
-  tracer.set_enabled(false);
-  LogLevel level = set_log_level(LogLevel::off);
+  tracer.clear();
   {
     RingWorld w0(seeds[0]);
     RingWorld w1(seeds[1]);
@@ -876,8 +900,10 @@ TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
     EXPECT_EQ(w0.world.replay_digest(), solo_digest[0]);
     EXPECT_EQ(w1.world.replay_digest(), solo_digest[1]);
   }
-  set_log_level(level);
-  tracer.set_enabled(true);
+  // Each World stamped its trace events with its own clock, so the
+  // concurrent trace holds exactly the two solo traces.
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(trace_lines(), solo_trace);
 }
 
 // ---- fleet telemetry and watchtower: neither may perturb the data plane ----

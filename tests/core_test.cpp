@@ -481,9 +481,9 @@ TEST_F(CoreFixture, ConsoleObservabilityVerbs) {
   EXPECT_NE(run_command("trace 0xdeadbeef").find("no flow events"), std::string::npos);
   auto& tracer = obs::Tracer::global();
   tracer.set_flow_enabled(true);
-  tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177,
+  tracer.flow(world.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177,
               {{"msg", "424242"}});
-  tracer.flow(obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", 0x7177);
+  tracer.flow(world.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", 0x7177);
   tracer.set_flow_enabled(false);
   EXPECT_NE(run_command("trace 0x7177").find("srudp.deliver"), std::string::npos);
   EXPECT_NE(run_command("trace 424242").find("srudp.send"), std::string::npos);
@@ -692,7 +692,7 @@ TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
   world.host("hostA")->flight().record("test", "neighbour_probe");
   auto& tracer = obs::Tracer::global();
   tracer.set_flow_enabled(true);
-  tracer.flow(obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177);
+  tracer.flow(world.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177);
   tracer.set_flow_enabled(false);
 
   obs::SeriesStore series;

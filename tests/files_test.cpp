@@ -22,6 +22,13 @@ Bytes pattern(std::size_t n, std::uint32_t seed = 1) {
   return b;
 }
 
+/// The value `host`'s registry reports for `name` (-1 when absent).
+double reported(simnet::Host& host, const std::string& name) {
+  for (const auto& m : host.metrics().snapshot())
+    if (m.name == name) return m.value;
+  return -1;
+}
+
 struct FilesFixture : ::testing::Test {
   FilesFixture() : world(41) {
     world.create_network("lan", simnet::ethernet100());
@@ -129,6 +136,9 @@ TEST_F(FilesFixture, ReplicaPushedByReplicateKeepsTheSealWithoutRehashing) {
   // fs2 announced after fs1; had it hashed the pushed bytes, the catalog
   // would now hold their true digest.
   EXPECT_EQ(catalog_hash(*rc, lifn), crypto::digest_hex(lie));
+  // The replica is counted like any stored file.
+  EXPECT_EQ(reported(*world.host("fs1"), "files.bytes_stored"), 20'000);
+  EXPECT_EQ(reported(*world.host("fs2"), "files.bytes_stored"), 20'000);
 }
 
 TEST_F(FilesFixture, StripedReadOfTheStoredBufferIsVerifiedByItsSeal) {
@@ -418,6 +428,20 @@ TEST_F(FilesFixture, OverwriteDoesNotDoubleCountStoredBytes) {
   EXPECT_EQ(fs1->stats().bytes_stored, 400u);
   fs1->store_local("lifn://utk.edu/ow2", pattern(50), /*announce=*/false);
   EXPECT_EQ(fs1->stats().bytes_stored, 450u);
+}
+
+TEST_F(FilesFixture, DeleteReleasesItsStoredBytes) {
+  fs1->store_local("lifn://utk.edu/del", pattern(1000), /*announce=*/false);
+  fs1->store_local("lifn://utk.edu/keep", pattern(50), /*announce=*/false);
+  ByteWriter w;
+  w.str("lifn://utk.edu/del");
+  Result<Bytes> deleted(Errc::state_error, "unset");
+  app_rpc->call(fs1->address(), tags::kDelete, std::move(w).take(),
+                [&](Result<Bytes> r) { deleted = r; });
+  world.engine().run();
+  ASSERT_TRUE(deleted.ok()) << deleted.error().to_string();
+  EXPECT_FALSE(fs1->has("lifn://utk.edu/del"));
+  EXPECT_EQ(fs1->stats().bytes_stored, 50u);
 }
 
 TEST_F(FilesFixture, OverwriteAnnouncesDigestOfNewBytes) {

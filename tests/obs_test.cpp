@@ -366,7 +366,7 @@ TEST(Metrics, FormatTextListsEveryInstrument) {
 TEST(Trace, RingBufferWrapsAndCountsDrops) {
   Tracer t(8);
   for (int n = 0; n < 20; ++n)
-    t.instant("test", "e" + std::to_string(n));
+    t.instant(n, "test", "e" + std::to_string(n));
   auto events = t.events();
   ASSERT_EQ(events.size(), 8u);
   EXPECT_EQ(t.dropped(), 12u);
@@ -380,13 +380,9 @@ TEST(Trace, RingBufferWrapsAndCountsDrops) {
 
 TEST(Trace, SpansRecordStartAndDuration) {
   Tracer t;
-  std::int64_t now = 0;
-  t.set_clock([&now] { return now; });
-  now = 100;
-  SpanId span = t.begin_span("transport", "srudp.failover");
+  SpanId span = t.begin_span(100, "transport", "srudp.failover");
   ASSERT_NE(span, 0u);
-  now = 350;
-  t.end_span(span, {{"route", "eth"}});
+  t.end_span(350, span, {{"route", "eth"}});
   auto events = t.events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].phase, TraceEvent::Phase::complete);
@@ -396,45 +392,30 @@ TEST(Trace, SpansRecordStartAndDuration) {
   EXPECT_EQ(events[0].args[0].first, "route");
 
   // Ending an unknown/null span is harmless.
-  t.end_span(0);
-  t.end_span(9999);
+  t.end_span(400, 0);
+  t.end_span(400, 9999);
   EXPECT_EQ(t.events().size(), 1u);
 }
 
 TEST(Trace, DisabledTracerRecordsNothing) {
   Tracer t;
   t.set_enabled(false);
-  t.instant("c", "n");
-  EXPECT_EQ(t.begin_span("c", "s"), 0u);
+  t.instant(0, "c", "n");
+  EXPECT_EQ(t.begin_span(0, "c", "s"), 0u);
   EXPECT_TRUE(t.events().empty());
   t.set_enabled(true);
-  t.instant("c", "n");
+  t.instant(0, "c", "n");
   EXPECT_EQ(t.events().size(), 1u);
-}
-
-TEST(Trace, VirtualClockVsWallClockStamping) {
-  Tracer t;
-  t.set_clock([] { return std::int64_t{42}; });
-  t.instant("c", "virtual");
-  EXPECT_EQ(t.events().back().ts, 42);
-
-  t.set_clock(nullptr);  // falls back to wall time since process start
-  t.instant("c", "wall1");
-  std::int64_t w1 = t.events().back().ts;
-  t.instant("c", "wall2");
-  std::int64_t w2 = t.events().back().ts;
-  EXPECT_GE(w1, 0);
-  EXPECT_GE(w2, w1);  // monotonic
 }
 
 TEST(Trace, ChromeJsonIsValidAndCarriesEvents) {
   Tracer t;
   std::int64_t now = 1'000'000;  // 1 ms
-  t.set_clock([&now] { return now; });
-  t.instant("transport", "srudp.route_switch", {{"peer", "b:7002"}, {"q", "a\"b\\c\n"}});
-  SpanId s = t.begin_span("rm", "rm.spawn");
+  t.instant(now, "transport", "srudp.route_switch",
+            {{"peer", "b:7002"}, {"q", "a\"b\\c\n"}});
+  SpanId s = t.begin_span(now, "rm", "rm.spawn");
   now += 2'500'000;
-  t.end_span(s);
+  t.end_span(now, s);
   std::string json = t.chrome_json();
 
   JsonParser parser(json);
@@ -538,16 +519,15 @@ TEST(Trace, SimulatedRunExportsMultiCategoryChromeTrace) {
 
 TEST(Trace, FlowEventsCarryPhaseAndIdIntoChromeJson) {
   Tracer t;
-  t.set_clock([] { return std::int64_t{1'000}; });
   // Flow recording is off by default: the hot-path guard callers check.
   EXPECT_FALSE(t.flow_enabled());
-  t.flow(TraceEvent::Phase::flow_start, "flow", "srudp.send", 0xabc);
+  t.flow(1'000, TraceEvent::Phase::flow_start, "flow", "srudp.send", 0xabc);
   EXPECT_TRUE(t.events().empty());
 
   t.set_flow_enabled(true);
-  t.flow(TraceEvent::Phase::flow_start, "flow", "srudp.send", 0xabc, {{"msg", "1"}});
-  t.flow(TraceEvent::Phase::flow_step, "flow", "srudp.tx", 0xabc);
-  t.flow(TraceEvent::Phase::flow_end, "flow", "srudp.deliver", 0xabc);
+  t.flow(1'000, TraceEvent::Phase::flow_start, "flow", "srudp.send", 0xabc, {{"msg", "1"}});
+  t.flow(1'000, TraceEvent::Phase::flow_step, "flow", "srudp.tx", 0xabc);
+  t.flow(1'000, TraceEvent::Phase::flow_end, "flow", "srudp.deliver", 0xabc);
   t.set_flow_enabled(false);
 
   auto events = t.events();
@@ -570,7 +550,7 @@ TEST(Trace, FlowRespectsMasterEnableToo) {
   Tracer t;
   t.set_flow_enabled(true);
   t.set_enabled(false);
-  t.flow(TraceEvent::Phase::flow_step, "flow", "x", 7);
+  t.flow(0, TraceEvent::Phase::flow_step, "flow", "x", 7);
   EXPECT_TRUE(t.events().empty());
 }
 
@@ -652,16 +632,13 @@ TEST(Flight, DumpSaysSoWhenEmptyAndWhenDisabled) {
 
 TEST(Flight, TimestampsComeFromOwnerEngineClock) {
   // Host rings read their host's engine and the World ring its control
-  // engine, never the tracer's installed clock.
+  // engine.
   simnet::World world(1, 2);
   simnet::Host& a = world.create_host("a", 1);
   world.shard_engine(1).schedule(duration::seconds(2), [&a] { a.flight().record("c", "w"); });
   world.control_engine().schedule(duration::seconds(3),
                                   [&world] { world.flight().record("fault", "x"); });
-  auto& tracer = Tracer::global();
-  tracer.set_clock([] { return std::int64_t{123'456'789}; });
   world.run_until(duration::seconds(4));
-  tracer.set_clock(nullptr);
   ASSERT_EQ(a.flight().events().size(), 1u);
   EXPECT_EQ(a.flight().events()[0].ts, duration::seconds(2));
   ASSERT_EQ(world.flight().events().size(), 1u);

@@ -14,6 +14,7 @@
 #include "simnet/fault.hpp"
 #include "simnet/media.hpp"
 #include "simnet/world.hpp"
+#include "util/log.hpp"
 
 namespace snipe::simnet {
 namespace {
@@ -483,16 +484,40 @@ TEST(World, DeterministicAcrossRuns) {
 }
 
 TEST(World, DestroyingASecondWorldKeepsTheFirstWorldsClock) {
+  auto& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.clear();
+  std::vector<std::optional<std::int64_t>> stamps;
+  LogSink old_sink = set_log_sink([&](LogLevel, std::optional<std::int64_t> stamp,
+                                      const std::string&, const std::string&) {
+    stamps.push_back(stamp);
+  });
+
   World first(1);
+  Host& a = first.create_host("a");
+  FaultPlan plan(first, 3);
+  plan.crash_host("a", duration::seconds(5), duration::seconds(7));
+  a.engine().schedule_at(duration::seconds(5),
+                         [&a] { Logger("probe@a", a.clock()).error("at 5 s"); });
   first.run_until(duration::seconds(2));
   {
     World second(2);
     second.run_until(duration::seconds(1));
   }
-  first.run_until(duration::seconds(5));
-  ASSERT_TRUE(static_cast<bool>(log_detail::time_source()));
-  EXPECT_EQ(log_detail::time_source()(), duration::seconds(5));
-  EXPECT_EQ(obs::Tracer::global().now(), duration::seconds(5));
+  first.run_until(duration::seconds(6));
+  set_log_sink(old_sink);
+
+  // The crash's trace instant and flight entry and the host's log record
+  // all carry the first World's clock.
+  auto events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "host.crash");
+  EXPECT_EQ(events[0].ts, duration::seconds(5));
+  ASSERT_EQ(first.flight().events().size(), 1u);
+  EXPECT_EQ(first.flight().events()[0].ts, duration::seconds(5));
+  ASSERT_EQ(stamps.size(), 1u);
+  EXPECT_EQ(stamps[0], std::optional<std::int64_t>(duration::seconds(5)));
+  EXPECT_EQ(first.now(), duration::seconds(6));
 }
 
 // ---- The replay oracle: one hash per datagram fate, summed per network ----

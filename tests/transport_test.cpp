@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "simnet/fault.hpp"
 #include "transport/ethmcast.hpp"
-#include "transport/message.hpp"
 #include "transport/multipath.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
@@ -208,14 +209,6 @@ TEST(Wire, BitmapHelpers) {
   EXPECT_FALSE(bitmap_get(bm, 100));  // out of range reads as unset
 }
 
-TEST(Message, TaggedRoundTrip) {
-  TaggedMessage m{42, pattern_bytes(10)};
-  auto d = TaggedMessage::decode(m.encode()).value();
-  EXPECT_EQ(d.tag, 42u);
-  EXPECT_EQ(d.body, m.body);
-  EXPECT_FALSE(TaggedMessage::decode(Bytes{1}).ok());
-}
-
 // ---- SRUDP ----
 
 struct SrudpPair {
@@ -237,6 +230,41 @@ struct SrudpPair {
   std::unique_ptr<SrudpEndpoint> a, b;
   std::vector<std::pair<Address, Bytes>> received;
 };
+
+// Two Worlds alive on one thread: the older one's components stamp their log
+// records and trace events with their own engine's clock, not the newer
+// World's.  A zero TTL makes the send expire on the spot, which logs a
+// warning and records an "srudp.expire" instant.
+TEST(Srudp, OlderWorldStampsItsLogAndTraceWithItsOwnClock) {
+  auto& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.clear();
+  std::vector<std::pair<std::string, std::optional<std::int64_t>>> records;
+  LogSink old_sink = set_log_sink([&](LogLevel, std::optional<std::int64_t> stamp,
+                                      const std::string& component, const std::string&) {
+    records.emplace_back(component, stamp);
+  });
+
+  SrudpConfig cfg;
+  cfg.msg_ttl = 0;
+  SrudpPair older(1, simnet::ethernet100(), cfg);
+  SrudpPair newer(2);
+  newer.world.run_until(duration::seconds(1));
+  older.world.engine().schedule_at(duration::seconds(5), [&older] {
+    older.a->send(older.b->address(), to_bytes("late"));
+  });
+  older.world.run_until(duration::seconds(6));
+  set_log_sink(old_sink);
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, "srudp@a:7001");
+  EXPECT_EQ(records[0].second, std::optional<std::int64_t>(duration::seconds(5)));
+  std::vector<obs::TraceEvent> expired;
+  for (const auto& e : tracer.events())
+    if (e.name == "srudp.expire") expired.push_back(e);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].ts, duration::seconds(5));
+}
 
 TEST(Srudp, SmallMessageDelivered) {
   SrudpPair p;

@@ -227,16 +227,25 @@ TEST(Strings, TrimAndJoin) {
 
 TEST(Log, SinkCapturesFilteredRecords) {
   std::vector<std::pair<LogLevel, std::string>> captured;
+  std::vector<std::optional<std::int64_t>> stamps;
   LogLevel old_level = set_log_level(LogLevel::info);
-  LogSink old_sink = set_log_sink([&](LogLevel level, const std::string& component,
-                                      const std::string& text) {
+  LogSink old_sink = set_log_sink([&](LogLevel level, std::optional<std::int64_t> stamp,
+                                      const std::string& component, const std::string& text) {
     captured.emplace_back(level, component + ": " + text);
+    stamps.push_back(stamp);
   });
 
   Logger log("util_test");
   log.debug("below threshold, dropped");
   log.info("value=", 42);
-  log.error("boom");
+  std::int64_t now = 7;
+  int clock_reads = 0;
+  Logger clocked("clocked", [&] {
+    ++clock_reads;
+    return now;
+  });
+  clocked.debug("below threshold: the clock is not read");
+  clocked.error("boom");
 
   set_log_sink(old_sink);
   set_log_level(old_level);
@@ -244,7 +253,10 @@ TEST(Log, SinkCapturesFilteredRecords) {
   ASSERT_EQ(captured.size(), 2u);
   EXPECT_EQ(captured[0].first, LogLevel::info);
   EXPECT_EQ(captured[0].second, "util_test: value=42");
+  EXPECT_EQ(stamps[0], std::nullopt);  // a clockless logger stamps nothing
   EXPECT_EQ(captured[1].first, LogLevel::error);
+  EXPECT_EQ(stamps[1], std::optional<std::int64_t>(7));
+  EXPECT_EQ(clock_reads, 1);
 }
 
 TEST(Log, ParseLevelNames) {
