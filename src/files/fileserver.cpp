@@ -249,7 +249,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                if (!lifn) return lifn.error();
                auto it = store_.find(lifn.value());
                if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
-               stats_.bytes_stored -= it->second.bytes->size();
+               set_bytes_stored(stats_.bytes_stored - it->second.bytes->size());
                store_.erase(it);
                rc_.remove(lifn.value(), rcds::names::kLifnLocation, location_url(),
                           [](Result<void>) {});
@@ -258,6 +258,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
 
   obs::MetricsRegistry& registry = rpc_.host().metrics();
   bytes_served_ = &registry.counter("files.bytes_served");
+  bytes_stored_ = &registry.gauge("files.bytes_stored");
   stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
     s.add("files.stores", stats_.stores);
     s.add("files.fetches", stats_.fetches);
@@ -266,7 +267,6 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     s.add("files.replicas_pushed", stats_.replicas_pushed);
     s.add("files.replicas_received", stats_.replicas_received);
     s.add("files.repairs", stats_.repairs);
-    s.add("files.bytes_stored", stats_.bytes_stored);
     s.add("files.sinks_expired", stats_.sinks_expired);
     s.add("files.sinks_incomplete", stats_.sinks_incomplete);
   });
@@ -293,11 +293,18 @@ void FileServer::store_local(const std::string& lifn, const Payload& content,
   }
 }
 
+FileServer::~FileServer() { set_bytes_stored(0); }
+
 void FileServer::put(Stored& file, Payload::Buffer bytes) {
-  stats_.bytes_stored -= file.bytes == nullptr ? 0 : file.bytes->size();
-  stats_.bytes_stored += bytes->size();
+  set_bytes_stored(stats_.bytes_stored - (file.bytes == nullptr ? 0 : file.bytes->size()) +
+                   bytes->size());
   file.bytes = std::move(bytes);
   file.sha256 = crypto::digest_hex(*Payload::sealed_digest(file.bytes));
+}
+
+void FileServer::set_bytes_stored(std::uint64_t bytes) {
+  bytes_stored_->add(static_cast<double>(bytes) - static_cast<double>(stats_.bytes_stored));
+  stats_.bytes_stored = bytes;
 }
 
 void FileServer::announce(const std::string& lifn, const Stored& file) {

@@ -102,6 +102,8 @@ class FileServer {
   /// `rc_replicas`: the metadata registry to announce locations in.
   FileServer(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
              std::uint16_t port = kDefaultPort, FileServerConfig config = {});
+  /// Takes this server's stored bytes back off the host's gauge.
+  ~FileServer();
 
   /// Peer file servers the replication daemon may copy to.
   void set_peers(std::vector<simnet::Address> peers) { peers_ = std::move(peers); }
@@ -146,6 +148,8 @@ class FileServer {
   /// Makes sealed `bytes` the content of `file`, keeping bytes_stored in
   /// step: the one accounting point for every path that stores a file.
   void put(Stored& file, Payload::Buffer bytes);
+  /// Moves stats_.bytes_stored to `bytes` and the host's gauge with it.
+  void set_bytes_stored(std::uint64_t bytes);
   void announce(const std::string& lifn, const Stored& file);
   void replicate(const std::string& lifn);
   void repair_tick();
@@ -162,6 +166,11 @@ class FileServer {
   std::uint64_t next_sink_id_ = 1;
   FileServerStats stats_;
   obs::Counter* bytes_served_;  ///< host's "files.bytes_served" (fetch + source)
+  /// Host's "files.bytes_stored".  A level, so a gauge: as a counter, an
+  /// overwrite or delete that shrinks it would read as a registry reset to
+  /// the beacon builder.  Each server adds its own changes, so servers
+  /// sharing a host sum.
+  obs::Gauge* bytes_stored_;
   Logger log_;
   /// Declared last so the stats visitor retires before stats_ dies.
   obs::SourceHandle stats_source_;

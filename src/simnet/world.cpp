@@ -224,17 +224,23 @@ std::uint16_t Host::ephemeral_port() {
   return next_ephemeral_++;
 }
 
-std::vector<std::string> Host::up_networks() const {
-  std::vector<std::string> out;
-  for (const auto& nic : nics_)
-    if (nic->up() && nic->network()->up()) out.push_back(nic->network()->name());
-  return out;
-}
+Address Endpoint::address() const { return {host == nullptr ? "?" : host->name(), port}; }
+
+std::string Endpoint::to_string() const { return address().to_string(); }
 
 Result<std::string> Host::send(const Address& dst, Payload payload, const SendOptions& opts) {
   if (!up_) return Error{Errc::unreachable, name_ + " is down"};
   Host* dst_host = world_->host(dst.host);
   if (!dst_host) return Error{Errc::not_found, "no such host " + dst.host};
+  auto r = send(dst_host, dst.port, std::move(payload), opts);
+  if (!r) return r.error();
+  return r.value()->name();
+}
+
+Result<Network*> Host::send(Host* dst_host, std::uint16_t dst_port, Payload payload,
+                            const SendOptions& opts) {
+  if (!up_) return Error{Errc::unreachable, name_ + " is down"};
+  if (!dst_host) return Error{Errc::not_found, "no such host"};
 
   // Candidate networks: both endpoints attached with up NICs, network up.
   // §5.3: "the message is sent using the fastest of those" — order by
@@ -260,7 +266,7 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
       ++ncand;
     }
   }
-  if (ncand == 0) return send_routed(dst_host, dst.port, std::move(payload), opts);
+  if (ncand == 0) return send_routed(dst_host, dst_port, std::move(payload), opts);
   Candidate* first = overflow.empty() ? inline_cand : overflow.data();
   Candidate* last = first + ncand;
 
@@ -279,9 +285,9 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
     for (; j > first && faster(key, j[-1]); --j) *j = j[-1];
     *j = key;
   }
-  if (!opts.preferred_network.empty()) {
+  if (opts.preferred_network != nullptr) {
     Candidate* it = std::find_if(first, last, [&](const Candidate& c) {
-      return c.first->network()->name() == opts.preferred_network;
+      return c.first->network() == opts.preferred_network;
     });
     if (it != last) std::rotate(first, it, it + 1);
   }
@@ -302,17 +308,17 @@ Result<std::string> Host::send(const Address& dst, Payload payload, const SendOp
 
   bool lost = rng_.chance(net->total_loss());
   if (lost) {
-    tally(*net, Fate::media_loss, arrival, *this, *dst_host, dst.port, payload.size());
-    return net->name();  // like UDP: the sender cannot tell
+    tally(*net, Fate::media_loss, arrival, *this, *dst_host, dst_port, payload.size());
+    return net;  // like UDP: the sender cannot tell
   }
 
   schedule_delivery(dst_host, arrival,
-                    Packet{this, opts.src_port, dst.port, net, std::move(payload)});
-  return net->name();
+                    Packet{this, opts.src_port, dst_port, net, std::move(payload)});
+  return net;
 }
 
-Result<std::string> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
-                                      const SendOptions& opts) {
+Result<Network*> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
+                                   const SendOptions& opts) {
   std::shared_ptr<const Route> route = world_->resolve_route(*this, dst_host);
   if (route == nullptr)
     return Error{Errc::unreachable,
@@ -333,20 +339,20 @@ Result<std::string> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Pa
 
   if (rng_.chance(net->total_loss())) {
     tally(*net, Fate::media_loss, arrival, *this, *dst_host, dst_port, payload.size());
-    return net->name();
+    return net;
   }
 
   Packet packet{this, opts.src_port, dst_port, net, std::move(payload)};
   if (route->hops.size() == 1) {
     schedule_delivery(dst_host, arrival, std::move(packet));
-    return net->name();
+    return net;
   }
   World* world = world_;
   judge_and_post(*this, *dst_host, arrival, std::move(packet),
                  [world, &route](SimTime when, Packet p) {
                    world->post_hop(route, 1, when, std::move(p));
                  });
-  return net->name();
+  return net;
 }
 
 void Host::deliver(Packet packet) {

@@ -22,6 +22,14 @@
 //    bandwidth sharing charges every flow crossing a shared link — incast
 //    into a rack and thin-pipe WAN bottlenecks emerge from the model.
 //
+// Names are the API, pointers the data path.  Callers address a peer by
+// Address {host name, port}; Host::send(Address) resolves the name once and
+// forwards to Host::send(Host*, port), which the transports call directly
+// with the interned Endpoint {Host*, port} they key their peer tables by.
+// No per-datagram step compares, copies or returns a name: a Packet names
+// its source by Host*, its medium by Network*, and SendOptions its
+// preferred network by pointer.
+//
 // Failure injection is first-class: hosts, routers, networks and individual
 // NICs can be taken down and brought back at any virtual time; in-flight
 // packets to a dead destination are dropped, which is what the transport's
@@ -76,6 +84,26 @@ class Host;
 class Router;
 class Node;
 class Network;
+
+/// An interned network endpoint: the host itself and a port, the fixed-width
+/// pair a real UDP link is named by.  Trivially copyable and hashed by
+/// pointer, so transports key their per-peer tables by it and the per-
+/// datagram path compares two words instead of two strings.  Address stays
+/// the public, by-name API: a transport resolves a destination's name once
+/// (World::endpoint) and builds an Address only where a name is wanted —
+/// logs, flight entries, traces and the message handler's `src`.
+///
+/// `host` is nullptr for a name that resolved to no host; such an endpoint
+/// is never reached (Host::send fails not_found).  A host pointer stays
+/// valid for its World's lifetime: hosts are never removed.
+struct Endpoint {
+  Host* host = nullptr;
+  std::uint16_t port = 0;
+
+  Address address() const;
+  std::string to_string() const;  ///< "host:port", "?:port" when unresolved
+  friend bool operator==(const Endpoint&, const Endpoint&) = default;
+};
 
 /// A delivered datagram, named the way a real one is: fixed-width endpoint
 /// references and 16-bit ports, no strings.  The destination is the
@@ -208,9 +236,9 @@ class Network {
 
 /// Options for a single send.
 struct SendOptions {
-  /// If nonempty, try this network first even if a faster one is shared
-  /// (direct candidates only; routed sends pick their own path).
-  std::string preferred_network;
+  /// If set, try this network first even if a faster one is shared (direct
+  /// candidates only; routed sends pick their own path).
+  const Network* preferred_network = nullptr;
   /// Stamped into the delivered Packet's src_port so receivers can reply.
   std::uint16_t src_port = 0;
 };
@@ -328,17 +356,23 @@ class Host : public Node {
   /// Picks an unused ephemeral port (49152+).
   std::uint16_t ephemeral_port();
 
-  /// Sends one datagram.  With a shared up network the fastest one wins
-  /// (§5.3), honouring `preferred_network` when it is available — exactly
-  /// the flat model.  With no shared network and a zoned topology, the
-  /// datagram takes the resolved multi-hop route, paying serialize +
-  /// propagation per hop and sharing every link it crosses.  Fails with
+  /// Sends one datagram to port `dst_port` of `dst`.  With a shared up
+  /// network the fastest one wins (§5.3), honouring `preferred_network` when
+  /// it is available — exactly the flat model.  With no shared network and
+  /// a zoned topology, the datagram takes the resolved multi-hop route,
+  /// paying serialize + propagation per hop and sharing every link it
+  /// crosses.  Fails with
+  ///   not_found         if `dst` is nullptr,
   ///   invalid_argument  if payload exceeds the chosen network's (or the
   ///                     route's bottleneck) MTU,
   ///   unreachable       if no path exists or the host is down.
-  /// On success returns the name of the first-hop network.  Loss is applied
-  /// at delivery time; a lost packet still returns success here, as with
-  /// UDP.
+  /// On success returns the first-hop network.  Loss is applied at delivery
+  /// time; a lost packet still returns success here, as with UDP.  The
+  /// transports' per-datagram path: no name lookup, no string.
+  Result<Network*> send(Host* dst, std::uint16_t dst_port, Payload payload,
+                        const SendOptions& opts = {});
+  /// By name: resolves `dst.host` once and sends as above, returning the
+  /// first-hop network's name.  An unknown name fails with not_found.
   Result<std::string> send(const Address& dst, Payload payload, const SendOptions& opts = {});
 
   /// Sends to every other up NIC on `network` (link-level broadcast, used
@@ -347,9 +381,6 @@ class Host : public Node {
   /// receive broadcasts.
   Result<void> broadcast(const std::string& network, std::uint16_t port, Payload payload,
                          std::uint16_t src_port = 0);
-
-  /// Networks this host can currently transmit on.
-  std::vector<std::string> up_networks() const;
 
  private:
   friend class World;
@@ -364,8 +395,8 @@ class Host : public Node {
   void schedule_delivery(Host* target, SimTime arrival, Packet packet);
   /// The no-shared-network continuation of send(): resolve a route and
   /// launch the packet down it.
-  Result<std::string> send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
-                                  const SendOptions& opts);
+  Result<Network*> send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
+                               const SendOptions& opts);
 
   std::map<std::uint16_t, PacketHandler> ports_;
   std::uint16_t next_ephemeral_ = 49152;
@@ -497,6 +528,8 @@ class World {
   Nic& attach(const std::string& host, const std::string& network);
 
   Host* host(const std::string& name);
+  /// Interns `address`: its host resolved by name (nullptr when unknown).
+  Endpoint endpoint(const Address& address) { return {host(address.host), address.port}; }
   Router* router(const std::string& name);
   Network* network(const std::string& name);
 
@@ -628,3 +661,13 @@ class World {
 };
 
 }  // namespace snipe::simnet
+
+template <>
+struct std::hash<snipe::simnet::Endpoint> {
+  std::size_t operator()(const snipe::simnet::Endpoint& e) const noexcept {
+    // Pointer bits mixed with the port (Fibonacci hashing spreads the
+    // allocator's aligned, clustered addresses across the buckets).
+    auto bits = reinterpret_cast<std::uintptr_t>(e.host) ^ (std::uintptr_t{e.port} << 48);
+    return static_cast<std::size_t>(bits * 0x9E3779B97F4A7C15ULL);
+  }
+};

@@ -12,6 +12,7 @@ EthMcastEndpoint::EthMcastEndpoint(simnet::Host& host, const std::string& networ
     : host_(host),
       engine_(host.engine()),
       network_(network),
+      net_(host.world()->network(network)),
       group_(group),
       port_(port),
       config_(config),
@@ -205,7 +206,7 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
             " missing=" + std::to_string(nack.missing.size()));
     simnet::SendOptions opts;
     opts.src_port = port_;
-    opts.preferred_network = network_;
+    opts.preferred_network = net_;
     auto r = host_.send(sender, encode_mcast_nack(port_, nack), opts);
     if (!r) log_.trace("nack failed: ", r.error().to_string());
     schedule_nack(sender, msg_id, config_.nack_retry);

@@ -84,6 +84,7 @@ class EthMcastEndpoint {
   simnet::Host& host_;
   simnet::Engine& engine_;
   std::string network_;
+  const simnet::Network* net_;  ///< network_, resolved once (nack routing)
   std::string group_;
   std::uint16_t port_;
   EthMcastConfig config_;

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "simnet/world.hpp"
 #include "util/time.hpp"
@@ -37,8 +36,12 @@ class MultipathPolicy {
                            SimDuration probe_quiet = duration::seconds(10))
       : failover_threshold_(failover_threshold), probe_quiet_(probe_quiet) {}
 
-  /// The network to prefer right now ("" = let simnet pick the fastest).
-  const std::string& preferred() const { return preferred_; }
+  /// The network to prefer right now (nullptr = let simnet pick the
+  /// fastest).  Handed to SendOptions as is: a pointer compare per
+  /// candidate, no name.
+  const simnet::Network* preferred() const { return preferred_; }
+  /// preferred()'s name, "" for the default route (logs and traces).
+  const std::string& preferred_name() const;
 
   /// Record a successful round trip on the current route.  `now` is the
   /// caller's clock (virtual time); when a failover route has been quiet
@@ -58,7 +61,7 @@ class MultipathPolicy {
   int probes() const { return probes_; }
 
  private:
-  std::string preferred_;
+  const simnet::Network* preferred_ = nullptr;
   int consecutive_timeouts_ = 0;
   int failover_threshold_;
   SimDuration probe_quiet_;

@@ -56,7 +56,7 @@ SrudpEndpoint::~SrudpEndpoint() {
   }
 }
 
-SrudpEndpoint::PeerOut& SrudpEndpoint::ensure_out(const simnet::Address& peer) {
+SrudpEndpoint::PeerOut& SrudpEndpoint::ensure_out(Peer peer) {
   auto [it, inserted] = out_.try_emplace(peer);
   if (inserted)
     it->second.path =
@@ -64,7 +64,7 @@ SrudpEndpoint::PeerOut& SrudpEndpoint::ensure_out(const simnet::Address& peer) {
   return it->second;
 }
 
-void SrudpEndpoint::note_route_success(const simnet::Address& peer, PeerOut& out) {
+void SrudpEndpoint::note_route_success(Peer peer, PeerOut& out) {
   if (out.path.on_success(engine_.now())) {
     ++stats_.route_probes;
     host_.flight().record("multipath", "route_probe", "peer=" + peer.to_string());
@@ -73,7 +73,8 @@ void SrudpEndpoint::note_route_success(const simnet::Address& peer, PeerOut& out
 }
 
 std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
-  auto& out = ensure_out(dst);
+  const Peer peer = host_.world()->endpoint(dst);
+  auto& out = ensure_out(peer);
   if (out.rto == 0) out.rto = config_.initial_rto;
 
   OutMessage msg;
@@ -82,13 +83,12 @@ std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   // fragment, so enabling flow recording cannot perturb the simulation.
   msg.flow = mint_flow(host_.name(), port_, dst.host, dst.port, msg.msg_id);
   msg.enqueued = engine_.now();
-  msg.frag_size = frag_payload_;
   msg.frag_count = message.empty()
                        ? 1
                        : static_cast<std::uint32_t>((message.size() + frag_payload_ - 1) /
                                                     frag_payload_);
   msg.data = std::move(message);
-  msg.acked = make_bitmap(msg.frag_count);
+  msg.acked = FragBitmap(msg.frag_count);
   msg.deadline = engine_.now() + config_.msg_ttl;
   std::uint64_t msg_id = msg.msg_id;
   auto& tracer = obs::Tracer::global();
@@ -100,11 +100,13 @@ std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.frag", msg.flow,
                 {{"frags", std::to_string(msg.frag_count)}});
   }
+  if (peer.host == nullptr)
+    log_.debug("no host named ", dst.host, ": message ", msg_id, " will expire unsent");
   out.queue.push_back(std::move(msg));
   ++stats_.messages_sent;
   // pump() may expire the message just queued (a zero/tiny msg_ttl) or any
   // other head, so out.queue.back() is not safe to touch afterwards.
-  pump(dst);
+  pump(peer);
   return msg_id;
 }
 
@@ -114,7 +116,7 @@ std::size_t SrudpEndpoint::pending() const {
   return n;
 }
 
-void SrudpEndpoint::pump(const simnet::Address& peer) {
+void SrudpEndpoint::pump(Peer peer) {
   auto it = out_.find(peer);
   if (it == out_.end()) return;
   PeerOut& out = it->second;
@@ -130,7 +132,7 @@ void SrudpEndpoint::pump(const simnet::Address& peer) {
     std::size_t resent = 0;
     while (out.inflight < config_.window && resent < msg.retransmit.size()) {
       std::uint32_t index = msg.retransmit[resent++];
-      if (bitmap_get(msg.acked, index)) continue;  // acked since the request
+      if (msg.acked.get(index)) continue;  // acked since the request
       send_fragment(peer, out, msg, index, /*retransmission=*/true);
     }
     msg.retransmit.erase(msg.retransmit.begin(),
@@ -147,7 +149,7 @@ void SrudpEndpoint::pump(const simnet::Address& peer) {
   if (!out.queue.empty()) arm_rto(peer);
 }
 
-void SrudpEndpoint::send_fragment(const simnet::Address& peer, PeerOut& out, OutMessage& msg,
+void SrudpEndpoint::send_fragment(Peer peer, PeerOut& out, OutMessage& msg,
                                   std::uint32_t index, bool retransmission) {
   DataPacket p;
   p.msg_id = msg.msg_id;
@@ -155,8 +157,8 @@ void SrudpEndpoint::send_fragment(const simnet::Address& peer, PeerOut& out, Out
   p.frag_count = msg.frag_count;
   p.total_len = static_cast<std::uint32_t>(msg.data.size());
   p.flow = msg.flow;
-  std::size_t begin = static_cast<std::size_t>(index) * msg.frag_size;
-  std::size_t end = std::min(msg.data.size(), begin + msg.frag_size);
+  std::size_t begin = static_cast<std::size_t>(index) * frag_payload_;
+  std::size_t end = std::min(msg.data.size(), begin + frag_payload_);
   // A fragment is a *slice* of the message buffer, not a copy of it.
   if (begin < end) p.payload = msg.data.slice(begin, end - begin);
 
@@ -168,7 +170,7 @@ void SrudpEndpoint::send_fragment(const simnet::Address& peer, PeerOut& out, Out
   ++stats_.fragments_sent;
   auto& tracer = obs::Tracer::global();
   if (tracer.flow_enabled()) {
-    const std::string& path = out.path.preferred();
+    const std::string& path = out.path.preferred_name();
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 retransmission ? "srudp.retransmit" : "srudp.tx", msg.flow,
                 {{"frag", std::to_string(index)}, {"path", path.empty() ? "auto" : path}});
@@ -177,15 +179,15 @@ void SrudpEndpoint::send_fragment(const simnet::Address& peer, PeerOut& out, Out
   raw_send(peer, &out, encode_data(port_, p, config_.checksum));
 }
 
-void SrudpEndpoint::raw_send(const simnet::Address& peer, PeerOut* out, Payload wire) {
+void SrudpEndpoint::raw_send(Peer peer, PeerOut* out, Payload wire) {
   simnet::SendOptions opts;
   opts.src_port = port_;
   if (out != nullptr) opts.preferred_network = out->path.preferred();
-  auto r = host_.send(peer, std::move(wire), opts);
+  auto r = host_.send(peer.host, peer.port, std::move(wire), opts);
   if (!r) log_.trace("send to ", peer.to_string(), " failed: ", r.error().to_string());
 }
 
-void SrudpEndpoint::arm_rto(const simnet::Address& peer) {
+void SrudpEndpoint::arm_rto(Peer peer) {
   PeerOut& out = ensure_out(peer);
   if (out.rto_timer.valid()) return;
   out.rto_timer = engine_.schedule(out.rto, [this, peer] {
@@ -194,7 +196,7 @@ void SrudpEndpoint::arm_rto(const simnet::Address& peer) {
   });
 }
 
-void SrudpEndpoint::on_rto(const simnet::Address& peer) {
+void SrudpEndpoint::on_rto(Peer peer) {
   auto it = out_.find(peer);
   if (it == out_.end()) return;
   PeerOut& out = it->second;
@@ -216,16 +218,17 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
     if (out.failover_span == 0)
       out.failover_span = tracer.begin_span(engine_.now(), "transport", "srudp.failover");
     tracer.instant(engine_.now(), "transport", "srudp.route_switch",
-                   {{"peer", peer.to_string()}, {"to", out.path.preferred()}});
+                   {{"peer", peer.to_string()}, {"to", out.path.preferred_name()}});
     // The route choice is per-peer; attribute it to the head message's flow
     // so the switch shows up inside the affected cross-host trace.
     if (tracer.flow_enabled())
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                  "srudp.route_switch", out.queue.front().flow, {{"to", out.path.preferred()}});
+                  "srudp.route_switch", out.queue.front().flow,
+                  {{"to", out.path.preferred_name()}});
     host_.flight().record(
         "srudp", "route_switch",
-        "peer=" + peer.to_string() + " to=" + out.path.preferred());
-    log_.debug("route to ", peer.to_string(), " switched to ", out.path.preferred());
+        "peer=" + peer.to_string() + " to=" + out.path.preferred_name());
+    log_.debug("route to ", peer.to_string(), " switched to ", out.path.preferred_name());
   }
   // Resend every sent-but-unacked fragment of every queued message (up to
   // one window).  Covering all messages matters: a later short message
@@ -236,7 +239,7 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
   for (auto& msg : out.queue) {
     if (out.inflight >= config_.window) break;
     for (std::uint32_t i = 0; i < msg.next_unsent && out.inflight < config_.window; ++i) {
-      if (!bitmap_get(msg.acked, i))
+      if (!msg.acked.get(i))
         send_fragment(peer, out, msg, i, /*retransmission=*/true);
     }
   }
@@ -246,7 +249,7 @@ void SrudpEndpoint::on_rto(const simnet::Address& peer) {
   arm_rto(peer);
 }
 
-void SrudpEndpoint::expire_head(const simnet::Address& peer, PeerOut& out) {
+void SrudpEndpoint::expire_head(Peer peer, PeerOut& out) {
   log_.warn("message ", out.queue.front().msg_id, " to ", peer.to_string(),
             " expired unacknowledged");
   obs::Tracer::global().instant(
@@ -263,7 +266,7 @@ void SrudpEndpoint::expire_head(const simnet::Address& peer, PeerOut& out) {
 void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   auto head = decode_head(packet.payload);
   if (!head) return;
-  simnet::Address peer{packet.src->name(), head.value().src_port};
+  const Peer peer{packet.src, head.value().src_port};
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
@@ -302,7 +305,7 @@ void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   }
 }
 
-void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
+void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   PeerIn& in = in_[peer];
   if (p.msg_id < in.next_deliver) {
     // Already delivered (or skipped): the MSG_ACK was lost; repeat it.
@@ -316,15 +319,9 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
     return;
   }
 
-  auto [it, inserted] = in.partial.try_emplace(p.msg_id);
-  InMessage& msg = it->second;
-  if (inserted) {
-    msg.frag_count = p.frag_count;
-    msg.total_len = p.total_len;
-    msg.flow = p.flow;
-    msg.frags.resize(p.frag_count);
-    msg.have = make_bitmap(p.frag_count);
-  } else if (msg.frag_count != p.frag_count || msg.total_len != p.total_len) {
+  auto it = in.partial.find(p.msg_id);
+  if (it != in.partial.end() &&
+      (it->second.frag_count != p.frag_count || it->second.total_len != p.total_len)) {
     log_.warn("inconsistent fragment metadata for msg ", p.msg_id, " from ",
               peer.to_string());
     return;
@@ -333,13 +330,29 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx", p.flow,
                 {{"frag", std::to_string(p.frag_index)}});
-  if (bitmap_get(msg.have, p.frag_index)) {
+  if (it == in.partial.end()) {
+    if (p.frag_count == 1) {
+      // A single-fragment message is complete on arrival: no reassembly state.
+      on_complete(peer, in, p.msg_id, p.payload, p.total_len, p.flow);
+      return;
+    }
+    it = in.partial.try_emplace(p.msg_id).first;
+    InMessage& fresh = it->second;
+    fresh.frag_count = p.frag_count;
+    fresh.total_len = p.total_len;
+    fresh.flow = p.flow;
+    fresh.frags.resize(p.frag_count);
+    fresh.have = FragBitmap(p.frag_count);
+  }
+  InMessage& msg = it->second;
+  if (msg.have.get(p.frag_index)) {
     ++stats_.duplicate_fragments;
   } else {
-    bitmap_set(msg.have, p.frag_index);
+    msg.have.set(p.frag_index);
     msg.frags[p.frag_index] = p.payload;
     ++msg.have_count;
     msg.last_progress = engine_.now();
+    while (msg.prefix < msg.frag_count && msg.have.get(msg.prefix)) ++msg.prefix;
   }
   ++msg.since_status;
 
@@ -352,18 +365,7 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
     std::uint64_t flow = msg.flow;
     engine_.cancel(msg.status_timer);
     in.partial.erase(it);
-    if (assembled.size() != p.total_len) {
-      log_.warn("reassembled length mismatch for msg ", p.msg_id);
-      return;
-    }
-    if (tracer.flow_enabled())
-      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                  "srudp.reassemble", flow,
-                  {{"msg", std::to_string(p.msg_id)},
-                   {"bytes", std::to_string(assembled.size())}});
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {p.msg_id}));
-    in.complete[p.msg_id] = CompleteMsg{std::move(assembled), flow};
-    try_deliver(peer);
+    on_complete(peer, in, p.msg_id, std::move(assembled), p.total_len, flow);
     return;
   }
 
@@ -391,18 +393,32 @@ void SrudpEndpoint::on_data(const simnet::Address& peer, const DataPacket& p) {
     msg.since_status = 0;
     return;
   }
-  bool gap = false;
-  for (std::uint32_t i = 0; i < p.frag_index; ++i) {
-    if (!bitmap_get(msg.have, i)) {
-      gap = true;
-      break;
-    }
-  }
+  // A gap: some fragment below this one is still missing.
+  const bool gap = msg.prefix < p.frag_index;
   if (!msg.status_timer.valid())
     schedule_status(peer, p.msg_id, gap ? config_.gap_status_delay : config_.status_interval);
 }
 
-void SrudpEndpoint::schedule_status(const simnet::Address& peer, std::uint64_t msg_id,
+void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Payload assembled,
+                                std::uint32_t total_len, std::uint64_t flow) {
+  if (assembled.size() != total_len) {
+    log_.warn("reassembled length mismatch for msg ", msg_id);
+    return;
+  }
+  auto& tracer = obs::Tracer::global();
+  if (tracer.flow_enabled())
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble",
+                flow,
+                {{"msg", std::to_string(msg_id)}, {"bytes", std::to_string(assembled.size())}});
+  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {msg_id}));
+  if (msg_id == in.next_deliver)
+    deliver(peer, in, std::move(assembled), flow);
+  else
+    in.complete[msg_id] = CompleteMsg{std::move(assembled), flow};
+  try_deliver(peer, in);
+}
+
+void SrudpEndpoint::schedule_status(Peer peer, std::uint64_t msg_id,
                                     SimDuration delay) {
   PeerIn& in = in_[peer];
   auto it = in.partial.find(msg_id);
@@ -430,50 +446,50 @@ void SrudpEndpoint::schedule_status(const simnet::Address& peer, std::uint64_t m
   });
 }
 
-void SrudpEndpoint::send_status(const simnet::Address& peer, std::uint64_t msg_id,
+void SrudpEndpoint::send_status(Peer peer, std::uint64_t msg_id,
                                 const InMessage& msg) {
   StatusPacket p;
   p.msg_id = msg_id;
   p.frag_count = msg.frag_count;
-  p.bitmap = msg.have;
+  p.bitmap = msg.have.to_bytes();
   ++stats_.status_sent;
   raw_send(peer, nullptr, encode_status(port_, p));
 }
 
-void SrudpEndpoint::try_deliver(const simnet::Address& peer) {
-  PeerIn& in = in_[peer];
-  while (true) {
+void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload, std::uint64_t flow) {
+  auto& tracer = obs::Tracer::global();
+  if (tracer.flow_enabled())
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
+                {{"peer", peer.to_string()},
+                 {"msg", std::to_string(in.next_deliver)},
+                 {"bytes", std::to_string(payload.size())}});
+  ++in.next_deliver;
+  ++stats_.messages_delivered;
+  stats_.bytes_delivered += payload.size();
+  last_delivered_flow_ = flow;
+  if (handler_) handler_(peer.address(), std::move(payload));
+  last_delivered_flow_ = 0;
+}
+
+void SrudpEndpoint::try_deliver(Peer peer, PeerIn& in) {
+  while (!in.complete.empty()) {
     auto it = in.complete.find(in.next_deliver);
     if (it == in.complete.end()) break;
-    Payload payload = std::move(it->second.data);
-    std::uint64_t flow = it->second.flow;
+    CompleteMsg msg = std::move(it->second);
     in.complete.erase(it);
-    auto& tracer = obs::Tracer::global();
-    if (tracer.flow_enabled())
-      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
-                  {{"peer", peer.to_string()},
-                   {"msg", std::to_string(in.next_deliver)},
-                   {"bytes", std::to_string(payload.size())}});
-    ++in.next_deliver;
-    ++stats_.messages_delivered;
-    stats_.bytes_delivered += payload.size();
-    last_delivered_flow_ = flow;
-    if (handler_) handler_(peer, std::move(payload));
-    last_delivered_flow_ = 0;
+    deliver(peer, in, std::move(msg.data), msg.flow);
   }
   if (!in.complete.empty()) {
     arm_hol_skip(peer);
-  } else {
+  } else if (in.hol_timer.valid()) {
     engine_.cancel(in.hol_timer);
     in.hol_timer = simnet::TimerId{};
-    in.hol_since = -1;
   }
 }
 
-void SrudpEndpoint::arm_hol_skip(const simnet::Address& peer) {
+void SrudpEndpoint::arm_hol_skip(Peer peer) {
   PeerIn& in = in_[peer];
   if (in.hol_timer.valid()) return;
-  in.hol_since = engine_.now();
   in.hol_timer = engine_.schedule(config_.hol_skip, [this, peer] {
     PeerIn& in = in_[peer];
     in.hol_timer = simnet::TimerId{};
@@ -488,11 +504,11 @@ void SrudpEndpoint::arm_hol_skip(const simnet::Address& peer) {
     log_.warn("skipping undeliverable messages ", in.next_deliver, "..",
               first_complete - 1, " from ", peer.to_string());
     in.next_deliver = first_complete;
-    try_deliver(peer);
+    try_deliver(peer, in);
   });
 }
 
-void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p) {
+void SrudpEndpoint::on_status(Peer peer, const StatusPacket& p) {
   auto it = out_.find(peer);
   if (it == out_.end()) return;
   PeerOut& out = it->second;
@@ -508,13 +524,13 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
     std::uint32_t newly_acked = 0;
     for (std::uint32_t i = 0; i < msg.frag_count; ++i) {
       if (bitmap_get(p.bitmap, i)) {
-        if (!bitmap_get(msg.acked, i)) {
-          bitmap_set(msg.acked, i);
+        if (!msg.acked.get(i)) {
+          msg.acked.set(i);
           ++msg.acked_count;
           ++newly_acked;
         }
       } else if ((static_cast<std::int64_t>(i) < highest || highest < 0) &&
-                 i < msg.next_unsent && !bitmap_get(msg.acked, i)) {
+                 i < msg.next_unsent && !msg.acked.get(i)) {
         // highest < 0: the receiver has nothing at all (it restarted or the
         // whole window was lost) — resend everything we had sent.
         missing.push_back(i);
@@ -531,7 +547,7 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
       note_route_success(peer, out);
       if (out.failover_span != 0) {
         obs::Tracer::global().end_span(engine_.now(), out.failover_span,
-                                       {{"route", out.path.preferred()}});
+                                       {{"route", out.path.preferred_name()}});
         out.failover_span = 0;
       }
       engine_.cancel(out.rto_timer);
@@ -543,7 +559,7 @@ void SrudpEndpoint::on_status(const simnet::Address& peer, const StatusPacket& p
   // Unknown message (already fully acked): nothing to do.
 }
 
-void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id) {
+void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
   auto it = out_.find(peer);
   if (it == out_.end()) return;
   PeerOut& out = it->second;
@@ -559,7 +575,7 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
     if (msg.msg_id >= msg_id) break;
     if (msg.implied_retx || msg.next_unsent < msg.frag_count) continue;
     for (std::uint32_t i = 0; i < msg.frag_count; ++i)
-      if (!bitmap_get(msg.acked, i)) msg.retransmit.push_back(i);
+      if (!msg.acked.get(i)) msg.retransmit.push_back(i);
     msg.implied_retx = true;
     queued_implied = true;
   }
@@ -587,13 +603,13 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
     }
     std::uint32_t unacked_inflight = 0;
     for (std::uint32_t i = 0; i < qit->frag_count; ++i)
-      if (!bitmap_get(qit->acked, i) && i < qit->next_unsent) ++unacked_inflight;
+      if (!qit->acked.get(i) && i < qit->next_unsent) ++unacked_inflight;
     out.inflight -= std::min<std::size_t>(out.inflight, unacked_inflight);
     out.queue.erase(qit);
     note_route_success(peer, out);
     if (out.failover_span != 0) {
       obs::Tracer::global().end_span(engine_.now(), out.failover_span,
-                                     {{"route", out.path.preferred()}});
+                                     {{"route", out.path.preferred_name()}});
       out.failover_span = 0;
     }
     engine_.cancel(out.rto_timer);
@@ -610,7 +626,7 @@ void SrudpEndpoint::on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id
   if (queued_implied) pump(peer);
 }
 
-void SrudpEndpoint::on_probe(const simnet::Address& peer, std::uint64_t msg_id) {
+void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
   PeerIn& in = in_[peer];
   if (msg_id < in.next_deliver || in.complete.count(msg_id)) {
     raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {msg_id}));

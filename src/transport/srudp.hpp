@@ -23,13 +23,25 @@
 // Delivery is in-order per (sender, receiver) endpoint pair, matching the
 // PVM message-passing semantics SNIPE inherited; a head-of-line gap left by
 // an expired message is skipped after `hol_skip`.
+//
+// Peers are interned: send() resolves the destination's name once into a
+// simnet::Endpoint (host pointer + port), and every per-peer table, timer
+// closure and datagram after that is keyed by it — an arriving packet's
+// peer is its source Host* and the header's port, no string.  The tables
+// are hash maps; they are iterated only to cancel timers and to sum
+// pending(), neither of which depends on order, so determinism holds.  A
+// name is built only where one is wanted: logs, flight entries, traces,
+// and the `src` Address handed to the message handler, once per delivered
+// message.  A destination name that resolves to no host sends nothing; its
+// messages wait out their TTL and expire (all such names share one peer
+// slot per port, since none of them can ever answer).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -143,14 +155,15 @@ class SrudpEndpoint {
   std::uint64_t last_delivered_flow() const { return last_delivered_flow_; }
 
  private:
+  using Peer = simnet::Endpoint;
+
   struct OutMessage {
     std::uint64_t msg_id = 0;
     std::uint64_t flow = 0;   ///< trace context carried by every fragment
     SimTime enqueued = 0;     ///< send() time; delivery latency = ack - this
     Payload data;  ///< the whole message; fragments are slices of it
     std::uint32_t frag_count = 0;
-    std::size_t frag_size = 0;
-    Bytes acked;                    ///< bitmap of fragments the peer has
+    FragBitmap acked;               ///< fragments the peer has
     std::uint32_t acked_count = 0;
     std::uint32_t next_unsent = 0;  ///< first never-transmitted fragment
     /// Fragments requested again, in request order (pump resends from the
@@ -180,8 +193,9 @@ class SrudpEndpoint {
   struct InMessage {
     std::vector<Payload> frags;  ///< slices of the sender's buffer
     std::uint64_t flow = 0;      ///< trace context from the fragments
-    Bytes have;  ///< bitmap
+    FragBitmap have;
     std::uint32_t have_count = 0;
+    std::uint32_t prefix = 0;  ///< fragments [0, prefix) are all held
     std::uint32_t frag_count = 0;
     std::uint32_t total_len = 0;
     std::uint32_t since_status = 0;
@@ -200,39 +214,49 @@ class SrudpEndpoint {
 
   struct PeerIn {
     std::uint64_t next_deliver = 1;
+    /// Multi-fragment messages being reassembled.  A single-fragment
+    /// message never enters it.
     std::map<std::uint64_t, InMessage> partial;
-    std::map<std::uint64_t, CompleteMsg> complete;  ///< awaiting in-order delivery
+    /// Complete messages waiting for an older one.  A message that
+    /// completes in order is delivered at once and never enters it.
+    std::map<std::uint64_t, CompleteMsg> complete;
     simnet::TimerId hol_timer;
-    SimTime hol_since = -1;
   };
 
   /// out_[peer] with the MultipathPolicy configured from SrudpConfig on
   /// first touch (failover threshold + probe-quiet period).
-  PeerOut& ensure_out(const simnet::Address& peer);
+  PeerOut& ensure_out(Peer peer);
   /// on_success with the probe-after-quiet bookkeeping (flight + stats).
-  void note_route_success(const simnet::Address& peer, PeerOut& out);
+  void note_route_success(Peer peer, PeerOut& out);
 
   void on_packet(const simnet::Packet& packet);
-  void on_data(const simnet::Address& peer, const DataPacket& p);
-  void on_status(const simnet::Address& peer, const StatusPacket& p);
-  void on_msg_ack(const simnet::Address& peer, std::uint64_t msg_id);
-  void on_probe(const simnet::Address& peer, std::uint64_t msg_id);
+  void on_data(Peer peer, const DataPacket& p);
+  /// A message whose every fragment arrived: acknowledge it, then deliver
+  /// it now if it is next in order, else park it in `complete`.
+  void on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Payload assembled,
+                   std::uint32_t total_len, std::uint64_t flow);
+  void on_status(Peer peer, const StatusPacket& p);
+  void on_msg_ack(Peer peer, std::uint64_t msg_id);
+  void on_probe(Peer peer, std::uint64_t msg_id);
 
   /// Sends fragments for `peer` while the window has room.
-  void pump(const simnet::Address& peer);
-  void send_fragment(const simnet::Address& peer, PeerOut& out, OutMessage& msg,
-                     std::uint32_t index, bool retransmission);
-  void arm_rto(const simnet::Address& peer);
-  void on_rto(const simnet::Address& peer);
-  void expire_head(const simnet::Address& peer, PeerOut& out);
+  void pump(Peer peer);
+  void send_fragment(Peer peer, PeerOut& out, OutMessage& msg, std::uint32_t index,
+                     bool retransmission);
+  void arm_rto(Peer peer);
+  void on_rto(Peer peer);
+  void expire_head(Peer peer, PeerOut& out);
 
-  void send_status(const simnet::Address& peer, std::uint64_t msg_id, const InMessage& msg);
-  void schedule_status(const simnet::Address& peer, std::uint64_t msg_id,
-                       SimDuration delay);
-  void try_deliver(const simnet::Address& peer);
-  void arm_hol_skip(const simnet::Address& peer);
+  void send_status(Peer peer, std::uint64_t msg_id, const InMessage& msg);
+  void schedule_status(Peer peer, std::uint64_t msg_id, SimDuration delay);
+  /// Hands message `in.next_deliver` to the handler and advances.
+  void deliver(Peer peer, PeerIn& in, Payload payload, std::uint64_t flow);
+  /// Delivers every parked message that is next in order, then arms or
+  /// clears the head-of-line skip.
+  void try_deliver(Peer peer, PeerIn& in);
+  void arm_hol_skip(Peer peer);
 
-  void raw_send(const simnet::Address& peer, PeerOut* out, Payload wire);
+  void raw_send(Peer peer, PeerOut* out, Payload wire);
 
   simnet::Host& host_;
   simnet::Engine& engine_;
@@ -240,8 +264,8 @@ class SrudpEndpoint {
   SrudpConfig config_;
   std::size_t frag_payload_;  ///< min over attached NICs' MTU - header
   MessageHandler handler_;
-  std::map<simnet::Address, PeerOut> out_;
-  std::map<simnet::Address, PeerIn> in_;
+  std::unordered_map<Peer, PeerOut> out_;
+  std::unordered_map<Peer, PeerIn> in_;
   std::uint64_t last_delivered_flow_ = 0;
   SrudpStats stats_;
   obs::Histogram* rtt_ms_;  ///< host's "srudp.rtt_ms" (Karn-filtered samples)

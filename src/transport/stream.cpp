@@ -29,9 +29,12 @@ StreamEndpoint::~StreamEndpoint() {
 
 std::shared_ptr<StreamConnection> StreamEndpoint::connect(const simnet::Address& dst) {
   std::uint32_t conn_id = next_conn_id_++;
+  // An unknown name interns to a null host: its SYNs fail to send and
+  // retry with backoff, as they would towards a host that never answers.
+  const simnet::Endpoint peer = host_.world()->endpoint(dst);
   auto conn = std::shared_ptr<StreamConnection>(
-      new StreamConnection(this, dst, conn_id, /*initiator=*/true));
-  connections_[{dst, conn_id}] = conn;
+      new StreamConnection(this, peer, dst, conn_id, /*initiator=*/true));
+  connections_[{peer, conn_id}] = conn;
   conn->start_connect();
   return conn;
 }
@@ -45,13 +48,12 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
     return;
   auto p = decode_stream(packet.payload);
   if (!p) return;
-  simnet::Address peer{packet.src->name(), head.value().src_port};
-  auto key = std::make_pair(peer, p.value().conn_id);
+  const ConnKey key{{packet.src, head.value().src_port}, p.value().conn_id};
   auto it = connections_.find(key);
   if (it == connections_.end()) {
     if (type != PacketType::syn) return;  // stray packet for a dead conn
-    auto conn = std::shared_ptr<StreamConnection>(
-        new StreamConnection(this, peer, p.value().conn_id, /*initiator=*/false));
+    auto conn = std::shared_ptr<StreamConnection>(new StreamConnection(
+        this, key.peer, key.peer.address(), p.value().conn_id, /*initiator=*/false));
     connections_[key] = conn;
     conn->state_ = StreamConnection::State::syn_received;
     conn->rcv_nxt = 0;
@@ -63,18 +65,22 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
   it->second->on_packet(type, p.value());
 }
 
-void StreamEndpoint::raw_send(const simnet::Address& dst, Payload wire) {
+void StreamEndpoint::raw_send(simnet::Endpoint dst, Payload wire) {
   simnet::SendOptions opts;
   opts.src_port = port_;
-  auto r = host_.send(dst, std::move(wire), opts);
+  auto r = host_.send(dst.host, dst.port, std::move(wire), opts);
   if (!r) log_.trace("send failed: ", r.error().to_string());
 }
 
 // ---------- StreamConnection ----------
 
-StreamConnection::StreamConnection(StreamEndpoint* endpoint, simnet::Address peer,
-                                   std::uint32_t conn_id, bool initiator)
-    : endpoint_(endpoint), peer_(std::move(peer)), conn_id_(conn_id), initiator_(initiator) {
+StreamConnection::StreamConnection(StreamEndpoint* endpoint, simnet::Endpoint peer,
+                                   simnet::Address name, std::uint32_t conn_id, bool initiator)
+    : endpoint_(endpoint),
+      peer_ep_(peer),
+      peer_(std::move(name)),
+      conn_id_(conn_id),
+      initiator_(initiator) {
   const auto& cfg = endpoint_->config();
   rto_ = cfg.initial_rto;
   peer_window_ = cfg.rwnd;
@@ -112,7 +118,7 @@ void StreamConnection::send_control(PacketType type) {
   p.seq = snd_nxt;
   p.ack = rcv_nxt;
   p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
-  endpoint_->raw_send(peer_, encode_stream(type, endpoint_->port(), p));
+  endpoint_->raw_send(peer_ep_, encode_stream(type, endpoint_->port(), p));
 }
 
 void StreamConnection::send_message(Payload message) {
@@ -128,20 +134,20 @@ void StreamConnection::send_message(Payload message) {
                 {{"peer", peer_.to_string()},
                  {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
-  // buffer into the send buffer without copying either.
+  // buffer into one frame without copying either.
   PayloadWriter w;
   w.u32(static_cast<std::uint32_t>(message.size()));
   w.u64(flow);
   w.append(message);
-  send_buffer_.append(std::move(w).take());
-  msg_spans_.push_back(
-      MsgSpan{snd_una + send_buffer_.size(), flow, endpoint_->engine().now()});
+  Payload frame = std::move(w).take();
+  send_end_ += frame.size();
+  send_frames_.push_back(Frame{std::move(frame), send_end_, flow, endpoint_->engine().now()});
   if (state_ == State::established) pump();
 }
 
 void StreamConnection::pump() {
   if (state_ != State::established) return;
-  std::uint64_t buffered_end = snd_una + send_buffer_.size();
+  std::uint64_t buffered_end = send_end_;
   std::uint64_t window_limit =
       snd_una + std::min<std::uint64_t>(static_cast<std::uint64_t>(cwnd), peer_window_);
   while (snd_nxt < buffered_end && snd_nxt < window_limit) {
@@ -160,8 +166,17 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   p.seq = seq;
   p.ack = rcv_nxt;
   p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
-  std::size_t offset = static_cast<std::size_t>(seq - snd_una);
-  p.payload = send_buffer_.slice(offset, len);
+  // Slice just the frames [seq, seq + len) spans; the first is the one
+  // whose end lies past `seq` (frames are ascending by end).
+  auto frame = std::partition_point(send_frames_.begin(), send_frames_.end(),
+                                    [seq](const Frame& f) { return f.end <= seq; });
+  const std::uint64_t flow = frame->flow;
+  for (std::uint64_t at = seq, stop = seq + len; at < stop; ++frame) {
+    const std::uint64_t take = std::min(stop, frame->end) - at;
+    p.payload.append(frame->bytes.slice(static_cast<std::size_t>(at - frame->start()),
+                                        static_cast<std::size_t>(take)));
+    at += take;
+  }
 
   if (retransmission) {
     ++stats_.segments_retransmitted;
@@ -173,23 +188,12 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   ++stats_.segments_sent;
   stats_.bytes_sent += len;
   auto& tracer = obs::Tracer::global();
-  if (tracer.flow_enabled()) {
-    // Attribute the segment to the message containing its first byte:
-    // spans are ascending by end offset, so the first span ending past
-    // `seq` owns it.
-    std::uint64_t flow = 0;
-    for (const auto& span : msg_spans_) {
-      if (span.end > seq) {
-        flow = span.flow;
-        break;
-      }
-    }
-    if (flow != 0)
-      tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
-                  retransmission ? "stream.retransmit" : "stream.tx", flow,
-                  {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
-  }
-  endpoint_->raw_send(peer_, encode_stream(PacketType::seg, endpoint_->port(), p));
+  // The segment belongs to the message containing its first byte.
+  if (tracer.flow_enabled() && flow != 0)
+    tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
+                retransmission ? "stream.retransmit" : "stream.tx", flow,
+                {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
+  endpoint_->raw_send(peer_ep_, encode_stream(PacketType::seg, endpoint_->port(), p));
 }
 
 void StreamConnection::arm_rto() {
@@ -334,21 +338,21 @@ void StreamConnection::on_ack(const StreamPacket& p) {
   if (state_ != State::established) return;
   peer_window_ = p.window;
   if (p.ack > snd_una) {
-    std::uint64_t acked = p.ack - snd_una;
-    std::size_t drop = static_cast<std::size_t>(
-        std::min<std::uint64_t>(acked, send_buffer_.size()));
-    send_buffer_ = send_buffer_.slice(drop, send_buffer_.size() - drop);
     snd_una = p.ack;
+    // An ack past everything queued (a mangled ack field) empties the
+    // queue; later frames start at the acked offset.
+    if (send_end_ < snd_una) send_end_ = snd_una;
     if (snd_nxt < snd_una) snd_nxt = snd_una;
     dup_acks_ = 0;
 
     // Messages whose whole frame is now acked are delivered as far as the
-    // sender can observe; record their latency and retire the spans.
-    while (!msg_spans_.empty() && msg_spans_.front().end <= snd_una) {
+    // sender can observe; record their latency and retire the frames.  A
+    // partly acked front frame stays: snd_una marks its acked prefix.
+    while (!send_frames_.empty() && send_frames_.front().end <= snd_una) {
       delivery_ms_->observe(
-          static_cast<double>(endpoint_->engine().now() - msg_spans_.front().enqueued) /
+          static_cast<double>(endpoint_->engine().now() - send_frames_.front().enqueued) /
           1e6);
-      msg_spans_.pop_front();
+      send_frames_.pop_front();
     }
 
     // RTT sample (Karn-filtered).

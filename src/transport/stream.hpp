@@ -9,6 +9,15 @@
 // with exponential backoff.  Messages ride on the stream with a 4-byte
 // length prefix, so both protocols present the same message API to the
 // layers above.
+//
+// The send side is a queue of per-message frames, not one growing byte
+// buffer: a segment slices only the frames it spans, and a cumulative ack
+// pops the frames it covers whole and leaves a partly acked front frame in
+// place (its acked prefix is snd_una minus the frame's start).  Nothing is
+// ever re-copied, however many messages are queued behind the window.
+//
+// Connections are demultiplexed by (peer Endpoint, conn_id): an arriving
+// segment names its peer by source Host* and header port, no string.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "simnet/world.hpp"
@@ -65,7 +75,7 @@ class StreamConnection {
 
   bool established() const { return state_ == State::established; }
   /// Bytes accepted by send_message but not yet cumulatively acked.
-  std::size_t unacked_bytes() const { return send_buffer_.size(); }
+  std::size_t unacked_bytes() const { return static_cast<std::size_t>(send_end_ - snd_una); }
   const simnet::Address& peer() const { return peer_; }
   const StreamStats& stats() const { return stats_; }
 
@@ -73,8 +83,8 @@ class StreamConnection {
   friend class StreamEndpoint;
   enum class State { syn_sent, syn_received, established, closed };
 
-  StreamConnection(StreamEndpoint* endpoint, simnet::Address peer, std::uint32_t conn_id,
-                   bool initiator);
+  StreamConnection(StreamEndpoint* endpoint, simnet::Endpoint peer, simnet::Address name,
+                   std::uint32_t conn_id, bool initiator);
 
   void start_connect();
   void on_packet(PacketType type, const StreamPacket& p);
@@ -90,23 +100,28 @@ class StreamConnection {
   std::size_t mss() const;
 
   StreamEndpoint* endpoint_;
-  simnet::Address peer_;
+  simnet::Endpoint peer_ep_;  ///< where segments go
+  simnet::Address peer_;      ///< its name, for peer(), logs and traces
   std::uint32_t conn_id_;
   bool initiator_;
   State state_ = State::closed;
 
-  /// One queued message's byte range on the stream, for trace threading:
-  /// segments look up the flow of the message containing their first byte,
-  /// and the span retires (observing delivery latency) once fully acked.
-  struct MsgSpan {
+  /// One queued message as it rides the stream: its frame bytes (pooled
+  /// header plus the caller's buffer, spliced, never copied) and where the
+  /// frame ends.  A segment takes the flow of the frame holding its first
+  /// byte; the frame retires (observing delivery latency) once fully acked.
+  struct Frame {
+    Payload bytes;          ///< [u32 len][u64 flow][message]
     std::uint64_t end = 0;  ///< absolute stream offset one past the frame
     std::uint64_t flow = 0;
     SimTime enqueued = 0;
+    std::uint64_t start() const { return end - bytes.size(); }
   };
 
   // --- send side ---
-  Payload send_buffer_;  ///< bytes [snd_una, end); segments alias messages
-  std::deque<MsgSpan> msg_spans_;  ///< unacked messages, ascending by end
+  /// Frames not yet wholly acked, ascending by end; [snd_una, send_end_).
+  std::deque<Frame> send_frames_;
+  std::uint64_t send_end_ = 0;  ///< absolute offset one past the last queued byte
   std::uint64_t next_msg_seq_ = 1;
   std::uint64_t snd_una = 0;
   std::uint64_t snd_nxt = 0;
@@ -164,17 +179,28 @@ class StreamEndpoint {
  private:
   friend class StreamConnection;
   void on_packet(const simnet::Packet& packet);
-  void raw_send(const simnet::Address& dst, Payload wire);
+  void raw_send(simnet::Endpoint dst, Payload wire);
+
+  /// connections_ key: the peer endpoint and its connection id.
+  struct ConnKey {
+    simnet::Endpoint peer;
+    std::uint32_t conn_id = 0;
+    friend bool operator==(const ConnKey&, const ConnKey&) = default;
+  };
+  struct ConnKeyHash {
+    std::size_t operator()(const ConnKey& k) const noexcept {
+      return std::hash<simnet::Endpoint>{}(k.peer) ^
+             (std::size_t{k.conn_id} * 0x9E3779B97F4A7C15ULL);
+    }
+  };
 
   simnet::Host& host_;
   simnet::Engine& engine_;
   std::uint16_t port_;
   StreamConfig config_;
   AcceptHandler on_accept_;
-  /// Keyed by (peer address, connection id).
-  std::map<std::pair<simnet::Address, std::uint32_t>,
-           std::shared_ptr<StreamConnection>>
-      connections_;
+  /// Iterated only to close every connection at teardown (order-free).
+  std::unordered_map<ConnKey, std::shared_ptr<StreamConnection>, ConnKeyHash> connections_;
   std::uint32_t next_conn_id_ = 1;
   Logger log_;
 };

@@ -1,5 +1,7 @@
 #include "transport/wire.hpp"
 
+#include <cassert>
+
 namespace snipe::transport {
 
 namespace {
@@ -286,5 +288,17 @@ void bitmap_set(Bytes& bitmap, std::uint32_t index) {
 }
 
 Bytes make_bitmap(std::uint32_t bits) { return Bytes((bits + 7) / 8, 0); }
+
+FragBitmap::FragBitmap(std::uint32_t bits) : nbytes_((bits + 7) / 8) {
+  if (bits > kInlineBits) heap_ = std::make_unique<std::uint8_t[]>(nbytes_);  // zeroed
+}
+
+void FragBitmap::set(std::uint32_t index) {
+  assert(index / 8 < nbytes_);
+  // Through a named pointer: GCC 12 with -fsanitize=undefined drops the
+  // subscript of `(c ? p : q)[i] |= v` and writes element 0.
+  std::uint8_t* bytes = heap_ ? heap_.get() : inline_.data();
+  bytes[index / 8] |= static_cast<std::uint8_t>(1u << (index % 8));
+}
 
 }  // namespace snipe::transport

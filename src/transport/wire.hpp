@@ -12,7 +12,9 @@
 // return payload fields as zero-copy slices of the received packet.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "util/bytes.hpp"
@@ -159,5 +161,32 @@ Result<McastNackPacket> decode_mcast_nack(const Payload& wire);
 bool bitmap_get(const Bytes& bitmap, std::uint32_t index);
 void bitmap_set(Bytes& bitmap, std::uint32_t index);
 Bytes make_bitmap(std::uint32_t bits);
+
+/// A fragment bitmap in the STATUS wire layout (bits little-endian within
+/// bytes) that keeps up to kInlineBits fragments inline: the per-message
+/// sender and receiver state of a message up to 128 fragments (1 MiB on an
+/// 8 KiB MTU) allocates nothing for its bitmap.
+class FragBitmap {
+ public:
+  static constexpr std::uint32_t kInlineBits = 128;
+
+  explicit FragBitmap(std::uint32_t bits = 0);
+
+  /// Out-of-range indices read as unset, like bitmap_get.
+  bool get(std::uint32_t index) const {
+    return index / 8 < nbytes_ && ((bytes()[index / 8] >> (index % 8)) & 1) != 0;
+  }
+  /// Requires index < the constructed bit count.
+  void set(std::uint32_t index);
+  /// The STATUS blob.
+  Bytes to_bytes() const { return Bytes(bytes(), bytes() + nbytes_); }
+
+ private:
+  const std::uint8_t* bytes() const { return heap_ ? heap_.get() : inline_.data(); }
+
+  std::uint32_t nbytes_ = 0;
+  std::array<std::uint8_t, kInlineBits / 8> inline_{};
+  std::unique_ptr<std::uint8_t[]> heap_;  ///< only past kInlineBits
+};
 
 }  // namespace snipe::transport

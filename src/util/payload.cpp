@@ -186,8 +186,7 @@ void Payload::flatten() {
   more_.clear();
   nsegs_ = 0;
   size_ = 0;
-  inline_[0] = Segment{};
-  inline_[1] = Segment{};
+  for (Segment& s : inline_) s = Segment{};
   push_segment(std::make_shared<const Bytes>(std::move(flat)), 0, n);
 }
 
@@ -276,8 +275,7 @@ std::string to_string(const Payload& p) {
 // ---------------------------------------------------------------------------
 // PayloadWriter
 
-void PayloadWriter::ensure_chunk(std::size_t need) {
-  if (chunk_ != nullptr && chunk_->size() + need <= chunk_->capacity()) return;
+void PayloadWriter::next_chunk(std::size_t need) {
   freeze_pending();
   chunk_ = pool().acquire(need);
   chunk_base_ = chunk_->size();
@@ -288,32 +286,6 @@ void PayloadWriter::freeze_pending() {
   out_.append(Payload(Payload::Buffer(chunk_), chunk_base_, pending_));
   chunk_base_ += pending_;
   pending_ = 0;
-}
-
-void PayloadWriter::raw(const std::uint8_t* p, std::size_t n) {
-  if (n == 0) return;
-  ensure_chunk(n);
-  chunk_->insert(chunk_->end(), p, p + n);
-  pending_ += n;
-}
-
-void PayloadWriter::u8(std::uint8_t v) { raw(&v, 1); }
-
-void PayloadWriter::u16(std::uint16_t v) {
-  std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-  raw(b, 2);
-}
-
-void PayloadWriter::u32(std::uint32_t v) {
-  std::uint8_t b[4] = {static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
-                       static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-  raw(b, 4);
-}
-
-void PayloadWriter::u64(std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  raw(b, 8);
 }
 
 void PayloadWriter::str(const std::string& s) {
@@ -336,7 +308,7 @@ Payload PayloadWriter::take() && {
 // ---------------------------------------------------------------------------
 // PayloadCursor
 
-bool PayloadCursor::read(std::uint8_t* out, std::size_t n) {
+bool PayloadCursor::read_across(std::uint8_t* out, std::size_t n) {
   if (remaining() < n) return false;
   while (n > 0) {
     const Payload::Segment& s = p_.segment(seg_);

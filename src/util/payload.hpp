@@ -26,6 +26,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -156,11 +157,30 @@ class PayloadWriter {
   PayloadWriter(PayloadWriter&&) = default;
   PayloadWriter& operator=(PayloadWriter&&) = default;
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void raw(const std::uint8_t* p, std::size_t n);
+  // Field writes are inline: a wire header is a handful of them per packet,
+  // and each lands in the current chunk unless it is full.
+  void u8(std::uint8_t v) { raw(&v, 1); }
+  void u16(std::uint16_t v) {
+    const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    raw(b, 2);
+  }
+  void u32(std::uint32_t v) {
+    const std::uint8_t b[4] = {
+        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    raw(b, 4);
+  }
+  void u64(std::uint64_t v) {
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    raw(b, 8);
+  }
+  void raw(const std::uint8_t* p, std::size_t n) {
+    if (n == 0) return;
+    if (chunk_ == nullptr || chunk_->size() + n > chunk_->capacity()) next_chunk(n);
+    chunk_->insert(chunk_->end(), p, p + n);
+    pending_ += n;
+  }
   /// Length-prefixed (u32) string, as ByteWriter::str.
   void str(const std::string& s);
   /// Length-prefixed (u32) blob, spliced in by reference.
@@ -181,7 +201,9 @@ class PayloadWriter {
   Payload take() &&;
 
  private:
-  void ensure_chunk(std::size_t need);
+  /// Freezes the pending bytes and switches to a pooled chunk with room
+  /// for `need` more.
+  void next_chunk(std::size_t need);
   void freeze_pending();
 
   std::shared_ptr<Bytes> chunk_;   ///< pooled scratch buffer being filled
@@ -214,7 +236,21 @@ class PayloadCursor {
   std::size_t remaining() const { return p_.size() - off_; }
 
  private:
-  bool read(std::uint8_t* out, std::size_t n);
+  /// Copies the next n bytes out; false (nothing consumed) on a short read.
+  bool read(std::uint8_t* out, std::size_t n) {
+    if (seg_ < p_.segment_count()) {  // fast path: inside the current segment
+      const Payload::Segment& s = p_.segment(seg_);
+      const std::size_t in_seg = off_ - seg_off_;
+      if (n <= s.len - in_seg) {
+        std::memcpy(out, s.data() + in_seg, n);
+        off_ += n;
+        return true;
+      }
+    }
+    return read_across(out, n);
+  }
+  /// read() for a field that starts at or straddles a segment boundary.
+  bool read_across(std::uint8_t* out, std::size_t n);
 
   const Payload& p_;
   std::size_t off_ = 0;

@@ -1,0 +1,112 @@
+// Allocation budgets of the transport data plane: heap allocations per
+// delivered message on a clean myrinet pair, counted by this binary's own
+// operator new.  Unlike bench_datapath's wall-clock numbers, an allocation
+// count is deterministic, so a budget here catches a regression on the
+// per-message path (a copied segment list, a string key, a closure that
+// spills out of EventFn) that the noisy micro-benches would hide.
+//
+// Each message is a fresh Bytes handed over as a Payload, the way an
+// application sends one, so the count includes that vector and its shared
+// buffer (2 allocations) — the same accounting as bench_datapath's
+// allocs_per_msg.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "simnet/media.hpp"
+#include "transport/srudp.hpp"
+#include "transport/stream.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace snipe::transport {
+namespace {
+
+struct MyrinetPair {
+  MyrinetPair() : world(42) {
+    auto& net = world.create_network("myri", simnet::myrinet());
+    world.attach(world.create_host("a"), net);
+    world.attach(world.create_host("b"), net);
+  }
+  simnet::Host& a() { return *world.host("a"); }
+  simnet::Host& b() { return *world.host("b"); }
+  simnet::World world;
+};
+
+/// Allocations per message over `count` messages of `size` bytes, after one
+/// warm-up message has created the per-peer state.
+double srudp_allocs_per_msg(std::size_t size, int count) {
+  MyrinetPair pair;
+  SrudpEndpoint tx(pair.a(), 7001), rx(pair.b(), 7002);
+  int delivered = 0;
+  rx.set_handler([&](const simnet::Address&, Payload) { ++delivered; });
+  const Bytes message(size, 0x5a);
+  tx.send(rx.address(), Bytes(message));
+  pair.world.engine().run();
+  const std::uint64_t start = g_allocs.load();
+  for (int i = 0; i < count; ++i) tx.send(rx.address(), Bytes(message));
+  pair.world.engine().run();
+  const std::uint64_t allocs = g_allocs.load() - start;
+  EXPECT_EQ(delivered, count + 1);
+  return static_cast<double>(allocs) / count;
+}
+
+double stream_allocs_per_msg(std::size_t size, int count) {
+  MyrinetPair pair;
+  StreamEndpoint client(pair.a(), 8001), server(pair.b(), 8002);
+  int delivered = 0;
+  std::shared_ptr<StreamConnection> accepted;
+  server.listen([&](std::shared_ptr<StreamConnection> conn) {
+    accepted = conn;
+    conn->set_message_handler([&](Payload) { ++delivered; });
+  });
+  const Bytes message(size, 0x5a);
+  auto conn = client.connect(server.address());
+  conn->send_message(Bytes(message));
+  pair.world.engine().run();
+  const std::uint64_t start = g_allocs.load();
+  for (int i = 0; i < count; ++i) conn->send_message(Bytes(message));
+  pair.world.engine().run();
+  const std::uint64_t allocs = g_allocs.load() - start;
+  EXPECT_EQ(delivered, count + 1);
+  EXPECT_EQ(conn->unacked_bytes(), 0u);
+  return static_cast<double>(allocs) / count;
+}
+
+TEST(AllocBudget, Srudp4KiB) {
+  const double per_msg = srudp_allocs_per_msg(4096, 1024);
+  RecordProperty("allocs_per_msg", std::to_string(per_msg));
+  EXPECT_LE(per_msg, 4.0);
+}
+
+TEST(AllocBudget, Stream64KiB) {
+  const double per_msg = stream_allocs_per_msg(64 << 10, 64);
+  RecordProperty("allocs_per_msg", std::to_string(per_msg));
+  EXPECT_LE(per_msg, 16.0);
+}
+
+TEST(AllocBudget, Stream1MiB) {
+  const double per_msg = stream_allocs_per_msg(1 << 20, 16);
+  RecordProperty("allocs_per_msg", std::to_string(per_msg));
+  EXPECT_LE(per_msg, 50.0);
+}
+
+}  // namespace
+}  // namespace snipe::transport

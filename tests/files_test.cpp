@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "files/fileserver.hpp"
+#include "obs/fleet.hpp"
 #include "simnet/fault.hpp"
 
 namespace snipe::files {
@@ -428,6 +429,24 @@ TEST_F(FilesFixture, OverwriteDoesNotDoubleCountStoredBytes) {
   EXPECT_EQ(fs1->stats().bytes_stored, 400u);
   fs1->store_local("lifn://utk.edu/ow2", pattern(50), /*announce=*/false);
   EXPECT_EQ(fs1->stats().bytes_stored, 450u);
+}
+
+TEST_F(FilesFixture, FleetTotalFollowsStoredBytesDown) {
+  // files.bytes_stored is a level: a beacon after an overwrite with fewer
+  // bytes must bring the collector's fleet total down with it.
+  obs::BeaconBuilder::Options opt;
+  opt.host = "fs1";
+  opt.period_ns = 1'000'000'000;
+  opt.registry = &world.host("fs1")->metrics();
+  obs::BeaconBuilder builder(opt);
+  obs::FleetStore store;
+  fs1->store_local("lifn://utk.edu/level", pattern(1000), /*announce=*/false);
+  store.apply(builder.build(1), 1);
+  EXPECT_DOUBLE_EQ(store.merged_value("files.bytes_stored"), 1000);
+  fs1->store_local("lifn://utk.edu/level", pattern(400), /*announce=*/false);
+  store.apply(builder.build(2), 2);
+  EXPECT_DOUBLE_EQ(store.merged_value("files.bytes_stored"), 400);
+  EXPECT_EQ(reported(*world.host("fs1"), "files.bytes_stored"), 400);
 }
 
 TEST_F(FilesFixture, DeleteReleasesItsStoredBytes) {

@@ -364,7 +364,7 @@ TEST(World, FastestSharedNetworkChosen) {
 
   // Preferred network overrides the speed ranking.
   SendOptions opts;
-  opts.preferred_network = "eth";
+  opts.preferred_network = world.network("eth");
   EXPECT_EQ(a.send({"b", 1}, Bytes(100, 0), opts).value(), "eth");
 
   // ATM NIC failure falls back to Ethernet (§6 route switching).
@@ -481,6 +481,69 @@ TEST(World, DeterministicAcrossRuns) {
   auto first = run_once();
   EXPECT_EQ(first, run_once());
   EXPECT_NE(first.second, 0u);
+}
+
+TEST(World, SendByPointerAndByNameMeetTheSameFates) {
+  // Host::send(Address) resolves the name and hands over to the pointer
+  // overload: over loss, duplication, an unbound port and a dead host the
+  // two must draw the same randomness and reach the same datagram fates.
+  struct Outcome {
+    std::vector<std::pair<SimTime, std::size_t>> arrivals;
+    std::vector<std::string> first_hops;
+    std::uint64_t digest = 0, delivered = 0, lost = 0, unbound = 0, down = 0, dups = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto run_once = [](bool by_pointer) {
+    World world(99);
+    auto& lossy = world.create_network("lossy", internet_lossy());
+    auto& eth = world.create_network("eth", ethernet100());
+    auto& a = world.create_host("a");
+    auto& b = world.create_host("b");
+    auto& c = world.create_host("c");
+    for (Host* h : {&a, &b, &c}) world.attach(*h, lossy);
+    world.attach(a, eth);
+    world.attach(b, eth);
+    FaultPlan plan(world, 5);
+    FaultProfile prof;
+    prof.duplicate = 0.2;
+    plan.inject("lossy", prof);
+    Outcome out;
+    b.bind(1, [&](const Packet& p) { out.arrivals.emplace_back(world.now(), p.payload.size()); })
+        .value();
+    c.set_up(false);
+    SendOptions slow;
+    slow.preferred_network = &lossy;
+    for (int i = 0; i < 300; ++i) {
+      Host* to = i % 7 == 0 ? &c : &b;
+      std::uint16_t port = i % 11 == 0 ? 2 : 1;  // port 2 is unbound
+      const SendOptions& opts = i % 2 == 0 ? slow : SendOptions{};
+      Payload m(Bytes(64 + i, 0));
+      if (by_pointer) {
+        out.first_hops.push_back(a.send(to, port, std::move(m), opts).value()->name());
+      } else {
+        out.first_hops.push_back(a.send({to->name(), port}, std::move(m), opts).value());
+      }
+    }
+    world.engine().run();
+    for (Network* n : {&lossy, &eth}) {
+      out.delivered += n->stats().packets_delivered;
+      out.lost += n->stats().drops_loss;
+      out.unbound += n->stats().drops_unbound;
+      out.down += n->stats().drops_down;
+      out.dups += n->stats().fault_duplicates;
+    }
+    out.digest = world.replay_digest();
+    return out;
+  };
+  const Outcome by_name = run_once(false);
+  EXPECT_EQ(by_name, run_once(true));
+  // Every fate really occurred, on both networks.
+  EXPECT_GT(by_name.lost, 0u);
+  EXPECT_GT(by_name.unbound, 0u);
+  EXPECT_GT(by_name.down, 0u);
+  EXPECT_GT(by_name.dups, 0u);
+  EXPECT_EQ(by_name.first_hops[0], "lossy");
+  EXPECT_EQ(by_name.first_hops[1], "eth");
 }
 
 TEST(World, DestroyingASecondWorldKeepsTheFirstWorldsClock) {

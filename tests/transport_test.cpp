@@ -207,6 +207,22 @@ TEST(Wire, BitmapHelpers) {
   bitmap_set(bm, 16);
   EXPECT_TRUE(bitmap_get(bm, 16));
   EXPECT_FALSE(bitmap_get(bm, 100));  // out of range reads as unset
+
+  // FragBitmap keeps the same layout, inline up to kInlineBits and on the
+  // heap past it.
+  for (std::uint32_t bits : {17u, FragBitmap::kInlineBits, FragBitmap::kInlineBits + 73}) {
+    FragBitmap frag(bits);
+    Bytes want = make_bitmap(bits);
+    for (std::uint32_t i = 0; i < bits; i += 3) {
+      frag.set(i);
+      bitmap_set(want, i);
+    }
+    frag.set(bits - 1);
+    bitmap_set(want, bits - 1);
+    EXPECT_EQ(frag.to_bytes(), want) << bits;
+    for (std::uint32_t i = 0; i < bits; ++i) EXPECT_EQ(frag.get(i), bitmap_get(want, i)) << i;
+    EXPECT_FALSE(frag.get(bits + 100));
+  }
 }
 
 // ---- SRUDP ----
@@ -589,6 +605,70 @@ TEST(Srudp, InterleavedPeersDoNotInterfere) {
   }
 }
 
+TEST(Srudp, PeersOnOneHostAreKeptApartByPort) {
+  // Peers are (host, port) pairs: two senders on one host both number their
+  // messages from 1, so a receiver keying peers by host alone would drop
+  // one stream as duplicates of the other.
+  World world(5);
+  world.create_network("net", simnet::ethernet100());
+  auto& ha = world.create_host("a");
+  auto& hb = world.create_host("b");
+  world.attach(ha, *world.network("net"));
+  world.attach(hb, *world.network("net"));
+  SrudpEndpoint a1(ha, 7001), a2(ha, 7002), b1(hb, 7101), b2(hb, 7102);
+  std::map<std::uint16_t, std::vector<Bytes>> at_b1, at_b2;
+  b1.set_handler([&](const Address& src, Payload m) {
+    EXPECT_EQ(src.host, "a");
+    at_b1[src.port].push_back(m.to_bytes());
+  });
+  b2.set_handler([&](const Address& src, Payload m) {
+    EXPECT_EQ(src.host, "a");
+    at_b2[src.port].push_back(m.to_bytes());
+  });
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    a1.send(b1.address(), pattern_bytes(3000, 100 + i));
+    a2.send(b1.address(), pattern_bytes(3000, 200 + i));
+    a1.send(b2.address(), pattern_bytes(3000, 300 + i));
+  }
+  world.engine().run();
+  ASSERT_EQ(at_b1.size(), 2u);
+  ASSERT_EQ(at_b1[7001].size(), 10u);
+  ASSERT_EQ(at_b1[7002].size(), 10u);
+  ASSERT_EQ(at_b2.size(), 1u);
+  ASSERT_EQ(at_b2[7001].size(), 10u);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(at_b1[7001][i], pattern_bytes(3000, 100 + i));
+    EXPECT_EQ(at_b1[7002][i], pattern_bytes(3000, 200 + i));
+    EXPECT_EQ(at_b2[7001][i], pattern_bytes(3000, 300 + i));
+  }
+  EXPECT_EQ(b1.stats().duplicate_fragments, 0u);
+  EXPECT_EQ(a1.pending() + a2.pending(), 0u);
+}
+
+TEST(Srudp, UnknownDestinationExpiresAtTtl) {
+  // A name no host answers to: nothing reaches the wire, the message stays
+  // buffered until its TTL and then expires, and real peers are untouched.
+  SrudpConfig cfg;
+  cfg.msg_ttl = duration::seconds(3);
+  SrudpPair p(1, simnet::ethernet100(), cfg);
+  const simnet::NetStats& net = p.world.network("net")->stats();
+  p.a->send({"ghost", 7002}, to_bytes("nowhere"));
+  p.a->send({"phantom", 7002}, to_bytes("nowhere either"));
+  p.world.engine().run_for(duration::milliseconds(2999));
+  EXPECT_EQ(p.a->pending(), 2u);
+  EXPECT_EQ(p.a->stats().messages_expired, 0u);
+  p.world.engine().run();
+  EXPECT_EQ(p.a->pending(), 0u);
+  EXPECT_EQ(p.a->stats().messages_expired, 2u);
+  EXPECT_EQ(net.packets_sent.load(), 0u);
+
+  p.a->send(p.b->address(), to_bytes("somewhere"));
+  p.world.engine().run();
+  ASSERT_EQ(p.received.size(), 1u);
+  EXPECT_EQ(to_string(p.received[0].second), "somewhere");
+  EXPECT_EQ(p.a->stats().messages_expired, 2u);
+}
+
 TEST(Srudp, DeterministicUnderSeed) {
   auto run_once = [] {
     SrudpConfig cfg;
@@ -653,18 +733,18 @@ TEST(Multipath, SwitchesAfterThresholdAndResetsOnSuccess) {
   world.attach(h, *world.network("eth"));
 
   MultipathPolicy policy(2);
-  EXPECT_EQ(policy.preferred(), "");
+  EXPECT_EQ(policy.preferred(), nullptr);
   EXPECT_FALSE(policy.on_timeout(h));  // 1st timeout: below threshold
   policy.on_success();                 // resets the counter
   EXPECT_FALSE(policy.on_timeout(h));
   EXPECT_TRUE(policy.on_timeout(h));  // 2nd consecutive: switch
   // Fastest is atm; the switch must move us off it.
-  EXPECT_EQ(policy.preferred(), "eth");
+  EXPECT_EQ(policy.preferred(), world.network("eth"));
   EXPECT_EQ(policy.switches(), 1);
   // Next failure pair rotates again (wraps to atm).
   EXPECT_FALSE(policy.on_timeout(h));
   EXPECT_TRUE(policy.on_timeout(h));
-  EXPECT_EQ(policy.preferred(), "atm");
+  EXPECT_EQ(policy.preferred(), world.network("atm"));
 }
 
 TEST(Multipath, ProbesDefaultRouteAfterQuietPeriod) {
@@ -680,20 +760,20 @@ TEST(Multipath, ProbesDefaultRouteAfterQuietPeriod) {
 
   MultipathPolicy policy(1, duration::seconds(1));
   EXPECT_TRUE(policy.on_timeout(h));  // threshold 1: switch immediately
-  EXPECT_EQ(policy.preferred(), "eth");
+  EXPECT_EQ(policy.preferred(), world.network("eth"));
   const SimTime switched_at = world.engine().now();
   // Successes inside the quiet window keep the detour.
   EXPECT_FALSE(policy.on_success(switched_at + duration::milliseconds(500)));
-  EXPECT_EQ(policy.preferred(), "eth");
+  EXPECT_EQ(policy.preferred(), world.network("eth"));
   // After a full timeout-free quiet period the preference resets.
   EXPECT_TRUE(policy.on_success(switched_at + duration::seconds(2)));
-  EXPECT_EQ(policy.preferred(), "");
+  EXPECT_EQ(policy.preferred(), nullptr);
   EXPECT_EQ(policy.probes(), 1);
   // The legacy no-argument form only clears the failure streak.
   EXPECT_TRUE(policy.on_timeout(h));
-  EXPECT_EQ(policy.preferred(), "eth");
+  EXPECT_EQ(policy.preferred(), world.network("eth"));
   policy.on_success();
-  EXPECT_EQ(policy.preferred(), "eth");
+  EXPECT_EQ(policy.preferred(), world.network("eth"));
 }
 
 TEST(Multipath, SingleNetworkHasNowhereToGo) {
@@ -787,6 +867,68 @@ TEST(Stream, DeliveredBodyAliasesTheSendersBuffer) {
   ASSERT_EQ(got.size(), 2u);
   expect_body_aliases(got[0], shared, 4096);
   expect_body_aliases(got[1], shared, 64 << 10);
+}
+
+TEST(Stream, SendQueueSlicesAcrossFrameBoundaries) {
+  // Frames of 1, mss-1, mss+1 and 3*mss message bytes (plus each frame's
+  // 12-byte header) put frame boundaries at every offset within a segment,
+  // so segments span one, two and three frames and acks land mid-frame.
+  const std::size_t mss = simnet::ethernet100().mtu - kStreamHeaderBytes;
+  const std::size_t sizes[] = {1, mss - 1, mss + 1, 3 * mss};
+  auto shared = std::make_shared<const Bytes>(pattern_bytes(16 * mss, 9));
+  std::vector<std::pair<std::size_t, std::size_t>> sent;  // (offset, length)
+  for (std::size_t round = 0; round < 4; ++round)
+    for (std::size_t len : sizes) sent.emplace_back((round * 7 + len) % (12 * mss), len);
+  auto send_all = [&](StreamConnection& conn) {
+    for (auto [off, len] : sent) conn.send_message(Payload(shared, off, len));
+  };
+  auto expected = [&](std::size_t i) {
+    auto [off, len] = sent[i];
+    return Bytes(shared->begin() + static_cast<std::ptrdiff_t>(off),
+                 shared->begin() + static_cast<std::ptrdiff_t>(off + len));
+  };
+
+  {  // Seeded loss and duplication: exactly once, in order, all acked.
+    StreamPair p(29);
+    p.world.network("net")->set_extra_loss(0.05);
+    simnet::FaultPlan plan(p.world, 31);
+    simnet::FaultProfile prof;
+    prof.duplicate = 0.1;
+    plan.inject("net", prof);
+    auto conn = p.client_ep->connect(p.server_ep->address());
+    send_all(*conn);
+    EXPECT_GT(conn->unacked_bytes(), 0u);
+    p.world.engine().run_for(duration::seconds(60));
+    ASSERT_EQ(p.received.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) EXPECT_EQ(p.received[i], expected(i)) << i;
+    EXPECT_EQ(conn->unacked_bytes(), 0u);
+    EXPECT_GT(conn->stats().segments_retransmitted, 0u);
+    EXPECT_GT(plan.injector("net")->stats().duplicated.load(), 0u);
+  }
+  {  // Clean path: every body is the sender's own bytes, read in place.
+    StreamPair p;
+    auto conn = p.client_ep->connect(p.server_ep->address());
+    p.world.engine().run();
+    ASSERT_NE(p.server_conn, nullptr);
+    std::vector<Payload> got;
+    p.server_conn->set_message_handler([&](Payload m) { got.push_back(std::move(m)); });
+    send_all(*conn);
+    p.world.engine().run();
+    ASSERT_EQ(got.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      ASSERT_EQ(got[i].segment_count(), 1u) << i;
+      EXPECT_EQ(got[i].segment(0).buf, shared) << i;
+      EXPECT_EQ(got[i].segment(0).data(), shared->data() + sent[i].first) << i;
+      EXPECT_EQ(got[i].size(), sent[i].second) << i;
+    }
+    EXPECT_EQ(conn->unacked_bytes(), 0u);
+    // Each segment carried all the bytes it spans, across frame boundaries:
+    // every frame byte went out once and nothing had to be re-sent.
+    std::size_t frame_bytes = 0;
+    for (auto [off, len] : sent) frame_bytes += 12 + len;
+    EXPECT_EQ(conn->stats().bytes_sent, frame_bytes);
+    EXPECT_EQ(conn->stats().segments_retransmitted, 0u);
+  }
 }
 
 TEST(Stream, CorruptionAltersTheDeliveredCopyNeverTheSendersBuffer) {
