@@ -302,7 +302,7 @@ DatapathResult run_srudp_paced(simnet::MediaModel media, std::size_t size, int c
     watch_cfg.enabled = watch_on;
     collector.emplace(*coll_rpc, obs::FleetStore::Options{}, watch_cfg);
     if (watch_on) {
-      tower.emplace(pair.a());  // default cadence: scrape_period = 1 s
+      tower.emplace(pair.a());  // scrapes every Watchtower::kScrapePeriod = 1 s
       tower->start();
     }
     exp_rpc.emplace(pair.a(), 7100);

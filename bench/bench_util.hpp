@@ -17,8 +17,8 @@
 
 namespace snipe::bench {
 
-/// SNIPE_BENCH_METRICS=0 (or "off") disables the metrics registry and the
-/// tracer for the whole bench run — the opt-out knob used to measure
+/// SNIPE_BENCH_METRICS=0 (or "off") disables the metrics registry and every
+/// World's trace ring for the whole bench run — the opt-out knob used to measure
 /// instrumentation overhead against an uninstrumented baseline.
 inline bool metrics_enabled() {
   static const bool enabled = [] {
@@ -47,13 +47,13 @@ inline bool flow_enabled() {
   return enabled;
 }
 
-/// Clears global metric/trace state so one bench case cannot pollute the
-/// next (cases run back-to-back in one process).
+/// Clears the global metric state so one bench case cannot pollute the
+/// next (cases run back-to-back in one process).  Traces need no clearing:
+/// each case's World owns its ring.
 inline void reset_metrics() {
   metrics_enabled();
   flow_enabled();
   obs::MetricsRegistry::global().reset();
-  obs::Tracer::global().clear();
 }
 
 /// Copies the registry snapshot into google-benchmark counters (prefixed

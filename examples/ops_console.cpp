@@ -108,8 +108,8 @@ int main() {
   std::printf("\n== metrics snapshot ==\n%s",
               obs::MetricsRegistry::global().format_text().c_str());
   const char* trace_path = "ops_console_trace.json";
-  if (obs::Tracer::global().write_chrome_json(trace_path))
+  if (world.tracer().write_chrome_json(trace_path))
     std::printf("== trace: %zu events -> %s (load in ui.perfetto.dev) ==\n",
-                obs::Tracer::global().events().size(), trace_path);
+                world.tracer().events().size(), trace_path);
   return 0;
 }

@@ -178,7 +178,7 @@ const std::vector<OpsCommand> kCommands = {
                               : "(no flight events for host " + c.args[0] + ")";
      }},
     {"trace", {{"id", Kind::required}}, Needs::nothing,
-     [](const OpsCall& c) { return trace_report(obs::Tracer::global().events(), c.args[0]); }},
+     [](const OpsCall& c) { return trace_report(c.process.host().tracer().events(), c.args[0]); }},
     // With a watchtower attached, this host's own NICs read utilization
     // over the trailing window; every other link is cumulative-since-boot.
     {"topo", {{"window_s", Kind::count, 10}}, Needs::nothing,

@@ -347,10 +347,10 @@ void SnipeProcess::migrate_to(simnet::Host& new_host, DoneHandler done) {
 
   log_.info("migrated ", urn_, " from ", old_host->name(), ":", old_address.port, " to ",
             new_host.name(), ":", new_address.port);
-  obs::Tracer::global().instant(engine_->now(), "core", "process.migrated",
-                                {{"urn", urn_},
-                                 {"from", old_host->name()},
-                                 {"to", new_host.name()}});
+  host_->tracer().instant(engine_->now(), "core", "process.migrated",
+                          {{"urn", urn_},
+                           {"from", old_host->name()},
+                           {"to", new_host.name()}});
 
   // 4. "After migration the process updates RC servers with its new
   //    location..."

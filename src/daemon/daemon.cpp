@@ -247,7 +247,6 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
   if (config_.telemetry_collector) {
     CollectorWatchConfig cw;
     cw.enabled = config_.watchtower;
-    cw.beacon_period = config_.telemetry.period;
     telemetry_collector_ =
         std::make_unique<TelemetryCollector>(rpc_, obs::FleetStore::Options{}, cw);
   }
@@ -367,7 +366,7 @@ Result<void> SnipeDaemon::check_authorization(const SpawnRequest& request) const
 void SnipeDaemon::set_state(TaskEntry& entry, TaskState state, const std::string& detail) {
   if (entry.state == state) return;
   entry.state = state;
-  obs::Tracer::global().instant(
+  host_.tracer().instant(
       engine_.now(), "daemon", std::string("task.") + task_state_name(state),
       detail.empty()
           ? std::vector<std::pair<std::string, std::string>>{{"urn", entry.task_urn}}

@@ -11,9 +11,11 @@ TelemetryExporter::TelemetryExporter(transport::RpcEndpoint& rpc, TelemetryConfi
     : rpc_(rpc),
       engine_(rpc.engine()),
       config_(std::move(config)),
-      builder_({rpc.host().name(), config_.period, config_.full_every,
-                registry != nullptr ? registry : &rpc.host().metrics(),
-                flight != nullptr ? flight : &rpc.host().flight(), series}) {
+      builder_({.host = rpc.host().name(),
+                .period_ns = config_.period,
+                .registry = registry != nullptr ? registry : &rpc.host().metrics(),
+                .flight = flight != nullptr ? flight : &rpc.host().flight(),
+                .series = series}) {
   obs::MetricsRegistry& r = registry != nullptr ? *registry : rpc.host().metrics();
   beacons_counter_ = &r.counter("telemetry.beacons_sent");
   bytes_counter_ = &r.counter("telemetry.beacon_bytes");
@@ -41,11 +43,11 @@ void TelemetryExporter::tick() {
   beacons_counter_->inc();
   bytes_counter_->inc(wire.size() * config_.collectors.size());
   // "telemetry" is its own trace category, so beacons show as one track.
-  obs::Tracer::global().instant(beacon.ts, "telemetry", "telemetry.beacon",
-                                {{"host", beacon.host},
-                                 {"seq", std::to_string(beacon.seq)},
-                                 {"bytes", std::to_string(wire.size())},
-                                 {"full", beacon.full ? "1" : "0"}});
+  rpc_.host().tracer().instant(beacon.ts, "telemetry", "telemetry.beacon",
+                               {{"host", beacon.host},
+                                {"seq", std::to_string(beacon.seq)},
+                                {"bytes", std::to_string(wire.size())},
+                                {"full", beacon.full ? "1" : "0"}});
 }
 
 TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
@@ -53,16 +55,11 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
                                        CollectorWatchConfig watch)
     : rpc_(rpc),
       store_(options),
-      watch_config_(std::move(watch)),
       log_("telemetry@" + rpc.host().name(), rpc.host().clock()) {
-  if (watch_config_.enabled) {
-    obs::FleetWatch::Options wo;
-    wo.rules = watch_config_.rules;
-    wo.period_ns = watch_config_.beacon_period;
-    wo.stale_after_beacons = watch_config_.stale_after_beacons;
-    watch_ = std::make_unique<obs::FleetWatch>(store_, std::move(wo), &rpc.host().flight());
-    if (watch_config_.eval_period > 0)
-      rpc_.engine().schedule_weak(watch_config_.eval_period, [this] { watch_tick(); });
+  if (watch.enabled) {
+    watch_ = std::make_unique<obs::FleetWatch>(
+        store_, obs::FleetWatch::Options{std::move(watch.rules)}, &rpc.host().flight());
+    rpc_.engine().schedule_weak(kWatchPeriod, [this] { watch_tick(); });
   }
   rpc_.on_notify(tags::kTelemetryBeacon, [this](const simnet::Address& from,
                                                 const Payload& body) {
@@ -76,15 +73,15 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
     ++beacons_received_;
     const SimTime now = rpc_.engine().now();
     store_.apply(beacon.value(), now);
-    obs::Tracer::global().instant(now, "telemetry", "telemetry.beacon_rx",
-                                  {{"host", beacon.value().host},
-                                   {"seq", std::to_string(beacon.value().seq)}});
+    rpc_.host().tracer().instant(now, "telemetry", "telemetry.beacon_rx",
+                                 {{"host", beacon.value().host},
+                                  {"seq", std::to_string(beacon.value().seq)}});
   });
 }
 
 void TelemetryCollector::watch_tick() {
   if (watch_ == nullptr) return;
-  rpc_.engine().schedule_weak(watch_config_.eval_period, [this] { watch_tick(); });
+  rpc_.engine().schedule_weak(kWatchPeriod, [this] { watch_tick(); });
   // A crashed collector judges nobody; evaluation resumes after revival.
   if (!rpc_.host().up()) return;
   watch_->evaluate(rpc_.engine().now());

@@ -36,10 +36,10 @@ inline constexpr std::uint32_t kTelemetryBeacon = 140;  ///< one-way beacon
 struct TelemetryConfig {
   /// Collector addresses to publish to; empty disables the exporter.
   std::vector<simnet::Address> collectors;
-  /// Export cadence (the "default cadence" the bench overhead guard pins).
+  /// Export cadence (the "default cadence" the bench overhead guard pins),
+  /// advertised in every beacon.  Every 16th beacon is a full snapshot (a
+  /// resync point after loss).
   SimDuration period = duration::seconds(1);
-  /// Every Nth beacon is a full snapshot (resync point after loss).
-  std::uint32_t full_every = 16;
 };
 
 /// Periodically publishes this process's telemetry to the configured
@@ -79,16 +79,13 @@ class TelemetryExporter {
 };
 
 /// Collector-side watchtower knobs.  Enabled, the collector runs a
-/// FleetWatch over its store on a weak timer — the one active piece of the
-/// otherwise purely reactive collector, and a necessary one: beacon
-/// staleness must fire precisely when *nothing* arrives to react to.
+/// FleetWatch over its store on a weak one-second timer — the one active
+/// piece of the otherwise purely reactive collector, and a necessary one:
+/// beacon staleness must fire precisely when *nothing* arrives to react to.
+/// Each host's staleness is judged on the period its own beacons advertise.
 struct CollectorWatchConfig {
   bool enabled = false;
-  SimDuration eval_period = duration::seconds(1);
-  /// Assumed exporter cadence for the built-in staleness rule.
-  SimDuration beacon_period = duration::seconds(1);
-  double stale_after_beacons = 3.0;
-  /// Per-host rules; empty selects builtin_fleet_rules(beacon_period).
+  /// Per-host rules; empty selects FleetWatch's built-in set.
   std::vector<obs::AlertRule> rules;
 };
 
@@ -98,6 +95,9 @@ struct CollectorWatchConfig {
 /// the watch enabled, alerts on it without any query).
 class TelemetryCollector {
  public:
+  /// FleetWatch evaluation cadence.
+  static constexpr SimDuration kWatchPeriod = duration::seconds(1);
+
   explicit TelemetryCollector(transport::RpcEndpoint& rpc,
                               obs::FleetStore::Options options = {},
                               CollectorWatchConfig watch = {});
@@ -117,7 +117,6 @@ class TelemetryCollector {
 
   transport::RpcEndpoint& rpc_;
   obs::FleetStore store_;
-  CollectorWatchConfig watch_config_;
   std::unique_ptr<obs::FleetWatch> watch_;
   std::uint64_t beacons_received_ = 0;
   std::uint64_t beacons_malformed_ = 0;

@@ -2,10 +2,12 @@
 // series/alert machinery (DESIGN.md §watchtower).
 //
 // A Watchtower owns one SeriesStore and one AlertEngine for a simulated
-// host.  On a weak virtual-time timer it scrapes the host's own metrics
-// registry (Host::metrics()) into the store, samples the host's own NICs
-// (busy time and egress queue depth) and the world route epoch — the
-// signals a snapshot view cannot age — and evaluates the alert rules.  A
+// host.  On a weak virtual-time timer (every second) it scrapes the host's
+// own metrics registry (Host::metrics()) into the store, samples the
+// host's own NICs (busy time and egress queue depth) and the world route
+// epoch — the signals a snapshot view cannot age — and evaluates the alert
+// rules.  The NIC and epoch samples are relaxed atomic reads: observational
+// data, deliberately outside the sharded replay contract.  A
 // tick costs O(this host's instruments and NICs), never O(fleet).  The exporter ships the store's
 // fresh points inside its ordinary telemetry beacons, so the collector
 // holds fleet-wide history without any new protocol.
@@ -27,25 +29,18 @@
 namespace snipe::daemon {
 
 struct WatchtowerConfig {
-  /// Scrape/evaluate cadence (aligned with the telemetry exporter's
-  /// default, so every beacon ships roughly one fresh point per series).
-  SimDuration scrape_period = duration::seconds(1);
-  std::size_t capacity_per_series = 256;
-  /// Sample link.<net>.<self>.busy_ns / .queue_ns for each of this host's
-  /// own NICs, plus world.route_epoch.  Relaxed atomic reads — observational data,
-  /// deliberately outside the sharded replay contract.
-  bool sample_links = true;
-  /// Evaluate alert rules on every scrape tick.
-  bool evaluate_alerts = true;
   /// Rule set; empty selects obs::AlertEngine::builtin_rules().
   std::vector<obs::AlertRule> rules;
 };
 
 class Watchtower {
  public:
-  /// `registry` == nullptr watches the host's own registry.
-  Watchtower(simnet::Host& host, WatchtowerConfig config = {},
-             obs::MetricsRegistry* registry = nullptr);
+  /// Scrape/evaluate cadence (aligned with the telemetry exporter's
+  /// default, so every beacon ships roughly one fresh point per series).
+  static constexpr SimDuration kScrapePeriod = duration::seconds(1);
+
+  /// Watches `host`'s own registry and NICs.
+  explicit Watchtower(simnet::Host& host, WatchtowerConfig config = {});
 
   /// Schedules the first tick one period out.  Idempotent.
   void start();
@@ -64,7 +59,6 @@ class Watchtower {
 
   simnet::Host& host_;
   simnet::Engine& engine_;
-  WatchtowerConfig config_;
   obs::SeriesStore series_;
   obs::AlertEngine alerts_;
   bool running_ = false;

@@ -121,7 +121,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
     }
     // Still inside srudp's delivery handler: link the chunk ingest into the
     // carrying message's flow so `trace <id>` shows where the bytes landed.
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = rpc_.host().tracer();
     if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "files.sink_chunk_rx",
                   rpc_.srudp().last_delivered_flow(),
@@ -186,7 +186,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                const std::uint64_t chunk =
                    chunk_size.value() != 0 ? chunk_size.value() : config_.chunk;
                std::uint64_t stripe_bytes = 0;
-               auto& tracer = obs::Tracer::global();
+               auto& tracer = rpc_.host().tracer();
                for (std::uint64_t ci = stripe_index.value(); ci * chunk < total;
                     ci += stripes) {
                  std::uint64_t offset = ci * chunk;
@@ -392,7 +392,7 @@ void FileServer::repair_file(const std::string& lifn) {
                  --needed;
                  std::uint64_t flow =
                      rpc_.call(peer, tags::kReplicate, body, [](Result<Payload>) {});
-                 auto& tracer = obs::Tracer::global();
+                 auto& tracer = rpc_.host().tracer();
                  if (tracer.flow_enabled())
                    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                                "files.repair_push", flow,
@@ -410,7 +410,7 @@ void FileServer::replicate(const std::string& lifn) {
   w.str(lifn);
   w.blob(Payload(it->second.bytes));
   Payload body = std::move(w).take();
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = rpc_.host().tracer();
   for (int i = 0; i < copies_needed && i < static_cast<int>(peers_.size()); ++i) {
     ++stats_.replicas_pushed;
     std::uint64_t flow =
@@ -446,7 +446,7 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
     auto it = reads_.find(id.value());
     if (it == reads_.end()) return;
     PendingRead& read = it->second;
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = rpc_.host().tracer();
     if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
       tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                   "files.source_chunk_rx", rpc_.srudp().last_delivered_flow(),
@@ -505,7 +505,7 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn,
               // sink (§5.9), one stripe's chunk sequence at a time.  The
               // offsets make the order irrelevant and let kCloseSink verify
               // completeness before storing.
-              auto& tracer = obs::Tracer::global();
+              auto& tracer = rpc_.host().tracer();
               const std::uint64_t total = content.size();
               const std::uint64_t chunk = config_.chunk;
               for (std::uint32_t s = 0; s < config_.stripes; ++s) {
@@ -661,7 +661,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
         if (read.bytes_have >= read.total) finish_read(read_id, ok_result());
       },
       config_.open_timeout);
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = rpc_.host().tracer();
   if (tracer.flow_enabled())
     tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                 "files.stripe_open", flow,

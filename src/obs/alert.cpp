@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 #include "util/time.hpp"
 
 namespace snipe::obs {
@@ -82,7 +81,7 @@ bool AlertEngine::condition(const RuleState& rs, const SeriesStore& series,
   return r.above ? value > r.threshold : value < r.threshold;
 }
 
-void AlertEngine::emit(const RuleState& rs, const char* what, std::int64_t now_ns) {
+void AlertEngine::emit(const RuleState& rs, const char* what) {
   if (FlightRecorder* flight = options_.flight; flight != nullptr) {
     std::string subject;
     if (options_.scope != flight->owner()) subject = "host=" + options_.scope + " ";
@@ -93,10 +92,6 @@ void AlertEngine::emit(const RuleState& rs, const char* what, std::int64_t now_n
                   rs.rule.detail.empty() ? "" : " — ", rs.rule.detail.c_str());
     flight->record(kWatchtowerCategory, what, detail);
   }
-  char value[32];
-  std::snprintf(value, sizeof(value), "%g", rs.value);
-  Tracer::global().instant(now_ns, kWatchtowerCategory, what,
-                           {{"rule", rs.rule.name}, {"scope", options_.scope}, {"value", value}});
 }
 
 void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {
@@ -110,7 +105,7 @@ void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {
         if (!cond) break;
         rs.state = AlertState::pending;
         rs.since = now_ns;
-        emit(rs, "alert.pending", now_ns);
+        emit(rs, "alert.pending");
         [[fallthrough]];  // a zero hold fires on the same evaluation
       case AlertState::pending:
         if (!cond) {
@@ -124,7 +119,7 @@ void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {
           rs.clear_since = 0;
           ++rs.fired;
           ++fired_total_;
-          emit(rs, "alert.firing", now_ns);
+          emit(rs, "alert.firing");
         }
         break;
       case AlertState::firing:
@@ -138,7 +133,7 @@ void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {
           rs.since = now_ns;
           ++rs.resolved;
           ++resolved_total_;
-          emit(rs, "alert.resolved", now_ns);
+          emit(rs, "alert.resolved");
         }
         break;
     }
@@ -267,30 +262,23 @@ std::vector<AlertRule> AlertEngine::builtin_rules() {
   return out;
 }
 
-std::vector<AlertRule> AlertEngine::builtin_fleet_rules(std::int64_t period_ns,
-                                                        double stale_after) {
-  std::vector<AlertRule> out = builtin_rules();
+AlertRule AlertEngine::beacon_stale_rule(std::int64_t period_ns, double stale_after_beacons) {
   AlertRule r;
   r.name = "beacon_stale";
   r.kind = AlertKind::staleness;
   r.metric = "telemetry.beacons_sent";
-  r.threshold = stale_after * static_cast<double>(period_ns) /
+  r.threshold = stale_after_beacons * static_cast<double>(period_ns) /
                 static_cast<double>(kSecond);
   r.for_ns = 0;
   r.clear_ns = 0;
   r.detail = "host series stopped advancing (crashed or partitioned exporter)";
-  out.push_back(std::move(r));
-  return out;
+  return r;
 }
 
 // ---------- FleetWatch ----------
 
 FleetWatch::FleetWatch(const FleetStore& store, Options options, FlightRecorder* flight)
-    : store_(store), options_(std::move(options)), flight_(flight) {
-  if (options_.rules.empty())
-    options_.rules = AlertEngine::builtin_fleet_rules(options_.period_ns,
-                                                      options_.stale_after_beacons);
-}
+    : store_(store), options_(std::move(options)), flight_(flight) {}
 
 void FleetWatch::evaluate(std::int64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -298,7 +286,15 @@ void FleetWatch::evaluate(std::int64_t now_ns) {
     auto it = engines_.find(host);
     if (it == engines_.end()) {
       auto engine = std::make_unique<AlertEngine>(AlertEngine::Options{host, flight_});
-      engine->add_rules(options_.rules);
+      if (!options_.rules.empty()) {
+        engine->add_rules(options_.rules);
+      } else {
+        // Judge the host on the cadence its own beacons advertise.
+        engine->add_rules(AlertEngine::builtin_rules());
+        if (std::int64_t period = store_.period_ns(host); period > 0)
+          engine->add_rule(AlertEngine::beacon_stale_rule(
+              period, store_.options().stale_after_beacons));
+      }
       it = engines_.emplace(host, std::move(engine)).first;
     }
     const SeriesStore* series = store_.host_series(host);

@@ -8,8 +8,8 @@
 // single noisy sample neither pages nor un-pages anybody.
 //
 // Determinism contract: evaluation draws no randomness and sends no packet
-// on a data network; state transitions emit flight-recorder entries and
-// trace instants in the "watchtower" category.  So a seeded run's replay
+// on a data network; state transitions are flight-recorder entries in the
+// "watchtower" category, and nothing else.  So a seeded run's replay
 // digest is bit-identical with the watchtower on or off (ChaosWatch).
 #pragma once
 
@@ -27,7 +27,7 @@ namespace snipe::obs {
 
 class FlightRecorder;
 
-/// The trace category every watchtower emission uses.
+/// The flight category every alert transition is recorded under.
 inline constexpr const char* kWatchtowerCategory = "watchtower";
 
 enum class AlertKind {
@@ -106,10 +106,9 @@ class AlertEngine {
   /// churn.  Thresholds are calibrated against the chaos gauntlet's clean
   /// profiles (zero false positives on loss-free seeds).
   static std::vector<AlertRule> builtin_rules();
-  /// The fleet-side set: builtin_rules() plus beacon staleness — a host
-  /// whose shipped series stop advancing for `stale_after` beacon periods.
-  static std::vector<AlertRule> builtin_fleet_rules(std::int64_t period_ns,
-                                                    double stale_after = 3.0);
+  /// Beacon staleness: a host whose shipped series stop advancing for
+  /// `stale_after_beacons` of its advertised `period_ns`.
+  static AlertRule beacon_stale_rule(std::int64_t period_ns, double stale_after_beacons);
 
  private:
   struct RuleState {
@@ -124,7 +123,7 @@ class AlertEngine {
 
   bool condition(const RuleState& rs, const SeriesStore& series,
                  std::int64_t now_ns, double& value) const;
-  void emit(const RuleState& rs, const char* what, std::int64_t now_ns);
+  void emit(const RuleState& rs, const char* what);
 
   Options options_;
   mutable std::mutex mu_;
@@ -141,11 +140,11 @@ class AlertEngine {
 class FleetWatch {
  public:
   struct Options {
-    /// Per-host rule set; empty selects builtin_fleet_rules(period_ns).
+    /// Per-host rule set; empty selects builtin_rules() plus a
+    /// beacon_stale_rule() on the period the host's beacons advertise and
+    /// the store's stale_after_beacons (none for a host advertising no
+    /// period).
     std::vector<AlertRule> rules;
-    /// Beacon cadence assumed for the built-in staleness rule.
-    std::int64_t period_ns = 1'000'000'000;
-    double stale_after_beacons = 3.0;
   };
 
   /// Transitions are recorded in `flight` — the collector host's ring —

@@ -350,6 +350,11 @@ std::vector<std::string> FleetStore::hosts() const {
   return out;
 }
 
+std::int64_t FleetStore::period_ns(const std::string& host) const {
+  auto it = hosts_.find(host);
+  return it == hosts_.end() ? 0 : it->second.period_ns;
+}
+
 bool FleetStore::stale(const std::string& host, std::int64_t now_ns) const {
   auto it = hosts_.find(host);
   if (it == hosts_.end() || it->second.period_ns <= 0) return false;

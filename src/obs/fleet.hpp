@@ -158,8 +158,12 @@ class FleetStore {
   /// host is marked awaiting-full until the next full beacon resyncs it.
   void apply(const TelemetryBeacon& beacon, std::int64_t arrival_ns);
 
+  const Options& options() const { return options_; }
+
   std::vector<std::string> hosts() const;
   std::size_t host_count() const { return hosts_.size(); }
+  /// The beacon period `host` last advertised (0 when unknown).
+  std::int64_t period_ns(const std::string& host) const;
   bool stale(const std::string& host, std::int64_t now_ns) const;
   std::vector<HostHealth> health(std::int64_t now_ns) const;
 

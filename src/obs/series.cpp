@@ -101,14 +101,12 @@ std::size_t Series::changes_in(std::int64_t window_ns, std::int64_t now_ns) cons
 
 // ---------- SeriesStore ----------
 
-SeriesStore::SeriesStore(Options options) : options_(options) {
-  if (options_.capacity_per_series == 0) options_.capacity_per_series = 8;
-}
+SeriesStore::SeriesStore(Options options) : options_(options) {}
 
 Series& SeriesStore::series_locked(const std::string& name) {
   auto it = series_.find(name);
   if (it == series_.end())
-    it = series_.emplace(name, Series(options_.capacity_per_series)).first;
+    it = series_.emplace(name, Series(kCapacityPerSeries)).first;
   return it->second;
 }
 

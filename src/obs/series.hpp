@@ -95,8 +95,10 @@ class Series {
 /// zone fabric) contribute series without a dependency inversion.
 class SeriesStore {
  public:
+  /// Points each series keeps before pair decimation halves its history.
+  static constexpr std::size_t kCapacityPerSeries = 256;
+
   struct Options {
-    std::size_t capacity_per_series = 256;
     /// The registry scrape() reads: a watchtower binds its host's; nullptr
     /// scrapes the process-wide roll-up, MetricsRegistry::global().
     const MetricsRegistry* registry = nullptr;

@@ -72,23 +72,14 @@ void append_event_json(std::string& out, const TraceEvent& e, int tid) {
 
 }  // namespace
 
-Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+
+Tracer::Tracer(Tracer& root)
+    : enabled_(root.enabled_), flow_enabled_(root.flow_enabled_), capacity_(root.capacity_) {}
 
 Tracer& Tracer::global() {
   static Tracer* instance = new Tracer();  // intentionally leaked
   return *instance;
-}
-
-void Tracer::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = enabled;
-}
-
-bool Tracer::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
 }
 
 void Tracer::clear() {
@@ -101,6 +92,7 @@ void Tracer::clear() {
 
 void Tracer::push(TraceEvent event) {
   if (size_ < capacity_) {
+    if (size_ == 0) ring_.reserve(capacity_);  // a ring that records nothing allocates nothing
     ring_.push_back(std::move(event));
     ++size_;
     next_ = size_ % capacity_;
@@ -112,22 +104,20 @@ void Tracer::push(TraceEvent event) {
 }
 
 void Tracer::instant(std::int64_t ts, std::string cat, std::string name, Args args) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
+  if (!enabled()) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::instant;
   e.cat = std::move(cat);
   e.name = std::move(name);
   e.ts = ts;
   e.args = std::move(args);
+  std::lock_guard<std::mutex> lock(mu_);
   push(std::move(e));
 }
 
 void Tracer::flow(std::int64_t ts, TraceEvent::Phase phase, std::string cat,
                   std::string name, std::uint64_t id, Args args) {
-  if (!flow_enabled_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
+  if (!flow_enabled() || !enabled()) return;
   TraceEvent e;
   e.phase = phase;
   e.cat = std::move(cat);
@@ -135,12 +125,13 @@ void Tracer::flow(std::int64_t ts, TraceEvent::Phase phase, std::string cat,
   e.ts = ts;
   e.id = id;
   e.args = std::move(args);
+  std::lock_guard<std::mutex> lock(mu_);
   push(std::move(e));
 }
 
 SpanId Tracer::begin_span(std::int64_t ts, std::string cat, std::string name) {
+  if (!enabled()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return 0;
   SpanId id = next_span_++;
   open_[id] = OpenSpan{std::move(cat), std::move(name), ts};
   return id;
@@ -152,7 +143,7 @@ void Tracer::end_span(std::int64_t ts, SpanId id, Args args) {
   if (it == open_.end()) return;
   OpenSpan span = std::move(it->second);
   open_.erase(it);
-  if (!enabled_) return;
+  if (!enabled()) return;
   TraceEvent e;
   e.phase = TraceEvent::Phase::complete;
   e.cat = std::move(span.cat);

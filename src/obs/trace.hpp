@@ -3,12 +3,14 @@
 // host A -> SRUDP retransmit -> multipath failover -> migration sequence
 // renders as one timeline in chrome://tracing or https://ui.perfetto.dev.
 //
+// Every simnet::World owns one ring (World::tracer(), Host::tracer()), so
+// two Worlds alive at once keep their own events.  The rings follow the
+// process-wide switches held by Tracer::global(); nothing records into it.
 // The tracer has no clock of its own: every caller passes the timestamp,
 // and inside a simulation that is its own engine's now() (a host's
 // components read the host's engine, world-level actions the control
-// engine), so two Worlds alive at once never stamp each other's events.
-// Each event carries a category ("transport", "rcds", "rm", "daemon",
-// "core", ...) which becomes a named track in the exported trace.
+// engine).  Each event carries a category ("transport", "rcds", "rm",
+// "daemon", "core", ...) which becomes a named track in the exported trace.
 #pragma once
 
 #include <atomic>
@@ -46,16 +48,21 @@ class Tracer {
  public:
   using Args = std::vector<std::pair<std::string, std::string>>;
 
+  /// A stand-alone ring with its own switches, keeping the newest
+  /// `capacity` events.  The buffer is allocated by the first record.
   explicit Tracer(std::size_t capacity = 16384);
+  /// A ring that follows `root`'s switches (a World's ring, with global()
+  /// as the root): setting either switch on it flips the root's.
+  explicit Tracer(Tracer& root);
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The process-wide tracer every component reports into.
+  /// The process-wide switches every World's ring follows.
   static Tracer& global();
 
-  void set_enabled(bool enabled);
-  bool enabled() const;
+  void set_enabled(bool enabled) { enabled_->store(enabled, std::memory_order_relaxed); }
+  bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
 
   /// Flow recording is a separate, off-by-default switch: the trace context
   /// is always minted and carried on the wire (so enabling it cannot change
@@ -63,9 +70,9 @@ class Tracer {
   /// per-fragment flow events are only recorded when this is on.  The check
   /// is one relaxed atomic load, cheap enough for the per-fragment path.
   void set_flow_enabled(bool enabled) {
-    flow_enabled_.store(enabled, std::memory_order_relaxed);
+    flow_enabled_->store(enabled, std::memory_order_relaxed);
   }
-  bool flow_enabled() const { return flow_enabled_.load(std::memory_order_relaxed); }
+  bool flow_enabled() const { return flow_enabled_->load(std::memory_order_relaxed); }
 
   /// Drops every recorded event (open spans survive) and resets the
   /// dropped-event count.
@@ -108,8 +115,10 @@ class Tracer {
   void push(TraceEvent event);
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
-  std::atomic<bool> flow_enabled_{false};
+  std::atomic<bool> own_enabled_{true};
+  std::atomic<bool> own_flow_enabled_{false};
+  std::atomic<bool>* enabled_ = &own_enabled_;  ///< the root's switch
+  std::atomic<bool>* flow_enabled_ = &own_flow_enabled_;
   std::vector<TraceEvent> ring_;
   const std::size_t capacity_;
   std::size_t next_ = 0;  ///< ring write index

@@ -120,7 +120,7 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
           fails_[idx] = std::min(fails_[idx] + 1, 8);
           if (tries_left > 1) {
             ++stats_.failovers;
-            obs::Tracer::global().instant(
+            rpc_.host().tracer().instant(
                 rpc_.engine().now(), "rcds", "rcds.client_failover",
                 {{"from", replicas_[idx].to_string()}});
             preferred_ = (replica_index + 1) % replicas_.size();

@@ -105,7 +105,7 @@ std::vector<Assertion> RcServer::apply(const std::string& uri, const std::vector
     }
   }
   ++stats_.applies;
-  obs::Tracer::global().instant(
+  rpc_.host().tracer().instant(
       engine_.now(), "rcds", "rcds.apply",
       {{"uri", uri}, {"assertions", std::to_string(written.size())}});
   if (!written.empty()) broadcast_update(uri, written);
@@ -116,7 +116,7 @@ void RcServer::broadcast_update(const std::string& uri,
                                 const std::vector<Assertion>& assertions) {
   if (peers_.empty()) return;
   Bytes update = encode_update(uri, assertions);
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = rpc_.host().tracer();
   for (const auto& peer : peers_) {
     std::uint64_t flow = rpc_.notify(peer, tags::kReplicate, update);
     if (tracer.flow_enabled())
@@ -177,7 +177,7 @@ void RcServer::handle_replicate(const Bytes& body) {
   }
   // Inside srudp's delivery handler: link the merge into the carrying
   // message's flow so a `trace` of the write shows the replica fan-out land.
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = rpc_.host().tracer();
   if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate_rx",
                 rpc_.srudp().last_delivered_flow(),
@@ -263,14 +263,14 @@ void RcServer::anti_entropy_tick() {
           for (const auto& a : update.value().second)
             if (record.merge(a)) ++stats_.anti_entropy_repairs, ++repaired;
         }
-        auto& tracer = obs::Tracer::global();
+        auto& tracer = rpc_.host().tracer();
         if (repaired > 0 && tracer.flow_enabled() &&
             rpc_.srudp().last_delivered_flow() != 0)
           tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                       "rcds.anti_entropy_repair", rpc_.srudp().last_delivered_flow(),
                       {{"assertions", std::to_string(repaired)}});
       });
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = rpc_.host().tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.anti_entropy", flow,
                 {{"peer", peer.to_string()}, {"uris", std::to_string(store_.size())}});

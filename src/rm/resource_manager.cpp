@@ -196,7 +196,7 @@ void ResourceManager::poll_hosts() {
     // Score the previous round first.
     if (!info.pong_seen && ++info.missed_polls >= config_.dead_after_misses) {
       if (info.alive) {
-        obs::Tracer::global().instant(engine_.now(), "rm", "rm.host_dead", {{"host", name}});
+        rpc_.host().tracer().instant(engine_.now(), "rm", "rm.host_dead", {{"host", name}});
         rpc_.host().flight().record(
             "rm", "host_dead",
             "host=" + name + " misses=" + std::to_string(info.missed_polls));
@@ -324,14 +324,14 @@ void ResourceManager::handle_allocate(const simnet::Address& from, const Payload
   info.load += 1.0 / std::max(1, info.cpus);  // optimistic until next poll
   // Spawn latency span: decision made -> daemon's reply in hand.
   SimTime spawn_start = engine_.now();
-  obs::SpanId span = obs::Tracer::global().begin_span(spawn_start, "rm", "rm.spawn");
+  obs::SpanId span = rpc_.host().tracer().begin_span(spawn_start, "rm", "rm.spawn");
   rpc_.host().flight().record("rm", "spawn",
                               "target=" + host.value() + " program=" + forwarded.program);
   auto completion = [respond, this, span, spawn_start,
                      target = host.value()](Result<Payload> r) {
     spawn_latency_ms_->observe(static_cast<double>(engine_.now() - spawn_start) / 1e6);
-    obs::Tracer::global().end_span(engine_.now(), span,
-                                   {{"host", target}, {"ok", r.ok() ? "true" : "false"}});
+    rpc_.host().tracer().end_span(engine_.now(), span,
+                                  {{"host", target}, {"ok", r.ok() ? "true" : "false"}});
     if (!r) {
       ++stats_.allocation_failures;
       respond(r.error());

@@ -25,10 +25,6 @@ bool FaultInjector::in_bad_state() const {
   return false;
 }
 
-FaultVerdict FaultInjector::judge(const std::string& src, const std::string& dst) {
-  return judge(src, src, dst);
-}
-
 FaultVerdict FaultInjector::judge(const std::string& lane_name, const std::string& src,
                                   const std::string& dst) {
   ++stats_.packets_judged;
@@ -88,23 +84,9 @@ FaultVerdict FaultInjector::judge(const std::string& lane_name, const std::strin
   return v;
 }
 
-void FaultInjector::corrupt_payload(Bytes& wire, const std::string& src) {
+void FaultInjector::corrupt_payload(Payload& wire, const std::string& lane_name) {
   if (wire.empty()) return;
-  Rng& rng = lane(src).rng;
-  std::uint32_t flips = static_cast<std::uint32_t>(
-      rng.next_below(std::max<std::uint32_t>(profile_.corrupt_max_bytes, 1)) + 1);
-  for (std::uint32_t i = 0; i < flips; ++i) {
-    std::size_t pos = static_cast<std::size_t>(rng.next_below(wire.size()));
-    std::uint8_t mask = static_cast<std::uint8_t>(rng.next_below(255) + 1);  // never 0
-    wire[pos] ^= mask;
-  }
-}
-
-void FaultInjector::corrupt_payload(Bytes& wire) { corrupt_payload(wire, std::string()); }
-
-void FaultInjector::corrupt_payload(Payload& wire, const std::string& src) {
-  if (wire.empty()) return;
-  Rng& rng = lane(src).rng;
+  Rng& rng = lane(lane_name).rng;
   std::uint32_t flips = static_cast<std::uint32_t>(
       rng.next_below(std::max<std::uint32_t>(profile_.corrupt_max_bytes, 1)) + 1);
   for (std::uint32_t i = 0; i < flips; ++i) {
@@ -113,8 +95,6 @@ void FaultInjector::corrupt_payload(Payload& wire, const std::string& src) {
     wire.cow_xor(pos, mask);
   }
 }
-
-void FaultInjector::corrupt_payload(Payload& wire) { corrupt_payload(wire, std::string()); }
 
 void FaultInjector::set_partition(const std::vector<std::vector<std::string>>& groups) {
   group_of_.clear();
@@ -166,9 +146,9 @@ void FaultPlan::act(SimTime at, std::string name,
   // worker is parked and any host or network can be mutated safely.
   simnet::Engine& ctrl = world_.control_engine();
   ctrl.schedule_at(
-      at, [&ctrl, flight = &world_.flight(), name = std::move(name), args = std::move(args),
-           fn = std::move(fn)] {
-        obs::Tracer::global().instant(ctrl.now(), "fault", name, args);
+      at, [&ctrl, tracer = &world_.tracer(), flight = &world_.flight(), name = std::move(name),
+           args = std::move(args), fn = std::move(fn)] {
+        tracer->instant(ctrl.now(), "fault", name, args);
         // Mirror every injected fault into the flight recorder so a dump
         // taken when an invariant trips shows what the chaos plan just did.
         std::string detail;

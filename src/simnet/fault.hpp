@@ -99,35 +99,25 @@ class FaultInjector {
   FaultInjector(FaultProfile profile, Rng rng)
       : profile_(profile), base_(rng) {}
 
-  /// Judges one datagram from `src` to `dst`.  Each *source host* gets its
-  /// own decision lane — an Rng stream plus a Gilbert–Elliott burst state —
-  /// derived order-independently from the injector's seed and the host's
-  /// name.  Draws happen in a fixed order regardless of outcome, so the
-  /// sequence a source sees depends only on (seed, its own packet
-  /// sequence): never on other hosts' traffic, and never on which shard of
-  /// a sharded World the host runs on.  Lanes are also what make
-  /// concurrent judging safe: a host's packets are judged only by its own
-  /// shard's thread.
-  FaultVerdict judge(const std::string& src, const std::string& dst);
-
-  /// Routed-packet variant: `lane` names the *transmitting* node for this
-  /// hop (the forwarding router on interior hops), while the partition
-  /// boundary is still judged on the packet's end-to-end (src, dst) pair.
-  /// With lane == src this is exactly the two-argument form — the direct
-  /// delivery path keeps its bit-for-bit draw sequence.
+  /// Judges one datagram from `src` to `dst` as it leaves the node named
+  /// `lane` (the source host on a direct delivery, the forwarding router
+  /// on an interior hop); the partition boundary is judged on the
+  /// end-to-end (src, dst) pair.  Each lane gets its own decision stream —
+  /// an Rng plus a Gilbert–Elliott burst state — derived order-
+  /// independently from the injector's seed and the lane's name.  Draws
+  /// happen in a fixed order regardless of outcome, so the sequence a lane
+  /// sees depends only on (seed, its own packet sequence): never on other
+  /// nodes' traffic, and never on which shard of a sharded World the node
+  /// runs on.  Lanes are also what make concurrent judging safe: a node's
+  /// packets are judged only by its own shard's thread.
   FaultVerdict judge(const std::string& lane, const std::string& src,
                      const std::string& dst);
 
   /// Flips 1..corrupt_max_bytes bytes of `wire` (no-op on empty), drawing
-  /// from `src`'s lane; the two-argument forms are what the delivery path
-  /// uses.  The src-less legacy forms draw from a dedicated default lane.
-  void corrupt_payload(Bytes& wire, const std::string& src);
-  void corrupt_payload(Bytes& wire);
-  /// Payload variant: copy-on-write — shared segments are cloned before the
-  /// flip so other holders of the same buffer keep the original bytes.  The
-  /// RNG draw sequence is identical to the Bytes variant.
-  void corrupt_payload(Payload& wire, const std::string& src);
-  void corrupt_payload(Payload& wire);
+  /// from `lane`'s stream.  Copy-on-write: shared segments are cloned
+  /// before the flip so other holders of the same buffer keep the original
+  /// bytes.
+  void corrupt_payload(Payload& wire, const std::string& lane);
 
   /// Splits hosts into isolated groups: packets between different groups
   /// are dropped.  Hosts not named fall into an implicit extra group (they

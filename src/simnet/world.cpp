@@ -405,7 +405,7 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
 }
 
 World::World(std::uint64_t seed, std::size_t shards)
-    : flight_({}, [this] { return ctrl_->now(); }) {
+    : tracer_(obs::Tracer::global()), flight_({}, [this] { return ctrl_->now(); }) {
   assert(shards >= 1 && "a World needs at least one shard");
   engines_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/media.hpp"
 #include "util/bytes.hpp"
@@ -349,6 +350,10 @@ class Host : public Node {
   /// the host's telemetry exporter ships it.  Empty until the first record.
   obs::FlightRecorder& flight() { return flight_; }
 
+  /// The trace ring of this host's World: every component bound to the
+  /// host records here.
+  obs::Tracer& tracer() const;
+
   /// Registers a datagram handler on `port`.
   Result<void> bind(std::uint16_t port, PacketHandler handler);
   void unbind(std::uint16_t port);
@@ -500,6 +505,12 @@ class World {
   /// a run.
   std::vector<obs::FlightEvent> flight_timeline() const;
 
+  /// This World's trace ring: every host's components and the World's own
+  /// actions record here, so two Worlds alive at once keep their own
+  /// traces.  It follows the process-wide trace switches and allocates
+  /// nothing until the first record.
+  obs::Tracer& tracer() { return tracer_; }
+
   /// Total events executed across all engines.
   std::uint64_t events_run() const;
   /// The replay oracle: the sum of every network's NetStats::digest, i.e.
@@ -626,6 +637,7 @@ class World {
   void stop_workers();
   void worker_main(std::size_t shard);
 
+  obs::Tracer tracer_;  ///< declared first: it outlives the hosts and engines
   std::vector<std::unique_ptr<Engine>> engines_;  ///< one per shard
   std::unique_ptr<Engine> ctrl_engine_;           ///< only when shards > 1
   Engine* ctrl_;                                  ///< == engines_[0] when shards == 1
@@ -659,6 +671,8 @@ class World {
   bool quit_ = false;
   std::vector<std::thread> workers_;
 };
+
+inline obs::Tracer& Host::tracer() const { return world()->tracer(); }
 
 }  // namespace snipe::simnet
 

@@ -54,7 +54,7 @@ void EthMcastEndpoint::send(Payload message) {
   // one sender and many receivers, all sharing the same id.
   msg.flow = mint_flow(host_.name(), port_, group_, port_, msg_id);
   msg.born = engine_.now();
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow",
                 "ethmcast.send", msg.flow,
@@ -83,7 +83,7 @@ void EthMcastEndpoint::broadcast_fragment(const OutMessage& msg, std::uint64_t m
   std::size_t end = std::min(msg.data.size(), begin + msg.frag_size);
   if (begin < end) p.payload = msg.data.slice(begin, end - begin);
   ++stats_.fragments_broadcast;
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 repair ? "ethmcast.repair" : "ethmcast.tx", msg.flow,
@@ -150,7 +150,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   if (msg.have_count == msg.frag_count) {
     Payload assembled;
     for (auto& frag : msg.frags) assembled.append(std::move(frag));
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = host_.tracer();
     if (tracer.flow_enabled())
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow",
                   "ethmcast.deliver", msg.flow,
@@ -194,7 +194,7 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
       if (!bitmap_get(msg.have, i)) nack.missing.push_back(i);
     if (nack.missing.empty()) return;
     ++stats_.nacks_sent;
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = host_.tracer();
     if (tracer.flow_enabled())
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                   "ethmcast.nack", msg.flow,

@@ -92,7 +92,7 @@ std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t t
   // id is deterministic, so recomputing it here matches what srudp minted.
   std::uint64_t flow =
       mint_flow(srudp_.address().host, srudp_.port(), dst.host, dst.port, msg_id);
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host().tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.call", flow,
                 {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
@@ -127,7 +127,7 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
 
   // We are inside srudp's delivery handler, so the transport exposes the
   // flow id of the message being delivered — link rpc dispatch into it.
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host().tracer();
   if (tracer.flow_enabled() && srudp_.last_delivered_flow() != 0)
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                 kind == Kind::request || kind == Kind::oneway ? "rpc.serve" : "rpc.complete",

@@ -91,7 +91,7 @@ std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   msg.acked = FragBitmap(msg.frag_count);
   msg.deadline = engine_.now() + config_.msg_ttl;
   std::uint64_t msg_id = msg.msg_id;
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled()) {
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", msg.flow,
                 {{"peer", dst.to_string()},
@@ -168,7 +168,7 @@ void SrudpEndpoint::send_fragment(Peer peer, PeerOut& out, OutMessage& msg,
     ++stats_.fragments_retransmitted;
   }
   ++stats_.fragments_sent;
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled()) {
     const std::string& path = out.path.preferred_name();
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
@@ -214,7 +214,7 @@ void SrudpEndpoint::on_rto(Peer peer) {
   out.inflight = 0;
   if (out.path.on_timeout(host_)) {
     ++stats_.route_switches;
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = host_.tracer();
     if (out.failover_span == 0)
       out.failover_span = tracer.begin_span(engine_.now(), "transport", "srudp.failover");
     tracer.instant(engine_.now(), "transport", "srudp.route_switch",
@@ -252,7 +252,7 @@ void SrudpEndpoint::on_rto(Peer peer) {
 void SrudpEndpoint::expire_head(Peer peer, PeerOut& out) {
   log_.warn("message ", out.queue.front().msg_id, " to ", peer.to_string(),
             " expired unacknowledged");
-  obs::Tracer::global().instant(
+  host_.tracer().instant(
       engine_.now(), "transport", "srudp.expire",
       {{"peer", peer.to_string()}, {"msg", std::to_string(out.queue.front().msg_id)}});
   host_.flight().record(
@@ -326,7 +326,7 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
               peer.to_string());
     return;
   }
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx", p.flow,
                 {{"frag", std::to_string(p.frag_index)}});
@@ -405,7 +405,7 @@ void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Pay
     log_.warn("reassembled length mismatch for msg ", msg_id);
     return;
   }
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble",
                 flow,
@@ -457,7 +457,7 @@ void SrudpEndpoint::send_status(Peer peer, std::uint64_t msg_id,
 }
 
 void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload, std::uint64_t flow) {
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
                 {{"peer", peer.to_string()},
@@ -546,8 +546,8 @@ void SrudpEndpoint::on_status(Peer peer, const StatusPacket& p) {
       // our data is dying on.)  Restart the retransmission timer too.
       note_route_success(peer, out);
       if (out.failover_span != 0) {
-        obs::Tracer::global().end_span(engine_.now(), out.failover_span,
-                                       {{"route", out.path.preferred_name()}});
+        host_.tracer().end_span(engine_.now(), out.failover_span,
+                                {{"route", out.path.preferred_name()}});
         out.failover_span = 0;
       }
       engine_.cancel(out.rto_timer);
@@ -608,8 +608,8 @@ void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
     out.queue.erase(qit);
     note_route_success(peer, out);
     if (out.failover_span != 0) {
-      obs::Tracer::global().end_span(engine_.now(), out.failover_span,
-                                     {{"route", out.path.preferred_name()}});
+      host_.tracer().end_span(engine_.now(), out.failover_span,
+                              {{"route", out.path.preferred_name()}});
       out.failover_span = 0;
     }
     engine_.cancel(out.rto_timer);

@@ -127,7 +127,7 @@ void StreamConnection::send_message(Payload message) {
   // once, in order, and the receiver closes the flow at parse time.
   std::uint64_t flow = mint_flow(endpoint_->host().name(), endpoint_->port(), peer_.host,
                                  peer_.port, next_msg_seq_++);
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = endpoint_->host().tracer();
   if (tracer.flow_enabled())
     tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_start, "flow",
                 "stream.send", flow,
@@ -187,7 +187,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   }
   ++stats_.segments_sent;
   stats_.bytes_sent += len;
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = endpoint_->host().tracer();
   // The segment belongs to the message containing its first byte.
   if (tracer.flow_enabled() && flow != 0)
     tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
@@ -325,7 +325,7 @@ void StreamConnection::parse_messages() {
                               receive_buffer_.size() - kStreamFrameHeaderBytes - len);
     ++stats_.messages_delivered;
     stats_.bytes_delivered += message.size();
-    auto& tracer = obs::Tracer::global();
+    auto& tracer = endpoint_->host().tracer();
     if (tracer.flow_enabled())
       tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_end, "flow",
                   "stream.deliver", flow,

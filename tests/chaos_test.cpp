@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -65,7 +66,9 @@ struct GauntletResult {
   std::uint64_t digest = 0;
 };
 
-GauntletResult run_srudp_gauntlet(std::uint64_t seed) {
+/// `inspect`, when given, sees the World after the run, before teardown.
+GauntletResult run_srudp_gauntlet(std::uint64_t seed,
+                                  const std::function<void(World&)>& inspect = nullptr) {
   World world(seed);
   chaos::FlightWitness witness(world);
   world.create_network("lan", simnet::ethernet100());
@@ -114,6 +117,7 @@ GauntletResult run_srudp_gauntlet(std::uint64_t seed) {
   r.drops_fault = world.network("lan")->stats().drops_fault;
   r.fault_duplicates = world.network("lan")->stats().fault_duplicates;
   r.digest = world.replay_digest();
+  if (inspect) inspect(world);
   return r;
 }
 
@@ -721,16 +725,30 @@ TEST(ChaosObs, ExpiredAndSkippedCountsMatchMetricsRegistry) {
 // a flow-off run of the same seed must move exactly the same datagrams:
 // same data-network replay digest, same deliveries.
 
+/// Records flow events while in scope.  The switch is process-wide; each
+/// World's own ring keeps the events.
+struct FlowRecording {
+  FlowRecording() { obs::Tracer::global().set_flow_enabled(true); }
+  ~FlowRecording() { obs::Tracer::global().set_flow_enabled(false); }
+};
+
 TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
-  auto& tracer = obs::Tracer::global();
   std::uint64_t seed = chaos::chaos_seed() + 700;
 
   auto base = run_srudp_gauntlet(seed);
   ASSERT_TRUE(base.intact) << base.why;
 
-  tracer.set_flow_enabled(true);
-  auto traced = run_srudp_gauntlet(seed);
-  tracer.set_flow_enabled(false);
+  const std::string path = "chaos_flow_trace.json";
+  std::vector<obs::TraceEvent> events;
+  bool written = false;
+  GauntletResult traced;
+  {
+    FlowRecording flow;
+    traced = run_srudp_gauntlet(seed, [&](World& world) {
+      events = world.tracer().events();
+      written = world.tracer().write_chrome_json(path);
+    });
+  }
   ASSERT_TRUE(traced.intact) << traced.why;
 
   // (a) bit-identical seeded replay digest with tracing enabled.
@@ -741,7 +759,6 @@ TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
   // flow_start srudp.send -> flow_step srudp.retransmit -> flow_end
   // srudp.deliver, all bound by one id.  The gauntlet's fault profile
   // guarantees retransmissions.
-  auto events = tracer.events();
   std::set<std::uint64_t> retransmitted, started, delivered;
   for (const auto& e : events) {
     if (e.id == 0) continue;
@@ -761,8 +778,7 @@ TEST(ChaosTrace, FlowTracingPreservesReplayDigestsAndLinksRetransmits) {
   EXPECT_TRUE(linked) << "no retransmitted flow is linked send->retransmit->deliver";
 
   // The Chrome export carries the flow phases and hex ids viewers bind on.
-  const std::string path = "chaos_flow_trace.json";
-  ASSERT_TRUE(tracer.write_chrome_json(path));
+  ASSERT_TRUE(written);
   std::ifstream in(path);
   std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
@@ -809,10 +825,9 @@ TEST(ChaosFlight, DumpAfterFaultedRunContainsInjectedFaults) {
 // Host rings read their host's engine and the World ring its control
 // engine, so two Worlds that reuse the same host names can run at once on
 // two threads and each host still ends with exactly the entries a solo run
-// of its World leaves.  The replay digest lives in each World's networks,
-// so each concurrent run also reaches its solo digest.  The tracer's and
-// the logger's fallback clocks are still process-wide (the newest live
-// Engine's), so both are switched off while the two threads run.
+// of its World leaves.  The replay digest lives in each World's networks
+// and the trace ring is the World's own, so each concurrent run also
+// reaches its solo digest and records its solo trace, in record order.
 
 struct RingWorld {
   explicit RingWorld(std::uint64_t seed) : world(seed), plan(world, seed + 1) {
@@ -835,6 +850,18 @@ struct RingWorld {
 
   void run() { world.engine().run_until(duration::seconds(5)); }
 
+  /// The World's trace as "ts dur cat/name id args" lines, in record order.
+  std::vector<std::string> trace() {
+    std::vector<std::string> out;
+    for (const auto& e : world.tracer().events()) {
+      std::string line = std::to_string(e.ts) + " " + std::to_string(e.dur) + " " + e.cat +
+                         "/" + e.name + " id=" + std::to_string(e.id);
+      for (const auto& [k, v] : e.args) line += " " + k + "=" + v;
+      out.push_back(std::move(line));
+    }
+    return out;
+  }
+
   std::map<std::string, std::string> rings() {
     return {{"*", obs::format_flight_lines(world.flight().events())},
             {"a", obs::format_flight_lines(world.host("a")->flight().events())},
@@ -846,64 +873,45 @@ struct RingWorld {
   std::unique_ptr<transport::SrudpEndpoint> tx, rx;
 };
 
-/// The global tracer's events as sorted "ts cat/name args" lines: the
-/// trace contents without the record order, which two threads interleave.
-std::vector<std::string> trace_lines() {
-  std::vector<std::string> out;
-  for (const auto& e : obs::Tracer::global().events()) {
-    std::string line = std::to_string(e.ts) + " " + std::to_string(e.dur) + " " + e.cat + "/" +
-                       e.name;
-    for (const auto& [k, v] : e.args) line += " " + k + "=" + v;
-    out.push_back(std::move(line));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 TEST(ChaosFlight, TwoWorldsOnTwoThreadsKeepTheirOwnRings) {
   const std::uint64_t seeds[2] = {chaos::chaos_seed() + 820, chaos::chaos_seed() + 821};
+  FlowRecording flow;  // per-fragment flow events make each trace seed-specific
   std::map<std::string, std::string> solo[2];
   std::uint64_t solo_digest[2];
-  auto& tracer = obs::Tracer::global();
-  tracer.set_enabled(true);
-  std::vector<std::string> solo_trace;
+  std::vector<std::string> solo_trace[2];
   for (int i = 0; i < 2; ++i) {
-    tracer.clear();
     RingWorld w(seeds[i]);
+    ASSERT_TRUE(w.world.tracer().enabled());
     w.run();
     solo[i] = w.rings();
     solo_digest[i] = w.world.replay_digest();
-    std::vector<std::string> lines = trace_lines();
-    solo_trace.insert(solo_trace.end(), lines.begin(), lines.end());
+    solo_trace[i] = w.trace();
   }
-  std::sort(solo_trace.begin(), solo_trace.end());
   EXPECT_NE(solo[0]["*"].find("fault/partition.start"), std::string::npos);
   EXPECT_NE(solo[0]["a"].find("[a] srudp/rto"), std::string::npos) << solo[0]["a"];
   ASSERT_NE(solo[0], solo[1]);  // the seeds differ, so any mixing would show
   ASSERT_NE(solo_digest[0], solo_digest[1]);
-  EXPECT_NE(std::find_if(solo_trace.begin(), solo_trace.end(),
+  ASSERT_NE(solo_trace[0], solo_trace[1]);
+  EXPECT_NE(std::find_if(solo_trace[0].begin(), solo_trace[0].end(),
                          [](const std::string& l) {
                            return l.find("fault/partition.start") != std::string::npos;
                          }),
-            solo_trace.end());
+            solo_trace[0].end());
 
-  tracer.clear();
-  {
-    RingWorld w0(seeds[0]);
-    RingWorld w1(seeds[1]);
-    std::thread t0([&w0] { w0.run(); });
-    std::thread t1([&w1] { w1.run(); });
-    t0.join();
-    t1.join();
-    EXPECT_EQ(w0.rings(), solo[0]);
-    EXPECT_EQ(w1.rings(), solo[1]);
-    EXPECT_EQ(w0.world.replay_digest(), solo_digest[0]);
-    EXPECT_EQ(w1.world.replay_digest(), solo_digest[1]);
-  }
-  // Each World stamped its trace events with its own clock, so the
-  // concurrent trace holds exactly the two solo traces.
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(trace_lines(), solo_trace);
+  RingWorld w0(seeds[0]);
+  RingWorld w1(seeds[1]);
+  std::thread t0([&w0] { w0.run(); });
+  std::thread t1([&w1] { w1.run(); });
+  t0.join();
+  t1.join();
+  EXPECT_EQ(w0.rings(), solo[0]);
+  EXPECT_EQ(w1.rings(), solo[1]);
+  EXPECT_EQ(w0.world.replay_digest(), solo_digest[0]);
+  EXPECT_EQ(w1.world.replay_digest(), solo_digest[1]);
+  EXPECT_EQ(w0.world.tracer().dropped(), 0u);
+  EXPECT_EQ(w1.world.tracer().dropped(), 0u);
+  EXPECT_EQ(w0.trace(), solo_trace[0]);
+  EXPECT_EQ(w1.trace(), solo_trace[1]);
 }
 
 // ---- fleet telemetry and watchtower: neither may perturb the data plane ----

@@ -12,6 +12,7 @@
 #include "obs/alert.hpp"
 #include "obs/flight.hpp"
 #include "rcds/server.hpp"
+#include "simnet/fault.hpp"
 #include "util/uri.hpp"
 
 namespace snipe::core {
@@ -445,6 +446,54 @@ TEST(ConsoleReports, TraceReportResolvesFlowIdsAndMsgIds) {
   EXPECT_NE(trace_report({}, "0x123").find("no flow events"), std::string::npos);
 }
 
+// ---- every World keeps its own trace ring ----------------------------------
+//
+// Two Worlds alive at once on one thread: each ring holds only its own
+// World's events, and the console `trace` verb answers from its own World —
+// a flow with the same id recorded in another World is not reported.
+
+TEST_F(CoreFixture, TwoWorldsKeepTheirOwnTracesAndConsoleTraceAnswersFromItsOwn) {
+  auto console_proc = make_process("hostC", "console");
+  Console console(*console_proc);
+  auto run_command = [&](const std::string& line) {
+    std::string out;
+    console.interpret(line, [&](std::string reply) { out = std::move(reply); });
+    world.engine().run();
+    return out;
+  };
+
+  World other(92);
+  ASSERT_NE(&other.tracer(), &world.tracer());
+  other.tracer().set_flow_enabled(true);
+  other.tracer().flow(0, obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x5eed);
+  world.tracer().flow(0, obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7e57);
+  // The switch is process-wide: flipping it through one World flips both.
+  EXPECT_TRUE(world.tracer().flow_enabled());
+  world.tracer().set_flow_enabled(false);
+  EXPECT_FALSE(other.tracer().flow_enabled());
+
+  auto ids = [](const obs::Tracer& tracer) {
+    std::vector<std::uint64_t> out;
+    for (const auto& e : tracer.events())
+      if (e.id != 0) out.push_back(e.id);
+    return out;
+  };
+  EXPECT_EQ(ids(other.tracer()), std::vector<std::uint64_t>{0x5eed});
+  EXPECT_EQ(ids(world.tracer()), std::vector<std::uint64_t>{0x7e57});
+  // Each World's own components record into its own ring only.
+  other.create_host("x");
+  simnet::FaultPlan plan(other, 7);
+  plan.crash_host("x", duration::seconds(1), duration::seconds(2));
+  other.run_until(duration::seconds(3));
+  std::size_t faults = 0;
+  for (const auto& e : other.tracer().events()) faults += e.cat == "fault" ? 1 : 0;
+  EXPECT_EQ(faults, 2u);  // host.crash, host.restart
+  for (const auto& e : world.tracer().events()) EXPECT_NE(e.cat, "fault") << e.name;
+
+  EXPECT_NE(run_command("trace 0x5eed").find("no flow events"), std::string::npos);
+  EXPECT_NE(run_command("trace 0x7e57").find("srudp.send"), std::string::npos);
+}
+
 // ---- console verbs over the live registries --------------------------------
 
 TEST_F(CoreFixture, ConsoleObservabilityVerbs) {
@@ -479,7 +528,7 @@ TEST_F(CoreFixture, ConsoleObservabilityVerbs) {
   // trace: unknown ids say so; recorded flows print their trail and are
   // reachable both by flow id and by message id.
   EXPECT_NE(run_command("trace 0xdeadbeef").find("no flow events"), std::string::npos);
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = world.tracer();
   tracer.set_flow_enabled(true);
   tracer.flow(world.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177,
               {{"msg", "424242"}});
@@ -690,7 +739,7 @@ TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
 
   world.host("hostC")->flight().record("test", "parity_probe");
   world.host("hostA")->flight().record("test", "neighbour_probe");
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = world.tracer();
   tracer.set_flow_enabled(true);
   tracer.flow(world.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", 0x7177);
   tracer.set_flow_enabled(false);

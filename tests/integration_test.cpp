@@ -211,7 +211,7 @@ TEST_F(Deployment, TraceRecordsSpawnFailoverMigrationInOrder) {
   // The virtual-time tracer should tell the story of a whole scenario in
   // order: a task spawn (daemon), a transport failover (transport), then a
   // process migration (core) — each later than the one before it.
-  auto& tracer = obs::Tracer::global();
+  auto& tracer = world.tracer();
   tracer.set_enabled(true);
   tracer.clear();
 

@@ -432,13 +432,12 @@ TEST(Trace, ChromeJsonIsValidAndCarriesEvents) {
 // ---------- end-to-end: a simulated run exports a multi-category trace ----------
 
 TEST(Trace, SimulatedRunExportsMultiCategoryChromeTrace) {
-  auto& tracer = Tracer::global();
-  tracer.set_enabled(true);
-  tracer.clear();
   MetricsRegistry::global().set_enabled(true);
   MetricsRegistry::global().reset();
 
   simnet::World world(991);
+  Tracer& tracer = world.tracer();
+  tracer.set_enabled(true);
   world.create_network("lan", simnet::ethernet100());
   world.create_network("atm", simnet::atm155());
   for (const char* n : {"rc", "node", "a", "b"})
@@ -544,6 +543,28 @@ TEST(Trace, FlowEventsCarryPhaseAndIdIntoChromeJson) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"0xabc\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);  // flow_end binding
+}
+
+TEST(Trace, RingFollowsItsRootsSwitchesButKeepsItsOwnEvents) {
+  Tracer root;
+  Tracer ring(root);
+  ring.instant(1, "c", "mine");
+  EXPECT_TRUE(root.events().empty());
+  ASSERT_EQ(ring.events().size(), 1u);
+
+  // Either side flips the root's switches, and the ring obeys them.
+  root.set_enabled(false);
+  EXPECT_FALSE(ring.enabled());
+  ring.instant(2, "c", "muted");
+  EXPECT_EQ(ring.events().size(), 1u);
+  ring.set_enabled(true);
+  EXPECT_TRUE(root.enabled());
+  root.set_flow_enabled(true);
+  ring.flow(3, TraceEvent::Phase::flow_step, "flow", "x", 7);
+  ring.set_flow_enabled(false);
+  EXPECT_FALSE(root.flow_enabled());
+  EXPECT_EQ(ring.events().size(), 2u);
+  EXPECT_TRUE(root.events().empty());
 }
 
 TEST(Trace, FlowRespectsMasterEnableToo) {

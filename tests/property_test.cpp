@@ -506,7 +506,10 @@ TEST_P(WireFuzz, BitFlippedPacketsNeverCrashEveryDecoder) {
     for (int trial = 0; trial < 200; ++trial) {
       Bytes mangled = wire;
       if (trial % 2 == 0) {
-        injector.corrupt_payload(mangled);  // the chaos layer's own mangler
+        // The chaos layer's own mangler.
+        Payload wrapped(std::move(mangled));
+        injector.corrupt_payload(wrapped, "");
+        mangled = wrapped.to_bytes();
       } else {
         for (std::uint64_t f = 0, n = rng.next_below(8) + 1; f < n; ++f)
           mangled[rng.next_below(mangled.size())] ^=

@@ -547,9 +547,6 @@ TEST(World, SendByPointerAndByNameMeetTheSameFates) {
 }
 
 TEST(World, DestroyingASecondWorldKeepsTheFirstWorldsClock) {
-  auto& tracer = obs::Tracer::global();
-  tracer.set_enabled(true);
-  tracer.clear();
   std::vector<std::optional<std::int64_t>> stamps;
   LogSink old_sink = set_log_sink([&](LogLevel, std::optional<std::int64_t> stamp,
                                       const std::string&, const std::string&) {
@@ -557,6 +554,8 @@ TEST(World, DestroyingASecondWorldKeepsTheFirstWorldsClock) {
   });
 
   World first(1);
+  obs::Tracer& tracer = first.tracer();
+  tracer.set_enabled(true);
   Host& a = first.create_host("a");
   FaultPlan plan(first, 3);
   plan.crash_host("a", duration::seconds(5), duration::seconds(7));
@@ -729,7 +728,7 @@ TEST(Fault, GilbertElliottEmpiricalLossNearStationaryMean) {
   const int n = 20000;
   int dropped = 0;
   for (int i = 0; i < n; ++i)
-    if (inj.judge("a", "b").drop) ++dropped;
+    if (inj.judge("a", "a", "b").drop) ++dropped;
   EXPECT_NEAR(static_cast<double>(dropped) / n, profile.burst.mean_loss(), 0.03);
   EXPECT_EQ(inj.stats().packets_judged, static_cast<std::uint64_t>(n));
   EXPECT_EQ(inj.stats().drops_burst, static_cast<std::uint64_t>(dropped));
@@ -741,7 +740,7 @@ TEST(Fault, PartitionBlocksAcrossGroupsOnly) {
   EXPECT_TRUE(inj.partition_active());
   EXPECT_FALSE(inj.partitioned("a", "b"));  // same group
   EXPECT_TRUE(inj.partitioned("a", "c"));   // across groups
-  EXPECT_TRUE(inj.judge("a", "c").drop);
+  EXPECT_TRUE(inj.judge("a", "a", "c").drop);
   EXPECT_EQ(inj.stats().drops_partition, 1u);
   // Unnamed hosts share an implicit group: together, but cut off from all
   // named groups.
@@ -751,22 +750,22 @@ TEST(Fault, PartitionBlocksAcrossGroupsOnly) {
   inj.heal_partition();
   EXPECT_FALSE(inj.partition_active());
   EXPECT_FALSE(inj.partitioned("a", "c"));
-  EXPECT_FALSE(inj.judge("a", "c").drop);
+  EXPECT_FALSE(inj.judge("a", "a", "c").drop);
 }
 
 TEST(Fault, CorruptPayloadFlipsBoundedBytesAndSkipsEmpty) {
   FaultProfile profile;
   profile.corrupt_max_bytes = 3;
   FaultInjector inj(profile, Rng(5));
-  Bytes empty;
-  inj.corrupt_payload(empty);  // must not crash or grow
+  Payload empty;
+  inj.corrupt_payload(empty, "");  // must not crash or grow
   EXPECT_TRUE(empty.empty());
   for (int trial = 0; trial < 50; ++trial) {
-    Bytes wire(64, 0xAB);
-    inj.corrupt_payload(wire);
+    Payload wire(Bytes(64, 0xAB));
+    inj.corrupt_payload(wire, "");
     ASSERT_EQ(wire.size(), 64u);
     int flipped = 0;
-    for (auto b : wire)
+    for (auto b : wire.to_bytes())
       if (b != 0xAB) ++flipped;
     EXPECT_GE(flipped, 1) << trial;
     EXPECT_LE(flipped, 3) << trial;
@@ -778,7 +777,7 @@ TEST(Fault, DuplicationAlwaysYieldsTwoCopiesAtProbabilityOne) {
   profile.duplicate = 1.0;
   FaultInjector inj(profile, Rng(7));
   for (int i = 0; i < 20; ++i) {
-    auto v = inj.judge("a", "b");
+    auto v = inj.judge("a", "a", "b");
     EXPECT_FALSE(v.drop);
     EXPECT_EQ(v.copies, 2);
   }
@@ -793,8 +792,8 @@ TEST(Fault, SameSeedSameVerdictSequence) {
   profile.corrupt = 0.1;
   FaultInjector x(profile, Rng(4242)), y(profile, Rng(4242));
   for (int i = 0; i < 500; ++i) {
-    auto a = x.judge("a", "b");
-    auto b = y.judge("a", "b");
+    auto a = x.judge("a", "a", "b");
+    auto b = y.judge("a", "a", "b");
     EXPECT_EQ(a.drop, b.drop) << i;
     EXPECT_EQ(a.corrupt, b.corrupt) << i;
     EXPECT_EQ(a.copies, b.copies) << i;
@@ -851,7 +850,6 @@ TEST(Fault, PlanWindowsFireAtScheduledVirtualTimes) {
   auto& b = world.create_host("b");
   world.attach(a, net);
   world.attach(b, net);
-  obs::Tracer::global().clear();
 
   FaultPlan plan(world, 79);
   plan.crash_host("b", milliseconds(10), milliseconds(30));
@@ -872,7 +870,7 @@ TEST(Fault, PlanWindowsFireAtScheduledVirtualTimes) {
 
   // Each action emitted a "fault" instant at its virtual time, in order.
   std::vector<std::pair<std::int64_t, std::string>> faults;
-  for (const auto& e : obs::Tracer::global().events())
+  for (const auto& e : world.tracer().events())
     if (e.cat == "fault") faults.emplace_back(e.ts, e.name);
   ASSERT_EQ(faults.size(), 4u);
   EXPECT_EQ(faults[0], (std::pair<std::int64_t, std::string>{milliseconds(10), "host.crash"}));

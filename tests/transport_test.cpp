@@ -252,9 +252,6 @@ struct SrudpPair {
 // World's.  A zero TTL makes the send expire on the spot, which logs a
 // warning and records an "srudp.expire" instant.
 TEST(Srudp, OlderWorldStampsItsLogAndTraceWithItsOwnClock) {
-  auto& tracer = obs::Tracer::global();
-  tracer.set_enabled(true);
-  tracer.clear();
   std::vector<std::pair<std::string, std::optional<std::int64_t>>> records;
   LogSink old_sink = set_log_sink([&](LogLevel, std::optional<std::int64_t> stamp,
                                       const std::string& component, const std::string&) {
@@ -265,6 +262,8 @@ TEST(Srudp, OlderWorldStampsItsLogAndTraceWithItsOwnClock) {
   cfg.msg_ttl = 0;
   SrudpPair older(1, simnet::ethernet100(), cfg);
   SrudpPair newer(2);
+  obs::Tracer& tracer = older.world.tracer();
+  tracer.set_enabled(true);
   newer.world.run_until(duration::seconds(1));
   older.world.engine().schedule_at(duration::seconds(5), [&older] {
     older.a->send(older.b->address(), to_bytes("late"));
@@ -280,6 +279,7 @@ TEST(Srudp, OlderWorldStampsItsLogAndTraceWithItsOwnClock) {
     if (e.name == "srudp.expire") expired.push_back(e);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].ts, duration::seconds(5));
+  EXPECT_TRUE(newer.world.tracer().events().empty());
 }
 
 TEST(Srudp, SmallMessageDelivered) {

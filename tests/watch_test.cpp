@@ -132,7 +132,7 @@ TEST(SeriesStore, ScrapePullsCountersGaugesHistogramsAndSamplers) {
   registry.histogram("h.delivery_ms").observe(2.0);
   registry.histogram("h.delivery_ms").observe(4.0);
 
-  obs::SeriesStore store({256, &registry});
+  obs::SeriesStore store({&registry});
   store.add_sampler([](std::int64_t now, obs::SeriesStore& s) {
     s.record("sampled.extra", now, 42);
   });
@@ -340,15 +340,13 @@ TEST(FleetWatch, BeaconStaleFiresPerHostAndResolvesOnFreshPoints) {
     b.host = host;
     b.seq = seq;
     b.ts = ts;
+    b.period_ns = kS;  // judged stale after the store's 3 of these
     b.full = true;
     b.series = {{"telemetry.beacons_sent", {{ts, beacons}}}};
     store.apply(b, ts);
   };
 
-  obs::FleetWatch::Options opt;
-  opt.period_ns = kS;
-  opt.stale_after_beacons = 3.0;
-  obs::FleetWatch watch(store, opt);
+  obs::FleetWatch watch(store);
 
   feed("a", 1, 1 * kS, 1);
   feed("b", 1, 1 * kS, 1);
@@ -555,16 +553,18 @@ struct WatchedHost {
   std::unique_ptr<daemon::TelemetryExporter> exporter;
 };
 
-/// Wires a Watchtower + exporter pair on `host`.  The tower starts first
-/// so a same-timestamp scrape lands before the beacon builds.
-WatchedHost watch_host(simnet::Host& host, const Address& collector) {
+/// Wires a Watchtower + exporter pair on `host`, beaconing every `period`.
+/// The tower starts first so a same-timestamp scrape lands before the
+/// beacon builds.
+WatchedHost watch_host(simnet::Host& host, const Address& collector,
+                       SimDuration period = duration::seconds(1)) {
   WatchedHost w;
   w.rpc = std::make_unique<transport::RpcEndpoint>(host, 7400);
   w.tower = std::make_unique<daemon::Watchtower>(host);
   w.tower->start();
   daemon::TelemetryConfig cfg;
   cfg.collectors = {collector};
-  cfg.period = duration::seconds(1);
+  cfg.period = period;
   w.exporter = std::make_unique<daemon::TelemetryExporter>(
       *w.rpc, cfg, nullptr, nullptr, &w.tower->series());
   w.exporter->start();
@@ -573,7 +573,8 @@ WatchedHost watch_host(simnet::Host& host, const Address& collector) {
 
 /// The a/b/coll fleet world every fleet-facing scenario starts from.
 struct SoakWorld {
-  explicit SoakWorld(std::uint64_t seed) : world(seed) {
+  explicit SoakWorld(std::uint64_t seed, SimDuration beacon_period = duration::seconds(1))
+      : world(seed) {
     world.create_network("lan", simnet::ethernet100());
     world.create_network("mgmt_a", simnet::ethernet100());
     world.create_network("mgmt_b", simnet::ethernet100());
@@ -588,8 +589,8 @@ struct SoakWorld {
     watch.enabled = true;
     collector = std::make_unique<daemon::TelemetryCollector>(
         *coll_rpc, obs::FleetStore::Options{}, watch);
-    a = watch_host(*world.host("a"), coll_rpc->address());
-    b = watch_host(*world.host("b"), coll_rpc->address());
+    a = watch_host(*world.host("a"), coll_rpc->address(), beacon_period);
+    b = watch_host(*world.host("b"), coll_rpc->address(), beacon_period);
   }
 
   World world;
@@ -629,6 +630,29 @@ TEST(WatchSoak, CleanProfileRaisesNoAlerts) {
   EXPECT_EQ(w.b.tower->alerts().fired_total(), 0u);
   EXPECT_EQ(w.collector->watch()->fired_total(), 0u);
   soak_report("clean", seed, duration_ns);
+}
+
+// A healthy host that beacons every 4 s ships a series up to 4 s old just
+// before each beacon.  The collector judges it on the period it advertises
+// (stale after 3 x 4 s), not on its own 1 s cadence, so nothing pages.
+TEST(WatchSoak, SlowBeaconsAreJudgedOnTheirAdvertisedPeriod) {
+  std::uint64_t seed = chaos::chaos_seed() + 9050;
+  SoakWorld w(seed, duration::seconds(4));
+  const SimTime duration_ns = duration::seconds(60);
+  keep_alive(w.world.engine(), duration_ns);
+  w.world.engine().run_until(duration_ns);
+
+  ASSERT_NE(w.collector->watch(), nullptr);
+  const obs::FleetStore& store = w.collector->store();
+  ASSERT_EQ(store.host_count(), 2u);
+  EXPECT_EQ(store.period_ns("a"), duration::seconds(4));
+  EXPECT_GE(w.a.exporter->beacons_sent(), 14u);
+  const obs::FleetWatch& watch = *w.collector->watch();
+  EXPECT_EQ(watch.fired("a", "beacon_stale"), 0u);
+  EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);
+  EXPECT_EQ(watch.fired_total(), 0u) << watch.format_text();
+  EXPECT_NE(watch.format_text().find("beacon_stale"), std::string::npos);
+  soak_report("slow_beacons", seed, duration_ns);
 }
 
 TEST(WatchSoak, PartitionFiresBeaconStaleAndResolvesAfterHeal) {
