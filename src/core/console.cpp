@@ -61,7 +61,7 @@ std::string health_report(const obs::Snapshot& snapshot) {
            " p95=" + format_ms(m.p95) + " p99=" + format_ms(m.p99) +
            " n=" + std::to_string(m.count) + "\n";
   }
-  double srudp_retx = counter_ratio(snapshot, "srudp.fragments_retransmitted",
+  double srudp_retx = counter_ratio(snapshot, "srudp.retransmits",
                                     "srudp.fragments_sent");
   if (srudp_retx >= 0)
     out += "srudp retransmit_ratio " + format_ms(srudp_retx) + "\n";
@@ -70,7 +70,7 @@ std::string health_report(const obs::Snapshot& snapshot) {
   if (stream_retx >= 0)
     out += "stream retransmit_ratio " + format_ms(stream_retx) + "\n";
   for (const auto& m : snapshot)
-    if (m.name == "multipath.route_switches")
+    if (m.name == "srudp.route_switches")
       out += "route_failovers " + std::to_string(static_cast<std::uint64_t>(m.value)) +
              "\n";
   return out.empty() ? "(no health data)" : out;

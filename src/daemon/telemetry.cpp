@@ -57,8 +57,7 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
       store_(options),
       log_("telemetry@" + rpc.host().name(), rpc.host().clock()) {
   if (watch.enabled) {
-    watch_ = std::make_unique<obs::FleetWatch>(
-        store_, obs::FleetWatch::Options{std::move(watch.rules)}, &rpc.host().flight());
+    watch_ = std::make_unique<obs::FleetWatch>(store_, &rpc.host().flight());
     rpc_.engine().schedule_weak(kWatchPeriod, [this] { watch_tick(); });
   }
   rpc_.on_notify(tags::kTelemetryBeacon, [this](const simnet::Address& from,

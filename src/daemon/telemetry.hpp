@@ -10,7 +10,10 @@
 // path for free.  A TelemetryCollector serves the beacon tag and folds every
 // beacon into an obs::FleetStore, which the ops gateway and console query
 // (/fleet/*).  Staleness is evaluated lazily at query time, so a partitioned
-// exporter shows up as stale without the collector doing any per-host work.
+// exporter shows up as stale without the collector doing any per-host work;
+// an enabled FleetWatch also alerts on that silence.  Host alert rules are
+// not judged here: a host's Watchtower judges them, and their transitions
+// reach the collector as the flight entries its beacons carry.
 //
 // Determinism contract: exporter traffic rides only management networks,
 // never draws host or fault RNG there (loss-free links; Rng::chance(0)
@@ -78,15 +81,13 @@ class TelemetryExporter {
   std::uint64_t beacons_sent_ = 0;
 };
 
-/// Collector-side watchtower knobs.  Enabled, the collector runs a
+/// Collector-side watchtower switch.  Enabled, the collector runs a
 /// FleetWatch over its store on a weak one-second timer — the one active
 /// piece of the otherwise purely reactive collector, and a necessary one:
 /// beacon staleness must fire precisely when *nothing* arrives to react to.
 /// Each host's staleness is judged on the period its own beacons advertise.
 struct CollectorWatchConfig {
   bool enabled = false;
-  /// Per-host rules; empty selects FleetWatch's built-in set.
-  std::vector<obs::AlertRule> rules;
 };
 
 /// Serves the beacon tag on an RPC endpoint and folds every beacon into a
@@ -105,7 +106,7 @@ class TelemetryCollector {
   obs::FleetStore& store() { return store_; }
   const obs::FleetStore& store() const { return store_; }
 
-  /// The fleet alert engine (nullptr unless watch.enabled).
+  /// The fleet silence detector (nullptr unless watch.enabled).
   obs::FleetWatch* watch() { return watch_.get(); }
   const obs::FleetWatch* watch() const { return watch_.get(); }
 

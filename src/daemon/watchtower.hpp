@@ -3,14 +3,15 @@
 //
 // A Watchtower owns one SeriesStore and one AlertEngine for a simulated
 // host.  On a weak virtual-time timer (every second) it scrapes the host's
-// own metrics registry (Host::metrics()) into the store, samples the
+// own metrics registry (Host::metrics()) into the store, records the
 // host's own NICs (busy time and egress queue depth) and the world route
 // epoch — the signals a snapshot view cannot age — and evaluates the alert
 // rules.  The NIC and epoch samples are relaxed atomic reads: observational
-// data, deliberately outside the sharded replay contract.  A
-// tick costs O(this host's instruments and NICs), never O(fleet).  The exporter ships the store's
-// fresh points inside its ordinary telemetry beacons, so the collector
-// holds fleet-wide history without any new protocol.
+// data, deliberately outside the sharded replay contract.  A tick costs
+// O(this host's instruments and NICs), never O(fleet).  The exporter ships
+// the store's fresh points, and the host's alert transitions as flight
+// entries, inside its ordinary telemetry beacons, so the collector holds
+// fleet-wide history without any new protocol; it judges only silence.
 //
 // Determinism contract (same as the exporter's): the timer is weak, ticks
 // are skipped while the host is down, scraping draws no RNG and sends no

@@ -12,11 +12,13 @@ namespace {
 
 constexpr std::int64_t kSecond = 1'000'000'000;
 
+/// The one rule FleetWatch judges.
+constexpr const char* kBeaconStale = "beacon_stale";
+
 const char* kind_name(AlertKind kind) {
   switch (kind) {
     case AlertKind::threshold: return "threshold";
     case AlertKind::rate: return "rate";
-    case AlertKind::staleness: return "staleness";
     case AlertKind::flap: return "flap";
     case AlertKind::ratio: return "ratio";
   }
@@ -64,10 +66,6 @@ bool AlertEngine::condition(const RuleState& rs, const SeriesStore& series,
     case AlertKind::rate:
       value = series.rate_per_sec(r.metric, r.window_ns, now_ns);
       break;
-    case AlertKind::staleness:
-      value = static_cast<double>(now_ns - series.last_ts(r.metric)) /
-              static_cast<double>(kSecond);
-      break;
     case AlertKind::flap:
       value = static_cast<double>(series.changes_in(r.metric, r.window_ns, now_ns));
       break;
@@ -83,11 +81,9 @@ bool AlertEngine::condition(const RuleState& rs, const SeriesStore& series,
 
 void AlertEngine::emit(const RuleState& rs, const char* what) {
   if (FlightRecorder* flight = options_.flight; flight != nullptr) {
-    std::string subject;
-    if (options_.scope != flight->owner()) subject = "host=" + options_.scope + " ";
     char detail[256];
-    std::snprintf(detail, sizeof(detail), "%s%s %s(%s) value=%g threshold=%g%s%s",
-                  subject.c_str(), rs.rule.name.c_str(), kind_name(rs.rule.kind),
+    std::snprintf(detail, sizeof(detail), "%s %s(%s) value=%g threshold=%g%s%s",
+                  rs.rule.name.c_str(), kind_name(rs.rule.kind),
                   rs.rule.metric.c_str(), rs.value, rs.rule.threshold,
                   rs.rule.detail.empty() ? "" : " — ", rs.rule.detail.c_str());
     flight->record(kWatchtowerCategory, what, detail);
@@ -132,7 +128,6 @@ void AlertEngine::evaluate(const SeriesStore& series, std::int64_t now_ns) {
           rs.state = AlertState::idle;
           rs.since = now_ns;
           ++rs.resolved;
-          ++resolved_total_;
           emit(rs, "alert.resolved");
         }
         break;
@@ -148,7 +143,6 @@ std::vector<AlertStatus> AlertEngine::status() const {
     AlertStatus s;
     s.rule = rs.rule.name;
     s.metric = rs.rule.metric;
-    s.scope = options_.scope;
     s.state = rs.state;
     s.since = rs.since;
     s.value = rs.value;
@@ -170,11 +164,6 @@ std::size_t AlertEngine::firing_count() const {
 std::uint64_t AlertEngine::fired_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return fired_total_;
-}
-
-std::uint64_t AlertEngine::resolved_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolved_total_;
 }
 
 std::uint64_t AlertEngine::fired(const std::string& rule) const {
@@ -262,106 +251,71 @@ std::vector<AlertRule> AlertEngine::builtin_rules() {
   return out;
 }
 
-AlertRule AlertEngine::beacon_stale_rule(std::int64_t period_ns, double stale_after_beacons) {
-  AlertRule r;
-  r.name = "beacon_stale";
-  r.kind = AlertKind::staleness;
-  r.metric = "telemetry.beacons_sent";
-  r.threshold = stale_after_beacons * static_cast<double>(period_ns) /
-                static_cast<double>(kSecond);
-  r.for_ns = 0;
-  r.clear_ns = 0;
-  r.detail = "host series stopped advancing (crashed or partitioned exporter)";
-  return r;
-}
-
 // ---------- FleetWatch ----------
 
-FleetWatch::FleetWatch(const FleetStore& store, Options options, FlightRecorder* flight)
-    : store_(store), options_(std::move(options)), flight_(flight) {}
+FleetWatch::FleetWatch(const FleetStore& store, FlightRecorder* flight)
+    : store_(store), flight_(flight) {}
+
+void FleetWatch::emit(const std::string& host, const HostState& hs, const char* what) {
+  if (flight_ == nullptr) return;
+  char detail[256];
+  std::snprintf(detail, sizeof(detail),
+                "host=%s %s missed=%g threshold=%g — no beacon for the advertised periods",
+                host.c_str(), kBeaconStale, hs.missed, store_.options().stale_after_beacons);
+  flight_->record(kWatchtowerCategory, what, detail);
+}
 
 void FleetWatch::evaluate(std::int64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& host : store_.hosts()) {
-    auto it = engines_.find(host);
-    if (it == engines_.end()) {
-      auto engine = std::make_unique<AlertEngine>(AlertEngine::Options{host, flight_});
-      if (!options_.rules.empty()) {
-        engine->add_rules(options_.rules);
-      } else {
-        // Judge the host on the cadence its own beacons advertise.
-        engine->add_rules(AlertEngine::builtin_rules());
-        if (std::int64_t period = store_.period_ns(host); period > 0)
-          engine->add_rule(AlertEngine::beacon_stale_rule(
-              period, store_.options().stale_after_beacons));
-      }
-      it = engines_.emplace(host, std::move(engine)).first;
-    }
-    const SeriesStore* series = store_.host_series(host);
-    if (series == nullptr) continue;
-    it->second->evaluate(*series, now_ns);
+  for (const FleetStore::HostHealth& h : store_.health(now_ns)) {
+    HostState& hs = hosts_[h.host];
+    hs.missed = h.missed;
+    if (h.stale == hs.firing) continue;
+    hs.firing = h.stale;
+    ++(hs.firing ? hs.fired : hs.resolved);
+    emit(h.host, hs, hs.firing ? "alert.firing" : "alert.resolved");
   }
-}
-
-std::vector<AlertStatus> FleetWatch::status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AlertStatus> out;
-  for (const auto& [host, engine] : engines_) {
-    auto statuses = engine->status();
-    out.insert(out.end(), statuses.begin(), statuses.end());
-  }
-  return out;
 }
 
 std::size_t FleetWatch::firing_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [host, engine] : engines_) n += engine->firing_count();
+  for (const auto& [host, hs] : hosts_) n += hs.firing ? 1 : 0;
   return n;
 }
 
 std::uint64_t FleetWatch::fired_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t n = 0;
-  for (const auto& [host, engine] : engines_) n += engine->fired_total();
+  for (const auto& [host, hs] : hosts_) n += hs.fired;
   return n;
 }
 
-std::uint64_t FleetWatch::resolved_total() const {
+std::uint64_t FleetWatch::fired(const std::string& host) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [host, engine] : engines_) n += engine->resolved_total();
-  return n;
+  auto it = hosts_.find(host);
+  return it == hosts_.end() ? 0 : it->second.fired;
 }
 
-std::uint64_t FleetWatch::fired(const std::string& host, const std::string& rule) const {
+std::uint64_t FleetWatch::resolved(const std::string& host) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = engines_.find(host);
-  return it == engines_.end() ? 0 : it->second->fired(rule);
-}
-
-std::uint64_t FleetWatch::resolved(const std::string& host,
-                                   const std::string& rule) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = engines_.find(host);
-  return it == engines_.end() ? 0 : it->second->resolved(rule);
+  auto it = hosts_.find(host);
+  return it == hosts_.end() ? 0 : it->second.resolved;
 }
 
 std::string FleetWatch::format_text() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (engines_.empty()) return "(no hosts have beaconed yet)\n";
+  if (hosts_.empty()) return "(no hosts have beaconed yet)\n";
   std::string out;
-  for (const auto& [host, engine] : engines_) {
-    out += "host " + host + ":\n";
-    std::string body = engine->format_text();
-    // Indent the per-host block for readability.
-    std::size_t pos = 0;
-    while (pos < body.size()) {
-      std::size_t eol = body.find('\n', pos);
-      if (eol == std::string::npos) eol = body.size() - 1;
-      out += "  " + body.substr(pos, eol - pos + 1);
-      pos = eol + 1;
-    }
+  char line[256];
+  for (const auto& [host, hs] : hosts_) {
+    std::snprintf(line, sizeof(line),
+                  "host %-16s %s %-7s missed=%-8.3g threshold=%-4g fired=%llu resolved=%llu\n",
+                  host.c_str(), kBeaconStale, hs.firing ? "firing" : "idle", hs.missed,
+                  store_.options().stale_after_beacons,
+                  static_cast<unsigned long long>(hs.fired),
+                  static_cast<unsigned long long>(hs.resolved));
+    out += line;
   }
   return out;
 }

@@ -1,11 +1,17 @@
 // Declarative alerting over retained series (DESIGN.md §watchtower).
 //
-// An AlertEngine evaluates a set of rules against a SeriesStore on the
-// virtual clock.  Rules are data, not code: threshold / rate-of-change /
-// staleness / flap-count / ratio conditions with hysteresis — a condition
-// must hold `for_ns` before an alert fires (pending -> firing) and must
-// stay clear `clear_ns` before it resolves (firing -> idle), so a
-// single noisy sample neither pages nor un-pages anybody.
+// An AlertEngine evaluates a set of rules against a host's SeriesStore on
+// the virtual clock.  Rules are data, not code: threshold / rate-of-change /
+// flap-count / ratio conditions with hysteresis — a condition must hold
+// `for_ns` before an alert fires (pending -> firing) and must stay clear
+// `clear_ns` before it resolves (firing -> idle), so a single noisy sample
+// neither pages nor un-pages anybody.  Host rules are judged only on the
+// host, by its Watchtower; the fleet sees their transitions as the flight
+// entries the host's beacons carry.
+//
+// FleetWatch is the collector's one verdict: a host's silence, which only
+// the receiving side can infer.  It reads beacon arrivals (FleetStore::
+// stale()), not shipped series.
 //
 // Determinism contract: evaluation draws no randomness and sends no packet
 // on a data network; state transitions are flight-recorder entries in the
@@ -15,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -33,7 +38,6 @@ inline constexpr const char* kWatchtowerCategory = "watchtower";
 enum class AlertKind {
   threshold,  ///< last value of `metric` vs threshold
   rate,       ///< per-second delta of `metric` over `window_ns` vs threshold
-  staleness,  ///< seconds since `metric` last gained a point vs threshold
   flap,       ///< value changes of `metric` inside `window_ns` vs threshold
   ratio,      ///< window delta of `metric` / window delta of `denominator`
 };
@@ -59,7 +63,6 @@ const char* to_string(AlertState state);
 struct AlertStatus {
   std::string rule;
   std::string metric;
-  std::string scope;          ///< host name for fleet engines, "" locally
   AlertState state = AlertState::idle;
   std::int64_t since = 0;     ///< when the current state was entered
   double value = 0;           ///< last evaluated condition input
@@ -73,9 +76,7 @@ struct AlertStatus {
 class AlertEngine {
  public:
   struct Options {
-    std::string scope;                  ///< subject of the rules (host name)
-    /// Ring the transitions are recorded in (nullptr = record none).  An
-    /// entry about a scope other than the ring's owner names it in detail.
+    /// Ring the transitions are recorded in (nullptr = record none).
     FlightRecorder* flight = nullptr;
   };
 
@@ -93,7 +94,6 @@ class AlertEngine {
   std::vector<AlertStatus> status() const;
   std::size_t firing_count() const;
   std::uint64_t fired_total() const;
-  std::uint64_t resolved_total() const;
   /// Lifetime fire count for one rule (0 when unknown) — the soak's
   /// per-fault-class assertion hook.
   std::uint64_t fired(const std::string& rule) const;
@@ -106,9 +106,6 @@ class AlertEngine {
   /// churn.  Thresholds are calibrated against the chaos gauntlet's clean
   /// profiles (zero false positives on loss-free seeds).
   static std::vector<AlertRule> builtin_rules();
-  /// Beacon staleness: a host whose shipped series stop advancing for
-  /// `stale_after_beacons` of its advertised `period_ns`.
-  static AlertRule beacon_stale_rule(std::int64_t period_ns, double stale_after_beacons);
 
  private:
   struct RuleState {
@@ -129,49 +126,46 @@ class AlertEngine {
   mutable std::mutex mu_;
   std::vector<RuleState> rules_;
   std::uint64_t fired_total_ = 0;
-  std::uint64_t resolved_total_ = 0;
 };
 
-/// Collector-side alerting: one AlertEngine per beaconing host, evaluated
-/// over that host's shipped series (FleetStore::host_series).  Staleness
-/// rules fire for a host whose exporter crashed or was partitioned away —
-/// its series simply stop advancing — and resolve after the heal, when
-/// fresh points arrive.
+/// Collector-side silence detector: one `beacon_stale` verdict per
+/// beaconing host.  It fires once a host's silence exceeds the store's
+/// `stale_after_beacons` of the period that host advertises (FleetStore::
+/// stale(), the rule /fleet/health prints), and resolves when its next
+/// beacon lands.  It needs no series, so a host exporting without a
+/// watchtower is judged like any other.
 class FleetWatch {
  public:
-  struct Options {
-    /// Per-host rule set; empty selects builtin_rules() plus a
-    /// beacon_stale_rule() on the period the host's beacons advertise and
-    /// the store's stale_after_beacons (none for a host advertising no
-    /// period).
-    std::vector<AlertRule> rules;
-  };
-
   /// Transitions are recorded in `flight` — the collector host's ring —
   /// each naming its subject host (nullptr = record none).
-  explicit FleetWatch(const FleetStore& store, FlightRecorder* flight = nullptr)
-      : FleetWatch(store, Options{}, flight) {}
-  FleetWatch(const FleetStore& store, Options options, FlightRecorder* flight = nullptr);
+  explicit FleetWatch(const FleetStore& store, FlightRecorder* flight = nullptr);
 
-  /// Evaluates every known host's engine at `now_ns` (hosts appear as
-  /// their first beacon lands).
+  /// Judges every host that has beaconed at `now_ns`.  Runs on a timer:
+  /// silence fires precisely when nothing arrives to react to.
   void evaluate(std::int64_t now_ns);
 
-  std::vector<AlertStatus> status() const;  ///< all hosts, scope = host
   std::size_t firing_count() const;
   std::uint64_t fired_total() const;
-  std::uint64_t resolved_total() const;
-  std::uint64_t fired(const std::string& host, const std::string& rule) const;
-  std::uint64_t resolved(const std::string& host, const std::string& rule) const;
+  std::uint64_t fired(const std::string& host) const;
+  std::uint64_t resolved(const std::string& host) const;
 
+  /// One line per beaconing host: its beacon_stale state and counts.
   std::string format_text() const;
 
  private:
+  struct HostState {
+    bool firing = false;
+    double missed = 0;        ///< beacon periods elapsed at last evaluate
+    std::uint64_t fired = 0;
+    std::uint64_t resolved = 0;
+  };
+
+  void emit(const std::string& host, const HostState& hs, const char* what);
+
   const FleetStore& store_;
-  Options options_;
   FlightRecorder* flight_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<AlertEngine>> engines_;
+  std::map<std::string, HostState> hosts_;
 };
 
 }  // namespace snipe::obs

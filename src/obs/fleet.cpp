@@ -357,9 +357,13 @@ std::int64_t FleetStore::period_ns(const std::string& host) const {
 
 bool FleetStore::stale(const std::string& host, std::int64_t now_ns) const {
   auto it = hosts_.find(host);
-  if (it == hosts_.end() || it->second.period_ns <= 0) return false;
-  return static_cast<double>(now_ns - it->second.last_arrival) >
-         options_.stale_after_beacons * static_cast<double>(it->second.period_ns);
+  return it != hosts_.end() && stale(it->second, now_ns);
+}
+
+bool FleetStore::stale(const HostState& s, std::int64_t now_ns) const {
+  return s.period_ns > 0 && static_cast<double>(now_ns - s.last_arrival) >
+                                options_.stale_after_beacons *
+                                    static_cast<double>(s.period_ns);
 }
 
 std::vector<FleetStore::HostHealth> FleetStore::health(std::int64_t now_ns) const {
@@ -377,8 +381,7 @@ std::vector<FleetStore::HostHealth> FleetStore::health(std::int64_t now_ns) cons
     if (s.period_ns > 0)
       h.missed = static_cast<double>(now_ns - s.last_arrival) /
                  static_cast<double>(s.period_ns);
-    h.stale = s.period_ns > 0 &&
-              h.missed > options_.stale_after_beacons;
+    h.stale = stale(s, now_ns);
     out.push_back(std::move(h));
   }
   return out;
@@ -486,7 +489,7 @@ std::vector<FlightEvent> FleetStore::flight(const std::string& host) const {
 std::vector<FleetStore::HostRank> FleetStore::top_by_retransmit(std::size_t n) const {
   std::vector<HostRank> out;
   for (const auto& [name, s] : hosts_) {
-    auto num = s.counters.find("srudp.fragments_retransmitted");
+    auto num = s.counters.find("srudp.retransmits");
     auto den = s.counters.find("srudp.fragments_sent");
     if (den == s.counters.end() || den->second <= 0) continue;
     HostRank r;

@@ -164,6 +164,9 @@ class FleetStore {
   std::size_t host_count() const { return hosts_.size(); }
   /// The beacon period `host` last advertised (0 when unknown).
   std::int64_t period_ns(const std::string& host) const;
+  /// True once `host`'s silence exceeds stale_after_beacons of the period
+  /// it advertises — the one staleness rule, which health() and FleetWatch
+  /// both apply (false for an unknown host or one advertising no period).
   bool stale(const std::string& host, std::int64_t now_ns) const;
   std::vector<HostHealth> health(std::int64_t now_ns) const;
 
@@ -180,8 +183,8 @@ class FleetStore {
   double host_value(const std::string& host, const std::string& name) const;
 
   /// The watchtower history a host has shipped inside its beacons (nullptr
-  /// for unknown hosts).  FleetWatch evaluates per-host alert rules over
-  /// this — including staleness, which needs no beacon at all to fire.
+  /// for unknown hosts), for the fleet series views.  No alert reads it:
+  /// host rules are judged on the host.
   const SeriesStore* host_series(const std::string& host) const;
   /// Text render of one host's (or, with "" every host's) shipped series.
   std::string format_series(const std::string& host, const std::string& prefix) const;
@@ -223,6 +226,8 @@ class FleetStore {
     std::uint64_t resyncs = 0;
     bool awaiting_full = true;  ///< no trustworthy baseline yet
   };
+
+  bool stale(const HostState& s, std::int64_t now_ns) const;
 
   Options options_;
   std::map<std::string, HostState> hosts_;

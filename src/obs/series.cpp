@@ -124,30 +124,19 @@ void SeriesStore::scrape(std::int64_t now_ns) {
   const MetricsRegistry& reg =
       options_.registry != nullptr ? *options_.registry : MetricsRegistry::global();
   Snapshot snap = reg.snapshot();
-  // Samplers run outside the lock (they call record(), which takes it).
-  std::vector<std::function<void(std::int64_t, SeriesStore&)>> samplers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const MetricValue& m : snap) {
-      switch (m.kind) {
-        case MetricValue::Kind::counter:
-        case MetricValue::Kind::gauge:
-          series_locked(m.name).append(now_ns, m.value);
-          break;
-        case MetricValue::Kind::histogram:
-          series_locked(m.name + ".count").append(now_ns, static_cast<double>(m.count));
-          break;
-      }
-    }
-    ++scrapes_;
-    samplers = samplers_;
-  }
-  for (auto& sampler : samplers) sampler(now_ns, *this);
-}
-
-void SeriesStore::add_sampler(std::function<void(std::int64_t, SeriesStore&)> sampler) {
   std::lock_guard<std::mutex> lock(mu_);
-  samplers_.push_back(std::move(sampler));
+  for (const MetricValue& m : snap) {
+    switch (m.kind) {
+      case MetricValue::Kind::counter:
+      case MetricValue::Kind::gauge:
+        series_locked(m.name).append(now_ns, m.value);
+        break;
+      case MetricValue::Kind::histogram:
+        series_locked(m.name + ".count").append(now_ns, static_cast<double>(m.count));
+        break;
+    }
+  }
+  ++scrapes_;
 }
 
 const Series* SeriesStore::find_locked(const std::string& name) const {

@@ -6,9 +6,9 @@
 // repair churn, congestion collapse, a link that flaps every 40 seconds —
 // were invisible to every surface built so far.  SeriesStore closes that
 // gap: a per-metric fixed-capacity ring of (virtual_time, value) samples
-// scraped from the registry (and, via pluggable samplers, from the zone
-// fabric: per-link busy time, per-NIC queue depth, the route epoch) on a
-// weak virtual-time timer.
+// scraped from the registry on a weak virtual-time timer; the watchtower
+// records what the registry cannot see (its own NICs' busy time and queue
+// depth, the route epoch) right after each scrape.
 //
 // Retention is bounded two ways:
 //   * run collapse — appending a value equal to the last two points slides
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -91,8 +90,7 @@ class Series {
 };
 
 /// The per-process history store: name -> Series, plus the scrape loop's
-/// entry points.  Samplers let layers the obs library cannot see (simnet's
-/// zone fabric) contribute series without a dependency inversion.
+/// entry points.
 class SeriesStore {
  public:
   /// Points each series keeps before pair decimation halves its history.
@@ -115,13 +113,8 @@ class SeriesStore {
   void merge(const std::string& name, std::int64_t ts, double value);
 
   /// Scrapes every counter and gauge of the bound registry (histograms
-  /// contribute their observation count as "<name>.count"), then runs the
-  /// registered samplers.
+  /// contribute their observation count as "<name>.count").
   void scrape(std::int64_t now_ns);
-
-  /// Registers a sampler run at the end of every scrape (e.g. the zone
-  /// fabric's per-NIC busy/queue probe).  Not removable; register once.
-  void add_sampler(std::function<void(std::int64_t, SeriesStore&)> sampler);
 
   std::vector<std::string> names(const std::string& prefix = {}) const;
   std::size_t series_count() const;
@@ -162,7 +155,6 @@ class SeriesStore {
   Options options_;
   mutable std::mutex mu_;
   std::map<std::string, Series> series_;
-  std::vector<std::function<void(std::int64_t, SeriesStore&)>> samplers_;
   std::uint64_t scrapes_ = 0;
 };
 

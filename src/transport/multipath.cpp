@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace snipe::transport {
 
 const std::string& MultipathPolicy::preferred_name() const {
@@ -71,9 +69,7 @@ bool MultipathPolicy::on_timeout(simnet::Host& host) {
     if (next == preferred_) return false;
   }
   preferred_ = next;
-  ++switches_;
-  host.metrics().counter("multipath.route_switches").inc();
-  host.flight().record("multipath", "route_switch", "to=" + preferred_->name());
+  ++switches_;  // the owning endpoint counts and records it (srudp.route_switches)
   return true;
 }
 

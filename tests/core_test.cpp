@@ -13,6 +13,7 @@
 #include "obs/flight.hpp"
 #include "rcds/server.hpp"
 #include "simnet/fault.hpp"
+#include "transport/srudp.hpp"
 #include "util/uri.hpp"
 
 namespace snipe::core {
@@ -401,9 +402,9 @@ TEST(ConsoleReports, HealthReportRollsUpLatencyRetransmitsAndFailovers) {
     snap.push_back(m);
   };
   counter("srudp.fragments_sent", 200);
-  counter("srudp.fragments_retransmitted", 20);
+  counter("srudp.retransmits", 20);
   counter("stream.segments_sent", 0);  // idle transport: no ratio line
-  counter("multipath.route_switches", 4);
+  counter("srudp.route_switches", 4);
 
   std::string out = health_report(snap);
   EXPECT_NE(out.find("srudp delivery_ms p50=1.500 p95=4.000 p99=9.000 n=10"),
@@ -412,6 +413,30 @@ TEST(ConsoleReports, HealthReportRollsUpLatencyRetransmitsAndFailovers) {
   EXPECT_NE(out.find("srudp retransmit_ratio 0.100"), std::string::npos) << out;
   EXPECT_EQ(out.find("stream retransmit_ratio"), std::string::npos) << out;
   EXPECT_NE(out.find("route_failovers 4"), std::string::npos) << out;
+}
+
+TEST(ConsoleReports, HealthReportReadsTheCountersALossySrudpEndpointExports) {
+  // The report reads the names SRUDP actually exports: a sender on a lossy
+  // lan shows its real retransmit share, not 0.000.
+  World world(4242);
+  world.create_network("lan", simnet::ethernet100());
+  world.attach(world.create_host("a"), *world.network("lan"));
+  world.attach(world.create_host("b"), *world.network("lan"));
+  world.network("lan")->set_extra_loss(0.20);
+  transport::SrudpEndpoint tx(*world.host("a"), 7000);
+  transport::SrudpEndpoint rx(*world.host("b"), 7000);
+  rx.set_handler([](const Address&, Payload) {});
+  tx.send(rx.address(), Bytes(200'000, 0x5a));
+  world.engine().run();
+
+  const auto& stats = tx.stats();
+  ASSERT_GT(stats.fragments_retransmitted.v, 0u);
+  char want[64];
+  std::snprintf(want, sizeof(want), "srudp retransmit_ratio %.3f\n",
+                static_cast<double>(stats.fragments_retransmitted.v) /
+                    static_cast<double>(stats.fragments_sent.v));
+  std::string out = health_report(world.host("a")->metrics().snapshot());
+  EXPECT_NE(out.find(want), std::string::npos) << out;
 }
 
 TEST(ConsoleReports, TraceReportResolvesFlowIdsAndMsgIds) {
@@ -716,7 +741,7 @@ TEST_F(CoreFixture, ConsoleFleetVerbs) {
   beacon.ts = 2'000'000'000;
   beacon.period_ns = 1'000'000'000;
   beacon.full = true;
-  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.fragments_retransmitted", 2}};
+  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.retransmits", 2}};
   store.apply(beacon, beacon.ts);
   console.set_fleet(&store);
 
@@ -756,7 +781,7 @@ TEST_F(CoreFixture, ConsoleAndGatewayAnswerEveryTableRowAlike) {
   beacon.ts = 2'000'000'000;
   beacon.period_ns = 1'000'000'000;
   beacon.full = true;
-  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.fragments_retransmitted", 2}};
+  beacon.counters = {{"srudp.fragments_sent", 8}, {"srudp.retransmits", 2}};
   beacon.series = {{"srudp.rto_events", {{1'000'000'000, 1.0}}}};
   store.apply(beacon, beacon.ts);
   obs::FleetWatch fleet_watch(store);

@@ -351,7 +351,7 @@ TEST(FleetIntegration, EightHostWorldExactPercentilesAndStaleness) {
       union_hist.observe(v);
     }
     registries.back()->counter("srudp.fragments_sent").inc(50 * (h + 1));
-    registries.back()->counter("srudp.fragments_retransmitted").inc(h);
+    registries.back()->counter("srudp.retransmits").inc(h);
     fleet_sent += 50.0 * (h + 1);
     world.host(name)->flight().record("test", "boot", "n=" + std::to_string(h));
 

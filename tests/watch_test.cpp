@@ -1,6 +1,6 @@
 // Watchtower suite (DESIGN.md §watchtower): series retention (run collapse
 // + pair decimation), the alert rule state machine (pending -> firing ->
-// resolved with hysteresis), collector-side FleetWatch staleness, the
+// resolved with hysteresis), the collector-side FleetWatch silence verdict, the
 // per-host Watchtower daemon wiring — and the soak scenarios: one seeded
 // fault class per test (clean / partition / crashed exporter / RTO storm /
 // incast / route flaps / repair churn), each required to fire exactly its
@@ -123,7 +123,7 @@ TEST(Series, ChangesInCountsTransitionsInsideWindowOnly) {
   EXPECT_EQ(s.changes_in(1, 6 * kS), 1u);  // only the 6s transition
 }
 
-// ---- SeriesStore: scrape, samplers, queries --------------------------------
+// ---- SeriesStore: scrape, queries -----------------------------------------
 
 TEST(SeriesStore, ScrapePullsCountersGaugesHistogramsAndSamplers) {
   obs::MetricsRegistry registry;
@@ -133,15 +133,10 @@ TEST(SeriesStore, ScrapePullsCountersGaugesHistogramsAndSamplers) {
   registry.histogram("h.delivery_ms").observe(4.0);
 
   obs::SeriesStore store({&registry});
-  store.add_sampler([](std::int64_t now, obs::SeriesStore& s) {
-    s.record("sampled.extra", now, 42);
-  });
   store.scrape(1 * kS);
   EXPECT_DOUBLE_EQ(store.last("c.events"), 3);
   EXPECT_DOUBLE_EQ(store.last("g.load"), 1.5);
   EXPECT_DOUBLE_EQ(store.last("h.delivery_ms.count"), 2);  // histos ship counts
-  EXPECT_DOUBLE_EQ(store.last("sampled.extra"), 42);
-  EXPECT_EQ(store.last_ts("sampled.extra"), 1 * kS);
 
   registry.counter("c.events").inc(7);
   store.scrape(2 * kS);
@@ -171,7 +166,6 @@ TEST(SeriesStore, UnknownSeriesAnswerZeroAndEmpty) {
 TEST(Alert, ThresholdHysteresisPendingFiringResolvedLifecycle) {
   obs::FlightRecorder flight("hostA", [] { return std::int64_t{0}; });
   obs::AlertEngine::Options opt;
-  opt.scope = "hostA";
   opt.flight = &flight;
   obs::AlertEngine engine(opt);
   obs::AlertRule rule;
@@ -271,7 +265,6 @@ TEST(Alert, RateStalenessFlapAndRatioKindsEvaluate) {
     return r;
   };
   engine.add_rule(rule("rate", obs::AlertKind::rate, "ctr", 1.0, 10 * kS));
-  engine.add_rule(rule("stale", obs::AlertKind::staleness, "beat", 3.0, 0));
   engine.add_rule(rule("flap", obs::AlertKind::flap, "epoch", 3.0, 10 * kS));
   obs::AlertRule ratio = rule("ratio", obs::AlertKind::ratio, "num", 0.25, 10 * kS);
   ratio.denominator = "den";
@@ -280,7 +273,6 @@ TEST(Alert, RateStalenessFlapAndRatioKindsEvaluate) {
   obs::SeriesStore store;
   store.record("ctr", 0, 0);
   store.record("ctr", 10 * kS, 100);  // 10/s over the window
-  store.record("beat", 10 * kS, 1);
   double flap_values[] = {0, 1, 0, 1, 0};
   for (int i = 0; i < 5; ++i) store.record("epoch", (6 + i) * kS, flap_values[i]);
   store.record("num", 0, 0);
@@ -292,15 +284,6 @@ TEST(Alert, RateStalenessFlapAndRatioKindsEvaluate) {
   EXPECT_EQ(engine.fired("rate"), 1u);   // 10/s > 1/s
   EXPECT_EQ(engine.fired("flap"), 1u);   // 4 changes > 3
   EXPECT_EQ(engine.fired("ratio"), 1u);  // 30/100 > 0.25
-  EXPECT_EQ(engine.fired("stale"), 0u);  // fresh point: age 0
-
-  // 4 s of silence on "beat": the staleness rule fires; a fresh point
-  // resolves it on the next evaluation (clear_ns = 0).
-  engine.evaluate(store, 14 * kS);
-  EXPECT_EQ(engine.fired("stale"), 1u);
-  store.record("beat", 15 * kS, 2);
-  engine.evaluate(store, 15 * kS);
-  EXPECT_EQ(engine.resolved("stale"), 1u);
 
   // Ratio guards against an idle denominator: delta(den) == 0 divides by 1,
   // not by zero — no new num activity means value 0, which resolves.
@@ -330,41 +313,40 @@ TEST(Alert, BuiltinRulesStayIdleOnCleanStore) {
   EXPECT_EQ(engine.firing_count(), 0u);
 }
 
-// ---- FleetWatch: collector-side staleness over shipped series --------------
+// ---- FleetWatch: the collector judges beacon silence ----------------------
 
 TEST(FleetWatch, BeaconStaleFiresPerHostAndResolvesOnFreshPoints) {
   obs::FleetStore store;
-  auto feed = [&store](const std::string& host, std::uint32_t seq, std::int64_t ts,
-                       double beacons) {
+  // Bare beacons, no series: silence is judged from arrivals alone.
+  auto feed = [&store](const std::string& host, std::uint32_t seq, std::int64_t ts) {
     obs::TelemetryBeacon b;
     b.host = host;
     b.seq = seq;
     b.ts = ts;
     b.period_ns = kS;  // judged stale after the store's 3 of these
     b.full = true;
-    b.series = {{"telemetry.beacons_sent", {{ts, beacons}}}};
     store.apply(b, ts);
   };
 
   obs::FleetWatch watch(store);
 
-  feed("a", 1, 1 * kS, 1);
-  feed("b", 1, 1 * kS, 1);
+  feed("a", 1, 1 * kS);
+  feed("b", 1, 1 * kS);
   watch.evaluate(2 * kS);
   EXPECT_EQ(watch.fired_total(), 0u);
 
   // Host b keeps beaconing; host a goes silent.  Only a may page.
-  for (std::uint32_t s = 2; s <= 8; ++s) feed("b", s, s * kS, s);
-  watch.evaluate(8 * kS);  // a's series 7 s old > 3 periods
-  EXPECT_EQ(watch.fired("a", "beacon_stale"), 1u);
-  EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);
+  for (std::uint32_t s = 2; s <= 8; ++s) feed("b", s, s * kS);
+  watch.evaluate(8 * kS);  // a silent 7 s > 3 periods
+  EXPECT_EQ(watch.fired("a"), 1u);
+  EXPECT_EQ(watch.fired("b"), 0u);
   EXPECT_EQ(watch.firing_count(), 1u);
 
-  // Fresh points (the heal) resolve it.
-  feed("a", 2, 9 * kS, 2);
-  feed("b", 9, 9 * kS, 9);
+  // A fresh beacon (the heal) resolves it.
+  feed("a", 2, 9 * kS);
+  feed("b", 9, 9 * kS);
   watch.evaluate(9 * kS);
-  EXPECT_EQ(watch.resolved("a", "beacon_stale"), 1u);
+  EXPECT_EQ(watch.resolved("a"), 1u);
   EXPECT_EQ(watch.firing_count(), 0u);
   EXPECT_NE(watch.format_text().find("beacon_stale"), std::string::npos);
 }
@@ -648,8 +630,8 @@ TEST(WatchSoak, SlowBeaconsAreJudgedOnTheirAdvertisedPeriod) {
   EXPECT_EQ(store.period_ns("a"), duration::seconds(4));
   EXPECT_GE(w.a.exporter->beacons_sent(), 14u);
   const obs::FleetWatch& watch = *w.collector->watch();
-  EXPECT_EQ(watch.fired("a", "beacon_stale"), 0u);
-  EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);
+  EXPECT_EQ(watch.fired("a"), 0u);
+  EXPECT_EQ(watch.fired("b"), 0u);
   EXPECT_EQ(watch.fired_total(), 0u) << watch.format_text();
   EXPECT_NE(watch.format_text().find("beacon_stale"), std::string::npos);
   soak_report("slow_beacons", seed, duration_ns);
@@ -673,9 +655,9 @@ TEST(WatchSoak, PartitionFiresBeaconStaleAndResolvesAfterHeal) {
 
   ASSERT_NE(w.collector->watch(), nullptr);
   const obs::FleetWatch& watch = *w.collector->watch();
-  EXPECT_GE(watch.fired("a", "beacon_stale"), cycles);
-  EXPECT_GE(watch.resolved("a", "beacon_stale"), cycles);
-  EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);  // b never went silent
+  EXPECT_GE(watch.fired("a"), cycles);
+  EXPECT_GE(watch.resolved("a"), cycles);
+  EXPECT_EQ(watch.fired("b"), 0u);  // b never went silent
   EXPECT_EQ(watch.firing_count(), 0u);              // healed world is quiet
 
   // The collector files its transitions in its own ring, naming the
@@ -683,7 +665,7 @@ TEST(WatchSoak, PartitionFiresBeaconStaleAndResolvesAfterHeal) {
   std::size_t filed = 0;
   for (const auto& e : w.world.host("coll")->flight().events())
     filed += e.detail.rfind("host=a beacon_stale ", 0) == 0 ? 1 : 0;
-  EXPECT_GE(filed, 3 * cycles);  // pending, firing, resolved per cycle
+  EXPECT_GE(filed, 2 * cycles);  // firing and resolved per cycle
   for (const auto& e : w.collector->store().flight("a"))
     EXPECT_EQ(e.detail.find("beacon_stale"), std::string::npos) << e.detail;
   // World-level faults stay in the World ring: no beacon carries a copy.
@@ -691,6 +673,67 @@ TEST(WatchSoak, PartitionFiresBeaconStaleAndResolvesAfterHeal) {
   for (const auto& e : w.collector->store().flight())
     EXPECT_NE(e.cat, "fault") << e.host << " shipped " << e.what;
   soak_report("partition", seed, duration_ns);
+}
+
+// A host that exports without a watchtower ships no series at all; the
+// collector still judges its silence, from beacon arrivals alone.
+TEST(WatchSoak, TowerlessExporterFiresBeaconStaleAndResolvesAfterHeal) {
+  std::uint64_t seed = chaos::chaos_seed() + 9150;
+  SoakWorld w(seed);
+  w.world.create_network("mgmt_c", simnet::ethernet100());
+  w.world.attach(w.world.create_host("c"), *w.world.network("mgmt_c"));
+  w.world.attach(*w.world.host("coll"), *w.world.network("mgmt_c"));
+  transport::RpcEndpoint c_rpc(*w.world.host("c"), 7400);
+  daemon::TelemetryConfig cfg;
+  cfg.collectors = {w.coll_rpc->address()};
+  daemon::TelemetryExporter exporter(c_rpc, cfg);
+  exporter.start();
+
+  FaultPlan plan(w.world, seed + 1);
+  const std::uint64_t cycles = soak_scale();
+  const SimTime cycle_ns = duration::seconds(60);
+  const SimTime cut = duration::seconds(10), heal = duration::seconds(30);
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    SimTime base = static_cast<SimTime>(c) * cycle_ns;
+    plan.partition("mgmt_c", {{"c"}, {"coll"}}, base + cut, base + heal);
+  }
+  const SimTime duration_ns = static_cast<SimTime>(cycles) * cycle_ns;
+  keep_alive(w.world.engine(), duration_ns);
+  w.world.engine().run_until(duration_ns);
+
+  const obs::FleetStore& store = w.collector->store();
+  ASSERT_NE(store.host_series("c"), nullptr);
+  EXPECT_EQ(store.host_series("c")->series_count(), 0u);  // no tower, no series
+  const obs::FleetWatch& watch = *w.collector->watch();
+  EXPECT_EQ(watch.fired("c"), cycles);
+  EXPECT_EQ(watch.resolved("c"), cycles);
+  EXPECT_EQ(watch.firing_count(), 0u) << watch.format_text();
+  EXPECT_NE(watch.format_text().find("host c "), std::string::npos) << watch.format_text();
+
+  // Each cycle fires once the silence passes stale_after_beacons periods
+  // (the last beacon landed at most one period before the cut; the watch
+  // looks every kWatchPeriod), and resolves with the first beacon after
+  // the heal.
+  const SimTime period = cfg.period;
+  const SimTime stale_ns = static_cast<SimTime>(
+      store.options().stale_after_beacons * static_cast<double>(period));
+  std::vector<SimTime> fired, resolved;
+  for (const auto& e : w.world.host("coll")->flight().events()) {
+    if (e.detail.rfind("host=c beacon_stale ", 0) != 0) continue;
+    (e.what == "alert.firing" ? fired : resolved).push_back(e.ts);
+  }
+  ASSERT_EQ(fired.size(), cycles);
+  ASSERT_EQ(resolved.size(), cycles);
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    SimTime base = static_cast<SimTime>(c) * cycle_ns;
+    EXPECT_GE(fired[c], base + cut + stale_ns - period) << "cycle " << c;
+    EXPECT_LE(fired[c], base + cut + stale_ns + daemon::TelemetryCollector::kWatchPeriod)
+        << "cycle " << c;
+    EXPECT_GT(resolved[c], base + heal) << "cycle " << c;
+    EXPECT_LE(resolved[c], base + heal + period + daemon::TelemetryCollector::kWatchPeriod)
+        << "cycle " << c;
+  }
+  soak_report("towerless_partition", seed, duration_ns);
 }
 
 TEST(WatchSoak, CrashedExporterFiresBeaconStaleAndResolvesAfterRestart) {
@@ -708,9 +751,9 @@ TEST(WatchSoak, CrashedExporterFiresBeaconStaleAndResolvesAfterRestart) {
   w.world.engine().run_until(duration_ns);
 
   const obs::FleetWatch& watch = *w.collector->watch();
-  EXPECT_GE(watch.fired("a", "beacon_stale"), cycles);
-  EXPECT_GE(watch.resolved("a", "beacon_stale"), cycles);
-  EXPECT_EQ(watch.fired("b", "beacon_stale"), 0u);
+  EXPECT_GE(watch.fired("a"), cycles);
+  EXPECT_GE(watch.resolved("a"), cycles);
+  EXPECT_EQ(watch.fired("b"), 0u);
   EXPECT_EQ(watch.firing_count(), 0u);
   // The local tower skipped scrapes while down, so its own alert engine
   // stayed quiet too (no self-paging from a crashed host).
@@ -747,14 +790,24 @@ TEST(WatchSoak, RtoStormFiresDuringBlackoutAndResolvesAfterHeal) {
   EXPECT_GE(alerts.resolved("srudp_rto_storm"), cycles);
   EXPECT_EQ(alerts.firing_count(), 0u);
   // The fleet side never lost beacons (management links were untouched).
-  EXPECT_EQ(w.collector->watch()->fired("a", "beacon_stale"), 0u);
+  EXPECT_EQ(w.collector->watch()->fired("a"), 0u);
   // Attribution: b only receives, so it ships no RTOs and its own tower
   // stays quiet; the storm is a's alone.
   const obs::FleetStore& store = w.collector->store();
   EXPECT_GT(store.host_value("a", "srudp.rto_events"), 0.0);
   EXPECT_EQ(store.host_value("b", "srudp.rto_events"), 0.0);
   EXPECT_EQ(w.b.tower->alerts().fired_total(), 0u) << w.b.tower->alerts().format_text();
-  EXPECT_EQ(w.collector->watch()->fired("b", "srudp_rto_storm"), 0u);
+  // The storm is judged on a alone: its firing entries reach the collector
+  // inside a's beacons, and the collector's own ring files no verdict on it.
+  std::size_t shipped = 0;
+  for (const auto& e : store.flight("a"))
+    shipped += e.cat == obs::kWatchtowerCategory && e.what == "alert.firing" &&
+                       e.detail.rfind("srudp_rto_storm ", 0) == 0
+                   ? 1
+                   : 0;
+  EXPECT_GE(shipped, 1u);
+  for (const auto& e : w.world.host("coll")->flight().events())
+    EXPECT_EQ(e.detail.find("srudp_rto_storm"), std::string::npos) << e.detail;
   soak_report("rto_storm", seed, duration_ns);
 }
 
