@@ -58,31 +58,6 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
       config_(config),
       rc_(rpc_, std::move(rc_replicas)),
       log_("files@" + host.name() + ":" + std::to_string(rpc_.address().port), host.clock()) {
-  rpc_.serve(tags::kStore,
-             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
-               if (!lifn) return lifn.error();
-               auto content = r.blob();
-               if (!content) return content.error();
-               store_local(lifn.value(), content.value());
-               return Payload{};
-             });
-
-  rpc_.serve(tags::kFetch,
-             [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
-               if (!lifn) return lifn.error();
-               auto it = store_.find(lifn.value());
-               if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
-               ++stats_.fetches;
-               bytes_served_->inc(it->second.bytes->size());
-               PayloadWriter w;
-               w.blob(Payload(it->second.bytes));
-               return std::move(w).take();
-             });
-
   rpc_.serve(tags::kOpenSink,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
                PayloadCursor r(body);
@@ -261,7 +236,6 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
   bytes_stored_ = &registry.gauge("files.bytes_stored");
   stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
     s.add("files.stores", stats_.stores);
-    s.add("files.fetches", stats_.fetches);
     s.add("files.sink_sessions", stats_.sink_sessions);
     s.add("files.source_sessions", stats_.source_sessions);
     s.add("files.replicas_pushed", stats_.replicas_pushed);

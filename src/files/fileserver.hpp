@@ -44,8 +44,6 @@
 namespace snipe::files {
 
 namespace tags {
-inline constexpr std::uint32_t kStore = 120;       ///< direct whole-file store
-inline constexpr std::uint32_t kFetch = 121;       ///< direct whole-file fetch
 inline constexpr std::uint32_t kOpenSink = 122;    ///< spawn a file sink
 inline constexpr std::uint32_t kSinkData = 123;    ///< one-way data to a sink
 inline constexpr std::uint32_t kCloseSink = 124;   ///< finalize a sink
@@ -84,7 +82,6 @@ struct FileServerConfig {
 
 struct FileServerStats {
   std::uint64_t stores = 0;
-  std::uint64_t fetches = 0;
   std::uint64_t sink_sessions = 0;
   std::uint64_t source_sessions = 0;  ///< stripe streams opened
   std::uint64_t replicas_pushed = 0;
@@ -139,7 +136,7 @@ class FileServer {
   };
 
   /// A stored file: its sealed buffer (crypto::seal) and the SHA-256 hex
-  /// announced for it.  Sources and kFetch serve slices of the buffer.
+  /// announced for it.  Sources serve slices of the buffer.
   struct Stored {
     Payload::Buffer bytes;
     std::string sha256;
@@ -165,7 +162,7 @@ class FileServer {
   std::map<std::uint64_t, Sink> sinks_;
   std::uint64_t next_sink_id_ = 1;
   FileServerStats stats_;
-  obs::Counter* bytes_served_;  ///< host's "files.bytes_served" (fetch + source)
+  obs::Counter* bytes_served_;  ///< host's "files.bytes_served" (sources)
   /// Host's "files.bytes_stored".  A level, so a gauge: as a counter, an
   /// overwrite or delete that shrinks it would read as a registry reset to
   /// the beacon builder.  Each server adds its own changes, so servers

@@ -499,27 +499,5 @@ TEST_F(FilesFixture, OverwriteAnnouncesDigestOfNewBytes) {
   EXPECT_EQ(read.value(), pattern(2000, 3));
 }
 
-TEST_F(FilesFixture, DirectStoreFetchRpc) {
-  // The plain kStore/kFetch path (used by checkpoint storage).
-  ByteWriter w;
-  w.str("lifn://utk.edu/ckpt/1");
-  w.blob(pattern(5000));
-  Result<Bytes> stored(Errc::state_error, "unset");
-  app_rpc->call(fs1->address(), tags::kStore, std::move(w).take(),
-                [&](Result<Bytes> r) { stored = r; });
-  world.engine().run();
-  ASSERT_TRUE(stored.ok());
-
-  ByteWriter f;
-  f.str("lifn://utk.edu/ckpt/1");
-  Result<Bytes> fetched(Errc::state_error, "unset");
-  app_rpc->call(fs1->address(), tags::kFetch, std::move(f).take(),
-                [&](Result<Bytes> r) { fetched = r; });
-  world.engine().run();
-  ASSERT_TRUE(fetched.ok());
-  ByteReader r(fetched.value());
-  EXPECT_EQ(r.blob().value(), pattern(5000));
-}
-
 }  // namespace
 }  // namespace snipe::files
