@@ -260,7 +260,8 @@ void FleetWatch::emit(const std::string& host, const HostState& hs, const char* 
   if (flight_ == nullptr) return;
   char detail[256];
   std::snprintf(detail, sizeof(detail),
-                "host=%s %s missed=%g threshold=%g — no beacon for the advertised periods",
+                "host=%s %s missed=%g threshold=%g — no beacon heard "
+                "(crashed or partitioned exporter)",
                 host.c_str(), kBeaconStale, hs.missed, store_.options().stale_after_beacons);
   flight_->record(kWatchtowerCategory, what, detail);
 }

@@ -361,9 +361,9 @@ bool FleetStore::stale(const std::string& host, std::int64_t now_ns) const {
 }
 
 bool FleetStore::stale(const HostState& s, std::int64_t now_ns) const {
-  return s.period_ns > 0 && static_cast<double>(now_ns - s.last_arrival) >
-                                options_.stale_after_beacons *
-                                    static_cast<double>(s.period_ns);
+  if (s.period_ns <= 0) return false;
+  return static_cast<double>(now_ns - s.last_arrival) >
+         options_.stale_after_beacons * static_cast<double>(s.period_ns);
 }
 
 std::vector<FleetStore::HostHealth> FleetStore::health(std::int64_t now_ns) const {

@@ -801,10 +801,9 @@ TEST(WatchSoak, RtoStormFiresDuringBlackoutAndResolvesAfterHeal) {
   // inside a's beacons, and the collector's own ring files no verdict on it.
   std::size_t shipped = 0;
   for (const auto& e : store.flight("a"))
-    shipped += e.cat == obs::kWatchtowerCategory && e.what == "alert.firing" &&
-                       e.detail.rfind("srudp_rto_storm ", 0) == 0
-                   ? 1
-                   : 0;
+    if (e.cat == obs::kWatchtowerCategory && e.what == "alert.firing" &&
+        e.detail.rfind("srudp_rto_storm ", 0) == 0)
+      ++shipped;
   EXPECT_GE(shipped, 1u);
   for (const auto& e : w.world.host("coll")->flight().events())
     EXPECT_EQ(e.detail.find("srudp_rto_storm"), std::string::npos) << e.detail;
