@@ -353,14 +353,14 @@ Payload::Buffer seal(Bytes bytes) {
 }
 
 Payload::Buffer seal(const Payload& content) {
-  if (content.whole_sealed_digest() != nullptr) return content.segment(0).buf;
+  if (content.proven_digest() != nullptr) return content.segment(0).buf;
   if (content.segment_count() == 1 && content.size() == content.segment(0).buf->size())
     return Payload::seal(content.segment(0).buf, sha256(content));
   return seal(content.to_bytes());
 }
 
 Digest256 verified_sha256(const Payload& data) {
-  if (const Payload::Digest* d = data.whole_sealed_digest()) return *d;
+  if (const Payload::Digest* d = data.proven_digest()) return *d;
   return sha256(data);
 }
 

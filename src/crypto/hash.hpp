@@ -85,18 +85,20 @@ Digest256 sha256(const std::string& data);
 Digest256 sha256(const Payload& data);
 
 /// One digest per immutable buffer (DESIGN.md §data-plane).  seal() hashes
-/// `bytes` once and returns them as a buffer carrying that digest;
-/// verified_sha256() then reuses it for a payload that is exactly one
-/// segment spanning a sealed buffer whole, and hashes every other payload
-/// in full.  Sound because buffers are immutable and a corrupted byte is
-/// always a fresh, unsealed clone (Payload::cow_xor).
+/// `bytes` once and returns them as a buffer carrying that digest.
 Payload::Buffer seal(Bytes bytes);
-/// The sealed buffer holding `content`'s bytes: its own buffer when it is
-/// exactly one whole sealed buffer (nothing is hashed); that buffer sealed
-/// in place when it is one whole unsealed buffer (hashed, not copied);
-/// otherwise a flattened copy, so a stored file never pins a buffer larger
-/// than itself.
+/// The sealed buffer holding `content`'s bytes: the first segment's buffer
+/// when provenance proves the bytes sealed (Payload::proven_digest; nothing
+/// is hashed or copied); that buffer sealed in place when it is one whole
+/// unsealed buffer (hashed, not copied); otherwise a flattened copy, so a
+/// stored file never pins a buffer larger than itself.
 Payload::Buffer seal(const Payload& content);
+/// `data`'s SHA-256: the sealed digest when provenance proves it
+/// (Payload::proven_digest: each segment a same-offset slice of an
+/// equal-length buffer with the same seal, or memcmp-equal to the first
+/// segment's sealed buffer, as a short copied tail is), costing O(segments)
+/// plus the memcmp'd bytes; otherwise hashed in full, so a corrupted byte,
+/// which always lands on an unsealed clone, still shows.
 Digest256 verified_sha256(const Payload& data);
 
 /// Lowercase hex of a digest.

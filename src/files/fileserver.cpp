@@ -196,12 +196,13 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
                auto content = r.blob();
                if (!content) return content.error();
                ++stats_.replicas_received;
-               // A push that arrived intact is the pusher's sealed buffer and
-               // keeps its seal; otherwise hash only bytes this server does
-               // not already hold (a repair push repeats them, a push after
-               // an overwrite replaces them).
+               // A push whose provenance proves the pusher's seal (its
+               // sealed buffer, perhaps with a short tail the transport
+               // copied) keeps that seal; otherwise hash only bytes this
+               // server does not already hold (a repair push repeats them, a
+               // push after an overwrite replaces them).
                Stored& file = store_[lifn.value()];
-               if (file.bytes == nullptr || content.value().whole_sealed_digest() != nullptr ||
+               if (file.bytes == nullptr || content.value().proven_digest() != nullptr ||
                    !(content.value() == *file.bytes))
                  put(file, crypto::seal(content.value()));
                // (Re-)announce unconditionally: a repair push may follow a
@@ -754,9 +755,10 @@ void FileClient::finish_read(std::uint64_t read_id, Result<void> result) {
     return;
   }
   Payload content = assemble(read.chunks);
-  // Chunks that reassembled into exactly one sealed stored buffer are
-  // verified by its sealed digest; anything else is hashed over its
-  // segments (crypto::verified_sha256).
+  // Chunks sliced from replicas' sealed copies of the file, each at its own
+  // offset, are verified by the shared sealed digest; a short tail the
+  // transport copied is memcmp'd against the first copy; anything else is
+  // hashed over its segments (crypto::verified_sha256).
   if (!read.expect_hash.empty() &&
       crypto::digest_hex(crypto::verified_sha256(content)) != read.expect_hash) {
     read.done(Error{Errc::corrupt, "content hash mismatch"});

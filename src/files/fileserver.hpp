@@ -19,14 +19,17 @@
 // offset, so stripes reassemble out of order and a re-issued stripe's
 // duplicate chunks are idempotent.  Chunks are slices of the stored file's
 // buffer, never copies, and the buffer is sealed with its SHA-256 when it
-// is stored: a read whose chunks reassemble into exactly that buffer is
-// verified against the sealed digest without hashing a byte, and anything
-// else is hashed in full.  The client spreads stripes across the
-// LIFN's live replicas — ranked by network distance (§6: "Duplicated file
-// reading/access is supported via location of closest resource daemons")
-// plus observed failure history — and re-issues a stalled stripe from the
-// next-best replica when its per-stripe progress timer fires, so a replica
-// dying mid-stream degrades a transfer instead of wedging it.
+// is stored.  A read is verified by provenance: when every chunk is a slice
+// of some replica's sealed copy at its own offset (stripes from two servers
+// alternate between two copies) or, like a short tail the transport copied
+// into a header chunk, equals the first copy's bytes by memcmp, the sealed
+// digest stands without hashing a byte; anything else is hashed in full.
+// The client spreads stripes across the LIFN's live replicas — ranked by
+// network distance (§6: "Duplicated file reading/access is supported via
+// location of closest resource daemons") plus observed failure history —
+// and re-issues a stalled stripe from the next-best replica when its
+// per-stripe progress timer fires, so a replica dying mid-stream degrades a
+// transfer instead of wedging it.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +115,8 @@ class FileServer {
   /// Direct in-process access (tests / co-located components).
   bool has(const std::string& lifn) const { return store_.count(lifn) > 0; }
   Result<Bytes> read(const std::string& lifn) const;
-  /// Stores `content` under `lifn`, reusing its seal when it is exactly one
-  /// sealed buffer and hashing it once otherwise (crypto::seal).
+  /// Stores `content` under `lifn`, reusing its seal when provenance proves
+  /// it and hashing it once otherwise (crypto::seal).
   void store_local(const std::string& lifn, const Payload& content, bool announce = true);
 
   std::size_t file_count() const { return store_.size(); }

@@ -104,10 +104,23 @@ const Payload::Digest* Payload::sealed_digest(const Buffer& buf) {
   return s == nullptr ? nullptr : &s->sha256;
 }
 
-const Payload::Digest* Payload::whole_sealed_digest() const {
-  if (nsegs_ != 1 || inline_[0].off != 0 || inline_[0].len != inline_[0].buf->size())
-    return nullptr;
-  return sealed_digest(inline_[0].buf);
+const Payload::Digest* Payload::proven_digest() const {
+  if (nsegs_ == 0) return nullptr;
+  const Bytes& ref = *inline_[0].buf;
+  const Digest* digest = sealed_digest(inline_[0].buf);
+  if (digest == nullptr || ref.size() != size_) return nullptr;
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < nsegs_; ++i) {
+    const Segment& s = segment(i);
+    bool same_copy = false;
+    if (s.off == pos && s.buf->size() == size_) {
+      const Digest* d = sealed_digest(s.buf);
+      same_copy = d != nullptr && *d == *digest;
+    }
+    if (!same_copy && std::memcmp(s.data(), ref.data() + pos, s.len) != 0) return nullptr;
+    pos += s.len;
+  }
+  return digest;
 }
 
 void Payload::not_contiguous() const {

@@ -20,7 +20,11 @@
 // A buffer may be *sealed* with its SHA-256 (seal()): the digest rides in
 // the buffer's shared_ptr control block, so it lives and dies with exactly
 // that allocation and is never found through a later buffer that happens
-// to reuse the address.
+// to reuse the address.  A payload's bytes carry a sealed digest when their
+// provenance proves them equal to a sealed buffer (proven_digest()): every
+// segment is either a same-offset slice of a buffer sealed with that digest
+// and exactly as long as the payload, or compares equal (memcmp) to those
+// bytes at its offset.
 #pragma once
 
 #include <array>
@@ -119,9 +123,17 @@ class Payload {
   static Buffer seal(Buffer buf, const Digest& sha256);
   /// The digest sealed into `buf`'s control block, or nullptr.
   static const Digest* sealed_digest(const Buffer& buf);
-  /// The sealed digest of the bytes when this payload is exactly one
-  /// segment spanning a sealed buffer whole; nullptr otherwise.
-  const Digest* whole_sealed_digest() const;
+  /// The sealed digest of these bytes, when their provenance proves it;
+  /// nullptr otherwise.  The reference is the first segment's buffer, which
+  /// must be sealed and exactly as long as the payload.  Each segment then
+  /// either sits at its own payload offset in a buffer exactly as long as
+  /// the payload and sealed with the same digest (O(1): same digest, same
+  /// length, same place, so the same bytes), or equals the reference's
+  /// bytes at that offset by memcmp (a short tail copied into a header
+  /// chunk, a clone whose bytes did not change).  Sound because buffers are immutable and seals are true: a
+  /// corrupted byte is always a fresh, unsealed clone (cow_xor) whose bytes
+  /// differ from the reference.
+  const Digest* proven_digest() const;
 
   bool operator==(const Payload& o) const;
   bool operator==(const Bytes& o) const;

@@ -167,7 +167,7 @@ TEST(Sha256, PayloadIsHashedOverItsSegmentsWithoutFlattening) {
   EXPECT_EQ(h.finish(), md5(whole));
 }
 
-TEST(Sha256, VerifiedDigestReusesASealOnlyForOneWholeSealedSegment) {
+TEST(Sha256, VerifiedDigestTakesASealOnlyWhereProvenanceProvesIt) {
   Bytes bytes(5000, 0x42);
   Payload::Buffer sealed = seal(bytes);
   ASSERT_NE(Payload::sealed_digest(sealed), nullptr);
@@ -175,8 +175,9 @@ TEST(Sha256, VerifiedDigestReusesASealOnlyForOneWholeSealedSegment) {
   EXPECT_EQ(verified_sha256(Payload(sealed)), sha256(bytes));
 
   // A seal that lies (sealed with another buffer's digest) shows which path
-  // ran: the whole sealed buffer takes the seal without hashing a byte;
-  // every other shape of the same bytes is hashed in full.
+  // ran: the whole sealed buffer takes the seal without hashing a byte; a
+  // shorter slice of it, or its first and only segment cloned, has no
+  // sealed reference and is hashed in full.
   const Digest256 lie = sha256(to_bytes("not these bytes"));
   Payload::Buffer lying = Payload::seal(bytes, lie);
   EXPECT_EQ(verified_sha256(Payload(lying)), lie);
@@ -189,6 +190,84 @@ TEST(Sha256, VerifiedDigestReusesASealOnlyForOneWholeSealedSegment) {
   cloned.cow_xor(0, 0x01);  // flipped back: same bytes, but a fresh buffer
   EXPECT_EQ(cloned.to_bytes(), bytes);
   EXPECT_EQ(verified_sha256(cloned), sha256(bytes));
+}
+
+/// The chunks of a striped read served by two replicas: kChunk-byte slices
+/// at their own offsets, from `even` for even chunk indices and from `odd`
+/// for odd ones, up to `end`.
+constexpr std::size_t kChunk = 1024;
+constexpr std::size_t kCopySize = 8 * kChunk + 100;  // a 100-byte last chunk
+
+Payload stripes_of(const Payload::Buffer& even, const Payload::Buffer& odd,
+                   std::size_t end = kCopySize) {
+  Payload p;
+  for (std::size_t off = 0, c = 0; off < end; off += kChunk, ++c)
+    p.append(Payload(c % 2 == 0 ? even : odd, off, std::min(kChunk, end - off)));
+  return p;
+}
+
+/// Bytes that differ from their neighbours, so a slice shifted by one byte
+/// does not compare equal.
+Bytes varied(std::size_t n, std::uint8_t salt) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(i * 31 + salt);
+  return b;
+}
+
+TEST(Sha256, VerifiedDigestProvesInterleavedSealedCopiesAndACopiedTail) {
+  // Two equal copies sealed with the same lie, as two file servers hold
+  // them: a payload alternating between them at matching offsets takes the
+  // lie without hashing a byte.
+  const Bytes bytes = varied(kCopySize, 0);
+  const Digest256 lie = sha256(to_bytes("not these bytes"));
+  Payload::Buffer a = Payload::seal(bytes, lie);
+  Payload::Buffer b = Payload::seal(bytes, lie);
+  const Payload both = stripes_of(a, b);
+  ASSERT_EQ(both.segment_count(), 9u);
+  EXPECT_EQ(verified_sha256(both), lie);
+
+  // A short unsealed tail (RPC framing copies a body segment under 512 B
+  // into its header chunk) is compared with the first copy's bytes.
+  Payload tailed = stripes_of(a, b, 8 * kChunk);
+  tailed.append(Payload(Bytes(bytes.end() - 100, bytes.end())));
+  ASSERT_EQ(tailed.segment_count(), 9u);
+  EXPECT_EQ(verified_sha256(tailed), lie);
+  Bytes flipped_tail(bytes.end() - 100, bytes.end());
+  flipped_tail[42] ^= 0x01;
+  Payload bad_tail = stripes_of(a, b, 8 * kChunk);
+  bad_tail.append(Payload(std::move(flipped_tail)));
+  EXPECT_EQ(verified_sha256(bad_tail), sha256(bad_tail.to_bytes()));
+  EXPECT_NE(verified_sha256(bad_tail), lie);
+
+  // Everything the rule cannot prove is hashed.  One slice shifted by one
+  // byte:
+  Payload shifted = stripes_of(a, b, 3 * kChunk);
+  shifted.append(Payload(b, 3 * kChunk + 1, kChunk));
+  shifted.append(Payload(a, 4 * kChunk, kCopySize - 4 * kChunk));
+  ASSERT_EQ(shifted.size(), kCopySize);
+  EXPECT_EQ(verified_sha256(shifted), sha256(shifted.to_bytes()));
+  EXPECT_NE(verified_sha256(shifted), lie);
+  // a first copy one byte longer than the payload:
+  Bytes longer_bytes = bytes;
+  longer_bytes.push_back(0);
+  const Payload longer = stripes_of(Payload::seal(longer_bytes, lie), b);
+  ASSERT_EQ(longer.size(), kCopySize);
+  EXPECT_EQ(verified_sha256(longer), sha256(bytes));
+  // a second copy with other bytes and another digest:
+  const Digest256 other_lie = sha256(to_bytes("nor these"));
+  const Payload mixed = stripes_of(a, Payload::seal(varied(kCopySize, 7), other_lie));
+  EXPECT_EQ(verified_sha256(mixed), sha256(mixed.to_bytes()));
+  EXPECT_NE(verified_sha256(mixed), lie);
+  // a chunk a fault flipped, which lands on an unsealed clone:
+  Payload corrupted = both;
+  corrupted.cow_xor(3 * kChunk + 5, 0x01);
+  EXPECT_EQ(verified_sha256(corrupted), sha256(corrupted.to_bytes()));
+  EXPECT_NE(verified_sha256(corrupted), lie);
+
+  // Sealing a proven payload returns its first copy: no hash, no copy.
+  EXPECT_EQ(seal(both), a);
+  EXPECT_EQ(seal(tailed), a);
+  EXPECT_EQ(*Payload::sealed_digest(seal(tailed)), lie);
 }
 
 TEST(Sha256, SealingAPayloadReusesCopiesOrWrapsAsItMust) {

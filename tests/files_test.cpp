@@ -193,6 +193,68 @@ TEST_F(FilesFixture, ByteFlippedInFlightFailsAStripedReadAsCorrupt) {
   EXPECT_EQ(fs2->read(lifn).value(), content);
 }
 
+// The fleet shape: each server stores its *own* copy of the file, sealed
+// separately (no replication), and a 4-stripe read alternates between the
+// two copies chunk by chunk.  The size leaves a 100-byte last chunk, under
+// RPC framing's 512-byte splice minimum, so it arrives copied into a header
+// chunk, not as a slice of either copy.
+struct TwoSealedCopies : FilesFixture {
+  static constexpr std::size_t kChunk = 8192;
+  const std::string lifn = "lifn://utk.edu/sealed/two-copies";
+  const Bytes content = pattern(12 * kChunk + 100, 9);
+
+  void store_both(const crypto::Digest256& seal) {
+    fs1->set_peers({});
+    fs2->set_peers({});
+    fs1->store_local(lifn, Payload(Payload::seal(content, seal)));
+    fs2->store_local(lifn, Payload(Payload::seal(content, seal)));
+    world.engine().run();
+  }
+  FileClientConfig striped_config() const {
+    FileClientConfig cfg;
+    cfg.chunk = kChunk;
+    cfg.stripes = 4;
+    return cfg;
+  }
+};
+
+TEST_F(TwoSealedCopies, StripedReadOfTwoSeparatelySealedCopiesHashesNoByte) {
+  // Both copies are sealed with the same lie: had any byte been hashed, the
+  // read would fail as corrupt.
+  const crypto::Digest256 lie = crypto::sha256(pattern(10, 10));
+  store_both(lie);
+  ASSERT_EQ(fs2->stats().replicas_received, 0u);
+  ASSERT_EQ(catalog_hash(*rc, lifn), crypto::digest_hex(lie));
+  FileClient striped(*app_rpc, replicas(), striped_config());
+  Result<Bytes> read(Errc::state_error, "unset");
+  striped.read(lifn, [&](Result<Bytes> r) { read = r; });
+  world.engine().run();
+  ASSERT_TRUE(read.ok()) << read.error().to_string();
+  EXPECT_EQ(read.value(), content);
+  EXPECT_GE(fs1->stats().source_sessions, 1u);
+  EXPECT_GE(fs2->stats().source_sessions, 1u);  // stripes from both copies
+}
+
+TEST_F(TwoSealedCopies, ByteFlippedInFlightFailsAReadOfTwoSealedCopiesAsCorrupt) {
+  // True seals this time: the flipped byte lands on an unsealed clone whose
+  // bytes differ from the first copy's, so the read is hashed and rejected.
+  store_both(crypto::sha256(content));
+  FileClient striped(*app_rpc, replicas(), striped_config());
+  simnet::FaultProfile flip;
+  flip.corrupt = 0.01;
+  flip.corrupt_max_bytes = 1;
+  simnet::FaultPlan plan(world, 2);
+  plan.inject("lan", flip);
+  Result<Bytes> read(Errc::state_error, "unset");
+  striped.read(lifn, [&](Result<Bytes> r) { read = r; });
+  world.engine().run_for(duration::seconds(30));
+  // Seeded so that exactly one datagram is hit: a data fragment.
+  EXPECT_EQ(plan.injector("lan")->stats().corrupted.load(), 1u);
+  EXPECT_EQ(read.code(), Errc::corrupt) << (read.ok() ? "ok" : read.error().to_string());
+  EXPECT_EQ(fs1->read(lifn).value(), content);
+  EXPECT_EQ(fs2->read(lifn).value(), content);
+}
+
 TEST_F(FilesFixture, MissingLifnReportsNotFound) {
   Result<Bytes> read(Errc::state_error, "unset");
   client->read("lifn://utk.edu/ghost", [&](Result<Bytes> r) { read = r; });

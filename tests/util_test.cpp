@@ -459,15 +459,16 @@ TEST(Seal, DigestRidesInTheControlBlock) {
   EXPECT_EQ(*Payload::sealed_digest(sealed), digest_of(0xAB));
   EXPECT_EQ(Payload::sealed_digest(std::make_shared<const Bytes>(Bytes(64, 0x11))), nullptr);
 
-  // Only one segment spanning the whole sealed buffer carries the digest.
-  EXPECT_NE(Payload(sealed).whole_sealed_digest(), nullptr);
-  EXPECT_EQ(Payload(sealed, 0, 63).whole_sealed_digest(), nullptr);
+  // A whole sealed buffer, or slices that coalesce back into it, carries the
+  // digest; a shorter slice or a prefixed payload does not.
+  EXPECT_NE(Payload(sealed).proven_digest(), nullptr);
+  EXPECT_EQ(Payload(sealed, 0, 63).proven_digest(), nullptr);
   Payload two = Payload(sealed, 0, 32);
   two.append(Payload(sealed, 32, 32));  // adjacent slices coalesce back whole
-  EXPECT_NE(two.whole_sealed_digest(), nullptr);
+  EXPECT_NE(two.proven_digest(), nullptr);
   Payload prefixed(Bytes{0});
   prefixed.append(Payload(sealed));
-  EXPECT_EQ(prefixed.whole_sealed_digest(), nullptr);
+  EXPECT_EQ(prefixed.proven_digest(), nullptr);
 }
 
 TEST(Seal, BufferReallocatedAtTheSameAddressGetsNoDigest) {
@@ -487,7 +488,7 @@ TEST(Seal, BufferReallocatedAtTheSameAddressGetsNoDigest) {
   }
   Payload::Buffer reused = std::make_shared<const Bytes>(std::move(fresh));
   EXPECT_EQ(Payload::sealed_digest(reused), nullptr);
-  EXPECT_EQ(Payload(reused).whole_sealed_digest(), nullptr);
+  EXPECT_EQ(Payload(reused).proven_digest(), nullptr);
 }
 
 TEST(Seal, CowXorClonesASealedBufferEvenWhenItIsTheSoleOwner) {
@@ -499,7 +500,7 @@ TEST(Seal, CowXorClonesASealedBufferEvenWhenItIsTheSoleOwner) {
   in_flight.cow_xor(2, 0xFF);
   // A write in place would leave the digest describing bytes that changed.
   EXPECT_NE(in_flight.data(), before);
-  EXPECT_EQ(in_flight.whole_sealed_digest(), nullptr);
+  EXPECT_EQ(in_flight.proven_digest(), nullptr);
   EXPECT_EQ(in_flight.to_bytes(), (Bytes{1, 2, static_cast<std::uint8_t>(3 ^ 0xFF), 4}));
 }
 
