@@ -75,8 +75,8 @@ void MulticastGroup::refresh(std::function<void(Result<void>)> ready) {
   // Periodic re-discovery keeps the router list fresh as routers come and
   // go (§5.2.4's notify list for "the set of multicast routers changes" is
   // modelled as polling the registry on the virtual clock).
-  refresh_timer_ = process_.engine().schedule_weak(config_.refresh_period,
-                                              [this] { refresh(nullptr); });
+  refresh_timer_ =
+      process_.engine().schedule_weak(kRefreshPeriod, [this] { refresh(nullptr); });
   if (!process_.host().up() && ready == nullptr) return;  // host is down
   process_.rc().lookup(
       group_urn_, rcds::names::kGroupRouter,
@@ -159,8 +159,7 @@ void MulticastGroup::register_with_routers() {
     if (router == process_.address()) {
       // Register with our own router directly.
       router_state_.members[process_.urn()] =
-          Member{process_.address(),
-                 process_.engine().now() + config_.membership_ttl};
+          Member{process_.address(), process_.engine().now() + kMembershipTtl};
       continue;
     }
     process_.rpc().call(
@@ -174,7 +173,7 @@ void MulticastGroup::register_with_routers() {
           // process migrated away).  After a few misses, retract its RC
           // registration so the whole group stops addressing it — the
           // §5.2.4 "set of multicast routers changes" event.
-          if (++join_failures_[router] < config_.router_prune_after) return;
+          if (++join_failures_[router] < kRouterPruneAfter) return;
           join_failures_.erase(router);
           std::string url = "snipe://" + router.host + ":" +
                             std::to_string(router.port) + "/mcast";
@@ -198,7 +197,7 @@ Result<Bytes> MulticastGroup::on_join(const simnet::Address& from, const Payload
   if (!group || !urn || !host || !port) return Error{Errc::corrupt, "bad join"};
   router_state_.members[urn.value()] =
       Member{simnet::Address{host.value(), port.value()},
-             process_.engine().now() + config_.membership_ttl};
+             process_.engine().now() + kMembershipTtl};
   (void)from;
   return Bytes{};
 }

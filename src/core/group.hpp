@@ -38,15 +38,6 @@ namespace snipe::core {
 struct GroupConfig {
   /// The election heuristic tops the group up to this many routers.
   int desired_routers = 3;
-  /// Period for refreshing the router list / registrations.
-  SimDuration refresh_period = duration::seconds(5);
-  /// Memberships are soft state: a router forgets a member that has not
-  /// re-registered within this long (dead members stop receiving
-  /// deliveries instead of accumulating undeliverable traffic).
-  SimDuration membership_ttl = duration::seconds(20);
-  /// A member that fails to reach a router this many consecutive refreshes
-  /// deregisters it from the group metadata (§5.2.4's router-set change).
-  int router_prune_after = 3;
 };
 
 struct GroupStats {
@@ -68,6 +59,16 @@ class MulticastGroup {
  public:
   using GroupMessageHandler =
       std::function<void(const std::string& src_urn, Bytes body)>;
+
+  /// Period for refreshing the router list / registrations.
+  static constexpr SimDuration kRefreshPeriod = duration::seconds(5);
+  /// Memberships are soft state: a router forgets a member that has not
+  /// re-registered within this long (dead members stop receiving
+  /// deliveries instead of accumulating undeliverable traffic).
+  static constexpr SimDuration kMembershipTtl = duration::seconds(20);
+  /// A member that fails to reach a router this many consecutive refreshes
+  /// deregisters it from the group metadata (§5.2.4's router-set change).
+  static constexpr int kRouterPruneAfter = 3;
 
   /// Joins `process` to the group named by `group_urn` (§5.2.4 "The name
   /// of the multicast group (a URN or URL)").  `ready` fires when router

@@ -33,11 +33,10 @@ Result<UserMessage> UserMessage::decode(const Bytes& data) {
 }
 
 SnipeProcess::SnipeProcess(simnet::Host& host, const std::string& name,
-                           std::vector<simnet::Address> rc_replicas, ProcessConfig config)
+                           std::vector<simnet::Address> rc_replicas)
     : host_(&host),
       engine_(&host.engine()),
       urn_(starts_with(name, "urn:") ? name : process_urn(name)),
-      config_(config),
       rpc_(std::make_unique<transport::RpcEndpoint>(host, 0)),
       rc_(std::make_unique<rcds::RcClient>(*rpc_, std::move(rc_replicas))),
       log_("proc@" + urn_, host.clock()) {
@@ -95,7 +94,7 @@ void SnipeProcess::bind_handlers() {
     auto port = r.u16();
     if (!urn || !host || !port) return;
     resolve_cache_[urn.value()] =
-        CachedAddress{{host.value(), port.value()}, engine_->now() + config_.resolve_ttl};
+        CachedAddress{{host.value(), port.value()}, engine_->now() + kResolveTtl};
     log_.debug("notified: ", urn.value(), " moved to ", host.value());
   });
 }
@@ -143,8 +142,7 @@ void SnipeProcess::resolve(const std::string& urn,
                 }
                 simnet::Address address{uri.value().host,
                                         static_cast<std::uint16_t>(uri.value().port)};
-                resolve_cache_[urn] =
-                    CachedAddress{address, engine_->now() + config_.resolve_ttl};
+                resolve_cache_[urn] = CachedAddress{address, engine_->now() + kResolveTtl};
                 done(address);
               });
 }
@@ -153,7 +151,7 @@ void SnipeProcess::send(const std::string& dst_urn, std::uint32_t tag, Bytes bod
                         DoneHandler done) {
   ++stats_.sent;
   UserMessage msg{urn_, tag, std::move(body)};
-  attempt_send(dst_urn, msg.encode(), config_.delivery_attempts, std::move(done),
+  attempt_send(dst_urn, msg.encode(), kDeliveryAttempts, std::move(done),
                /*resolve_fresh=*/false);
 }
 
@@ -203,7 +201,7 @@ void SnipeProcess::attempt_send(const std::string& dst_urn, Bytes wire, int atte
           ++stats_.send_failures;
           if (done) done(r.error());
         },
-        config_.delivery_timeout);
+        kDeliveryTimeout);
   });
 }
 
@@ -340,10 +338,10 @@ void SnipeProcess::migrate_to(simnet::Host& new_host, DoneHandler done) {
         ++stats_.relayed;
         relay_rpc->notify(new_address, tag, body);
       });
-  engine_->schedule_weak(config_.relay_grace,
-                    [old = std::shared_ptr<transport::RpcEndpoint>(std::move(old_rpc))]() {
-                      // Dropping the endpoint unbinds the old port.
-                    });
+  engine_->schedule_weak(kRelayGrace,
+                         [old = std::shared_ptr<transport::RpcEndpoint>(std::move(old_rpc))]() {
+                           // Dropping the endpoint unbinds the old port.
+                         });
 
   log_.info("migrated ", urn_, " from ", old_host->name(), ":", old_address.port, " to ",
             new_host.name(), ":", new_address.port);

@@ -42,18 +42,6 @@ inline constexpr std::uint32_t kMcastDeliver = 155;  ///< router -> member
 inline constexpr std::uint32_t kHttpRequest = 156;   ///< console gateway
 }  // namespace tags
 
-struct ProcessConfig {
-  /// Resolution cache entries expire after this long.
-  SimDuration resolve_ttl = duration::seconds(30);
-  /// Delivery attempts before giving up (each attempt re-resolves).
-  int delivery_attempts = 3;
-  /// Per-attempt acknowledgement timeout.
-  SimDuration delivery_timeout = duration::seconds(2);
-  /// How long the old incarnation relays after migration (§5.6: "act as a
-  /// relay or redirect for a short period").
-  SimDuration relay_grace = duration::seconds(10);
-};
-
 struct ProcessStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered_in = 0;
@@ -71,9 +59,19 @@ class SnipeProcess {
   using DoneHandler = std::function<void(Result<void>)>;
   using SpawnHandler = std::function<void(Result<daemon::SpawnReply>)>;
 
+  /// Resolution cache entries expire after this long.
+  static constexpr SimDuration kResolveTtl = duration::seconds(30);
+  /// Delivery attempts before giving up (each attempt re-resolves).
+  static constexpr int kDeliveryAttempts = 3;
+  /// Per-attempt acknowledgement timeout.
+  static constexpr SimDuration kDeliveryTimeout = duration::seconds(2);
+  /// How long the old incarnation relays after migration (§5.6: "act as a
+  /// relay or redirect for a short period").
+  static constexpr SimDuration kRelayGrace = duration::seconds(10);
+
   /// Creates the process on `host`, binds an endpoint, registers the URN.
   SnipeProcess(simnet::Host& host, const std::string& name,
-               std::vector<simnet::Address> rc_replicas, ProcessConfig config = {});
+               std::vector<simnet::Address> rc_replicas);
   ~SnipeProcess();
 
   const std::string& urn() const { return urn_; }
@@ -113,7 +111,7 @@ class SnipeProcess {
   /// Self-initiated migration (§5.6).  Moves this process's identity to
   /// `new_host`; completes with the address change done, RC updated,
   /// notify list informed, and this (old) incarnation demoted to a relay
-  /// that forwards for `relay_grace` and then falls silent.  The message
+  /// that forwards for kRelayGrace and then falls silent.  The message
   /// handler transfers to the new incarnation.
   void migrate_to(simnet::Host& new_host, DoneHandler done = nullptr);
 
@@ -144,7 +142,6 @@ class SnipeProcess {
   simnet::Host* host_;
   simnet::Engine* engine_;
   std::string urn_;
-  ProcessConfig config_;
   std::unique_ptr<transport::RpcEndpoint> rpc_;
   std::unique_ptr<rcds::RcClient> rc_;
   MessageHandler handler_;

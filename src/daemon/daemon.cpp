@@ -240,29 +240,8 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
           })
       .value();
 
-  // Fleet telemetry roles (DESIGN.md "fleet telemetry plane"): collector
-  // first so a daemon that is both can receive its own beacons.  The
-  // watchtower starts before the exporter so that, on ticks sharing a
-  // virtual timestamp, the scrape lands before the beacon builds.
-  if (config_.telemetry_collector) {
-    CollectorWatchConfig cw;
-    cw.enabled = config_.watchtower;
-    telemetry_collector_ =
-        std::make_unique<TelemetryCollector>(rpc_, obs::FleetStore::Options{}, cw);
-  }
-  if (config_.watchtower) {
-    watchtower_ = std::make_unique<Watchtower>(host_, config_.watch);
-    watchtower_->start();
-  }
-  if (!config_.telemetry.collectors.empty()) {
-    telemetry_exporter_ = std::make_unique<TelemetryExporter>(
-        rpc_, config_.telemetry, nullptr, nullptr,
-        watchtower_ != nullptr ? &watchtower_->series() : nullptr);
-    telemetry_exporter_->start();
-  }
-
   publish_host_metadata();
-  engine_.schedule_weak(config_.load_report_period, [this] { publish_load(); });
+  engine_.schedule_weak(kLoadReportPeriod, [this] { publish_load(); });
   heartbeats_ = &host_.metrics().counter("daemon.heartbeats");
   stats_source_ = host_.metrics().add_stats([this](obs::StatsSink& s) {
     s.add("daemon.spawns_ok", stats_.spawns_ok);
@@ -307,7 +286,7 @@ void SnipeDaemon::publish_host_metadata() {
 }
 
 void SnipeDaemon::publish_load() {
-  engine_.schedule_weak(config_.load_report_period, [this] { publish_load(); });
+  engine_.schedule_weak(kLoadReportPeriod, [this] { publish_load(); });
   if (!host_.up()) return;  // a dead host reports nothing
   rc_.set(host_url(), rcds::names::kHostLoad, std::to_string(load()),
           [](Result<void>) {});

@@ -26,8 +26,6 @@
 #include "crypto/identity.hpp"
 #include "crypto/session.hpp"
 #include "daemon/task.hpp"
-#include "daemon/telemetry.hpp"
-#include "daemon/watchtower.hpp"
 #include "files/fileserver.hpp"
 #include "obs/metrics.hpp"
 #include "playground/playground.hpp"
@@ -56,24 +54,12 @@ struct DaemonConfig {
   /// in its metadata ("Authentication credentials – public keys and key
   /// certificates to be used to authenticate the host", §5.2.1).
   std::shared_ptr<crypto::Principal> host_principal;
-  SimDuration load_report_period = duration::seconds(2);
   /// Require an RM-signed authorization on every spawn (§4).
   bool require_authorization = false;
   /// Issuers trusted for grant_resources (spawn auth) and sign_mobile_code
   /// (playground verification).
   crypto::TrustStore trust;
   playground::PlaygroundConfig playground;
-  /// Fleet telemetry export (off unless collectors are configured): the
-  /// daemon publishes beacons for its whole process — "each SNIPE daemon
-  /// mediates ... monitoring machine load and other local resources".
-  TelemetryConfig telemetry;
-  /// Serve the beacon tag and maintain a fleet store on this daemon (the
-  /// collector role; any daemon can take it).
-  bool telemetry_collector = false;
-  /// Run a per-host watchtower (series retention + alert rules); on a
-  /// collector daemon this also enables the fleet-side FleetWatch.
-  bool watchtower = false;
-  WatchtowerConfig watch;
 };
 
 struct DaemonStats {
@@ -90,6 +76,8 @@ Bytes authorization_payload(const std::string& program, const std::string& host)
 class SnipeDaemon {
  public:
   static constexpr std::uint16_t kDefaultPort = 7201;
+  /// Period of the load report into the host's RC record.
+  static constexpr SimDuration kLoadReportPeriod = duration::seconds(2);
 
   SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
               std::uint16_t port = kDefaultPort, DaemonConfig config = {});
@@ -127,16 +115,6 @@ class SnipeDaemon {
   /// host in the host metadata (§5.2.1 "The URLs of any brokers which
   /// manage this host's resources").
   void add_broker(const std::string& broker_url);
-
-  /// Telemetry roles (nullptr when not configured).
-  TelemetryExporter* telemetry_exporter() { return telemetry_exporter_.get(); }
-  TelemetryCollector* telemetry_collector() { return telemetry_collector_.get(); }
-  const TelemetryCollector* telemetry_collector() const {
-    return telemetry_collector_.get();
-  }
-  /// The per-host watchtower (nullptr unless config.watchtower).
-  Watchtower* watchtower() { return watchtower_.get(); }
-  const Watchtower* watchtower() const { return watchtower_.get(); }
 
  private:
   struct TaskEntry final : TaskHandle {
@@ -179,9 +157,6 @@ class SnipeDaemon {
   /// §4 authenticated channels, keyed by the RM endpoint that opened them.
   std::map<simnet::Address, crypto::Session> sessions_;
   std::uint64_t next_task_seq_ = 1;
-  std::unique_ptr<TelemetryExporter> telemetry_exporter_;
-  std::unique_ptr<TelemetryCollector> telemetry_collector_;
-  std::unique_ptr<Watchtower> watchtower_;
   DaemonStats stats_;
   obs::Counter* heartbeats_;  ///< host's "daemon.heartbeats" (pongs answered)
   Logger log_;

@@ -214,9 +214,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
 
   if (config_.repair_period > 0)
     engine_.schedule_weak(config_.repair_period, [this] { repair_tick(); });
-  if (config_.sink_ttl > 0)
-    engine_.schedule_weak(std::max<SimDuration>(config_.sink_ttl / 2, 1),
-                          [this] { sink_sweep(); });
+  engine_.schedule_weak(kSinkTtl / 2, [this] { sink_sweep(); });
 
   rpc_.serve(tags::kDelete,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
@@ -292,12 +290,11 @@ void FileServer::announce(const std::string& lifn, const Stored& file) {
 }
 
 void FileServer::sink_sweep() {
-  engine_.schedule_weak(std::max<SimDuration>(config_.sink_ttl / 2, 1),
-                        [this] { sink_sweep(); });
+  engine_.schedule_weak(kSinkTtl / 2, [this] { sink_sweep(); });
   SimTime now = engine_.now();
   for (auto it = sinks_.begin(); it != sinks_.end();) {
     Sink& sink = it->second;
-    if (now - sink.last_activity < config_.sink_ttl) {
+    if (now - sink.last_activity < kSinkTtl) {
       ++it;
       continue;
     }
@@ -579,7 +576,6 @@ obs::Counter& FileClient::instrument(obs::Counter*& slot, const char* name) {
 }
 
 int FileClient::attempt_budget(const PendingRead& read) const {
-  if (config_.max_attempts > 0) return config_.max_attempts;
   return static_cast<int>(read.candidates.size()) * 2 + 1;
 }
 
@@ -635,7 +631,7 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
         if (!st.done && st.received >= st.expected) note_stripe_done(read, st);
         if (read.bytes_have >= read.total) finish_read(read_id, ok_result());
       },
-      config_.open_timeout);
+      kOpenTimeout);
   auto& tracer = rpc_.host().tracer();
   if (tracer.flow_enabled())
     tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
@@ -652,7 +648,7 @@ void FileClient::arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe) {
   if (it == reads_.end()) return;
   Stripe& st = it->second.stripes[stripe];
   rpc_.engine().cancel(st.timer);
-  st.timer = rpc_.engine().schedule(config_.stripe_stall, [this, read_id, stripe] {
+  st.timer = rpc_.engine().schedule(kStripeStall, [this, read_id, stripe] {
     auto rit = reads_.find(read_id);
     if (rit == reads_.end()) return;
     PendingRead& read = rit->second;
@@ -661,10 +657,10 @@ void FileClient::arm_stripe_timer(std::uint64_t read_id, std::uint32_t stripe) {
     if (st.done) return;
     const SimTime now = rpc_.engine().now();
     const SimDuration idle = now - st.last_progress;
-    if (idle < config_.stripe_stall) {
+    if (idle < kStripeStall) {
       // Progress since the timer was armed: wait out the remainder.
       st.timer = rpc_.engine().schedule(
-          config_.stripe_stall - idle,
+          kStripeStall - idle,
           [this, read_id, stripe] { arm_stripe_timer(read_id, stripe); });
       return;
     }

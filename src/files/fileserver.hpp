@@ -77,10 +77,6 @@ struct FileServerConfig {
   /// deleting replicas of files according to local policy, redundancy
   /// requirements, and demand" — §3.2).  0 disables repair.
   SimDuration repair_period = duration::seconds(15);
-  /// Idle TTL for open sinks: a sink that sees no data for this long is
-  /// discarded (its writer crashed or gave up), releasing the buffered
-  /// bytes.  0 keeps abandoned sinks forever (the pre-TTL leak).
-  SimDuration sink_ttl = duration::seconds(60);
 };
 
 struct FileServerStats {
@@ -98,6 +94,10 @@ struct FileServerStats {
 class FileServer {
  public:
   static constexpr std::uint16_t kDefaultPort = 7120;
+  /// Idle TTL for open sinks: a sink that sees no data for this long is
+  /// discarded (its writer crashed or gave up), releasing the buffered
+  /// bytes.  A sweep every kSinkTtl / 2 reaps them.
+  static constexpr SimDuration kSinkTtl = duration::seconds(60);
 
   /// `rc_replicas`: the metadata registry to announce locations in.
   FileServer(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
@@ -183,14 +183,6 @@ struct FileClientConfig {
   /// single-stream behaviour (closest replica only); larger counts spread
   /// stripes round-robin over the ranked replicas.
   std::uint32_t stripes = 1;
-  /// Per-stripe progress timeout: a stripe that receives nothing for this
-  /// long is re-issued from the next-best replica.
-  SimDuration stripe_stall = duration::milliseconds(750);
-  /// Deadline for the per-stripe kOpenSource RPC itself.
-  SimDuration open_timeout = duration::seconds(2);
-  /// Open attempts per stripe before the whole read fails (0 = automatic:
-  /// two passes over the candidate list plus one).
-  int max_attempts = 0;
 };
 
 /// Client-side file I/O: striped sink writes, striped multi-replica source
@@ -201,11 +193,14 @@ class FileClient {
   using ReadHandler = std::function<void(Result<Bytes>)>;
   using DoneHandler = std::function<void(Result<void>)>;
 
+  /// Per-stripe progress timeout: a stripe that receives nothing for this
+  /// long is re-issued from the next-best replica.
+  static constexpr SimDuration kStripeStall = duration::milliseconds(750);
+  /// Deadline for the per-stripe kOpenSource RPC itself.
+  static constexpr SimDuration kOpenTimeout = duration::seconds(2);
+
   FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address> rc_replicas,
              FileClientConfig config = {});
-  FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address> rc_replicas,
-             std::size_t chunk)
-      : FileClient(rpc, std::move(rc_replicas), FileClientConfig{chunk}) {}
   ~FileClient();
 
   /// Writes `content` under `lifn` by spawning a sink on `server` and
@@ -258,6 +253,8 @@ class FileClient {
   /// against the registered hash, and flattens them for the handler.
   void finish_read(std::uint64_t read_id, Result<void> result);
   void note_stripe_done(PendingRead& read, Stripe& s);
+  /// Open attempts per stripe before the whole read fails: two passes over
+  /// the candidate list plus one.
   int attempt_budget(const PendingRead& read) const;
 
   /// Orders candidate servers by observed failure history, then network

@@ -31,8 +31,7 @@ Result<std::pair<std::string, std::vector<Assertion>>> decode_update(const Bytes
 }
 
 RcServer::RcServer(simnet::Host& host, std::uint16_t port, RcServerConfig config)
-    : rpc_(host, port,
-           transport::RpcConfig{duration::seconds(5), config.shared_secret, {}}),
+    : rpc_(host, port, transport::RpcConfig{config.shared_secret}),
       engine_(host.engine()),
       config_(std::move(config)),
       server_id_(host.name() + ":" + std::to_string(rpc_.address().port)),

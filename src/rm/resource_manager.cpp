@@ -139,7 +139,7 @@ ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address
         }
       })
       .value();
-  engine_.schedule_weak(config_.monitor_period, [this] { poll_hosts(); });
+  engine_.schedule_weak(kMonitorPeriod, [this] { poll_hosts(); });
   auto& registry = rpc_.host().metrics();
   spawn_latency_ms_ = &registry.histogram("rm.spawn_latency_ms");
   stats_source_ = registry.add_stats([this](obs::StatsSink& s) {
@@ -183,18 +183,18 @@ void ResourceManager::queue_decision(std::function<void()> work) {
   // One decision at a time: requests queue behind the RM's CPU, which is
   // what makes a single centralized RM the §2.2 bottleneck.
   SimTime start = std::max(engine_.now(), busy_until_);
-  busy_until_ = start + config_.decision_time;
+  busy_until_ = start + kDecisionTime;
   engine_.schedule_at(busy_until_, std::move(work));
 }
 
 void ResourceManager::poll_hosts() {
-  engine_.schedule_weak(config_.monitor_period, [this] { poll_hosts(); });
+  engine_.schedule_weak(kMonitorPeriod, [this] { poll_hosts(); });
   if (!rpc_.host().up()) return;
   simnet::Host* host = rpc_.host().world()->host(rpc_.address().host);
   for (auto& [name, info] : hosts_) {
     ++stats_.polls;
     // Score the previous round first.
-    if (!info.pong_seen && ++info.missed_polls >= config_.dead_after_misses) {
+    if (!info.pong_seen && ++info.missed_polls >= kDeadAfterMisses) {
       if (info.alive) {
         rpc_.host().tracer().instant(engine_.now(), "rm", "rm.host_dead", {{"host", name}});
         rpc_.host().flight().record(

@@ -37,15 +37,6 @@ inline constexpr std::uint32_t kPing = 143;
 }  // namespace tags
 
 struct RmConfig {
-  SimDuration monitor_period = duration::seconds(2);
-  /// Hosts missing this many consecutive polls are considered dead.
-  int dead_after_misses = 2;
-  /// CPU time one allocation decision costs the RM (matching resources,
-  /// policy checks, signing).  Decisions serialize on the RM — this is
-  /// exactly why §2.2 calls PVM's centralized resource manager "a
-  /// bottleneck for a very large virtual machine", and what redundant RMs
-  /// parallelize.
-  SimDuration decision_time = duration::milliseconds(2);
   /// Issuers trusted to identify users and hosts (§4).
   crypto::TrustStore trust;
 };
@@ -73,6 +64,16 @@ struct Reservation {
 class ResourceManager {
  public:
   static constexpr std::uint16_t kDefaultPort = 7300;
+  /// Health-poll period.
+  static constexpr SimDuration kMonitorPeriod = duration::seconds(2);
+  /// Hosts missing this many consecutive polls are considered dead.
+  static constexpr int kDeadAfterMisses = 2;
+  /// CPU time one allocation decision costs the RM (matching resources,
+  /// policy checks, signing).  Decisions serialize on the RM — this is
+  /// exactly why §2.2 calls PVM's centralized resource manager "a
+  /// bottleneck for a very large virtual machine", and what redundant RMs
+  /// parallelize.
+  static constexpr SimDuration kDecisionTime = duration::milliseconds(2);
 
   ResourceManager(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
                   crypto::Principal principal, std::uint16_t port = kDefaultPort,
@@ -127,7 +128,7 @@ class ResourceManager {
   /// transport's persistence, not the host's health.  Each round first
   /// scores the previous round's answers, then probes again.
   void poll_hosts();
-  /// Serializes `work` behind earlier decisions, charging decision_time.
+  /// Serializes `work` behind earlier decisions, charging kDecisionTime.
   void queue_decision(std::function<void()> work);
   void handle_allocate(const simnet::Address& from, const Payload& body,
                        transport::RpcEndpoint::Responder respond);
@@ -141,7 +142,7 @@ class ResourceManager {
   rcds::RcClient rc_;
   std::map<std::string, HostInfo> hosts_;
   std::uint16_t ping_port_ = 0;
-  SimTime busy_until_ = 0;  ///< decision queue head (see decision_time)
+  SimTime busy_until_ = 0;  ///< decision queue head (see kDecisionTime)
   Rng session_rng_{0xbeef5e551ULL};  ///< padding/key material for §4 sessions
   RmStats stats_;
   obs::Histogram* spawn_latency_ms_;  ///< host's "rm.spawn_latency_ms"

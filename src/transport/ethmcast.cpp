@@ -7,15 +7,13 @@
 namespace snipe::transport {
 
 EthMcastEndpoint::EthMcastEndpoint(simnet::Host& host, const std::string& network,
-                                   const std::string& group, std::uint16_t port,
-                                   EthMcastConfig config)
+                                   const std::string& group, std::uint16_t port)
     : host_(host),
       engine_(host.engine()),
       network_(network),
       net_(host.world()->network(network)),
       group_(group),
       port_(port),
-      config_(config),
       log_("ethmcast@" + host.name() + "/" + group, host.clock()) {
   auto* nic = host_.nic_on(network_);
   assert(nic != nullptr && "host not attached to multicast segment");
@@ -66,7 +64,7 @@ void EthMcastEndpoint::send(Payload message) {
   ++stats_.messages_sent;
   sent_[msg_id] = std::move(msg);
   // Hold the buffer long enough for repair requests, then let it go.
-  engine_.schedule_weak(config_.sender_hold, [this, msg_id] { sent_.erase(msg_id); });
+  engine_.schedule_weak(kSenderHold, [this, msg_id] { sent_.erase(msg_id); });
 }
 
 void EthMcastEndpoint::broadcast_fragment(const OutMessage& msg, std::uint64_t msg_id,
@@ -173,7 +171,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
       break;
     }
   if (!msg.nack_timer.valid())
-    schedule_nack(sender, p.msg_id, gap ? config_.nack_delay : config_.nack_retry);
+    schedule_nack(sender, p.msg_id, gap ? kNackDelay : kNackRetry);
 }
 
 void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_t msg_id,
@@ -209,7 +207,7 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
     opts.preferred_network = net_;
     auto r = host_.send(sender, encode_mcast_nack(port_, nack), opts);
     if (!r) log_.trace("nack failed: ", r.error().to_string());
-    schedule_nack(sender, msg_id, config_.nack_retry);
+    schedule_nack(sender, msg_id, kNackRetry);
   });
 }
 

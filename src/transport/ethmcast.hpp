@@ -20,12 +20,6 @@
 
 namespace snipe::transport {
 
-struct EthMcastConfig {
-  SimDuration nack_delay = duration::microseconds(500);  ///< gap -> NACK
-  SimDuration nack_retry = duration::milliseconds(20);   ///< while incomplete
-  SimDuration sender_hold = duration::seconds(5);  ///< keep data for repairs
-};
-
 /// The endpoint streams these cells into its host's obs::MetricsRegistry
 /// through one stats visitor ("ethmcast.nacks_sent", ...).
 struct EthMcastStats {
@@ -46,8 +40,12 @@ class EthMcastEndpoint {
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;
 
+  static constexpr SimDuration kNackDelay = duration::microseconds(500);  ///< gap -> NACK
+  static constexpr SimDuration kNackRetry = duration::milliseconds(20);   ///< while incomplete
+  static constexpr SimDuration kSenderHold = duration::seconds(5);  ///< keep data for repairs
+
   EthMcastEndpoint(simnet::Host& host, const std::string& network, const std::string& group,
-                   std::uint16_t port, EthMcastConfig config = {});
+                   std::uint16_t port);
   ~EthMcastEndpoint();
 
   /// Broadcasts `message` to every other endpoint of this group on the
@@ -87,7 +85,6 @@ class EthMcastEndpoint {
   const simnet::Network* net_;  ///< network_, resolved once (nack routing)
   std::string group_;
   std::uint16_t port_;
-  EthMcastConfig config_;
   std::size_t frag_payload_;
   MessageHandler handler_;
   std::uint64_t next_msg_id_ = 1;

@@ -30,8 +30,7 @@ class MultipathPolicy {
   /// switching.  The paper's module switched automatically; 2 keeps the
   /// reaction fast without flapping on a single lost status packet.
   /// `probe_quiet`: how long a failover route must stay timeout-free before
-  /// the policy re-probes the default (fastest) route; <= 0 disables
-  /// probing (the pre-probe pin-forever behaviour).
+  /// the policy re-probes the default (fastest) route.
   explicit MultipathPolicy(int failover_threshold = 2,
                            SimDuration probe_quiet = duration::seconds(10))
       : failover_threshold_(failover_threshold), probe_quiet_(probe_quiet) {}

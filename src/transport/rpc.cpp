@@ -5,7 +5,7 @@
 namespace snipe::transport {
 
 RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig config)
-    : srudp_(host, port, config.srudp),
+    : srudp_(host, port),
       engine_(host.engine()),
       config_(std::move(config)),
       log_("rpc@" + host.name() + ":" + std::to_string(srudp_.port()), host.clock()) {
@@ -73,7 +73,7 @@ Payload RpcEndpoint::frame(Kind kind, std::uint64_t id, std::uint32_t tag, const
 
 std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
                                      ResponseHandler done, SimDuration timeout) {
-  if (timeout <= 0) timeout = config_.default_timeout;
+  if (timeout <= 0) timeout = kDefaultTimeout;
   std::uint64_t id = next_call_id_++;
   Payload request = frame(Kind::request, id, tag, body, true);
 

@@ -23,11 +23,9 @@
 namespace snipe::transport {
 
 struct RpcConfig {
-  SimDuration default_timeout = duration::seconds(5);
   /// If nonempty, requests carry (and servers require) an MD5 authenticator
   /// keyed with this secret.
   std::string shared_secret;
-  SrudpConfig srudp;
 };
 
 /// Per-endpoint call accounting, streamed into the host's registry as
@@ -63,6 +61,9 @@ class RpcEndpoint {
   /// One-way notification handler.
   using NotifyHandler =
       std::function<void(const simnet::Address& from, const Payload& body)>;
+
+  /// The deadline of a call() that names none.
+  static constexpr SimDuration kDefaultTimeout = duration::seconds(5);
 
   RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig config = {});
 

@@ -59,8 +59,7 @@ SrudpEndpoint::~SrudpEndpoint() {
 SrudpEndpoint::PeerOut& SrudpEndpoint::ensure_out(Peer peer) {
   auto [it, inserted] = out_.try_emplace(peer);
   if (inserted)
-    it->second.path =
-        MultipathPolicy(config_.failover_threshold, config_.route_probe_quiet);
+    it->second.path = MultipathPolicy(config_.failover_threshold, kRouteProbeQuiet);
   return it->second;
 }
 
@@ -75,7 +74,6 @@ void SrudpEndpoint::note_route_success(Peer peer, PeerOut& out) {
 std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   const Peer peer = host_.world()->endpoint(dst);
   auto& out = ensure_out(peer);
-  if (out.rto == 0) out.rto = config_.initial_rto;
 
   OutMessage msg;
   msg.msg_id = out.next_msg_id++;
@@ -130,18 +128,18 @@ void SrudpEndpoint::pump(Peer peer) {
     // Requested retransmissions first, oldest request first: they unblock
     // the receiver.
     std::size_t resent = 0;
-    while (out.inflight < config_.window && resent < msg.retransmit.size()) {
+    while (out.inflight < kWindow && resent < msg.retransmit.size()) {
       std::uint32_t index = msg.retransmit[resent++];
       if (msg.acked.get(index)) continue;  // acked since the request
       send_fragment(peer, out, msg, index, /*retransmission=*/true);
     }
     msg.retransmit.erase(msg.retransmit.begin(),
                          msg.retransmit.begin() + static_cast<std::ptrdiff_t>(resent));
-    while (out.inflight < config_.window && msg.next_unsent < msg.frag_count) {
+    while (out.inflight < kWindow && msg.next_unsent < msg.frag_count) {
       send_fragment(peer, out, msg, msg.next_unsent, /*retransmission=*/false);
       ++msg.next_unsent;
     }
-    if (out.inflight >= config_.window) break;
+    if (out.inflight >= kWindow) break;
   }
   // The retransmission timer runs whenever anything is unacknowledged, even
   // if the inflight *estimate* reads zero — it is our only recovery path
@@ -190,7 +188,7 @@ void SrudpEndpoint::raw_send(Peer peer, PeerOut* out, Payload wire) {
 void SrudpEndpoint::arm_rto(Peer peer) {
   PeerOut& out = ensure_out(peer);
   if (out.rto_timer.valid()) return;
-  out.rto_timer = engine_.schedule(out.rto, [this, peer] {
+  out.rto_timer = engine_.schedule(out.rtt.rto(), [this, peer] {
     out_[peer].rto_timer = simnet::TimerId{};
     on_rto(peer);
   });
@@ -207,7 +205,7 @@ void SrudpEndpoint::on_rto(Peer peer) {
   ++stats_.rto_events;
   host_.flight().record(
       "srudp", "rto",
-      "peer=" + peer.to_string() + " rto=" + format_time(out.rto) +
+      "peer=" + peer.to_string() + " rto=" + format_time(out.rtt.rto()) +
           " queued=" + std::to_string(out.queue.size()));
   // The window's worth of fragments we sent may all be gone; reset the
   // inflight estimate, re-probe, and let STATUS rebuild our picture.
@@ -237,15 +235,15 @@ void SrudpEndpoint::on_rto(Peer peer) {
   // the head is covered the same way.  A probe for the head asks the
   // receiver to resynchronize us with a STATUS.
   for (auto& msg : out.queue) {
-    if (out.inflight >= config_.window) break;
-    for (std::uint32_t i = 0; i < msg.next_unsent && out.inflight < config_.window; ++i) {
+    if (out.inflight >= kWindow) break;
+    for (std::uint32_t i = 0; i < msg.next_unsent && out.inflight < kWindow; ++i) {
       if (!msg.acked.get(i))
         send_fragment(peer, out, msg, i, /*retransmission=*/true);
     }
   }
   raw_send(peer, &out,
            encode_msg_id(PacketType::probe, port_, {out.queue.front().msg_id}));
-  out.rto = std::min(out.rto * 2, config_.max_rto);
+  out.rtt.backoff();
   arm_rto(peer);
 }
 
@@ -379,7 +377,7 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   for (auto& [older_id, older] : in.partial) {
     if (older_id >= p.msg_id) break;
     if (older.last_status_sent >= 0 &&
-        engine_.now() - older.last_status_sent < config_.status_interval / 2)
+        engine_.now() - older.last_status_sent < kStatusInterval / 2)
       continue;  // rate-limit repeats
     send_status(peer, older_id, older);
     older.last_status_sent = engine_.now();
@@ -387,7 +385,7 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
 
   // Incomplete.  Two triggers for a STATUS report: enough new fragments to
   // slide the sender's window, or a detected gap (selective re-send).
-  if (msg.since_status >= config_.status_every) {
+  if (msg.since_status >= kStatusEvery) {
     send_status(peer, p.msg_id, msg);
     msg.last_status_sent = engine_.now();
     msg.since_status = 0;
@@ -396,7 +394,7 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   // A gap: some fragment below this one is still missing.
   const bool gap = msg.prefix < p.frag_index;
   if (!msg.status_timer.valid())
-    schedule_status(peer, p.msg_id, gap ? config_.gap_status_delay : config_.status_interval);
+    schedule_status(peer, p.msg_id, gap ? kGapStatusDelay : kStatusInterval);
 }
 
 void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Payload assembled,
@@ -440,7 +438,7 @@ void SrudpEndpoint::schedule_status(Peer peer, std::uint64_t msg_id,
     msg.since_status = 0;
     // Periodic re-report with backoff while still incomplete.
     msg.status_backoff = std::min<SimDuration>(
-        msg.status_backoff == 0 ? config_.status_interval : msg.status_backoff * 2,
+        msg.status_backoff == 0 ? kStatusInterval : msg.status_backoff * 2,
         duration::seconds(1));
     schedule_status(peer, msg_id, msg.status_backoff);
   });
@@ -591,15 +589,7 @@ void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
     if (!qit->retransmitted && qit->first_sent >= 0) {
       SimDuration sample = engine_.now() - qit->first_sent;
       rtt_ms_->observe(static_cast<double>(sample) / 1e6);
-      if (out.srtt == 0) {
-        out.srtt = sample;
-        out.rttvar = sample / 2;
-      } else {
-        SimDuration err = sample > out.srtt ? sample - out.srtt : out.srtt - sample;
-        out.rttvar = (3 * out.rttvar + err) / 4;
-        out.srtt = (7 * out.srtt + sample) / 8;
-      }
-      out.rto = std::clamp(out.srtt + 4 * out.rttvar, config_.min_rto, config_.max_rto);
+      out.rtt.sample(sample);
     }
     std::uint32_t unacked_inflight = 0;
     for (std::uint32_t i = 0; i < qit->frag_count; ++i)

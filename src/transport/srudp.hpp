@@ -53,20 +53,10 @@
 
 namespace snipe::transport {
 
+/// Per-endpoint settings.  SRUDP's fixed recovery timing (window, RTO
+/// bounds, STATUS cadence, route re-probe) is the constants on
+/// SrudpEndpoint.
 struct SrudpConfig {
-  std::size_t window = 128;  ///< max unacked fragments in flight per peer
-  SimDuration initial_rto = duration::milliseconds(50);
-  SimDuration min_rto = duration::milliseconds(2);
-  SimDuration max_rto = duration::seconds(2);
-  /// Receiver: delay between noticing a gap and sending a STATUS, letting
-  /// slightly-reordered fragments land first.
-  SimDuration gap_status_delay = duration::milliseconds(1);
-  /// Receiver: periodic STATUS interval for incomplete messages (doubles
-  /// each repetition up to 1 s).
-  SimDuration status_interval = duration::milliseconds(20);
-  /// Receiver: also push a STATUS every N fragments of a large message so
-  /// the sender's window keeps sliding without waiting for gaps.
-  std::uint32_t status_every = 32;
   /// Sender: how long to keep retrying an unacknowledged message.  This is
   /// the "system buffering" that protects migrating/rebooting receivers.
   SimDuration msg_ttl = duration::seconds(30);
@@ -77,9 +67,6 @@ struct SrudpConfig {
   /// for this long (the sender evidently gave up or died).
   SimDuration partial_ttl = duration::seconds(60);
   int failover_threshold = 2;  ///< consecutive RTOs before switching routes
-  /// How long a failover route must stay timeout-free before the policy
-  /// re-probes the default (fastest) route; <= 0 pins the detour forever.
-  SimDuration route_probe_quiet = duration::seconds(10);
   /// Adds an FNV-1a payload checksum to every DATA fragment (wire type
   /// data_ck) and rejects fragments whose checksum does not verify.  Off by
   /// default: the 1998 wire format had none, and the unchecked path is the
@@ -121,6 +108,25 @@ class SrudpEndpoint {
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;
 
+  /// Max unacknowledged fragments in flight per peer.
+  static constexpr std::size_t kWindow = 128;
+  static constexpr SimDuration kInitialRto = duration::milliseconds(50);
+  static constexpr SimDuration kMinRto = duration::milliseconds(2);
+  static constexpr SimDuration kMaxRto = duration::seconds(2);
+  using Rto = RtoEstimator<kInitialRto, kMinRto, kMaxRto>;
+  /// Receiver: delay between noticing a gap and sending a STATUS, letting
+  /// slightly-reordered fragments land first.
+  static constexpr SimDuration kGapStatusDelay = duration::milliseconds(1);
+  /// Receiver: periodic STATUS interval for incomplete messages (doubles
+  /// each repetition up to 1 s).
+  static constexpr SimDuration kStatusInterval = duration::milliseconds(20);
+  /// Receiver: also push a STATUS every N fragments of a large message so
+  /// the sender's window keeps sliding without waiting for gaps.
+  static constexpr std::uint32_t kStatusEvery = 32;
+  /// How long a failover route must stay timeout-free before the policy
+  /// re-probes the default (fastest) route.
+  static constexpr SimDuration kRouteProbeQuiet = duration::seconds(10);
+
   /// Binds `port` on `host` (0 picks an ephemeral port).  Asserts that the
   /// port was free.
   SrudpEndpoint(simnet::Host& host, std::uint16_t port, SrudpConfig config = {});
@@ -146,7 +152,6 @@ class SrudpEndpoint {
   std::size_t pending() const;
 
   const SrudpStats& stats() const { return stats_; }
-  const SrudpConfig& config() const { return config_; }
 
   /// Flow id of the message most recently handed to the delivery handler
   /// (valid inside the handler call).  Layers above srudp — rpc notably —
@@ -180,9 +185,7 @@ class SrudpEndpoint {
     std::uint64_t next_msg_id = 1;
     std::deque<OutMessage> queue;
     std::size_t inflight = 0;  ///< fragments sent and not known received
-    SimDuration srtt = 0;
-    SimDuration rttvar = 0;
-    SimDuration rto;
+    Rto rtt;  ///< RTT estimate and retransmission timeout
     simnet::TimerId rto_timer;
     MultipathPolicy path;
     /// Open "srudp.failover" span: starts at the route switch, ends at the
@@ -223,8 +226,8 @@ class SrudpEndpoint {
     simnet::TimerId hol_timer;
   };
 
-  /// out_[peer] with the MultipathPolicy configured from SrudpConfig on
-  /// first touch (failover threshold + probe-quiet period).
+  /// out_[peer] with the MultipathPolicy configured on first touch
+  /// (SrudpConfig's failover threshold, kRouteProbeQuiet).
   PeerOut& ensure_out(Peer peer);
   /// on_success with the probe-after-quiet bookkeeping (flight + stats).
   void note_route_success(Peer peer, PeerOut& out);

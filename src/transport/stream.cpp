@@ -9,11 +9,10 @@ namespace snipe::transport {
 
 // ---------- StreamEndpoint ----------
 
-StreamEndpoint::StreamEndpoint(simnet::Host& host, std::uint16_t port, StreamConfig config)
+StreamEndpoint::StreamEndpoint(simnet::Host& host, std::uint16_t port)
     : host_(host),
       engine_(host.engine()),
       port_(port == 0 ? host.ephemeral_port() : port),
-      config_(config),
       log_("stream@" + host.name() + ":" + std::to_string(port_), host.clock()) {
   host_.bind(port_, [this](const simnet::Packet& p) { on_packet(p); }).value();
 }
@@ -81,11 +80,9 @@ StreamConnection::StreamConnection(StreamEndpoint* endpoint, simnet::Endpoint pe
       peer_(std::move(name)),
       conn_id_(conn_id),
       initiator_(initiator) {
-  const auto& cfg = endpoint_->config();
-  rto_ = cfg.initial_rto;
-  peer_window_ = cfg.rwnd;
-  cwnd = static_cast<double>(cfg.initial_cwnd_segments) * static_cast<double>(mss());
-  ssthresh = static_cast<double>(cfg.rwnd);
+  peer_window_ = kReceiveWindow;
+  cwnd = static_cast<double>(kInitialCwndSegments) * static_cast<double>(mss());
+  ssthresh = static_cast<double>(kReceiveWindow);
 
   delivery_ms_ = &endpoint_->host().metrics().histogram("stream.delivery_ms");
   stats_source_ = endpoint_->host().metrics().add_stats([this](obs::StatsSink& s) {
@@ -117,7 +114,7 @@ void StreamConnection::send_control(PacketType type) {
   p.conn_id = conn_id_;
   p.seq = snd_nxt;
   p.ack = rcv_nxt;
-  p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
+  p.window = static_cast<std::uint32_t>(kReceiveWindow);
   endpoint_->raw_send(peer_ep_, encode_stream(type, endpoint_->port(), p));
 }
 
@@ -165,7 +162,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   p.conn_id = conn_id_;
   p.seq = seq;
   p.ack = rcv_nxt;
-  p.window = static_cast<std::uint32_t>(endpoint_->config().rwnd);
+  p.window = static_cast<std::uint32_t>(kReceiveWindow);
   // Slice just the frames [seq, seq + len) spans; the first is the one
   // whose end lies past `seq` (frames are ascending by end).
   auto frame = std::partition_point(send_frames_.begin(), send_frames_.end(),
@@ -198,7 +195,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
 
 void StreamConnection::arm_rto() {
   if (rto_timer_.valid()) return;
-  rto_timer_ = endpoint_->engine().schedule(rto_, [this] {
+  rto_timer_ = endpoint_->engine().schedule(rtt_.rto(), [this] {
     rto_timer_ = simnet::TimerId{};
     on_rto();
   });
@@ -208,7 +205,7 @@ void StreamConnection::on_rto() {
   if (state_ == State::closed || endpoint_ == nullptr) return;
   if (state_ == State::syn_sent) {
     send_control(PacketType::syn);
-    rto_ = std::min(rto_ * 2, endpoint_->config().max_rto);
+    rtt_.backoff();
     arm_rto();
     return;
   }
@@ -225,7 +222,7 @@ void StreamConnection::on_rto() {
   std::size_t len =
       std::min<std::uint64_t>(static_cast<std::uint64_t>(mss()), snd_nxt - snd_una);
   send_segment(snd_una, len, /*retransmission=*/true);
-  rto_ = std::min(rto_ * 2, endpoint_->config().max_rto);
+  rtt_.backoff();
   arm_rto();
 }
 
@@ -241,7 +238,7 @@ void StreamConnection::on_packet(PacketType type, const StreamPacket& p) {
         peer_window_ = p.window;
         endpoint_->engine().cancel(rto_timer_);
         rto_timer_ = simnet::TimerId{};
-        rto_ = endpoint_->config().initial_rto;
+        rtt_.restart();
         send_control(PacketType::ack);
         if (on_connect_) on_connect_(ok_result());
         pump();
@@ -357,17 +354,7 @@ void StreamConnection::on_ack(const StreamPacket& p) {
 
     // RTT sample (Karn-filtered).
     if (rtt_sent_at_ >= 0 && p.ack >= rtt_seq_) {
-      SimDuration sample = endpoint_->engine().now() - rtt_sent_at_;
-      if (srtt_ == 0) {
-        srtt_ = sample;
-        rttvar_ = sample / 2;
-      } else {
-        SimDuration err = sample > srtt_ ? sample - srtt_ : srtt_ - sample;
-        rttvar_ = (3 * rttvar_ + err) / 4;
-        srtt_ = (7 * srtt_ + sample) / 8;
-      }
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, endpoint_->config().min_rto,
-                        endpoint_->config().max_rto);
+      rtt_.sample(endpoint_->engine().now() - rtt_sent_at_);
       rtt_sent_at_ = -1;
     }
 
@@ -380,11 +367,9 @@ void StreamConnection::on_ack(const StreamPacket& p) {
 
     // Forward progress collapses any RTO backoff (as in RFC 6298 §5.7):
     // Karn's rule can starve the RTT estimator for a long stretch of
-    // retransmissions, and without this the timer stays pinned at max_rto,
+    // retransmissions, and without this the timer stays pinned at kMaxRto,
     // turning each further loss into a multi-second stall.
-    if (srtt_ != 0)
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, endpoint_->config().min_rto,
-                        endpoint_->config().max_rto);
+    rtt_.collapse();
     endpoint_->engine().cancel(rto_timer_);
     rto_timer_ = simnet::TimerId{};
     if (snd_una < snd_nxt) arm_rto();

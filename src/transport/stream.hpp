@@ -34,15 +34,6 @@
 
 namespace snipe::transport {
 
-struct StreamConfig {
-  std::size_t rwnd = 256 * 1024;  ///< advertised receive window
-  std::size_t initial_cwnd_segments = 4;
-  SimDuration initial_rto = duration::milliseconds(100);
-  SimDuration min_rto = duration::milliseconds(2);
-  SimDuration max_rto = duration::seconds(4);
-  SimDuration connect_timeout = duration::seconds(10);
-};
-
 struct StreamStats {
   std::uint64_t segments_sent = 0;
   std::uint64_t segments_retransmitted = 0;
@@ -66,11 +57,22 @@ class StreamConnection {
   using MessageHandler = std::function<void(Payload message)>;
   using ConnectHandler = std::function<void(Result<void>)>;
 
+  /// Advertised receive window, in bytes.
+  static constexpr std::size_t kReceiveWindow = 256 * 1024;
+  static constexpr std::size_t kInitialCwndSegments = 4;
+  static constexpr SimDuration kInitialRto = duration::milliseconds(100);
+  static constexpr SimDuration kMinRto = duration::milliseconds(2);
+  static constexpr SimDuration kMaxRto = duration::seconds(4);
+  using Rto = RtoEstimator<kInitialRto, kMinRto, kMaxRto>;
+
   /// Queues a length-prefixed message onto the stream (by reference — the
   /// message buffer is shared, not copied, until the wire).
   void send_message(Payload message);
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
-  /// Fires once when the handshake completes (client side).
+  /// Fires once, with success, when the handshake completes (client side).
+  /// It never fires with an error: there is no connect timeout, and an
+  /// unanswered SYN is retried with backoff for as long as the connection
+  /// exists.
   void set_connect_handler(ConnectHandler h) { on_connect_ = std::move(h); }
 
   bool established() const { return state_ == State::established; }
@@ -129,9 +131,7 @@ class StreamConnection {
   double ssthresh = 0;
   std::size_t peer_window_ = 0;
   int dup_acks_ = 0;
-  SimDuration srtt_ = 0;
-  SimDuration rttvar_ = 0;
-  SimDuration rto_ = 0;
+  Rto rtt_;  ///< RTT estimate and retransmission timeout
   simnet::TimerId rto_timer_;
   /// Outstanding RTT probe: (sequence that must be acked, send time).
   std::uint64_t rtt_seq_ = 0;
@@ -158,7 +158,7 @@ class StreamEndpoint {
  public:
   using AcceptHandler = std::function<void(std::shared_ptr<StreamConnection>)>;
 
-  StreamEndpoint(simnet::Host& host, std::uint16_t port, StreamConfig config = {});
+  StreamEndpoint(simnet::Host& host, std::uint16_t port);
   ~StreamEndpoint();
 
   StreamEndpoint(const StreamEndpoint&) = delete;
@@ -167,14 +167,16 @@ class StreamEndpoint {
   /// Accepts incoming connections (server role).
   void listen(AcceptHandler handler) { on_accept_ = std::move(handler); }
 
-  /// Initiates a connection to a listening StreamEndpoint.
+  /// Initiates a connection to a listening StreamEndpoint.  The SYN is
+  /// retried with backoff (up to StreamConnection::kMaxRto apart) until the
+  /// peer answers; nothing gives up on its own, so a peer that never answers
+  /// leaves the connection waiting and its connect handler uncalled.
   std::shared_ptr<StreamConnection> connect(const simnet::Address& dst);
 
   std::uint16_t port() const { return port_; }
   simnet::Address address() const { return {host_.name(), port_}; }
   simnet::Host& host() { return host_; }
   simnet::Engine& engine() { return engine_; }
-  const StreamConfig& config() const { return config_; }
 
  private:
   friend class StreamConnection;
@@ -197,7 +199,6 @@ class StreamEndpoint {
   simnet::Host& host_;
   simnet::Engine& engine_;
   std::uint16_t port_;
-  StreamConfig config_;
   AcceptHandler on_accept_;
   /// Iterated only to close every connection at teardown (order-free).
   std::unordered_map<ConnKey, std::shared_ptr<StreamConnection>, ConnKeyHash> connections_;

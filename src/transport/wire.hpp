@@ -12,6 +12,7 @@
 // return payload fields as zero-copy slices of the received packet.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "util/bytes.hpp"
 #include "util/payload.hpp"
 #include "util/result.hpp"
+#include "util/time.hpp"
 
 namespace snipe::transport {
 
@@ -187,6 +189,51 @@ class FragBitmap {
   std::uint32_t nbytes_ = 0;
   std::array<std::uint8_t, kInlineBits / 8> inline_{};
   std::unique_ptr<std::uint8_t[]> heap_;  ///< only past kInlineBits
+};
+
+/// The RFC 6298 retransmission-timeout estimator SRUDP and stream share,
+/// in integer nanoseconds, so every run replays bit for bit.  The
+/// transports differ only in the bounds they instantiate it with.  srtt 0
+/// means "no sample yet".
+template <SimDuration kInitial, SimDuration kMin, SimDuration kMax>
+class RtoEstimator {
+ public:
+  static_assert(0 < kMin && kMin <= kInitial && kInitial <= kMax);
+
+  SimDuration rto() const { return rto_; }
+  SimDuration srtt() const { return srtt_; }
+  SimDuration rttvar() const { return rttvar_; }
+
+  /// Folds in one Karn-filtered RTT sample `s`: the first sets srtt = s and
+  /// rttvar = s/2, later ones rttvar = (3·rttvar + |srtt - s|)/4 and then
+  /// srtt = (7·srtt + s)/8.  The timeout becomes srtt + 4·rttvar, clamped.
+  void sample(SimDuration s) {
+    if (srtt_ == 0) {
+      srtt_ = s;
+      rttvar_ = s / 2;
+    } else {
+      SimDuration err = s > srtt_ ? s - srtt_ : srtt_ - s;
+      rttvar_ = (3 * rttvar_ + err) / 4;
+      srtt_ = (7 * srtt_ + s) / 8;
+    }
+    rto_ = estimate();
+  }
+  /// A retransmission timeout fired: double the timeout, up to the maximum.
+  void backoff() { rto_ = std::min(rto_ * 2, kMax); }
+  /// Forward progress collapses any backoff to srtt + 4·rttvar (RFC 6298
+  /// §5.7); before the first sample there is nothing to collapse to.
+  void collapse() {
+    if (srtt_ != 0) rto_ = estimate();
+  }
+  /// Back to the initial timeout (the estimate, if any, is kept).
+  void restart() { rto_ = kInitial; }
+
+ private:
+  SimDuration estimate() const { return std::clamp(srtt_ + 4 * rttvar_, kMin, kMax); }
+
+  SimDuration srtt_ = 0;
+  SimDuration rttvar_ = 0;
+  SimDuration rto_ = kInitial;
 };
 
 }  // namespace snipe::transport

@@ -25,6 +25,7 @@
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/telemetry.hpp"
 #include "daemon/watchtower.hpp"
 #include "files/fileserver.hpp"
 #include "rcds/server.hpp"

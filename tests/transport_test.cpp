@@ -786,6 +786,68 @@ TEST(Multipath, SingleNetworkHasNowhereToGo) {
   EXPECT_EQ(policy.switches(), 0);
 }
 
+// ---- RtoEstimator (shared by SRUDP and stream) ----
+
+TEST(RtoEstimator, FollowsRfc6298InIntegerNanoseconds) {
+  // Bounds in bare nanoseconds keep the hand arithmetic readable.
+  using Rto = RtoEstimator<100, 10, 1000>;
+  Rto rto;
+  EXPECT_EQ(rto.rto(), 100);
+  rto.collapse();  // no sample yet: nothing to collapse to
+  EXPECT_EQ(rto.rto(), 100);
+
+  // First sample: srtt = s, rttvar = s/2, rto = srtt + 4·rttvar.
+  rto.sample(40);
+  EXPECT_EQ(rto.srtt(), 40);
+  EXPECT_EQ(rto.rttvar(), 20);
+  EXPECT_EQ(rto.rto(), 120);
+
+  // Second sample: rttvar = (3·20 + |40 - 80|)/4 = 25, then
+  // srtt = (7·40 + 80)/8 = 45; rto = 45 + 4·25 = 145.
+  rto.sample(80);
+  EXPECT_EQ(rto.rttvar(), 25);
+  EXPECT_EQ(rto.srtt(), 45);
+  EXPECT_EQ(rto.rto(), 145);
+
+  // Backoff doubles and stops at the maximum.
+  rto.backoff();
+  EXPECT_EQ(rto.rto(), 290);
+  rto.backoff();
+  EXPECT_EQ(rto.rto(), 580);
+  rto.backoff();
+  EXPECT_EQ(rto.rto(), 1000);
+  rto.backoff();
+  EXPECT_EQ(rto.rto(), 1000);
+
+  // Progress collapses the backoff to srtt + 4·rttvar.
+  rto.collapse();
+  EXPECT_EQ(rto.rto(), 145);
+  EXPECT_EQ(rto.srtt(), 45);
+  EXPECT_EQ(rto.rttvar(), 25);
+
+  // restart() returns to the initial timeout and keeps the estimate.
+  rto.restart();
+  EXPECT_EQ(rto.rto(), 100);
+  EXPECT_EQ(rto.srtt(), 45);
+}
+
+TEST(RtoEstimator, ClampsAtMinimumAndMaximum) {
+  using Rto = RtoEstimator<100, 10, 1000>;
+  Rto fast;
+  fast.sample(2);  // 2 + 4·1 = 6, below the minimum
+  EXPECT_EQ(fast.rto(), 10);
+  Rto slow;
+  slow.sample(400);  // 400 + 4·200 = 1200, above the maximum
+  EXPECT_EQ(slow.rto(), 1000);
+  slow.collapse();
+  EXPECT_EQ(slow.rto(), 1000);
+}
+
+TEST(RtoEstimator, TransportsStartAtTheirOwnInitialTimeout) {
+  EXPECT_EQ(SrudpEndpoint::Rto{}.rto(), duration::milliseconds(50));
+  EXPECT_EQ(StreamConnection::Rto{}.rto(), duration::milliseconds(100));
+}
+
 // ---- Stream (TCP-like) ----
 
 struct StreamPair {
