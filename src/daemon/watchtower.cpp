@@ -6,12 +6,12 @@
 
 namespace snipe::daemon {
 
-Watchtower::Watchtower(simnet::Host& host, WatchtowerConfig config)
+Watchtower::Watchtower(simnet::Host& host)
     : host_(host),
       engine_(host.engine()),
       series_({&host.metrics()}),
       alerts_({&host.flight()}) {
-  alerts_.add_rules(config.rules.empty() ? obs::AlertEngine::builtin_rules() : config.rules);
+  alerts_.add_rules(obs::AlertEngine::builtin_rules());
 }
 
 void Watchtower::start() {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "obs/alert.hpp"
 #include "obs/series.hpp"
@@ -29,19 +28,15 @@
 
 namespace snipe::daemon {
 
-struct WatchtowerConfig {
-  /// Rule set; empty selects obs::AlertEngine::builtin_rules().
-  std::vector<obs::AlertRule> rules;
-};
-
 class Watchtower {
  public:
   /// Scrape/evaluate cadence (aligned with the telemetry exporter's
   /// default, so every beacon ships roughly one fresh point per series).
   static constexpr SimDuration kScrapePeriod = duration::seconds(1);
 
-  /// Watches `host`'s own registry and NICs.
-  explicit Watchtower(simnet::Host& host, WatchtowerConfig config = {});
+  /// Watches `host`'s own registry and NICs under
+  /// obs::AlertEngine::builtin_rules(); alerts().add_rule() adds more.
+  explicit Watchtower(simnet::Host& host);
 
   /// Schedules the first tick one period out.  Idempotent.
   void start();

@@ -15,13 +15,13 @@ constexpr std::uint32_t kMaxWireElements = 1u << 20;
 
 Error corrupt(const char* what) { return Error{Errc::corrupt, what}; }
 
-// v2 added the watchtower series section (PR 10); decode rejects anything
-// else — every exporter and collector in a deployment upgrade together.
-constexpr std::uint8_t kBeaconVersion = 2;
+// v2 added the watchtower series section; v3 dropped each sketch's bucket
+// bounds, which are Histogram::kBounds everywhere.  Decode rejects any
+// other version — every exporter and collector in a deployment upgrade
+// together.
+constexpr std::uint8_t kBeaconVersion = 3;
 
 void encode_sketch(ByteWriter& w, const HistogramSketch& s) {
-  w.u32(static_cast<std::uint32_t>(s.bounds.size()));
-  for (double b : s.bounds) w.f64(b);
   w.u32(static_cast<std::uint32_t>(s.buckets.size()));
   for (std::uint64_t b : s.buckets) w.u64(b);
   w.u64(s.count);
@@ -30,23 +30,13 @@ void encode_sketch(ByteWriter& w, const HistogramSketch& s) {
 
 Result<HistogramSketch> decode_sketch(ByteReader& r) {
   HistogramSketch s;
-  auto nb = r.u32();
-  if (!nb) return nb.error();
-  if (nb.value() > kMaxWireElements) return corrupt("sketch bounds count");
-  s.bounds.reserve(nb.value());
-  for (std::uint32_t i = 0; i < nb.value(); ++i) {
-    auto v = r.f64();
-    if (!v) return v.error();
-    s.bounds.push_back(v.value());
-  }
   auto nk = r.u32();
   if (!nk) return nk.error();
-  if (nk.value() != nb.value() + 1) return corrupt("sketch bucket count");
-  s.buckets.reserve(nk.value());
-  for (std::uint32_t i = 0; i < nk.value(); ++i) {
+  if (nk.value() != s.buckets.size()) return corrupt("sketch bucket count");
+  for (std::uint64_t& b : s.buckets) {
     auto v = r.u64();
     if (!v) return v.error();
-    s.buckets.push_back(v.value());
+    b = v.value();
   }
   auto count = r.u64();
   if (!count) return count.error();
@@ -258,8 +248,7 @@ TelemetryBeacon BeaconBuilder::build(std::int64_t now_ns) {
       b.sketches.emplace_back(name, abs);
     } else {
       HistogramSketch delta = abs;
-      if (it != last_sketches_.end() && it->second.bounds == abs.bounds &&
-          abs.count >= it->second.count) {
+      if (it != last_sketches_.end() && abs.count >= it->second.count) {
         for (std::size_t i = 0; i < delta.buckets.size(); ++i)
           delta.buckets[i] -= it->second.buckets[i];
         delta.count -= it->second.count;
@@ -308,9 +297,7 @@ void FleetStore::apply(const TelemetryBeacon& beacon, std::int64_t arrival_ns) {
   } else if (!s.awaiting_full && in_seq) {
     for (const auto& [name, v] : beacon.counters) s.counters[name] += v;
     for (const auto& [name, v] : beacon.gauges) s.gauges[name] = v;
-    for (const auto& [name, sketch] : beacon.sketches) {
-      if (!s.sketches[name].merge(sketch)) s.sketches[name] = sketch;
-    }
+    for (const auto& [name, sketch] : beacon.sketches) s.sketches[name].merge(sketch);
     ++beacons_applied_;
   } else {
     // Sequence gap (or no baseline yet): the delta cannot be trusted, so

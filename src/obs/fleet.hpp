@@ -11,7 +11,8 @@
 // only util) and be unit-tested without a simulation:
 //
 //   * HistogramSketch (obs/metrics.hpp) — a histogram as its raw bucket
-//     array.  Sketches merge by adding buckets, so fleet p50/p95/p99
+//     array over the one layout, Histogram::kBounds, which therefore never
+//     goes on the wire.  Sketches merge by adding buckets, so fleet p50/p95/p99
 //     computed from a merged sketch are *exact* with respect to the union
 //     of the per-host buckets (identical quantile math to obs::Histogram,
 //     not an approximation over pre-computed per-host percentiles).

@@ -13,33 +13,9 @@ void Gauge::add(double delta) {
   }
 }
 
-std::vector<double> Histogram::default_bounds() {
-  // Milliseconds, 0.01 .. 60000, roughly 1-2-5 per decade: covers a Myrinet
-  // RTT and a 30 s anti-entropy lag in one instrument.
-  return {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1,    2,    5,     10,   20,
-          50,   100,  200,  500, 1000, 2000, 5000, 10000, 30000, 60000};
-}
-
-namespace {
-
-std::shared_ptr<const std::vector<double>> shared_bounds(std::vector<double> bounds) {
-  static const auto kDefault =
-      std::make_shared<const std::vector<double>>(Histogram::default_bounds());
-  if (bounds.empty() || bounds == *kDefault) return kDefault;
-  return std::make_shared<const std::vector<double>>(std::move(bounds));
-}
-
-}  // namespace
-
-Histogram::Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds)
-    : bounds_(shared_bounds(std::move(bounds))),
-      buckets_(bounds_->size() + 1),
-      enabled_(enabled) {}
-
 void Histogram::observe(double v) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  std::size_t i =
-      std::lower_bound(bounds_->begin(), bounds_->end(), v) - bounds_->begin();
+  std::size_t i = std::lower_bound(kBounds.begin(), kBounds.end(), v) - kBounds.begin();
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
@@ -47,9 +23,25 @@ void Histogram::observe(double v) {
   }
 }
 
-double bucket_quantile(const std::vector<double>& bounds,
-                       const std::vector<std::uint64_t>& buckets, std::uint64_t count,
-                       double q) {
+HistogramSketch Histogram::sketch() const {
+  HistogramSketch s;
+  for (std::size_t i = 0; i < kBuckets; ++i)
+    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  s.count = count();
+  s.sum = sum();
+  return s;
+}
+
+double Histogram::quantile(double q) const { return sketch().quantile(q); }
+
+void HistogramSketch::merge(const HistogramSketch& other) {
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
+  count += other.count;
+  sum += other.sum;
+}
+
+double HistogramSketch::quantile(double q) const {
+  const auto& bounds = Histogram::kBounds;
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target observation (1-based), then walk the buckets.
@@ -68,14 +60,7 @@ double bucket_quantile(const std::vector<double>& bounds,
     }
     seen += in_bucket;
   }
-  return bounds.empty() ? 0 : bounds.back();
-}
-
-double Histogram::quantile(double q) const {
-  std::vector<std::uint64_t> buckets;
-  buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) buckets.push_back(b.load(std::memory_order_relaxed));
-  return bucket_quantile(*bounds_, buckets, count(), q);
+  return bounds.back();
 }
 
 std::uint64_t Counter::value() const {
@@ -120,34 +105,7 @@ FnSink<AddFn> make_sink(AddFn fn) {
   return FnSink<AddFn>(std::move(fn));
 }
 
-HistogramSketch sketch_of(const Histogram& h) {
-  HistogramSketch b;
-  b.bounds = h.bounds();
-  b.buckets.reserve(b.bounds.size() + 1);
-  for (std::size_t i = 0; i <= b.bounds.size(); ++i) b.buckets.push_back(h.bucket_count(i));
-  b.count = h.count();
-  b.sum = h.sum();
-  return b;
-}
-
 }  // namespace
-
-bool HistogramSketch::merge(const HistogramSketch& other) {
-  if (other.buckets.size() != other.bounds.size() + 1) return false;
-  if (bounds.empty() && buckets.empty()) {
-    *this = other;
-    return true;
-  }
-  if (bounds != other.bounds || buckets.size() != other.buckets.size()) return false;
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum += other.sum;
-  return true;
-}
-
-double HistogramSketch::quantile(double q) const {
-  return bucket_quantile(bounds, buckets, count, q);
-}
 
 /// What a snapshot accumulates before it is flattened: counter-like and
 /// gauge values by name, histograms as mergeable bucket arrays.
@@ -176,26 +134,6 @@ struct MetricsRegistry::Rollup {
       it->second.name = name;
     }
     it->second.value += v;
-  }
-  /// Histograms bucket-merge; a same-named histogram with other bounds
-  /// (never the case in SNIPE) keeps the first bucketing and drops the rest.
-  void add_histogram(const std::string& name, const HistogramSketch& h) {
-    if (wants(name)) histograms[name].merge(h);
-  }
-  /// Live-histogram variant: adds the atomics in place once the name is
-  /// known, so a roll-up over many hosts copies each name's buckets once.
-  void add_histogram(const std::string& name, const Histogram& h) {
-    if (!wants(name)) return;
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms.emplace(name, sketch_of(h));
-      return;
-    }
-    HistogramSketch& acc = it->second;
-    if (acc.bounds != h.bounds()) return;
-    for (std::size_t i = 0; i < acc.buckets.size(); ++i) acc.buckets[i] += h.bucket_count(i);
-    acc.count += h.count();
-    acc.sum += h.sum();
   }
 };
 
@@ -254,15 +192,11 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, std::unique_ptr<Histogram>(
-                                new Histogram(enabled_, std::move(bounds))))
-             .first;
-  }
+  if (it == histograms_.end())
+    it = histograms_.emplace(name, std::unique_ptr<Histogram>(new Histogram(enabled_))).first;
   return *it->second;
 }
 
@@ -317,9 +251,9 @@ void MetricsRegistry::collect_locked(Rollup& out) const {
   });
   for (const auto& [id, visit] : sources_) visit(sink);
   for (const auto& [name, g] : gauges_) out.add_gauge(name, g->value());
-  for (const auto& [name, h] : histograms_)
-    out.add_histogram(name, *h);
-  for (const auto& [name, h] : retained_histograms_) out.add_histogram(name, h);
+  if (out.only != nullptr) return;  // a counter's roll-up reads no histogram
+  for (const auto& [name, h] : histograms_) out.histograms[name].merge(h->sketch());
+  for (const auto& [name, h] : retained_histograms_) out.histograms[name].merge(h);
 }
 
 void MetricsRegistry::collect(Rollup& out) const {

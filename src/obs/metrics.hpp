@@ -5,8 +5,9 @@
 // Three instrument kinds live in a MetricsRegistry:
 //   * Counter  — monotonically increasing event count ("srudp.retransmits");
 //   * Gauge    — a value that goes up and down ("rm.live_hosts");
-//   * Histogram — fixed-bucket distribution with p50/p95/p99 extraction
-//     ("srudp.rtt_ms", "rcds.replication_lag_ms").
+//   * Histogram — distribution over one program-wide bucket layout
+//     (Histogram::kBounds) with p50/p95/p99 extraction ("srudp.rtt_ms",
+//     "rcds.replication_lag_ms").
 //
 // Registries are host-scoped.  Each simulated host owns one (Host::
 // metrics()), a *child* of the process-wide MetricsRegistry::global(): the
@@ -37,6 +38,7 @@
 // lock, then each child's — never the other way round).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -108,32 +110,34 @@ class Gauge {
   const std::atomic<bool>* enabled_;
 };
 
-/// Fixed-bucket histogram.  Bucket upper bounds are set at creation (the
-/// default spans 10 µs .. 60 s expressed in milliseconds, wide enough for
-/// SRUDP RTTs and RCDS replication lag alike); an implicit +inf bucket
-/// catches the tail.  Quantiles interpolate linearly inside the bucket.
+struct HistogramSketch;
+
+/// Fixed-bucket histogram over kBounds, the one layout every SNIPE
+/// histogram uses, plus an implicit +inf bucket for the tail.  Quantiles
+/// interpolate linearly inside the bucket.
 class Histogram {
  public:
+  /// Ascending bucket upper bounds in milliseconds, 10 µs .. 60 s, roughly
+  /// 1-2-5 per decade: a Myrinet RTT and a 30 s anti-entropy lag in one
+  /// instrument.
+  static constexpr std::array<double, 21> kBounds = {
+      0.01, 0.02, 0.05, 0.1,  0.2,  0.5,  1,    2,     5,     10,   20,
+      50,   100,  200,  500,  1000, 2000, 5000, 10000, 30000, 60000};
+  /// One bucket per bound plus the +inf tail.
+  static constexpr std::size_t kBuckets = kBounds.size() + 1;
+
   void observe(double v);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   /// q in [0,1]; returns 0 when empty.
   double quantile(double q) const;
-  const std::vector<double>& bounds() const { return *bounds_; }
-  /// Cumulative count at or below bounds()[i].
-  std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
-  static std::vector<double> default_bounds();
+  /// The current buckets, count and sum as a mergeable value.
+  HistogramSketch sketch() const;
 
  private:
   friend class MetricsRegistry;
-  Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds);
-  /// Ascending upper bounds; every default-bucketed histogram shares one
-  /// array, so a host's histograms cost their buckets only.
-  std::shared_ptr<const std::vector<double>> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds_.size() + 1 (+inf)
+  explicit Histogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0};
   const std::atomic<bool>* enabled_;
@@ -188,28 +192,27 @@ struct MetricValue {
 
 using Snapshot = std::vector<MetricValue>;
 
-/// A histogram reduced to its mergeable form: bucket occupancy counts (one
-/// per bound plus the +inf tail), total count and sum.  The registry rolls
+/// A histogram reduced to its mergeable form: bucket occupancy counts over
+/// Histogram::kBounds (+inf last), total count and sum.  The registry rolls
 /// host histograms up in this form and telemetry beacons carry it
-/// (obs/fleet.hpp).  Two sketches over the same bounds merge losslessly;
-/// quantiles over the merged sketch equal quantiles over a single histogram
-/// fed the union of the samples.
+/// (obs/fleet.hpp).  Every sketch shares the one layout, so two always merge
+/// losslessly: quantiles over the merged sketch equal quantiles over a
+/// single histogram fed the union of the samples.
 struct HistogramSketch {
-  std::vector<double> bounds;           ///< ascending upper bounds
-  std::vector<std::uint64_t> buckets;   ///< bounds.size() + 1 (+inf last)
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
   std::uint64_t count = 0;
   double sum = 0;
 
   bool empty() const { return count == 0; }
 
-  /// Adds `other` bucket-wise; false (and no change) when the bound arrays
-  /// differ — merging across unequal bucketings would silently corrupt the
-  /// percentiles the fleet view promises are exact.  An empty sketch adopts
-  /// the other's bounds.
-  bool merge(const HistogramSketch& other);
+  /// Adds `other` bucket-wise.
+  void merge(const HistogramSketch& other);
 
-  /// bucket_quantile over the buckets, so a merged sketch reports exactly
-  /// what one big histogram would.
+  /// The 1-based rank q*count walked over the cumulative buckets, with
+  /// linear interpolation inside the bucket; 0 when empty.  Histogram, the
+  /// registry roll-up and the fleet store all answer through this one
+  /// function, so a merged sketch reports exactly what one big histogram
+  /// would.
   double quantile(double q) const;
 };
 
@@ -239,7 +242,7 @@ class MetricsRegistry {
   /// Named instruments; the same name always returns the same object.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   /// Registers a component's stats visitor, run at every snapshot.
   [[nodiscard]] SourceHandle add_stats(StatsVisitor visit);
@@ -298,13 +301,5 @@ class MetricsRegistry {
   HistogramMap retained_histograms_;
   std::uint64_t next_source_id_ = 1;
 };
-
-/// Quantile over a raw bucket array (bounds.size() + 1 buckets, +inf
-/// last): the 1-based rank q*count walked over cumulative buckets with
-/// linear interpolation inside the bucket.  Histogram, the registry
-/// roll-up and the fleet sketches all answer through this one function.
-double bucket_quantile(const std::vector<double>& bounds,
-                       const std::vector<std::uint64_t>& buckets, std::uint64_t count,
-                       double q);
 
 }  // namespace snipe::obs

@@ -240,7 +240,7 @@ void StreamConnection::on_packet(PacketType type, const StreamPacket& p) {
         rto_timer_ = simnet::TimerId{};
         rtt_.restart();
         send_control(PacketType::ack);
-        if (on_connect_) on_connect_(ok_result());
+        if (on_connect_) on_connect_();
         pump();
       } else if (state_ == State::established) {
         send_control(PacketType::ack);  // our ACK was lost

@@ -55,7 +55,7 @@ class StreamConnection {
   /// callers' buffers).  A message may arrive in several segments; handlers
   /// read it with PayloadCursor and flatten() only if they need to.
   using MessageHandler = std::function<void(Payload message)>;
-  using ConnectHandler = std::function<void(Result<void>)>;
+  using ConnectHandler = std::function<void()>;
 
   /// Advertised receive window, in bytes.
   static constexpr std::size_t kReceiveWindow = 256 * 1024;
@@ -69,10 +69,9 @@ class StreamConnection {
   /// message buffer is shared, not copied, until the wire).
   void send_message(Payload message);
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
-  /// Fires once, with success, when the handshake completes (client side).
-  /// It never fires with an error: there is no connect timeout, and an
-  /// unanswered SYN is retried with backoff for as long as the connection
-  /// exists.
+  /// Fires once when the handshake completes (client side).  There is no
+  /// connect timeout and so no failure to report: an unanswered SYN is
+  /// retried with backoff for as long as the connection exists.
   void set_connect_handler(ConnectHandler h) { on_connect_ = std::move(h); }
 
   bool established() const { return state_ == State::established; }

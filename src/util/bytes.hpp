@@ -1,11 +1,19 @@
 // Byte buffers and the SNIPE on-wire encoding.
 //
-// All SNIPE messages, RC assertions, checkpoints and certificates are
-// serialized with this one encoder/decoder pair.  The encoding is the
-// XDR-style network byte order (big-endian) scheme the paper's client
-// library uses for "data conversion (e.g. between different host
-// architectures)" (§3.4): fixed-width big-endian integers, IEEE-754 doubles
-// transported as their bit pattern, and length-prefixed strings/blobs.
+// All SNIPE messages, RC assertions, checkpoints and certificates share one
+// encoding: the XDR-style network byte order (big-endian) scheme the
+// paper's client library uses for "data conversion (e.g. between different
+// host architectures)" (§3.4): fixed-width big-endian integers, IEEE-754
+// doubles transported as their bit pattern, and length-prefixed
+// strings/blobs.  Two encoder/decoder pairs write and read it:
+//   * ByteWriter/ByteReader (here) over one flat Bytes vector — the control
+//     plane: RC assertions, checkpoints, certificates, sessions, telemetry
+//     beacons, and any record built or parsed whole;
+//   * PayloadWriter/PayloadCursor (util/payload.hpp) over segmented,
+//     ref-counted Payloads — the data path: transport headers and RPC
+//     frames that splice message bodies in and slice them out without
+//     copying.
+// Both produce the same bytes for the same field sequence.
 #pragma once
 
 #include <cstdint>

@@ -974,15 +974,13 @@ std::uint64_t run_mgmt_gauntlet(std::uint64_t seed, bool exporter_on, bool watch
         // A canary rule guarantees the full pending -> firing transition
         // sequence actually happens inside the run, deterministically (it
         // keys on traffic every seeded run generates).
-        daemon::WatchtowerConfig cfg;
-        cfg.rules = obs::AlertEngine::builtin_rules();
         obs::AlertRule canary;
         canary.name = "watch_canary";
         canary.metric = "srudp.fragments_sent";
         canary.threshold = 0;
         canary.for_ns = 1'000'000'000;
-        cfg.rules.push_back(canary);
-        towers.push_back(std::make_unique<daemon::Watchtower>(*world.host(h), cfg));
+        towers.push_back(std::make_unique<daemon::Watchtower>(*world.host(h)));
+        towers.back()->alerts().add_rule(canary);
         towers.back()->start();
         series = &towers.back()->series();
       }

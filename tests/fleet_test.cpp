@@ -77,31 +77,24 @@ TEST(FleetSketch, MergedQuantilesAreExactWrtUnion) {
     EXPECT_DOUBLE_EQ(merged.quantile(q), union_hist.quantile(q)) << "q=" << q;
 }
 
-TEST(FleetSketch, MergeRejectsMismatchedBoundsAndAdoptsIntoEmpty) {
+TEST(FleetSketch, MergeAddsBucketwiseAndAdoptsIntoEmpty) {
   obs::HistogramSketch a;
-  a.bounds = {1, 2};
   a.buckets = {3, 0, 1};
   a.count = 4;
   a.sum = 5.5;
 
-  obs::HistogramSketch other_bounds;
-  other_bounds.bounds = {1, 2, 4};
-  other_bounds.buckets = {0, 0, 0, 1};
-  other_bounds.count = 1;
-  other_bounds.sum = 8;
-  EXPECT_FALSE(a.merge(other_bounds));
-  EXPECT_EQ(a.count, 4u);  // unchanged on rejection
-
   obs::HistogramSketch empty;
-  EXPECT_TRUE(empty.merge(a));  // empty adopts the other's bucketing
+  empty.merge(a);  // an empty sketch becomes a copy of the other
   EXPECT_EQ(empty.count, 4u);
-  EXPECT_EQ(empty.bounds, a.bounds);
+  EXPECT_DOUBLE_EQ(empty.sum, 5.5);
+  EXPECT_EQ(empty.buckets, a.buckets);
 
   obs::HistogramSketch b = a;
-  EXPECT_TRUE(a.merge(b));
+  a.merge(b);
   EXPECT_EQ(a.count, 8u);
   EXPECT_DOUBLE_EQ(a.sum, 11.0);
   EXPECT_EQ(a.buckets[0], 6u);
+  EXPECT_EQ(a.buckets[2], 2u);
 }
 
 // ---- beacon wire codec -----------------------------------------------------
@@ -116,10 +109,11 @@ TEST(FleetBeacon, CodecRoundTripsEveryField) {
   b.counters = {{"a.x", 3.0}, {"b.y", 0.5}};
   b.gauges = {{"load", 1.25}};
   obs::HistogramSketch s;
-  s.bounds = {1, 10};
-  s.buckets = {2, 1, 0};
-  s.count = 3;
-  s.sum = 7.5;
+  s.buckets.front() = 2;
+  s.buckets[10] = 1;
+  s.buckets.back() = 4;  // the +inf tail travels too
+  s.count = 7;
+  s.sum = 120'007.5;
   b.sketches = {{"a.delivery_ms", s}};
   b.flight.push_back({42, "nine", "srudp", "rto", "peer=b"});
   b.series = {{"srudp.rto_events", {{100, 1.0}, {200, 3.0}}},
@@ -138,7 +132,11 @@ TEST(FleetBeacon, CodecRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(d.counters[1].second, 0.5);
   ASSERT_EQ(d.gauges.size(), 1u);
   ASSERT_EQ(d.sketches.size(), 1u);
+  EXPECT_EQ(d.sketches[0].first, "a.delivery_ms");
   EXPECT_EQ(d.sketches[0].second.buckets, s.buckets);
+  EXPECT_EQ(d.sketches[0].second.count, 7u);
+  EXPECT_DOUBLE_EQ(d.sketches[0].second.sum, 120'007.5);
+  EXPECT_DOUBLE_EQ(d.sketches[0].second.quantile(0.99), s.quantile(0.99));
   ASSERT_EQ(d.flight.size(), 1u);
   EXPECT_EQ(d.flight[0].what, "rto");
   EXPECT_EQ(d.flight[0].ts, 42);
@@ -166,6 +164,35 @@ TEST(FleetBeacon, DecodeRejectsMalformedWire) {
   padded.push_back(0);
   EXPECT_FALSE(obs::TelemetryBeacon::decode(padded).ok());
   EXPECT_FALSE(obs::TelemetryBeacon::decode(Bytes{}).ok());
+
+  // A sketch carries its bucket count and no bounds: every histogram shares
+  // Histogram::kBounds, so only kBuckets buckets decode.
+  auto with_buckets = [](std::uint32_t n) {
+    ByteWriter w;
+    w.u8(3);  // beacon version
+    w.str("h");
+    w.u64(1);  // seq
+    w.i64(0);  // ts
+    w.i64(0);  // period
+    w.u8(1);   // full
+    w.u32(0);  // counters
+    w.u32(0);  // gauges
+    w.u32(1);  // sketches
+    w.str("x.delivery_ms");
+    w.u32(n);
+    for (std::uint32_t i = 0; i < n; ++i) w.u64(i == 0 ? 1 : 0);
+    w.u64(1);    // count
+    w.f64(0.5);  // sum
+    w.u32(0);    // flight
+    w.u32(0);    // series
+    return std::move(w).take();
+  };
+  auto exact = obs::TelemetryBeacon::decode(with_buckets(obs::Histogram::kBuckets));
+  ASSERT_TRUE(exact.ok()) << exact.error().to_string();
+  ASSERT_EQ(exact.value().sketches.size(), 1u);
+  EXPECT_EQ(exact.value().sketches[0].second.buckets[0], 1u);
+  EXPECT_FALSE(obs::TelemetryBeacon::decode(with_buckets(21)).ok());
+  EXPECT_FALSE(obs::TelemetryBeacon::decode(with_buckets(23)).ok());
 }
 
 // ---- delta / resync semantics ----------------------------------------------

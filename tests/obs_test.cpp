@@ -232,9 +232,7 @@ TEST(Metrics, DisabledRegistryIsANoOp) {
 
 TEST(Metrics, HistogramCountsSumsAndQuantiles) {
   MetricsRegistry reg;
-  std::vector<double> bounds;
-  for (int b = 10; b <= 100; b += 10) bounds.push_back(b);
-  auto& h = reg.histogram("lat", bounds);
+  auto& h = reg.histogram("lat");
   double sum = 0;
   for (int v = 1; v <= 100; ++v) {
     h.observe(v);
@@ -242,21 +240,24 @@ TEST(Metrics, HistogramCountsSumsAndQuantiles) {
   }
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.sum(), sum);
-  // Uniform 1..100 against decade buckets: quantiles land within one
-  // bucket's width of the exact value.
-  EXPECT_NEAR(h.quantile(0.50), 50.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 10.0);
-  EXPECT_LE(h.quantile(0.50), h.quantile(0.95));
-  EXPECT_LE(h.quantile(0.95), h.quantile(0.99));
+  // Uniform 1..100 over the fixed layout: 1, 2, 3-5, 6-10 and 11-20 fill
+  // the buckets up to 20, 21-50 (30 samples) the (20, 50] bucket and 51-100
+  // (50 samples) the (50, 100] bucket.  Rank 50 closes the (20, 50] bucket,
+  // so p50 is its upper edge; rank 95 lies 45/50 into (50, 100].
+  EXPECT_DOUBLE_EQ(h.quantile(0.50), 50.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 95.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 99.0);
 }
 
 TEST(Metrics, HistogramOverflowBucketCatchesTail) {
   MetricsRegistry reg;
-  auto& h = reg.histogram("big", {1.0, 2.0});
-  h.observe(1000.0);  // beyond every bound -> +inf bucket
+  auto& h = reg.histogram("big");
+  h.observe(100000.0);  // beyond every bound -> +inf bucket
   EXPECT_EQ(h.count(), 1u);
-  // The quantile can only report the last finite bound as a floor.
-  EXPECT_GE(h.quantile(0.5), 2.0);
+  EXPECT_EQ(h.sketch().buckets.back(), 1u);
+  // The +inf bucket has no upper edge: it reports the last finite bound.
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), Histogram::kBounds.back());
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 60000.0);
 }
 
 TEST(Metrics, SourcesAggregateAcrossInstancesAndRetainOnDeath) {
