@@ -171,12 +171,19 @@ void SnipeProcess::attempt_send(const std::string& dst_urn, Bytes wire, int atte
       }
       if (attempts_left > 1) {
         // The RC record may not exist *yet* (spawn racing registration);
-        // retry after a beat.
+        // retry after a beat.  The message waits in one heap block (a rare
+        // path), so the timer's closure stays small enough to sit inline.
+        struct Retry {
+          std::string dst_urn;
+          Bytes wire;
+          DoneHandler done;
+        };
         engine_->schedule(duration::milliseconds(200),
-                          [this, dst_urn, wire = std::move(wire), attempts_left,
-                           done = std::move(done)]() mutable {
-                            attempt_send(dst_urn, std::move(wire), attempts_left - 1,
-                                         std::move(done), true);
+                          [this, attempts_left,
+                           retry = std::make_unique<Retry>(
+                               Retry{dst_urn, std::move(wire), std::move(done)})] {
+                            attempt_send(retry->dst_urn, std::move(retry->wire),
+                                         attempts_left - 1, std::move(retry->done), true);
                           });
         return;
       }

@@ -25,15 +25,17 @@
 
 namespace snipe::simnet {
 
-/// Move-only callable with a large inline buffer, sized so that a delivery
-/// event capturing a whole Packet (a multi-segment Payload plus endpoint
-/// pointers and ports) and a router-hop event (that plus its route and hop
-/// index) stay on the slab — the per-event heap allocation std::function
-/// would make is the engine's dominant cost at scale.  world.cpp
-/// static_asserts fits_inline for both closures.
+/// Move-only callable with a small inline buffer.  Every closure src/ and
+/// the benchmark harness schedule fits it, so no event pays the heap
+/// allocation std::function would make: a datagram's hop or delivery event
+/// is a (World*, shard, slot) handle into the World's flight slab (24 B),
+/// and timers capture a few pointers and ids, never a Packet, a name or a
+/// handler.  40 B also makes an EventFn 48 B and an engine slot one 64 B
+/// cache line.  A closure that outgrows the buffer still works, from the
+/// heap.
 class EventFn {
  public:
-  static constexpr std::size_t kInlineBytes = 240;
+  static constexpr std::size_t kInlineBytes = 40;
 
   /// True when a callable of type F is stored in the inline buffer rather
   /// than on the heap.

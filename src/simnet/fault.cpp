@@ -144,21 +144,25 @@ void FaultPlan::act(SimTime at, std::string name,
   // world's only engine (today's behavior exactly); with several it is the
   // coordinator-driven engine that fires between windows, when every
   // worker is parked and any host or network can be mutated safely.
-  simnet::Engine& ctrl = world_.control_engine();
-  ctrl.schedule_at(
-      at, [&ctrl, tracer = &world_.tracer(), flight = &world_.flight(), name = std::move(name),
-           args = std::move(args), fn = std::move(fn)] {
-        tracer->instant(ctrl.now(), "fault", name, args);
-        // Mirror every injected fault into the flight recorder so a dump
-        // taken when an invariant trips shows what the chaos plan just did.
-        std::string detail;
-        for (const auto& [k, v] : args) {
-          if (!detail.empty()) detail += " ";
-          detail += k + "=" + v;
-        }
-        flight->record("fault", name, detail);
-        fn();
-      });
+  // The plan outlives its events (every action's fn captures it anyway),
+  // so the event names the action by index and stays a two-word closure.
+  actions_.push_back(Action{std::move(name), std::move(args), std::move(fn)});
+  world_.control_engine().schedule_at(at, [this, i = actions_.size() - 1] { fire(i); });
+}
+
+void FaultPlan::fire(std::size_t i) {
+  // Moved out first: fn may register further actions and grow actions_.
+  Action action = std::move(actions_[i]);
+  world_.tracer().instant(world_.control_engine().now(), "fault", action.name, action.args);
+  // Mirror every injected fault into the flight recorder so a dump taken
+  // when an invariant trips shows what the chaos plan just did.
+  std::string detail;
+  for (const auto& [k, v] : action.args) {
+    if (!detail.empty()) detail += " ";
+    detail += k + "=" + v;
+  }
+  world_.flight().record("fault", action.name, detail);
+  action.fn();
 }
 
 void FaultPlan::link_down(const std::string& network, SimTime at, SimTime up_at) {

@@ -186,14 +186,24 @@ class FaultPlan {
   Rng& rng() { return rng_; }
 
  private:
+  /// One scheduled action: what fires and how the trace and flight
+  /// recorder name it.
+  struct Action {
+    std::string name;
+    std::vector<std::pair<std::string, std::string>> args;
+    std::function<void()> fn;
+  };
   /// Schedules `fn` at `at` and emits a "fault" trace instant named `name`.
   void act(SimTime at, std::string name, std::vector<std::pair<std::string, std::string>> args,
            std::function<void()> fn);
+  /// Fires actions_[i] (once; its event is the only reference to it).
+  void fire(std::size_t i);
   FaultInjector& ensure_injector(const std::string& network);
 
   World& world_;
   Rng rng_;
   std::vector<std::shared_ptr<FaultInjector>> owned_;
+  std::vector<Action> actions_;  ///< every act(), in registration order
 };
 
 }  // namespace snipe::simnet

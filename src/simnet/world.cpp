@@ -89,42 +89,6 @@ void tally(Network& net, Fate fate, SimTime t, const Node& src, const Node& dst,
   stats.digest.fetch_add(h, std::memory_order_relaxed);
 }
 
-/// Runs one about-to-fly datagram through its network's fault injector (if
-/// any) and hands each surviving copy — the jittered duplicate first, as
-/// always — to `post(arrival, packet)`.  `lane` is the transmitting node:
-/// the source host on the first hop (bit-for-bit the flat behavior), the
-/// forwarding router on interior hops, so every injector lane stays
-/// confined to one shard's thread.  Partition boundaries are judged on the
-/// packet's end-to-end (src, dst) pair regardless of the lane.  Every name
-/// is read from its Node, never from the Packet being moved.
-template <typename PostFn>
-void judge_and_post(const Node& lane, const Host& dst, SimTime arrival, Packet packet,
-                    PostFn post) {
-  Network* net = packet.network;
-  FaultInjector* fault = net->fault();
-  if (fault != nullptr) {
-    FaultVerdict v = fault->judge(lane.name(), packet.src->name(), dst.name());
-    const std::size_t len = packet.payload.size();
-    if (v.drop) {
-      tally(*net, Fate::fault_drop, arrival, *packet.src, dst, packet.dst_port, len);
-      return;
-    }
-    if (v.corrupt) {
-      fault->corrupt_payload(packet.payload, lane.name());
-      tally(*net, Fate::fault_corrupt, arrival, *packet.src, dst, packet.dst_port, len);
-    }
-    if (v.copies > 1) {
-      SimTime dup_arrival = arrival + v.extra_delay + v.dup_delay;
-      tally(*net, Fate::fault_duplicate, dup_arrival, *packet.src, dst, packet.dst_port, len);
-      // The duplicate is posted first, as it always has been: at equal
-      // arrival times post order decides delivery order.
-      post(dup_arrival, packet);
-    }
-    arrival += v.extra_delay;
-  }
-  post(arrival, std::move(packet));
-}
-
 }  // namespace
 
 Host* Nic::host() const { return node_->is_router() ? nullptr : static_cast<Host*>(node_); }
@@ -180,14 +144,6 @@ Nic* Node::nic_on(const Network* network) {
   for (auto& nic : nics_)
     if (nic->network() == network) return nic.get();
   return nullptr;
-}
-
-void Host::schedule_delivery(Host* target, SimTime arrival, Packet packet) {
-  World* world = world_;
-  judge_and_post(*this, *target, arrival, std::move(packet),
-                 [world, target](SimTime when, Packet p) {
-                   world->post_delivery(target, when, std::move(p));
-                 });
 }
 
 Host::Host(World* world, std::string name, Rng rng, Engine* engine, std::size_t shard)
@@ -312,8 +268,10 @@ Result<Network*> Host::send(Host* dst_host, std::uint16_t dst_port, Payload payl
     return net;  // like UDP: the sender cannot tell
   }
 
-  schedule_delivery(dst_host, arrival,
-                    Packet{this, opts.src_port, dst_port, net, std::move(payload)});
+  world_->launch(*this, arrival, [&] {
+    return World::Flight{Packet{this, opts.src_port, dst_port, net, std::move(payload)},
+                         dst_host, {}, 0};
+  });
   return net;
 }
 
@@ -342,20 +300,16 @@ Result<Network*> Host::send_routed(Host* dst_host, std::uint16_t dst_port, Paylo
     return net;
   }
 
-  Packet packet{this, opts.src_port, dst_port, net, std::move(payload)};
-  if (route->hops.size() == 1) {
-    schedule_delivery(dst_host, arrival, std::move(packet));
-    return net;
-  }
-  World* world = world_;
-  judge_and_post(*this, *dst_host, arrival, std::move(packet),
-                 [world, &route](SimTime when, Packet p) {
-                   world->post_hop(route, 1, when, std::move(p));
-                 });
+  // The flight takes the route reference for the whole path; hop 0 is
+  // spent, so its next event forwards hop 1 (or delivers, on a 1-hop route).
+  world_->launch(*this, arrival, [&] {
+    return World::Flight{Packet{this, opts.src_port, dst_port, net, std::move(payload)},
+                         dst_host, std::move(route), 1};
+  });
   return net;
 }
 
-void Host::deliver(Packet packet) {
+void Host::deliver(const Packet& packet) {
   // Conditions are re-checked at delivery time: the destination may have
   // died or the link may have failed while the packet was in flight.
   Network* network = packet.network;
@@ -399,13 +353,17 @@ Result<void> Host::broadcast(const std::string& network, std::uint16_t port, Pay
       tally(*net, Fate::media_loss, arrival, *this, *target, port, payload.size());
       continue;
     }
-    schedule_delivery(target, arrival, Packet{this, src_port, port, net, payload});
+    world_->launch(*this, arrival, [&] {
+      return World::Flight{Packet{this, src_port, port, net, payload}, target, {}, 0};
+    });
   }
   return ok_result();
 }
 
 World::World(std::uint64_t seed, std::size_t shards)
-    : tracer_(obs::Tracer::global()), flight_({}, [this] { return ctrl_->now(); }) {
+    : tracer_(obs::Tracer::global()),
+      flight_({}, [this] { return ctrl_->now(); }),
+      flights_(shards) {
   assert(shards >= 1 && "a World needs at least one shard");
   engines_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -435,6 +393,7 @@ World::~World() {
   for (auto& e : engines_) e->clear();
   for (auto& row : mail_)
     for (auto& cell : row) cell.clear();
+  flights_.clear();
 }
 
 SimTime World::now() const {
@@ -624,8 +583,67 @@ SimDuration World::net_distance(const std::string& a, const std::string& b) {
   return route != nullptr ? route->latency : kUnreachable;
 }
 
-void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packet packet) {
-  const RouteHop& hop = route->hops[i];
+Node* World::Flight::next_node() const {
+  return route != nullptr && hop < route->hops.size() ? route->hops[hop].tx->node() : target;
+}
+
+World::FlightSlab::~FlightSlab() {
+  for (auto& chunk : chunks_)
+    for (std::uint32_t i = 0; i < kChunk; ++i)
+      if (chunk[i].live) std::launder(reinterpret_cast<Flight*>(chunk[i].bytes))->~Flight();
+}
+
+void World::FlightSlab::release(std::uint32_t slot) {
+  Cell& cell = cell_at(slot);
+  assert(cell.live && "flight released twice");
+  (*this)[slot].~Flight();
+  cell.live = false;
+  cell.next_free = free_head_;
+  free_head_ = slot;
+  --live_;
+}
+
+void World::judge_and_post(const Node& lane, std::size_t shard, std::uint32_t slot,
+                           SimTime arrival) {
+  FlightSlab& slab = flights_[shard];
+  Flight& flight = slab[slot];
+  Packet& packet = flight.packet;
+  Network* net = packet.network;
+  FaultInjector* fault = net->fault();
+  if (fault != nullptr) {
+    // The lane is the transmitting node: the source host on the first hop,
+    // the forwarding router on interior hops, so every injector lane stays
+    // confined to one shard's thread.  Partition boundaries are judged on
+    // the packet's end-to-end (src, dst) pair regardless of the lane.
+    const Host& dst = *flight.target;
+    FaultVerdict v = fault->judge(lane.name(), packet.src->name(), dst.name());
+    const std::size_t len = packet.payload.size();
+    if (v.drop) {
+      tally(*net, Fate::fault_drop, arrival, *packet.src, dst, packet.dst_port, len);
+      slab.release(slot);
+      return;
+    }
+    if (v.corrupt) {
+      fault->corrupt_payload(packet.payload, lane.name());
+      tally(*net, Fate::fault_corrupt, arrival, *packet.src, dst, packet.dst_port, len);
+    }
+    if (v.copies > 1) {
+      SimTime dup_arrival = arrival + v.extra_delay + v.dup_delay;
+      tally(*net, Fate::fault_duplicate, dup_arrival, *packet.src, dst, packet.dst_port, len);
+      // The duplicate is posted first, as it always has been: at equal
+      // arrival times post order decides delivery order.
+      post_flight(shard, slab.acquire([&] { return Flight(flight); }), dup_arrival);
+    }
+    arrival += v.extra_delay;
+  }
+  post_flight(shard, slot, arrival);
+}
+
+void World::forward_hop(std::size_t shard, std::uint32_t slot) {
+  FlightSlab& slab = flights_[shard];
+  Flight& flight = slab[slot];
+  Packet& packet = flight.packet;
+  const RouteHop& hop = flight.route->hops[flight.hop];
   Nic* tx = hop.tx;
   Node* node = tx->node();
   Network* net = hop.net;
@@ -634,108 +652,106 @@ void World::forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packe
   // in flight (§6's route-switching scenario: the transport's retransmit
   // re-resolves against the bumped epoch and fails over).
   Engine& engine = node->engine();
+  const std::size_t len = packet.payload.size();
   if (!node->up() || !tx->up() || !net->up()) {
-    tally(*net, Fate::down, engine.now(), *packet.src, *route->dst, packet.dst_port,
-          packet.payload.size());
+    tally(*net, Fate::down, engine.now(), *packet.src, *flight.target, packet.dst_port, len);
+    slab.release(slot);
     return;
   }
-  SimTime arrival = tx->transmit(engine.now(), packet.payload.size());
+  SimTime arrival = tx->transmit(engine.now(), len);
 
   net->stats().packets_sent++;
-  net->stats().bytes_sent += packet.payload.size();
+  net->stats().bytes_sent += len;
 
   if (node->rng().chance(net->total_loss())) {
-    tally(*net, Fate::media_loss, arrival, *packet.src, *route->dst, packet.dst_port,
-          packet.payload.size());
+    tally(*net, Fate::media_loss, arrival, *packet.src, *flight.target, packet.dst_port, len);
+    slab.release(slot);
     return;
   }
 
   packet.network = net;
-  Host* dst = route->dst;
-  if (i + 1 == route->hops.size()) {
-    judge_and_post(*node, *dst, arrival, std::move(packet),
-                   [this, dst](SimTime when, Packet p) {
-                     post_delivery(dst, when, std::move(p));
-                   });
+  ++flight.hop;
+  judge_and_post(*node, shard, slot, arrival);
+}
+
+void World::land(std::size_t shard, std::uint32_t slot) {
+  FlightSlab& slab = flights_[shard];
+  Flight& flight = slab[slot];
+  if (flight.route != nullptr && flight.hop < flight.route->hops.size()) {
+    forward_hop(shard, slot);
     return;
   }
-  judge_and_post(*node, *dst, arrival, std::move(packet),
-                 [this, &route, i](SimTime when, Packet p) {
-                   post_hop(route, i + 1, when, std::move(p));
-                 });
+  // The slot stays taken while the handler runs (it may send), and the
+  // slab's chunks never move, so `flight` stays valid throughout.
+  flight.target->deliver(flight.packet);
+  slab.release(slot);
 }
 
-void World::post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime when,
-                     Packet packet) {
-  Node* node = route->hops[i].tx->node();
-  Engine* engine = &node->engine();
-  auto hop = [this, route = std::move(route), i, packet = std::move(packet)]() mutable {
-    forward_hop(std::move(route), i, std::move(packet));
-  };
-  // One of these runs per router hop: a field added to Packet must not
-  // silently push every hop onto the heap.
-  static_assert(EventFn::fits_inline<decltype(hop)>,
-                "a router hop event no longer fits EventFn's inline buffer");
-  post_event(node->shard(), engine, when, std::move(hop));
+void World::schedule_flight(Engine& engine, SimTime when, std::size_t shard,
+                            std::uint32_t slot) {
+  engine.schedule_at(when, [this, shard, slot] { land(shard, slot); });
 }
 
-void World::post_event(std::size_t shard, Engine* engine, SimTime arrival, EventFn fn) {
+void World::post_flight(std::size_t shard, std::uint32_t slot, SimTime when) {
+  Flight& flight = flights_[shard][slot];
+  Node* next = flight.next_node();
+  const std::size_t to = next->shard();
+  Engine& engine = next->engine();
+  // A coordinator-initiated send can race the destination clock (its shard
+  // may have simulated past the arrival already), so it lands no earlier
+  // than the target's now.
+  if (to == shard) {
+    schedule_flight(engine, std::max(when, engine.now()), shard, slot);
+    return;
+  }
   int src = t_current_shard;
-  if (src < 0 || static_cast<std::size_t>(src) == shard) {
-    // Same shard, or the coordinator between windows: straight onto the
-    // target's engine — the classic path.  A coordinator-initiated send can
-    // race the destination clock (its shard may have simulated past the
-    // arrival already), so it lands no earlier than the target's now.
-    engine->schedule_at(std::max(arrival, engine->now()), std::move(fn));
+  if (src < 0) {
+    // The coordinator between windows: every worker is parked, so the
+    // flight moves straight into its destination shard's slab.
+    std::uint32_t moved = flights_[to].acquire([&] { return std::move(flight); });
+    flights_[shard].release(slot);
+    schedule_flight(engine, std::max(when, engine.now()), to, moved);
     return;
   }
   // Cross-shard: park it in the mailbox until the window barrier.  The
   // conservative window guarantees arrival >= the window end, so the
   // destination has not simulated past it.
-  auto s = static_cast<std::size_t>(src);
-  mail_[s][shard].push_back(MailItem{arrival, mail_seq_[s]++, engine, std::move(fn)});
-}
-
-void World::post_delivery(Host* target, SimTime arrival, Packet packet) {
-  auto delivery = [target, packet = std::move(packet)]() mutable {
-    target->deliver(std::move(packet));
-  };
-  static_assert(EventFn::fits_inline<decltype(delivery)>,
-                "a delivery event no longer fits EventFn's inline buffer");
-  post_event(target->shard(), &target->engine(), arrival, std::move(delivery));
+  assert(static_cast<std::size_t>(src) == shard && "a flight posted off its shard's thread");
+  mail_[shard][to].push_back(MailItem{when, mail_seq_[shard]++, std::move(flight)});
+  flights_[shard].release(slot);
 }
 
 void World::drain_mailboxes() {
   struct Entry {
     std::size_t src;
-    MailItem item;
+    MailItem* item;
   };
-  std::size_t total = 0;
-  for (auto& row : mail_)
-    for (auto& cell : row) total += cell.size();
-  if (total == 0) return;
   std::vector<Entry> entries;
-  entries.reserve(total);
   for (std::size_t s = 0; s < mail_.size(); ++s)
-    for (auto& cell : mail_[s]) {
-      for (auto& item : cell) entries.push_back(Entry{s, std::move(item)});
-      cell.clear();
-    }
+    for (auto& cell : mail_[s])
+      for (auto& item : cell) entries.push_back(Entry{s, &item});
+  if (entries.empty()) return;
   // Deterministic insertion order: arrival time, then source shard, then
   // the source's posting sequence.  Engine sequence numbers then preserve
   // this order among equal-time deliveries, so the destination sees the
   // same equal-time ordering for every shard count that keeps the sources
   // on distinct shards.
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.item.arrival != b.item.arrival) return a.item.arrival < b.item.arrival;
+    if (a.item->arrival != b.item->arrival) return a.item->arrival < b.item->arrival;
     if (a.src != b.src) return a.src < b.src;
-    return a.item.seq < b.item.seq;
+    return a.item->seq < b.item->seq;
   });
-  run_stats_.cross_shard_packets += total;
+  run_stats_.cross_shard_packets += entries.size();
   for (Entry& e : entries) {
-    assert(e.item.arrival >= e.item.engine->now() && "conservative window violated");
-    e.item.engine->schedule_at(e.item.arrival, std::move(e.item.fn));
+    Node* next = e.item->flight.next_node();
+    Engine& engine = next->engine();
+    assert(e.item->arrival >= engine.now() && "conservative window violated");
+    std::uint32_t slot =
+        flights_[next->shard()].acquire([&] { return std::move(e.item->flight); });
+    schedule_flight(engine, e.item->arrival, next->shard(), slot);
   }
+  for (auto& row : mail_)
+    for (auto& cell : row) cell.clear();
 }
 
 SimTime World::compute_lookahead() const {
@@ -784,7 +800,7 @@ void World::stop_workers() {
 void World::worker_main(std::size_t shard) {
   Engine* eng = engines_[shard].get();
   // For this thread's whole life: World::now() reads this shard's engine,
-  // and deliveries posted from here route through post_event's shard-aware
+  // and flights posted from here route through post_flight's shard-aware
   // path.
   t_current_shard = static_cast<int>(shard);
   std::uint64_t seen = 0;
@@ -892,6 +908,14 @@ std::uint64_t World::replay_digest() const {
   for (const auto& [name, net] : networks_)
     sum += net->stats().digest.load(std::memory_order_relaxed);
   return sum;
+}
+
+std::size_t World::in_flight() const {
+  std::size_t n = 0;
+  for (const FlightSlab& slab : flights_) n += slab.live();
+  for (const auto& row : mail_)
+    for (const auto& cell : row) n += cell.size();
+  return n;
 }
 
 std::uint64_t World::events_run() const {

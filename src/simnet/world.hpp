@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -391,13 +392,7 @@ class Host : public Node {
   friend class World;
   /// Hands `packet` to the handler bound on its dst_port, after re-checking
   /// that this host and its NIC on `packet.network` are still up.
-  void deliver(Packet packet);
-  /// Runs one datagram this host is about to put on `packet.network`
-  /// through that network's fault injector (if any) and posts the
-  /// surviving copies for delivery at `target` — directly onto the
-  /// target's engine when it shares the sender's shard, through the
-  /// cross-shard mailbox otherwise.
-  void schedule_delivery(Host* target, SimTime arrival, Packet packet);
+  void deliver(const Packet& packet);
   /// The no-shared-network continuation of send(): resolve a route and
   /// launch the packet down it.
   Result<Network*> send_routed(Host* dst_host, std::uint16_t dst_port, Payload payload,
@@ -513,6 +508,9 @@ class World {
 
   /// Total events executed across all engines.
   std::uint64_t events_run() const;
+  /// Datagrams sent but not yet delivered or dropped, across all shards
+  /// and mailboxes.  Zero once a run drains.
+  std::size_t in_flight() const;
   /// The replay oracle: the sum of every network's NetStats::digest, i.e.
   /// of one hash per datagram fate this World simulated.  Same seed, same
   /// digest, for any shard count.
@@ -602,28 +600,109 @@ class World {
   friend class Host;
   friend class Zone;
 
-  /// One cross-shard event (delivery or multi-hop forward) parked until the
-  /// window barrier.
+  /// One datagram in flight: the packet, the host it is bound for and, on a
+  /// routed path, the route and the index of the next hop to forward.  A
+  /// Flight lives in the World's slab of the shard whose engine runs its next
+  /// event, from the send that launches it until its fate (delivery or a
+  /// drop); its events name it by (shard, slot), so a hop moves no byte of it.
+  struct Flight {
+    Packet packet;
+    Host* target = nullptr;
+    std::shared_ptr<const Route> route;  ///< nullptr on a direct send
+    std::uint32_t hop = 0;               ///< next hop of `route` to forward
+
+    /// The node whose shard runs this flight's next event: the forwarding
+    /// node of hop `hop`, or the target once the route is spent.
+    Node* next_node() const;
+  };
+
+  /// One shard's in-flight datagrams.  Flights are built in place in
+  /// fixed-size chunks, so a Flight's address is stable while others come
+  /// and go (a delivery's handler may send); released slots are reused
+  /// through a free list threaded through the cells themselves, so a
+  /// release never allocates.  Touched only by the shard's thread, or by
+  /// the coordinator while the workers are parked.
+  class FlightSlab {
+   public:
+    FlightSlab() = default;
+    FlightSlab(const FlightSlab&) = delete;
+    FlightSlab& operator=(const FlightSlab&) = delete;
+    ~FlightSlab();
+
+    /// Builds make()'s Flight directly in a free slot and returns the slot.
+    template <typename Make>
+    std::uint32_t acquire(Make&& make) {
+      std::uint32_t slot = free_head_;
+      if (slot != kNoSlot) {
+        free_head_ = cell_at(slot).next_free;
+      } else {
+        if (used_ % kChunk == 0) chunks_.push_back(std::make_unique<Cell[]>(kChunk));
+        slot = used_++;
+      }
+      Cell& cell = cell_at(slot);
+      ::new (static_cast<void*>(cell.bytes)) Flight(make());
+      cell.live = true;
+      ++live_;
+      return slot;
+    }
+    Flight& operator[](std::uint32_t slot) {
+      return *std::launder(reinterpret_cast<Flight*>(cell_at(slot).bytes));
+    }
+    /// Destroys the slot's Flight (its payload and route references with
+    /// it) and frees the slot.
+    void release(std::uint32_t slot);
+    std::size_t live() const { return live_; }
+
+   private:
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+    struct Cell {
+      alignas(Flight) unsigned char bytes[sizeof(Flight)];
+      std::uint32_t next_free = kNoSlot;  ///< free-list link while not live
+      bool live = false;
+    };
+    static constexpr std::uint32_t kChunk = 256;
+    Cell& cell_at(std::uint32_t slot) { return chunks_[slot / kChunk][slot % kChunk]; }
+
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    std::uint32_t free_head_ = kNoSlot;  ///< most recently released slot
+    std::uint32_t used_ = 0;  ///< slots ever handed out (the high-water mark)
+    std::size_t live_ = 0;
+  };
+
+  /// One cross-shard flight parked until the window barrier, when
+  /// drain_mailboxes moves it into its destination shard's slab.
   struct MailItem {
     SimTime arrival;
     std::uint64_t seq;  ///< per-source-shard, assigned at post time
-    Engine* engine;     ///< destination shard's engine
-    EventFn fn;
+    Flight flight;
   };
 
-  /// Called from a node's shard thread (or the coordinator): schedules
-  /// directly when `shard` is the calling thread's shard (or the caller is
-  /// the coordinator), otherwise appends to mail_[calling shard][shard].
-  void post_event(std::size_t shard, Engine* engine, SimTime arrival, EventFn fn);
-  void post_delivery(Host* target, SimTime arrival, Packet packet);
-  /// Schedules hop `i` of `route` (a forward on the hop's tx node) at
-  /// `when`, crossing shards through the mailbox when needed.
-  void post_hop(std::shared_ptr<const Route> route, std::size_t i, SimTime when,
-                Packet packet);
-  /// Executes hop `i`: down checks, serialize on the egress NIC (sharing
-  /// bandwidth with every other flow crossing it), loss, fault injection,
-  /// then delivery (last hop) or the next forward.
-  void forward_hop(std::shared_ptr<const Route> route, std::size_t i, Packet packet);
+  /// Builds make()'s Flight in `lane`'s shard slab (the sender has just
+  /// put it on the wire, arriving at `arrival`) and judges and posts it.
+  template <typename Make>
+  void launch(const Node& lane, SimTime arrival, Make&& make) {
+    const std::size_t shard = lane.shard();
+    judge_and_post(lane, shard, flights_[shard].acquire(std::forward<Make>(make)), arrival);
+  }
+  /// Runs the flight in `shard`'s slot `slot`, which `lane` (the sending
+  /// host or forwarding router) is about to put on `packet.network`,
+  /// through that network's fault injector, if any: a dropped flight is
+  /// released, a duplicate is copied into a new slot and posted first, and
+  /// the survivor is posted for `arrival`.
+  void judge_and_post(const Node& lane, std::size_t shard, std::uint32_t slot,
+                      SimTime arrival);
+  /// Schedules the flight's next event (a forward or its delivery) at
+  /// `when` on its next node's engine, directly when that node shares
+  /// `shard` or the caller is the coordinator, otherwise through
+  /// mail_[calling shard][its shard].
+  void post_flight(std::size_t shard, std::uint32_t slot, SimTime when);
+  void schedule_flight(Engine& engine, SimTime when, std::size_t shard, std::uint32_t slot);
+  /// The one flight event: forwards the flight's next hop or delivers it.
+  void land(std::size_t shard, std::uint32_t slot);
+  /// Executes the flight's next hop: down checks, serialize on the egress
+  /// NIC (sharing bandwidth with every other flow crossing it), loss, fault
+  /// injection, then the next forward or the delivery.
+  void forward_hop(std::size_t shard, std::uint32_t slot);
   /// Uncached shortest-path resolution behind resolve_route.
   std::shared_ptr<const Route> compute_route(Host& src, Host& dst);
   void drain_mailboxes();
@@ -659,6 +738,7 @@ class World {
   // which is what gives every window a happens-before edge: whatever shard
   // i wrote during window k is visible to the coordinator at the barrier
   // and to every shard in window k+1.
+  std::vector<FlightSlab> flights_;                       ///< one per shard
   std::vector<std::vector<std::vector<MailItem>>> mail_;  ///< [src][dst]
   std::vector<std::uint64_t> mail_seq_;                   ///< per src shard
   std::vector<std::uint64_t> shard_busy_ns_;              ///< this window, per shard

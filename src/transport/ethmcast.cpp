@@ -171,16 +171,16 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
       break;
     }
   if (!msg.nack_timer.valid())
-    schedule_nack(sender, p.msg_id, gap ? kNackDelay : kNackRetry);
+    schedule_nack({packet.src, sender.port}, p.msg_id, gap ? kNackDelay : kNackRetry);
 }
 
-void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_t msg_id,
+void EthMcastEndpoint::schedule_nack(simnet::Endpoint sender, std::uint64_t msg_id,
                                      SimDuration delay) {
-  auto key = std::make_pair(sender.host, msg_id);
+  auto key = std::make_pair(sender.host->name(), msg_id);
   auto it = in_.find(key);
   if (it == in_.end()) return;
   it->second.nack_timer = engine_.schedule(delay, [this, sender, msg_id] {
-    auto key = std::make_pair(sender.host, msg_id);
+    auto key = std::make_pair(sender.host->name(), msg_id);
     auto it = in_.find(key);
     if (it == in_.end()) return;
     InMessage& msg = it->second;
@@ -205,7 +205,7 @@ void EthMcastEndpoint::schedule_nack(const simnet::Address& sender, std::uint64_
     simnet::SendOptions opts;
     opts.src_port = port_;
     opts.preferred_network = net_;
-    auto r = host_.send(sender, encode_mcast_nack(port_, nack), opts);
+    auto r = host_.send(sender.host, sender.port, encode_mcast_nack(port_, nack), opts);
     if (!r) log_.trace("nack failed: ", r.error().to_string());
     schedule_nack(sender, msg_id, kNackRetry);
   });

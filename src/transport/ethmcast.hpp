@@ -77,7 +77,7 @@ class EthMcastEndpoint {
   void on_packet(const simnet::Packet& packet);
   void broadcast_fragment(const OutMessage& msg, std::uint64_t msg_id, std::uint32_t index,
                           bool repair);
-  void schedule_nack(const simnet::Address& sender, std::uint64_t msg_id, SimDuration delay);
+  void schedule_nack(simnet::Endpoint sender, std::uint64_t msg_id, SimDuration delay);
 
   simnet::Host& host_;
   simnet::Engine& engine_;

@@ -78,15 +78,16 @@ std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t t
   Payload request = frame(Kind::request, id, tag, body, true);
 
   ++stats_.calls_sent;
-  auto timer = engine_.schedule(timeout, [this, id, dst, tag] {
+  auto timer = engine_.schedule(timeout, [this, id] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
-    auto handler = std::move(it->second.done);
+    PendingCall call = std::move(it->second);
     pending_.erase(it);
     ++stats_.calls_timeout;
-    handler(Error{Errc::timeout, "rpc tag " + std::to_string(tag) + " to " + dst.to_string()});
+    call.done(Error{Errc::timeout,
+                    "rpc tag " + std::to_string(call.tag) + " to " + call.dst.to_string()});
   });
-  pending_[id] = PendingCall{std::move(done), timer};
+  pending_[id] = PendingCall{std::move(done), timer, dst, tag};
   std::uint64_t msg_id = srudp_.send(dst, std::move(request));
   // Link the rpc layer into the request message's transport flow: the flow
   // id is deterministic, so recomputing it here matches what srudp minted.

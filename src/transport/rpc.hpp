@@ -173,6 +173,8 @@ class RpcEndpoint {
   struct PendingCall {
     ResponseHandler done;
     simnet::TimerId timeout;
+    simnet::Address dst;  ///< for the timeout error
+    std::uint32_t tag = 0;
   };
   std::map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_call_id_ = 1;

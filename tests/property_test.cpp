@@ -271,6 +271,7 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   data.total_len = static_cast<std::uint32_t>(data.payload.size()) * data.frag_count;
   if (data.frag_count > 1 && data.total_len == 0) data.total_len = 1;
   out.push_back(encode_data(7001, data).to_bytes());
+  out.push_back(encode_data(7001, data, /*with_checksum=*/true).to_bytes());
 
   StatusPacket status;
   status.msg_id = rng.next_below(1u << 30);
@@ -319,9 +320,11 @@ bool decode_by_head(const Bytes& wire) {
   auto head = decode_head(wire);
   if (!head) return false;
   switch (head.value().type) {
-    case PacketType::data: {
+    case PacketType::data:
+    case PacketType::data_ck: {
       auto p = decode_data(wire);
       if (!p) return false;
+      EXPECT_EQ(p.value().has_checksum, head.value().type == PacketType::data_ck);
       EXPECT_GT(p.value().frag_count, 0u);
       EXPECT_LT(p.value().frag_index, p.value().frag_count);
       EXPECT_LE(p.value().frag_count, kMaxWireFragments);
@@ -384,6 +387,15 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   EXPECT_EQ(d.value().total_len, data.total_len);
   EXPECT_EQ(d.value().payload, data.payload);
   EXPECT_EQ(decode_head(encode_data(123, data)).value().src_port, 123);
+  auto ck = decode_data(encode_data(123, data, /*with_checksum=*/true));
+  ASSERT_TRUE(ck.ok()) << ck.error().to_string();
+  EXPECT_TRUE(ck.value().has_checksum);
+  EXPECT_FALSE(d.value().has_checksum);
+  EXPECT_EQ(ck.value().msg_id, data.msg_id);
+  EXPECT_EQ(ck.value().frag_index, data.frag_index);
+  EXPECT_EQ(ck.value().frag_count, data.frag_count);
+  EXPECT_EQ(ck.value().total_len, data.total_len);
+  EXPECT_EQ(ck.value().payload, data.payload);
 
   StatusPacket status;
   status.msg_id = rng.next_below(1ull << 40);
@@ -459,6 +471,7 @@ TEST_P(WireFuzz, EveryStrictPrefixFailsWithCorrupt) {
       EXPECT_FALSE(decode_by_head(prefix)) << "prefix " << len << " of " << wire.size();
       switch (head.value().type) {
         case PacketType::data:
+        case PacketType::data_ck:
           EXPECT_EQ(decode_data(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::status:

@@ -991,5 +991,123 @@ TEST(World, SingleShardRunUntilMatchesEngineRunUntil) {
   EXPECT_EQ(run(true), run(false));
 }
 
+// ---- Flight slab: every datagram's flight is released exactly once ----
+
+/// What a slab-hygiene run saw: every NetStats counter per network, the
+/// replay digest, the flights left aboard and the sender buffer's owners.
+struct SlabRun {
+  std::vector<std::uint64_t> counters;
+  std::uint64_t digest = 0;
+  std::size_t in_flight = 0;
+  long buffer_owners = 0;
+  std::uint64_t cross_shard = 0;
+};
+
+/// a -n- r1 -mid- r2, and behind r2: -m- e, -lossy- f, -drop- g and
+/// -x- r3 -y- h.  b shares n with a.  The injector on mid duplicates every
+/// datagram r1 forwards, the one on m corrupts every datagram r2 forwards
+/// (into a clone: the only flights that drop the sender's buffer early),
+/// lossy loses every datagram, the injector on drop drops every one, and
+/// r3 goes down once the sends have left.  With two shards a and r1 sit on
+/// shard 0 and everything past mid on shard 1, so every flight, duplicates
+/// included, crosses the mailbox.
+SlabRun run_slab_gauntlet(std::size_t shards, int k) {
+  World world(31, shards);
+  const std::size_t far = shards - 1;
+  auto net = [&](const char* name) -> Network& {
+    return world.create_network(name, ethernet100());
+  };
+  Network& n = net("n");
+  Network& mid = net("mid");
+  Network& m = net("m");
+  Network& lossy = net("lossy");
+  Network& drop = net("drop");
+  Network& x = net("x");
+  Network& y = net("y");
+  Host& a = world.create_host("a", 0);
+  Host& b = world.create_host("b", 0);
+  Router& r1 = world.create_router("r1", 0);
+  Router& r2 = world.create_router("r2", far);
+  Router& r3 = world.create_router("r3", far);
+  Host& e = world.create_host("e", far);
+  Host& f = world.create_host("f", far);
+  Host& g = world.create_host("g", far);
+  Host& h = world.create_host("h", far);
+  for (auto [node, nw] : std::initializer_list<std::pair<Node*, Network*>>{
+           {&a, &n}, {&b, &n}, {&r1, &n}, {&r1, &mid}, {&r2, &mid}, {&r2, &m}, {&e, &m},
+           {&r2, &lossy}, {&f, &lossy}, {&r2, &drop}, {&g, &drop}, {&r2, &x}, {&r3, &x},
+           {&r3, &y}, {&h, &y}})
+    world.attach(*node, *nw);
+  for (Host* host : {&b, &e, &f, &g, &h}) host->bind(1, [](const Packet&) {}).value();
+  lossy.set_extra_loss(1.0);
+  FaultPlan plan(world, 3);
+  FaultProfile twin;
+  twin.duplicate = 1;
+  twin.reorder_jitter = 0;
+  plan.inject("mid", twin);
+  FaultProfile mangle;
+  mangle.corrupt = 1;
+  mangle.reorder_jitter = 0;
+  plan.inject("m", mangle);
+  FaultProfile kill_all;
+  kill_all.burst.loss_good = 1;
+  plan.inject("drop", kill_all);
+
+  auto buf = std::make_shared<const Bytes>(Bytes(200, 7));
+  a.engine().schedule_at(0, [&] {
+    for (int i = 0; i < k; ++i) {
+      a.send(&b, 1, Payload(buf)).value();
+      a.broadcast("n", 1, Payload(buf)).value();
+      a.send(&e, 1, Payload(buf)).value();
+      a.send(&e, 2, Payload(buf)).value();  // nothing bound on e:2
+      a.send(&f, 1, Payload(buf)).value();
+      a.send(&g, 1, Payload(buf)).value();
+      a.send(&h, 1, Payload(buf)).value();
+    }
+  });
+  world.control_engine().schedule_at(1, [&r3] { r3.set_up(false); });
+  world.run_all();
+
+  SlabRun out;
+  for (Network* nw : {&n, &mid, &m, &lossy, &drop, &x, &y}) {
+    const NetStats& st = nw->stats();
+    for (const auto* c : {&st.packets_sent, &st.packets_delivered, &st.drops_loss,
+                          &st.drops_down, &st.drops_unbound, &st.drops_fault,
+                          &st.fault_duplicates, &st.fault_corruptions})
+      out.counters.push_back(c->load());
+  }
+  out.digest = world.replay_digest();
+  out.in_flight = world.in_flight();
+  out.buffer_owners = buf.use_count();
+  out.cross_shard = world.run_stats().cross_shard_packets;
+  return out;
+}
+
+TEST(FlightSlab, EveryFateReleasesItsFlightOnceAtOneAndTwoShards) {
+  constexpr std::uint64_t k = 16;
+  // Per network: sent, delivered, loss, down, unbound, fault drop,
+  // duplicates, corruptions.  Past mid every datagram flies twice.
+  const std::vector<std::uint64_t> expected = {
+      7 * k, 2 * k, 0,     0,     0,     0,     0,     0,      // n: b direct + broadcast
+      5 * k, 0,     0,     0,     0,     0,     5 * k, 0,      // mid: twinned
+      4 * k, 2 * k, 0,     0,     2 * k, 0,     0,     4 * k,  // m: e:1, e:2, mangled
+      2 * k, 0,     2 * k, 0,     0,     0,     0,     0,      // lossy: media loss
+      2 * k, 0,     0,     0,     0,     2 * k, 0,     0,      // drop: fault drop
+      2 * k, 0,     0,     0,     0,     0,     0,     0,      // x: on to r3
+      0,     0,     0,     2 * k, 0,     0,     0,     0,      // y: r3 is down
+  };
+  const SlabRun one = run_slab_gauntlet(1, static_cast<int>(k));
+  EXPECT_EQ(one.counters, expected);
+  EXPECT_EQ(one.in_flight, 0u);
+  EXPECT_EQ(one.buffer_owners, 1) << "a flight still holds (or over-released) the payload";
+
+  const SlabRun two = run_slab_gauntlet(2, static_cast<int>(k));
+  EXPECT_EQ(two.counters, expected);
+  EXPECT_EQ(two.in_flight, 0u);
+  EXPECT_EQ(two.buffer_owners, 1) << "a flight still holds (or over-released) the payload";
+  EXPECT_EQ(two.cross_shard, 10 * k) << "every twin crosses mid into shard 1";
+  EXPECT_EQ(two.digest, one.digest);
+}
+
 }  // namespace
 }  // namespace snipe::simnet
