@@ -11,81 +11,43 @@
 // retransmission, leaner acking), and ATM outruns Ethernet once messages
 // amortize per-packet costs.
 //
-// Metrics are virtual-time: sim_MBps is what Fig. 1's y-axis shows.
+// Metrics are virtual-time: sim_MBps is what Fig. 1's y-axis shows.  The
+// scenario bodies live in scenarios.hpp, where claims_test asserts the
+// figure's ordering on the same numbers.
 #include "bench_util.hpp"
 #include "simnet/topo.hpp"
-#include "transport/srudp.hpp"
-#include "transport/stream.hpp"
 
 namespace {
 
 using namespace snipe;
 using namespace snipe::bench;
 
-constexpr std::int64_t kTransferTarget = 16 << 20;  // move ~16 MiB per case
-
-/// Sends `count` messages of `size` bytes over SRUDP, returns virtual secs.
-double run_srudp(simnet::MediaModel media, std::size_t size, int count, double loss) {
-  PairWorld pair(media, 42);
-  pair.world.network("net")->set_extra_loss(loss);
-  transport::SrudpEndpoint tx(pair.a(), 7001), rx(pair.b(), 7002);
-  int delivered = 0;
-  rx.set_handler([&](const simnet::Address&, Payload) { ++delivered; });
-  SimTime start = pair.world.now();
-  for (int i = 0; i < count; ++i) tx.send(rx.address(), Bytes(size, 0x5a));
-  pair.world.engine().run();
-  if (delivered != count) return -1;
-  return to_seconds(pair.world.now() - start);
-}
-
-/// Same transfer over the TCP-like stream (handshake included, as a real
-/// TCP connection per transfer would pay it).
-double run_stream(simnet::MediaModel media, std::size_t size, int count, double loss) {
-  PairWorld pair(media, 42);
-  pair.world.network("net")->set_extra_loss(loss);
-  transport::StreamEndpoint client(pair.a(), 8001), server(pair.b(), 8002);
-  int delivered = 0;
-  server.listen([&](std::shared_ptr<transport::StreamConnection> conn) {
-    conn->set_message_handler([&delivered, conn](Payload) { ++delivered; });
-  });
-  SimTime start = pair.world.now();
-  auto conn = client.connect(server.address());
-  for (int i = 0; i < count; ++i) conn->send_message(Bytes(size, 0x5a));
-  pair.world.engine().run();
-  if (delivered != count) return -1;
-  return to_seconds(pair.world.now() - start);
-}
-
 void BM_Fig1(benchmark::State& state) {
-  const int protocol = static_cast<int>(state.range(0));  // 0 = SRUDP, 1 = TCP
+  const auto protocol = static_cast<Protocol>(state.range(0));
   const int media_index = static_cast<int>(state.range(1));
   const std::size_t size = static_cast<std::size_t>(state.range(2));
-  const int count = static_cast<int>(std::max<std::int64_t>(1, kTransferTarget / size));
 
-  double secs = 0;
+  double mbps = 0;
   for (auto _ : state) {
     reset_metrics();
-    simnet::MediaModel media = media_by_index(media_index);
-    secs = protocol == 0 ? run_srudp(media, size, count, 0.0)
-                         : run_stream(media, size, count, 0.0);
-    if (secs <= 0) {
+    mbps = fig1_MBps(protocol, media_by_index(media_index), size);
+    if (mbps <= 0) {
       state.SkipWithError("transfer incomplete");
       return;
     }
   }
-  double bytes = static_cast<double>(size) * count;
-  state.counters["sim_MBps"] = bytes / secs / 1e6;
+  state.counters["sim_MBps"] = mbps;
   state.counters["msg_bytes"] = static_cast<double>(size);
-  // Retained totals survive the endpoints (destroyed inside run_srudp), so
+  // Retained totals survive the endpoints (destroyed inside the scenario), so
   // the snapshot still carries the whole transfer: retransmit count, RTT
   // percentiles, delivered bytes.
-  if (protocol == 0) embed_metrics(state, "srudp.");
-  state.SetLabel(std::string(protocol == 0 ? "SNIPE-srudp" : "TCP") + "/" +
+  if (protocol == Protocol::srudp) embed_metrics(state, "srudp.");
+  state.SetLabel(std::string(protocol == Protocol::srudp ? "SNIPE-srudp" : "TCP") + "/" +
                  media_name(media_index));
 }
 
 void fig1_args(benchmark::internal::Benchmark* b) {
-  for (int protocol : {0, 1})
+  for (int protocol : {0, 1})  // Protocol::srudp, Protocol::tcp
     for (int media : {1, 2, 3})  // eth100, atm155, myrinet (Fig. 1 + extension)
       for (std::int64_t size : {256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304})
         b->Args({protocol, media, size});
@@ -95,48 +57,18 @@ BENCHMARK(BM_Fig1)->Apply(fig1_args)->Iterations(1)->Unit(benchmark::kMillisecon
 
 // Small-message latency companion (the left edge of Fig. 1's curves).
 void BM_Fig1Latency(benchmark::State& state) {
-  const int protocol = static_cast<int>(state.range(0));
+  const auto protocol = static_cast<Protocol>(state.range(0));
   const int media_index = static_cast<int>(state.range(1));
-  double secs = 0;
-  const int rounds = 200;
+  double rtt = 0;
   for (auto _ : state) {
-    simnet::MediaModel media = media_by_index(media_index);
-    // One-byte ping-pong: round-trip time / 2.
-    PairWorld pair(media, 7);
-    int pongs = 0;
-    if (protocol == 0) {
-      transport::SrudpEndpoint a(pair.a(), 7001), b(pair.b(), 7002);
-      b.set_handler([&](const simnet::Address& src, Payload m) { b.send(src, std::move(m)); });
-      a.set_handler([&](const simnet::Address&, Payload) {
-        if (++pongs < rounds) a.send(b.address(), Bytes{1});
-      });
-      SimTime start = pair.world.now();
-      a.send(b.address(), Bytes{1});
-      pair.world.engine().run();
-      secs = to_seconds(pair.world.now() - start);
-    } else {
-      transport::StreamEndpoint client(pair.a(), 8001), server(pair.b(), 8002);
-      std::shared_ptr<transport::StreamConnection> sconn;
-      server.listen([&](std::shared_ptr<transport::StreamConnection> conn) {
-        sconn = conn;
-        conn->set_message_handler([&](Payload m) { sconn->send_message(std::move(m)); });
-      });
-      auto conn = client.connect(server.address());
-      conn->set_message_handler([&](Payload m) {
-        if (++pongs < rounds) conn->send_message(std::move(m));
-      });
-      SimTime start = pair.world.now();
-      conn->send_message(Bytes{1});
-      pair.world.engine().run();
-      secs = to_seconds(pair.world.now() - start);
-    }
-    if (pongs != rounds) {
+    rtt = fig1_rtt_seconds(protocol, media_by_index(media_index));
+    if (rtt <= 0) {
       state.SkipWithError("ping-pong incomplete");
       return;
     }
   }
-  state.counters["sim_rtt_us"] = secs / rounds * 1e6;
-  state.SetLabel(std::string(protocol == 0 ? "SNIPE-srudp" : "TCP") + "/" +
+  state.counters["sim_rtt_us"] = rtt * 1e6;
+  state.SetLabel(std::string(protocol == Protocol::srudp ? "SNIPE-srudp" : "TCP") + "/" +
                  media_name(media_index));
 }
 
@@ -160,7 +92,7 @@ BENCHMARK(BM_Fig1Latency)
 // framing.
 void BM_Fig1Datacenter(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  const int count = static_cast<int>(std::max<std::int64_t>(1, kTransferTarget / size));
+  const int count = static_cast<int>(std::max<std::int64_t>(1, kFig1TransferBytes / size));
   double secs = 0;
   for (auto _ : state) {
     reset_metrics();
@@ -202,13 +134,12 @@ BENCHMARK(BM_Fig1Datacenter)
 // Loss ablation: selective re-send vs cumulative-ack streams under loss —
 // the design rationale for SRUDP (DESIGN.md §5.2).
 void BM_LossAblation(benchmark::State& state) {
-  const int protocol = static_cast<int>(state.range(0));
+  const auto protocol = static_cast<Protocol>(state.range(0));
   const double loss = static_cast<double>(state.range(1)) / 1000.0;
   double secs = 0;
   for (auto _ : state) {
     reset_metrics();
-    secs = protocol == 0 ? run_srudp(simnet::wan_t3(), 65536, 64, loss)
-                         : run_stream(simnet::wan_t3(), 65536, 64, loss);
+    secs = transfer_seconds(protocol, simnet::wan_t3(), 65536, 64, loss);
     if (secs <= 0) {
       state.SkipWithError("transfer incomplete");
       return;
@@ -216,8 +147,8 @@ void BM_LossAblation(benchmark::State& state) {
   }
   state.counters["sim_MBps"] = 64.0 * 65536 / secs / 1e6;
   state.counters["loss_pct"] = loss * 100;
-  if (protocol == 0) embed_metrics(state, "srudp.");
-  state.SetLabel(protocol == 0 ? "SNIPE-srudp" : "TCP");
+  if (protocol == Protocol::srudp) embed_metrics(state, "srudp.");
+  state.SetLabel(protocol == Protocol::srudp ? "SNIPE-srudp" : "TCP");
 }
 
 BENCHMARK(BM_LossAblation)

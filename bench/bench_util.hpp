@@ -13,6 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenarios.hpp"
 #include "simnet/world.hpp"
 
 namespace snipe::bench {
@@ -33,10 +34,10 @@ inline bool metrics_enabled() {
 }
 
 /// SNIPE_BENCH_FLOW=1 additionally records causal flow events.  Off by
-/// default: flow ids are minted and carried on the wire regardless (the
-/// replay contract), so this knob toggles only the per-fragment event
-/// recording — the runtime overhead DESIGN.md quantifies with
-/// bench_datapath run both ways.
+/// default.  No packet carries a flow id (each end derives it), so this
+/// knob moves no byte (the replay contract): it toggles only minting and
+/// the per-fragment event recording — the runtime overhead DESIGN.md
+/// quantifies with bench_datapath run both ways.
 inline bool flow_enabled() {
   static const bool enabled = [] {
     const char* env = std::getenv("SNIPE_BENCH_FLOW");
@@ -98,17 +99,5 @@ inline const char* media_name(int i) {
     default: return "internet";
   }
 }
-
-/// Two hosts joined by one network of the given media.
-struct PairWorld {
-  explicit PairWorld(simnet::MediaModel media, std::uint64_t seed = 1) : world(seed) {
-    auto& net = world.create_network("net", std::move(media));
-    world.attach(world.create_host("a"), net);
-    world.attach(world.create_host("b"), net);
-  }
-  simnet::Host& a() { return *world.host("a"); }
-  simnet::Host& b() { return *world.host("b"); }
-  simnet::World world;
-};
 
 }  // namespace snipe::bench

@@ -64,10 +64,11 @@ class Tracer {
   void set_enabled(bool enabled) { enabled_->store(enabled, std::memory_order_relaxed); }
   bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
 
-  /// Flow recording is a separate, off-by-default switch: the trace context
-  /// is always minted and carried on the wire (so enabling it cannot change
-  /// packet bytes or virtual timestamps — the replay contract), but the
-  /// per-fragment flow events are only recorded when this is on.  The check
+  /// Flow recording is a separate, off-by-default switch: no packet carries
+  /// the trace context (each end derives it, and only while this is on), so
+  /// enabling it cannot change packet bytes or virtual timestamps — the
+  /// replay contract — and the per-fragment flow events are only recorded
+  /// when this is on.  The check
   /// is one relaxed atomic load, cheap enough for the per-fragment path.
   void set_flow_enabled(bool enabled) {
     flow_enabled_->store(enabled, std::memory_order_relaxed);

@@ -39,6 +39,12 @@ EthMcastEndpoint::~EthMcastEndpoint() {
   for (auto& [key, msg] : in_) engine_.cancel(msg.nack_timer);
 }
 
+std::uint64_t EthMcastEndpoint::flow_id(std::string_view sender_host, std::uint16_t sender_port,
+                                         std::uint64_t msg_id) const {
+  if (!host_.tracer().flow_enabled()) return 0;
+  return mint_flow(sender_host, sender_port, group_, port_, msg_id);
+}
+
 void EthMcastEndpoint::send(Payload message) {
   OutMessage msg;
   msg.frag_size = frag_payload_;
@@ -48,17 +54,13 @@ void EthMcastEndpoint::send(Payload message) {
                                                    frag_payload_);
   msg.data = std::move(message);
   std::uint64_t msg_id = next_msg_id_++;
-  // The group plays the peer-host role in the mint: a multicast flow has
-  // one sender and many receivers, all sharing the same id.
-  msg.flow = mint_flow(host_.name(), port_, group_, port_, msg_id);
   msg.born = engine_.now();
-  auto& tracer = host_.tracer();
-  if (tracer.flow_enabled())
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow",
-                "ethmcast.send", msg.flow,
-                {{"group", group_},
-                 {"msg", std::to_string(msg_id)},
-                 {"bytes", std::to_string(msg.data.size())}});
+  if (const std::uint64_t flow = flow_id(host_.name(), port_, msg_id); flow != 0)
+    host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow",
+                        "ethmcast.send", flow,
+                        {{"group", group_},
+                         {"msg", std::to_string(msg_id)},
+                         {"bytes", std::to_string(msg.data.size())}});
   for (std::uint32_t i = 0; i < msg.frag_count; ++i)
     broadcast_fragment(msg, msg_id, i, /*repair=*/false);
   ++stats_.messages_sent;
@@ -75,18 +77,16 @@ void EthMcastEndpoint::broadcast_fragment(const OutMessage& msg, std::uint64_t m
   p.frag_index = index;
   p.frag_count = msg.frag_count;
   p.total_len = static_cast<std::uint32_t>(msg.data.size());
-  p.flow = msg.flow;
   p.born = msg.born;
   std::size_t begin = static_cast<std::size_t>(index) * msg.frag_size;
   std::size_t end = std::min(msg.data.size(), begin + msg.frag_size);
   if (begin < end) p.payload = msg.data.slice(begin, end - begin);
   ++stats_.fragments_broadcast;
-  auto& tracer = host_.tracer();
-  if (tracer.flow_enabled())
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                repair ? "ethmcast.repair" : "ethmcast.tx", msg.flow,
-                {{"frag", std::to_string(index)}});
-  auto r = host_.broadcast(network_, port_, encode_mcast_data(port_, p), port_);
+  if (const std::uint64_t flow = flow_id(host_.name(), port_, msg_id); flow != 0)
+    host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                        repair ? "ethmcast.repair" : "ethmcast.tx", flow,
+                        {{"frag", std::to_string(index)}});
+  auto r = host_.broadcast(network_, port_, encode_mcast_data(p), port_);
   if (!r) log_.trace("broadcast failed: ", r.error().to_string());
 }
 
@@ -114,7 +114,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   auto decoded = decode_mcast_data(packet.payload);
   if (!decoded || decoded.value().group != group_) return;
   const McastDataPacket& p = decoded.value();
-  simnet::Address sender{packet.src->name(), head.value().src_port};
+  simnet::Address sender{packet.src->name(), packet.src_port};
 
   auto key = std::make_pair(sender.host, p.msg_id);
   // Duplicate-after-delivery guard.  Only applies when no reassembly is in
@@ -127,7 +127,6 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   if (inserted) {
     msg.frag_count = p.frag_count;
     msg.total_len = p.total_len;
-    msg.flow = p.flow;
     msg.born = p.born;
     msg.frags.resize(p.frag_count);
     msg.have = make_bitmap(p.frag_count);
@@ -148,11 +147,10 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   if (msg.have_count == msg.frag_count) {
     Payload assembled;
     for (auto& frag : msg.frags) assembled.append(std::move(frag));
-    auto& tracer = host_.tracer();
-    if (tracer.flow_enabled())
-      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow",
-                  "ethmcast.deliver", msg.flow,
-                  {{"host", host_.name()}, {"bytes", std::to_string(assembled.size())}});
+    if (const std::uint64_t flow = flow_id(sender.host, sender.port, p.msg_id); flow != 0)
+      host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow",
+                          "ethmcast.deliver", flow,
+                          {{"host", host_.name()}, {"bytes", std::to_string(assembled.size())}});
     delivery_ms_->observe(static_cast<double>(engine_.now() - msg.born) / 1e6);
     engine_.cancel(msg.nack_timer);
     in_.erase(it);
@@ -192,12 +190,11 @@ void EthMcastEndpoint::schedule_nack(simnet::Endpoint sender, std::uint64_t msg_
       if (!bitmap_get(msg.have, i)) nack.missing.push_back(i);
     if (nack.missing.empty()) return;
     ++stats_.nacks_sent;
-    auto& tracer = host_.tracer();
-    if (tracer.flow_enabled())
-      tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                  "ethmcast.nack", msg.flow,
-                  {{"host", host_.name()},
-                   {"missing", std::to_string(nack.missing.size())}});
+    if (const std::uint64_t flow = flow_id(sender.host->name(), sender.port, msg_id); flow != 0)
+      host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
+                          "ethmcast.nack", flow,
+                          {{"host", host_.name()},
+                           {"missing", std::to_string(nack.missing.size())}});
     host_.flight().record(
         "ethmcast", "nack",
         "group=" + group_ + " msg=" + std::to_string(msg_id) +
@@ -205,7 +202,7 @@ void EthMcastEndpoint::schedule_nack(simnet::Endpoint sender, std::uint64_t msg_
     simnet::SendOptions opts;
     opts.src_port = port_;
     opts.preferred_network = net_;
-    auto r = host_.send(sender.host, sender.port, encode_mcast_nack(port_, nack), opts);
+    auto r = host_.send(sender.host, sender.port, encode_mcast_nack(nack), opts);
     if (!r) log_.trace("nack failed: ", r.error().to_string());
     schedule_nack(sender, msg_id, kNackRetry);
   });

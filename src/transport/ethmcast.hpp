@@ -60,8 +60,7 @@ class EthMcastEndpoint {
     Payload data;  ///< the whole message; fragments are slices of it
     std::uint32_t frag_count = 0;
     std::size_t frag_size = 0;
-    std::uint64_t flow = 0;  ///< trace context carried by every fragment
-    SimTime born = 0;        ///< send time, carried on the wire for latency
+    SimTime born = 0;  ///< send time, carried on the wire for latency
   };
   struct InMessage {
     std::vector<Payload> frags;  ///< slices of the sender's buffer
@@ -69,11 +68,16 @@ class EthMcastEndpoint {
     std::uint32_t have_count = 0;
     std::uint32_t frag_count = 0;
     std::uint32_t total_len = 0;
-    std::uint64_t flow = 0;
     SimTime born = 0;
     simnet::TimerId nack_timer;
   };
 
+  /// Trace flow id of message `msg_id` broadcast by the endpoint at
+  /// (`sender_host`, `sender_port`); 0 while flows are not recorded.  The
+  /// group takes the receiver's place in the mint, so the sender and every
+  /// receiver derive the same id and no fragment carries it.
+  std::uint64_t flow_id(std::string_view sender_host, std::uint16_t sender_port,
+                        std::uint64_t msg_id) const;
   void on_packet(const simnet::Packet& packet);
   void broadcast_fragment(const OutMessage& msg, std::uint64_t msg_id, std::uint32_t index,
                           bool repair);

@@ -87,23 +87,21 @@ std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t t
     call.done(Error{Errc::timeout,
                     "rpc tag " + std::to_string(call.tag) + " to " + call.dst.to_string()});
   });
-  pending_[id] = PendingCall{std::move(done), timer, dst, tag};
-  std::uint64_t msg_id = srudp_.send(dst, std::move(request));
-  // Link the rpc layer into the request message's transport flow: the flow
-  // id is deterministic, so recomputing it here matches what srudp minted.
-  std::uint64_t flow =
-      mint_flow(srudp_.address().host, srudp_.port(), dst.host, dst.port, msg_id);
-  auto& tracer = host().tracer();
-  if (tracer.flow_enabled())
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.call", flow,
-                {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
+  // Link the rpc layer into the request message's transport flow; the
+  // reply's completion joins the same flow.
+  srudp_.send(dst, std::move(request));
+  const std::uint64_t flow = srudp_.last_sent_flow();
+  pending_[id] = PendingCall{std::move(done), timer, dst, tag, flow};
+  if (flow != 0)
+    host().tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.call",
+                         flow, {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
   return flow;
 }
 
 std::uint64_t RpcEndpoint::notify(const simnet::Address& dst, std::uint32_t tag, Payload body) {
   ++stats_.notifications_sent;
-  std::uint64_t msg_id = srudp_.send(dst, frame(Kind::oneway, 0, tag, body, true));
-  return mint_flow(srudp_.address().host, srudp_.port(), dst.host, dst.port, msg_id);
+  srudp_.send(dst, frame(Kind::oneway, 0, tag, body, true));
+  return srudp_.last_sent_flow();
 }
 
 void RpcEndpoint::send_reply(const simnet::Address& src, std::uint64_t id, std::uint32_t tag,
@@ -126,16 +124,14 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
   }
   Kind kind = static_cast<Kind>(kind_raw.value());
 
-  // We are inside srudp's delivery handler, so the transport exposes the
-  // flow id of the message being delivered — link rpc dispatch into it.
-  auto& tracer = host().tracer();
-  if (tracer.flow_enabled() && srudp_.last_delivered_flow() != 0)
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                kind == Kind::request || kind == Kind::oneway ? "rpc.serve" : "rpc.complete",
-                srudp_.last_delivered_flow(),
-                {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});
-
   if (kind == Kind::request || kind == Kind::oneway) {
+    // We are inside srudp's delivery handler, so the transport exposes the
+    // flow id of the message being delivered — link rpc dispatch into it.
+    if (srudp_.last_delivered_flow() != 0)
+      host().tracer().flow(
+          engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.serve",
+          srudp_.last_delivered_flow(),
+          {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});
     auto auth = r.blob();
     if (!auth) return;
     if (!config_.shared_secret.empty() && auth.value() != authenticator(body.value())) {
@@ -186,6 +182,11 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
   // Response or error to one of our calls.
   auto it = pending_.find(id.value());
   if (it == pending_.end()) return;  // late response after timeout
+  if (it->second.flow != 0)
+    host().tracer().flow(
+        engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.complete",
+        it->second.flow,
+        {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});
   engine_.cancel(it->second.timeout);
   auto handler = std::move(it->second.done);
   pending_.erase(it);

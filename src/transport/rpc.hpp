@@ -120,9 +120,10 @@ class RpcEndpoint {
   /// Issues a request; `done` fires exactly once with the response body,
   /// a server-reported error, or Errc::timeout.  Returns the transport flow
   /// id of the request message so callers can link their own trace steps to
-  /// the causal flow (`trace <id>` on the console).  The body's segments
-  /// are spliced into the request by reference.  A `done` written against
-  /// Result<Bytes> is accepted too and gets the response flattened.
+  /// the causal flow (`trace <id>` on the console); 0 while flows are not
+  /// recorded.  The body's segments are spliced into the request by
+  /// reference.  A `done` written against Result<Bytes> is accepted too and
+  /// gets the response flattened.
   template <typename F>
   std::uint64_t call(const simnet::Address& dst, std::uint32_t tag, Payload body, F done,
                      SimDuration timeout = 0) {
@@ -175,6 +176,7 @@ class RpcEndpoint {
     simnet::TimerId timeout;
     simnet::Address dst;  ///< for the timeout error
     std::uint32_t tag = 0;
+    std::uint64_t flow = 0;  ///< the request's trace flow id (0 untraced)
   };
   std::map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_call_id_ = 1;

@@ -71,15 +71,20 @@ void SrudpEndpoint::note_route_success(Peer peer, PeerOut& out) {
   }
 }
 
+std::uint64_t SrudpEndpoint::flow_id(Peer peer, bool inbound, std::uint64_t msg_id) const {
+  if (!host_.tracer().flow_enabled()) return 0;
+  const std::string_view self = host_.name();
+  const std::string_view other = peer.host ? std::string_view(peer.host->name()) : "?";
+  return mint_flow(inbound ? other : self, inbound ? peer.port : port_, inbound ? self : other,
+                   inbound ? port_ : peer.port, msg_id);
+}
+
 std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   const Peer peer = host_.world()->endpoint(dst);
   auto& out = ensure_out(peer);
 
   OutMessage msg;
   msg.msg_id = out.next_msg_id++;
-  // Trace context: deterministic (no RNG draw) and carried by every
-  // fragment, so enabling flow recording cannot perturb the simulation.
-  msg.flow = mint_flow(host_.name(), port_, dst.host, dst.port, msg.msg_id);
   msg.enqueued = engine_.now();
   msg.frag_count = message.empty()
                        ? 1
@@ -90,13 +95,13 @@ std::uint64_t SrudpEndpoint::send(const simnet::Address& dst, Payload message) {
   msg.deadline = engine_.now() + config_.msg_ttl;
   std::uint64_t msg_id = msg.msg_id;
   auto& tracer = host_.tracer();
-  if (tracer.flow_enabled()) {
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send", msg.flow,
-                {{"peer", dst.to_string()},
-                 {"msg", std::to_string(msg.msg_id)},
-                 {"bytes", std::to_string(msg.data.size())}});
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.frag", msg.flow,
-                {{"frags", std::to_string(msg.frag_count)}});
+  last_sent_flow_ = flow_id(peer, /*inbound=*/false, msg_id);
+  if (last_sent_flow_ != 0) {
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_start, "flow", "srudp.send",
+                last_sent_flow_, {{"peer", dst.to_string()}, {"msg", std::to_string(msg_id)},
+                                  {"bytes", std::to_string(msg.data.size())}});
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.frag",
+                last_sent_flow_, {{"frags", std::to_string(msg.frag_count)}});
   }
   if (peer.host == nullptr)
     log_.debug("no host named ", dst.host, ": message ", msg_id, " will expire unsent");
@@ -154,7 +159,6 @@ void SrudpEndpoint::send_fragment(Peer peer, PeerOut& out, OutMessage& msg,
   p.frag_index = index;
   p.frag_count = msg.frag_count;
   p.total_len = static_cast<std::uint32_t>(msg.data.size());
-  p.flow = msg.flow;
   std::size_t begin = static_cast<std::size_t>(index) * frag_payload_;
   std::size_t end = std::min(msg.data.size(), begin + frag_payload_);
   // A fragment is a *slice* of the message buffer, not a copy of it.
@@ -170,11 +174,12 @@ void SrudpEndpoint::send_fragment(Peer peer, PeerOut& out, OutMessage& msg,
   if (tracer.flow_enabled()) {
     const std::string& path = out.path.preferred_name();
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                retransmission ? "srudp.retransmit" : "srudp.tx", msg.flow,
+                retransmission ? "srudp.retransmit" : "srudp.tx",
+                flow_id(peer, /*inbound=*/false, msg.msg_id),
                 {{"frag", std::to_string(index)}, {"path", path.empty() ? "auto" : path}});
   }
   ++out.inflight;
-  raw_send(peer, &out, encode_data(port_, p, config_.checksum));
+  raw_send(peer, &out, encode_data(p, config_.checksum));
 }
 
 void SrudpEndpoint::raw_send(Peer peer, PeerOut* out, Payload wire) {
@@ -221,7 +226,8 @@ void SrudpEndpoint::on_rto(Peer peer) {
     // so the switch shows up inside the affected cross-host trace.
     if (tracer.flow_enabled())
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
-                  "srudp.route_switch", out.queue.front().flow,
+                  "srudp.route_switch",
+                  flow_id(peer, /*inbound=*/false, out.queue.front().msg_id),
                   {{"to", out.path.preferred_name()}});
     host_.flight().record(
         "srudp", "route_switch",
@@ -242,7 +248,7 @@ void SrudpEndpoint::on_rto(Peer peer) {
     }
   }
   raw_send(peer, &out,
-           encode_msg_id(PacketType::probe, port_, {out.queue.front().msg_id}));
+           encode_msg_id(PacketType::probe, {out.queue.front().msg_id}));
   out.rtt.backoff();
   arm_rto(peer);
 }
@@ -264,7 +270,7 @@ void SrudpEndpoint::expire_head(Peer peer, PeerOut& out) {
 void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   auto head = decode_head(packet.payload);
   if (!head) return;
-  const Peer peer{packet.src, head.value().src_port};
+  const Peer peer{packet.src, packet.src_port};
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
@@ -307,12 +313,12 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   PeerIn& in = in_[peer];
   if (p.msg_id < in.next_deliver) {
     // Already delivered (or skipped): the MSG_ACK was lost; repeat it.
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {p.msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}));
     ++stats_.duplicate_fragments;
     return;
   }
   if (in.complete.count(p.msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {p.msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}));
     ++stats_.duplicate_fragments;
     return;
   }
@@ -326,19 +332,19 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   }
   auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx", p.flow,
+    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.rx",
+                flow_id(peer, /*inbound=*/true, p.msg_id),
                 {{"frag", std::to_string(p.frag_index)}});
   if (it == in.partial.end()) {
     if (p.frag_count == 1) {
       // A single-fragment message is complete on arrival: no reassembly state.
-      on_complete(peer, in, p.msg_id, p.payload, p.total_len, p.flow);
+      on_complete(peer, in, p.msg_id, p.payload, p.total_len);
       return;
     }
     it = in.partial.try_emplace(p.msg_id).first;
     InMessage& fresh = it->second;
     fresh.frag_count = p.frag_count;
     fresh.total_len = p.total_len;
-    fresh.flow = p.flow;
     fresh.frags.resize(p.frag_count);
     fresh.have = FragBitmap(p.frag_count);
   }
@@ -360,10 +366,9 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
     // coalesces them into one segment and no bytes move at all.
     Payload assembled;
     for (auto& frag : msg.frags) assembled.append(std::move(frag));
-    std::uint64_t flow = msg.flow;
     engine_.cancel(msg.status_timer);
     in.partial.erase(it);
-    on_complete(peer, in, p.msg_id, std::move(assembled), p.total_len, flow);
+    on_complete(peer, in, p.msg_id, std::move(assembled), p.total_len);
     return;
   }
 
@@ -398,7 +403,7 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
 }
 
 void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Payload assembled,
-                                std::uint32_t total_len, std::uint64_t flow) {
+                                std::uint32_t total_len) {
   if (assembled.size() != total_len) {
     log_.warn("reassembled length mismatch for msg ", msg_id);
     return;
@@ -406,13 +411,13 @@ void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Pay
   auto& tracer = host_.tracer();
   if (tracer.flow_enabled())
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble",
-                flow,
+                flow_id(peer, /*inbound=*/true, msg_id),
                 {{"msg", std::to_string(msg_id)}, {"bytes", std::to_string(assembled.size())}});
-  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {msg_id}));
+  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}));
   if (msg_id == in.next_deliver)
-    deliver(peer, in, std::move(assembled), flow);
+    deliver(peer, in, std::move(assembled));
   else
-    in.complete[msg_id] = CompleteMsg{std::move(assembled), flow};
+    in.complete[msg_id] = std::move(assembled);
   try_deliver(peer, in);
 }
 
@@ -451,16 +456,16 @@ void SrudpEndpoint::send_status(Peer peer, std::uint64_t msg_id,
   p.frag_count = msg.frag_count;
   p.bitmap = msg.have.to_bytes();
   ++stats_.status_sent;
-  raw_send(peer, nullptr, encode_status(port_, p));
+  raw_send(peer, nullptr, encode_status(p));
 }
 
-void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload, std::uint64_t flow) {
-  auto& tracer = host_.tracer();
-  if (tracer.flow_enabled())
-    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver", flow,
-                {{"peer", peer.to_string()},
-                 {"msg", std::to_string(in.next_deliver)},
-                 {"bytes", std::to_string(payload.size())}});
+void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload) {
+  const std::uint64_t flow = flow_id(peer, /*inbound=*/true, in.next_deliver);
+  if (flow != 0)
+    host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_end, "flow", "srudp.deliver",
+                        flow, {{"peer", peer.to_string()},
+                               {"msg", std::to_string(in.next_deliver)},
+                               {"bytes", std::to_string(payload.size())}});
   ++in.next_deliver;
   ++stats_.messages_delivered;
   stats_.bytes_delivered += payload.size();
@@ -473,9 +478,9 @@ void SrudpEndpoint::try_deliver(Peer peer, PeerIn& in) {
   while (!in.complete.empty()) {
     auto it = in.complete.find(in.next_deliver);
     if (it == in.complete.end()) break;
-    CompleteMsg msg = std::move(it->second);
+    Payload msg = std::move(it->second);
     in.complete.erase(it);
-    deliver(peer, in, std::move(msg.data), msg.flow);
+    deliver(peer, in, std::move(msg));
   }
   if (!in.complete.empty()) {
     arm_hol_skip(peer);
@@ -619,7 +624,7 @@ void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
 void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
   PeerIn& in = in_[peer];
   if (msg_id < in.next_deliver || in.complete.count(msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, port_, {msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}));
     return;
   }
   auto it = in.partial.find(msg_id);
@@ -632,7 +637,7 @@ void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
     p.msg_id = msg_id;
     p.frag_count = 0;
     ++stats_.status_sent;
-    raw_send(peer, nullptr, encode_status(port_, p));
+    raw_send(peer, nullptr, encode_status(p));
   }
 }
 

@@ -27,7 +27,7 @@
 // Peers are interned: send() resolves the destination's name once into a
 // simnet::Endpoint (host pointer + port), and every per-peer table, timer
 // closure and datagram after that is keyed by it — an arriving packet's
-// peer is its source Host* and the header's port, no string.  The tables
+// peer is its source Host* and source port, no string.  The tables
 // are hash maps; they are iterated only to cancel timers and to sum
 // pending(), neither of which depends on order, so determinism holds.  A
 // name is built only where one is wanted: logs, flight entries, traces,
@@ -154,17 +154,24 @@ class SrudpEndpoint {
   const SrudpStats& stats() const { return stats_; }
 
   /// Flow id of the message most recently handed to the delivery handler
-  /// (valid inside the handler call).  Layers above srudp — rpc notably —
-  /// use it to link their own trace steps into the message's flow without
-  /// any extra wire bytes.
+  /// (valid inside the handler call; 0 while flows are not recorded).
+  /// Layers above srudp — rpc notably — use it to link their own trace
+  /// steps into the message's flow without any extra wire bytes.
   std::uint64_t last_delivered_flow() const { return last_delivered_flow_; }
+  /// Flow id of the message most recently queued by send(), the id its
+  /// receiver derives (0 while flows are not recorded).
+  std::uint64_t last_sent_flow() const { return last_sent_flow_; }
 
  private:
   using Peer = simnet::Endpoint;
 
+  /// Trace flow id of message `msg_id` between this endpoint and `peer`,
+  /// sent by the peer if `inbound`; 0 while flows are not recorded.  Both
+  /// ends mint it from the link's endpoints, so no packet carries it.
+  std::uint64_t flow_id(Peer peer, bool inbound, std::uint64_t msg_id) const;
+
   struct OutMessage {
     std::uint64_t msg_id = 0;
-    std::uint64_t flow = 0;   ///< trace context carried by every fragment
     SimTime enqueued = 0;     ///< send() time; delivery latency = ack - this
     Payload data;  ///< the whole message; fragments are slices of it
     std::uint32_t frag_count = 0;
@@ -195,7 +202,6 @@ class SrudpEndpoint {
 
   struct InMessage {
     std::vector<Payload> frags;  ///< slices of the sender's buffer
-    std::uint64_t flow = 0;      ///< trace context from the fragments
     FragBitmap have;
     std::uint32_t have_count = 0;
     std::uint32_t prefix = 0;  ///< fragments [0, prefix) are all held
@@ -208,13 +214,6 @@ class SrudpEndpoint {
     SimTime last_status_sent = -1;
   };
 
-  /// A reassembled message waiting its turn in the in-order queue; the flow
-  /// id rides along so delivery can close the cross-host trace.
-  struct CompleteMsg {
-    Payload data;
-    std::uint64_t flow = 0;
-  };
-
   struct PeerIn {
     std::uint64_t next_deliver = 1;
     /// Multi-fragment messages being reassembled.  A single-fragment
@@ -222,7 +221,7 @@ class SrudpEndpoint {
     std::map<std::uint64_t, InMessage> partial;
     /// Complete messages waiting for an older one.  A message that
     /// completes in order is delivered at once and never enters it.
-    std::map<std::uint64_t, CompleteMsg> complete;
+    std::map<std::uint64_t, Payload> complete;
     simnet::TimerId hol_timer;
   };
 
@@ -237,7 +236,7 @@ class SrudpEndpoint {
   /// A message whose every fragment arrived: acknowledge it, then deliver
   /// it now if it is next in order, else park it in `complete`.
   void on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Payload assembled,
-                   std::uint32_t total_len, std::uint64_t flow);
+                   std::uint32_t total_len);
   void on_status(Peer peer, const StatusPacket& p);
   void on_msg_ack(Peer peer, std::uint64_t msg_id);
   void on_probe(Peer peer, std::uint64_t msg_id);
@@ -253,7 +252,7 @@ class SrudpEndpoint {
   void send_status(Peer peer, std::uint64_t msg_id, const InMessage& msg);
   void schedule_status(Peer peer, std::uint64_t msg_id, SimDuration delay);
   /// Hands message `in.next_deliver` to the handler and advances.
-  void deliver(Peer peer, PeerIn& in, Payload payload, std::uint64_t flow);
+  void deliver(Peer peer, PeerIn& in, Payload payload);
   /// Delivers every parked message that is next in order, then arms or
   /// clears the head-of-line skip.
   void try_deliver(Peer peer, PeerIn& in);
@@ -270,6 +269,7 @@ class SrudpEndpoint {
   std::unordered_map<Peer, PeerOut> out_;
   std::unordered_map<Peer, PeerIn> in_;
   std::uint64_t last_delivered_flow_ = 0;
+  std::uint64_t last_sent_flow_ = 0;
   SrudpStats stats_;
   obs::Histogram* rtt_ms_;  ///< host's "srudp.rtt_ms" (Karn-filtered samples)
   /// Host's "srudp.delivery_ms": send() to MSG_ACK per message, the

@@ -47,7 +47,7 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
     return;
   auto p = decode_stream(packet.payload);
   if (!p) return;
-  const ConnKey key{{packet.src, head.value().src_port}, p.value().conn_id};
+  const ConnKey key{{packet.src, packet.src_port}, p.value().conn_id};
   auto it = connections_.find(key);
   if (it == connections_.end()) {
     if (type != PacketType::syn) return;  // stray packet for a dead conn
@@ -103,6 +103,14 @@ std::size_t StreamConnection::mss() const {
   return budget - kStreamHeaderBytes;
 }
 
+std::uint64_t StreamConnection::flow_id(bool inbound, std::uint64_t ordinal) const {
+  if (!endpoint_->host().tracer().flow_enabled()) return 0;
+  const std::string& self = endpoint_->host().name();
+  const std::uint16_t port = endpoint_->port();
+  return mint_flow(inbound ? peer_.host : self, inbound ? peer_.port : port,
+                   inbound ? self : peer_.host, inbound ? port : peer_.port, ordinal);
+}
+
 void StreamConnection::start_connect() {
   state_ = State::syn_sent;
   send_control(PacketType::syn);
@@ -115,30 +123,23 @@ void StreamConnection::send_control(PacketType type) {
   p.seq = snd_nxt;
   p.ack = rcv_nxt;
   p.window = static_cast<std::uint32_t>(kReceiveWindow);
-  endpoint_->raw_send(peer_ep_, encode_stream(type, endpoint_->port(), p));
+  endpoint_->raw_send(peer_ep_, encode_stream(type, p));
 }
 
 void StreamConnection::send_message(Payload message) {
-  // Trace context rides the reliable framing itself — [u32 len][u64 flow]
-  // [bytes] — so it crosses retransmissions and resegmentation exactly
-  // once, in order, and the receiver closes the flow at parse time.
-  std::uint64_t flow = mint_flow(endpoint_->host().name(), endpoint_->port(), peer_.host,
-                                 peer_.port, next_msg_seq_++);
-  auto& tracer = endpoint_->host().tracer();
-  if (tracer.flow_enabled())
-    tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_start, "flow",
-                "stream.send", flow,
-                {{"peer", peer_.to_string()},
-                 {"bytes", std::to_string(message.size())}});
+  const std::uint64_t ordinal = next_msg_seq_++;
+  if (const std::uint64_t flow = flow_id(/*inbound=*/false, ordinal); flow != 0)
+    endpoint_->host().tracer().flow(
+        endpoint_->engine().now(), obs::TraceEvent::Phase::flow_start, "flow", "stream.send",
+        flow, {{"peer", peer_.to_string()}, {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
   // buffer into one frame without copying either.
   PayloadWriter w;
   w.u32(static_cast<std::uint32_t>(message.size()));
-  w.u64(flow);
   w.append(message);
   Payload frame = std::move(w).take();
   send_end_ += frame.size();
-  send_frames_.push_back(Frame{std::move(frame), send_end_, flow, endpoint_->engine().now()});
+  send_frames_.push_back(Frame{std::move(frame), send_end_, ordinal, endpoint_->engine().now()});
   if (state_ == State::established) pump();
 }
 
@@ -167,7 +168,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   // whose end lies past `seq` (frames are ascending by end).
   auto frame = std::partition_point(send_frames_.begin(), send_frames_.end(),
                                     [seq](const Frame& f) { return f.end <= seq; });
-  const std::uint64_t flow = frame->flow;
+  const std::uint64_t ordinal = frame->ordinal;
   for (std::uint64_t at = seq, stop = seq + len; at < stop; ++frame) {
     const std::uint64_t take = std::min(stop, frame->end) - at;
     p.payload.append(frame->bytes.slice(static_cast<std::size_t>(at - frame->start()),
@@ -184,13 +185,13 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
   }
   ++stats_.segments_sent;
   stats_.bytes_sent += len;
-  auto& tracer = endpoint_->host().tracer();
   // The segment belongs to the message containing its first byte.
-  if (tracer.flow_enabled() && flow != 0)
-    tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
-                retransmission ? "stream.retransmit" : "stream.tx", flow,
-                {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
-  endpoint_->raw_send(peer_ep_, encode_stream(PacketType::seg, endpoint_->port(), p));
+  if (const std::uint64_t flow = flow_id(/*inbound=*/false, ordinal); flow != 0)
+    endpoint_->host().tracer().flow(
+        endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
+        retransmission ? "stream.retransmit" : "stream.tx", flow,
+        {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
+  endpoint_->raw_send(peer_ep_, encode_stream(PacketType::seg, p));
 }
 
 void StreamConnection::arm_rto() {
@@ -314,7 +315,6 @@ void StreamConnection::parse_messages() {
     if (receive_buffer_.size() < kStreamFrameHeaderBytes) return;
     PayloadCursor r(receive_buffer_);
     std::uint32_t len = r.u32().value();
-    std::uint64_t flow = r.u64().value();
     if (receive_buffer_.size() < kStreamFrameHeaderBytes + len) return;
     Payload message = receive_buffer_.slice(kStreamFrameHeaderBytes, len);
     receive_buffer_ =
@@ -322,11 +322,10 @@ void StreamConnection::parse_messages() {
                               receive_buffer_.size() - kStreamFrameHeaderBytes - len);
     ++stats_.messages_delivered;
     stats_.bytes_delivered += message.size();
-    auto& tracer = endpoint_->host().tracer();
-    if (tracer.flow_enabled())
-      tracer.flow(endpoint_->engine().now(), obs::TraceEvent::Phase::flow_end, "flow",
-                  "stream.deliver", flow,
-                  {{"peer", peer_.to_string()}, {"bytes", std::to_string(len)}});
+    if (const std::uint64_t flow = flow_id(/*inbound=*/true, next_rx_msg_++); flow != 0)
+      endpoint_->host().tracer().flow(
+          endpoint_->engine().now(), obs::TraceEvent::Phase::flow_end, "flow", "stream.deliver",
+          flow, {{"peer", peer_.to_string()}, {"bytes", std::to_string(len)}});
     if (on_message_) on_message_(std::move(message));
   }
 }

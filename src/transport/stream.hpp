@@ -17,7 +17,7 @@
 // ever re-copied, however many messages are queued behind the window.
 //
 // Connections are demultiplexed by (peer Endpoint, conn_id): an arriving
-// segment names its peer by source Host* and header port, no string.
+// segment names its peer by source Host* and source port, no string.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +99,10 @@ class StreamConnection {
   void deliver_contiguous();
   void parse_messages();
   std::size_t mss() const;
+  /// Trace flow id of this connection's `ordinal`-th message (from 1) in
+  /// one direction, sent by the peer if `inbound`; 0 while flows are not
+  /// recorded.  Both ends count messages, so no frame carries the id.
+  std::uint64_t flow_id(bool inbound, std::uint64_t ordinal) const;
 
   StreamEndpoint* endpoint_;
   simnet::Endpoint peer_ep_;  ///< where segments go
@@ -112,9 +116,9 @@ class StreamConnection {
   /// frame ends.  A segment takes the flow of the frame holding its first
   /// byte; the frame retires (observing delivery latency) once fully acked.
   struct Frame {
-    Payload bytes;          ///< [u32 len][u64 flow][message]
+    Payload bytes;          ///< [u32 len][message]
     std::uint64_t end = 0;  ///< absolute stream offset one past the frame
-    std::uint64_t flow = 0;
+    std::uint64_t ordinal = 0;  ///< the message's number on this connection
     SimTime enqueued = 0;
     std::uint64_t start() const { return end - bytes.size(); }
   };
@@ -140,6 +144,7 @@ class StreamConnection {
   std::uint64_t rcv_nxt = 0;
   std::map<std::uint64_t, Payload> out_of_order_;
   Payload receive_buffer_;  ///< contiguous bytes not yet parsed into messages
+  std::uint64_t next_rx_msg_ = 1;  ///< ordinal of the next message parsed
 
   MessageHandler on_message_;
   ConnectHandler on_connect_;

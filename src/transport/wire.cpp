@@ -5,10 +5,9 @@
 namespace snipe::transport {
 
 namespace {
-PayloadWriter begin(PacketType type, std::uint16_t src_port) {
+PayloadWriter begin(PacketType type) {
   PayloadWriter w;
   w.u8(static_cast<std::uint8_t>(type));
-  w.u16(src_port);
   return w;
 }
 
@@ -16,8 +15,6 @@ Result<PayloadCursor> open(const Payload& wire) {
   PayloadCursor r(wire);
   auto type = r.u8();
   if (!type) return type.error();
-  auto port = r.u16();
-  if (!port) return port.error();
   return r;
 }
 
@@ -27,19 +24,19 @@ Result<PayloadCursor> open(const Payload& wire) {
 Error trailing_bytes() { return Error{Errc::corrupt, "trailing bytes"}; }
 }  // namespace
 
-std::uint64_t mint_flow(std::string_view src_host, std::uint16_t src_port,
-                        std::string_view dst_host, std::uint16_t dst_port,
-                        std::uint64_t msg_id) {
+std::uint64_t mint_flow(std::string_view from_host, std::uint16_t from_port,
+                        std::string_view to_host, std::uint16_t to_port,
+                        std::uint64_t ordinal) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
   auto mix = [&h](std::uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
   };
-  for (char c : src_host) mix(static_cast<unsigned char>(c), 1);
-  mix(src_port, 2);
-  for (char c : dst_host) mix(static_cast<unsigned char>(c), 1);
-  mix(dst_port, 2);
-  mix(msg_id, 8);
-  return h == 0 ? 1 : h;  // 0 means "untraced" on the wire
+  for (char c : from_host) mix(static_cast<unsigned char>(c), 1);
+  mix(from_port, 2);
+  for (char c : to_host) mix(static_cast<unsigned char>(c), 1);
+  mix(to_port, 2);
+  mix(ordinal, 8);
+  return h == 0 ? 1 : h;  // 0 means "untraced"
 }
 
 std::uint32_t payload_checksum(const Payload& p) {
@@ -52,34 +49,33 @@ std::uint32_t payload_checksum(const Payload& p) {
   return h;
 }
 
-Payload encode_data(std::uint16_t src_port, const DataPacket& p, bool with_checksum) {
-  auto w = begin(with_checksum ? PacketType::data_ck : PacketType::data, src_port);
+Payload encode_data(const DataPacket& p, bool with_checksum) {
+  auto w = begin(with_checksum ? PacketType::data_ck : PacketType::data);
   w.u64(p.msg_id);
   w.u32(p.frag_index);
   w.u32(p.frag_count);
   w.u32(p.total_len);
-  w.u64(p.flow);
   if (with_checksum) w.u32(payload_checksum(p.payload));
   w.blob(p.payload);
   return std::move(w).take();
 }
 
-Payload encode_status(std::uint16_t src_port, const StatusPacket& p) {
-  auto w = begin(PacketType::status, src_port);
+Payload encode_status(const StatusPacket& p) {
+  auto w = begin(PacketType::status);
   w.u64(p.msg_id);
   w.u32(p.frag_count);
   w.blob(p.bitmap);
   return std::move(w).take();
 }
 
-Payload encode_msg_id(PacketType type, std::uint16_t src_port, const MsgIdPacket& p) {
-  auto w = begin(type, src_port);
+Payload encode_msg_id(PacketType type, const MsgIdPacket& p) {
+  auto w = begin(type);
   w.u64(p.msg_id);
   return std::move(w).take();
 }
 
-Payload encode_stream(PacketType type, std::uint16_t src_port, const StreamPacket& p) {
-  auto w = begin(type, src_port);
+Payload encode_stream(PacketType type, const StreamPacket& p) {
+  auto w = begin(type);
   w.u32(p.conn_id);
   w.u64(p.seq);
   w.u64(p.ack);
@@ -88,21 +84,20 @@ Payload encode_stream(PacketType type, std::uint16_t src_port, const StreamPacke
   return std::move(w).take();
 }
 
-Payload encode_mcast_data(std::uint16_t src_port, const McastDataPacket& p) {
-  auto w = begin(PacketType::mdata, src_port);
+Payload encode_mcast_data(const McastDataPacket& p) {
+  auto w = begin(PacketType::mdata);
   w.str(p.group);
   w.u64(p.msg_id);
   w.u32(p.frag_index);
   w.u32(p.frag_count);
   w.u32(p.total_len);
-  w.u64(p.flow);
   w.u64(static_cast<std::uint64_t>(p.born));
   w.blob(p.payload);
   return std::move(w).take();
 }
 
-Payload encode_mcast_nack(std::uint16_t src_port, const McastNackPacket& p) {
-  auto w = begin(PacketType::mnack, src_port);
+Payload encode_mcast_nack(const McastNackPacket& p) {
+  auto w = begin(PacketType::mnack);
   w.str(p.group);
   w.u64(p.msg_id);
   w.u32(static_cast<std::uint32_t>(p.missing.size()));
@@ -114,17 +109,13 @@ Result<PacketHead> decode_head(const Payload& wire) {
   PayloadCursor r(wire);
   auto type = r.u8();
   if (!type) return type.error();
-  auto port = r.u16();
-  if (!port) return port.error();
-  return PacketHead{static_cast<PacketType>(type.value()), port.value()};
+  return PacketHead{static_cast<PacketType>(type.value())};
 }
 
 Result<DataPacket> decode_data(const Payload& wire) {
   PayloadCursor r(wire);
   auto type = r.u8();
   if (!type) return type.error();
-  auto port = r.u16();
-  if (!port) return port.error();
   DataPacket p;
   p.has_checksum = static_cast<PacketType>(type.value()) == PacketType::data_ck;
   auto msg_id = r.u64();
@@ -139,9 +130,6 @@ Result<DataPacket> decode_data(const Payload& wire) {
   auto total_len = r.u32();
   if (!total_len) return total_len.error();
   p.total_len = total_len.value();
-  auto flow = r.u64();
-  if (!flow) return flow.error();
-  p.flow = flow.value();
   std::uint32_t wire_sum = 0;
   if (p.has_checksum) {
     auto sum = r.u32();
@@ -234,9 +222,6 @@ Result<McastDataPacket> decode_mcast_data(const Payload& wire) {
   auto total_len = r.value().u32();
   if (!total_len) return total_len.error();
   p.total_len = total_len.value();
-  auto flow = r.value().u64();
-  if (!flow) return flow.error();
-  p.flow = flow.value();
   auto born = r.value().u64();
   if (!born) return born.error();
   p.born = static_cast<std::int64_t>(born.value());

@@ -3,7 +3,12 @@
 // The 1998 SNIPE comms module (§6) spoke three protocols over raw
 // datagrams: a selective re-send UDP protocol ("SRUDP" here), TCP, and an
 // experimental Ethernet multicast.  Every packet starts with a one-byte
-// type and the sender's reply port; the rest is protocol-specific.
+// type; the rest is protocol-specific.
+//
+// A packet carries only what its receiver cannot derive.  The sender's
+// reply port is the datagram's own source port, and a trace flow id is
+// minted at each end from the link's endpoints and the message's ordinal
+// (mint_flow), so neither rides the wire.
 //
 // Encoders produce a Payload whose byte sequence is exactly what the old
 // ByteWriter emitted: a small pooled header segment followed by the data
@@ -47,7 +52,6 @@ enum class PacketType : std::uint8_t {
 /// Common prefix of every transport packet.
 struct PacketHead {
   PacketType type;
-  std::uint16_t src_port = 0;  ///< sender's transport endpoint port
 };
 
 /// SRUDP DATA fragment.  `payload` is a slice of the received datagram (or,
@@ -57,7 +61,6 @@ struct DataPacket {
   std::uint32_t frag_index = 0;
   std::uint32_t frag_count = 0;
   std::uint32_t total_len = 0;  ///< full message length, for sanity checks
-  std::uint64_t flow = 0;       ///< trace context (mint_flow); 0 = untraced
   Payload payload;
   bool has_checksum = false;    ///< wire type was data_ck
   bool checksum_ok = true;      ///< checksum verified (always true for data)
@@ -91,7 +94,6 @@ struct McastDataPacket {
   std::uint32_t frag_index = 0;
   std::uint32_t frag_count = 0;
   std::uint32_t total_len = 0;
-  std::uint64_t flow = 0;    ///< trace context (mint_flow); 0 = untraced
   std::int64_t born = 0;     ///< sender's virtual send time (multicast has no
                              ///< acks, so receivers compute delivery latency
                              ///< from the shared virtual clock)
@@ -113,26 +115,24 @@ struct McastNackPacket {
 constexpr std::uint32_t kMaxWireFragments = 1u << 20;
 
 /// Number of bytes the SRUDP DATA header occupies on the wire; used to
-/// compute fragment payload budgets from the MTU.  The +8 is the trace
-/// context (flow id), always present so tracing on/off cannot change packet
-/// sizes (and therefore serialization delays — the replay contract).
-constexpr std::size_t kDataHeaderBytes = 1 + 2 + 8 + 4 + 4 + 4 + 8 + 4;  // +4 blob len
+/// compute fragment payload budgets from the MTU: type, msg_id,
+/// frag_index, frag_count, total_len and the payload blob's length.
+constexpr std::size_t kDataHeaderBytes = 1 + 8 + 4 + 4 + 4 + 4;
 /// DATA with checksum (data_ck) carries an extra u32 before the blob.
 constexpr std::size_t kDataCkHeaderBytes = kDataHeaderBytes + 4;
-/// Ditto for stream segments.
-constexpr std::size_t kStreamHeaderBytes = 1 + 2 + 4 + 8 + 8 + 4 + 4;
-/// Stream messages ride the byte stream framed as [u32 len][u64 flow][bytes]
-/// — the flow id travels in the reliable framing, exactly once and in
-/// order, so the receiver can close the flow at parse time.
-constexpr std::size_t kStreamFrameHeaderBytes = 4 + 8;
+/// Ditto for stream segments: type, conn_id, seq, ack, window, blob length.
+constexpr std::size_t kStreamHeaderBytes = 1 + 4 + 8 + 8 + 4 + 4;
+/// Stream messages ride the byte stream framed as [u32 len][bytes].
+constexpr std::size_t kStreamFrameHeaderBytes = 4;
 
 /// Deterministic 64-bit trace-context id (FNV-1a over the endpoints and
-/// per-destination message id).  Minting draws no randomness and both ends
-/// of an RPC can recompute it, which is what keeps seeded chaos replays
-/// bit-identical with tracing on or off.
-std::uint64_t mint_flow(std::string_view src_host, std::uint16_t src_port,
-                        std::string_view dst_host, std::uint16_t dst_port,
-                        std::uint64_t msg_id);
+/// the message's ordinal on that link).  Minting draws no randomness and
+/// each end knows every argument, so sender and receiver compute the same
+/// id without carrying it: tracing on or off sends the same bytes, which is
+/// what keeps seeded chaos replays bit-identical either way.
+std::uint64_t mint_flow(std::string_view from_host, std::uint16_t from_port,
+                        std::string_view to_host, std::uint16_t to_port,
+                        std::uint64_t ordinal);
 
 /// FNV-1a (32-bit) over a payload's bytes — the opt-in SRUDP fragment
 /// checksum.  The 1998 wire format had none; see SrudpConfig::checksum.
@@ -140,14 +140,14 @@ std::uint32_t payload_checksum(const Payload& p);
 
 /// `with_checksum` emits PacketType::data_ck and the payload checksum; the
 /// default emits the bare 1998 format byte-for-byte.
-Payload encode_data(std::uint16_t src_port, const DataPacket& p, bool with_checksum = false);
-Payload encode_status(std::uint16_t src_port, const StatusPacket& p);
-Payload encode_msg_id(PacketType type, std::uint16_t src_port, const MsgIdPacket& p);
-Payload encode_stream(PacketType type, std::uint16_t src_port, const StreamPacket& p);
-Payload encode_mcast_data(std::uint16_t src_port, const McastDataPacket& p);
-Payload encode_mcast_nack(std::uint16_t src_port, const McastNackPacket& p);
+Payload encode_data(const DataPacket& p, bool with_checksum = false);
+Payload encode_status(const StatusPacket& p);
+Payload encode_msg_id(PacketType type, const MsgIdPacket& p);
+Payload encode_stream(PacketType type, const StreamPacket& p);
+Payload encode_mcast_data(const McastDataPacket& p);
+Payload encode_mcast_nack(const McastNackPacket& p);
 
-/// Peeks the packet type + reply port; fails on an empty/unknown packet.
+/// Peeks the packet type; fails on an empty packet.
 Result<PacketHead> decode_head(const Payload& wire);
 /// Accepts both data and data_ck; for data_ck the checksum is verified and
 /// reported via DataPacket::checksum_ok (the caller decides whether to

@@ -721,7 +721,7 @@ TEST(ChaosObs, ExpiredAndSkippedCountsMatchMetricsRegistry) {
 
 // ---- causal flow tracing: replay contract + linked cross-host flows --------
 //
-// The trace context is always minted and carried on the wire; only the
+// No packet carries the trace context (each end derives it); only the
 // *recording* of flow events is switched at runtime.  So a flow-on run and
 // a flow-off run of the same seed must move exactly the same datagrams:
 // same data-network replay digest, same deliveries.

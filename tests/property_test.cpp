@@ -270,8 +270,8 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   data.payload = some_bytes(600);
   data.total_len = static_cast<std::uint32_t>(data.payload.size()) * data.frag_count;
   if (data.frag_count > 1 && data.total_len == 0) data.total_len = 1;
-  out.push_back(encode_data(7001, data).to_bytes());
-  out.push_back(encode_data(7001, data, /*with_checksum=*/true).to_bytes());
+  out.push_back(encode_data(data).to_bytes());
+  out.push_back(encode_data(data, /*with_checksum=*/true).to_bytes());
 
   StatusPacket status;
   status.msg_id = rng.next_below(1u << 30);
@@ -279,10 +279,10 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   status.bitmap = make_bitmap(status.frag_count);
   for (std::uint32_t i = 0; i < status.frag_count; ++i)
     if (rng.chance(0.5)) bitmap_set(status.bitmap, i);
-  out.push_back(encode_status(7002, status).to_bytes());
+  out.push_back(encode_status(status).to_bytes());
 
-  out.push_back(encode_msg_id(PacketType::msg_ack, 7003, {rng.next_below(1u << 30)}).to_bytes());
-  out.push_back(encode_msg_id(PacketType::probe, 7004, {rng.next_below(1u << 30)}).to_bytes());
+  out.push_back(encode_msg_id(PacketType::msg_ack, {rng.next_below(1u << 30)}).to_bytes());
+  out.push_back(encode_msg_id(PacketType::probe, {rng.next_below(1u << 30)}).to_bytes());
 
   for (PacketType t : {PacketType::syn, PacketType::syn_ack, PacketType::ack,
                        PacketType::seg, PacketType::fin, PacketType::rst}) {
@@ -292,7 +292,7 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
     s.ack = rng.next_below(1u << 20);
     s.window = static_cast<std::uint32_t>(rng.next_below(1u << 16));
     if (t == PacketType::seg) s.payload = some_bytes(400);
-    out.push_back(encode_stream(t, 8001, s).to_bytes());
+    out.push_back(encode_stream(t, s).to_bytes());
   }
 
   McastDataPacket md;
@@ -303,14 +303,14 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   md.payload = some_bytes(300);
   md.total_len = static_cast<std::uint32_t>(md.payload.size()) * md.frag_count;
   if (md.frag_count > 1 && md.total_len == 0) md.total_len = 1;
-  out.push_back(encode_mcast_data(9001, md).to_bytes());
+  out.push_back(encode_mcast_data(md).to_bytes());
 
   McastNackPacket nack;
   nack.group = "grp";
   nack.msg_id = rng.next_below(1u << 30);
   for (std::uint64_t i = 0, n = rng.next_below(10) + 1; i < n; ++i)
     nack.missing.push_back(static_cast<std::uint32_t>(rng.next_below(64)));
-  out.push_back(encode_mcast_nack(9002, nack).to_bytes());
+  out.push_back(encode_mcast_nack(nack).to_bytes());
   return out;
 }
 
@@ -379,15 +379,14 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   data.frag_index = static_cast<std::uint32_t>(rng.next_below(data.frag_count));
   data.total_len = static_cast<std::uint32_t>(rng.next_below(1u << 20)) + 1;
   data.payload = some_bytes(2000);
-  auto d = decode_data(encode_data(123, data));
+  auto d = decode_data(encode_data(data));
   ASSERT_TRUE(d.ok()) << d.error().to_string();
   EXPECT_EQ(d.value().msg_id, data.msg_id);
   EXPECT_EQ(d.value().frag_index, data.frag_index);
   EXPECT_EQ(d.value().frag_count, data.frag_count);
   EXPECT_EQ(d.value().total_len, data.total_len);
   EXPECT_EQ(d.value().payload, data.payload);
-  EXPECT_EQ(decode_head(encode_data(123, data)).value().src_port, 123);
-  auto ck = decode_data(encode_data(123, data, /*with_checksum=*/true));
+  auto ck = decode_data(encode_data(data, /*with_checksum=*/true));
   ASSERT_TRUE(ck.ok()) << ck.error().to_string();
   EXPECT_TRUE(ck.value().has_checksum);
   EXPECT_FALSE(d.value().has_checksum);
@@ -403,16 +402,16 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   status.bitmap = make_bitmap(status.frag_count);
   for (std::uint32_t i = 0; i < status.frag_count; ++i)
     if (rng.chance(0.3)) bitmap_set(status.bitmap, i);
-  auto s = decode_status(encode_status(45678, status));
+  auto s = decode_status(encode_status(status));
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.value().msg_id, status.msg_id);
   EXPECT_EQ(s.value().frag_count, status.frag_count);
   EXPECT_EQ(s.value().bitmap, status.bitmap);
 
   MsgIdPacket mid{rng.next_below(1ull << 40)};
-  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::msg_ack, 1, mid)).value().msg_id,
+  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::msg_ack, mid)).value().msg_id,
             mid.msg_id);
-  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::probe, 1, mid)).value().msg_id,
+  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::probe, mid)).value().msg_id,
             mid.msg_id);
 
   StreamPacket seg;
@@ -421,7 +420,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   seg.ack = rng.next_below(1ull << 40);
   seg.window = static_cast<std::uint32_t>(rng.next_below(1ull << 32));
   seg.payload = some_bytes(1400);
-  auto t = decode_stream(encode_stream(PacketType::seg, 9, seg));
+  auto t = decode_stream(encode_stream(PacketType::seg, seg));
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t.value().conn_id, seg.conn_id);
   EXPECT_EQ(t.value().seq, seg.seq);
@@ -436,7 +435,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   md.frag_index = static_cast<std::uint32_t>(rng.next_below(md.frag_count));
   md.total_len = static_cast<std::uint32_t>(rng.next_below(1u << 20)) + 1;
   md.payload = some_bytes(1000);
-  auto m = decode_mcast_data(encode_mcast_data(77, md));
+  auto m = decode_mcast_data(encode_mcast_data(md));
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.value().group, md.group);
   EXPECT_EQ(m.value().msg_id, md.msg_id);
@@ -450,7 +449,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   nack.msg_id = rng.next_below(1ull << 40);
   for (std::uint64_t i = 0, n = rng.next_below(40); i < n; ++i)
     nack.missing.push_back(static_cast<std::uint32_t>(rng.next_below(1u << 20)));
-  auto nk = decode_mcast_nack(encode_mcast_nack(2, nack));
+  auto nk = decode_mcast_nack(encode_mcast_nack(nack));
   ASSERT_TRUE(nk.ok());
   EXPECT_EQ(nk.value().group, nack.group);
   EXPECT_EQ(nk.value().msg_id, nack.msg_id);

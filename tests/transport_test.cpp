@@ -5,12 +5,14 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "simnet/fault.hpp"
 #include "transport/ethmcast.hpp"
 #include "transport/multipath.hpp"
+#include "transport/rpc.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
 #include "transport/wire.hpp"
@@ -85,23 +87,21 @@ std::size_t count_altered(const std::vector<Payload>& got, const Bytes& original
 // ---- wire codecs ----
 
 TEST(Wire, DataRoundTrip) {
-  DataPacket p{77, 3, 9, 12345, /*flow=*/0xfeedbeefu, pattern_bytes(100)};
-  auto wire = encode_data(4242, p);
+  DataPacket p{77, 3, 9, 12345, pattern_bytes(100)};
+  auto wire = encode_data(p);
   auto head = decode_head(wire).value();
   EXPECT_EQ(head.type, PacketType::data);
-  EXPECT_EQ(head.src_port, 4242);
   auto q = decode_data(wire).value();
   EXPECT_EQ(q.msg_id, 77u);
   EXPECT_EQ(q.frag_index, 3u);
   EXPECT_EQ(q.frag_count, 9u);
   EXPECT_EQ(q.total_len, 12345u);
-  EXPECT_EQ(q.flow, 0xfeedbeefu);
   EXPECT_EQ(q.payload, p.payload);
 }
 
 TEST(Wire, DataChecksumRoundTripAndDetectsCorruption) {
-  DataPacket p{77, 3, 9, 12345, 0, pattern_bytes(100)};
-  auto wire = encode_data(4242, p, /*with_checksum=*/true);
+  DataPacket p{77, 3, 9, 12345, pattern_bytes(100)};
+  auto wire = encode_data(p, /*with_checksum=*/true);
   EXPECT_EQ(decode_head(wire).value().type, PacketType::data_ck);
   auto q = decode_data(wire).value();
   EXPECT_TRUE(q.has_checksum);
@@ -118,33 +118,33 @@ TEST(Wire, DataChecksumRoundTripAndDetectsCorruption) {
 }
 
 TEST(Wire, PlainDataCarriesNoChecksum) {
-  DataPacket p{1, 0, 1, 4, 0, pattern_bytes(4)};
-  auto q = decode_data(encode_data(1, p)).value();
+  DataPacket p{1, 0, 1, 4, pattern_bytes(4)};
+  auto q = decode_data(encode_data(p)).value();
   EXPECT_FALSE(q.has_checksum);
   EXPECT_TRUE(q.checksum_ok);  // vacuously: nothing to verify
 }
 
 TEST(Wire, DataRejectsBadIndices) {
-  DataPacket p{1, 5, 5, 10, 0, {}};  // index == count
-  EXPECT_FALSE(decode_data(encode_data(1, p)).ok());
+  DataPacket p{1, 5, 5, 10, {}};  // index == count
+  EXPECT_FALSE(decode_data(encode_data(p)).ok());
 }
 
 TEST(Wire, StatusRoundTripAndBitmapCheck) {
   StatusPacket p{9, 10, make_bitmap(10)};
   bitmap_set(p.bitmap, 0);
   bitmap_set(p.bitmap, 9);
-  auto q = decode_status(encode_status(7, p)).value();
+  auto q = decode_status(encode_status(p)).value();
   EXPECT_TRUE(bitmap_get(q.bitmap, 0));
   EXPECT_FALSE(bitmap_get(q.bitmap, 5));
   EXPECT_TRUE(bitmap_get(q.bitmap, 9));
 
   StatusPacket bad{9, 100, make_bitmap(10)};  // bitmap too small for count
-  EXPECT_FALSE(decode_status(encode_status(7, bad)).ok());
+  EXPECT_FALSE(decode_status(encode_status(bad)).ok());
 }
 
 TEST(Wire, StreamRoundTrip) {
   StreamPacket p{5, 1000, 2000, 65536, pattern_bytes(64)};
-  auto q = decode_stream(encode_stream(PacketType::seg, 9, p)).value();
+  auto q = decode_stream(encode_stream(PacketType::seg, p)).value();
   EXPECT_EQ(q.conn_id, 5u);
   EXPECT_EQ(q.seq, 1000u);
   EXPECT_EQ(q.ack, 2000u);
@@ -153,41 +153,60 @@ TEST(Wire, StreamRoundTrip) {
 }
 
 TEST(Wire, McastRoundTrip) {
-  McastDataPacket p{"urn:snipe:group:g", 3,    1, 4, 999, /*flow=*/0xabcdef12u,
-                    /*born=*/123456789,  pattern_bytes(32)};
-  auto q = decode_mcast_data(encode_mcast_data(1, p)).value();
+  McastDataPacket p{"urn:snipe:group:g", 3, 1, 4, 999, /*born=*/123456789, pattern_bytes(32)};
+  auto q = decode_mcast_data(encode_mcast_data(p)).value();
   EXPECT_EQ(q.group, p.group);
   EXPECT_EQ(q.payload, p.payload);
-  EXPECT_EQ(q.flow, p.flow);
   EXPECT_EQ(q.born, p.born);
 
   McastNackPacket n{"urn:snipe:group:g", 3, {0, 2, 5}};
-  auto m = decode_mcast_nack(encode_mcast_nack(1, n)).value();
+  auto m = decode_mcast_nack(encode_mcast_nack(n)).value();
   EXPECT_EQ(m.missing, n.missing);
 }
 
 TEST(Wire, HeaderSizeConstantsMatchReality) {
-  DataPacket p{1, 0, 1, 0, 0, {}};
-  EXPECT_EQ(encode_data(1, p).size(), kDataHeaderBytes);
+  // Headers hold only what the receiver cannot derive: no reply port (the
+  // datagram's source port) and no trace flow id (minted at each end).
+  DataPacket p{1, 0, 1, 0, {}};
+  EXPECT_EQ(encode_data(p).size(), kDataHeaderBytes);
+  EXPECT_EQ(kDataHeaderBytes, 25u);
+  EXPECT_EQ(encode_data(p, /*with_checksum=*/true).size(), kDataCkHeaderBytes);
+  EXPECT_EQ(kDataCkHeaderBytes, 29u);
   StreamPacket s{1, 0, 0, 0, {}};
-  EXPECT_EQ(encode_stream(PacketType::seg, 1, s).size(), kStreamHeaderBytes);
+  EXPECT_EQ(encode_stream(PacketType::seg, s).size(), kStreamHeaderBytes);
+  EXPECT_EQ(kStreamHeaderBytes, 29u);
+  EXPECT_EQ(kStreamFrameHeaderBytes, 4u);
+
+  // A stream message adds exactly its frame header to the byte stream.
+  World world(1);
+  world.create_network("net", simnet::ethernet100());
+  world.attach(world.create_host("a"), *world.network("net"));
+  world.attach(world.create_host("b"), *world.network("net"));
+  StreamEndpoint client(*world.host("a"), 8001), server(*world.host("b"), 8002);
+  std::shared_ptr<StreamConnection> accepted;
+  server.listen([&](std::shared_ptr<StreamConnection> conn) { accepted = conn; });
+  auto conn = client.connect(server.address());
+  conn->send_message(pattern_bytes(100));
+  world.engine().run();
+  EXPECT_EQ(conn->stats().bytes_sent, 100 + kStreamFrameHeaderBytes);
+  EXPECT_EQ(conn->unacked_bytes(), 0u);
 }
 
 TEST(Wire, RejectsAbsurdFragmentCounts) {
   // Hostile-input bound (kMaxWireFragments): a forged count must be
   // rejected before any receiver sizes buffers from it.
-  DataPacket d{1, 0, kMaxWireFragments + 1, 10, 0, pattern_bytes(4)};
-  EXPECT_FALSE(decode_data(encode_data(1, d)).ok());
+  DataPacket d{1, 0, kMaxWireFragments + 1, 10, pattern_bytes(4)};
+  EXPECT_FALSE(decode_data(encode_data(d)).ok());
 
   StatusPacket s{1, kMaxWireFragments + 1, make_bitmap(8)};
-  EXPECT_FALSE(decode_status(encode_status(1, s)).ok());
+  EXPECT_FALSE(decode_status(encode_status(s)).ok());
 
-  McastDataPacket m{"g", 1, 0, kMaxWireFragments + 1, 10, 0, 0, pattern_bytes(4)};
-  EXPECT_FALSE(decode_mcast_data(encode_mcast_data(1, m)).ok());
+  McastDataPacket m{"g", 1, 0, kMaxWireFragments + 1, 10, 0, pattern_bytes(4)};
+  EXPECT_FALSE(decode_mcast_data(encode_mcast_data(m)).ok());
 
   // A multi-fragment message claiming zero total length is equally bogus.
-  DataPacket z{1, 0, 3, 0, 0, pattern_bytes(4)};
-  EXPECT_FALSE(decode_data(encode_data(1, z)).ok());
+  DataPacket z{1, 0, 3, 0, pattern_bytes(4)};
+  EXPECT_FALSE(decode_data(encode_data(z)).ok());
 
   // NACK with a forged element count (hand-built: the encoder cannot
   // produce one without allocating the giant vector first).
@@ -933,7 +952,7 @@ TEST(Stream, DeliveredBodyAliasesTheSendersBuffer) {
 
 TEST(Stream, SendQueueSlicesAcrossFrameBoundaries) {
   // Frames of 1, mss-1, mss+1 and 3*mss message bytes (plus each frame's
-  // 12-byte header) put frame boundaries at every offset within a segment,
+  // 4-byte header) put frame boundaries at every offset within a segment,
   // so segments span one, two and three frames and acks land mid-frame.
   const std::size_t mss = simnet::ethernet100().mtu - kStreamHeaderBytes;
   const std::size_t sizes[] = {1, mss - 1, mss + 1, 3 * mss};
@@ -987,7 +1006,7 @@ TEST(Stream, SendQueueSlicesAcrossFrameBoundaries) {
     // Each segment carried all the bytes it spans, across frame boundaries:
     // every frame byte went out once and nothing had to be re-sent.
     std::size_t frame_bytes = 0;
-    for (auto [off, len] : sent) frame_bytes += 12 + len;
+    for (auto [off, len] : sent) frame_bytes += kStreamFrameHeaderBytes + len;
     EXPECT_EQ(conn->stats().bytes_sent, frame_bytes);
     EXPECT_EQ(conn->stats().segments_retransmitted, 0u);
   }
@@ -1118,17 +1137,154 @@ TEST(EthMcast, RejectsFragmentsDisagreeingWithFirstSeenMetadata) {
   auto raw = [&](const McastDataPacket& p) {
     simnet::SendOptions opts;
     opts.src_port = 9000;
-    evil.send({"good", 9000}, encode_mcast_data(9000, p), opts).value();
+    evil.send({"good", 9000}, encode_mcast_data(p), opts).value();
   };
   raw({"grp", /*msg_id=*/1, /*frag_index=*/0, /*frag_count=*/2, /*total_len=*/6,
-       /*flow=*/0, /*born=*/0, to_bytes("abc")});
+       /*born=*/0, to_bytes("abc")});
   // Same message, wildly different metadata: frags/have only hold 2 slots.
-  raw({"grp", 1, 7, 8, 6, 0, 0, to_bytes("x")});
-  raw({"grp", 1, 1, 2, 6, 0, 0, to_bytes("def")});
+  raw({"grp", 1, 7, 8, 6, 0, to_bytes("x")});
+  raw({"grp", 1, 1, 2, 6, 0, to_bytes("def")});
   world.engine().run();
 
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(to_string(got[0]), "abcdef");
+}
+
+// ---- trace flows: no packet carries an id, yet both ends agree on it ----
+
+/// Three hosts on one Ethernet segment, recording trace flows while alive
+/// (the switch is process-wide; the World's ring keeps the events).
+struct FlowWorld {
+  using Phase = obs::TraceEvent::Phase;
+
+  FlowWorld() : world(11) {
+    obs::Tracer::global().set_flow_enabled(true);
+    world.create_network("seg", simnet::ethernet100());
+    for (const char* name : {"a", "b", "c"})
+      world.attach(world.create_host(name), *world.network("seg"));
+  }
+  ~FlowWorld() { obs::Tracer::global().set_flow_enabled(false); }
+
+  simnet::Host& host(const char* name) { return *world.host(name); }
+
+  /// Id and `key` argument of every `phase` event named `name`.
+  std::multimap<std::uint64_t, std::string> flows(Phase phase, const std::string& name,
+                                                  const std::string& key) {
+    std::multimap<std::uint64_t, std::string> out;
+    for (const auto& e : world.tracer().events()) {
+      if (e.phase != phase || e.name != name) continue;
+      std::string value;
+      for (const auto& [k, v] : e.args)
+        if (k == key) value = v;
+      out.emplace(e.id, value);
+    }
+    return out;
+  }
+
+  /// Each `prefix`.send flow_start names its receiver ("peer"); the one
+  /// `prefix`.deliver flow_end bound to the same id must name the sender,
+  /// so it was recorded on the other host.  Returns the distinct ids.
+  std::set<std::uint64_t> expect_joined(const std::string& prefix,
+                                        const std::map<std::string, std::string>& sender_of) {
+    const auto sends = flows(Phase::flow_start, prefix + ".send", "peer");
+    const auto delivers = flows(Phase::flow_end, prefix + ".deliver", "peer");
+    std::set<std::uint64_t> ids;
+    for (const auto& [id, receiver] : sends) {
+      EXPECT_NE(id, 0u);
+      EXPECT_TRUE(ids.insert(id).second) << prefix << ": id minted twice";
+      EXPECT_EQ(delivers.count(id), 1u) << prefix << " to " << receiver << ": send not joined";
+      if (auto it = delivers.find(id); it != delivers.end()) {
+        EXPECT_EQ(it->second, sender_of.at(receiver)) << prefix;
+      }
+    }
+    EXPECT_EQ(delivers.size(), sends.size()) << prefix << ": a delivery joins no send";
+    return ids;
+  }
+
+  World world;
+};
+
+TEST(FlowJoin, SrudpReceiverDerivesTheSendersId) {
+  FlowWorld w;
+  SrudpEndpoint a(w.host("a"), 7001), b(w.host("b"), 7002);
+  b.set_handler([&](const Address& src, Payload) { b.send(src, pattern_bytes(10)); });
+  a.send(b.address(), pattern_bytes(4000));  // three fragments
+  a.send(b.address(), pattern_bytes(20));
+  w.world.engine().run();
+  EXPECT_EQ(b.stats().messages_delivered, 2u);
+  EXPECT_EQ(a.stats().messages_delivered, 2u);
+  EXPECT_EQ(w.expect_joined("srudp", {{"b:7002", "a:7001"}, {"a:7001", "b:7002"}}).size(), 4u);
+}
+
+TEST(FlowJoin, StreamReceiverCountsMessagesToTheSendersId) {
+  FlowWorld w;
+  StreamEndpoint a(w.host("a"), 8001), b(w.host("b"), 8002);
+  std::shared_ptr<StreamConnection> served;
+  b.listen([&](std::shared_ptr<StreamConnection> conn) {
+    served = conn;
+    conn->set_message_handler([&](Payload) { served->send_message(pattern_bytes(10)); });
+  });
+  auto conn = a.connect(b.address());
+  int replies = 0;
+  conn->set_message_handler([&](Payload) { ++replies; });
+  conn->send_message(pattern_bytes(3000));  // spans three segments
+  conn->send_message(pattern_bytes(20));
+  w.world.engine().run();
+  EXPECT_EQ(replies, 2);
+  EXPECT_EQ(w.expect_joined("stream", {{"b:8002", "a:8001"}, {"a:8001", "b:8002"}}).size(), 4u);
+}
+
+TEST(FlowJoin, EthMcastReceiversDeriveTheSendersId) {
+  FlowWorld w;
+  EthMcastEndpoint a(w.host("a"), "seg", "grp", 9000), b(w.host("b"), "seg", "grp", 9000),
+      c(w.host("c"), "seg", "grp", 9000);
+  int got = 0;
+  b.set_handler([&](const Address&, Payload) { ++got; });
+  c.set_handler([&](const Address&, Payload) { ++got; });
+  a.send(pattern_bytes(3000));  // three fragments
+  a.send(pattern_bytes(20));
+  w.world.engine().run();
+  ASSERT_EQ(got, 4);
+  using Phase = FlowWorld::Phase;
+  const auto sends = w.flows(Phase::flow_start, "ethmcast.send", "group");
+  const auto delivers = w.flows(Phase::flow_end, "ethmcast.deliver", "host");
+  ASSERT_EQ(sends.size(), 2u);
+  EXPECT_EQ(delivers.size(), 4u);
+  for (const auto& [id, group] : sends) {
+    std::multiset<std::string> hosts;
+    for (auto [it, end] = delivers.equal_range(id); it != end; ++it) hosts.insert(it->second);
+    EXPECT_EQ(hosts, (std::multiset<std::string>{"b", "c"})) << "multicast id " << id;
+  }
+}
+
+TEST(FlowJoin, RpcServeAndCompleteCarryTheCallsId) {
+  FlowWorld w;
+  RpcEndpoint a(w.host("a"), 7101), b(w.host("b"), 7102);
+  b.serve(1, [](const Address&, const Payload&) -> Result<Payload> {
+    return Payload(pattern_bytes(10));
+  });
+  bool answered = false;
+  const std::uint64_t flow =
+      a.call(b.address(), 1, Payload(pattern_bytes(10)), [&](Result<Payload> r) {
+        answered = r.ok();
+      });
+  w.world.engine().run();
+  ASSERT_TRUE(answered);
+  ASSERT_NE(flow, 0u);
+  using Phase = FlowWorld::Phase;
+  for (const char* step : {"rpc.call", "rpc.serve", "rpc.complete"}) {
+    const auto steps = w.flows(Phase::flow_step, step, "tag");
+    ASSERT_EQ(steps.size(), 1u) << step;
+    EXPECT_EQ(steps.begin()->first, flow) << step;
+  }
+  // The call's id is the request message's transport flow, joined at b.
+  EXPECT_EQ(w.flows(Phase::flow_start, "srudp.send", "peer").count(flow), 1u);
+  EXPECT_EQ(w.flows(Phase::flow_end, "srudp.deliver", "peer").count(flow), 1u);
+
+  // Untraced, nothing is minted.
+  obs::Tracer::global().set_flow_enabled(false);
+  EXPECT_EQ(a.call(b.address(), 1, Payload(pattern_bytes(10)), [](Result<Payload>) {}), 0u);
+  w.world.engine().run();
 }
 
 }  // namespace
