@@ -89,10 +89,10 @@ void BM_RmScalability(benchmark::State& state) {
     for (int s = 0; s < spawns; ++s) {
       if (rms == 0) {
         // Baseline: direct round-robin daemon spawns, no management at all.
-        client.call(daemons[s % hosts]->address(), daemon::tags::kSpawn, req.encode(),
+        client.call(daemons[s % hosts]->address(), daemon::tags::kSpawn, encode(req),
                     [&](Result<Payload> r) { completed += r.ok(); });
       } else {
-        client.call(managers[s % rms]->address(), rm::tags::kAllocate, req.encode(),
+        client.call(managers[s % rms]->address(), rm::tags::kAllocate, encode(req),
                     [&](Result<Payload> r) { completed += r.ok(); });
       }
     }

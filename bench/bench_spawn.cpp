@@ -76,19 +76,19 @@ void BM_SpawnPath(benchmark::State& state) {
       req.name = "t" + std::to_string(s);
       if (path == 0) {
         if (secure) req.authorization = grm.sign_authorization("noop", "node");
-        client.call(d.address(), daemon::tags::kSpawn, req.encode(),
+        client.call(d.address(), daemon::tags::kSpawn, encode(req),
                     [&](Result<Payload> r) { completed += r.ok(); });
       } else if (path == 1 || path == 3) {
-        client.call(grm.address(), rm::tags::kAllocate, req.encode(),
+        client.call(grm.address(), rm::tags::kAllocate, encode(req),
                     [&](Result<Payload> r) { completed += r.ok(); });
       } else {
-        client.call(grm.address(), rm::tags::kReserve, req.encode(),
+        client.call(grm.address(), rm::tags::kReserve, encode(req),
                     [&, req](Result<Payload> r) mutable {
                       if (!r) return;
-                      auto res = rm::Reservation::decode(r.value().to_bytes());
+                      auto res = decode<rm::Reservation>(r.value());
                       if (!res) return;
                       req.authorization = res.value().authorization;
-                      client.call(res.value().daemon, daemon::tags::kSpawn, req.encode(),
+                      client.call(res.value().daemon, daemon::tags::kSpawn, encode(req),
                                   [&](Result<Payload> r2) { completed += r2.ok(); });
                     });
       }

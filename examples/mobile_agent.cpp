@@ -151,7 +151,7 @@ int main() {
   restore.authorization = grm.sign_authorization("", away.address().host);
   // Direct daemon spawn with the RM's authorization for the empty program
   // name (restores carry their own code inside the checkpoint).
-  user.rpc().call(away.address(), daemon::tags::kSpawn, restore.encode(),
+  user.rpc().call(away.address(), daemon::tags::kSpawn, encode(restore),
                   [&](Result<Payload> r) {
                     std::printf("restore on %s: %s\n", away.address().host.c_str(),
                                 r.ok() ? "ok" : r.error().to_string().c_str());
@@ -162,7 +162,7 @@ int main() {
               state.ok() ? daemon::task_state_name(state.value()) : "missing");
 
   // Finally: tampered code must be rejected.
-  fs.store_local(code_lifn, playground::assemble("trap").take().encode(),
+  fs.store_local(code_lifn, encode(playground::assemble("trap").take()),
                  /*announce=*/false);
   daemon::SpawnRequest evil;
   evil.program = code_lifn;

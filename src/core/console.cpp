@@ -340,48 +340,6 @@ void Console::interpret(const std::string& line, std::function<void(std::string)
   reply(console_usage());
 }
 
-Bytes HttpRequest::encode() const {
-  ByteWriter w;
-  w.str(method);
-  w.str(path);
-  w.blob(body);
-  return std::move(w).take();
-}
-
-Result<HttpRequest> HttpRequest::decode(const Bytes& data) {
-  ByteReader r(data);
-  HttpRequest req;
-  auto method = r.str();
-  if (!method) return method.error();
-  req.method = method.value();
-  auto path = r.str();
-  if (!path) return path.error();
-  req.path = path.value();
-  auto body = r.blob();
-  if (!body) return body.error();
-  req.body = std::move(body).take();
-  return req;
-}
-
-Bytes HttpResponse::encode() const {
-  ByteWriter w;
-  w.i32(status);
-  w.blob(body);
-  return std::move(w).take();
-}
-
-Result<HttpResponse> HttpResponse::decode(const Bytes& data) {
-  ByteReader r(data);
-  HttpResponse res;
-  auto status = r.i32();
-  if (!status) return status.error();
-  res.status = status.value();
-  auto body = r.blob();
-  if (!body) return body.error();
-  res.body = std::move(body).take();
-  return res;
-}
-
 HttpServer::HttpServer(SnipeProcess& process, std::string service_uri, Handler handler)
     : process_(process), service_uri_(std::move(service_uri)), handler_(std::move(handler)) {
   // "register a binding between a URN or URL and its current location":
@@ -391,10 +349,10 @@ HttpServer::HttpServer(SnipeProcess& process, std::string service_uri, Handler h
                     [](Result<void>) {});
   process_.rpc().serve(tags::kHttpRequest,
                        [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
-                         auto request = HttpRequest::decode(body.to_bytes());
+                         auto request = decode<HttpRequest>(body);
                          if (!request) return request.error();
                          ++served_;
-                         return handler_(request.value()).encode();
+                         return encode(handler_(request.value()));
                        });
 }
 
@@ -402,7 +360,7 @@ void HttpGateway::request(const std::string& service_uri, HttpRequest request,
                           std::function<void(Result<HttpResponse>)> done) {
   process_.rc().lookup(
       service_uri, rcds::names::kServiceLocation,
-      [this, wire = request.encode(), done = std::move(done)](
+      [this, wire = encode(request), done = std::move(done)](
           Result<std::vector<std::string>> r) mutable {
         if (!r) {
           done(r.error());
@@ -447,7 +405,7 @@ void HttpGateway::forward(const std::string& urn, const Bytes& wire, int attempt
         addr.value(), tags::kHttpRequest, wire,
         [this, urn, wire, attempts_left, done = std::move(done)](Result<Payload> r) mutable {
           if (r.ok()) {
-            done(HttpResponse::decode(r.value().to_bytes()));
+            done(decode<HttpResponse>(r.value()));
             return;
           }
           if (attempts_left > 1) {

@@ -171,16 +171,20 @@ struct HttpRequest {
   std::string path = "/";
   Bytes body;
 
-  Bytes encode() const;
-  static Result<HttpRequest> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(method, path, body);
+  }
 };
 
 struct HttpResponse {
-  int status = 200;
+  std::int32_t status = 200;
   Bytes body;
 
-  Bytes encode() const;
-  static Result<HttpResponse> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(status, body);
+  }
 };
 
 /// Turns a SnipeProcess into an HTTP server bound to a service URI.

@@ -8,49 +8,6 @@
 
 namespace snipe::core {
 
-namespace {
-
-struct McastPayload {
-  std::string group;
-  std::string origin;
-  std::uint64_t msg_id = 0;
-  Bytes body;
-
-  Bytes encode() const {
-    ByteWriter w;
-    w.str(group);
-    w.str(origin);
-    w.u64(msg_id);
-    w.blob(body);
-    return std::move(w).take();
-  }
-  static Result<McastPayload> decode(const Bytes& data) {
-    ByteReader r(data);
-    McastPayload p;
-    auto group = r.str();
-    if (!group) return group.error();
-    p.group = group.value();
-    auto origin = r.str();
-    if (!origin) return origin.error();
-    p.origin = origin.value();
-    auto id = r.u64();
-    if (!id) return id.error();
-    p.msg_id = id.value();
-    auto body = r.blob();
-    if (!body) return body.error();
-    p.body = std::move(body).take();
-    return p;
-  }
-  std::string dedup_key() const { return origin + "#" + std::to_string(msg_id); }
-};
-
-}  // namespace
-
-Bytes encode_group_payload(const std::string& group, const std::string& origin,
-                           std::uint64_t msg_id, const Bytes& body) {
-  return McastPayload{group, origin, msg_id, body}.encode();
-}
-
 MulticastGroup::MulticastGroup(SnipeProcess& process, const std::string& group_urn,
                                GroupConfig config, std::function<void(Result<void>)> ready)
     : process_(process),
@@ -149,12 +106,7 @@ void MulticastGroup::maybe_elect_self(const std::vector<simnet::Address>& router
 
 void MulticastGroup::register_with_routers() {
   if (left_) return;
-  ByteWriter w;
-  w.str(group_urn_);
-  w.str(process_.urn());
-  w.str(process_.address().host);
-  w.u16(process_.address().port);
-  Bytes join = std::move(w).take();
+  Bytes join = encode(JoinRequest{group_urn_, process_.urn(), process_.address()});
   for (const auto& router : routers_) {
     if (router == process_.address()) {
       // Register with our own router directly.
@@ -187,24 +139,16 @@ void MulticastGroup::register_with_routers() {
   }
 }
 
-Result<Bytes> MulticastGroup::on_join(const simnet::Address& from, const Payload& body) {
+Result<Bytes> MulticastGroup::on_join(const JoinRequest& join) {
   if (!router_) return Result<Bytes>(Errc::state_error, "not a router");
-  PayloadCursor r(body);
-  auto group = r.str();
-  auto urn = r.str();
-  auto host = r.str();
-  auto port = r.u16();
-  if (!group || !urn || !host || !port) return Error{Errc::corrupt, "bad join"};
-  router_state_.members[urn.value()] =
-      Member{simnet::Address{host.value(), port.value()},
-             process_.engine().now() + kMembershipTtl};
-  (void)from;
+  router_state_.members[join.urn] =
+      Member{join.address, process_.engine().now() + kMembershipTtl};
   return Bytes{};
 }
 
 void MulticastGroup::send(Bytes body) {
   McastPayload payload{group_urn_, process_.urn(), next_msg_id_++, std::move(body)};
-  Bytes wire = payload.encode();
+  Bytes wire = encode(payload);
   ++stats_.sent;
   // "any message sent to that group is initially sent to more than half of
   // the routers for that group" (§5.4).
@@ -214,7 +158,7 @@ void MulticastGroup::send(Bytes body) {
     if (sent >= majority) break;
     ++sent;
     if (router == process_.address()) {
-      on_mcast(wire, /*is_relay=*/false);
+      on_mcast(payload, wire, /*is_relay=*/false);
     } else {
       process_.rpc().notify(router, tags::kMcastSend, wire);
     }
@@ -222,11 +166,9 @@ void MulticastGroup::send(Bytes body) {
   if (routers_.empty()) log_.warn("no routers known for ", group_urn_);
 }
 
-void MulticastGroup::on_mcast(const Payload& body, bool is_relay) {
+void MulticastGroup::on_mcast(const McastPayload& msg, const Payload& wire, bool is_relay) {
   if (!router_) return;
-  auto payload = McastPayload::decode(body.to_bytes());
-  if (!payload) return;
-  if (!router_state_.seen.insert(payload.value().dedup_key()).second) {
+  if (!router_state_.seen.insert(msg.dedup_key()).second) {
     ++stats_.duplicates_dropped;
     return;
   }
@@ -242,9 +184,9 @@ void MulticastGroup::on_mcast(const Payload& body, bool is_relay) {
     }
     ++stats_.router_forwards;
     if (it->second.address == process_.address()) {
-      on_deliver(body);
+      on_deliver(msg);
     } else {
-      process_.rpc().notify(it->second.address, tags::kMcastDeliver, body);
+      process_.rpc().notify(it->second.address, tags::kMcastDeliver, wire);
     }
     ++it;
   }
@@ -254,20 +196,18 @@ void MulticastGroup::on_mcast(const Payload& body, bool is_relay) {
     for (const auto& router : routers_) {
       if (router == process_.address()) continue;
       ++stats_.router_relays;
-      process_.rpc().notify(router, tags::kMcastRelay, body);
+      process_.rpc().notify(router, tags::kMcastRelay, wire);
     }
   }
 }
 
-void MulticastGroup::on_deliver(const Payload& body) {
-  auto payload = McastPayload::decode(body.to_bytes());
-  if (!payload) return;
-  if (!member_seen_.insert(payload.value().dedup_key()).second) {
+void MulticastGroup::on_deliver(McastPayload msg) {
+  if (!member_seen_.insert(msg.dedup_key()).second) {
     ++stats_.duplicates_dropped;
     return;
   }
   ++stats_.delivered;
-  if (handler_) handler_(payload.value().origin, std::move(payload.value().body));
+  if (handler_) handler_(msg.origin, std::move(msg.body));
 }
 
 void MulticastGroup::leave() {

@@ -48,10 +48,33 @@ struct GroupStats {
   std::uint64_t router_relays = 0;
 };
 
-/// Encodes the on-wire multicast payload (shared by group members and by
-/// §5.7 pseudo-process senders, who multicast without joining).
-Bytes encode_group_payload(const std::string& group, const std::string& origin,
-                           std::uint64_t msg_id, const Bytes& body);
+/// The on-wire multicast payload of kMcastSend, kMcastRelay and
+/// kMcastDeliver (shared by group members and by §5.7 pseudo-process
+/// senders, who multicast without joining).
+struct McastPayload {
+  std::string group;
+  std::string origin;
+  std::uint64_t msg_id = 0;
+  Bytes body;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(group, origin, msg_id, body);
+  }
+  std::string dedup_key() const { return origin + "#" + std::to_string(msg_id); }
+};
+
+/// kMcastJoin request: member `urn` at `address` registers with a router.
+struct JoinRequest {
+  std::string group;
+  std::string urn;
+  simnet::Address address;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(group, urn, address);
+  }
+};
 
 /// One process's membership of one multicast group (it may also be hosting
 /// a router for the group — see `is_router`).
@@ -93,10 +116,11 @@ class MulticastGroup {
   const GroupStats& stats() const { return stats_; }
   std::size_t known_routers() const { return routers_.size(); }
 
-  /// Internal entry points invoked by SnipeProcess's dispatch.
-  Result<Bytes> on_join(const simnet::Address& from, const Payload& body);
-  void on_mcast(const Payload& body, bool is_relay);
-  void on_deliver(const Payload& body);
+  /// Internal entry points invoked by SnipeProcess's dispatch; on_mcast
+  /// forwards `wire`, the encoding of `msg`, as received.
+  Result<Bytes> on_join(const JoinRequest& join);
+  void on_mcast(const McastPayload& msg, const Payload& wire, bool is_relay);
+  void on_deliver(McastPayload msg);
 
  private:
   struct Member {
@@ -114,7 +138,6 @@ class MulticastGroup {
   void maybe_elect_self(const std::vector<simnet::Address>& routers,
                         std::function<void(Result<void>)> ready);
   void register_with_routers();
-  void handle_send_or_relay(const Bytes& body, bool is_relay);
   std::string router_url() const;
 
   SnipeProcess& process_;

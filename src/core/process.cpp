@@ -9,29 +9,6 @@
 
 namespace snipe::core {
 
-Bytes UserMessage::encode() const {
-  ByteWriter w;
-  w.str(src_urn);
-  w.u32(tag);
-  w.blob(body);
-  return std::move(w).take();
-}
-
-Result<UserMessage> UserMessage::decode(const Bytes& data) {
-  ByteReader r(data);
-  UserMessage m;
-  auto src = r.str();
-  if (!src) return src.error();
-  m.src_urn = src.value();
-  auto tag = r.u32();
-  if (!tag) return tag.error();
-  m.tag = tag.value();
-  auto body = r.blob();
-  if (!body) return body.error();
-  m.body = std::move(body).take();
-  return m;
-}
-
 SnipeProcess::SnipeProcess(simnet::Host& host, const std::string& name,
                            std::vector<simnet::Address> rc_replicas)
     : host_(&host),
@@ -49,7 +26,7 @@ SnipeProcess::~SnipeProcess() = default;
 void SnipeProcess::bind_handlers() {
   rpc_->serve(tags::kDeliver,
               [this](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
-                auto msg = UserMessage::decode(body.to_bytes());
+                auto msg = decode<UserMessage>(body);
                 if (!msg) return msg.error();
                 ++stats_.delivered_in;
                 if (handler_)
@@ -58,44 +35,41 @@ void SnipeProcess::bind_handlers() {
                 (void)from;
                 return Bytes{};
               });
-  // Multicast dispatch: all three verbs carry the group URN first; route
-  // to the registered MulticastGroup instance (see core/group.cpp).
-  auto group_of = [](const Payload& body) -> std::string {
-    PayloadCursor r(body);
-    auto g = r.str();
-    return g ? g.value() : std::string();
-  };
+  // Multicast dispatch: every verb names its group; route to the
+  // registered MulticastGroup instance (see core/group.cpp).
   rpc_->serve(tags::kMcastJoin,
-              [this, group_of](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
-                auto it = groups_.find(group_of(body));
+              [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
+                auto join = decode<JoinRequest>(body);
+                if (!join) return Error{Errc::corrupt, "bad join"};
+                auto it = groups_.find(join.value().group);
                 if (it == groups_.end())
                   return Result<Bytes>(Errc::not_found, "not a router for that group");
-                return it->second->on_join(from, body);
+                return it->second->on_join(join.value());
               });
-  rpc_->on_notify(tags::kMcastSend, [this, group_of](const simnet::Address&, const Payload& body) {
-    auto it = groups_.find(group_of(body));
-    if (it != groups_.end()) it->second->on_mcast(body, /*is_relay=*/false);
+  auto on_mcast = [this](bool is_relay) {
+    return [this, is_relay](const simnet::Address&, const Payload& body) {
+      auto msg = decode<McastPayload>(body);
+      if (!msg) return;
+      auto it = groups_.find(msg.value().group);
+      if (it != groups_.end()) it->second->on_mcast(msg.value(), body, is_relay);
+    };
+  };
+  rpc_->on_notify(tags::kMcastSend, on_mcast(/*is_relay=*/false));
+  rpc_->on_notify(tags::kMcastRelay, on_mcast(/*is_relay=*/true));
+  rpc_->on_notify(tags::kMcastDeliver, [this](const simnet::Address&, const Payload& body) {
+    auto msg = decode<McastPayload>(body);
+    if (!msg) return;
+    auto it = groups_.find(msg.value().group);
+    if (it != groups_.end()) it->second->on_deliver(std::move(msg).take());
   });
-  rpc_->on_notify(tags::kMcastRelay, [this, group_of](const simnet::Address&, const Payload& body) {
-    auto it = groups_.find(group_of(body));
-    if (it != groups_.end()) it->second->on_mcast(body, /*is_relay=*/true);
-  });
-  rpc_->on_notify(tags::kMcastDeliver,
-                  [this, group_of](const simnet::Address&, const Payload& body) {
-                    auto it = groups_.find(group_of(body));
-                    if (it != groups_.end()) it->second->on_deliver(body);
-                  });
   rpc_->on_notify(tags::kMigrated, [this](const simnet::Address&, const Payload& body) {
     // A process on whose notify list we appear has moved: refresh our
     // cached resolution immediately.
-    PayloadCursor r(body);
-    auto urn = r.str();
-    auto host = r.str();
-    auto port = r.u16();
-    if (!urn || !host || !port) return;
-    resolve_cache_[urn.value()] =
-        CachedAddress{{host.value(), port.value()}, engine_->now() + kResolveTtl};
-    log_.debug("notified: ", urn.value(), " moved to ", host.value());
+    auto notice = decode<MigrationNotice>(body);
+    if (!notice) return;
+    const MigrationNotice& n = notice.value();
+    resolve_cache_[n.urn] = CachedAddress{n.address, engine_->now() + kResolveTtl};
+    log_.debug("notified: ", n.urn, " moved to ", n.address.host);
   });
 }
 
@@ -151,7 +125,7 @@ void SnipeProcess::send(const std::string& dst_urn, std::uint32_t tag, Bytes bod
                         DoneHandler done) {
   ++stats_.sent;
   UserMessage msg{urn_, tag, std::move(body)};
-  attempt_send(dst_urn, msg.encode(), kDeliveryAttempts, std::move(done),
+  attempt_send(dst_urn, encode(msg), kDeliveryAttempts, std::move(done),
                /*resolve_fresh=*/false);
 }
 
@@ -234,7 +208,7 @@ void SnipeProcess::send_to_group(const std::string& group_urn, Bytes wire,
                 }
                 std::sort(routers.begin(), routers.end());
                 // §5.4 again: push to more than half of the routers.
-                Bytes payload = encode_group_payload(group_urn, urn_, pseudo_seq_++, wire);
+                Bytes payload = encode(McastPayload{group_urn, urn_, pseudo_seq_++, wire});
                 std::size_t majority = routers.size() / 2 + 1;
                 for (std::size_t i = 0; i < majority; ++i)
                   rpc_->notify(routers[i], tags::kMcastSend, payload);
@@ -266,13 +240,13 @@ void SnipeProcess::add_to_notify_list(const std::string& watcher_urn, DoneHandle
 
 void SnipeProcess::spawn_via_rm(const simnet::Address& rm, daemon::SpawnRequest request,
                                 SpawnHandler done) {
-  rpc_->call(rm, rm::tags::kAllocate, request.encode(),
+  rpc_->call(rm, rm::tags::kAllocate, encode(request),
              [done = std::move(done)](Result<Payload> r) {
                if (!r) {
                  done(r.error());
                  return;
                }
-               done(daemon::SpawnReply::decode(r.value().to_bytes()));
+               done(decode<daemon::SpawnReply>(r.value()));
              });
 }
 
@@ -295,12 +269,12 @@ void SnipeProcess::spawn_via_host(const std::string& host_name, daemon::SpawnReq
         }
       }
     }
-    rpc_->call(target, tag, request.encode(), [done = std::move(done)](Result<Payload> r2) {
+    rpc_->call(target, tag, encode(request), [done = std::move(done)](Result<Payload> r2) {
       if (!r2) {
         done(r2.error());
         return;
       }
-      done(daemon::SpawnReply::decode(r2.value().to_bytes()));
+      done(decode<daemon::SpawnReply>(r2.value()));
     });
   });
 }
@@ -371,11 +345,7 @@ void SnipeProcess::migrate_to(simnet::Host& new_host, DoneHandler done) {
                }
                // 5. "...and also informs other SNIPE tasks on its notify
                //    list that it has moved."
-               ByteWriter w;
-               w.str(urn_);
-               w.str(new_address.host);
-               w.u16(new_address.port);
-               Bytes notice = std::move(w).take();
+               Bytes notice = encode(MigrationNotice{urn_, new_address});
                for (const auto& watcher : notify_list_) {
                  resolve(watcher, [this, notice](Result<simnet::Address> addr) {
                    if (addr) rpc_->notify(addr.value(), tags::kMigrated, notice);

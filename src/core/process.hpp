@@ -163,8 +163,21 @@ struct UserMessage {
   std::uint32_t tag = 0;
   Bytes body;
 
-  Bytes encode() const;
-  static Result<UserMessage> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(src_urn, tag, body);
+  }
+};
+
+/// kMigrated notice: process `urn` now lives at `address`.
+struct MigrationNotice {
+  std::string urn;
+  simnet::Address address;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(urn, address);
+  }
 };
 
 }  // namespace snipe::core

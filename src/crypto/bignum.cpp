@@ -341,11 +341,4 @@ BigUInt BigUInt::random_prime(Rng& rng, std::size_t bits, int rounds) {
   }
 }
 
-std::uint64_t BigUInt::to_u64() const {
-  std::uint64_t v = 0;
-  if (!limbs_.empty()) v = limbs_[0];
-  if (limbs_.size() > 1) v |= std::uint64_t{limbs_[1]} << 32;
-  return v;
-}
-
 }  // namespace snipe::crypto

@@ -71,8 +71,6 @@ class BigUInt {
   /// Random odd prime with exactly `bits` bits.
   static BigUInt random_prime(Rng& rng, std::size_t bits, int rounds = 24);
 
-  std::uint64_t to_u64() const;
-
  private:
   void normalize();
   std::vector<std::uint32_t> limbs_;

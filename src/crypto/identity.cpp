@@ -17,13 +17,7 @@ Principal Principal::create(const std::string& uri, Rng& rng, std::size_t bits) 
 }
 
 Bytes Certificate::canonical_bytes() const {
-  ByteWriter w;
-  w.str(subject);
-  w.blob(subject_key.encode());
-  w.u32(static_cast<std::uint32_t>(purposes.size()));
-  for (auto p : purposes) w.u8(static_cast<std::uint8_t>(p));
-  w.str(issuer);
-  return std::move(w).take();
+  return encode(subject, codec::in_blob(subject_key), purposes, issuer);
 }
 
 Certificate Certificate::issue(const Principal& issuer, const std::string& subject,
@@ -48,45 +42,6 @@ bool Certificate::covers(TrustPurpose p) const {
   return false;
 }
 
-Bytes Certificate::encode() const {
-  ByteWriter w;
-  w.blob(canonical_bytes());
-  w.blob(signature);
-  return std::move(w).take();
-}
-
-Result<Certificate> Certificate::decode(const Bytes& data) {
-  ByteReader outer(data);
-  auto canonical = outer.blob();
-  if (!canonical) return canonical.error();
-  auto signature = outer.blob();
-  if (!signature) return signature.error();
-
-  ByteReader r(canonical.value());
-  Certificate cert;
-  auto subject = r.str();
-  if (!subject) return subject.error();
-  cert.subject = subject.value();
-  auto key_bytes = r.blob();
-  if (!key_bytes) return key_bytes.error();
-  auto key = PublicKey::decode(key_bytes.value());
-  if (!key) return key.error();
-  cert.subject_key = key.value();
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (count.value() > 16) return Error{Errc::corrupt, "too many purposes"};
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto p = r.u8();
-    if (!p) return p.error();
-    cert.purposes.push_back(static_cast<TrustPurpose>(p.value()));
-  }
-  auto issuer = r.str();
-  if (!issuer) return issuer.error();
-  cert.issuer = issuer.value();
-  cert.signature = signature.value();
-  return cert;
-}
-
 SignedStatement SignedStatement::make(const Principal& signer, Bytes payload) {
   SignedStatement stmt;
   stmt.payload = std::move(payload);
@@ -97,29 +52,6 @@ SignedStatement SignedStatement::make(const Principal& signer, Bytes payload) {
 
 bool SignedStatement::verify_with(const PublicKey& signer_key) const {
   return verify(signer_key, payload, signature);
-}
-
-Bytes SignedStatement::encode() const {
-  ByteWriter w;
-  w.blob(payload);
-  w.str(signer);
-  w.blob(signature);
-  return std::move(w).take();
-}
-
-Result<SignedStatement> SignedStatement::decode(const Bytes& data) {
-  ByteReader r(data);
-  SignedStatement stmt;
-  auto payload = r.blob();
-  if (!payload) return payload.error();
-  stmt.payload = payload.value();
-  auto signer = r.str();
-  if (!signer) return signer.error();
-  stmt.signer = signer.value();
-  auto signature = r.blob();
-  if (!signature) return signature.error();
-  stmt.signature = signature.value();
-  return stmt;
 }
 
 Result<void> TrustStore::validate_direct(const SignedStatement& stmt,
@@ -138,11 +70,6 @@ void TrustStore::trust(const std::string& issuer_uri, const PublicKey& issuer_ke
   auto& entry = issuers_[issuer_uri];
   entry.key = issuer_key;
   entry.purposes.insert(purpose);
-}
-
-bool TrustStore::is_trusted(const std::string& issuer_uri, TrustPurpose purpose) const {
-  auto it = issuers_.find(issuer_uri);
-  return it != issuers_.end() && it->second.purposes.count(purpose) > 0;
 }
 
 Result<void> TrustStore::validate(const Certificate& cert, TrustPurpose purpose) const {

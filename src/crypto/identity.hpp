@@ -23,7 +23,7 @@ namespace snipe::crypto {
 
 /// The purposes a certificate can be trusted for; a party may be trusted
 /// for some purposes and not others (§4).
-enum class TrustPurpose {
+enum class TrustPurpose : std::uint8_t {
   identify_host,     ///< attest that a key belongs to a host
   identify_user,     ///< attest that a key belongs to a user
   grant_resources,   ///< authorize use of managed resources (RM role)
@@ -60,8 +60,15 @@ struct Certificate {
   bool verify_with(const PublicKey& issuer_key) const;
   bool covers(TrustPurpose p) const;
 
-  Bytes encode() const;
-  static Result<Certificate> decode(const Bytes& data);
+  /// On the wire: the canonical bytes as a blob, then the signature.
+  template <class Io>
+  void fields(Io& io) {
+    io(codec::in_blob(subject, codec::in_blob(subject_key), purposes, issuer), signature);
+  }
+  Result<void> check() const {
+    if (purposes.size() > 16) return Error{Errc::corrupt, "too many purposes"};
+    return ok_result();
+  }
 };
 
 /// A generic signed statement: arbitrary payload + signer URI + signature.
@@ -75,8 +82,10 @@ struct SignedStatement {
   static SignedStatement make(const Principal& signer, Bytes payload);
   bool verify_with(const PublicKey& signer_key) const;
 
-  Bytes encode() const;
-  static Result<SignedStatement> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(payload, signer, signature);
+  }
 };
 
 /// Per-client trust policy: which (issuer URI, key) pairs are trusted for
@@ -86,9 +95,6 @@ class TrustStore {
  public:
   /// Trusts `issuer_key` (held by `issuer_uri`) for `purpose`.
   void trust(const std::string& issuer_uri, const PublicKey& issuer_key, TrustPurpose purpose);
-
-  /// True if the issuer is trusted for the purpose.
-  bool is_trusted(const std::string& issuer_uri, TrustPurpose purpose) const;
 
   /// Full §4 check: the certificate must carry the purpose, its issuer must
   /// be trusted for that purpose, and the signature must verify with the

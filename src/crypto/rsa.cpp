@@ -2,31 +2,8 @@
 
 namespace snipe::crypto {
 
-Bytes PublicKey::encode() const {
-  ByteWriter w;
-  auto n_bytes = n.to_bytes();
-  auto e_bytes = e.to_bytes();
-  w.blob(Bytes(n_bytes.begin(), n_bytes.end()));
-  w.blob(Bytes(e_bytes.begin(), e_bytes.end()));
-  return std::move(w).take();
-}
-
-Result<PublicKey> PublicKey::decode(const Bytes& data) {
-  ByteReader r(data);
-  auto n_bytes = r.blob();
-  if (!n_bytes) return n_bytes.error();
-  auto e_bytes = r.blob();
-  if (!e_bytes) return e_bytes.error();
-  PublicKey key;
-  key.n = BigUInt::from_bytes(n_bytes.value());
-  key.e = BigUInt::from_bytes(e_bytes.value());
-  if (key.n.is_zero() || key.e.is_zero())
-    return Error{Errc::corrupt, "zero RSA parameter"};
-  return key;
-}
-
 std::string PublicKey::fingerprint() const {
-  return digest_hex(sha256(encode())).substr(0, 16);
+  return digest_hex(sha256(encode(*this))).substr(0, 16);
 }
 
 bool operator==(const PublicKey& a, const PublicKey& b) { return a.n == b.n && a.e == b.e; }

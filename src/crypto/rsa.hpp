@@ -16,7 +16,7 @@
 
 #include "crypto/bignum.hpp"
 #include "crypto/hash.hpp"
-#include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -28,9 +28,21 @@ struct PublicKey {
   BigUInt e;  ///< public exponent (65537)
 
   bool empty() const { return n.is_zero(); }
-  /// Stable serialization for hashing, storage and wire transfer.
-  Bytes encode() const;
-  static Result<PublicKey> decode(const Bytes& data);
+  /// Stable serialization for hashing, storage and wire transfer: n and e
+  /// as big-endian blobs.
+  template <class Io>
+  void fields(Io& io) {
+    Bytes n_bytes = n.to_bytes(), e_bytes = e.to_bytes();
+    io(n_bytes, e_bytes);
+    if constexpr (Io::reading) {
+      n = BigUInt::from_bytes(n_bytes);
+      e = BigUInt::from_bytes(e_bytes);
+    }
+  }
+  Result<void> check() const {
+    if (n.is_zero() || e.is_zero()) return Error{Errc::corrupt, "zero RSA parameter"};
+    return ok_result();
+  }
   /// SHA-256 of the encoding — the key's fingerprint, used as a compact
   /// identity in metadata.
   std::string fingerprint() const;

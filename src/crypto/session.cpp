@@ -24,40 +24,25 @@ Result<Session> Session::accept(const PrivateKey& own_key, const Bytes& hello) {
 }
 
 Digest256 Session::mac(bool from_initiator, std::uint64_t seq, const Bytes& payload) const {
-  ByteWriter w;
-  w.u8(from_initiator ? 1 : 0);
-  w.u64(seq);
-  w.blob(payload);
-  return hmac_sha256(key_, w.bytes());
+  return hmac_sha256(key_, encode(from_initiator, seq, payload));
 }
 
 Bytes Session::seal(const Bytes& payload) {
   std::uint64_t seq = ++send_seq_;
-  auto digest = mac(initiator_, seq, payload);
-  ByteWriter w;
-  w.u64(seq);
-  w.blob(payload);
-  w.raw(digest.data(), digest.size());
-  return std::move(w).take();
+  return encode(SealedFrame{seq, payload, mac(initiator_, seq, payload)});
 }
 
-Result<Bytes> Session::open(const Bytes& sealed) {
-  ByteReader r(sealed);
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  auto payload = r.blob();
-  if (!payload) return payload.error();
-  auto received_mac = r.raw(32);
-  if (!received_mac) return received_mac.error();
-
+Result<Bytes> Session::open(const Payload& sealed) {
+  auto frame = decode<SealedFrame>(sealed);
+  if (!frame) return frame.error();
+  const SealedFrame& f = frame.value();
   // MAC first: an attacker must not learn whether the sequence was right.
-  auto expected = mac(!initiator_, seq.value(), payload.value());
-  if (!std::equal(expected.begin(), expected.end(), received_mac.value().begin()))
+  if (mac(!initiator_, f.seq, f.payload) != f.mac)
     return Error{Errc::corrupt, "session MAC mismatch"};
-  if (seq.value() <= recv_seq_)
+  if (f.seq <= recv_seq_)
     return Error{Errc::permission_denied, "session replay or rollback detected"};
-  recv_seq_ = seq.value();
-  return std::move(payload).take();
+  recv_seq_ = f.seq;
+  return std::move(frame.value().payload);
 }
 
 }  // namespace snipe::crypto

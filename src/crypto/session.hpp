@@ -22,6 +22,18 @@
 
 namespace snipe::crypto {
 
+/// A sealed message on the wire: sequence number, payload and MAC.
+struct SealedFrame {
+  std::uint64_t seq = 0;
+  Bytes payload;
+  Digest256 mac{};
+
+  template <class Io>
+  void fields(Io& io) {
+    io(seq, payload, mac);
+  }
+};
+
 class Session {
  public:
   /// Initiator side: generates a session key and the hello blob to send.
@@ -37,7 +49,7 @@ class Session {
   /// Verifies and unwraps a received message.  Fails with Errc::corrupt on
   /// a bad MAC and Errc::permission_denied on a sequence rollback/replay —
   /// the "connection hijacking" detections of §4.
-  Result<Bytes> open(const Bytes& sealed);
+  Result<Bytes> open(const Payload& sealed);
 
   std::uint64_t sent() const { return send_seq_; }
   std::uint64_t received() const { return recv_seq_; }

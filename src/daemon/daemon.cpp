@@ -39,11 +39,7 @@ class VmManagedTask final : public ManagedTask {
 }  // namespace
 
 Bytes authorization_payload(const std::string& program, const std::string& host) {
-  ByteWriter w;
-  w.str("snipe:spawn-authorization");
-  w.str(program);
-  w.str(host);
-  return std::move(w).take();
+  return encode(std::string("snipe:spawn-authorization"), program, host);
 }
 
 SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
@@ -58,7 +54,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
       log_("daemon@" + host.name(), host.clock()) {
   rpc_.serve_async(tags::kSpawn, [this](const simnet::Address& from, const Payload& body,
                                         transport::RpcEndpoint::Responder respond) {
-    auto request = SpawnRequest::decode(body.to_bytes());
+    auto request = decode<SpawnRequest>(body);
     if (!request) {
       respond(request.error());
       return;
@@ -68,20 +64,18 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
         respond(r.error());
         return;
       }
-      respond(Payload(r.value().encode()));
+      respond(Payload(encode(r.value())));
     });
   });
 
   rpc_.serve(tags::kSignal, [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
-    PayloadCursor r(body);
-    auto urn = r.str();
-    auto signal = r.u8();
-    if (!urn || !signal) return Error{Errc::corrupt, "bad signal request"};
-    auto it = tasks_.find(urn.value());
-    if (it == tasks_.end()) return Result<Bytes>(Errc::not_found, urn.value());
+    auto request = decode<SignalRequest>(body);
+    if (!request) return Error{Errc::corrupt, "bad signal request"};
+    auto it = tasks_.find(request.value().urn);
+    if (it == tasks_.end()) return Result<Bytes>(Errc::not_found, request.value().urn);
     TaskEntry& entry = *it->second;
     ++stats_.signals_delivered;
-    switch (static_cast<TaskSignal>(signal.value())) {
+    switch (request.value().signal) {
       case TaskSignal::kill:
         entry.task->kill();
         set_state(entry, TaskState::killed);
@@ -102,44 +96,33 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
 
   rpc_.serve(tags::kTaskInfo,
              [this](const simnet::Address&, const Payload& body) -> Result<Bytes> {
-               PayloadCursor r(body);
-               auto urn = r.str();
+               auto urn = decode<std::string>(body);
                if (!urn) return urn.error();
                auto it = tasks_.find(urn.value());
                if (it == tasks_.end()) return Result<Bytes>(Errc::not_found, urn.value());
-               ByteWriter w;
-               w.u8(static_cast<std::uint8_t>(it->second->state));
-               w.u16(it->second->comm_port);
-               w.i64(it->second->exit_code);
-               return std::move(w).take();
+               const TaskEntry& entry = *it->second;
+               return encode(TaskInfo{entry.state, entry.comm_port, entry.exit_code});
              });
 
   rpc_.serve(tags::kListTasks,
              [this](const simnet::Address&, const Payload&) -> Result<Bytes> {
-               ByteWriter w;
-               w.u32(static_cast<std::uint32_t>(tasks_.size()));
-               for (const auto& [urn, entry] : tasks_) {
-                 w.str(urn);
-                 w.u8(static_cast<std::uint8_t>(entry->state));
-               }
-               return std::move(w).take();
+               std::vector<std::pair<std::string, TaskState>> list;
+               for (const auto& [urn, entry] : tasks_) list.emplace_back(urn, entry->state);
+               return encode(list);
              });
 
   rpc_.serve_async(tags::kCheckpointTo,
                    [this](const simnet::Address&, const Payload& body,
                           transport::RpcEndpoint::Responder respond) {
-                     PayloadCursor r(body);
-                     auto urn = r.str();
-                     auto lifn = r.str();
-                     auto fs_host = r.str();
-                     auto fs_port = r.u16();
-                     if (!urn || !lifn || !fs_host || !fs_port) {
+                     auto request = decode<CheckpointRequest>(body);
+                     if (!request) {
                        respond(Error{Errc::corrupt, "bad checkpoint request"});
                        return;
                      }
-                     auto it = tasks_.find(urn.value());
+                     const CheckpointRequest& req = request.value();
+                     auto it = tasks_.find(req.urn);
                      if (it == tasks_.end()) {
-                       respond(Result<Bytes>(Errc::not_found, urn.value()));
+                       respond(Result<Bytes>(Errc::not_found, req.urn));
                        return;
                      }
                      auto snapshot = it->second->task->checkpoint();
@@ -150,24 +133,18 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
                      ++stats_.checkpoints;
                      // §5.6: "Temporary storage of state is provided by the
                      // SNIPE file servers."
-                     files_.write(simnet::Address{fs_host.value(), fs_port.value()},
-                                  lifn.value(), snapshot.value(),
-                                  [respond, lifn = lifn.value()](Result<void> wrote) {
+                     files_.write(req.file_server, req.lifn, snapshot.value(),
+                                  [respond, lifn = req.lifn](Result<void> wrote) {
                                     if (!wrote) {
                                       respond(wrote.error());
                                       return;
                                     }
-                                    PayloadWriter w;
-                                    w.str(lifn);
-                                    respond(std::move(w).take());
+                                    respond(encode_payload(lifn));
                                   });
                    });
 
   rpc_.serve(tags::kLoad, [this](const simnet::Address&, const Payload&) -> Result<Bytes> {
-    ByteWriter w;
-    w.f64(load());
-    w.u32(static_cast<std::uint32_t>(running_tasks()));
-    return std::move(w).take();
+    return encode(LoadReport{load(), static_cast<std::uint32_t>(running_tasks())});
   });
 
   rpc_.serve(tags::kPing,
@@ -180,7 +157,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
              [this](const simnet::Address& from, const Payload& body) -> Result<Bytes> {
                if (config_.host_principal == nullptr)
                  return Result<Bytes>(Errc::state_error, "host has no key pair");
-               auto stmt = crypto::SignedStatement::decode(body.to_bytes());
+               auto stmt = decode<crypto::SignedStatement>(body);
                if (!stmt) return stmt.error();
                if (auto v = config_.trust.validate_direct(
                        stmt.value(), crypto::TrustPurpose::grant_resources);
@@ -202,7 +179,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
       respond(Result<Bytes>(Errc::permission_denied, "no session with " + from.to_string()));
       return;
     }
-    auto opened = it->second.open(body.to_bytes());
+    auto opened = it->second.open(body);
     if (!opened) {
       // Bad MAC or replay: the §4 hijack detections.  Log and refuse.
       log_.warn("sealed spawn from ", from.to_string(), " rejected: ",
@@ -210,7 +187,7 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
       respond(opened.error());
       return;
     }
-    auto request = SpawnRequest::decode(opened.value());
+    auto request = decode<SpawnRequest>(opened.value());
     if (!request) {
       respond(request.error());
       return;
@@ -222,19 +199,17 @@ SnipeDaemon::SnipeDaemon(simnet::Host& host, std::vector<simnet::Address> rc_rep
         respond(r.error());
         return;
       }
-      respond(Payload(r.value().encode()));
+      respond(Payload(encode(r.value())));
     });
   });
 
   // Unreliable health responder (see ping_port()).
   host_.bind(ping_port(), [this](const simnet::Packet& p) {
             heartbeats_->inc();
-            ByteWriter w;
-            w.f64(load());
-            w.u32(static_cast<std::uint32_t>(running_tasks()));
             simnet::SendOptions opts;
             opts.src_port = ping_port();
-            auto r = host_.send(simnet::Address{p.src->name(), p.src_port}, std::move(w).take(),
+            auto r = host_.send(simnet::Address{p.src->name(), p.src_port},
+                                encode(LoadReport{load(), static_cast<std::uint32_t>(running_tasks())}),
                                 opts);
             if (!r) log_.trace("pong failed: ", r.error().to_string());
           })
@@ -270,7 +245,7 @@ void SnipeDaemon::publish_host_metadata() {
   };
   if (config_.host_principal != nullptr)
     ops.push_back(rcds::op_set(rcds::names::kHostKey,
-                               hex_encode(config_.host_principal->keys.pub.encode())));
+                               hex_encode(encode(config_.host_principal->keys.pub))));
   for (const auto& nic : host_.nics()) {
     const auto& m = nic->network()->model();
     // §5.2.1: per-interface protocol/latency/bandwidth metadata, used by
@@ -290,12 +265,6 @@ void SnipeDaemon::publish_load() {
   if (!host_.up()) return;  // a dead host reports nothing
   rc_.set(host_url(), rcds::names::kHostLoad, std::to_string(load()),
           [](Result<void>) {});
-}
-
-void SnipeDaemon::add_broker(const std::string& broker_url) {
-  rc_.add(host_url(), rcds::names::kHostBroker, broker_url, [this](Result<void> r) {
-    if (!r) log_.warn("broker registration failed: ", r.error().to_string());
-  });
 }
 
 double SnipeDaemon::load() const {
@@ -330,7 +299,7 @@ Result<void> SnipeDaemon::check_authorization(const SpawnRequest& request) const
   if (!config_.require_authorization) return ok_result();
   if (request.authorization.empty())
     return Error{Errc::permission_denied, "spawn authorization required"};
-  auto stmt = crypto::SignedStatement::decode(request.authorization);
+  auto stmt = decode<crypto::SignedStatement>(request.authorization);
   if (!stmt) return Error{Errc::permission_denied, "undecodable authorization"};
   if (auto v = config_.trust.validate_direct(stmt.value(),
                                              crypto::TrustPurpose::grant_resources);
@@ -359,11 +328,8 @@ void SnipeDaemon::set_state(TaskEntry& entry, TaskState state, const std::string
   // ... and notify the spawner directly (§3.3 "informing interested
   // parties of changes to the status of those tasks").
   if (entry.spawner.port != 0) {
-    ByteWriter w;
-    w.str(entry.task_urn);
-    w.u8(static_cast<std::uint8_t>(state));
-    w.i64(entry.exit_code);
-    rpc_.notify(entry.spawner, tags::kTaskEvent, std::move(w).take());
+    rpc_.notify(entry.spawner, tags::kTaskEvent,
+                encode(TaskEvent{entry.task_urn, state, entry.exit_code}));
     ++stats_.events_sent;
   }
 }

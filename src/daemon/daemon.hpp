@@ -47,6 +47,64 @@ inline constexpr std::uint32_t kSessionHello = 138;  ///< §4 authenticated chan
 inline constexpr std::uint32_t kSpawnSealed = 139;   ///< spawn over the session, unsigned
 }  // namespace tags
 
+/// kSignal request.
+struct SignalRequest {
+  std::string urn;
+  TaskSignal signal = TaskSignal::kill;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(urn, signal);
+  }
+};
+
+/// kCheckpointTo request: snapshot task `urn` to `lifn` on `file_server`.
+struct CheckpointRequest {
+  std::string urn;
+  std::string lifn;
+  simnet::Address file_server;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(urn, lifn, file_server);
+  }
+};
+
+/// kTaskInfo reply.
+struct TaskInfo {
+  TaskState state = TaskState::starting;
+  std::uint16_t comm_port = 0;
+  std::int64_t exit_code = 0;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(state, comm_port, exit_code);
+  }
+};
+
+/// kTaskEvent notice: a task changed state.
+struct TaskEvent {
+  std::string urn;
+  TaskState state = TaskState::starting;
+  std::int64_t exit_code = 0;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(urn, state, exit_code);
+  }
+};
+
+/// kLoad reply, and the health pong on the daemon's ping port.
+struct LoadReport {
+  double load = 0;
+  std::uint32_t running = 0;  ///< running or starting tasks
+
+  template <class Io>
+  void fields(Io& io) {
+    io(load, running);
+  }
+};
+
 struct DaemonConfig {
   std::string arch = "sparc-sunos";  ///< advertised host architecture
   int cpus = 1;
@@ -110,11 +168,6 @@ class SnipeDaemon {
   const DaemonStats& stats() const { return stats_; }
   transport::RpcEndpoint& rpc() { return rpc_; }
   rcds::RcClient& rc() { return rc_; }
-
-  /// Lets an embedding component (the RM) add itself as a broker for this
-  /// host in the host metadata (§5.2.1 "The URLs of any brokers which
-  /// manage this host's resources").
-  void add_broker(const std::string& broker_url);
 
  private:
   struct TaskEntry final : TaskHandle {

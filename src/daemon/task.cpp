@@ -15,72 +15,4 @@ const char* task_state_name(TaskState s) {
   return "unknown";
 }
 
-Bytes SpawnRequest::encode() const {
-  ByteWriter w;
-  w.str(program);
-  w.str(name);
-  w.u32(static_cast<std::uint32_t>(args.size()));
-  for (auto a : args) w.i64(a);
-  w.str(require_arch);
-  w.i32(require_cpus);
-  w.str(restore_lifn);
-  w.blob(authorization);
-  return std::move(w).take();
-}
-
-Result<SpawnRequest> SpawnRequest::decode(const Bytes& data) {
-  ByteReader r(data);
-  SpawnRequest req;
-  auto program = r.str();
-  if (!program) return program.error();
-  req.program = program.value();
-  auto name = r.str();
-  if (!name) return name.error();
-  req.name = name.value();
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (count.value() > 1 << 16) return Error{Errc::corrupt, "absurd arg count"};
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto a = r.i64();
-    if (!a) return a.error();
-    req.args.push_back(a.value());
-  }
-  auto arch = r.str();
-  if (!arch) return arch.error();
-  req.require_arch = arch.value();
-  auto cpus = r.i32();
-  if (!cpus) return cpus.error();
-  req.require_cpus = cpus.value();
-  auto restore = r.str();
-  if (!restore) return restore.error();
-  req.restore_lifn = restore.value();
-  auto auth = r.blob();
-  if (!auth) return auth.error();
-  req.authorization = auth.value();
-  return req;
-}
-
-Bytes SpawnReply::encode() const {
-  ByteWriter w;
-  w.str(urn);
-  w.str(host);
-  w.u16(port);
-  return std::move(w).take();
-}
-
-Result<SpawnReply> SpawnReply::decode(const Bytes& data) {
-  ByteReader r(data);
-  SpawnReply reply;
-  auto urn = r.str();
-  if (!urn) return urn.error();
-  reply.urn = urn.value();
-  auto host = r.str();
-  if (!host) return host.error();
-  reply.host = host.value();
-  auto port = r.u16();
-  if (!port) return port.error();
-  reply.port = port.value();
-  return reply;
-}
-
 }  // namespace snipe::daemon

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/result.hpp"
 
 namespace snipe::daemon {
@@ -49,8 +49,8 @@ struct SpawnRequest {
   /// Initial inputs (VM input queue / native task arguments).
   std::vector<std::int64_t> args;
   /// Environment specification (§5.5): requirements the host must satisfy.
-  std::string require_arch;  ///< "" = any
-  int require_cpus = 0;      ///< minimum CPUs
+  std::string require_arch;       ///< "" = any
+  std::int32_t require_cpus = 0;  ///< minimum CPUs
   /// Restore-from-checkpoint: LIFN of a VM snapshot on a file server.  Set
   /// by the migration/restart machinery; empty for fresh spawns.
   std::string restore_lifn;
@@ -59,8 +59,14 @@ struct SpawnRequest {
   /// does not require authorization.
   Bytes authorization;
 
-  Bytes encode() const;
-  static Result<SpawnRequest> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(program, name, args, require_arch, require_cpus, restore_lifn, authorization);
+  }
+  Result<void> check() const {
+    if (args.size() > 1 << 16) return Error{Errc::corrupt, "absurd arg count"};
+    return ok_result();
+  }
 };
 
 /// What a daemon returns from a successful spawn.
@@ -69,8 +75,10 @@ struct SpawnReply {
   std::string host;       ///< where it runs
   std::uint16_t port = 0; ///< the task's communication endpoint, 0 if none
 
-  Bytes encode() const;
-  static Result<SpawnReply> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(urn, host, port);
+  }
 };
 
 /// Callbacks a running task uses to tell its daemon about itself.

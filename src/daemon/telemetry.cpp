@@ -1,6 +1,7 @@
 #include "daemon/telemetry.hpp"
 
 #include "obs/trace.hpp"
+#include "util/codec.hpp"
 
 namespace snipe::daemon {
 
@@ -36,7 +37,7 @@ void TelemetryExporter::tick() {
   if (!rpc_.host().up()) return;
 
   obs::TelemetryBeacon beacon = builder_.build(engine_.now());
-  Bytes wire = beacon.encode();
+  Bytes wire = encode(beacon);
   for (const simnet::Address& collector : config_.collectors)
     rpc_.notify(collector, tags::kTelemetryBeacon, wire);
   ++beacons_sent_;
@@ -62,7 +63,7 @@ TelemetryCollector::TelemetryCollector(transport::RpcEndpoint& rpc,
   }
   rpc_.on_notify(tags::kTelemetryBeacon, [this](const simnet::Address& from,
                                                 const Payload& body) {
-    auto beacon = obs::TelemetryBeacon::decode(body.to_bytes());
+    auto beacon = decode<obs::TelemetryBeacon>(body);
     if (!beacon) {
       ++beacons_malformed_;
       log_.warn("malformed beacon from ", from.to_string(), ": ",

@@ -60,37 +60,29 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
       log_("files@" + host.name() + ":" + std::to_string(rpc_.address().port), host.clock()) {
   rpc_.serve(tags::kOpenSink,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
-               auto total = r.u64();
-               auto stripes = r.u32();
-               if (!lifn || !total || !stripes)
-                 return Error{Errc::corrupt, "bad open-sink request"};
+               auto open = decode<OpenSink>(body);
+               if (!open) return Error{Errc::corrupt, "bad open-sink request"};
                std::uint64_t id = next_sink_id_++;
                Sink sink;
-               sink.lifn = lifn.value();
-               sink.total = total.value();
-               sink.stripes = std::max<std::uint32_t>(1, stripes.value());
+               sink.lifn = std::move(open.value().lifn);
+               sink.total = open.value().total;
+               sink.stripes = std::max<std::uint32_t>(1, open.value().stripes);
                sink.last_activity = engine_.now();
                sinks_[id] = std::move(sink);
                ++stats_.sink_sessions;
-               PayloadWriter w;
-               w.u64(id);
-               return std::move(w).take();
+               return encode_payload(id);
              });
 
   rpc_.on_notify(tags::kSinkData, [this](const simnet::Address&, const Payload& body) {
-    PayloadCursor r(body);
-    auto id = r.u64();
-    auto offset = r.u64();
-    auto chunk = r.blob();
-    if (!id || !offset || !chunk) return;
-    auto it = sinks_.find(id.value());
+    auto data = decode<SinkChunk>(body);
+    if (!data) return;
+    SinkChunk& c = data.value();
+    auto it = sinks_.find(c.sink_id);
     if (it == sinks_.end()) return;
     Sink& sink = it->second;
-    std::uint64_t end = offset.value() + chunk.value().size();
+    std::uint64_t end = c.offset + c.chunk.size();
     if (end > sink.total) {
-      log_.warn("sink ", id.value(), ": chunk [", offset.value(), ", ", end,
+      log_.warn("sink ", c.sink_id, ": chunk [", c.offset, ", ", end,
                 ") exceeds declared size ", sink.total);
       return;
     }
@@ -101,20 +93,19 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
       tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "files.sink_chunk_rx",
                   rpc_.srudp().last_delivered_flow(),
                   {{"lifn", sink.lifn},
-                   {"offset", std::to_string(offset.value())},
-                   {"bytes", std::to_string(chunk.value().size())}});
-    if (std::uint64_t fresh = add_extent(sink.extents, offset.value(), end); fresh > 0) {
+                   {"offset", std::to_string(c.offset)},
+                   {"bytes", std::to_string(c.chunk.size())}});
+    if (std::uint64_t fresh = add_extent(sink.extents, c.offset, end); fresh > 0) {
       sink.covered += fresh;
-      Payload& kept = sink.chunks[offset.value()];
-      if (chunk.value().size() > kept.size()) kept = std::move(chunk).take();
+      Payload& kept = sink.chunks[c.offset];
+      if (c.chunk.size() > kept.size()) kept = std::move(c.chunk);
     }
     sink.last_activity = engine_.now();
   });
 
   rpc_.serve(tags::kCloseSink,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto id = r.u64();
+               auto id = decode<std::uint64_t>(body);
                if (!id) return id.error();
                auto it = sinks_.find(id.value());
                if (it == sinks_.end())
@@ -135,80 +126,63 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
 
   rpc_.serve(tags::kOpenSource,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
-               auto dst_host = r.str();
-               auto dst_port = r.u16();
-               auto read_id = r.u64();
-               auto stripe_index = r.u32();
-               auto stripe_count = r.u32();
-               auto chunk_size = r.u64();
-               if (!lifn || !dst_host || !dst_port || !read_id || !stripe_index ||
-                   !stripe_count || !chunk_size)
-                 return Error{Errc::corrupt, "bad open-source request"};
-               const std::uint32_t stripes = std::max<std::uint32_t>(1, stripe_count.value());
-               if (stripe_index.value() >= stripes)
+               auto open = decode<OpenSource>(body);
+               if (!open) return Error{Errc::corrupt, "bad open-source request"};
+               const OpenSource& req = open.value();
+               const std::uint32_t stripes = std::max<std::uint32_t>(1, req.stripe_count);
+               if (req.stripe_index >= stripes)
                  return Error{Errc::invalid_argument, "stripe index out of range"};
-               auto it = store_.find(lifn.value());
-               if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
+               auto it = store_.find(req.lifn);
+               if (it == store_.end()) return Result<Payload>(Errc::not_found, req.lifn);
                ++stats_.source_sessions;
                // Stream this stripe's chunks — indices congruent to the
                // stripe modulo the stripe count — as offset-stamped one-way
                // SNIPE messages, each carrying a slice of the stored buffer.
                const Payload::Buffer& content = it->second.bytes;
-               simnet::Address dst{dst_host.value(), dst_port.value()};
                const std::uint64_t total = content->size();
-               const std::uint64_t chunk =
-                   chunk_size.value() != 0 ? chunk_size.value() : config_.chunk;
+               const std::uint64_t chunk = req.chunk_size != 0 ? req.chunk_size : config_.chunk;
                std::uint64_t stripe_bytes = 0;
                auto& tracer = rpc_.host().tracer();
-               for (std::uint64_t ci = stripe_index.value(); ci * chunk < total;
-                    ci += stripes) {
+               for (std::uint64_t ci = req.stripe_index; ci * chunk < total; ci += stripes) {
                  std::uint64_t offset = ci * chunk;
                  std::uint64_t n = std::min<std::uint64_t>(chunk, total - offset);
-                 PayloadWriter w;
-                 w.u64(read_id.value());
-                 w.u64(total);
-                 w.u64(offset);
-                 w.blob(Payload(content, offset, n));
-                 std::uint64_t flow = rpc_.notify(dst, tags::kSourceData, std::move(w).take());
+                 std::uint64_t flow = rpc_.notify(
+                     req.dst, tags::kSourceData,
+                     encode_payload(SourceChunk{req.read_id, total, offset,
+                                                Payload(content, offset, n)}));
                  if (tracer.flow_enabled())
                    tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                                "files.source_chunk", flow,
-                               {{"lifn", lifn.value()},
-                                {"stripe", std::to_string(stripe_index.value())},
+                               {{"lifn", req.lifn},
+                                {"stripe", std::to_string(req.stripe_index)},
                                 {"offset", std::to_string(offset)},
                                 {"bytes", std::to_string(n)}});
                  stripe_bytes += n;
                }
                bytes_served_->inc(stripe_bytes);
-               PayloadWriter w;
-               w.u64(total);
-               w.u64(stripe_bytes);
-               return std::move(w).take();
+               return encode_payload(total, stripe_bytes);
              });
 
   rpc_.serve(tags::kReplicate,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
-               if (!lifn) return lifn.error();
-               auto content = r.blob();
-               if (!content) return content.error();
+               auto push = decode<ReplicaPush>(body);
+               if (!push) return push.error();
+               const std::string& lifn = push.value().lifn;
+               const Payload& content = push.value().content;
                ++stats_.replicas_received;
                // A push whose provenance proves the pusher's seal (its
                // sealed buffer, perhaps with a short tail the transport
                // copied) keeps that seal; otherwise hash only bytes this
                // server does not already hold (a repair push repeats them, a
                // push after an overwrite replaces them).
-               Stored& file = store_[lifn.value()];
-               if (file.bytes == nullptr || content.value().proven_digest() != nullptr ||
-                   !(content.value() == *file.bytes))
-                 put(file, crypto::seal(content.value()));
+               Stored& file = store_[lifn];
+               if (file.bytes == nullptr || content.proven_digest() != nullptr ||
+                   !(content == *file.bytes))
+                 put(file, crypto::seal(content));
                // (Re-)announce unconditionally: a repair push may follow a
                // crash that retracted our registration while the bytes
                // survived on disk.
-               announce(lifn.value(), file);
+               announce(lifn, file);
                return Payload{};
              });
 
@@ -218,8 +192,7 @@ FileServer::FileServer(simnet::Host& host, std::vector<simnet::Address> rc_repli
 
   rpc_.serve(tags::kDelete,
              [this](const simnet::Address&, const Payload& body) -> Result<Payload> {
-               PayloadCursor r(body);
-               auto lifn = r.str();
+               auto lifn = decode<std::string>(body);
                if (!lifn) return lifn.error();
                auto it = store_.find(lifn.value());
                if (it == store_.end()) return Result<Payload>(Errc::not_found, lifn.value());
@@ -345,10 +318,7 @@ void FileServer::repair_file(const std::string& lifn) {
                if (it == store_.end()) return;
                log_.debug("repairing ", lifn, ": ", live, "/",
                           config_.replication_factor, " live replicas");
-               PayloadWriter w;
-               w.str(lifn);
-               w.blob(Payload(it->second.bytes));
-               Payload body = std::move(w).take();
+               Payload body = encode_payload(ReplicaPush{lifn, Payload(it->second.bytes)});
                int needed = config_.replication_factor - live;
                for (const auto& peer : peers_) {
                  if (needed <= 0) break;
@@ -378,10 +348,7 @@ void FileServer::replicate(const std::string& lifn) {
   if (copies_needed <= 0 || peers_.empty()) return;
   auto it = store_.find(lifn);
   if (it == store_.end()) return;
-  PayloadWriter w;
-  w.str(lifn);
-  w.blob(Payload(it->second.bytes));
-  Payload body = std::move(w).take();
+  Payload body = encode_payload(ReplicaPush{lifn, Payload(it->second.bytes)});
   auto& tracer = rpc_.host().tracer();
   for (int i = 0; i < copies_needed && i < static_cast<int>(peers_.size()); ++i) {
     ++stats_.replicas_pushed;
@@ -409,13 +376,10 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
   rpc_.on_notify(files::tags::kSourceData, [this, alive = std::weak_ptr<char>(alive_)](
                                                const simnet::Address&, const Payload& body) {
     if (alive.expired()) return;  // endpoint outlived this client
-    PayloadCursor r(body);
-    auto id = r.u64();
-    auto total = r.u64();
-    auto offset = r.u64();
-    auto chunk = r.blob();
-    if (!id || !total || !offset || !chunk) return;
-    auto it = reads_.find(id.value());
+    auto data = decode<SourceChunk>(body);
+    if (!data) return;
+    SourceChunk& c = data.value();
+    auto it = reads_.find(c.read_id);
     if (it == reads_.end()) return;
     PendingRead& read = it->second;
     auto& tracer = rpc_.host().tracer();
@@ -423,25 +387,25 @@ FileClient::FileClient(transport::RpcEndpoint& rpc, std::vector<simnet::Address>
       tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                   "files.source_chunk_rx", rpc_.srudp().last_delivered_flow(),
                   {{"lifn", read.lifn},
-                   {"offset", std::to_string(offset.value())},
-                   {"bytes", std::to_string(chunk.value().size())}});
+                   {"offset", std::to_string(c.offset)},
+                   {"bytes", std::to_string(c.chunk.size())}});
     if (!read.total_known) {
-      read.total = total.value();
+      read.total = c.total;
       on_total_known(read);
     }
-    const std::uint64_t end = offset.value() + chunk.value().size();
-    if (end > read.total || chunk.value().empty()) return;
-    const std::uint64_t ci = offset.value() / config_.chunk;
+    const std::uint64_t end = c.offset + c.chunk.size();
+    if (end > read.total || c.chunk.empty()) return;
+    const std::uint64_t ci = c.offset / config_.chunk;
     const std::uint32_t s = static_cast<std::uint32_t>(ci % read.stripes.size());
     Stripe& stripe = read.stripes[s];
     stripe.last_progress = rpc_.engine().now();
-    const std::uint64_t n = chunk.value().size();
-    if (read.chunks.emplace(offset.value(), std::move(chunk).take()).second) {
+    const std::uint64_t n = c.chunk.size();
+    if (read.chunks.emplace(c.offset, std::move(c.chunk)).second) {
       read.bytes_have += n;
       stripe.received += n;
     }
     if (!stripe.done && stripe.received >= stripe.expected) note_stripe_done(read, stripe);
-    if (read.bytes_have >= read.total) finish_read(id.value(), ok_result());
+    if (read.bytes_have >= read.total) finish_read(c.read_id, ok_result());
   });
 }
 
@@ -452,11 +416,8 @@ FileClient::~FileClient() {
 
 void FileClient::write(const simnet::Address& server, const std::string& lifn,
                        Payload content, DoneHandler done) {
-  PayloadWriter open;
-  open.str(lifn);
-  open.u64(content.size());
-  open.u32(config_.stripes);
-  rpc_.call(server, tags::kOpenSink, std::move(open).take(),
+  rpc_.call(server, tags::kOpenSink,
+            encode_payload(OpenSink{lifn, content.size(), config_.stripes}),
             [this, alive = std::weak_ptr<char>(alive_), server,
              content = std::move(content), done = std::move(done)](Result<Payload> r) mutable {
               if (alive.expired()) {
@@ -467,8 +428,7 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn,
                 done(r.error());
                 return;
               }
-              PayloadCursor rr(r.value());
-              auto id = rr.u64();
+              auto id = decode<std::uint64_t>(r.value());
               if (!id) {
                 done(id.error());
                 return;
@@ -484,12 +444,9 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn,
                 for (std::uint64_t ci = s; ci * chunk < total; ci += config_.stripes) {
                   std::uint64_t offset = ci * chunk;
                   std::uint64_t n = std::min<std::uint64_t>(chunk, total - offset);
-                  PayloadWriter w;
-                  w.u64(id.value());
-                  w.u64(offset);
-                  w.blob(content.slice(offset, n));
-                  std::uint64_t flow =
-                      rpc_.notify(server, tags::kSinkData, std::move(w).take());
+                  std::uint64_t flow = rpc_.notify(
+                      server, tags::kSinkData,
+                      encode_payload(SinkChunk{id.value(), offset, content.slice(offset, n)}));
                   if (tracer.flow_enabled())
                     tracer.flow(rpc_.engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
                                 "files.sink_chunk", flow,
@@ -499,9 +456,7 @@ void FileClient::write(const simnet::Address& server, const std::string& lifn,
                                  {"bytes", std::to_string(n)}});
                 }
               }
-              PayloadWriter close;
-              close.u64(id.value());
-              rpc_.call(server, tags::kCloseSink, std::move(close).take(),
+              rpc_.call(server, tags::kCloseSink, encode_payload(id.value()),
                         [done = std::move(done)](Result<Payload> r2) {
                           if (!r2)
                             done(r2.error());
@@ -591,16 +546,10 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
   st.opened_at = now;
   st.last_progress = now;
   instrument(stripe_opens_, "files.stripe_opens").inc();
-  PayloadWriter w;
-  w.str(read.lifn);
-  w.str(rpc_.address().host);
-  w.u16(rpc_.address().port);
-  w.u64(read_id);
-  w.u32(stripe);
-  w.u32(static_cast<std::uint32_t>(read.stripes.size()));
-  w.u64(config_.chunk);
   std::uint64_t flow = rpc_.call(
-      server, tags::kOpenSource, std::move(w).take(),
+      server, tags::kOpenSource,
+      encode_payload(OpenSource{read.lifn, rpc_.address(), read_id, stripe,
+                                static_cast<std::uint32_t>(read.stripes.size()), config_.chunk}),
       [this, alive = std::weak_ptr<char>(alive_), read_id, stripe,
        attempt](Result<Payload> r) {
         if (alive.expired()) return;
@@ -617,12 +566,11 @@ void FileClient::open_stripe(std::uint64_t read_id, std::uint32_t stripe) {
           reissue_stripe(read_id, stripe, "open_failed");
           return;
         }
-        PayloadCursor rr(r.value());
-        auto total = rr.u64();
-        if (!total) return;
+        auto sizes = decode<std::pair<std::uint64_t, std::uint64_t>>(r.value());
+        if (!sizes) return;
         st.last_progress = rpc_.engine().now();
         if (!read.total_known) {
-          read.total = total.value();
+          read.total = sizes.value().first;
           on_total_known(read);
         }
         // A stripe that owns no bytes (or an empty file) completes on the

@@ -43,6 +43,7 @@
 #include "obs/metrics.hpp"
 #include "rcds/client.hpp"
 #include "transport/rpc.hpp"
+#include "util/codec.hpp"
 
 namespace snipe::files {
 
@@ -56,14 +57,73 @@ inline constexpr std::uint32_t kReplicate = 127;   ///< server-to-server copy
 inline constexpr std::uint32_t kDelete = 128;
 }  // namespace tags
 
-// Wire formats (all five transfer tags carry the stripe descriptor):
-//   kOpenSink   req:  str lifn, u64 total, u32 stripe_count   -> u64 sink_id
-//   kSinkData   note: u64 sink_id, u64 offset, blob chunk
-//   kCloseSink  req:  u64 sink_id        -> empty (error if bytes missing)
-//   kOpenSource req:  str lifn, str dst_host, u16 dst_port, u64 read_id,
-//                     u32 stripe_index, u32 stripe_count, u64 chunk_size
-//                                        -> u64 total, u64 stripe_bytes
-//   kSourceData note: u64 read_id, u64 total, u64 offset, blob chunk
+// Transfer bodies.  kOpenSink replies with the u64 sink id, kCloseSink
+// takes it (and fails if bytes are missing), kOpenSource replies with the
+// pair (u64 total, u64 stripe_bytes), kDelete takes the LIFN.
+
+/// kOpenSink request.
+struct OpenSink {
+  std::string lifn;
+  std::uint64_t total = 0;
+  std::uint32_t stripes = 1;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(lifn, total, stripes);
+  }
+};
+
+/// kSinkData notice: one chunk of a write.
+struct SinkChunk {
+  std::uint64_t sink_id = 0;
+  std::uint64_t offset = 0;
+  Payload chunk;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(sink_id, offset, chunk);
+  }
+};
+
+/// kOpenSource request: stream stripe `stripe_index` of `stripe_count` of
+/// `lifn` to `dst` in `chunk_size` pieces (0 = the server's default).
+struct OpenSource {
+  std::string lifn;
+  simnet::Address dst;
+  std::uint64_t read_id = 0;
+  std::uint32_t stripe_index = 0;
+  std::uint32_t stripe_count = 1;
+  std::uint64_t chunk_size = 0;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(lifn, dst, read_id, stripe_index, stripe_count, chunk_size);
+  }
+};
+
+/// kSourceData notice: one chunk of a read.
+struct SourceChunk {
+  std::uint64_t read_id = 0;
+  std::uint64_t total = 0;
+  std::uint64_t offset = 0;
+  Payload chunk;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(read_id, total, offset, chunk);
+  }
+};
+
+/// kReplicate request: a whole file pushed server to server.
+struct ReplicaPush {
+  std::string lifn;
+  Payload content;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(lifn, content);
+  }
+};
 
 struct FileServerConfig {
   /// Total replicas (including this server) the replication daemon aims

@@ -8,33 +8,6 @@ namespace {
 constexpr std::uint32_t kInterTag = 170;  ///< MPI_Connect direct delivery
 }
 
-Bytes InterMessage::encode() const {
-  ByteWriter w;
-  w.str(src_app);
-  w.i32(src_rank);
-  w.i32(tag);
-  w.blob(data);
-  return std::move(w).take();
-}
-
-Result<InterMessage> InterMessage::decode(const Bytes& wire) {
-  ByteReader r(wire);
-  InterMessage m;
-  auto app = r.str();
-  if (!app) return app.error();
-  m.src_app = app.value();
-  auto rank = r.i32();
-  if (!rank) return rank.error();
-  m.src_rank = rank.value();
-  auto tag = r.i32();
-  if (!tag) return tag.error();
-  m.tag = tag.value();
-  auto data = r.blob();
-  if (!data) return data.error();
-  m.data = std::move(data).take();
-  return m;
-}
-
 // ---------- PVMPI ----------
 
 PvmpiPort::PvmpiPort(MpiRank& rank, const std::string& app_name, pvm::PvmDaemon& daemon,
@@ -52,7 +25,7 @@ PvmpiPort::PvmpiPort(MpiRank& rank, const std::string& app_name, pvm::PvmDaemon&
           return;
         }
         task_->set_handler([this](int, int, Bytes data) {
-          auto msg = InterMessage::decode(data);
+          auto msg = decode<InterMessage>(data);
           if (msg && handler_) handler_(std::move(msg).take());
         });
         task_->register_name(port_name(app_name_, rank_.rank()),
@@ -73,7 +46,7 @@ PvmpiPort::PvmpiPort(MpiRank& rank, const std::string& app_name, pvm::PvmDaemon&
 
 void PvmpiPort::send(const std::string& remote_app, int remote_rank, int tag, Bytes data) {
   InterMessage msg{app_name_, rank_.rank(), tag, std::move(data)};
-  Bytes wire = msg.encode();
+  Bytes wire = encode(msg);
   std::string name = port_name(remote_app, remote_rank);
   if (!enrolled_) {
     backlog_.emplace_back(name, std::move(wire));
@@ -107,7 +80,7 @@ MpiConnectPort::MpiConnectPort(MpiRank& rank, const std::string& app_name,
   rpc_ = std::make_unique<transport::RpcEndpoint>(*host, 0);
   rc_ = std::make_unique<rcds::RcClient>(*rpc_, std::move(rc_replicas));
   rpc_->on_notify(kInterTag, [this](const simnet::Address&, const Payload& body) {
-    auto msg = InterMessage::decode(body.to_bytes());
+    auto msg = decode<InterMessage>(body);
     if (msg && handler_) handler_(std::move(msg).take());
   });
   // Register our endpoint under the port URN in the SNIPE registry: global
@@ -150,7 +123,7 @@ void MpiConnectPort::resolve(const std::string& urn,
 void MpiConnectPort::send(const std::string& remote_app, int remote_rank, int tag,
                           Bytes data) {
   InterMessage msg{app_name_, rank_.rank(), tag, std::move(data)};
-  Bytes wire = msg.encode();
+  Bytes wire = encode(msg);
   resolve(port_urn(remote_app, remote_rank),
           [this, wire = std::move(wire)](Result<simnet::Address> addr) {
             if (!addr) {

@@ -29,12 +29,14 @@ namespace snipe::mpi {
 /// A message from another MPI application.
 struct InterMessage {
   std::string src_app;
-  int src_rank = 0;
-  int tag = 0;
+  std::int32_t src_rank = 0;
+  std::int32_t tag = 0;
   Bytes data;
 
-  Bytes encode() const;
-  static Result<InterMessage> decode(const Bytes& wire);
+  template <class Io>
+  void fields(Io& io) {
+    io(src_app, src_rank, tag, data);
+  }
 };
 
 /// Common API of the two bridge implementations.

@@ -6,14 +6,6 @@ namespace snipe::mpi {
 
 namespace {
 constexpr std::uint16_t kRankPortBase = 6000;
-
-Bytes encode_msg(int source, int tag, const Bytes& data) {
-  ByteWriter w;
-  w.i32(source);
-  w.i32(tag);
-  w.blob(data);
-  return std::move(w).take();
-}
 }  // namespace
 
 MpiWorld::MpiWorld(std::string name, const std::vector<simnet::Host*>& hosts)
@@ -36,16 +28,13 @@ int MpiRank::size() const { return world_->size(); }
 
 void MpiRank::send(int dst, int tag, Bytes data) {
   assert(dst >= 0 && dst < size());
-  endpoint_->send(world_->rank(dst).address(), encode_msg(rank_, tag, data));
+  endpoint_->send(world_->rank(dst).address(), encode(MpiMessage{rank_, tag, std::move(data)}));
 }
 
 void MpiRank::on_message(const simnet::Address&, Payload wire) {
-  PayloadCursor r(wire);  // the message may arrive in several segments
-  auto source = r.i32();
-  auto tag = r.i32();
-  auto data = r.blob();
-  if (!source || !tag || !data) return;
-  MpiMessage msg{source.value(), tag.value(), data.value().to_bytes()};
+  auto decoded = decode<MpiMessage>(wire);  // the message may arrive in several segments
+  if (!decoded) return;
+  MpiMessage msg = std::move(decoded).take();
 
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     if (matches(*it, msg)) {
@@ -133,23 +122,18 @@ void MpiRank::allreduce_sum(std::int64_t value, std::function<void(std::int64_t)
     }
     for (int i = 0; i < size() - 1; ++i) {
       recv(kAnySource, kReduceTag, [this, done](MpiMessage msg) {
-        ByteReader r(msg.data);
-        reduce_acc_ += r.i64().value_or(0);
+        reduce_acc_ += decode<std::int64_t>(msg.data).value_or(0);
         if (++reduce_arrivals_ == size() - 1) {
-          ByteWriter w;
-          w.i64(reduce_acc_);
-          for (int dst = 1; dst < size(); ++dst) send(dst, kReduceResultTag, w.bytes());
+          const Bytes result = encode(reduce_acc_);
+          for (int dst = 1; dst < size(); ++dst) send(dst, kReduceResultTag, result);
           done(reduce_acc_);
         }
       });
     }
   } else {
-    ByteWriter w;
-    w.i64(value);
-    send(0, kReduceTag, std::move(w).take());
+    send(0, kReduceTag, encode(value));
     recv(0, kReduceResultTag, [done = std::move(done)](MpiMessage msg) {
-      ByteReader r(msg.data);
-      done(r.i64().value_or(0));
+      done(decode<std::int64_t>(msg.data).value_or(0));
     });
   }
 }

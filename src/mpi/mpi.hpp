@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "transport/srudp.hpp"
+#include "util/codec.hpp"
 
 namespace snipe::mpi {
 
@@ -26,9 +27,14 @@ inline constexpr int kAnyTag = -1;
 class MpiWorld;
 
 struct MpiMessage {
-  int source = 0;
-  int tag = 0;
+  std::int32_t source = 0;
+  std::int32_t tag = 0;
   Bytes data;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(source, tag, data);
+  }
 };
 
 /// One rank of an MpiWorld.

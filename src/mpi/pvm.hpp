@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "transport/rpc.hpp"
+#include "util/codec.hpp"
 
 namespace snipe::pvm {
 
@@ -59,8 +60,8 @@ class PvmDaemon {
  private:
   friend class PvmTask;
   void serve();
-  void route(const Bytes& wire);
-  void deliver_local(int tid, const Bytes& wire);
+  void route(const Payload& wire);
+  void deliver_local(int tid, const Payload& wire);
   void resolve_daemon(int index, std::function<void(Result<simnet::Address>)> done);
 
   transport::RpcEndpoint rpc_;
@@ -107,13 +108,15 @@ class PvmTask {
 
 /// Wire form of a routed PVM message (constant across all three hops).
 struct PvmEnvelope {
-  int src_tid = 0;
-  int dst_tid = 0;
-  int tag = 0;
+  std::int32_t src_tid = 0;
+  std::int32_t dst_tid = 0;
+  std::int32_t tag = 0;
   Bytes data;
 
-  Bytes encode() const;
-  static Result<PvmEnvelope> decode(const Bytes& wire);
+  template <class Io>
+  void fields(Io& io) {
+    io(src_tid, dst_tid, tag, data);
+  }
 };
 
 }  // namespace snipe::pvm

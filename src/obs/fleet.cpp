@@ -7,198 +7,6 @@
 
 namespace snipe::obs {
 
-namespace {
-
-/// Upper bound on any decoded element count: wire data is untrusted, and a
-/// corrupt length prefix must not turn into a multi-gigabyte allocation.
-constexpr std::uint32_t kMaxWireElements = 1u << 20;
-
-Error corrupt(const char* what) { return Error{Errc::corrupt, what}; }
-
-// v2 added the watchtower series section; v3 dropped each sketch's bucket
-// bounds, which are Histogram::kBounds everywhere.  Decode rejects any
-// other version — every exporter and collector in a deployment upgrade
-// together.
-constexpr std::uint8_t kBeaconVersion = 3;
-
-void encode_sketch(ByteWriter& w, const HistogramSketch& s) {
-  w.u32(static_cast<std::uint32_t>(s.buckets.size()));
-  for (std::uint64_t b : s.buckets) w.u64(b);
-  w.u64(s.count);
-  w.f64(s.sum);
-}
-
-Result<HistogramSketch> decode_sketch(ByteReader& r) {
-  HistogramSketch s;
-  auto nk = r.u32();
-  if (!nk) return nk.error();
-  if (nk.value() != s.buckets.size()) return corrupt("sketch bucket count");
-  for (std::uint64_t& b : s.buckets) {
-    auto v = r.u64();
-    if (!v) return v.error();
-    b = v.value();
-  }
-  auto count = r.u64();
-  if (!count) return count.error();
-  s.count = count.value();
-  auto sum = r.f64();
-  if (!sum) return sum.error();
-  s.sum = sum.value();
-  return s;
-}
-
-void encode_flight(ByteWriter& w, const FlightEvent& e) {
-  w.i64(e.ts);
-  w.str(e.host);
-  w.str(e.cat);
-  w.str(e.what);
-  w.str(e.detail);
-}
-
-Result<FlightEvent> decode_flight(ByteReader& r) {
-  FlightEvent e;
-  auto ts = r.i64();
-  if (!ts) return ts.error();
-  e.ts = ts.value();
-  for (std::string* field : {&e.host, &e.cat, &e.what, &e.detail}) {
-    auto s = r.str();
-    if (!s) return s.error();
-    *field = std::move(s).take();
-  }
-  return e;
-}
-
-Result<std::uint32_t> read_count(ByteReader& r, const char* what) {
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (n.value() > kMaxWireElements) return corrupt(what);
-  return n.value();
-}
-
-}  // namespace
-
-// ---------- TelemetryBeacon ----------
-
-Bytes TelemetryBeacon::encode() const {
-  ByteWriter w;
-  w.u8(kBeaconVersion);
-  w.str(host);
-  w.u64(seq);
-  w.i64(ts);
-  w.i64(period_ns);
-  w.u8(full ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(counters.size()));
-  for (const auto& [name, v] : counters) {
-    w.str(name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(gauges.size()));
-  for (const auto& [name, v] : gauges) {
-    w.str(name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(sketches.size()));
-  for (const auto& [name, sketch] : sketches) {
-    w.str(name);
-    encode_sketch(w, sketch);
-  }
-  w.u32(static_cast<std::uint32_t>(flight.size()));
-  for (const auto& e : flight) encode_flight(w, e);
-  w.u32(static_cast<std::uint32_t>(series.size()));
-  for (const auto& [name, points] : series) {
-    w.str(name);
-    w.u32(static_cast<std::uint32_t>(points.size()));
-    for (const SeriesPoint& p : points) {
-      w.i64(p.ts);
-      w.f64(p.value);
-    }
-  }
-  return std::move(w).take();
-}
-
-Result<TelemetryBeacon> TelemetryBeacon::decode(const Bytes& wire) {
-  ByteReader r(wire);
-  auto version = r.u8();
-  if (!version) return version.error();
-  if (version.value() != kBeaconVersion) return corrupt("beacon version");
-  TelemetryBeacon b;
-  auto host = r.str();
-  if (!host) return host.error();
-  b.host = std::move(host).take();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  b.seq = seq.value();
-  auto ts = r.i64();
-  if (!ts) return ts.error();
-  b.ts = ts.value();
-  auto period = r.i64();
-  if (!period) return period.error();
-  b.period_ns = period.value();
-  auto full = r.u8();
-  if (!full) return full.error();
-  b.full = full.value() != 0;
-
-  auto nc = read_count(r, "beacon counter count");
-  if (!nc) return nc.error();
-  b.counters.reserve(nc.value());
-  for (std::uint32_t i = 0; i < nc.value(); ++i) {
-    auto name = r.str();
-    if (!name) return name.error();
-    auto v = r.f64();
-    if (!v) return v.error();
-    b.counters.emplace_back(std::move(name).take(), v.value());
-  }
-  auto ng = read_count(r, "beacon gauge count");
-  if (!ng) return ng.error();
-  b.gauges.reserve(ng.value());
-  for (std::uint32_t i = 0; i < ng.value(); ++i) {
-    auto name = r.str();
-    if (!name) return name.error();
-    auto v = r.f64();
-    if (!v) return v.error();
-    b.gauges.emplace_back(std::move(name).take(), v.value());
-  }
-  auto ns = read_count(r, "beacon sketch count");
-  if (!ns) return ns.error();
-  b.sketches.reserve(ns.value());
-  for (std::uint32_t i = 0; i < ns.value(); ++i) {
-    auto name = r.str();
-    if (!name) return name.error();
-    auto sketch = decode_sketch(r);
-    if (!sketch) return sketch.error();
-    b.sketches.emplace_back(std::move(name).take(), std::move(sketch).take());
-  }
-  auto nf = read_count(r, "beacon flight count");
-  if (!nf) return nf.error();
-  b.flight.reserve(nf.value());
-  for (std::uint32_t i = 0; i < nf.value(); ++i) {
-    auto e = decode_flight(r);
-    if (!e) return e.error();
-    b.flight.push_back(std::move(e).take());
-  }
-  auto nr = read_count(r, "beacon series count");
-  if (!nr) return nr.error();
-  b.series.reserve(nr.value());
-  for (std::uint32_t i = 0; i < nr.value(); ++i) {
-    auto name = r.str();
-    if (!name) return name.error();
-    auto np = read_count(r, "beacon series point count");
-    if (!np) return np.error();
-    std::vector<SeriesPoint> points;
-    points.reserve(np.value());
-    for (std::uint32_t j = 0; j < np.value(); ++j) {
-      auto ts = r.i64();
-      if (!ts) return ts.error();
-      auto v = r.f64();
-      if (!v) return v.error();
-      points.push_back({ts.value(), v.value()});
-    }
-    b.series.emplace_back(std::move(name).take(), std::move(points));
-  }
-  if (!r.done()) return corrupt("trailing beacon bytes");
-  return b;
-}
-
 // ---------- BeaconBuilder ----------
 
 BeaconBuilder::BeaconBuilder(Options options) : options_(std::move(options)) {

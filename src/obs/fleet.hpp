@@ -18,7 +18,8 @@
 //     not an approximation over pre-computed per-host percentiles).
 //   * TelemetryBeacon  — one export: counter/gauge deltas, sketch bucket
 //     deltas, new flight entries, plus (seq, ts, period) for gap detection
-//     and staleness accounting.  XDR-style wire codec (util/bytes.hpp).
+//     and staleness accounting.  Its field list is its wire
+//     layout (util/codec.hpp).
 //   * BeaconBuilder    — exporter-side delta state: remembers what the last
 //     beacon carried and emits only what changed; every Nth beacon is a
 //     full snapshot so a collector that missed a delta can resynchronise
@@ -47,6 +48,12 @@ namespace snipe::obs {
 /// the same incarnation; a `full` beacon carries absolute values and is the
 /// resynchronisation point after loss or collector restart.
 struct TelemetryBeacon {
+  // v2 added the watchtower series section; v3 dropped each sketch's bucket
+  // bounds, which are Histogram::kBounds everywhere.  Decode rejects any
+  // other version — every exporter and collector in a deployment upgrade
+  // together.
+  static constexpr std::uint8_t kVersion = 3;
+  std::uint8_t version = kVersion;
   std::string host;           ///< exporting host name
   std::uint64_t seq = 0;      ///< 1-based per exporter incarnation
   std::int64_t ts = 0;        ///< exporter clock at build time (virtual ns)
@@ -69,8 +76,14 @@ struct TelemetryBeacon {
   /// has no SeriesStore attached.
   std::vector<std::pair<std::string, std::vector<SeriesPoint>>> series;
 
-  Bytes encode() const;
-  static Result<TelemetryBeacon> decode(const Bytes& wire);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, host, seq, ts, period_ns, full, counters, gauges, sketches, flight, series);
+  }
+  Result<void> check() const {
+    if (version != kVersion) return Error{Errc::corrupt, "beacon version"};
+    return ok_result();
+  }
 };
 
 /// Exporter-side delta state.  Bound to one registry + flight recorder; the

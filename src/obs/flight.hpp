@@ -32,6 +32,11 @@ struct FlightEvent {
   std::string cat;      ///< component: "srudp", "stream", "fault", "rm", ...
   std::string what;     ///< event kind: "rto", "route_switch", "crash", ...
   std::string detail;   ///< free-form context
+
+  template <class Io>
+  void fields(Io& io) {
+    io(ts, host, cat, what, detail);
+  }
 };
 
 /// One "12.345678s [host] cat/what detail" line per event, in the order

@@ -203,6 +203,10 @@ struct HistogramSketch {
   std::uint64_t count = 0;
   double sum = 0;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(buckets, count, sum);
+  }
   bool empty() const { return count == 0; }
 
   /// Adds `other` bucket-wise.

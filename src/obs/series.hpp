@@ -40,6 +40,10 @@ struct SeriesPoint {
   std::int64_t ts = 0;
   double value = 0;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(ts, value);
+  }
   friend bool operator==(const SeriesPoint&, const SeriesPoint&) = default;
 };
 

@@ -9,7 +9,7 @@ void publish_code(files::FileClient& files, rcds::RcClient& rc,
                   const Program& program, const crypto::Principal& signer,
                   const crypto::Certificate& signer_cert,
                   std::function<void(Result<void>)> done) {
-  Bytes code = program.encode();
+  Bytes code = encode(program);
   std::string hash = crypto::digest_hex(crypto::sha256(code));
   auto subset = rcds::SignedSubset::sign(signer, lifn, {{rcds::names::kLifnHash, hash}});
 
@@ -22,7 +22,7 @@ void publish_code(files::FileClient& files, rcds::RcClient& rc,
                 rc.apply(lifn,
                          {subset.to_op("code"),
                           rcds::op_set(code_names::kSignerCert,
-                                       hex_encode(signer_cert.encode()))},
+                                       hex_encode(encode(signer_cert)))},
                          [done](Result<std::vector<rcds::Assertion>> r) {
                            if (!r)
                              done(r.error());
@@ -67,7 +67,7 @@ void Playground::load(const std::string& lifn, LoadHandler done) {
         return reject("missing signature metadata");
       auto cert_bytes = hex_decode(cert_hex);
       if (!cert_bytes) return reject("malformed signer certificate");
-      auto cert = crypto::Certificate::decode(cert_bytes.value());
+      auto cert = decode<crypto::Certificate>(cert_bytes.value());
       if (!cert) return reject("undecodable signer certificate");
       if (auto v = trust_.validate(cert.value(), crypto::TrustPurpose::sign_mobile_code); !v)
         return reject(v.error().to_string());
@@ -91,7 +91,7 @@ void Playground::load(const std::string& lifn, LoadHandler done) {
         done(code.error());
         return;
       }
-      auto program = Program::decode(code.value());
+      auto program = decode<Program>(code.value());
       if (!program) {
         ++stats_.loads_rejected;
         done(program.error());

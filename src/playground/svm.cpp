@@ -15,39 +15,6 @@ const char* vm_status_name(VmStatus s) {
   return "unknown";
 }
 
-Bytes Program::encode() const {
-  ByteWriter w;
-  w.i64(globals);
-  w.u32(static_cast<std::uint32_t>(code.size()));
-  for (const auto& ins : code) {
-    w.u8(static_cast<std::uint8_t>(ins.op));
-    w.i64(ins.imm);
-  }
-  return std::move(w).take();
-}
-
-Result<Program> Program::decode(const Bytes& data) {
-  ByteReader r(data);
-  Program p;
-  auto globals = r.i64();
-  if (!globals) return globals.error();
-  p.globals = globals.value();
-  if (p.globals < 0 || p.globals > 1 << 20)
-    return Error{Errc::corrupt, "absurd global count"};
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (count.value() > 1 << 22) return Error{Errc::corrupt, "absurd code size"};
-  p.code.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto op = r.u8();
-    if (!op) return op.error();
-    auto imm = r.i64();
-    if (!imm) return imm.error();
-    p.code.push_back({static_cast<OpCode>(op.value()), imm.value()});
-  }
-  return p;
-}
-
 Vm::Vm(Program program, VmQuota quota) : program_(std::move(program)), quota_(quota) {
   globals_.assign(static_cast<std::size_t>(program_.globals), 0);
 }
@@ -294,103 +261,18 @@ VmStatus Vm::run(std::uint64_t quantum) {
   return status_;  // quantum exhausted, still runnable
 }
 
-Bytes Vm::snapshot() const {
-  ByteWriter w;
-  w.blob(program_.encode());
-  w.u64(quota_.max_cycles);
-  w.u64(quota_.max_stack);
-  w.u64(quota_.max_frames);
-  w.u64(quota_.max_output);
-  w.i64(pc_);
-  w.u32(static_cast<std::uint32_t>(stack_.size()));
-  for (auto v : stack_) w.i64(v);
-  w.u32(static_cast<std::uint32_t>(frames_.size()));
-  for (const auto& f : frames_) {
-    w.i64(f.return_pc);
-    w.i64(f.stack_base);
-    w.u32(static_cast<std::uint32_t>(f.locals.size()));
-    for (auto v : f.locals) w.i64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(globals_.size()));
-  for (auto v : globals_) w.i64(v);
-  w.u32(static_cast<std::uint32_t>(input_.size()));
-  for (auto v : input_) w.i64(v);
-  w.u32(static_cast<std::uint32_t>(output_.size()));
-  for (auto v : output_) w.i64(v);
-  w.u64(cycles_);
-  w.u8(static_cast<std::uint8_t>(status_));
-  w.i64(exit_code_);
-  w.i64(instance_id_);
-  return std::move(w).take();
-}
+Bytes Vm::snapshot() const { return encode(*this); }
 
-Result<Vm> Vm::restore(const Bytes& snapshot) {
-  ByteReader r(snapshot);
-  auto program_bytes = r.blob();
-  if (!program_bytes) return program_bytes.error();
-  auto program = Program::decode(program_bytes.value());
-  if (!program) return program.error();
+Result<Vm> Vm::restore(const Bytes& snapshot) { return decode<Vm>(snapshot); }
 
-  Vm vm;
-  vm.program_ = std::move(program).take();
-  auto max_cycles = r.u64();
-  auto max_stack = r.u64();
-  auto max_frames = r.u64();
-  auto max_output = r.u64();
-  if (!max_cycles || !max_stack || !max_frames || !max_output)
-    return Error{Errc::corrupt, "bad quota block"};
-  vm.quota_ = VmQuota{max_cycles.value(), static_cast<std::size_t>(max_stack.value()),
-                      static_cast<std::size_t>(max_frames.value()),
-                      static_cast<std::size_t>(max_output.value())};
-  auto pc = r.i64();
-  if (!pc) return pc.error();
-  vm.pc_ = pc.value();
-
-  auto read_i64_seq = [&r](auto out_inserter) -> Result<void> {
-    auto count = r.u32();
-    if (!count) return count.error();
-    if (count.value() > 1 << 24) return Error{Errc::corrupt, "absurd sequence size"};
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-      auto v = r.i64();
-      if (!v) return v.error();
-      out_inserter(v.value());
-    }
-    return ok_result();
-  };
-
-  if (auto s = read_i64_seq([&](std::int64_t v) { vm.stack_.push_back(v); }); !s)
-    return s.error();
-  auto frame_count = r.u32();
-  if (!frame_count) return frame_count.error();
-  if (frame_count.value() > 1 << 20) return Error{Errc::corrupt, "absurd frame count"};
-  for (std::uint32_t i = 0; i < frame_count.value(); ++i) {
-    Frame f;
-    auto rpc = r.i64();
-    auto base = r.i64();
-    if (!rpc || !base) return Error{Errc::corrupt, "bad frame"};
-    f.return_pc = rpc.value();
-    f.stack_base = base.value();
-    if (auto s = read_i64_seq([&](std::int64_t v) { f.locals.push_back(v); }); !s)
-      return s.error();
-    vm.frames_.push_back(std::move(f));
-  }
-  if (auto s = read_i64_seq([&](std::int64_t v) { vm.globals_.push_back(v); }); !s)
-    return s.error();
-  if (auto s = read_i64_seq([&](std::int64_t v) { vm.input_.push_back(v); }); !s)
-    return s.error();
-  if (auto s = read_i64_seq([&](std::int64_t v) { vm.output_.push_back(v); }); !s)
-    return s.error();
-  auto cycles = r.u64();
-  auto status = r.u8();
-  auto exit_code = r.i64();
-  auto instance = r.i64();
-  if (!cycles || !status || !exit_code || !instance)
-    return Error{Errc::corrupt, "bad VM tail"};
-  vm.cycles_ = cycles.value();
-  vm.status_ = static_cast<VmStatus>(status.value());
-  vm.exit_code_ = exit_code.value();
-  vm.instance_id_ = instance.value();
-  return vm;
+Result<void> Vm::check() const {
+  constexpr std::size_t kMaxSequence = 1 << 24;
+  if (frames_.size() > 1 << 20) return Error{Errc::corrupt, "absurd frame count"};
+  bool absurd = stack_.size() > kMaxSequence || globals_.size() > kMaxSequence ||
+                input_.size() > kMaxSequence || output_.size() > kMaxSequence;
+  for (const Frame& f : frames_) absurd = absurd || f.locals.size() > kMaxSequence;
+  if (absurd) return Error{Errc::corrupt, "absurd sequence size"};
+  return ok_result();
 }
 
 }  // namespace snipe::playground

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/result.hpp"
 
 namespace snipe::playground {
@@ -70,6 +70,11 @@ enum class OpCode : std::uint8_t {
 struct Instruction {
   OpCode op;
   std::int64_t imm = 0;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(op, imm);
+  }
 };
 
 /// A compiled program: instructions + number of globals it needs.
@@ -77,8 +82,15 @@ struct Program {
   std::vector<Instruction> code;
   std::int64_t globals = 0;
 
-  Bytes encode() const;
-  static Result<Program> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(globals, code);
+  }
+  Result<void> check() const {
+    if (globals < 0 || globals > 1 << 20) return Error{Errc::corrupt, "absurd global count"};
+    if (code.size() > 1 << 22) return Error{Errc::corrupt, "absurd code size"};
+    return ok_result();
+  }
 };
 
 /// Why the VM stopped running.
@@ -96,9 +108,14 @@ const char* vm_status_name(VmStatus s);
 
 struct VmQuota {
   std::uint64_t max_cycles = 100'000'000;  ///< lifetime instruction budget
-  std::size_t max_stack = 64 * 1024;
-  std::size_t max_frames = 1024;
-  std::size_t max_output = 1 << 20;  ///< queued, un-drained emits
+  std::uint64_t max_stack = 64 * 1024;
+  std::uint64_t max_frames = 1024;
+  std::uint64_t max_output = 1 << 20;  ///< queued, un-drained emits
+
+  template <class Io>
+  void fields(Io& io) {
+    io(max_cycles, max_stack, max_frames, max_output);
+  }
 };
 
 class Vm {
@@ -118,7 +135,6 @@ class Vm {
   /// Host-side I/O: feed the input queue (unblocks `recv`), drain emits.
   void push_input(std::int64_t value);
   std::vector<std::int64_t> drain_output();
-  std::size_t pending_output() const { return output_.size(); }
   /// Clears a `checkpoint` pause so run() can continue.
   void acknowledge_checkpoint();
   void set_instance_id(std::int64_t id) { instance_id_ = id; }
@@ -129,16 +145,28 @@ class Vm {
   Bytes snapshot() const;
   static Result<Vm> restore(const Bytes& snapshot);
 
+  /// The snapshot's layout: the program as a nested blob, then the state.
+  template <class Io>
+  void fields(Io& io) {
+    io(codec::in_blob(program_), quota_, pc_, stack_, frames_, globals_, input_, output_,
+       cycles_, status_, exit_code_, instance_id_);
+  }
+  Result<void> check() const;
+
  private:
   struct Frame {
     std::int64_t return_pc = 0;
     std::int64_t stack_base = 0;  ///< operand stack size at entry (after args)
     std::vector<std::int64_t> locals;
+
+    template <class Io>
+    void fields(Io& io) {
+      io(return_pc, stack_base, locals);
+    }
   };
 
   VmStatus trap(std::string why);
   VmStatus quota_fault(std::string why);
-  Result<std::int64_t> pop_value();
 
   Program program_;
   VmQuota quota_;

@@ -4,34 +4,6 @@
 
 namespace snipe::rcds {
 
-void Assertion::encode(ByteWriter& w) const {
-  w.str(name);
-  w.str(value);
-  w.i64(timestamp);
-  w.str(origin);
-  w.u8(tombstone ? 1 : 0);
-}
-
-Result<Assertion> Assertion::decode(ByteReader& r) {
-  Assertion a;
-  auto name = r.str();
-  if (!name) return name.error();
-  a.name = name.value();
-  auto value = r.str();
-  if (!value) return value.error();
-  a.value = value.value();
-  auto ts = r.i64();
-  if (!ts) return ts.error();
-  a.timestamp = ts.value();
-  auto origin = r.str();
-  if (!origin) return origin.error();
-  a.origin = origin.value();
-  auto tomb = r.u8();
-  if (!tomb) return tomb.error();
-  a.tombstone = tomb.value() != 0;
-  return a;
-}
-
 bool Record::merge(const Assertion& a) {
   latest_ = std::max(latest_, a.timestamp);
   auto key = std::make_pair(a.name, a.value);
@@ -73,28 +45,6 @@ std::optional<std::string> Record::value(const std::string& name) const {
   auto v = values(name);
   if (v.empty()) return std::nullopt;
   return v.front();
-}
-
-void Op::encode(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.str(name);
-  w.str(value);
-}
-
-Result<Op> Op::decode(ByteReader& r) {
-  Op op;
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  if (kind.value() < 1 || kind.value() > 3)
-    return Error{Errc::corrupt, "bad op kind"};
-  op.kind = static_cast<Op::Kind>(kind.value());
-  auto name = r.str();
-  if (!name) return name.error();
-  op.name = name.value();
-  auto value = r.str();
-  if (!value) return value.error();
-  op.value = value.value();
-  return op;
 }
 
 }  // namespace snipe::rcds

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/time.hpp"
 
 namespace snipe::rcds {
@@ -31,8 +31,10 @@ struct Assertion {
   std::string origin;      ///< id of the accepting server
   bool tombstone = false;  ///< true if this pair has been removed
 
-  void encode(ByteWriter& w) const;
-  static Result<Assertion> decode(ByteReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(name, value, timestamp, origin, tombstone);
+  }
 
   /// Replica-merge ordering: a write dominates another iff it is strictly
   /// newer by (timestamp, origin).  Equal keys are the same write.
@@ -80,8 +82,14 @@ struct Op {
   std::string name;
   std::string value;
 
-  void encode(ByteWriter& w) const;
-  static Result<Op> decode(ByteReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(kind, name, value);
+  }
+  Result<void> check() const {
+    if (kind < Kind::add || kind > Kind::set) return Error{Errc::corrupt, "bad op kind"};
+    return ok_result();
+  }
 };
 
 /// Convenience builders.

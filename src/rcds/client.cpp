@@ -8,20 +8,6 @@
 namespace snipe::rcds {
 
 namespace {
-Bytes encode_get(const std::string& uri) {
-  ByteWriter w;
-  w.str(uri);
-  return std::move(w).take();
-}
-
-Bytes encode_apply(const std::string& uri, const std::vector<Op>& ops) {
-  ByteWriter w;
-  w.str(uri);
-  w.u32(static_cast<std::uint32_t>(ops.size()));
-  for (const auto& op : ops) op.encode(w);
-  return std::move(w).take();
-}
-
 /// Parses the master address out of a single-master referral error
 /// ("single-master: write at host:port").
 Result<simnet::Address> referral_target(const std::string& message) {
@@ -61,13 +47,13 @@ std::size_t RcClient::healthiest() const {
 
 void RcClient::get(const std::string& uri, AssertionsHandler done) {
   ++stats_.lookups;
-  attempt(tags::kGet, encode_get(uri), healthiest(), static_cast<int>(replicas_.size()),
+  attempt(tags::kGet, encode(uri), healthiest(), static_cast<int>(replicas_.size()),
           std::move(done));
 }
 
 void RcClient::apply(const std::string& uri, std::vector<Op> ops, AssertionsHandler done) {
   ++stats_.writes;
-  attempt(tags::kApply, encode_apply(uri, ops), healthiest(),
+  attempt(tags::kApply, encode(ApplyRequest{uri, std::move(ops)}), healthiest(),
           static_cast<int>(replicas_.size()), std::move(done));
 }
 
@@ -85,10 +71,10 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
           // member and never retry through the dead endpoint.
           if (!response) {
             done(response.error());
-          } else if (auto update = decode_update(response.value().to_bytes()); !update) {
+          } else if (auto update = decode<Update>(response.value()); !update) {
             done(update.error());
           } else {
-            done(std::move(update.value().second));
+            done(std::move(update.value().assertions));
           }
           return;
         }
@@ -106,12 +92,12 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
                       done(r2.error());
                       return;
                     }
-                    auto update = decode_update(r2.value().to_bytes());
+                    auto update = decode<Update>(r2.value());
                     if (!update) {
                       done(update.error());
                       return;
                     }
-                    done(std::move(update.value().second));
+                    done(std::move(update.value().assertions));
                   },
                   config_.try_timeout);
               return;
@@ -137,12 +123,12 @@ void RcClient::attempt(std::uint32_t tag, Bytes body, std::size_t replica_index,
         fails_[idx] = 0;
         for (std::size_t i = 0; i < fails_.size(); ++i)
           if (i != idx && fails_[i] > 0) --fails_[i];
-        auto update = decode_update(response.value().to_bytes());
+        auto update = decode<Update>(response.value());
         if (!update) {
           done(update.error());
           return;
         }
-        done(std::move(update.value().second));
+        done(std::move(update.value().assertions));
       },
       config_.try_timeout);
 }

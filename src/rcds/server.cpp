@@ -6,48 +6,21 @@
 
 namespace snipe::rcds {
 
-Bytes encode_update(const std::string& uri, const std::vector<Assertion>& assertions) {
-  ByteWriter w;
-  w.str(uri);
-  w.u32(static_cast<std::uint32_t>(assertions.size()));
-  for (const auto& a : assertions) a.encode(w);
-  return std::move(w).take();
-}
-
-Result<std::pair<std::string, std::vector<Assertion>>> decode_update(const Bytes& body) {
-  ByteReader r(body);
-  auto uri = r.str();
-  if (!uri) return uri.error();
-  auto count = r.u32();
-  if (!count) return count.error();
-  std::vector<Assertion> assertions;
-  assertions.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto a = Assertion::decode(r);
-    if (!a) return a.error();
-    assertions.push_back(std::move(a).take());
-  }
-  return std::make_pair(uri.value(), std::move(assertions));
-}
-
 RcServer::RcServer(simnet::Host& host, std::uint16_t port, RcServerConfig config)
     : rpc_(host, port, transport::RpcConfig{config.shared_secret}),
       engine_(host.engine()),
       config_(std::move(config)),
       server_id_(host.name() + ":" + std::to_string(rpc_.address().port)),
       log_("rcds@" + server_id_, host.clock()) {
-  // Record and op decoders read contiguous bytes: bodies other than kGet's
-  // are flattened here, at the handler edge.
   rpc_.serve(tags::kGet,
              [this](const simnet::Address&, const Payload& body) { return handle_get(body); });
-  rpc_.serve(tags::kApply, [this](const simnet::Address& from, const Payload& body) {
-    return handle_apply(from, body.to_bytes());
-  });
+  rpc_.serve(tags::kApply,
+             [this](const simnet::Address&, const Payload& body) { return handle_apply(body); });
   rpc_.on_notify(tags::kReplicate, [this](const simnet::Address&, const Payload& body) {
-    handle_replicate(body.to_bytes());
+    handle_replicate(body);
   });
   rpc_.serve(tags::kSyncDigest, [this](const simnet::Address&, const Payload& body) {
-    return handle_sync_digest(body.to_bytes());
+    return handle_sync_digest(body);
   });
   rpc_.serve(tags::kPing, [](const simnet::Address&, const Payload&) -> Result<Payload> {
     return Payload{};
@@ -114,7 +87,7 @@ std::vector<Assertion> RcServer::apply(const std::string& uri, const std::vector
 void RcServer::broadcast_update(const std::string& uri,
                                 const std::vector<Assertion>& assertions) {
   if (peers_.empty()) return;
-  Bytes update = encode_update(uri, assertions);
+  Bytes update = encode(Update{uri, assertions});
   auto& tracer = rpc_.host().tracer();
   for (const auto& peer : peers_) {
     std::uint64_t flow = rpc_.notify(peer, tags::kReplicate, update);
@@ -128,8 +101,7 @@ void RcServer::broadcast_update(const std::string& uri,
 }
 
 Result<Bytes> RcServer::handle_get(const Payload& body) {
-  PayloadCursor r(body);
-  auto uri = r.str();
+  auto uri = decode<std::string>(body);
   if (!uri) return uri.error();
   ++stats_.gets;
   auto it = store_.find(uri.value());
@@ -138,22 +110,12 @@ Result<Bytes> RcServer::handle_get(const Payload& body) {
   else
     catalog_hits_->inc();
   std::vector<Assertion> live = it == store_.end() ? std::vector<Assertion>{} : it->second.live();
-  return encode_update(uri.value(), live);
+  return encode(Update{uri.value(), live});
 }
 
-Result<Bytes> RcServer::handle_apply(const simnet::Address& from, const Bytes& body) {
-  ByteReader r(body);
-  auto uri = r.str();
-  if (!uri) return uri.error();
-  auto count = r.u32();
-  if (!count) return count.error();
-  std::vector<Op> ops;
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto op = Op::decode(r);
-    if (!op) return op.error();
-    ops.push_back(std::move(op).take());
-  }
-  (void)from;
+Result<Bytes> RcServer::handle_apply(const Payload& body) {
+  auto request = decode<ApplyRequest>(body);
+  if (!request) return request.error();
   if (config_.single_master && !peers_.empty() && !(peers_.front() == rpc_.address())) {
     // LDAP-style referral mode: only peers().front() — the master — accepts
     // writes; every other replica refers the writer there.  For the
@@ -164,12 +126,12 @@ Result<Bytes> RcServer::handle_apply(const simnet::Address& from, const Bytes& b
     return Result<Bytes>(Errc::state_error,
                          "single-master: write at " + peers_.front().to_string());
   }
-  auto written = apply(uri.value(), ops);
-  return encode_update(uri.value(), written);
+  const std::string& uri = request.value().uri;
+  return encode(Update{uri, apply(uri, request.value().ops)});
 }
 
-void RcServer::handle_replicate(const Bytes& body) {
-  auto update = decode_update(body);
+void RcServer::handle_replicate(const Payload& body) {
+  auto update = decode<Update>(body);
   if (!update) {
     log_.warn("malformed replicate payload");
     return;
@@ -180,13 +142,13 @@ void RcServer::handle_replicate(const Bytes& body) {
   if (tracer.flow_enabled() && rpc_.srudp().last_delivered_flow() != 0)
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rcds.replicate_rx",
                 rpc_.srudp().last_delivered_flow(),
-                {{"uri", update.value().first},
-                 {"assertions", std::to_string(update.value().second.size())}});
-  Record& record = store_[update.value().first];
+                {{"uri", update.value().uri},
+                 {"assertions", std::to_string(update.value().assertions.size())}});
+  Record& record = store_[update.value().uri];
   // Replication lag: virtual time from the originating server's stamp to
   // this replica merging the assertion.
   SimTime now = engine_.now();
-  for (const auto& a : update.value().second) {
+  for (const auto& a : update.value().assertions) {
     record.merge(a);
     if (a.timestamp <= now)
       replication_lag_ms_->observe(static_cast<double>(now - a.timestamp) / 1e6);
@@ -194,25 +156,17 @@ void RcServer::handle_replicate(const Bytes& body) {
   ++stats_.replicated_in;
 }
 
-Result<Bytes> RcServer::handle_sync_digest(const Bytes& body) {
+Result<Bytes> RcServer::handle_sync_digest(const Payload& body) {
   // Request: list of (uri, latest timestamp) the peer holds.  Response:
   // every assertion in any of our records that is newer than the peer's
-  // digest for that URI, plus whole records the peer does not know.
-  ByteReader r(body);
-  auto count = r.u32();
-  if (!count) return count.error();
+  // digest for that URI, plus whole records the peer does not know, each
+  // an encoded Update.
+  auto digest = decode<std::vector<std::pair<std::string, SimTime>>>(body);
+  if (!digest) return digest.error();
   std::map<std::string, SimTime> peer_digest;
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto uri = r.str();
-    if (!uri) return uri.error();
-    auto ts = r.i64();
-    if (!ts) return ts.error();
-    peer_digest[uri.value()] = ts.value();
-  }
+  for (auto& [uri, ts] : digest.value()) peer_digest[std::move(uri)] = ts;
 
-  ByteWriter w;
-  std::uint32_t records = 0;
-  ByteWriter payload;
+  std::vector<Bytes> updates;
   for (const auto& [uri, record] : store_) {
     auto it = peer_digest.find(uri);
     SimTime peer_latest = it == peer_digest.end() ? -1 : it->second;
@@ -221,13 +175,9 @@ Result<Bytes> RcServer::handle_sync_digest(const Bytes& body) {
     for (const auto& a : record.all())
       if (a.timestamp > peer_latest) newer.push_back(a);
     if (newer.empty()) continue;
-    Bytes update = encode_update(uri, newer);
-    payload.blob(update);
-    ++records;
+    updates.push_back(encode(Update{uri, std::move(newer)}));
   }
-  w.u32(records);
-  w.raw(payload.bytes());
-  return std::move(w).take();
+  return encode(updates);
 }
 
 void RcServer::anti_entropy_tick() {
@@ -240,26 +190,20 @@ void RcServer::anti_entropy_tick() {
       "rcds", "anti_entropy",
       "peer=" + peer.to_string() + " uris=" + std::to_string(store_.size()));
 
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(store_.size()));
-  for (const auto& [uri, record] : store_) {
-    w.str(uri);
-    w.i64(record.latest());
-  }
+  std::vector<std::pair<std::string, SimTime>> digest;
+  digest.reserve(store_.size());
+  for (const auto& [uri, record] : store_) digest.emplace_back(uri, record.latest());
   std::uint64_t flow =
-      rpc_.call(peer, tags::kSyncDigest, std::move(w).take(), [this](Result<Payload> response) {
+      rpc_.call(peer, tags::kSyncDigest, encode(digest), [this](Result<Payload> response) {
         if (!response) return;  // peer down; next round will try another
-        PayloadCursor r(response.value());
-        auto count = r.u32();
-        if (!count) return;
+        auto updates = decode<std::vector<Payload>>(response.value());
+        if (!updates) return;
         std::uint64_t repaired = 0;
-        for (std::uint32_t i = 0; i < count.value(); ++i) {
-          auto blob = r.blob();
-          if (!blob) return;
-          auto update = decode_update(blob.value().to_bytes());
+        for (const Payload& wire : updates.value()) {
+          auto update = decode<Update>(wire);
           if (!update) return;
-          Record& record = store_[update.value().first];
-          for (const auto& a : update.value().second)
+          Record& record = store_[update.value().uri];
+          for (const auto& a : update.value().assertions)
             if (record.merge(a)) ++stats_.anti_entropy_repairs, ++repaired;
         }
         auto& tracer = rpc_.host().tracer();

@@ -74,15 +74,14 @@ class RcServer {
   std::vector<Assertion> get(const std::string& uri) const;
   std::vector<Assertion> apply(const std::string& uri, const std::vector<Op>& ops);
 
-  std::size_t resource_count() const { return store_.size(); }
   const RcServerStats& stats() const { return stats_; }
   transport::RpcEndpoint& rpc() { return rpc_; }
 
  private:
   Result<Bytes> handle_get(const Payload& body);
-  Result<Bytes> handle_apply(const simnet::Address& from, const Bytes& body);
-  void handle_replicate(const Bytes& body);
-  Result<Bytes> handle_sync_digest(const Bytes& body);
+  Result<Bytes> handle_apply(const Payload& body);
+  void handle_replicate(const Payload& body);
+  Result<Bytes> handle_sync_digest(const Payload& body);
   void broadcast_update(const std::string& uri, const std::vector<Assertion>& assertions);
   void anti_entropy_tick();
 
@@ -105,8 +104,27 @@ class RcServer {
   obs::SourceHandle stats_source_;
 };
 
-/// Encodes a batch of assertions for one URI (shared by replicate/sync).
-Bytes encode_update(const std::string& uri, const std::vector<Assertion>& assertions);
-Result<std::pair<std::string, std::vector<Assertion>>> decode_update(const Bytes& body);
+/// A batch of assertions for one URI: the kGet and kApply reply, the
+/// kReplicate notification and each record of a kSyncDigest reply.
+struct Update {
+  std::string uri;
+  std::vector<Assertion> assertions;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(uri, assertions);
+  }
+};
+
+/// The kApply request.
+struct ApplyRequest {
+  std::string uri;
+  std::vector<Op> ops;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(uri, ops);
+  }
+};
 
 }  // namespace snipe::rcds

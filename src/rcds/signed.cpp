@@ -7,15 +7,7 @@ namespace snipe::rcds {
 Bytes SignedSubset::canonical_bytes() const {
   auto sorted = entries;
   std::sort(sorted.begin(), sorted.end());
-  ByteWriter w;
-  w.str(uri);
-  w.u32(static_cast<std::uint32_t>(sorted.size()));
-  for (const auto& [name, value] : sorted) {
-    w.str(name);
-    w.str(value);
-  }
-  w.str(signer);
-  return std::move(w).take();
+  return encode(uri, sorted, signer);
 }
 
 SignedSubset SignedSubset::sign(const crypto::Principal& signer, std::string uri,
@@ -32,51 +24,14 @@ bool SignedSubset::verify_with(const crypto::PublicKey& signer_key) const {
   return crypto::verify(signer_key, canonical_bytes(), signature);
 }
 
-Bytes SignedSubset::encode() const {
-  ByteWriter w;
-  w.str(uri);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [name, value] : entries) {
-    w.str(name);
-    w.str(value);
-  }
-  w.str(signer);
-  w.blob(signature);
-  return std::move(w).take();
-}
-
-Result<SignedSubset> SignedSubset::decode(const Bytes& data) {
-  ByteReader r(data);
-  SignedSubset s;
-  auto uri = r.str();
-  if (!uri) return uri.error();
-  s.uri = uri.value();
-  auto count = r.u32();
-  if (!count) return count.error();
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto name = r.str();
-    if (!name) return name.error();
-    auto value = r.str();
-    if (!value) return value.error();
-    s.entries.emplace_back(name.value(), value.value());
-  }
-  auto signer = r.str();
-  if (!signer) return signer.error();
-  s.signer = signer.value();
-  auto signature = r.blob();
-  if (!signature) return signature.error();
-  s.signature = signature.value();
-  return s;
-}
-
 Op SignedSubset::to_op(const std::string& label) const {
-  return op_set("rcds:sig:" + label, hex_encode(encode()));
+  return op_set("rcds:sig:" + label, hex_encode(encode(*this)));
 }
 
 Result<SignedSubset> SignedSubset::from_assertion_value(const std::string& hex_value) {
   auto bytes = hex_decode(hex_value);
   if (!bytes) return bytes.error();
-  return decode(bytes.value());
+  return decode<SignedSubset>(bytes.value());
 }
 
 }  // namespace snipe::rcds

@@ -32,8 +32,10 @@ struct SignedSubset {
                            std::vector<std::pair<std::string, std::string>> entries);
   bool verify_with(const crypto::PublicKey& signer_key) const;
 
-  Bytes encode() const;
-  static Result<SignedSubset> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(uri, entries, signer, signature);
+  }
 
   /// Stores/loads as the RC assertion ("rcds:sig:<label>", hex(encode)).
   Op to_op(const std::string& label) const;

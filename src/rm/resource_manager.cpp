@@ -7,91 +7,13 @@
 
 namespace snipe::rm {
 
-Bytes Reservation::encode() const {
-  ByteWriter w;
-  w.str(host);
-  w.str(daemon.host);
-  w.u16(daemon.port);
-  w.blob(authorization);
-  return std::move(w).take();
-}
-
-Result<Reservation> Reservation::decode(const Bytes& data) {
-  ByteReader r(data);
-  Reservation res;
-  auto host = r.str();
-  if (!host) return host.error();
-  res.host = host.value();
-  auto dh = r.str();
-  if (!dh) return dh.error();
-  auto dp = r.u16();
-  if (!dp) return dp.error();
-  res.daemon = {dh.value(), dp.value()};
-  auto auth = r.blob();
-  if (!auth) return auth.error();
-  res.authorization = auth.value();
-  return res;
-}
-
 Bytes user_grant_payload(const std::string& user, const std::string& program,
                          const std::string& requesting_host) {
-  ByteWriter w;
-  w.str("snipe:user-grant");
-  w.str(user);
-  w.str(program);
-  w.str(requesting_host);
-  return std::move(w).take();
+  return encode(std::string("snipe:user-grant"), user, program, requesting_host);
 }
 
 Bytes host_attest_payload(const std::string& host, const std::string& program) {
-  ByteWriter w;
-  w.str("snipe:host-attestation");
-  w.str(host);
-  w.str(program);
-  return std::move(w).take();
-}
-
-Bytes AuthorizeRequest::encode() const {
-  ByteWriter w;
-  w.blob(user_cert.encode());
-  w.blob(user_grant.encode());
-  w.blob(host_cert.encode());
-  w.blob(host_attest.encode());
-  w.str(program);
-  w.str(target_host);
-  return std::move(w).take();
-}
-
-Result<AuthorizeRequest> AuthorizeRequest::decode(const Bytes& data) {
-  ByteReader r(data);
-  AuthorizeRequest req;
-  auto uc = r.blob();
-  if (!uc) return uc.error();
-  auto user_cert = crypto::Certificate::decode(uc.value());
-  if (!user_cert) return user_cert.error();
-  req.user_cert = std::move(user_cert).take();
-  auto ug = r.blob();
-  if (!ug) return ug.error();
-  auto user_grant = crypto::SignedStatement::decode(ug.value());
-  if (!user_grant) return user_grant.error();
-  req.user_grant = std::move(user_grant).take();
-  auto hc = r.blob();
-  if (!hc) return hc.error();
-  auto host_cert = crypto::Certificate::decode(hc.value());
-  if (!host_cert) return host_cert.error();
-  req.host_cert = std::move(host_cert).take();
-  auto ha = r.blob();
-  if (!ha) return ha.error();
-  auto host_attest = crypto::SignedStatement::decode(ha.value());
-  if (!host_attest) return host_attest.error();
-  req.host_attest = std::move(host_attest).take();
-  auto program = r.str();
-  if (!program) return program.error();
-  req.program = program.value();
-  auto target = r.str();
-  if (!target) return target.error();
-  req.target_host = target.value();
-  return req;
+  return encode(std::string("snipe:host-attestation"), host, program);
 }
 
 ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address> rc_replicas,
@@ -125,12 +47,11 @@ ResourceManager::ResourceManager(simnet::Host& host, std::vector<simnet::Address
   // Raw port for health pongs from the daemons we manage.
   ping_port_ = host.ephemeral_port();
   host.bind(ping_port_, [this](const simnet::Packet& p) {
-        PayloadCursor r(p.payload);
-        auto load = r.f64();
-        if (!load) return;
+        auto report = decode<daemon::LoadReport>(p.payload);
+        if (!report) return;
         for (auto& [name, info] : hosts_) {
           if (info.ping.host == p.src->name() && info.ping.port == p.src_port) {
-            info.load = load.value();
+            info.load = report.value().load;
             info.pong_seen = true;
             info.missed_polls = 0;
             info.alive = true;
@@ -244,7 +165,7 @@ Bytes ResourceManager::sign_authorization(const std::string& program,
                                           const std::string& host) const {
   auto stmt = crypto::SignedStatement::make(
       principal_, daemon::authorization_payload(program, host));
-  return stmt.encode();
+  return encode(stmt);
 }
 
 void ResourceManager::establish_session(const std::string& host_name,
@@ -273,7 +194,7 @@ void ResourceManager::establish_session(const std::string& host_name,
                  done(key_bytes.error());
                  return;
                }
-               auto key = crypto::PublicKey::decode(key_bytes.value());
+               auto key = decode<crypto::PublicKey>(key_bytes.value());
                if (!key) {
                  done(key.error());
                  return;
@@ -289,7 +210,7 @@ void ResourceManager::establish_session(const std::string& host_name,
                // encrypted key could come from anyone).
                auto hello = crypto::SignedStatement::make(
                    principal_, std::move(initiated.value().second));
-               rpc_.call(daemon, daemon::tags::kSessionHello, hello.encode(),
+               rpc_.call(daemon, daemon::tags::kSessionHello, encode(hello),
                          [this, host_name, session, done = std::move(done)](Result<Payload> r2) {
                            if (!r2) {
                              done(r2.error());
@@ -304,7 +225,7 @@ void ResourceManager::establish_session(const std::string& host_name,
 
 void ResourceManager::handle_allocate(const simnet::Address& from, const Payload& body,
                                       transport::RpcEndpoint::Responder respond) {
-  auto request = daemon::SpawnRequest::decode(body.to_bytes());
+  auto request = decode<daemon::SpawnRequest>(body);
   if (!request) {
     respond(request.error());
     return;
@@ -342,16 +263,16 @@ void ResourceManager::handle_allocate(const simnet::Address& from, const Payload
   if (info.session != nullptr) {
     ++stats_.sealed_spawns;
     rpc_.call(info.daemon, daemon::tags::kSpawnSealed,
-              info.session->seal(forwarded.encode()), completion);
+              info.session->seal(encode(forwarded)), completion);
   } else {
     forwarded.authorization = sign_authorization(forwarded.program, host.value());
-    rpc_.call(info.daemon, daemon::tags::kSpawn, forwarded.encode(), completion);
+    rpc_.call(info.daemon, daemon::tags::kSpawn, encode(forwarded), completion);
   }
   (void)from;
 }
 
 Result<Bytes> ResourceManager::handle_reserve(const Payload& body) {
-  auto request = daemon::SpawnRequest::decode(body.to_bytes());
+  auto request = decode<daemon::SpawnRequest>(body);
   if (!request) return request.error();
   auto host = select_host(request.value());
   if (!host) {
@@ -364,11 +285,11 @@ Result<Bytes> ResourceManager::handle_reserve(const Payload& body) {
   ++stats_.reservations;
   Reservation res{host.value(), info.daemon,
                   sign_authorization(request.value().program, host.value())};
-  return res.encode();
+  return encode(res);
 }
 
 Result<Bytes> ResourceManager::handle_authorize(const Payload& body) {
-  auto request = AuthorizeRequest::decode(body.to_bytes());
+  auto request = decode<AuthorizeRequest>(body);
   if (!request) return request.error();
   const AuthorizeRequest& req = request.value();
 

@@ -57,8 +57,10 @@ struct Reservation {
   simnet::Address daemon;
   Bytes authorization;  ///< encoded SignedStatement for SpawnRequest
 
-  Bytes encode() const;
-  static Result<Reservation> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(host, daemon, authorization);
+  }
 };
 
 class ResourceManager {
@@ -160,8 +162,11 @@ struct AuthorizeRequest {
   std::string program;
   std::string target_host;
 
-  Bytes encode() const;
-  static Result<AuthorizeRequest> decode(const Bytes& data);
+  template <class Io>
+  void fields(Io& io) {
+    io(codec::in_blob(user_cert), codec::in_blob(user_grant), codec::in_blob(host_cert),
+       codec::in_blob(host_attest), program, target_host);
+  }
 };
 
 /// Canonical payloads the user and requesting host sign (§4).

@@ -18,13 +18,6 @@ FaultInjector::Lane& FaultInjector::lane(const std::string& src) {
   return it->second;
 }
 
-bool FaultInjector::in_bad_state() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (const auto& [name, ln] : lanes_)
-    if (ln.bad) return true;
-  return false;
-}
-
 FaultVerdict FaultInjector::judge(const std::string& lane_name, const std::string& src,
                                   const std::string& dst) {
   ++stats_.packets_judged;
@@ -175,20 +168,6 @@ void FaultPlan::link_down(const std::string& network, SimTime at, SimTime up_at)
     Network* net = world_.network(network);
     if (net != nullptr) net->set_up(true);
   });
-}
-
-void FaultPlan::nic_down(const std::string& host, const std::string& network, SimTime at,
-                         SimTime up_at) {
-  assert(up_at >= at);
-  auto flip = [this, host, network](bool up) {
-    Host* h = world_.host(host);
-    Nic* nic = h == nullptr ? nullptr : h->nic_on(network);
-    if (nic != nullptr) nic->set_up(up);
-  };
-  act(at, "nic.down", {{"host", host}, {"network", network}},
-      [flip] { flip(false); });
-  act(up_at, "nic.up", {{"host", host}, {"network", network}},
-      [flip] { flip(true); });
 }
 
 void FaultPlan::crash_host(const std::string& host, SimTime at, SimTime restart_at) {

@@ -128,8 +128,6 @@ class FaultInjector {
   /// True when a packet between `a` and `b` would cross a partition.
   bool partitioned(const std::string& a, const std::string& b) const;
 
-  /// True when any source lane's burst chain is currently in its bad state.
-  bool in_bad_state() const;
   const FaultProfile& profile() const { return profile_; }
   const FaultStats& stats() const { return stats_; }
 
@@ -147,7 +145,7 @@ class FaultInjector {
 
   FaultProfile profile_;
   Rng base_;  ///< never advanced: lanes derive from it by name hash
-  mutable std::mutex lanes_mu_;
+  std::mutex lanes_mu_;
   std::map<std::string, Lane> lanes_;
   std::map<std::string, int> group_of_;  ///< empty map = no partition
   FaultStats stats_;
@@ -172,9 +170,6 @@ class FaultPlan {
   /// Takes the whole network down at `at` and back up at `up_at`
   /// (in-flight packets to it are dropped, as with real link failure).
   void link_down(const std::string& network, SimTime at, SimTime up_at);
-  /// Ditto for one host's attachment to a network.
-  void nic_down(const std::string& host, const std::string& network, SimTime at,
-                SimTime up_at);
   /// Crashes `host` at `at` and reboots it at `restart_at`.  Port bindings
   /// survive (simnet hosts reboot with their services, §5.6's model).
   void crash_host(const std::string& host, SimTime at, SimTime restart_at);

@@ -74,6 +74,10 @@ struct Address {
   std::string host;
   std::uint16_t port = 0;
 
+  template <class Io>
+  void fields(Io& io) {
+    io(host, port);
+  }
   std::string to_string() const { return host + ":" + std::to_string(port); }
   friend bool operator==(const Address&, const Address&) = default;
   friend bool operator<(const Address& a, const Address& b) {
@@ -477,7 +481,6 @@ class World {
   Engine& control_engine() { return *ctrl_; }
   /// Engine for shard `i`.
   Engine& shard_engine(std::size_t i) { return *engines_[i]; }
-  std::size_t shard_count() const { return engines_.size(); }
 
   /// Virtual time as seen by the calling thread: a sharded worker reads its
   /// own engine's clock, the coordinator reads the control engine's.

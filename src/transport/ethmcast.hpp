@@ -36,7 +36,7 @@ class EthMcastEndpoint {
  public:
   /// Delivered messages are the reassembled Payload, as is; on a clean path
   /// the segments alias the sender's original buffer (fragments coalesce on
-  /// reassembly).  Handlers read with PayloadCursor or flatten() themselves.
+  /// reassembly).  Handlers decode() it or flatten() themselves.
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;
 

@@ -1,6 +1,7 @@
 #include "transport/rpc.hpp"
 
 #include "obs/trace.hpp"
+#include "util/codec.hpp"
 
 namespace snipe::transport {
 
@@ -25,29 +26,9 @@ RpcEndpoint::RpcEndpoint(simnet::Host& host, std::uint16_t port, RpcConfig confi
 }
 
 namespace {
-/// Body segments shorter than this are copied into the frame's pooled
-/// header chunk instead of spliced by reference: a small control body then
-/// costs no segment, and a frame stays within Payload's two inline
-/// segments (a third spills to the heap) unless its body carries bulk data.
-constexpr std::size_t kSpliceMin = 512;
-
-void put_body(PayloadWriter& w, const Payload& body) {
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  for (std::size_t i = 0; i < body.segment_count(); ++i) {
-    const Payload::Segment& s = body.segment(i);
-    if (s.len < kSpliceMin)
-      w.raw(s.data(), s.len);
-    else
-      w.append(Payload(s.buf, s.off, s.len));
-  }
-}
-
-/// An error reply's body: u8 code, str message.
+/// An error reply's body: the code, then the message.
 Payload error_body(const Error& e) {
-  PayloadWriter w;
-  w.u8(static_cast<std::uint8_t>(e.code));
-  w.str(e.message);
-  return std::move(w).take();
+  return encode_payload(static_cast<std::uint8_t>(e.code), e.message);
 }
 }  // namespace
 
@@ -62,13 +43,9 @@ Bytes RpcEndpoint::authenticator(const Payload& body) const {
 
 Payload RpcEndpoint::frame(Kind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
                            bool with_auth) const {
-  PayloadWriter w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(id);
-  w.u32(tag);
-  put_body(w, body);
-  if (with_auth) w.blob(authenticator(body));
-  return std::move(w).take();
+  if (!with_auth) return encode_rpc(kind, id, tag, body, nullptr);
+  const Bytes auth = authenticator(body);
+  return encode_rpc(kind, id, tag, body, &auth);
 }
 
 std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
@@ -111,18 +88,17 @@ void RpcEndpoint::send_reply(const simnet::Address& src, std::uint64_t id, std::
 }
 
 void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
-  // The message may have several segments; the cursor's blob() hands the
-  // body over as a zero-copy slice of them.
-  PayloadCursor r(msg);
-  auto kind_raw = r.u8();
-  auto id = r.u64();
-  auto tag = r.u32();
-  auto body = r.blob();
-  if (!kind_raw || !id || !tag || !body) {
+  // The message may have several segments; the body comes back as a
+  // zero-copy slice of them.
+  auto frame = decode_rpc(msg);
+  if (!frame) {
     log_.warn("malformed rpc message from ", src.to_string());
     return;
   }
-  Kind kind = static_cast<Kind>(kind_raw.value());
+  const Kind kind = frame.value().kind;
+  const std::uint64_t id = frame.value().id;
+  const std::uint32_t tag = frame.value().tag;
+  Payload& body = frame.value().body;
 
   if (kind == Kind::request || kind == Kind::oneway) {
     // We are inside srudp's delivery handler, so the transport exposes the
@@ -131,75 +107,66 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
       host().tracer().flow(
           engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.serve",
           srudp_.last_delivered_flow(),
-          {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});
-    auto auth = r.blob();
-    if (!auth) return;
-    if (!config_.shared_secret.empty() && auth.value() != authenticator(body.value())) {
+          {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
+    if (!config_.shared_secret.empty() && frame.value().auth != authenticator(body)) {
       ++stats_.requests_rejected_auth;
       log_.warn("rejecting request from ", src.to_string(), ": bad authenticator");
       if (kind == Kind::request)
-        send_reply(src, id.value(), tag.value(),
+        send_reply(src, id, tag,
                    Error{Errc::permission_denied, "bad authenticator"});
       return;
     }
     if (kind == Kind::oneway) {
       ++stats_.notifications_received;
-      auto it = notify_handlers_.find(tag.value());
+      auto it = notify_handlers_.find(tag);
       if (it != notify_handlers_.end()) {
-        it->second(src, body.value());
+        it->second(src, body);
       } else if (default_notify_) {
-        default_notify_(src, tag.value(), body.value());
+        default_notify_(src, tag, body);
       }
       return;
     }
     ++stats_.requests_served;
-    if (auto ait = async_handlers_.find(tag.value()); ait != async_handlers_.end()) {
-      std::uint64_t req_id = id.value();
-      std::uint32_t req_tag = tag.value();
-      ait->second(src, body.value(), [this, src, req_id, req_tag](Result<Payload> result) {
-        send_reply(src, req_id, req_tag, result);
+    if (auto ait = async_handlers_.find(tag); ait != async_handlers_.end()) {
+      ait->second(src, body, [this, src, id, tag](Result<Payload> result) {
+        send_reply(src, id, tag, result);
       });
       return;
     }
-    auto it = handlers_.find(tag.value());
+    auto it = handlers_.find(tag);
     if (it == handlers_.end() && default_handler_) {
-      std::uint64_t req_id = id.value();
-      std::uint32_t req_tag = tag.value();
-      default_handler_(src, req_tag, body.value(),
-                       [this, src, req_id, req_tag](Result<Payload> result) {
-                         send_reply(src, req_id, req_tag, result);
-                       });
+      default_handler_(src, tag, body, [this, src, id, tag](Result<Payload> result) {
+        send_reply(src, id, tag, result);
+      });
       return;
     }
     Result<Payload> result =
         it == handlers_.end()
-            ? Result<Payload>(Errc::not_found, "no handler for tag " + std::to_string(tag.value()))
-            : it->second(src, body.value());
-    send_reply(src, id.value(), tag.value(), result);
+            ? Result<Payload>(Errc::not_found, "no handler for tag " + std::to_string(tag))
+            : it->second(src, body);
+    send_reply(src, id, tag, result);
     return;
   }
 
   // Response or error to one of our calls.
-  auto it = pending_.find(id.value());
+  auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late response after timeout
   if (it->second.flow != 0)
     host().tracer().flow(
         engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "rpc.complete",
         it->second.flow,
-        {{"tag", std::to_string(tag.value())}, {"id", std::to_string(id.value())}});
+        {{"tag", std::to_string(tag)}, {"id", std::to_string(id)}});
   engine_.cancel(it->second.timeout);
   auto handler = std::move(it->second.done);
   pending_.erase(it);
   if (kind == Kind::response) {
     ++stats_.calls_ok;
-    handler(std::move(body).take());
+    handler(std::move(body));
   } else {
     ++stats_.calls_error;
-    PayloadCursor er(body.value());
-    auto code = er.u8();
-    auto text = er.str();
-    handler(Error{code ? static_cast<Errc>(code.value()) : Errc::corrupt,
-                  text ? text.value() : "malformed error"});
+    auto error = decode<std::pair<std::uint8_t, std::string>>(body);
+    handler(error ? Error{static_cast<Errc>(error.value().first), error.value().second}
+                  : Error{Errc::corrupt, "malformed error"});
   }
 }
 

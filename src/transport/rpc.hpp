@@ -45,8 +45,8 @@ class RpcEndpoint {
  public:
   // Every body — request, notification, response — is a Payload whose
   // segments, on a clean path, alias the sender's buffers (DESIGN.md
-  // §data-plane).  Handlers read bodies with PayloadCursor and flatten only
-  // where they need contiguous bytes.
+  // §data-plane).  Handlers decode bodies straight from the Payload
+  // (util/codec.hpp) and flatten only where they need contiguous bytes.
   using ResponseHandler = std::function<void(Result<Payload>)>;
   /// Server-side handler: return the response body or an Error that is
   /// propagated to the caller.
@@ -150,7 +150,7 @@ class RpcEndpoint {
   const RpcStats& stats() const { return stats_; }
 
  private:
-  enum class Kind : std::uint8_t { request = 1, response = 2, error = 3, oneway = 4 };
+  using Kind = RpcKind;
 
   std::uint64_t send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
                           ResponseHandler done, SimDuration timeout);

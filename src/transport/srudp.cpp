@@ -248,7 +248,7 @@ void SrudpEndpoint::on_rto(Peer peer) {
     }
   }
   raw_send(peer, &out,
-           encode_msg_id(PacketType::probe, {out.queue.front().msg_id}));
+           encode_msg_id(PacketType::probe, {out.queue.front().msg_id}, config_.checksum));
   out.rtt.backoff();
   arm_rto(peer);
 }
@@ -271,36 +271,41 @@ void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   auto head = decode_head(packet.payload);
   if (!head) return;
   const Peer peer{packet.src, packet.src_port};
+  // A packet whose checksum fails is dropped whole, control packets too: a
+  // corrupted MSG_ACK id must not retire another message.  Selective
+  // re-send recovers it like any other loss.
+  auto verified = [&](const auto& p) {
+    if (!p) return false;
+    if (p.value().checksum_ok) return true;
+    ++stats_.checksum_rejects;
+    host_.flight().record(
+        "srudp", "checksum_reject",
+        "peer=" + peer.to_string() + " msg=" + std::to_string(p.value().msg_id));
+    return false;
+  };
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
       auto p = decode_data(packet.payload);
-      if (!p) break;
-      if (!p.value().checksum_ok) {
-        // Corrupt payload caught by the opt-in checksum: drop the fragment;
-        // selective re-send recovers it like any other loss.
-        ++stats_.checksum_rejects;
-        host_.flight().record(
-            "srudp", "checksum_reject",
-            "peer=" + peer.to_string() + " msg=" + std::to_string(p.value().msg_id));
-        break;
-      }
-      on_data(peer, p.value());
+      if (verified(p)) on_data(peer, p.value());
       break;
     }
-    case PacketType::status: {
+    case PacketType::status:
+    case PacketType::status_ck: {
       auto p = decode_status(packet.payload);
-      if (p) on_status(peer, p.value());
+      if (verified(p)) on_status(peer, p.value());
       break;
     }
-    case PacketType::msg_ack: {
+    case PacketType::msg_ack:
+    case PacketType::msg_ack_ck: {
       auto p = decode_msg_id(packet.payload);
-      if (p) on_msg_ack(peer, p.value().msg_id);
+      if (verified(p)) on_msg_ack(peer, p.value().msg_id);
       break;
     }
-    case PacketType::probe: {
+    case PacketType::probe:
+    case PacketType::probe_ck: {
       auto p = decode_msg_id(packet.payload);
-      if (p) on_probe(peer, p.value().msg_id);
+      if (verified(p)) on_probe(peer, p.value().msg_id);
       break;
     }
     default:
@@ -313,12 +318,12 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   PeerIn& in = in_[peer];
   if (p.msg_id < in.next_deliver) {
     // Already delivered (or skipped): the MSG_ACK was lost; repeat it.
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}, config_.checksum));
     ++stats_.duplicate_fragments;
     return;
   }
   if (in.complete.count(p.msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}, config_.checksum));
     ++stats_.duplicate_fragments;
     return;
   }
@@ -413,7 +418,7 @@ void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Pay
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble",
                 flow_id(peer, /*inbound=*/true, msg_id),
                 {{"msg", std::to_string(msg_id)}, {"bytes", std::to_string(assembled.size())}});
-  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}));
+  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}, config_.checksum));
   if (msg_id == in.next_deliver)
     deliver(peer, in, std::move(assembled));
   else
@@ -456,7 +461,7 @@ void SrudpEndpoint::send_status(Peer peer, std::uint64_t msg_id,
   p.frag_count = msg.frag_count;
   p.bitmap = msg.have.to_bytes();
   ++stats_.status_sent;
-  raw_send(peer, nullptr, encode_status(p));
+  raw_send(peer, nullptr, encode_status(p, config_.checksum));
 }
 
 void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload) {
@@ -624,7 +629,7 @@ void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
 void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
   PeerIn& in = in_[peer];
   if (msg_id < in.next_deliver || in.complete.count(msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}));
+    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}, config_.checksum));
     return;
   }
   auto it = in.partial.find(msg_id);
@@ -637,7 +642,7 @@ void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
     p.msg_id = msg_id;
     p.frag_count = 0;
     ++stats_.status_sent;
-    raw_send(peer, nullptr, encode_status(p));
+    raw_send(peer, nullptr, encode_status(p, config_.checksum));
   }
 }
 

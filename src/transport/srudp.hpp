@@ -67,12 +67,13 @@ struct SrudpConfig {
   /// for this long (the sender evidently gave up or died).
   SimDuration partial_ttl = duration::seconds(60);
   int failover_threshold = 2;  ///< consecutive RTOs before switching routes
-  /// Adds an FNV-1a payload checksum to every DATA fragment (wire type
-  /// data_ck) and rejects fragments whose checksum does not verify.  Off by
-  /// default: the 1998 wire format had none, and the unchecked path is the
-  /// ablation baseline for the corruption chaos scenarios.  Both ends must
-  /// agree only in the sense that a checksumming receiver still accepts
-  /// plain DATA — the wire type is self-describing.
+  /// Sends every packet — DATA, STATUS, MSG_ACK, PROBE — as its
+  /// checksummed twin (an FNV-1a trailer over the whole packet, type and
+  /// header included) and drops any packet whose checksum does not verify.
+  /// Off by default: the 1998 wire format had none, and the unchecked path
+  /// is the ablation baseline for the corruption chaos scenarios.  Both
+  /// ends must agree only in the sense that a checksumming receiver still
+  /// accepts plain packets — the wire type is self-describing.
   bool checksum = false;
 };
 
@@ -94,7 +95,7 @@ struct SrudpStats {
   obs::Cell bytes_delivered;
   obs::Cell route_switches;
   obs::Cell route_probes;      ///< probe resets back to the default route
-  obs::Cell checksum_rejects;  ///< data_ck fragments failing verification
+  obs::Cell checksum_rejects;  ///< checksummed packets failing verification
 };
 
 /// A reliable, message-oriented endpoint bound to one (host, port).
@@ -103,7 +104,7 @@ class SrudpEndpoint {
   /// Delivered messages arrive as the reassembled Payload, as is: on a
   /// clean path its segments alias the sender's message buffers (fragments
   /// coalesce back during reassembly — no copy was ever made).  A message
-  /// may arrive in several segments; handlers read it with PayloadCursor
+  /// may arrive in several segments; handlers decode() it (util/codec.hpp)
   /// and call flatten() themselves only if they need contiguous bytes.
   using MessageHandler =
       std::function<void(const simnet::Address& src, Payload message)>;

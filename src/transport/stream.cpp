@@ -134,10 +134,7 @@ void StreamConnection::send_message(Payload message) {
         flow, {{"peer", peer_.to_string()}, {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
   // buffer into one frame without copying either.
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(message.size()));
-  w.append(message);
-  Payload frame = std::move(w).take();
+  Payload frame = encode_stream_frame(message);
   send_end_ += frame.size();
   send_frames_.push_back(Frame{std::move(frame), send_end_, ordinal, endpoint_->engine().now()});
   if (state_ == State::established) pump();
@@ -313,8 +310,7 @@ void StreamConnection::deliver_contiguous() {
 void StreamConnection::parse_messages() {
   while (true) {
     if (receive_buffer_.size() < kStreamFrameHeaderBytes) return;
-    PayloadCursor r(receive_buffer_);
-    std::uint32_t len = r.u32().value();
+    const std::uint32_t len = stream_frame_length(receive_buffer_);
     if (receive_buffer_.size() < kStreamFrameHeaderBytes + len) return;
     Payload message = receive_buffer_.slice(kStreamFrameHeaderBytes, len);
     receive_buffer_ =

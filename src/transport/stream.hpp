@@ -53,7 +53,7 @@ class StreamConnection {
   /// path the segments alias the sender's original message buffers
   /// (segments are slices of the send buffer, which itself splices in the
   /// callers' buffers).  A message may arrive in several segments; handlers
-  /// read it with PayloadCursor and flatten() only if they need to.
+  /// decode() it and flatten() only if they need to.
   using MessageHandler = std::function<void(Payload message)>;
   using ConnectHandler = std::function<void()>;
 

@@ -18,6 +18,36 @@ Result<PayloadCursor> open(const Payload& wire) {
   return r;
 }
 
+bool is_checksummed(PacketType t) {
+  return t == PacketType::data_ck || t == PacketType::status_ck ||
+         t == PacketType::msg_ack_ck || t == PacketType::probe_ck;
+}
+
+// Ends a packet; a checksummed twin gets the FNV-1a of its bytes appended.
+Payload finish(PayloadWriter&& w, bool with_checksum) {
+  Payload p = std::move(w).take();
+  if (!with_checksum) return p;
+  PayloadWriter out;
+  out.append(p);
+  out.u32(payload_checksum(p));
+  return std::move(out).take();
+}
+
+// The bytes a decoder parses: `wire` itself or, for a checksummed twin, its
+// bytes before the trailer (kept in `held`); `ok` reports whether the
+// trailer matched them.
+Result<const Payload*> unseal(const Payload& wire, Payload& held, bool& ok) {
+  ok = true;
+  if (wire.empty() || !is_checksummed(static_cast<PacketType>(wire[0]))) return &wire;
+  if (wire.size() < 5) return Error{Errc::corrupt, "short checksummed packet"};
+  const std::size_t n = wire.size() - 4;
+  held = wire.slice(0, n);
+  std::uint32_t sum = 0;
+  for (std::size_t i = n; i < wire.size(); ++i) sum = sum << 8 | wire[i];
+  ok = payload_checksum(held) == sum;
+  return &held;
+}
+
 // A flipped length field can shrink a blob and leave stray bytes after the
 // last field; a decoder that ignores them would accept a structurally
 // mangled packet, so every decode_* ends with this check.
@@ -55,23 +85,24 @@ Payload encode_data(const DataPacket& p, bool with_checksum) {
   w.u32(p.frag_index);
   w.u32(p.frag_count);
   w.u32(p.total_len);
-  if (with_checksum) w.u32(payload_checksum(p.payload));
   w.blob(p.payload);
-  return std::move(w).take();
+  return finish(std::move(w), with_checksum);
 }
 
-Payload encode_status(const StatusPacket& p) {
-  auto w = begin(PacketType::status);
+Payload encode_status(const StatusPacket& p, bool with_checksum) {
+  auto w = begin(with_checksum ? PacketType::status_ck : PacketType::status);
   w.u64(p.msg_id);
   w.u32(p.frag_count);
   w.blob(p.bitmap);
-  return std::move(w).take();
+  return finish(std::move(w), with_checksum);
 }
 
-Payload encode_msg_id(PacketType type, const MsgIdPacket& p) {
+Payload encode_msg_id(PacketType type, const MsgIdPacket& p, bool with_checksum) {
+  if (with_checksum)
+    type = type == PacketType::probe ? PacketType::probe_ck : PacketType::msg_ack_ck;
   auto w = begin(type);
   w.u64(p.msg_id);
-  return std::move(w).take();
+  return finish(std::move(w), with_checksum);
 }
 
 Payload encode_stream(PacketType type, const StreamPacket& p) {
@@ -113,10 +144,13 @@ Result<PacketHead> decode_head(const Payload& wire) {
 }
 
 Result<DataPacket> decode_data(const Payload& wire) {
-  PayloadCursor r(wire);
+  DataPacket p;
+  Payload held;
+  auto body = unseal(wire, held, p.checksum_ok);
+  if (!body) return body.error();
+  PayloadCursor r(*body.value());
   auto type = r.u8();
   if (!type) return type.error();
-  DataPacket p;
   p.has_checksum = static_cast<PacketType>(type.value()) == PacketType::data_ck;
   auto msg_id = r.u64();
   if (!msg_id) return msg_id.error();
@@ -130,12 +164,6 @@ Result<DataPacket> decode_data(const Payload& wire) {
   auto total_len = r.u32();
   if (!total_len) return total_len.error();
   p.total_len = total_len.value();
-  std::uint32_t wire_sum = 0;
-  if (p.has_checksum) {
-    auto sum = r.u32();
-    if (!sum) return sum.error();
-    wire_sum = sum.value();
-  }
   auto payload = r.blob();
   if (!payload) return payload.error();
   p.payload = std::move(payload).take();
@@ -146,14 +174,16 @@ Result<DataPacket> decode_data(const Payload& wire) {
   if (p.frag_count > 1 && p.total_len == 0)
     return Error{Errc::corrupt, "multi-fragment message with zero length"};
   if (r.remaining() != 0) return trailing_bytes();
-  if (p.has_checksum) p.checksum_ok = payload_checksum(p.payload) == wire_sum;
   return p;
 }
 
 Result<StatusPacket> decode_status(const Payload& wire) {
-  auto r = open(wire);
-  if (!r) return r.error();
   StatusPacket p;
+  Payload held;
+  auto body = unseal(wire, held, p.checksum_ok);
+  if (!body) return body.error();
+  auto r = open(*body.value());
+  if (!r) return r.error();
   auto msg_id = r.value().u64();
   if (!msg_id) return msg_id.error();
   p.msg_id = msg_id.value();
@@ -172,12 +202,17 @@ Result<StatusPacket> decode_status(const Payload& wire) {
 }
 
 Result<MsgIdPacket> decode_msg_id(const Payload& wire) {
-  auto r = open(wire);
+  MsgIdPacket p;
+  Payload held;
+  auto body = unseal(wire, held, p.checksum_ok);
+  if (!body) return body.error();
+  auto r = open(*body.value());
   if (!r) return r.error();
   auto msg_id = r.value().u64();
   if (!msg_id) return msg_id.error();
+  p.msg_id = msg_id.value();
   if (r.value().remaining() != 0) return trailing_bytes();
-  return MsgIdPacket{msg_id.value()};
+  return p;
 }
 
 Result<StreamPacket> decode_stream(const Payload& wire) {
@@ -258,6 +293,60 @@ Result<McastNackPacket> decode_mcast_nack(const Payload& wire) {
   }
   if (r.value().remaining() != 0) return trailing_bytes();
   return p;
+}
+
+Payload encode_rpc(RpcKind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+                   const Bytes* auth) {
+  constexpr std::size_t kSpliceMin = 512;
+  PayloadWriter w;
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u64(id);
+  w.u32(tag);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  for (std::size_t i = 0; i < body.segment_count(); ++i) {
+    const Payload::Segment& s = body.segment(i);
+    if (s.len < kSpliceMin)
+      w.raw(s.data(), s.len);
+    else
+      w.append(Payload(s.buf, s.off, s.len));
+  }
+  if (auth != nullptr) w.blob(*auth);
+  return std::move(w).take();
+}
+
+Result<RpcFrame> decode_rpc(const Payload& wire) {
+  PayloadCursor r(wire);
+  RpcFrame f;
+  auto kind = r.u8();
+  if (!kind) return kind.error();
+  f.kind = static_cast<RpcKind>(kind.value());
+  auto id = r.u64();
+  if (!id) return id.error();
+  f.id = id.value();
+  auto tag = r.u32();
+  if (!tag) return tag.error();
+  f.tag = tag.value();
+  auto body = r.blob();
+  if (!body) return body.error();
+  f.body = std::move(body).take();
+  if (f.kind == RpcKind::request || f.kind == RpcKind::oneway) {
+    auto auth = r.blob();
+    if (!auth) return auth.error();
+    f.auth = std::move(auth).take();
+  }
+  if (r.remaining() != 0) return trailing_bytes();
+  return f;
+}
+
+Payload encode_stream_frame(const Payload& message) {
+  PayloadWriter w;
+  w.blob(message);
+  return std::move(w).take();
+}
+
+std::uint32_t stream_frame_length(const Payload& buffer) {
+  PayloadCursor r(buffer);
+  return r.u32().value();
 }
 
 bool bitmap_get(const Bytes& bitmap, std::uint32_t index) {

@@ -36,7 +36,13 @@ enum class PacketType : std::uint8_t {
   msg_ack = 2,  ///< whole message received
   status = 3,   ///< receiver's fragment bitmap (drives selective re-send)
   probe = 4,    ///< sender asking for a status report
-  data_ck = 5,  ///< DATA with an FNV-1a payload checksum (SrudpConfig::checksum)
+  // Checksummed twins (SrudpConfig::checksum): the plain packet's bytes
+  // under the twin's type, then a u32 FNV-1a over all of them — type and
+  // header included — so no corrupted field is ever acted on.
+  data_ck = 5,
+  status_ck = 6,
+  msg_ack_ck = 7,
+  probe_ck = 8,
   // Stream (TCP-like)
   syn = 10,
   syn_ack = 11,
@@ -71,11 +77,13 @@ struct StatusPacket {
   std::uint64_t msg_id = 0;
   std::uint32_t frag_count = 0;
   Bytes bitmap;  ///< frag_count bits, little-endian within bytes
+  bool checksum_ok = true;  ///< status_ck's checksum verified (true for status)
 };
 
 /// SRUDP MSG_ACK / PROBE carry just the message id.
 struct MsgIdPacket {
   std::uint64_t msg_id = 0;
+  bool checksum_ok = true;  ///< a _ck twin's checksum verified (true otherwise)
 };
 
 /// Stream segment (also used, payload-less, for SYN/SYN_ACK/ACK/FIN/RST).
@@ -107,6 +115,17 @@ struct McastNackPacket {
   std::vector<std::uint32_t> missing;
 };
 
+/// RPC frame (transport/rpc.hpp): u8 kind, u64 call id, u32 tag, blob body
+/// and, on requests and notifications, blob authenticator.
+enum class RpcKind : std::uint8_t { request = 1, response = 2, error = 3, oneway = 4 };
+struct RpcFrame {
+  RpcKind kind = RpcKind::request;
+  std::uint64_t id = 0;
+  std::uint32_t tag = 0;
+  Payload body;  ///< zero-copy slice of the received frame
+  Payload auth;  ///< requests and notifications only
+};
+
 /// Upper bound on the fragment count any decoder will accept.  Wire data
 /// is untrusted (§4): without a bound, a single hostile or bit-flipped
 /// header could make a receiver allocate gigabytes of reassembly state.
@@ -118,7 +137,7 @@ constexpr std::uint32_t kMaxWireFragments = 1u << 20;
 /// compute fragment payload budgets from the MTU: type, msg_id,
 /// frag_index, frag_count, total_len and the payload blob's length.
 constexpr std::size_t kDataHeaderBytes = 1 + 8 + 4 + 4 + 4 + 4;
-/// DATA with checksum (data_ck) carries an extra u32 before the blob.
+/// DATA with checksum (data_ck) carries an extra u32, its checksum trailer.
 constexpr std::size_t kDataCkHeaderBytes = kDataHeaderBytes + 4;
 /// Ditto for stream segments: type, conn_id, seq, ack, window, blob length.
 constexpr std::size_t kStreamHeaderBytes = 1 + 4 + 8 + 8 + 4 + 4;
@@ -134,30 +153,47 @@ std::uint64_t mint_flow(std::string_view from_host, std::uint16_t from_port,
                         std::string_view to_host, std::uint16_t to_port,
                         std::uint64_t ordinal);
 
-/// FNV-1a (32-bit) over a payload's bytes — the opt-in SRUDP fragment
+/// FNV-1a (32-bit) over a payload's bytes — the opt-in SRUDP packet
 /// checksum.  The 1998 wire format had none; see SrudpConfig::checksum.
 std::uint32_t payload_checksum(const Payload& p);
 
-/// `with_checksum` emits PacketType::data_ck and the payload checksum; the
-/// default emits the bare 1998 format byte-for-byte.
+/// `with_checksum` emits the checksummed twin (data_ck, status_ck,
+/// msg_ack_ck, probe_ck); the default emits the bare 1998 format
+/// byte-for-byte.  encode_msg_id's `type` is msg_ack or probe.
 Payload encode_data(const DataPacket& p, bool with_checksum = false);
-Payload encode_status(const StatusPacket& p);
-Payload encode_msg_id(PacketType type, const MsgIdPacket& p);
+Payload encode_status(const StatusPacket& p, bool with_checksum = false);
+Payload encode_msg_id(PacketType type, const MsgIdPacket& p, bool with_checksum = false);
 Payload encode_stream(PacketType type, const StreamPacket& p);
 Payload encode_mcast_data(const McastDataPacket& p);
 Payload encode_mcast_nack(const McastNackPacket& p);
 
 /// Peeks the packet type; fails on an empty packet.
 Result<PacketHead> decode_head(const Payload& wire);
-/// Accepts both data and data_ck; for data_ck the checksum is verified and
-/// reported via DataPacket::checksum_ok (the caller decides whether to
-/// reject, so it can count rejects separately from undecodable packets).
+/// The SRUDP decoders accept a packet and its checksummed twin; for the
+/// twin the checksum is verified and reported via checksum_ok (the caller
+/// decides whether to reject, so it can count rejects separately from
+/// undecodable packets).
 Result<DataPacket> decode_data(const Payload& wire);
 Result<StatusPacket> decode_status(const Payload& wire);
 Result<MsgIdPacket> decode_msg_id(const Payload& wire);
 Result<StreamPacket> decode_stream(const Payload& wire);
 Result<McastDataPacket> decode_mcast_data(const Payload& wire);
 Result<McastNackPacket> decode_mcast_nack(const Payload& wire);
+
+/// An RPC frame; `auth` is the authenticator of a request or notification.
+/// Body segments shorter than 512 bytes are copied into the frame's pooled
+/// header chunk instead of spliced by reference: a small control body then
+/// costs no segment, and a frame stays within Payload's two inline
+/// segments (a third spills to the heap) unless its body carries bulk data.
+Payload encode_rpc(RpcKind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+                   const Bytes* auth);
+Result<RpcFrame> decode_rpc(const Payload& wire);
+/// A stream message framed for the byte stream: its u32 length, then the
+/// message spliced in by reference.
+Payload encode_stream_frame(const Payload& message);
+/// The length of the stream frame at the front of `buffer`, which holds
+/// at least kStreamFrameHeaderBytes.
+std::uint32_t stream_frame_length(const Payload& buffer);
 
 /// Fragment bitmap helpers.
 bool bitmap_get(const Bytes& bitmap, std::uint32_t index);

@@ -5,15 +5,18 @@
 // paper's client library uses for "data conversion (e.g. between different
 // host architectures)" (§3.4): fixed-width big-endian integers, IEEE-754
 // doubles transported as their bit pattern, and length-prefixed
-// strings/blobs.  Two encoder/decoder pairs write and read it:
-//   * ByteWriter/ByteReader (here) over one flat Bytes vector — the control
-//     plane: RC assertions, checkpoints, certificates, sessions, telemetry
-//     beacons, and any record built or parsed whole;
+// strings/blobs.
+//
+// A record declares its layout once, in its `fields` member, and the codec
+// (util/codec.hpp) walks that list both ways: encode(r), decode<R>(...).
+// The two reader/writer pairs are that codec's back ends:
+//   * ByteWriter/ByteReader (here) over one flat Bytes vector;
 //   * PayloadWriter/PayloadCursor (util/payload.hpp) over segmented,
-//     ref-counted Payloads — the data path: transport headers and RPC
-//     frames that splice message bodies in and slice them out without
-//     copying.
-// Both produce the same bytes for the same field sequence.
+//     ref-counted Payloads, which splice message bodies in and slice them
+//     out without copying.
+// Both produce the same bytes for the same field sequence.  Only the
+// transport headers (transport/wire.cpp), on the per-fragment hot path,
+// drive the back ends by hand.
 #pragma once
 
 #include <cstdint>

@@ -469,7 +469,7 @@ TEST(ChaosRm, CrashedHostAvoidedThenReadoptedAfterRestart) {
     req.args = {duration::seconds(600)};
     bool replied = false;
     Result<Bytes> result(Errc::state_error, "unset");
-    client.call(rm.address(), rm::tags::kAllocate, req.encode(), [&](Result<Bytes> r) {
+    client.call(rm.address(), rm::tags::kAllocate, encode(req), [&](Result<Bytes> r) {
       replied = true;
       result = r;
     });

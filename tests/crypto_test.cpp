@@ -465,15 +465,15 @@ TEST_F(RsaTest, SignatureIsModulusSized) {
 }
 
 TEST_F(RsaTest, PublicKeyEncodeDecodeFingerprint) {
-  auto encoded = keys().pub.encode();
-  auto decoded = PublicKey::decode(encoded).value();
+  auto encoded = encode(keys().pub);
+  auto decoded = decode<PublicKey>(encoded).value();
   EXPECT_EQ(decoded, keys().pub);
   EXPECT_EQ(decoded.fingerprint(), keys().pub.fingerprint());
   EXPECT_EQ(keys().pub.fingerprint().size(), 16u);
 }
 
 TEST_F(RsaTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(PublicKey::decode(Bytes{1, 2, 3}).ok());
+  EXPECT_FALSE(decode<PublicKey>(Bytes{1, 2, 3}).ok());
 }
 
 // ---- Certificates and trust (§4) ----
@@ -500,7 +500,7 @@ TEST_F(TrustTest, CertificateIssueAndVerify) {
 TEST_F(TrustTest, CertificateEncodeDecodeRoundTrip) {
   auto cert = Certificate::issue(rm_, user_.uri, user_.keys.pub,
                                  {TrustPurpose::identify_user, TrustPurpose::sign_mobile_code});
-  auto decoded = Certificate::decode(cert.encode()).value();
+  auto decoded = decode<Certificate>(encode(cert)).value();
   EXPECT_EQ(decoded.subject, cert.subject);
   EXPECT_EQ(decoded.issuer, cert.issuer);
   EXPECT_EQ(decoded.purposes.size(), 2u);
@@ -567,7 +567,7 @@ TEST_F(TrustTest, SignedStatementFlow) {
 
 TEST_F(TrustTest, SignedStatementEncodeDecode) {
   auto stmt = SignedStatement::make(user_, to_bytes("payload"));
-  auto decoded = SignedStatement::decode(stmt.encode()).value();
+  auto decoded = decode<SignedStatement>(encode(stmt)).value();
   EXPECT_EQ(decoded.signer, user_.uri);
   EXPECT_TRUE(decoded.verify_with(user_.keys.pub));
 }

@@ -76,12 +76,12 @@ struct DaemonFixture : ::testing::Test {
   Result<SpawnReply> spawn_via_rpc(const Address& daemon, const SpawnRequest& req) {
     Result<SpawnReply> reply(Errc::state_error, "unset");
     bool replied = false;
-    client_rpc->call(daemon, tags::kSpawn, req.encode(), [&](Result<Bytes> r) {
+    client_rpc->call(daemon, tags::kSpawn, encode(req), [&](Result<Bytes> r) {
       replied = true;
       if (!r)
         reply = r.error();
       else
-        reply = SpawnReply::decode(r.value());
+        reply = decode<SpawnReply>(r.value());
     });
     pump_until([&] { return replied; });
     return reply;
@@ -211,22 +211,20 @@ TEST_F(DaemonFixture, AuthorizationRequiredAndVerified) {
   // Authorization for the wrong host is rejected.
   SpawnRequest wrong_host = unsigned_req;
   wrong_host.authorization =
-      crypto::SignedStatement::make(rm_principal, authorization_payload("sleeper", "nodeB"))
-          .encode();
+      encode(crypto::SignedStatement::make(rm_principal, authorization_payload("sleeper", "nodeB")));
   EXPECT_EQ(spawn_via_rpc(daemon->address(), wrong_host).code(), Errc::permission_denied);
 
   // Authorization from an untrusted signer is rejected.
   auto rogue = crypto::Principal::create("urn:snipe:rm:rogue", rng);
   SpawnRequest rogue_req = unsigned_req;
   rogue_req.authorization =
-      crypto::SignedStatement::make(rogue, authorization_payload("sleeper", "nodeA")).encode();
+      encode(crypto::SignedStatement::make(rogue, authorization_payload("sleeper", "nodeA")));
   EXPECT_EQ(spawn_via_rpc(daemon->address(), rogue_req).code(), Errc::permission_denied);
 
   // The genuine article works.
   SpawnRequest good = unsigned_req;
   good.authorization =
-      crypto::SignedStatement::make(rm_principal, authorization_payload("sleeper", "nodeA"))
-          .encode();
+      encode(crypto::SignedStatement::make(rm_principal, authorization_payload("sleeper", "nodeA")));
   EXPECT_TRUE(spawn_via_rpc(daemon->address(), good).ok());
 }
 
@@ -242,7 +240,7 @@ TEST_F(DaemonFixture, SpawnsMobileCodeFromLifn) {
     halt
   )");
   files::FileClient publisher(*client_rpc, replicas());
-  publisher.write(fs->address(), "lifn://utk.edu/code/mult", program.value().encode(),
+  publisher.write(fs->address(), "lifn://utk.edu/code/mult", encode(program.value()),
                   [](Result<void>) {});
   world.engine().run();
 
@@ -298,7 +296,7 @@ TEST_F(DaemonFixture, CheckpointToFileServerAndRestoreElsewhere) {
   )");
   files::FileClient publisher(*client_rpc, replicas());
   bool published = false;
-  publisher.write(fs->address(), "lifn://utk.edu/code/counter", program.value().encode(),
+  publisher.write(fs->address(), "lifn://utk.edu/code/counter", encode(program.value()),
                   [&](Result<void> r) { published = r.ok(); });
   pump_until([&] { return published; });
   ASSERT_TRUE(published);
@@ -421,9 +419,9 @@ TEST_F(RmFixture, ActiveModeAllocatesAndProxiesSpawn) {
   SpawnRequest req;
   req.program = "sleeper";
   req.args = {duration::seconds(60), 0};
-  auto raw = call_and_wait(rm->address(), rm::tags::kAllocate, req.encode());
+  auto raw = call_and_wait(rm->address(), rm::tags::kAllocate, encode(req));
   Result<SpawnReply> reply =
-      raw.ok() ? SpawnReply::decode(raw.value()) : Result<SpawnReply>(raw.error());
+      raw.ok() ? decode<SpawnReply>(raw.value()) : Result<SpawnReply>(raw.error());
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   // The daemon required an authorization; the RM attached one.
   EXPECT_EQ(daemon_a->running_tasks() + daemon_b->running_tasks(), 1u);
@@ -435,7 +433,7 @@ TEST_F(RmFixture, AllocationBalancesAcrossHosts) {
     SpawnRequest req;
     req.program = "sleeper";
     req.args = {duration::seconds(600), 0};
-    call_and_wait(rm->address(), rm::tags::kAllocate, req.encode()).value();
+    call_and_wait(rm->address(), rm::tags::kAllocate, encode(req)).value();
   }
   // Least-loaded placement alternates between the two equal hosts.
   EXPECT_EQ(daemon_a->running_tasks(), 4u);
@@ -450,7 +448,7 @@ TEST_F(RmFixture, DeadHostAvoidedAfterMissedPolls) {
     SpawnRequest req;
     req.program = "sleeper";
     req.args = {duration::seconds(600), 0};
-    call_and_wait(rm->address(), rm::tags::kAllocate, req.encode()).value();
+    call_and_wait(rm->address(), rm::tags::kAllocate, encode(req)).value();
   }
   EXPECT_EQ(daemon_b->running_tasks(), 4u);
 }
@@ -459,9 +457,9 @@ TEST_F(RmFixture, PassiveModeReservationSpawnsViaClient) {
   SpawnRequest req;
   req.program = "sleeper";
   req.args = {duration::seconds(60), 0};
-  auto raw = call_and_wait(rm->address(), rm::tags::kReserve, req.encode());
+  auto raw = call_and_wait(rm->address(), rm::tags::kReserve, encode(req));
   Result<rm::Reservation> reservation =
-      raw.ok() ? rm::Reservation::decode(raw.value()) : Result<rm::Reservation>(raw.error());
+      raw.ok() ? decode<rm::Reservation>(raw.value()) : Result<rm::Reservation>(raw.error());
   ASSERT_TRUE(reservation.ok());
   // Client performs the spawn itself, presenting the RM's authorization.
   req.authorization = reservation.value().authorization;
@@ -488,7 +486,7 @@ TEST_F(RmFixture, RedundantRmsBothAllocate) {
   req.args = {duration::seconds(60), 0};
   int ok = 0;
   for (auto* target : {rm.get(), &rm2})
-    ok += call_and_wait(target->address(), rm::tags::kAllocate, req.encode()).ok();
+    ok += call_and_wait(target->address(), rm::tags::kAllocate, encode(req)).ok();
   EXPECT_EQ(ok, 2);
 }
 
@@ -523,10 +521,8 @@ TEST_F(RmFixture, SealedSpawnsOverAuthenticatedSession) {
     SpawnRequest filler;
     filler.program = "sleeper";
     filler.args = {duration::seconds(600), 0};
-    filler.authorization = crypto::SignedStatement::make(
-                               rm_principal, authorization_payload("sleeper",
-                                                                   i % 2 ? "nodeA" : "nodeB"))
-                               .encode();
+    filler.authorization = encode(crypto::SignedStatement::make(
+        rm_principal, authorization_payload("sleeper", i % 2 ? "nodeA" : "nodeB")));
     spawn_via_rpc(i % 2 ? daemon_a->address() : daemon_b->address(), filler).value();
   }
   world.engine().run_for(duration::seconds(3));  // let polls see the load
@@ -534,9 +530,9 @@ TEST_F(RmFixture, SealedSpawnsOverAuthenticatedSession) {
   SpawnRequest req;
   req.program = "sleeper";
   req.args = {duration::seconds(60), 0};
-  auto raw = call_and_wait(rm->address(), rm::tags::kAllocate, req.encode());
+  auto raw = call_and_wait(rm->address(), rm::tags::kAllocate, encode(req));
   ASSERT_TRUE(raw.ok()) << raw.error().to_string();
-  auto reply = SpawnReply::decode(raw.value()).value();
+  auto reply = decode<SpawnReply>(raw.value()).value();
   EXPECT_EQ(reply.host, "nodeC");
   EXPECT_GE(rm->stats().sealed_spawns, 1u);  // went unsigned over the session
   EXPECT_EQ(daemon_c->running_tasks(), 1u);
@@ -559,14 +555,14 @@ TEST_F(RmFixture, SealedSpawnWithoutSessionRejected) {
 
   SpawnRequest req;
   req.program = "sleeper";
-  auto r = call_and_wait(daemon_d->address(), tags::kSpawnSealed, req.encode());
+  auto r = call_and_wait(daemon_d->address(), tags::kSpawnSealed, encode(req));
   EXPECT_EQ(r.code(), Errc::permission_denied);
 
   // And a hello from an untrusted principal is refused too.
   auto rogue = crypto::Principal::create("urn:snipe:rm:rogue2", rng);
   auto initiated = crypto::Session::initiate(host_identity->keys.pub, rng).value();
   auto hello = crypto::SignedStatement::make(rogue, std::move(initiated.second));
-  auto r2 = call_and_wait(daemon_d->address(), tags::kSessionHello, hello.encode());
+  auto r2 = call_and_wait(daemon_d->address(), tags::kSessionHello, encode(hello));
   EXPECT_EQ(r2.code(), Errc::permission_denied);
   EXPECT_EQ(daemon_d->active_sessions(), 0u);
 }
@@ -600,7 +596,7 @@ TEST_F(RmFixture, AuthorizeFlowEndToEnd) {
   auth.target_host = "nodeA";
 
   Result<Bytes> issued(Errc::state_error, "unset");
-  client_rpc->call(rm3.address(), rm::tags::kAuthorize, auth.encode(),
+  client_rpc->call(rm3.address(), rm::tags::kAuthorize, encode(auth),
                    [&](Result<Bytes> r) { issued = r; });
   world.engine().run();
   ASSERT_TRUE(issued.ok()) << issued.error().to_string();
@@ -616,7 +612,7 @@ TEST_F(RmFixture, AuthorizeFlowEndToEnd) {
   auth.user_grant = crypto::SignedStatement::make(
       user, rm::user_grant_payload(user.uri, "other-program", req_host.uri));
   Result<Bytes> rejected(Errc::state_error, "unset");
-  client_rpc->call(rm3.address(), rm::tags::kAuthorize, auth.encode(),
+  client_rpc->call(rm3.address(), rm::tags::kAuthorize, encode(auth),
                    [&](Result<Bytes> r) { rejected = r; });
   world.engine().run();
   EXPECT_EQ(rejected.code(), Errc::permission_denied);

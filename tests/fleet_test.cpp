@@ -119,7 +119,7 @@ TEST(FleetBeacon, CodecRoundTripsEveryField) {
   b.series = {{"srudp.rto_events", {{100, 1.0}, {200, 3.0}}},
               {"world.route_epoch", {{150, 2.0}}}};
 
-  auto decoded = obs::TelemetryBeacon::decode(b.encode());
+  auto decoded = decode<obs::TelemetryBeacon>(encode(b));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   const auto& d = decoded.value();
   EXPECT_EQ(d.host, "nine");
@@ -152,18 +152,18 @@ TEST(FleetBeacon, DecodeRejectsMalformedWire) {
   obs::TelemetryBeacon b;
   b.host = "h";
   b.seq = 1;
-  Bytes wire = b.encode();
+  Bytes wire = encode(b);
 
   // Truncations at every byte must error, never crash or mis-parse.
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     Bytes truncated(wire.begin(), wire.begin() + cut);
-    EXPECT_FALSE(obs::TelemetryBeacon::decode(truncated).ok()) << "cut=" << cut;
+    EXPECT_FALSE(decode<obs::TelemetryBeacon>(truncated).ok()) << "cut=" << cut;
   }
   // Trailing garbage is rejected too (a beacon is exactly one message).
   Bytes padded = wire;
   padded.push_back(0);
-  EXPECT_FALSE(obs::TelemetryBeacon::decode(padded).ok());
-  EXPECT_FALSE(obs::TelemetryBeacon::decode(Bytes{}).ok());
+  EXPECT_FALSE(decode<obs::TelemetryBeacon>(padded).ok());
+  EXPECT_FALSE(decode<obs::TelemetryBeacon>(Bytes{}).ok());
 
   // A sketch carries its bucket count and no bounds: every histogram shares
   // Histogram::kBounds, so only kBuckets buckets decode.
@@ -187,12 +187,12 @@ TEST(FleetBeacon, DecodeRejectsMalformedWire) {
     w.u32(0);    // series
     return std::move(w).take();
   };
-  auto exact = obs::TelemetryBeacon::decode(with_buckets(obs::Histogram::kBuckets));
+  auto exact = decode<obs::TelemetryBeacon>(with_buckets(obs::Histogram::kBuckets));
   ASSERT_TRUE(exact.ok()) << exact.error().to_string();
   ASSERT_EQ(exact.value().sketches.size(), 1u);
   EXPECT_EQ(exact.value().sketches[0].second.buckets[0], 1u);
-  EXPECT_FALSE(obs::TelemetryBeacon::decode(with_buckets(21)).ok());
-  EXPECT_FALSE(obs::TelemetryBeacon::decode(with_buckets(23)).ok());
+  EXPECT_FALSE(decode<obs::TelemetryBeacon>(with_buckets(21)).ok());
+  EXPECT_FALSE(decode<obs::TelemetryBeacon>(with_buckets(23)).ok());
 }
 
 // ---- delta / resync semantics ----------------------------------------------

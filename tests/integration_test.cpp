@@ -186,7 +186,7 @@ TEST_F(Deployment, PseudoProcessFansOutToReplicas) {
         std::make_unique<core::MulticastGroup>(*replicas_procs.back(), g));
     world.engine().run();
     memberships.back()->set_handler([&](const std::string&, Bytes body) {
-      auto msg = core::UserMessage::decode(body);
+      auto msg = decode<core::UserMessage>(body);
       ASSERT_TRUE(msg.ok());
       EXPECT_EQ(msg.value().tag, 9u);
       EXPECT_EQ(to_string(msg.value().body), "compute!");

@@ -465,7 +465,7 @@ TEST(Trace, SimulatedRunExportsMultiCategoryChromeTrace) {
   req.program = "noop";
   req.name = "traced-task";
   bool spawned = false;
-  spawner.call(d.address(), daemon::tags::kSpawn, req.encode(),
+  spawner.call(d.address(), daemon::tags::kSpawn, encode(req),
                [&](Result<Bytes> r) { spawned = r.ok(); });
   world.engine().run();
   ASSERT_TRUE(spawned);

@@ -326,10 +326,10 @@ TEST(Svm, SelfReturnsInstanceId) {
 
 TEST(Svm, ProgramEncodeDecodeRoundTrip) {
   auto program = assemble("push 1\nemit\nhalt").take();
-  auto decoded = Program::decode(program.encode()).value();
+  auto decoded = decode<Program>(encode(program)).value();
   ASSERT_EQ(decoded.code.size(), program.code.size());
   EXPECT_EQ(decoded.code[0].imm, 1);
-  EXPECT_FALSE(Program::decode(Bytes{1, 2}).ok());
+  EXPECT_FALSE(decode<Program>(Bytes{1, 2}).ok());
 }
 
 TEST(SvmAsm, ReportsErrorsWithLineNumbers) {
@@ -420,7 +420,7 @@ TEST_F(PlaygroundFixture, LoadsVerifiedCode) {
 
 TEST_F(PlaygroundFixture, RejectsUnsignedCode) {
   // Store the file and hash but no signature metadata.
-  Bytes code = assemble("halt").take().encode();
+  Bytes code = encode(assemble("halt").take());
   Result<void> wrote(Errc::state_error, "unset");
   file_client->write(fs->address(), "lifn://utk.edu/code/unsigned", code,
                      [&](Result<void> r) { wrote = r; });
@@ -460,7 +460,7 @@ TEST_F(PlaygroundFixture, RejectsCodeSignedByUntrustedSigner) {
 TEST_F(PlaygroundFixture, RejectsTamperedCode) {
   publish("lifn://utk.edu/code/tamper", assemble("push 1\nemit\nhalt").take());
   // Corrupt the stored bytes after signing (announce=false keeps metadata).
-  fs->store_local("lifn://utk.edu/code/tamper", assemble("push 666\nemit\nhalt").take().encode(),
+  fs->store_local("lifn://utk.edu/code/tamper", encode(assemble("push 666\nemit\nhalt").take()),
                   /*announce=*/false);
   Playground pg(*rc_client, *file_client, trust);
   Result<Vm> loaded(Errc::state_error, "unset");
@@ -470,7 +470,7 @@ TEST_F(PlaygroundFixture, RejectsTamperedCode) {
 }
 
 TEST_F(PlaygroundFixture, UnsignedModeRunsAnything) {
-  Bytes code = assemble("halt").take().encode();
+  Bytes code = encode(assemble("halt").take());
   file_client->write(fs->address(), "lifn://utk.edu/code/любой", code, [](Result<void>) {});
   world.engine().run();
   PlaygroundConfig cfg;

@@ -6,17 +6,54 @@
 //   * SVM execution is invariant under scheduling quantum;
 //   * VM checkpoint/restore at *any* interruption point resumes to an
 //     identical result;
-//   * the engine is deterministic under a fixed seed.
+//   * the engine is deterministic under a fixed seed;
+//   * every control-plane record round-trips through its one field list,
+//     byte-identical to the hand-written encoders it replaced, and fails
+//     closed on truncation, trailing bytes and impossible counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <optional>
 
+#include "core/console.hpp"
+#include "core/group.hpp"
+#include "crypto/session.hpp"
+#include "daemon/daemon.hpp"
+#include "files/fileserver.hpp"
+#include "mpi/bridge.hpp"
+#include "obs/fleet.hpp"
 #include "playground/svmasm.hpp"
 #include "rcds/assertion.hpp"
+#include "rcds/signed.hpp"
+#include "rm/resource_manager.hpp"
 #include "simnet/fault.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
 #include "transport/wire.hpp"
+
+// Counts heap allocations, as alloc_budget_test does, so the record table
+// can show that an impossible count is rejected before anything is sized
+// from it.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace snipe {
 namespace {
@@ -280,9 +317,14 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   for (std::uint32_t i = 0; i < status.frag_count; ++i)
     if (rng.chance(0.5)) bitmap_set(status.bitmap, i);
   out.push_back(encode_status(status).to_bytes());
+  out.push_back(encode_status(status, /*with_checksum=*/true).to_bytes());
 
-  out.push_back(encode_msg_id(PacketType::msg_ack, {rng.next_below(1u << 30)}).to_bytes());
-  out.push_back(encode_msg_id(PacketType::probe, {rng.next_below(1u << 30)}).to_bytes());
+  const std::uint64_t ack_id = rng.next_below(1u << 30);
+  const std::uint64_t probe_id = rng.next_below(1u << 30);
+  for (bool ck : {false, true}) {
+    out.push_back(encode_msg_id(PacketType::msg_ack, {ack_id}, ck).to_bytes());
+    out.push_back(encode_msg_id(PacketType::probe, {probe_id}, ck).to_bytes());
+  }
 
   for (PacketType t : {PacketType::syn, PacketType::syn_ack, PacketType::ack,
                        PacketType::seg, PacketType::fin, PacketType::rst}) {
@@ -332,8 +374,11 @@ bool decode_by_head(const Bytes& wire) {
     }
     case PacketType::msg_ack:
     case PacketType::probe:
+    case PacketType::msg_ack_ck:
+    case PacketType::probe_ck:
       return decode_msg_id(wire).ok();
-    case PacketType::status: {
+    case PacketType::status:
+    case PacketType::status_ck: {
       auto p = decode_status(wire);
       if (!p) return false;
       EXPECT_LE(p.value().frag_count, kMaxWireFragments);
@@ -474,10 +519,13 @@ TEST_P(WireFuzz, EveryStrictPrefixFailsWithCorrupt) {
           EXPECT_EQ(decode_data(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::status:
+        case PacketType::status_ck:
           EXPECT_EQ(decode_status(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::msg_ack:
         case PacketType::probe:
+        case PacketType::msg_ack_ck:
+        case PacketType::probe_ck:
           EXPECT_EQ(decode_msg_id(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::mdata:
@@ -542,6 +590,220 @@ TEST_P(WireFuzz, BitFlippedPacketsNeverCrashEveryDecoder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range(1, 9));
+
+// ---- Control-plane records: one field list, both directions ----
+
+std::uint64_t fnv64(const Bytes& b) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint8_t c : b) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// One row per record type: a sample's encoding; decoders from flat bytes
+// and from a payload that re-encode what they read; the FNV-1a 64 of the
+// bytes the hand-written encoders sent for the same sample; and, where the
+// record has a top-level vector, the offset of its count.
+struct RecordRow {
+  std::string name;
+  Bytes wire;
+  std::function<Result<Bytes>(const Bytes&)> reencode;
+  std::function<Result<Bytes>(const Payload&)> reencode_payload;
+  std::uint64_t golden = 0;
+  std::optional<std::size_t> count_at;
+};
+
+template <class R>
+RecordRow row(std::string name, const R& sample, std::uint64_t golden,
+              std::optional<std::size_t> count_at = std::nullopt) {
+  auto again = [](Result<R> decoded) -> Result<Bytes> {
+    if (!decoded) return decoded.error();
+    return encode(decoded.value());
+  };
+  return {std::move(name), encode(sample),
+          [again](const Bytes& b) { return again(decode<R>(b)); },
+          [again](const Payload& p) { return again(decode<R>(p)); }, golden, count_at};
+}
+
+const std::vector<RecordRow>& record_rows() {
+  static const std::vector<RecordRow> rows = [] {
+    Rng rng(7);
+    auto signer = crypto::Principal::create("urn:snipe:signer", rng);
+    auto user = crypto::Principal::create("urn:snipe:user", rng);
+    auto cert = crypto::Certificate::issue(
+        signer, user.uri, user.keys.pub,
+        {crypto::TrustPurpose::identify_user, crypto::TrustPurpose::sign_mobile_code});
+    auto stmt = crypto::SignedStatement::make(user, to_bytes("payload"));
+
+    rcds::Assertion a1{"proc:address", "snipe://x:1/y", 123456789, "srv:7100", true};
+    rcds::Assertion a2{"n", "v", -5, "o", false};
+    rcds::Op op{rcds::Op::Kind::set, "name", "value"};
+    const std::string uri = "urn:u";
+
+    daemon::SpawnRequest spawn;
+    spawn.program = "lifn://p";
+    spawn.name = "n";
+    spawn.args = {1, -2, 3};
+    spawn.require_arch = "x86";
+    spawn.require_cpus = 2;
+    spawn.restore_lifn = "lifn://r";
+    spawn.authorization = {1, 2, 3};
+
+    auto program =
+        playground::assemble(".globals 2\npush 4\nemit\npush 5\nstoreg 1\npush 7\nckpt\nhalt")
+            .take();
+    playground::Vm vm(program, playground::VmQuota{});
+    vm.push_input(3);
+    vm.run(1000);
+
+    obs::TelemetryBeacon beacon;
+    beacon.host = "h1";
+    beacon.seq = 2;
+    beacon.ts = 3;
+    beacon.period_ns = 4;
+    beacon.full = true;
+    beacon.counters = {{"c", 1.5}};
+    beacon.gauges = {{"g", 2}};
+    obs::HistogramSketch sketch;
+    sketch.buckets[0] = 1;
+    sketch.buckets[5] = 2;
+    sketch.count = 3;
+    sketch.sum = 4.5;
+    beacon.sketches = {{"s", sketch}};
+    beacon.flight = {{10, "h1", "cat", "what", "detail"}};
+    beacon.series = {{"m", {{1, 2.0}, {3, 4.0}}}};
+
+    using daemon::TaskState;
+    std::vector<RecordRow> r;
+    r.push_back(row("Assertion", a1, 0x6bff3b6f628a4bceull));
+    r.push_back(row("Op", op, 0x834958f80e9e4877ull));
+    r.push_back(row("Update", rcds::Update{uri, {a1, a2}}, 0x45561646ca45c663ull,
+                    encode(uri).size()));
+    r.push_back(row("ApplyRequest", rcds::ApplyRequest{uri, {op, rcds::op_add("a", "b")}},
+                    0x46a9185af021275aull, encode(uri).size()));
+    r.push_back(row("SyncDigest",
+                    std::vector<std::pair<std::string, SimTime>>{{"urn:a", 5}, {"urn:b", -1}},
+                    0x66bde5a339eed00dull, 0));
+    auto subset = rcds::SignedSubset::sign(signer, "lifn://x", {{"k2", "v2"}, {"k1", "v1"}});
+    r.push_back(row("SignedSubset", subset, 0x3a794dbc56734725ull, encode(subset.uri).size()));
+    r.push_back(row("PublicKey", user.keys.pub, 0x25716ccb1573a3bdull));
+    r.push_back(row("Certificate", cert, 0xc44e0476c5edbab0ull));
+    r.push_back(row("SignedStatement", stmt, 0xd85cc8c6d530bde2ull));
+    r.push_back(row("SealedFrame",
+                    crypto::SealedFrame{3, to_bytes("abc"), crypto::sha256(to_bytes("mac"))},
+                    0x643128c507b3023dull));
+    r.push_back(row("SpawnRequest", spawn, 0x42d2be2176b86560ull,
+                    encode(spawn.program, spawn.name).size()));
+    r.push_back(row("SpawnReply", daemon::SpawnReply{"urn:r", "hostA", 7001},
+                    0xf6a9a4caf48d1db3ull));
+    r.push_back(row("SignalRequest", daemon::SignalRequest{"urn:r", daemon::TaskSignal::suspend},
+                    0xb264a23e84b2c705ull));
+    r.push_back(row("CheckpointRequest", daemon::CheckpointRequest{"urn:r", "lifn://ck", {"fs", 7400}},
+                    0xfb5c18fd1220c0e4ull));
+    r.push_back(row("TaskInfo", daemon::TaskInfo{TaskState::running, 7005, -3},
+                    0x29f62b5808a6f5d6ull));
+    r.push_back(row("TaskEvent", daemon::TaskEvent{"urn:r", TaskState::exited, 42},
+                    0xffe14de833a2f764ull));
+    r.push_back(row("LoadReport", daemon::LoadReport{0.75, 3}, 0xb8933349e74b29cfull));
+    r.push_back(row("TaskList",
+                    std::vector<std::pair<std::string, TaskState>>{{"urn:a", TaskState::running},
+                                                                   {"urn:b", TaskState::killed}},
+                    0x075b8c2c80b25630ull, 0));
+    r.push_back(row("Reservation", rm::Reservation{"hostA", {"hostA", 7201}, {9, 9}},
+                    0x3c8edc98ae6a6ab6ull));
+    r.push_back(row("AuthorizeRequest", rm::AuthorizeRequest{cert, stmt, cert, stmt, "prog", "hostB"},
+                    0x7efed3cd82e3f34aull));
+    r.push_back(row("UserMessage", core::UserMessage{"urn:src", 17, {1, 2, 3}},
+                    0x0733e729da4e2a1bull));
+    r.push_back(row("McastPayload", core::McastPayload{"urn:g", "urn:o", 99, {4, 5}},
+                    0xaa4e092d1cc2d833ull));
+    r.push_back(row("JoinRequest", core::JoinRequest{"urn:g", "urn:m", {"h", 9}},
+                    0x0165797bee795e3dull));
+    r.push_back(row("HttpRequest", core::HttpRequest{"POST", "/x", {1}}, 0xe402b850bfe83518ull));
+    r.push_back(row("HttpResponse", core::HttpResponse{404, {2}}, 0xc2f43689f2f79dd3ull));
+    r.push_back(row("MigrationNotice", core::MigrationNotice{"urn:p", {"h2", 77}},
+                    0xca732e1a18819730ull));
+    r.push_back(row("PvmEnvelope", pvm::PvmEnvelope{65537, 2, 3, {7}}, 0xabbd3d337ee4e66eull));
+    r.push_back(row("InterMessage", mpi::InterMessage{"app", 1, 2, {8}}, 0x277962bc4960bb47ull));
+    r.push_back(row("MpiMessage", mpi::MpiMessage{1, 2, {9}}, 0xaac78b3603aa0e52ull));
+    r.push_back(row("Program", program, 0x25fd7d0ac270f323ull, encode(program.globals).size()));
+    // The snapshot's stack count follows the program blob, the quota and pc.
+    r.push_back(row("VmSnapshot", vm, 0x1494593c21edbf47ull,
+                    encode(codec::in_blob(program), playground::VmQuota{}, std::int64_t{0}).size()));
+    r.push_back(row("OpenSink", files::OpenSink{"lifn://f", 1000, 4}, 0xb75241372c52d7d7ull));
+    r.push_back(row("SinkChunk", files::SinkChunk{5, 64, Payload(to_bytes("chunk"))},
+                    0x14d9aa6bd8f9d822ull));
+    r.push_back(row("OpenSource", files::OpenSource{"lifn://f", {"c", 9}, 6, 1, 4, 65536},
+                    0xa5e4f595c6a99d71ull));
+    r.push_back(row("SourceChunk", files::SourceChunk{6, 1000, 128, Payload(to_bytes("data"))},
+                    0x8450f48bf9d9f4d4ull));
+    r.push_back(row("ReplicaPush", files::ReplicaPush{"lifn://f", Payload(to_bytes("content"))},
+                    0x53611bd1589bd72aull));
+    r.push_back(row("TelemetryBeacon", beacon, 0x5a3e6cfdb3c66420ull,
+                    encode(beacon.version, beacon.host, beacon.seq, beacon.ts, beacon.period_ns,
+                           beacon.full)
+                        .size()));
+    return r;
+  }();
+  return rows;
+}
+
+TEST(RecordCodec, EncodesTheHandWrittenBytesAndRoundTrips) {
+  for (const RecordRow& r : record_rows()) {
+    SCOPED_TRACE(r.name);
+    EXPECT_EQ(fnv64(r.wire), r.golden) << hex_encode(r.wire);
+    auto again = r.reencode(r.wire);
+    ASSERT_TRUE(again.ok()) << again.error().to_string();
+    EXPECT_EQ(again.value(), r.wire);
+    // The same bytes split across two segments decode through PayloadCursor.
+    const std::size_t half = r.wire.size() / 2;
+    Payload split(Bytes(r.wire.begin(), r.wire.begin() + static_cast<std::ptrdiff_t>(half)));
+    split.append(Payload(Bytes(r.wire.begin() + static_cast<std::ptrdiff_t>(half), r.wire.end())));
+    auto from_payload = r.reencode_payload(split);
+    ASSERT_TRUE(from_payload.ok()) << from_payload.error().to_string();
+    EXPECT_EQ(from_payload.value(), r.wire);
+  }
+}
+
+TEST(RecordCodec, EveryStrictPrefixAndATrailingByteFailWithCorrupt) {
+  for (const RecordRow& r : record_rows()) {
+    SCOPED_TRACE(r.name);
+    for (std::size_t len = 0; len < r.wire.size(); ++len) {
+      auto prefix = r.reencode(Bytes(r.wire.begin(), r.wire.begin() + static_cast<std::ptrdiff_t>(len)));
+      ASSERT_FALSE(prefix.ok()) << "prefix " << len;
+      EXPECT_EQ(prefix.code(), Errc::corrupt) << "prefix " << len;
+    }
+    Bytes padded = r.wire;
+    padded.push_back(0);
+    EXPECT_EQ(r.reencode(padded).code(), Errc::corrupt);
+  }
+}
+
+TEST(RecordCodec, CountAboveTheBytesLeftFailsBeforeAnyAllocation) {
+  int rows_with_counts = 0;
+  for (const RecordRow& r : record_rows()) {
+    if (!r.count_at) continue;
+    SCOPED_TRACE(r.name);
+    ++rows_with_counts;
+    const std::size_t at = *r.count_at;
+    const std::size_t left = r.wire.size() - at - 4;
+    Bytes poisoned = r.wire;
+    ByteReader real(poisoned.data() + at, 4);
+    ASSERT_LE(real.u32().value(), left);  // the row names a real count
+    const std::uint32_t claim = static_cast<std::uint32_t>(left + 1);
+    for (int i = 0; i < 4; ++i)
+      poisoned[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(claim >> (24 - 8 * i));
+    // Cut just before the count, the same decode reaches the count and stops.
+    const Bytes cut(r.wire.begin(), r.wire.begin() + static_cast<std::ptrdiff_t>(at));
+    auto allocs_of = [&r](const Bytes& b) {
+      const std::uint64_t before = g_allocs.load();
+      EXPECT_EQ(r.reencode(b).code(), Errc::corrupt);
+      return g_allocs.load() - before;
+    };
+    const std::uint64_t cut_allocs = allocs_of(cut);
+    EXPECT_LE(allocs_of(poisoned), cut_allocs);
+  }
+  EXPECT_EQ(rows_with_counts, 9);
+}
 
 }  // namespace
 }  // namespace snipe

@@ -32,10 +32,7 @@ TEST(Assertion, NewerOrdering) {
 
 TEST(Assertion, EncodeDecodeRoundTrip) {
   Assertion a{"proc:address", "snipe://x:1/y", 123456789, "srv:7100", true};
-  ByteWriter w;
-  a.encode(w);
-  ByteReader r(w.bytes());
-  auto b = Assertion::decode(r).value();
+  auto b = decode<Assertion>(encode(a)).value();
   EXPECT_EQ(b.name, a.name);
   EXPECT_EQ(b.value, a.value);
   EXPECT_EQ(b.timestamp, a.timestamp);
@@ -70,10 +67,7 @@ TEST(Record, MultiValuedNames) {
 }
 
 TEST(Op, RoundTripAndValidation) {
-  ByteWriter w;
-  op_set("name", "value").encode(w);
-  ByteReader r(w.bytes());
-  auto op = Op::decode(r).value();
+  auto op = decode<Op>(encode(op_set("name", "value"))).value();
   EXPECT_EQ(op.kind, Op::Kind::set);
   EXPECT_EQ(op.name, "name");
 
@@ -81,8 +75,7 @@ TEST(Op, RoundTripAndValidation) {
   bad.u8(9);
   bad.str("n");
   bad.str("v");
-  ByteReader br(bad.bytes());
-  EXPECT_FALSE(Op::decode(br).ok());
+  EXPECT_FALSE(decode<Op>(bad.bytes()).ok());
 }
 
 // ---- RPC layer ----

@@ -301,6 +301,108 @@ TEST(Srudp, OlderWorldStampsItsLogAndTraceWithItsOwnClock) {
   EXPECT_TRUE(newer.world.tracer().events().empty());
 }
 
+// Whether `wire` still parses as the SRUDP packet its head names.
+bool parses_as_srudp(const Bytes& wire) {
+  auto head = decode_head(wire);
+  if (!head) return false;
+  switch (head.value().type) {
+    case PacketType::data:
+    case PacketType::data_ck:
+      return decode_data(wire).ok();
+    case PacketType::status:
+    case PacketType::status_ck:
+      return decode_status(wire).ok();
+    case PacketType::msg_ack:
+    case PacketType::msg_ack_ck:
+    case PacketType::probe:
+    case PacketType::probe_ck:
+      return decode_msg_id(wire).ok();
+    default:
+      return false;
+  }
+}
+
+// With SrudpConfig::checksum on, no single flipped bit anywhere in a
+// packet (type, header or payload) is acted on: the packet is dropped and
+// counted, or no longer parses at all.  Raw ports pose as each endpoint's
+// peer and inject every flip of a real STATUS, MSG_ACK, PROBE and DATA.
+// Without whole-packet coverage a flipped MSG_ACK id retires another
+// in-flight message.
+TEST(SrudpChecksum, NoSingleBitFlipIsActedOn) {
+  World world(1);
+  world.create_network("net", simnet::myrinet());
+  simnet::Host& a = world.create_host("a");
+  simnet::Host& b = world.create_host("b");
+  world.attach(a, *world.network("net"));
+  world.attach(b, *world.network("net"));
+  SrudpConfig ck;
+  ck.checksum = true;
+  SrudpEndpoint sender(a, 7001, ck), receiver(b, 7002, ck);
+  int delivered = 0;
+  receiver.set_handler([&](const Address&, Payload) { ++delivered; });
+  // Whatever an endpoint sends its fake peer lands on that peer's port.
+  int at_fake_receiver = 0, at_fake_sender = 0;
+  b.bind(7003, [&](const simnet::Packet&) { ++at_fake_receiver; }).value();
+  a.bind(7004, [&](const simnet::Packet&) { ++at_fake_sender; }).value();
+  const Address fake_receiver{"b", 7003}, fake_sender{"a", 7004};
+
+  auto inject = [&](simnet::Host& from, const Address& as, const Address& to, Bytes wire) {
+    simnet::SendOptions opts;
+    opts.src_port = as.port;
+    ASSERT_TRUE(from.send(to, Payload(std::move(wire)), opts).ok());
+    world.run_until(world.engine().now() + duration::microseconds(100));
+  };
+  // Injects every single-bit flip of `real`; `unchanged` must hold after
+  // each, and each flip that still parses must count as a checksum reject.
+  auto every_flip = [&](const Payload& real, simnet::Host& from, const Address& as,
+                        SrudpEndpoint& to, auto unchanged) {
+    const Bytes bytes = real.to_bytes();
+    for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+      Bytes flipped = bytes;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const std::uint64_t rejects = to.stats().checksum_rejects;
+      const bool parses = parses_as_srudp(flipped);
+      inject(from, as, to.address(), std::move(flipped));
+      EXPECT_TRUE(unchanged()) << "bit " << bit;
+      EXPECT_EQ(to.stats().checksum_rejects - rejects, parses ? 1u : 0u) << "bit " << bit;
+    }
+  };
+
+  // Three one-fragment messages in flight to the fake receiver.
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(sender.send(fake_receiver, pattern_bytes(64)));
+  world.run_until(world.engine().now() + duration::microseconds(100));
+  ASSERT_EQ(at_fake_receiver, 3);
+
+  // STATUS (before the first RTO, which would also resend): an intact one
+  // reporting nothing received makes the sender resend at once.
+  const Payload status = encode_status({ids[1], 1, Bytes{0}}, /*with_checksum=*/true);
+  every_flip(status, b, fake_receiver, sender, [&] { return at_fake_receiver == 3; });
+  inject(b, fake_receiver, sender.address(), status.to_bytes());
+  EXPECT_EQ(at_fake_receiver, 4);
+
+  // MSG_ACK: only the intact ack retires its message.
+  const Payload ack = encode_msg_id(PacketType::msg_ack, {ids[1]}, /*with_checksum=*/true);
+  every_flip(ack, b, fake_receiver, sender, [&] { return sender.pending() == 3; });
+  inject(b, fake_receiver, sender.address(), ack.to_bytes());
+  EXPECT_EQ(sender.pending(), 2u);
+
+  // PROBE: an intact probe for a message never seen draws an empty STATUS.
+  // The fake sender's first message takes the first id, as ids[0] did.
+  const Payload probe = encode_msg_id(PacketType::probe, {ids[0]}, /*with_checksum=*/true);
+  every_flip(probe, a, fake_sender, receiver, [&] { return at_fake_sender == 0; });
+  inject(a, fake_sender, receiver.address(), probe.to_bytes());
+  EXPECT_EQ(at_fake_sender, 1);
+
+  // DATA: an intact one-fragment message is delivered and acknowledged.
+  const Payload data = encode_data({ids[0], 0, 1, 4, pattern_bytes(4)}, /*with_checksum=*/true);
+  every_flip(data, a, fake_sender, receiver,
+             [&] { return delivered == 0 && at_fake_sender == 1; });
+  inject(a, fake_sender, receiver.address(), data.to_bytes());
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(at_fake_sender, 2);
+}
+
 TEST(Srudp, SmallMessageDelivered) {
   SrudpPair p;
   p.a->send(p.b->address(), to_bytes("hello"));
