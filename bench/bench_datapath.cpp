@@ -10,51 +10,17 @@
 //
 // Wall-clock numbers are machine-dependent; compare runs on the same box.
 #include <chrono>
-#include <cstdlib>
 #include <ctime>
-#include <new>
-
 #include <optional>
 
 #include "bench_util.hpp"
+#include "counting_alloc.hpp"
 #include "daemon/telemetry.hpp"
 #include "daemon/watchtower.hpp"
 #include "simnet/topo.hpp"
 #include "transport/rpc.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counter: global operator new/delete overrides, effective for
-// this binary only.  Counts calls and requested bytes — "allocations per
-// delivered message", which a zero-copy path should hold near-constant
-// regardless of message size, and "allocated bytes per message", which
-// shows a copy of the payload (a flatten) that the call count alone hides.
-static std::uint64_t g_alloc_count = 0;
-static std::uint64_t g_alloc_bytes = 0;
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  g_alloc_bytes += size;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  g_alloc_bytes += size;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_alloc_count;
-  g_alloc_bytes += size;
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -154,8 +120,8 @@ DatapathResult run_srudp(simnet::MediaModel media, std::size_t size, int count,
   DatapathResult r;
   Bytes message(size, 0x5a);
   auto shared = std::make_shared<const Bytes>(message);
-  std::uint64_t alloc_start = g_alloc_count;
-  std::uint64_t alloc_bytes_start = g_alloc_bytes;
+  std::uint64_t alloc_start = heap_allocs();
+  std::uint64_t alloc_bytes_start = heap_bytes();
   auto start = Clock::now();
   for (int i = 0; i < count; ++i) {
     if (!header_plus_slice) {
@@ -171,8 +137,8 @@ DatapathResult run_srudp(simnet::MediaModel media, std::size_t size, int count,
   }
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
-  r.allocs = g_alloc_count - alloc_start;
-  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
+  r.allocs = heap_allocs() - alloc_start;
+  r.alloc_bytes = heap_bytes() - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;
@@ -194,14 +160,14 @@ DatapathResult run_stream(simnet::MediaModel media, std::size_t size, int count)
   DatapathResult r;
   Bytes message(size, 0x5a);
   auto conn = client.connect(server.address());
-  std::uint64_t alloc_start = g_alloc_count;
-  std::uint64_t alloc_bytes_start = g_alloc_bytes;
+  std::uint64_t alloc_start = heap_allocs();
+  std::uint64_t alloc_bytes_start = heap_bytes();
   auto start = Clock::now();
   for (int i = 0; i < count; ++i) conn->send_message(Bytes(message));
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
-  r.allocs = g_alloc_count - alloc_start;
-  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
+  r.allocs = heap_allocs() - alloc_start;
+  r.alloc_bytes = heap_bytes() - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;
@@ -314,8 +280,8 @@ DatapathResult run_srudp_paced(simnet::MediaModel media, std::size_t size, int c
   }
   DatapathResult r;
   Bytes message(size, 0x5a);
-  std::uint64_t alloc_start = g_alloc_count;
-  std::uint64_t alloc_bytes_start = g_alloc_bytes;
+  std::uint64_t alloc_start = heap_allocs();
+  std::uint64_t alloc_bytes_start = heap_bytes();
   auto start = Clock::now();
   // Bursts of 8 per tick: long enough wall-clock for a stable 2% compare,
   // while the tick spacing still stretches the run past several beacon
@@ -326,8 +292,8 @@ DatapathResult run_srudp_paced(simnet::MediaModel media, std::size_t size, int c
   }
   pair.world.engine().run();
   r.wall_secs = seconds_since(start);
-  r.allocs = g_alloc_count - alloc_start;
-  r.alloc_bytes = g_alloc_bytes - alloc_bytes_start;
+  r.allocs = heap_allocs() - alloc_start;
+  r.alloc_bytes = heap_bytes() - alloc_bytes_start;
   r.events = pair.world.engine().events_run();
   r.sim_bytes = static_cast<double>(delivered_bytes);
   r.complete = delivered == count;
@@ -441,11 +407,11 @@ void BM_RoutedDatagram(benchmark::State& state) {
     send_round();  // warm-up
     const std::uint64_t hops0 = hops_sent();
     const std::uint64_t delivered0 = delivered;
-    const std::uint64_t alloc_start = g_alloc_count;
+    const std::uint64_t alloc_start = heap_allocs();
     auto start = Clock::now();
     for (int r = 0; r < kRounds; ++r) send_round();
     wall = seconds_since(start);
-    allocs = g_alloc_count - alloc_start;
+    allocs = heap_allocs() - alloc_start;
     hops = hops_sent() - hops0;
     delivered -= delivered0;
     sent = static_cast<std::uint64_t>(kRounds) * pod_a.hosts().size() * dsts.size();

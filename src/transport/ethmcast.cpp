@@ -86,7 +86,7 @@ void EthMcastEndpoint::broadcast_fragment(const OutMessage& msg, std::uint64_t m
     host_.tracer().flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow",
                         repair ? "ethmcast.repair" : "ethmcast.tx", flow,
                         {{"frag", std::to_string(index)}});
-  auto r = host_.broadcast(network_, port_, encode_mcast_data(p), port_);
+  auto r = host_.broadcast(network_, port_, encode_packet(PacketType::mdata, p), port_);
   if (!r) log_.trace("broadcast failed: ", r.error().to_string());
 }
 
@@ -95,7 +95,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   if (!head) return;
 
   if (head.value().type == PacketType::mnack) {
-    auto p = decode_mcast_nack(packet.payload);
+    auto p = decode_packet<McastNackPacket>(packet.payload);
     if (!p || p.value().group != group_) return;
     auto it = sent_.find(p.value().msg_id);
     if (it == sent_.end()) return;  // repair window closed
@@ -111,7 +111,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
     return;
   }
   if (head.value().type != PacketType::mdata) return;
-  auto decoded = decode_mcast_data(packet.payload);
+  auto decoded = decode_packet<McastDataPacket>(packet.payload);
   if (!decoded || decoded.value().group != group_) return;
   const McastDataPacket& p = decoded.value();
   simnet::Address sender{packet.src->name(), packet.src_port};
@@ -129,7 +129,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
     msg.total_len = p.total_len;
     msg.born = p.born;
     msg.frags.resize(p.frag_count);
-    msg.have = make_bitmap(p.frag_count);
+    msg.have = FragBitmap(p.frag_count);
   } else if (msg.frag_count != p.frag_count || msg.total_len != p.total_len) {
     // A corrupted or hostile fragment disagreeing with the first one seen:
     // indexing frags/have with the packet's own frag_count would write out
@@ -138,10 +138,11 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
               sender.host);
     return;
   }
-  if (!bitmap_get(msg.have, p.frag_index)) {
-    bitmap_set(msg.have, p.frag_index);
+  if (!msg.have.get(p.frag_index)) {
+    msg.have.set(p.frag_index);
     msg.frags[p.frag_index] = p.payload;
     ++msg.have_count;
+    while (msg.prefix < msg.frag_count && msg.have.get(msg.prefix)) ++msg.prefix;
   }
 
   if (msg.have_count == msg.frag_count) {
@@ -162,12 +163,7 @@ void EthMcastEndpoint::on_packet(const simnet::Packet& packet) {
   }
   // Hole detected (fragment beyond the first missing one arrived)?  Arm a
   // short NACK; otherwise rely on the periodic retry.
-  bool gap = false;
-  for (std::uint32_t i = 0; i < p.frag_index; ++i)
-    if (!bitmap_get(msg.have, i)) {
-      gap = true;
-      break;
-    }
+  const bool gap = msg.prefix < p.frag_index;
   if (!msg.nack_timer.valid())
     schedule_nack({packet.src, sender.port}, p.msg_id, gap ? kNackDelay : kNackRetry);
 }
@@ -187,7 +183,7 @@ void EthMcastEndpoint::schedule_nack(simnet::Endpoint sender, std::uint64_t msg_
     nack.group = group_;
     nack.msg_id = msg_id;
     for (std::uint32_t i = 0; i < msg.frag_count; ++i)
-      if (!bitmap_get(msg.have, i)) nack.missing.push_back(i);
+      if (!msg.have.get(i)) nack.missing.push_back(i);
     if (nack.missing.empty()) return;
     ++stats_.nacks_sent;
     if (const std::uint64_t flow = flow_id(sender.host->name(), sender.port, msg_id); flow != 0)
@@ -202,7 +198,7 @@ void EthMcastEndpoint::schedule_nack(simnet::Endpoint sender, std::uint64_t msg_
     simnet::SendOptions opts;
     opts.src_port = port_;
     opts.preferred_network = net_;
-    auto r = host_.send(sender.host, sender.port, encode_mcast_nack(nack), opts);
+    auto r = host_.send(sender.host, sender.port, encode_packet(PacketType::mnack, nack), opts);
     if (!r) log_.trace("nack failed: ", r.error().to_string());
     schedule_nack(sender, msg_id, kNackRetry);
   });

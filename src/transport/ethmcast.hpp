@@ -64,8 +64,9 @@ class EthMcastEndpoint {
   };
   struct InMessage {
     std::vector<Payload> frags;  ///< slices of the sender's buffer
-    Bytes have;
+    FragBitmap have;
     std::uint32_t have_count = 0;
+    std::uint32_t prefix = 0;  ///< fragments [0, prefix) are all held
     std::uint32_t frag_count = 0;
     std::uint32_t total_len = 0;
     SimTime born = 0;

@@ -41,18 +41,18 @@ Bytes RpcEndpoint::authenticator(const Payload& body) const {
   return Bytes(digest.begin(), digest.end());
 }
 
-Payload RpcEndpoint::frame(Kind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+Payload RpcEndpoint::frame(Kind kind, std::uint64_t id, std::uint32_t tag, Payload body,
                            bool with_auth) const {
-  if (!with_auth) return encode_rpc(kind, id, tag, body, nullptr);
-  const Bytes auth = authenticator(body);
-  return encode_rpc(kind, id, tag, body, &auth);
+  RpcFrame f{kind, id, tag, std::move(body), {}};
+  if (with_auth) f.auth = authenticator(f.body);
+  return encode_payload(f);
 }
 
 std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t tag, Payload body,
                                      ResponseHandler done, SimDuration timeout) {
   if (timeout <= 0) timeout = kDefaultTimeout;
   std::uint64_t id = next_call_id_++;
-  Payload request = frame(Kind::request, id, tag, body, true);
+  Payload request = frame(Kind::request, id, tag, std::move(body), true);
 
   ++stats_.calls_sent;
   auto timer = engine_.schedule(timeout, [this, id] {
@@ -77,20 +77,21 @@ std::uint64_t RpcEndpoint::send_call(const simnet::Address& dst, std::uint32_t t
 
 std::uint64_t RpcEndpoint::notify(const simnet::Address& dst, std::uint32_t tag, Payload body) {
   ++stats_.notifications_sent;
-  srudp_.send(dst, frame(Kind::oneway, 0, tag, body, true));
+  srudp_.send(dst, frame(Kind::oneway, 0, tag, std::move(body), true));
   return srudp_.last_sent_flow();
 }
 
 void RpcEndpoint::send_reply(const simnet::Address& src, std::uint64_t id, std::uint32_t tag,
-                             const Result<Payload>& result) {
-  srudp_.send(src, result.ok() ? frame(Kind::response, id, tag, result.value(), false)
-                               : frame(Kind::error, id, tag, error_body(result.error()), false));
+                             Result<Payload> result) {
+  srudp_.send(src, result.ok()
+                       ? frame(Kind::response, id, tag, std::move(result).take(), false)
+                       : frame(Kind::error, id, tag, error_body(result.error()), false));
 }
 
 void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
   // The message may have several segments; the body comes back as a
   // zero-copy slice of them.
-  auto frame = decode_rpc(msg);
+  auto frame = decode<RpcFrame>(msg);
   if (!frame) {
     log_.warn("malformed rpc message from ", src.to_string());
     return;
@@ -129,14 +130,14 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
     ++stats_.requests_served;
     if (auto ait = async_handlers_.find(tag); ait != async_handlers_.end()) {
       ait->second(src, body, [this, src, id, tag](Result<Payload> result) {
-        send_reply(src, id, tag, result);
+        send_reply(src, id, tag, std::move(result));
       });
       return;
     }
     auto it = handlers_.find(tag);
     if (it == handlers_.end() && default_handler_) {
       default_handler_(src, tag, body, [this, src, id, tag](Result<Payload> result) {
-        send_reply(src, id, tag, result);
+        send_reply(src, id, tag, std::move(result));
       });
       return;
     }
@@ -144,7 +145,7 @@ void RpcEndpoint::on_message(const simnet::Address& src, Payload msg) {
         it == handlers_.end()
             ? Result<Payload>(Errc::not_found, "no handler for tag " + std::to_string(tag))
             : it->second(src, body);
-    send_reply(src, id, tag, result);
+    send_reply(src, id, tag, std::move(result));
     return;
   }
 

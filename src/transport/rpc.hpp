@@ -156,10 +156,10 @@ class RpcEndpoint {
                           ResponseHandler done, SimDuration timeout);
   void on_message(const simnet::Address& src, Payload msg);
   void send_reply(const simnet::Address& src, std::uint64_t id, std::uint32_t tag,
-                  const Result<Payload>& result);
+                  Result<Payload> result);
   /// The frame for `kind`, `id`, `tag` and `body`; requests and
   /// notifications (`with_auth`) append the authenticator blob.
-  Payload frame(Kind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
+  Payload frame(Kind kind, std::uint64_t id, std::uint32_t tag, Payload body,
                 bool with_auth) const;
   Bytes authenticator(const Payload& body) const;
 

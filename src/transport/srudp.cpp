@@ -179,7 +179,7 @@ void SrudpEndpoint::send_fragment(Peer peer, PeerOut& out, OutMessage& msg,
                 {{"frag", std::to_string(index)}, {"path", path.empty() ? "auto" : path}});
   }
   ++out.inflight;
-  raw_send(peer, &out, encode_data(p, config_.checksum));
+  raw_send(peer, &out, encode_packet(PacketType::data, p, config_.checksum));
 }
 
 void SrudpEndpoint::raw_send(Peer peer, PeerOut* out, Payload wire) {
@@ -248,7 +248,8 @@ void SrudpEndpoint::on_rto(Peer peer) {
     }
   }
   raw_send(peer, &out,
-           encode_msg_id(PacketType::probe, {out.queue.front().msg_id}, config_.checksum));
+           encode_packet(PacketType::probe, MsgIdPacket{out.queue.front().msg_id},
+                         config_.checksum));
   out.rtt.backoff();
   arm_rto(peer);
 }
@@ -286,25 +287,25 @@ void SrudpEndpoint::on_packet(const simnet::Packet& packet) {
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
-      auto p = decode_data(packet.payload);
+      auto p = decode_packet<DataPacket>(packet.payload);
       if (verified(p)) on_data(peer, p.value());
       break;
     }
     case PacketType::status:
     case PacketType::status_ck: {
-      auto p = decode_status(packet.payload);
+      auto p = decode_packet<StatusPacket>(packet.payload);
       if (verified(p)) on_status(peer, p.value());
       break;
     }
     case PacketType::msg_ack:
     case PacketType::msg_ack_ck: {
-      auto p = decode_msg_id(packet.payload);
+      auto p = decode_packet<MsgIdPacket>(packet.payload);
       if (verified(p)) on_msg_ack(peer, p.value().msg_id);
       break;
     }
     case PacketType::probe:
     case PacketType::probe_ck: {
-      auto p = decode_msg_id(packet.payload);
+      auto p = decode_packet<MsgIdPacket>(packet.payload);
       if (verified(p)) on_probe(peer, p.value().msg_id);
       break;
     }
@@ -318,12 +319,14 @@ void SrudpEndpoint::on_data(Peer peer, const DataPacket& p) {
   PeerIn& in = in_[peer];
   if (p.msg_id < in.next_deliver) {
     // Already delivered (or skipped): the MSG_ACK was lost; repeat it.
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}, config_.checksum));
+    raw_send(peer, nullptr,
+             encode_packet(PacketType::msg_ack, MsgIdPacket{p.msg_id}, config_.checksum));
     ++stats_.duplicate_fragments;
     return;
   }
   if (in.complete.count(p.msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {p.msg_id}, config_.checksum));
+    raw_send(peer, nullptr,
+             encode_packet(PacketType::msg_ack, MsgIdPacket{p.msg_id}, config_.checksum));
     ++stats_.duplicate_fragments;
     return;
   }
@@ -418,7 +421,8 @@ void SrudpEndpoint::on_complete(Peer peer, PeerIn& in, std::uint64_t msg_id, Pay
     tracer.flow(engine_.now(), obs::TraceEvent::Phase::flow_step, "flow", "srudp.reassemble",
                 flow_id(peer, /*inbound=*/true, msg_id),
                 {{"msg", std::to_string(msg_id)}, {"bytes", std::to_string(assembled.size())}});
-  raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}, config_.checksum));
+  raw_send(peer, nullptr,
+           encode_packet(PacketType::msg_ack, MsgIdPacket{msg_id}, config_.checksum));
   if (msg_id == in.next_deliver)
     deliver(peer, in, std::move(assembled));
   else
@@ -461,7 +465,7 @@ void SrudpEndpoint::send_status(Peer peer, std::uint64_t msg_id,
   p.frag_count = msg.frag_count;
   p.bitmap = msg.have.to_bytes();
   ++stats_.status_sent;
-  raw_send(peer, nullptr, encode_status(p, config_.checksum));
+  raw_send(peer, nullptr, encode_packet(PacketType::status, p, config_.checksum));
 }
 
 void SrudpEndpoint::deliver(Peer peer, PeerIn& in, Payload payload) {
@@ -629,7 +633,8 @@ void SrudpEndpoint::on_msg_ack(Peer peer, std::uint64_t msg_id) {
 void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
   PeerIn& in = in_[peer];
   if (msg_id < in.next_deliver || in.complete.count(msg_id)) {
-    raw_send(peer, nullptr, encode_msg_id(PacketType::msg_ack, {msg_id}, config_.checksum));
+    raw_send(peer, nullptr,
+             encode_packet(PacketType::msg_ack, MsgIdPacket{msg_id}, config_.checksum));
     return;
   }
   auto it = in.partial.find(msg_id);
@@ -642,7 +647,7 @@ void SrudpEndpoint::on_probe(Peer peer, std::uint64_t msg_id) {
     p.msg_id = msg_id;
     p.frag_count = 0;
     ++stats_.status_sent;
-    raw_send(peer, nullptr, encode_status(p, config_.checksum));
+    raw_send(peer, nullptr, encode_packet(PacketType::status, p, config_.checksum));
   }
 }
 

@@ -45,7 +45,7 @@ void StreamEndpoint::on_packet(const simnet::Packet& packet) {
   if (type != PacketType::syn && type != PacketType::syn_ack && type != PacketType::ack &&
       type != PacketType::seg && type != PacketType::fin && type != PacketType::rst)
     return;
-  auto p = decode_stream(packet.payload);
+  auto p = decode_packet<StreamPacket>(packet.payload);
   if (!p) return;
   const ConnKey key{{packet.src, packet.src_port}, p.value().conn_id};
   auto it = connections_.find(key);
@@ -123,7 +123,7 @@ void StreamConnection::send_control(PacketType type) {
   p.seq = snd_nxt;
   p.ack = rcv_nxt;
   p.window = static_cast<std::uint32_t>(kReceiveWindow);
-  endpoint_->raw_send(peer_ep_, encode_stream(type, p));
+  endpoint_->raw_send(peer_ep_, encode_packet(type, p));
 }
 
 void StreamConnection::send_message(Payload message) {
@@ -134,7 +134,7 @@ void StreamConnection::send_message(Payload message) {
         flow, {{"peer", peer_.to_string()}, {"bytes", std::to_string(message.size())}});
   // Splice the frame header (pooled scratch) and the caller's message
   // buffer into one frame without copying either.
-  Payload frame = encode_stream_frame(message);
+  Payload frame = encode_payload(message);
   send_end_ += frame.size();
   send_frames_.push_back(Frame{std::move(frame), send_end_, ordinal, endpoint_->engine().now()});
   if (state_ == State::established) pump();
@@ -188,7 +188,7 @@ void StreamConnection::send_segment(std::uint64_t seq, std::size_t len, bool ret
         endpoint_->engine().now(), obs::TraceEvent::Phase::flow_step, "flow",
         retransmission ? "stream.retransmit" : "stream.tx", flow,
         {{"seq", std::to_string(seq)}, {"len", std::to_string(len)}});
-  endpoint_->raw_send(peer_ep_, encode_stream(PacketType::seg, p));
+  endpoint_->raw_send(peer_ep_, encode_packet(PacketType::seg, p));
 }
 
 void StreamConnection::arm_rto() {

@@ -5,41 +5,28 @@
 namespace snipe::transport {
 
 namespace {
-PayloadWriter begin(PacketType type) {
-  PayloadWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  return w;
-}
-
-Result<PayloadCursor> open(const Payload& wire) {
-  PayloadCursor r(wire);
-  auto type = r.u8();
-  if (!type) return type.error();
-  return r;
+PacketType checksummed(PacketType t) {
+  switch (t) {
+    case PacketType::data: return PacketType::data_ck;
+    case PacketType::status: return PacketType::status_ck;
+    case PacketType::msg_ack: return PacketType::msg_ack_ck;
+    case PacketType::probe: return PacketType::probe_ck;
+    default: return t;
+  }
 }
 
 bool is_checksummed(PacketType t) {
-  return t == PacketType::data_ck || t == PacketType::status_ck ||
-         t == PacketType::msg_ack_ck || t == PacketType::probe_ck;
+  return PacketType::data_ck <= t && t <= PacketType::probe_ck;
 }
 
-// Ends a packet; a checksummed twin gets the FNV-1a of its bytes appended.
-Payload finish(PayloadWriter&& w, bool with_checksum) {
-  Payload p = std::move(w).take();
-  if (!with_checksum) return p;
-  PayloadWriter out;
-  out.append(p);
-  out.u32(payload_checksum(p));
-  return std::move(out).take();
-}
-
-// The bytes a decoder parses: `wire` itself or, for a checksummed twin, its
-// bytes before the trailer (kept in `held`); `ok` reports whether the
-// trailer matched them.
-Result<const Payload*> unseal(const Payload& wire, Payload& held, bool& ok) {
-  ok = true;
-  if (wire.empty() || !is_checksummed(static_cast<PacketType>(wire[0]))) return &wire;
-  if (wire.size() < 5) return Error{Errc::corrupt, "short checksummed packet"};
+// The bytes a packet's fields are read from: `wire` itself or, for a
+// checksummed twin, its bytes before the trailer (kept in `held`); `ok`
+// reports whether the trailer matched them.  nullptr when `wire` is too
+// short to hold its type (and a twin's trailer).
+const Payload* unseal(const Payload& wire, Payload& held, bool& ok) {
+  if (wire.empty()) return nullptr;
+  if (!is_checksummed(static_cast<PacketType>(wire[0]))) return &wire;
+  if (wire.size() < 5) return nullptr;
   const std::size_t n = wire.size() - 4;
   held = wire.slice(0, n);
   std::uint32_t sum = 0;
@@ -47,11 +34,6 @@ Result<const Payload*> unseal(const Payload& wire, Payload& held, bool& ok) {
   ok = payload_checksum(held) == sum;
   return &held;
 }
-
-// A flipped length field can shrink a blob and leave stray bytes after the
-// last field; a decoder that ignores them would accept a structurally
-// mangled packet, so every decode_* ends with this check.
-Error trailing_bytes() { return Error{Errc::corrupt, "trailing bytes"}; }
 }  // namespace
 
 std::uint64_t mint_flow(std::string_view from_host, std::uint16_t from_port,
@@ -79,274 +61,67 @@ std::uint32_t payload_checksum(const Payload& p) {
   return h;
 }
 
-Payload encode_data(const DataPacket& p, bool with_checksum) {
-  auto w = begin(with_checksum ? PacketType::data_ck : PacketType::data);
-  w.u64(p.msg_id);
-  w.u32(p.frag_index);
-  w.u32(p.frag_count);
-  w.u32(p.total_len);
-  w.blob(p.payload);
-  return finish(std::move(w), with_checksum);
+Result<void> check_fragment(std::uint32_t index, std::uint32_t count, std::uint32_t total_len) {
+  if (count == 0 || index >= count) return Error{Errc::corrupt, "bad fragment indices"};
+  if (count > kMaxWireFragments) return Error{Errc::corrupt, "absurd fragment count"};
+  if (count > 1 && total_len == 0)
+    return Error{Errc::corrupt, "multi-fragment message with zero length"};
+  return ok_result();
 }
 
-Payload encode_status(const StatusPacket& p, bool with_checksum) {
-  auto w = begin(with_checksum ? PacketType::status_ck : PacketType::status);
-  w.u64(p.msg_id);
-  w.u32(p.frag_count);
-  w.blob(p.bitmap);
-  return finish(std::move(w), with_checksum);
-}
-
-Payload encode_msg_id(PacketType type, const MsgIdPacket& p, bool with_checksum) {
-  if (with_checksum)
-    type = type == PacketType::probe ? PacketType::probe_ck : PacketType::msg_ack_ck;
-  auto w = begin(type);
-  w.u64(p.msg_id);
-  return finish(std::move(w), with_checksum);
-}
-
-Payload encode_stream(PacketType type, const StreamPacket& p) {
-  auto w = begin(type);
-  w.u32(p.conn_id);
-  w.u64(p.seq);
-  w.u64(p.ack);
-  w.u32(p.window);
-  w.blob(p.payload);
-  return std::move(w).take();
-}
-
-Payload encode_mcast_data(const McastDataPacket& p) {
-  auto w = begin(PacketType::mdata);
-  w.str(p.group);
-  w.u64(p.msg_id);
-  w.u32(p.frag_index);
-  w.u32(p.frag_count);
-  w.u32(p.total_len);
-  w.u64(static_cast<std::uint64_t>(p.born));
-  w.blob(p.payload);
-  return std::move(w).take();
-}
-
-Payload encode_mcast_nack(const McastNackPacket& p) {
-  auto w = begin(PacketType::mnack);
-  w.str(p.group);
-  w.u64(p.msg_id);
-  w.u32(static_cast<std::uint32_t>(p.missing.size()));
-  for (auto idx : p.missing) w.u32(idx);
-  return std::move(w).take();
+template <class P>
+Payload encode_packet(PacketType type, const P& p, bool with_checksum) {
+  PayloadWriter w;
+  w.u8(static_cast<std::uint8_t>(with_checksum ? checksummed(type) : type));
+  codec::Writer<PayloadWriter> io(w);
+  io(p);
+  Payload packet = std::move(w).take();
+  if (with_checksum) {
+    PayloadWriter sealed;
+    sealed.append(packet);
+    sealed.u32(payload_checksum(packet));
+    packet = std::move(sealed).take();
+  }
+  return packet;
 }
 
 Result<PacketHead> decode_head(const Payload& wire) {
-  PayloadCursor r(wire);
-  auto type = r.u8();
-  if (!type) return type.error();
-  return PacketHead{static_cast<PacketType>(type.value())};
+  if (wire.empty()) return Error{Errc::corrupt, "empty packet"};
+  return PacketHead{static_cast<PacketType>(wire[0])};
 }
 
-Result<DataPacket> decode_data(const Payload& wire) {
-  DataPacket p;
+template <class P>
+Result<P> decode_packet(const Payload& wire) {
   Payload held;
-  auto body = unseal(wire, held, p.checksum_ok);
-  if (!body) return body.error();
-  PayloadCursor r(*body.value());
-  auto type = r.u8();
-  if (!type) return type.error();
-  p.has_checksum = static_cast<PacketType>(type.value()) == PacketType::data_ck;
-  auto msg_id = r.u64();
-  if (!msg_id) return msg_id.error();
-  p.msg_id = msg_id.value();
-  auto frag_index = r.u32();
-  if (!frag_index) return frag_index.error();
-  p.frag_index = frag_index.value();
-  auto frag_count = r.u32();
-  if (!frag_count) return frag_count.error();
-  p.frag_count = frag_count.value();
-  auto total_len = r.u32();
-  if (!total_len) return total_len.error();
-  p.total_len = total_len.value();
-  auto payload = r.blob();
-  if (!payload) return payload.error();
-  p.payload = std::move(payload).take();
-  if (p.frag_count == 0 || p.frag_index >= p.frag_count)
-    return Error{Errc::corrupt, "bad fragment indices"};
-  if (p.frag_count > kMaxWireFragments)
-    return Error{Errc::corrupt, "absurd fragment count"};
-  if (p.frag_count > 1 && p.total_len == 0)
-    return Error{Errc::corrupt, "multi-fragment message with zero length"};
-  if (r.remaining() != 0) return trailing_bytes();
-  return p;
-}
-
-Result<StatusPacket> decode_status(const Payload& wire) {
-  StatusPacket p;
-  Payload held;
-  auto body = unseal(wire, held, p.checksum_ok);
-  if (!body) return body.error();
-  auto r = open(*body.value());
-  if (!r) return r.error();
-  auto msg_id = r.value().u64();
-  if (!msg_id) return msg_id.error();
-  p.msg_id = msg_id.value();
-  auto frag_count = r.value().u32();
-  if (!frag_count) return frag_count.error();
-  p.frag_count = frag_count.value();
-  auto bitmap = r.value().blob();
-  if (!bitmap) return bitmap.error();
-  p.bitmap = bitmap.value().to_bytes();
-  if (p.frag_count > kMaxWireFragments)
-    return Error{Errc::corrupt, "absurd status fragment count"};
-  if (p.bitmap.size() * 8 < p.frag_count)
-    return Error{Errc::corrupt, "status bitmap too small"};
-  if (r.value().remaining() != 0) return trailing_bytes();
-  return p;
-}
-
-Result<MsgIdPacket> decode_msg_id(const Payload& wire) {
-  MsgIdPacket p;
-  Payload held;
-  auto body = unseal(wire, held, p.checksum_ok);
-  if (!body) return body.error();
-  auto r = open(*body.value());
-  if (!r) return r.error();
-  auto msg_id = r.value().u64();
-  if (!msg_id) return msg_id.error();
-  p.msg_id = msg_id.value();
-  if (r.value().remaining() != 0) return trailing_bytes();
-  return p;
-}
-
-Result<StreamPacket> decode_stream(const Payload& wire) {
-  auto r = open(wire);
-  if (!r) return r.error();
-  StreamPacket p;
-  auto conn_id = r.value().u32();
-  if (!conn_id) return conn_id.error();
-  p.conn_id = conn_id.value();
-  auto seq = r.value().u64();
-  if (!seq) return seq.error();
-  p.seq = seq.value();
-  auto ack = r.value().u64();
-  if (!ack) return ack.error();
-  p.ack = ack.value();
-  auto window = r.value().u32();
-  if (!window) return window.error();
-  p.window = window.value();
-  auto payload = r.value().blob();
-  if (!payload) return payload.error();
-  p.payload = std::move(payload).take();
-  if (r.value().remaining() != 0) return trailing_bytes();
-  return p;
-}
-
-Result<McastDataPacket> decode_mcast_data(const Payload& wire) {
-  auto r = open(wire);
-  if (!r) return r.error();
-  McastDataPacket p;
-  auto group = r.value().str();
-  if (!group) return group.error();
-  p.group = group.value();
-  auto msg_id = r.value().u64();
-  if (!msg_id) return msg_id.error();
-  p.msg_id = msg_id.value();
-  auto frag_index = r.value().u32();
-  if (!frag_index) return frag_index.error();
-  p.frag_index = frag_index.value();
-  auto frag_count = r.value().u32();
-  if (!frag_count) return frag_count.error();
-  p.frag_count = frag_count.value();
-  auto total_len = r.value().u32();
-  if (!total_len) return total_len.error();
-  p.total_len = total_len.value();
-  auto born = r.value().u64();
-  if (!born) return born.error();
-  p.born = static_cast<std::int64_t>(born.value());
-  auto payload = r.value().blob();
-  if (!payload) return payload.error();
-  p.payload = std::move(payload).take();
-  if (p.frag_count == 0 || p.frag_index >= p.frag_count)
-    return Error{Errc::corrupt, "bad multicast fragment indices"};
-  if (p.frag_count > kMaxWireFragments)
-    return Error{Errc::corrupt, "absurd multicast fragment count"};
-  if (p.frag_count > 1 && p.total_len == 0)
-    return Error{Errc::corrupt, "multi-fragment multicast with zero length"};
-  if (r.value().remaining() != 0) return trailing_bytes();
-  return p;
-}
-
-Result<McastNackPacket> decode_mcast_nack(const Payload& wire) {
-  auto r = open(wire);
-  if (!r) return r.error();
-  McastNackPacket p;
-  auto group = r.value().str();
-  if (!group) return group.error();
-  p.group = group.value();
-  auto msg_id = r.value().u64();
-  if (!msg_id) return msg_id.error();
-  p.msg_id = msg_id.value();
-  auto count = r.value().u32();
-  if (!count) return count.error();
-  if (count.value() > kMaxWireFragments) return Error{Errc::corrupt, "absurd NACK count"};
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto idx = r.value().u32();
-    if (!idx) return idx.error();
-    p.missing.push_back(idx.value());
+  bool checksum_ok = true;
+  const Payload* body = unseal(wire, held, checksum_ok);
+  Result<P> p = body != nullptr ? decode_tagged<P>(*body)
+                                : Result<P>(Errc::corrupt, "short packet");
+  if (p) {
+    if constexpr (requires(P& q) { q.checksum_ok; }) p.value().checksum_ok = checksum_ok;
+    if constexpr (requires(P& q) { q.has_checksum; })
+      p.value().has_checksum = static_cast<PacketType>(wire[0]) == PacketType::data_ck;
   }
-  if (r.value().remaining() != 0) return trailing_bytes();
   return p;
 }
 
-Payload encode_rpc(RpcKind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
-                   const Bytes* auth) {
-  constexpr std::size_t kSpliceMin = 512;
-  PayloadWriter w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(id);
-  w.u32(tag);
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  for (std::size_t i = 0; i < body.segment_count(); ++i) {
-    const Payload::Segment& s = body.segment(i);
-    if (s.len < kSpliceMin)
-      w.raw(s.data(), s.len);
-    else
-      w.append(Payload(s.buf, s.off, s.len));
-  }
-  if (auth != nullptr) w.blob(*auth);
-  return std::move(w).take();
-}
-
-Result<RpcFrame> decode_rpc(const Payload& wire) {
-  PayloadCursor r(wire);
-  RpcFrame f;
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  f.kind = static_cast<RpcKind>(kind.value());
-  auto id = r.u64();
-  if (!id) return id.error();
-  f.id = id.value();
-  auto tag = r.u32();
-  if (!tag) return tag.error();
-  f.tag = tag.value();
-  auto body = r.blob();
-  if (!body) return body.error();
-  f.body = std::move(body).take();
-  if (f.kind == RpcKind::request || f.kind == RpcKind::oneway) {
-    auto auth = r.blob();
-    if (!auth) return auth.error();
-    f.auth = std::move(auth).take();
-  }
-  if (r.remaining() != 0) return trailing_bytes();
-  return f;
-}
-
-Payload encode_stream_frame(const Payload& message) {
-  PayloadWriter w;
-  w.blob(message);
-  return std::move(w).take();
-}
+template Payload encode_packet(PacketType, const DataPacket&, bool);
+template Payload encode_packet(PacketType, const StatusPacket&, bool);
+template Payload encode_packet(PacketType, const MsgIdPacket&, bool);
+template Payload encode_packet(PacketType, const StreamPacket&, bool);
+template Payload encode_packet(PacketType, const McastDataPacket&, bool);
+template Payload encode_packet(PacketType, const McastNackPacket&, bool);
+template Result<DataPacket> decode_packet(const Payload&);
+template Result<StatusPacket> decode_packet(const Payload&);
+template Result<MsgIdPacket> decode_packet(const Payload&);
+template Result<StreamPacket> decode_packet(const Payload&);
+template Result<McastDataPacket> decode_packet(const Payload&);
+template Result<McastNackPacket> decode_packet(const Payload&);
 
 std::uint32_t stream_frame_length(const Payload& buffer) {
-  PayloadCursor r(buffer);
-  return r.u32().value();
+  std::uint32_t len = 0;
+  for (std::size_t i = 0; i < kStreamFrameHeaderBytes; ++i) len = len << 8 | buffer[i];
+  return len;
 }
 
 bool bitmap_get(const Bytes& bitmap, std::uint32_t index) {

@@ -10,11 +10,12 @@
 // minted at each end from the link's endpoints and the message's ordinal
 // (mint_flow), so neither rides the wire.
 //
-// Encoders produce a Payload whose byte sequence is exactly what the old
-// ByteWriter emitted: a small pooled header segment followed by the data
-// segments spliced in by reference.  A DATA fragment therefore *aliases*
-// the sender's message buffer instead of copying its slice, and decoders
-// return payload fields as zero-copy slices of the received packet.
+// Every packet is a record with one field list (util/codec.hpp), walked by
+// encode_packet and decode_packet: a small pooled header segment followed
+// by the data segments spliced in by reference, so a DATA fragment
+// *aliases* the sender's message buffer instead of copying its slice, and
+// a decoded payload field is a zero-copy slice of the received packet.  A
+// record's check() holds its domain rules (fragment bounds, bitmap size).
 #pragma once
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include <string_view>
 
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/payload.hpp"
 #include "util/result.hpp"
 #include "util/time.hpp"
@@ -55,6 +57,18 @@ enum class PacketType : std::uint8_t {
   mnack = 21,
 };
 
+/// Upper bound on the fragment count any decoder will accept.  Wire data
+/// is untrusted (§4): without a bound, a single hostile or bit-flipped
+/// header could make a receiver allocate gigabytes of reassembly state.
+/// 2^20 fragments at the minimum fragment size is already a ~256 MB
+/// message, far beyond anything the testbed moves.
+constexpr std::uint32_t kMaxWireFragments = 1u << 20;
+
+/// The fragment rules DATA and multicast data share: a real index below a
+/// count of at most kMaxWireFragments, and a nonzero length on a message
+/// of more than one fragment.
+Result<void> check_fragment(std::uint32_t index, std::uint32_t count, std::uint32_t total_len);
+
 /// Common prefix of every transport packet.
 struct PacketHead {
   PacketType type;
@@ -70,6 +84,11 @@ struct DataPacket {
   Payload payload;
   bool has_checksum = false;    ///< wire type was data_ck
   bool checksum_ok = true;      ///< checksum verified (always true for data)
+
+  template <class Io> void fields(Io& io) {
+    io(msg_id, frag_index, frag_count, total_len, payload);
+  }
+  Result<void> check() const { return check_fragment(frag_index, frag_count, total_len); }
 };
 
 /// SRUDP STATUS: which fragments of `msg_id` the receiver holds.
@@ -78,12 +97,21 @@ struct StatusPacket {
   std::uint32_t frag_count = 0;
   Bytes bitmap;  ///< frag_count bits, little-endian within bytes
   bool checksum_ok = true;  ///< status_ck's checksum verified (true for status)
+
+  template <class Io> void fields(Io& io) { io(msg_id, frag_count, bitmap); }
+  Result<void> check() const {
+    if (frag_count > kMaxWireFragments) return Error{Errc::corrupt, "absurd fragment count"};
+    if (bitmap.size() * 8 < frag_count) return Error{Errc::corrupt, "status bitmap too small"};
+    return ok_result();
+  }
 };
 
 /// SRUDP MSG_ACK / PROBE carry just the message id.
 struct MsgIdPacket {
   std::uint64_t msg_id = 0;
   bool checksum_ok = true;  ///< a _ck twin's checksum verified (true otherwise)
+
+  template <class Io> void fields(Io& io) { io(msg_id); }
 };
 
 /// Stream segment (also used, payload-less, for SYN/SYN_ACK/ACK/FIN/RST).
@@ -93,6 +121,8 @@ struct StreamPacket {
   std::uint64_t ack = 0;       ///< cumulative ack (next expected offset)
   std::uint32_t window = 0;    ///< receiver's advertised window
   Payload payload;
+
+  template <class Io> void fields(Io& io) { io(conn_id, seq, ack, window, payload); }
 };
 
 /// Multicast data: like DataPacket plus the group it belongs to.
@@ -106,6 +136,11 @@ struct McastDataPacket {
                              ///< acks, so receivers compute delivery latency
                              ///< from the shared virtual clock)
   Payload payload;
+
+  template <class Io> void fields(Io& io) {
+    io(group, msg_id, frag_index, frag_count, total_len, born, payload);
+  }
+  Result<void> check() const { return check_fragment(frag_index, frag_count, total_len); }
 };
 
 /// Multicast NACK: fragments a receiver is missing.
@@ -113,10 +148,16 @@ struct McastNackPacket {
   std::string group;
   std::uint64_t msg_id = 0;
   std::vector<std::uint32_t> missing;
+
+  template <class Io> void fields(Io& io) { io(group, msg_id, missing); }
+  Result<void> check() const {
+    if (missing.size() > kMaxWireFragments) return Error{Errc::corrupt, "absurd NACK count"};
+    return ok_result();
+  }
 };
 
-/// RPC frame (transport/rpc.hpp): u8 kind, u64 call id, u32 tag, blob body
-/// and, on requests and notifications, blob authenticator.
+/// RPC frame (transport/rpc.hpp), the message SRUDP carries for an RPC
+/// endpoint: encode_payload(frame) and decode<RpcFrame>(message).
 enum class RpcKind : std::uint8_t { request = 1, response = 2, error = 3, oneway = 4 };
 struct RpcFrame {
   RpcKind kind = RpcKind::request;
@@ -124,14 +165,13 @@ struct RpcFrame {
   std::uint32_t tag = 0;
   Payload body;  ///< zero-copy slice of the received frame
   Payload auth;  ///< requests and notifications only
-};
 
-/// Upper bound on the fragment count any decoder will accept.  Wire data
-/// is untrusted (§4): without a bound, a single hostile or bit-flipped
-/// header could make a receiver allocate gigabytes of reassembly state.
-/// 2^20 fragments at the minimum fragment size is already a ~256 MB
-/// message, far beyond anything the testbed moves.
-constexpr std::uint32_t kMaxWireFragments = 1u << 20;
+  // copy_small: a control-sized body costs the frame no segment of its own.
+  template <class Io> void fields(Io& io) {
+    io(kind, id, tag, codec::copy_small(body));
+    if (kind == RpcKind::request || kind == RpcKind::oneway) io(codec::copy_small(auth));
+  }
+};
 
 /// Number of bytes the SRUDP DATA header occupies on the wire; used to
 /// compute fragment payload budgets from the MTU: type, msg_id,
@@ -157,42 +197,25 @@ std::uint64_t mint_flow(std::string_view from_host, std::uint16_t from_port,
 /// checksum.  The 1998 wire format had none; see SrudpConfig::checksum.
 std::uint32_t payload_checksum(const Payload& p);
 
-/// `with_checksum` emits the checksummed twin (data_ck, status_ck,
-/// msg_ack_ck, probe_ck); the default emits the bare 1998 format
-/// byte-for-byte.  encode_msg_id's `type` is msg_ack or probe.
-Payload encode_data(const DataPacket& p, bool with_checksum = false);
-Payload encode_status(const StatusPacket& p, bool with_checksum = false);
-Payload encode_msg_id(PacketType type, const MsgIdPacket& p, bool with_checksum = false);
-Payload encode_stream(PacketType type, const StreamPacket& p);
-Payload encode_mcast_data(const McastDataPacket& p);
-Payload encode_mcast_nack(const McastNackPacket& p);
+/// The packet `p` under `type`.  `with_checksum` emits type's checksummed
+/// twin (data_ck, status_ck, msg_ack_ck, probe_ck) with its FNV-1a trailer;
+/// the default emits the bare 1998 format byte-for-byte.  P is one of the
+/// six packet records above.
+template <class P>
+Payload encode_packet(PacketType type, const P& p, bool with_checksum = false);
 
 /// Peeks the packet type; fails on an empty packet.
 Result<PacketHead> decode_head(const Payload& wire);
-/// The SRUDP decoders accept a packet and its checksummed twin; for the
-/// twin the checksum is verified and reported via checksum_ok (the caller
-/// decides whether to reject, so it can count rejects separately from
-/// undecodable packets).
-Result<DataPacket> decode_data(const Payload& wire);
-Result<StatusPacket> decode_status(const Payload& wire);
-Result<MsgIdPacket> decode_msg_id(const Payload& wire);
-Result<StreamPacket> decode_stream(const Payload& wire);
-Result<McastDataPacket> decode_mcast_data(const Payload& wire);
-Result<McastNackPacket> decode_mcast_nack(const Payload& wire);
+/// The packet `wire` as a P, whose fields must fill it exactly.  A
+/// checksummed twin's trailer is verified and reported in P's checksum_ok
+/// (the caller decides whether to reject, so it can count rejects
+/// separately from undecodable packets).
+template <class P>
+Result<P> decode_packet(const Payload& wire);
 
-/// An RPC frame; `auth` is the authenticator of a request or notification.
-/// Body segments shorter than 512 bytes are copied into the frame's pooled
-/// header chunk instead of spliced by reference: a small control body then
-/// costs no segment, and a frame stays within Payload's two inline
-/// segments (a third spills to the heap) unless its body carries bulk data.
-Payload encode_rpc(RpcKind kind, std::uint64_t id, std::uint32_t tag, const Payload& body,
-                   const Bytes* auth);
-Result<RpcFrame> decode_rpc(const Payload& wire);
-/// A stream message framed for the byte stream: its u32 length, then the
-/// message spliced in by reference.
-Payload encode_stream_frame(const Payload& message);
 /// The length of the stream frame at the front of `buffer`, which holds
-/// at least kStreamFrameHeaderBytes.
+/// at least kStreamFrameHeaderBytes.  A stream message rides the byte
+/// stream as a blob, encode_payload(message).
 std::uint32_t stream_frame_length(const Payload& buffer);
 
 /// Fragment bitmap helpers.

@@ -14,9 +14,9 @@
 //   * PayloadWriter/PayloadCursor (util/payload.hpp) over segmented,
 //     ref-counted Payloads, which splice message bodies in and slice them
 //     out without copying.
-// Both produce the same bytes for the same field sequence.  Only the
-// transport headers (transport/wire.cpp), on the per-fragment hot path,
-// drive the back ends by hand.
+// Both produce the same bytes for the same field sequence.  Nothing outside
+// src/util/ drives the back ends by hand: transport packets and RPC frames
+// are records too (transport/wire.hpp).
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,7 @@
 //   std::array<u8, N>    N raw bytes (XDR fixed-length opaque)
 //   std::array<T, N>     u32 count, which must equal N, then the elements
 //   in_blob(f...)        a blob holding the fields f... (a nested encoding)
+//   copy_small(p)        a Payload blob; PayloadWriter copies short segments
 //   a record             its own fields()
 // A count larger than the bytes left is rejected before anything is
 // allocated: every element takes at least one byte.  A record may add
@@ -33,8 +34,8 @@
 // decode.  A top-level decode rejects trailing bytes.
 //
 // Back ends: ByteWriter/ByteReader over flat Bytes, PayloadWriter/
-// PayloadCursor over segmented Payloads (RPC bodies that carry zero-copy
-// chunks).  Both produce the same bytes.
+// PayloadCursor over segmented Payloads (transport packets and RPC bodies
+// that carry zero-copy chunks).  Both produce the same bytes.
 #pragma once
 
 #include <algorithm>
@@ -68,6 +69,17 @@ template <class... F>
 InBlob<F...> in_blob(F&&... f) {
   return {std::tuple<F...>(std::forward<F>(f)...)};
 }
+
+/// A Payload field that a PayloadWriter splices only segment by segment
+/// from kSpliceMin bytes up, copying shorter ones into its pooled header
+/// chunk: a small RPC body then costs the frame no segment of its own, and
+/// the frame stays within Payload's two inline segments.  Same bytes as a
+/// plain Payload field; reads back as one.
+struct CopySmall {
+  static constexpr std::size_t kSpliceMin = 512;
+  Payload& payload;
+};
+inline CopySmall copy_small(Payload& p) { return {p}; }
 
 template <class T> struct is_sequence : std::false_type {};
 template <class T> struct is_sequence<std::vector<T>> : std::true_type {};
@@ -122,6 +134,19 @@ class Writer {
         w_.u32(static_cast<std::uint32_t>(v.size()));
         for (std::size_t i = 0; i < v.segment_count(); ++i)
           w_.raw(v.segment(i).data(), v.segment(i).len);
+      }
+    } else if constexpr (std::is_same_v<T, CopySmall>) {
+      if constexpr (std::is_same_v<W, PayloadWriter>) {
+        w_.u32(static_cast<std::uint32_t>(v.payload.size()));
+        for (std::size_t i = 0; i < v.payload.segment_count(); ++i) {
+          const Payload::Segment& s = v.payload.segment(i);
+          if (s.len < CopySmall::kSpliceMin)
+            w_.raw(s.data(), s.len);
+          else
+            w_.append(Payload(s.buf, s.off, s.len));
+        }
+      } else {
+        put(v.payload);
       }
     } else if constexpr (is_sequence<T>::value) {
       w_.u32(static_cast<std::uint32_t>(v.size()));
@@ -212,6 +237,8 @@ class Reader {
         v = b.value().to_bytes();
       else
         v = std::move(b).take();
+    } else if constexpr (std::is_same_v<T, CopySmall>) {
+      get(v.payload);
     } else if constexpr (is_sequence<T>::value) {
       std::uint32_t n = 0;
       if (!take(r_.u32(), n)) return;
@@ -301,6 +328,15 @@ Result<T> decode(const Bytes& b) {
 template <class T>
 Result<T> decode(const Payload& p) {
   PayloadCursor r(p);
+  return codec::read_whole<T>(r);
+}
+
+/// decode<T> of the bytes after `p`'s first, a tag the caller has already
+/// read (a transport packet's type).
+template <class T>
+Result<T> decode_tagged(const Payload& p) {
+  PayloadCursor r(p);
+  if (auto tag = r.u8(); !tag) return tag.error();
   return codec::read_whole<T>(r);
 }
 

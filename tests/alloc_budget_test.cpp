@@ -1,6 +1,6 @@
 // Allocation budgets of the transport data plane: heap allocations per
 // delivered message on a clean myrinet pair and over a routed 3-hop path,
-// counted by this binary's own operator new.  Unlike bench_datapath's
+// counted by the operator new of counting_alloc.cpp.  Unlike bench_datapath's
 // wall-clock numbers, an allocation count is deterministic, so a budget
 // here catches a regression on the per-message path (a copied segment
 // list, a string key, a closure that spills out of EventFn) that the noisy
@@ -16,30 +16,10 @@
 // process) and in a full-binary run in any order.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "counting_alloc.hpp"
 #include "simnet/media.hpp"
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace snipe::transport {
 namespace {
@@ -106,9 +86,9 @@ double srudp_allocs_per_msg(std::size_t size, int count) {
   };
   batch();
   fill_header_pool();
-  const std::uint64_t start = g_allocs.load();
+  const std::uint64_t start = heap_allocs();
   batch();
-  const std::uint64_t allocs = g_allocs.load() - start;
+  const std::uint64_t allocs = heap_allocs() - start;
   EXPECT_EQ(delivered, 2 * count);
   return static_cast<double>(allocs) / count;
 }
@@ -130,9 +110,9 @@ double stream_allocs_per_msg(std::size_t size, int count) {
   };
   batch();  // warm-up, as in srudp_allocs_per_msg
   fill_header_pool();
-  const std::uint64_t start = g_allocs.load();
+  const std::uint64_t start = heap_allocs();
   batch();
-  const std::uint64_t allocs = g_allocs.load() - start;
+  const std::uint64_t allocs = heap_allocs() - start;
   EXPECT_EQ(delivered, 2 * count);
   EXPECT_EQ(conn->unacked_bytes(), 0u);
   return static_cast<double>(allocs) / count;

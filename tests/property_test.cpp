@@ -7,20 +7,19 @@
 //   * VM checkpoint/restore at *any* interruption point resumes to an
 //     identical result;
 //   * the engine is deterministic under a fixed seed;
-//   * every control-plane record round-trips through its one field list,
-//     byte-identical to the hand-written encoders it replaced, and fails
-//     closed on truncation, trailing bytes and impossible counts.
+//   * every record, transport packets and RPC frames included, round-trips
+//     through its one field list, byte-identical to the hand-written
+//     encoders it replaced, and fails closed on truncation, trailing bytes
+//     and impossible counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <optional>
 
 #include "core/console.hpp"
 #include "core/group.hpp"
+#include "counting_alloc.hpp"
 #include "crypto/session.hpp"
 #include "daemon/daemon.hpp"
 #include "files/fileserver.hpp"
@@ -34,26 +33,6 @@
 #include "transport/srudp.hpp"
 #include "transport/stream.hpp"
 #include "transport/wire.hpp"
-
-// Counts heap allocations, as alloc_budget_test does, so the record table
-// can show that an impossible count is rejected before anything is sized
-// from it.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace snipe {
 namespace {
@@ -307,8 +286,8 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   data.payload = some_bytes(600);
   data.total_len = static_cast<std::uint32_t>(data.payload.size()) * data.frag_count;
   if (data.frag_count > 1 && data.total_len == 0) data.total_len = 1;
-  out.push_back(encode_data(data).to_bytes());
-  out.push_back(encode_data(data, /*with_checksum=*/true).to_bytes());
+  out.push_back(encode_packet(PacketType::data, data).to_bytes());
+  out.push_back(encode_packet(PacketType::data, data, /*with_checksum=*/true).to_bytes());
 
   StatusPacket status;
   status.msg_id = rng.next_below(1u << 30);
@@ -316,14 +295,14 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   status.bitmap = make_bitmap(status.frag_count);
   for (std::uint32_t i = 0; i < status.frag_count; ++i)
     if (rng.chance(0.5)) bitmap_set(status.bitmap, i);
-  out.push_back(encode_status(status).to_bytes());
-  out.push_back(encode_status(status, /*with_checksum=*/true).to_bytes());
+  out.push_back(encode_packet(PacketType::status, status).to_bytes());
+  out.push_back(encode_packet(PacketType::status, status, /*with_checksum=*/true).to_bytes());
 
   const std::uint64_t ack_id = rng.next_below(1u << 30);
   const std::uint64_t probe_id = rng.next_below(1u << 30);
   for (bool ck : {false, true}) {
-    out.push_back(encode_msg_id(PacketType::msg_ack, {ack_id}, ck).to_bytes());
-    out.push_back(encode_msg_id(PacketType::probe, {probe_id}, ck).to_bytes());
+    out.push_back(encode_packet(PacketType::msg_ack, MsgIdPacket{ack_id}, ck).to_bytes());
+    out.push_back(encode_packet(PacketType::probe, MsgIdPacket{probe_id}, ck).to_bytes());
   }
 
   for (PacketType t : {PacketType::syn, PacketType::syn_ack, PacketType::ack,
@@ -334,7 +313,7 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
     s.ack = rng.next_below(1u << 20);
     s.window = static_cast<std::uint32_t>(rng.next_below(1u << 16));
     if (t == PacketType::seg) s.payload = some_bytes(400);
-    out.push_back(encode_stream(t, s).to_bytes());
+    out.push_back(encode_packet(t, s).to_bytes());
   }
 
   McastDataPacket md;
@@ -345,14 +324,14 @@ std::vector<Bytes> valid_encodings(std::uint32_t seed) {
   md.payload = some_bytes(300);
   md.total_len = static_cast<std::uint32_t>(md.payload.size()) * md.frag_count;
   if (md.frag_count > 1 && md.total_len == 0) md.total_len = 1;
-  out.push_back(encode_mcast_data(md).to_bytes());
+  out.push_back(encode_packet(PacketType::mdata, md).to_bytes());
 
   McastNackPacket nack;
   nack.group = "grp";
   nack.msg_id = rng.next_below(1u << 30);
   for (std::uint64_t i = 0, n = rng.next_below(10) + 1; i < n; ++i)
     nack.missing.push_back(static_cast<std::uint32_t>(rng.next_below(64)));
-  out.push_back(encode_mcast_nack(nack).to_bytes());
+  out.push_back(encode_packet(PacketType::mnack, nack).to_bytes());
   return out;
 }
 
@@ -364,7 +343,7 @@ bool decode_by_head(const Bytes& wire) {
   switch (head.value().type) {
     case PacketType::data:
     case PacketType::data_ck: {
-      auto p = decode_data(wire);
+      auto p = decode_packet<DataPacket>(wire);
       if (!p) return false;
       EXPECT_EQ(p.value().has_checksum, head.value().type == PacketType::data_ck);
       EXPECT_GT(p.value().frag_count, 0u);
@@ -376,10 +355,10 @@ bool decode_by_head(const Bytes& wire) {
     case PacketType::probe:
     case PacketType::msg_ack_ck:
     case PacketType::probe_ck:
-      return decode_msg_id(wire).ok();
+      return decode_packet<MsgIdPacket>(wire).ok();
     case PacketType::status:
     case PacketType::status_ck: {
-      auto p = decode_status(wire);
+      auto p = decode_packet<StatusPacket>(wire);
       if (!p) return false;
       EXPECT_LE(p.value().frag_count, kMaxWireFragments);
       EXPECT_GE(p.value().bitmap.size() * 8, p.value().frag_count);
@@ -391,9 +370,9 @@ bool decode_by_head(const Bytes& wire) {
     case PacketType::seg:
     case PacketType::fin:
     case PacketType::rst:
-      return decode_stream(wire).ok();
+      return decode_packet<StreamPacket>(wire).ok();
     case PacketType::mdata: {
-      auto p = decode_mcast_data(wire);
+      auto p = decode_packet<McastDataPacket>(wire);
       if (!p) return false;
       EXPECT_GT(p.value().frag_count, 0u);
       EXPECT_LT(p.value().frag_index, p.value().frag_count);
@@ -401,7 +380,7 @@ bool decode_by_head(const Bytes& wire) {
       return true;
     }
     case PacketType::mnack: {
-      auto p = decode_mcast_nack(wire);
+      auto p = decode_packet<McastNackPacket>(wire);
       if (!p) return false;
       EXPECT_LE(p.value().missing.size(), kMaxWireFragments);
       return true;
@@ -424,14 +403,15 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   data.frag_index = static_cast<std::uint32_t>(rng.next_below(data.frag_count));
   data.total_len = static_cast<std::uint32_t>(rng.next_below(1u << 20)) + 1;
   data.payload = some_bytes(2000);
-  auto d = decode_data(encode_data(data));
+  auto d = decode_packet<DataPacket>(encode_packet(PacketType::data, data));
   ASSERT_TRUE(d.ok()) << d.error().to_string();
   EXPECT_EQ(d.value().msg_id, data.msg_id);
   EXPECT_EQ(d.value().frag_index, data.frag_index);
   EXPECT_EQ(d.value().frag_count, data.frag_count);
   EXPECT_EQ(d.value().total_len, data.total_len);
   EXPECT_EQ(d.value().payload, data.payload);
-  auto ck = decode_data(encode_data(data, /*with_checksum=*/true));
+  auto ck =
+      decode_packet<DataPacket>(encode_packet(PacketType::data, data, /*with_checksum=*/true));
   ASSERT_TRUE(ck.ok()) << ck.error().to_string();
   EXPECT_TRUE(ck.value().has_checksum);
   EXPECT_FALSE(d.value().has_checksum);
@@ -447,16 +427,16 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   status.bitmap = make_bitmap(status.frag_count);
   for (std::uint32_t i = 0; i < status.frag_count; ++i)
     if (rng.chance(0.3)) bitmap_set(status.bitmap, i);
-  auto s = decode_status(encode_status(status));
+  auto s = decode_packet<StatusPacket>(encode_packet(PacketType::status, status));
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.value().msg_id, status.msg_id);
   EXPECT_EQ(s.value().frag_count, status.frag_count);
   EXPECT_EQ(s.value().bitmap, status.bitmap);
 
   MsgIdPacket mid{rng.next_below(1ull << 40)};
-  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::msg_ack, mid)).value().msg_id,
+  EXPECT_EQ(decode_packet<MsgIdPacket>(encode_packet(PacketType::msg_ack, mid)).value().msg_id,
             mid.msg_id);
-  EXPECT_EQ(decode_msg_id(encode_msg_id(PacketType::probe, mid)).value().msg_id,
+  EXPECT_EQ(decode_packet<MsgIdPacket>(encode_packet(PacketType::probe, mid)).value().msg_id,
             mid.msg_id);
 
   StreamPacket seg;
@@ -465,7 +445,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   seg.ack = rng.next_below(1ull << 40);
   seg.window = static_cast<std::uint32_t>(rng.next_below(1ull << 32));
   seg.payload = some_bytes(1400);
-  auto t = decode_stream(encode_stream(PacketType::seg, seg));
+  auto t = decode_packet<StreamPacket>(encode_packet(PacketType::seg, seg));
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t.value().conn_id, seg.conn_id);
   EXPECT_EQ(t.value().seq, seg.seq);
@@ -480,7 +460,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   md.frag_index = static_cast<std::uint32_t>(rng.next_below(md.frag_count));
   md.total_len = static_cast<std::uint32_t>(rng.next_below(1u << 20)) + 1;
   md.payload = some_bytes(1000);
-  auto m = decode_mcast_data(encode_mcast_data(md));
+  auto m = decode_packet<McastDataPacket>(encode_packet(PacketType::mdata, md));
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m.value().group, md.group);
   EXPECT_EQ(m.value().msg_id, md.msg_id);
@@ -494,7 +474,7 @@ TEST_P(WireFuzz, RoundTripIsLossless) {
   nack.msg_id = rng.next_below(1ull << 40);
   for (std::uint64_t i = 0, n = rng.next_below(40); i < n; ++i)
     nack.missing.push_back(static_cast<std::uint32_t>(rng.next_below(1u << 20)));
-  auto nk = decode_mcast_nack(encode_mcast_nack(nack));
+  auto nk = decode_packet<McastNackPacket>(encode_packet(PacketType::mnack, nack));
   ASSERT_TRUE(nk.ok());
   EXPECT_EQ(nk.value().group, nack.group);
   EXPECT_EQ(nk.value().msg_id, nack.msg_id);
@@ -516,26 +496,26 @@ TEST_P(WireFuzz, EveryStrictPrefixFailsWithCorrupt) {
       switch (head.value().type) {
         case PacketType::data:
         case PacketType::data_ck:
-          EXPECT_EQ(decode_data(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<DataPacket>(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::status:
         case PacketType::status_ck:
-          EXPECT_EQ(decode_status(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<StatusPacket>(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::msg_ack:
         case PacketType::probe:
         case PacketType::msg_ack_ck:
         case PacketType::probe_ck:
-          EXPECT_EQ(decode_msg_id(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<MsgIdPacket>(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::mdata:
-          EXPECT_EQ(decode_mcast_data(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<McastDataPacket>(prefix).error().code, Errc::corrupt);
           break;
         case PacketType::mnack:
-          EXPECT_EQ(decode_mcast_nack(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<McastNackPacket>(prefix).error().code, Errc::corrupt);
           break;
         default:
-          EXPECT_EQ(decode_stream(prefix).error().code, Errc::corrupt);
+          EXPECT_EQ(decode_packet<StreamPacket>(prefix).error().code, Errc::corrupt);
           break;
       }
     }
@@ -579,19 +559,19 @@ TEST_P(WireFuzz, BitFlippedPacketsNeverCrashEveryDecoder) {
       // a flipped type byte routes packets to the "wrong" parser in real
       // runs, and none of them may crash or accept impossible structure.
       decode_by_head(mangled);
-      (void)decode_data(mangled);
-      (void)decode_status(mangled);
-      (void)decode_msg_id(mangled);
-      (void)decode_stream(mangled);
-      (void)decode_mcast_data(mangled);
-      (void)decode_mcast_nack(mangled);
+      (void)decode_packet<DataPacket>(mangled);
+      (void)decode_packet<StatusPacket>(mangled);
+      (void)decode_packet<MsgIdPacket>(mangled);
+      (void)decode_packet<StreamPacket>(mangled);
+      (void)decode_packet<McastDataPacket>(mangled);
+      (void)decode_packet<McastNackPacket>(mangled);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range(1, 9));
 
-// ---- Control-plane records: one field list, both directions ----
+// ---- Records and packets: one field list, both directions ----
 
 std::uint64_t fnv64(const Bytes& b) {
   std::uint64_t h = 14695981039346656037ull;
@@ -599,13 +579,16 @@ std::uint64_t fnv64(const Bytes& b) {
   return h;
 }
 
-// One row per record type: a sample's encoding; decoders from flat bytes
-// and from a payload that re-encode what they read; the FNV-1a 64 of the
-// bytes the hand-written encoders sent for the same sample; and, where the
-// record has a top-level vector, the offset of its count.
+// One row per record type: a sample's encoding, and the same sample
+// through the other back end (PayloadWriter for a record, ByteWriter for a
+// packet); decoders from flat bytes and from a payload that re-encode what
+// they read; the FNV-1a 64 of the bytes the hand-written encoders sent for
+// the same sample; and, where the record has a top-level vector, the offset
+// of its count.
 struct RecordRow {
   std::string name;
   Bytes wire;
+  Bytes wire_other;
   std::function<Result<Bytes>(const Bytes&)> reencode;
   std::function<Result<Bytes>(const Payload&)> reencode_payload;
   std::uint64_t golden = 0;
@@ -619,9 +602,30 @@ RecordRow row(std::string name, const R& sample, std::uint64_t golden,
     if (!decoded) return decoded.error();
     return encode(decoded.value());
   };
-  return {std::move(name), encode(sample),
+  return {std::move(name), encode(sample), encode_payload(sample).to_bytes(),
           [again](const Bytes& b) { return again(decode<R>(b)); },
           [again](const Payload& p) { return again(decode<R>(p)); }, golden, count_at};
+}
+
+/// A transport packet's row: `sample` under `type`, or under its
+/// checksummed twin when `ck`, read back by decode_packet.
+template <class P>
+RecordRow packet_row(std::string name, transport::PacketType type, const P& sample, bool ck,
+                     std::uint64_t golden) {
+  auto again = [type, ck](Result<P> decoded) -> Result<Bytes> {
+    if (!decoded) return decoded.error();
+    return transport::encode_packet(type, decoded.value(), ck).to_bytes();
+  };
+  Bytes wire = transport::encode_packet(type, sample, ck).to_bytes();
+  Bytes flat = encode(wire[0], sample);  // the type byte it sent, then the fields
+  if (ck) {
+    const Bytes sum = encode(transport::payload_checksum(flat));
+    flat.insert(flat.end(), sum.begin(), sum.end());
+  }
+  return {std::move(name), std::move(wire), std::move(flat),
+          [again](const Bytes& b) { return again(transport::decode_packet<P>(b)); },
+          [again](const Payload& p) { return again(transport::decode_packet<P>(p)); }, golden,
+          std::nullopt};
 }
 
 const std::vector<RecordRow>& record_rows() {
@@ -742,6 +746,41 @@ const std::vector<RecordRow>& record_rows() {
                     encode(beacon.version, beacon.host, beacon.seq, beacon.ts, beacon.period_ns,
                            beacon.full)
                         .size()));
+
+    // Transport packets, plain and checksummed where SRUDP has a twin.
+    using transport::PacketType;
+    const transport::DataPacket data{0x0102030405060708ull, 2, 5, 4000, to_bytes("fragment")};
+    const transport::StatusPacket status{9, 12, Bytes{0xa5, 0x0f}};
+    const transport::MsgIdPacket mid{77};
+    const transport::StreamPacket syn{3, 0, 0, 65536, {}};
+    const transport::StreamPacket seg{3, 1000, 200, 65536, Payload(to_bytes("segment"))};
+    const transport::McastDataPacket mdata{"grp", 4, 1, 3, 2500, 123456789,
+                                           Payload(to_bytes("mcast"))};
+    const transport::McastNackPacket mnack{"grp", 4, {0, 2}};
+    r.push_back(packet_row("DATA", PacketType::data, data, false, 0x44c5f15e74c4081eull));
+    r.push_back(packet_row("DATA_CK", PacketType::data, data, true, 0x2e32824ff304c2afull));
+    r.push_back(packet_row("STATUS", PacketType::status, status, false, 0xac9c2f51381f2c37ull));
+    r.push_back(packet_row("STATUS_CK", PacketType::status, status, true, 0x05d3776d5eec4c26ull));
+    r.push_back(packet_row("MSG_ACK", PacketType::msg_ack, mid, false, 0x0cd96ff54dc687beull));
+    r.push_back(packet_row("MSG_ACK_CK", PacketType::msg_ack, mid, true, 0x49c4132457d1aa29ull));
+    r.push_back(packet_row("PROBE", PacketType::probe, mid, false, 0x985af7c3d223f764ull));
+    r.push_back(packet_row("PROBE_CK", PacketType::probe, mid, true, 0x154d18b084d86ac3ull));
+    r.push_back(packet_row("SYN", PacketType::syn, syn, false, 0xea192075f59cae6full));
+    r.push_back(packet_row("SEG", PacketType::seg, seg, false, 0x44b6c73a20421b91ull));
+    r.push_back(packet_row("MDATA", PacketType::mdata, mdata, false, 0x240c55082ad631dbull));
+    r.push_back(packet_row("MNACK", PacketType::mnack, mnack, false, 0x80913fb9aaa28794ull));
+    const Payload body(to_bytes("body"));
+    using transport::RpcKind;
+    r.push_back(row("RpcRequest",
+                    transport::RpcFrame{RpcKind::request, 11, 42, body,
+                                        Payload(to_bytes("authenticator!!!"))},
+                    0xf40a4fac3670a7e3ull));
+    r.push_back(row("RpcResponse", transport::RpcFrame{RpcKind::response, 11, 42, body, {}},
+                    0xf2e67e0ca124989aull));
+    r.push_back(row("RpcOneway", transport::RpcFrame{RpcKind::oneway, 0, 43, body, {}},
+                    0xcb218a52edd29a7eull));
+    // A stream message rides the byte stream as one blob.
+    r.push_back(row("StreamFrame", Payload(to_bytes("message")), 0xfcd6806e98167607ull));
     return r;
   }();
   return rows;
@@ -751,6 +790,7 @@ TEST(RecordCodec, EncodesTheHandWrittenBytesAndRoundTrips) {
   for (const RecordRow& r : record_rows()) {
     SCOPED_TRACE(r.name);
     EXPECT_EQ(fnv64(r.wire), r.golden) << hex_encode(r.wire);
+    EXPECT_EQ(r.wire_other, r.wire);
     auto again = r.reencode(r.wire);
     ASSERT_TRUE(again.ok()) << again.error().to_string();
     EXPECT_EQ(again.value(), r.wire);
@@ -795,9 +835,9 @@ TEST(RecordCodec, CountAboveTheBytesLeftFailsBeforeAnyAllocation) {
     // Cut just before the count, the same decode reaches the count and stops.
     const Bytes cut(r.wire.begin(), r.wire.begin() + static_cast<std::ptrdiff_t>(at));
     auto allocs_of = [&r](const Bytes& b) {
-      const std::uint64_t before = g_allocs.load();
+      const std::uint64_t before = heap_allocs();
       EXPECT_EQ(r.reencode(b).code(), Errc::corrupt);
-      return g_allocs.load() - before;
+      return heap_allocs() - before;
     };
     const std::uint64_t cut_allocs = allocs_of(cut);
     EXPECT_LE(allocs_of(poisoned), cut_allocs);
